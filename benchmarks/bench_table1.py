@@ -114,71 +114,6 @@ def measure_trace_overhead() -> None:
         )
 
 
-def measure_replay_tier() -> None:
-    """Record the deterministic-replay tier's rates beside the baseline.
-
-    Three figures, measured on the same cell with the historical-result
-    cache disabled (so the replay tier, not the outcome cache, is what
-    answers):
-
-    - ``trials_per_second_replay_warm`` — re-running seeds whose ledger
-      programs were recorded by a warm pass: every trial replays, the
-      sweep's steady state for repeated cells;
-    - ``trials_per_second_replay_fresh`` — fresh seeds against the warm
-      store: the honest mixed hit/fork/miss rate;
-    - ``trials_per_second_replay_off`` — ``REPRO_REPLAY=0``, the full
-      simulator on the same fresh-seed workload.
-
-    Best-of-3 per mode, like :func:`measure_trace_overhead` — single
-    ~0.1 s slices are noise-dominated on a loaded runner.
-    """
-    import os
-
-    from repro.experiments import replay
-    from repro.telemetry.metrics import get_registry
-
-    if not replay.enabled():
-        return  # REPRO_REPLAY=0 runs have nothing honest to record here
-    saved = {
-        name: os.environ.get(name)
-        for name in ("REPRO_RESULT_CACHE", "REPRO_REPLAY")
-    }
-    registry = get_registry()
-    try:
-        os.environ["REPRO_RESULT_CACHE"] = "0"
-        replay.clear()
-        _timed_slice(seed=9100)  # warm pass: records this cell's programs
-        rate_warm = 0.0
-        warm_hits = 0
-        for _ in range(3):
-            hits_before = registry.counter_value("replay.hits")
-            rate_warm = max(rate_warm, _timed_slice(seed=9100))
-            warm_hits = registry.counter_value("replay.hits") - hits_before
-        rate_fresh = 0.0
-        seed = 9200
-        for _ in range(3):
-            rate_fresh = max(rate_fresh, _timed_slice(seed=seed))
-            seed += 1
-        os.environ["REPRO_REPLAY"] = "0"
-        rate_off = 0.0
-        for _ in range(3):
-            rate_off = max(rate_off, _timed_slice(seed=seed))
-            seed += 1
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-    record_metric("trials_per_second_replay_warm", round(rate_warm, 2))
-    record_metric("trials_per_second_replay_fresh", round(rate_fresh, 2))
-    record_metric("trials_per_second_replay_off", round(rate_off, 2))
-    record_metric("replay_warm_window_hits", warm_hits)
-    snapshot = replay.stats()
-    record_metric("replay_programs", snapshot["programs"])
-    record_metric("replay_forks", snapshot["forks"])
-
-
 def test_table1(benchmark):
     sites_count = bench_sites()
     repeats = bench_repeats()
@@ -187,5 +122,4 @@ def test_table1(benchmark):
     )
     report("table1", text)
     measure_trace_overhead()
-    measure_replay_tier()
     assert "TCB teardown with FIN" in text

@@ -17,7 +17,7 @@ outcome counts plus a Wilson score interval — rather than a bare label.
 
 Execution notes: per-cell seeds are fixed before fan-out (the same crc32
 salt scheme as the conformance matrix), each trial is simulated directly
-(never served from the replay tier), and device observables are
+(never served from the result cache), and device observables are
 harvested from the finished scenario before the pool can recycle it —
 so the report is byte-identical for any ``--shards``/worker split, which
 ``tests/test_heterogeneity.py`` pins.

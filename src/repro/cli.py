@@ -352,10 +352,9 @@ def _perf_profile(args: argparse.Namespace) -> int:
 
     The cell selectors mirror ``telemetry diagnose`` so a slow trial can
     be profiled with the same flags that diagnosed it.  ``--exec`` picks
-    the execution tier under the profiler: the plain per-trial simulator,
-    the batch-stepped shared-heap path (honouring ``REPRO_BATCH_TRIALS``),
-    or the replay tier against a pre-warmed cell (records outside the
-    profiler, then profiles the ledger-verification hot path).
+    the execution path under the profiler: the plain per-trial simulator
+    or the batch-stepped shared-heap path (honouring
+    ``REPRO_BATCH_TRIALS``).
     """
     import cProfile
     import pstats
@@ -365,7 +364,6 @@ def _perf_profile(args: argparse.Namespace) -> int:
         outside_china_catalog,
         vantage_by_name,
     )
-    from repro.experiments import replay
     from repro.experiments.runner import (
         _run_http_batch_records,
         _simulate_http_trial,
@@ -381,17 +379,7 @@ def _perf_profile(args: argparse.Namespace) -> int:
         )
         for repeat in range(args.repeats)
     ]
-    window = batch_window() if args.exec_mode == "batch" else len(tasks)
-    if args.exec_mode == "replay":
-        if not replay.enabled():
-            print("perf profile --exec replay needs REPRO_REPLAY on",
-                  file=sys.stderr)
-            return 1
-        # Warm pass: record the cell's programs before the profiler runs,
-        # so the profile shows the replay path, not the recording cost.
-        replay.clear()
-        for begin in range(0, len(tasks), window):
-            _run_http_batch_records(tasks[begin : begin + window])
+    window = batch_window()
     profiler = cProfile.Profile()
     profiler.enable()
     if args.exec_mode == "serial":
@@ -416,12 +404,6 @@ def _perf_profile(args: argparse.Namespace) -> int:
         f"exec={args.exec_mode}"
         + (f" window={window}" if args.exec_mode == "batch" else "")
     )
-    if args.exec_mode == "replay":
-        snapshot = replay.stats()
-        print(
-            f"replay: hits={snapshot['hits']} misses={snapshot['misses']} "
-            f"forks={snapshot['forks']} programs={snapshot['programs']}"
-        )
     stats.sort_stats("cumulative").print_stats(args.top)
     return 0
 
@@ -511,17 +493,12 @@ def _conformance_report(results, args: argparse.Namespace) -> int:
     from repro.conformance import check_verdicts, compare_golden
     from repro.conformance.oracles import KNOWN_DIVERGENCE
 
-    from repro.experiments import replay
-
     drifts, uncovered = check_verdicts(results)
     diff = compare_golden(results, _conformance_golden_dir(args),
                           seed=args.seed)
 
     if args.json:
         document = {cid: r.as_payload() for cid, r in sorted(results.items())}
-        # Cell ids always carry "|" separators, so a bare key cannot
-        # collide with one.
-        document["replay"] = replay.stats()
         print(json_module.dumps(document, indent=2))
     else:
         counts: dict = {}
@@ -562,14 +539,6 @@ def _conformance_report(results, args: argparse.Namespace) -> int:
               "new behaviour)", file=sys.stderr)
     if not failed:
         print("conformance: PASS (oracle + golden snapshot + ladders)")
-    if not args.json:
-        snapshot = replay.stats()
-        print(
-            f"replay tier: hits={snapshot['hits']} "
-            f"misses={snapshot['misses']} forks={snapshot['forks']} "
-            f"programs={snapshot['programs']} cells={snapshot['cells']}",
-            file=sys.stderr,
-        )
     return 1 if failed else 0
 
 
@@ -783,14 +752,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         gfw_variant=args.variant,
         max_flows=args.max_flows,
     )
-    from repro.experiments import replay
-
     start = time_module.perf_counter()
     result = run_fleet(spec, shards=args.shards, workers=args.workers)
     elapsed = time_module.perf_counter() - start
     payload = result.to_dict()
     payload["wall_seconds"] = round(elapsed, 3)
-    payload["replay"] = replay.stats()
     if elapsed > 0:
         payload["flow_events_per_second"] = round(result.flow_events / elapsed, 1)
         payload["flows_per_second"] = round(result.flows / elapsed, 1)
@@ -1155,11 +1121,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=int, default=25,
                    help="rows of the cumulative-time table to print")
     p.add_argument("--exec", dest="exec_mode",
-                   choices=("serial", "batch", "replay"), default="serial",
-                   help="profile: execution tier to profile — per-trial "
-                        "simulator, batch-stepped shared heap "
-                        "(REPRO_BATCH_TRIALS), or replay against a "
-                        "pre-warmed cell")
+                   choices=("serial", "batch"), default="serial",
+                   help="profile: execution path to profile — per-trial "
+                        "simulator or batch-stepped shared heap "
+                        "(REPRO_BATCH_TRIALS)")
     p.add_argument("--out", default=None,
                    help="also dump raw pstats here (e.g. profile.pstats)")
 

@@ -122,8 +122,8 @@ class Calibration:
     #: the ``heterogeneous`` GFW pseudo-variant consult it (diurnal
     #: reset-suppression curves, :mod:`repro.gfw.heterogeneity`); every
     #: paper-default experiment is hour-invariant.  A distinct hour also
-    #: changes the calibration fingerprint, so the replay/result-cache
-    #: tiers key hours apart instead of aliasing them.
+    #: changes the calibration fingerprint, so the result cache keys
+    #: hours apart instead of aliasing them.
     sim_hour: float = 12.0
 
     # -- tool parameters ------------------------------------------------------------

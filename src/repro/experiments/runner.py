@@ -26,13 +26,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.cache import KeyValueStore
 from repro.core.env import env_int
 from repro.core.intang import INTANG
-from repro.rngledger import begin_ledger, end_ledger, ledger_root
 from repro.core.selection import StrategySelector
 from repro.apps.dns import DNSUdpClient
 from repro.apps.http import HTTPClient
 from repro.apps.tor import TorClient
 from repro.apps.vpn import OpenVPNClient
-from repro.experiments import replay, result_cache
+from repro.experiments import result_cache
 from repro.experiments.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.experiments.parallel import map_trials, note_trials, run_sharded
 from repro.experiments.scenarios import (
@@ -46,7 +45,6 @@ from repro.netsim.batch import BatchSim
 from repro.netstack.packet import recycle_packets
 from repro.experiments.vantage import VantagePoint
 from repro.experiments.websites import Resolver, Website
-from repro.telemetry.events import get_bus
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.trace import get_tracer, make_span
 
@@ -268,7 +266,7 @@ def _http_trial_setup(
         tcp_host=scenario.client_tcp,
         clock=scenario.clock,
         network=scenario.network,
-        rng=ledger_root(seed, salt=0x5EED),
+        rng=random.Random(seed ^ 0x5EED),
         fixed_strategy=strategy_id,
         hop_delta=calibration.hop_delta,
         selector=selector,
@@ -277,7 +275,7 @@ def _http_trial_setup(
         intang.hop_estimator.measure(website.ip)
         if (
             not vantage.inside_china
-            and scenario.rng.coin(calibration.outside_ttl_error_probability)
+            and scenario.rng.random() < calibration.outside_ttl_error_probability
         ):
             # §7.1: on outside-China routes the hop measurement is hard
             # to get right; an overshoot sends TTL-limited insertions
@@ -396,89 +394,7 @@ def batch_window() -> int:
     return env_int("REPRO_BATCH_TRIALS", 16, minimum=1)
 
 
-def _replay_tier_active() -> bool:
-    """Whether the deterministic-replay tier may stand in for simulation.
-
-    Off when the span tracer or the event bus is enabled: both observe
-    the *simulation itself* (wall-clock spans, per-packet device events
-    carrying adopted sequence numbers), which a replayed trial by design
-    never performs — those runs must simulate for real.
-    """
-    return replay.enabled() and not get_tracer().enabled and not get_bus().enabled
-
-
-def _record_http_trial(
-    task: Tuple, key: str, gfw_variant: Optional[str]
-) -> TrialRecord:
-    """Run one trial solo under an RNG ledger and store it as a replay
-    program: the full draw fingerprint, the record payload, and the
-    trial's registry delta (captured solo — batched trials interleave
-    their counter increments unattributably)."""
-    vantage, website, strategy_id, calibration, seed, keyword = task
-    registry = get_registry()
-    before = registry.snapshot()
-    ledger = begin_ledger(seed)
-    try:
-        ctx = _http_trial_setup(
-            vantage, website, strategy_id, calibration, seed, keyword,
-            gfw_variant=gfw_variant,
-        )
-        ledger.mark("run")
-        ctx.scenario.run()
-        record = _http_trial_finalize(ctx)
-    finally:
-        end_ledger()
-    delta = registry.diff(before)
-    scenario = ctx.scenario
-    trace = scenario.trace
-    if scenario.gfw_packets_at_client and (trace is None or not trace.enabled):
-        recycle_packets(scenario.gfw_packets_at_client)
-        scenario.gfw_packets_at_client.clear()
-    # No release: the solo (non-lease) acquire already parked the scenario
-    # in the pool; releasing again would alias one object on the free list.
-    replay.record(key, ledger, _http_record_payload(record), delta)
-    return record
-
-
 def _run_http_batch_records(
-    tasks: Sequence[Tuple],
-    gfw_variant: Optional[str] = None,
-) -> List[TrialRecord]:
-    """The batch execution entry point, fronted by the replay tier.
-
-    Each task replays (ledger fingerprint matches a stored program — the
-    artifact is returned and its registry delta folded), records (a miss
-    with program slots left runs solo under a ledger), or falls through
-    to the shared-heap batch simulator with the window's other leftovers.
-    Byte-identical records and semantic telemetry either way — pinned by
-    the replay-parity tier-1 tests.
-    """
-    if not _replay_tier_active():
-        return _run_http_batch_sim(tasks, gfw_variant)
-    records: List[Optional[TrialRecord]] = [None] * len(tasks)
-    pending: List[Tuple[int, str]] = []
-    for index, task in enumerate(tasks):
-        key = replay.task_key(task, gfw_variant)
-        program = replay.lookup(key, task[4])
-        if program is not None:
-            records[index] = _http_record_from_payload(program["record"])
-            replay.fold(program)
-        else:
-            pending.append((index, key))
-    leftover: List[int] = []
-    for index, key in pending:
-        if replay.can_record(key):
-            records[index] = _record_http_trial(tasks[index], key, gfw_variant)
-        else:
-            leftover.append(index)
-    if leftover:
-        fresh = _run_http_batch_sim([tasks[i] for i in leftover], gfw_variant)
-        for index, record in zip(leftover, fresh):
-            records[index] = record
-    return records
-
-
-def _run_http_batch_sim(
     tasks: Sequence[Tuple],
     gfw_variant: Optional[str] = None,
 ) -> List[TrialRecord]:
@@ -560,24 +476,10 @@ def run_http_trial(
         hit = result_cache.lookup(cache_key)
         if hit is not None and hit.get("record") is not None:
             return _http_record_from_payload(hit["record"])
-    record: Optional[TrialRecord] = None
-    if selector is None and _replay_tier_active():
-        # The replay tier sits behind the result cache: a cache hit never
-        # folds telemetry (historical contract), so replay only stands in
-        # for trials the cache would have simulated.
-        task = (vantage, website, strategy_id, calibration, seed, keyword)
-        key = replay.task_key(task, None)
-        program = replay.lookup(key, seed)
-        if program is not None:
-            record = _http_record_from_payload(program["record"])
-            replay.fold(program)
-        elif replay.can_record(key):
-            record = _record_http_trial(task, key, None)
-    if record is None:
-        record, _scenario = _simulate_http_trial(
-            vantage, website, strategy_id, calibration,
-            seed=seed, keyword=keyword, selector=selector,
-        )
+    record, _scenario = _simulate_http_trial(
+        vantage, website, strategy_id, calibration,
+        seed=seed, keyword=keyword, selector=selector,
+    )
     if cache_key is not None:
         result_cache.record_trial(
             cache_key, record.outcome.value, _http_record_payload(record)
@@ -746,7 +648,7 @@ def run_http_outcomes(
         outcomes.append(Outcome(hit["outcome"]) if hit is not None else None)
     pending = [index for index, outcome in enumerate(outcomes) if outcome is None]
     if len(pending) < len(tasks):
-        note_trials(len(tasks) - len(pending))  # replayed, but still trials
+        note_trials(len(tasks) - len(pending))  # cache hits, but still trials
     if pending:
         fresh = _dispatch_http_tasks(
             [tasks[index] for index in pending], workers, shards

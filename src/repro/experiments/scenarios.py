@@ -47,7 +47,6 @@ from repro.apps.tor import TorBridge
 from repro.apps.udp import UDPHost
 from repro.apps.vpn import OpenVPNServer
 from repro.core.env import env_flag, env_int
-from repro.rngledger import TrialRandom, ledger_root
 from repro.experiments.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.experiments.vantage import VantagePoint
 from repro.experiments.websites import Resolver, Website
@@ -108,7 +107,7 @@ class Scenario:
             if self.vantage.inside_china
             else self.calibration.route_drift_probability_outside
         )
-        if not self.rng.coin(probability):
+        if self.rng.random() >= probability:
             return None
         choices = (
             self.calibration.drift_choices
@@ -116,7 +115,7 @@ class Scenario:
             else self.calibration.outside_drift_choices
         )
         side, delta, _weight = choices[
-            self.rng.branch(tuple(weight for _, _, weight in choices))
+            _branch(self.rng, [weight for _, _, weight in choices])
         ]
         try:
             if side == "server":
@@ -149,40 +148,62 @@ class Scenario:
         return len(self.gfw_packets_at_client)
 
 
-def _draw_loss_rate(rng: TrialRandom, calibration: Calibration) -> float:
-    if rng.coin(calibration.burst_loss_probability):
+def _branch(rng: random.Random, weights: List[float]) -> int:
+    """Weighted choice: one ``random()`` scaled by the total, then
+    successive subtraction until the roll drops to zero or below.  Float
+    rounding can leave the roll positive after the last weight; the last
+    index is the answer then."""
+    roll = rng.random() * sum(weights)
+    for index, weight in enumerate(weights):
+        roll -= weight
+        if roll <= 0:
+            return index
+    return len(weights) - 1
+
+
+def _pick(rng: random.Random, thresholds: tuple) -> int:
+    """One ``random()`` against ascending cumulative thresholds: the
+    index of the first threshold above the roll, else ``len(thresholds)``."""
+    roll = rng.random()
+    for index, threshold in enumerate(thresholds):
+        if roll < threshold:
+            return index
+    return len(thresholds)
+
+
+def _draw_loss_rate(rng: random.Random, calibration: Calibration) -> float:
+    if rng.random() < calibration.burst_loss_probability:
         return calibration.burst_loss_rate
     return calibration.base_loss_rate
 
 
 #: The three installation compositions, indexed by the population pick.
-_GFW_GENERATIONS = (["old", "old2"], ["evolved", "old"], ["evolved", "evolved2"])
+_GFW_GENERATIONS = (("old", "old2"), ("evolved", "old"), ("evolved", "evolved2"))
 
 
 def _gfw_configs(
-    rng: TrialRandom, calibration: Calibration, vantage: VantagePoint
+    rng: random.Random, calibration: Calibration, vantage: VantagePoint
 ) -> List[GFWConfig]:
     """Draw the installation composition and shared behaviour quirks."""
-    generations = list(
-        _GFW_GENERATIONS[
-            rng.pick(
-                (
-                    calibration.old_model_only_fraction,
-                    calibration.old_model_only_fraction
-                    + calibration.both_models_fraction,
-                )
-            )
-        ]
-    )
+    generations = _GFW_GENERATIONS[
+        _pick(
+            rng,
+            (
+                calibration.old_model_only_fraction,
+                calibration.old_model_only_fraction
+                + calibration.both_models_fraction,
+            ),
+        )
+    ]
     # Installation-wide quirk draws (devices at one tap share a version).
     tcp_ooo = (
         OverlapPolicy.LAST_WINS
-        if rng.coin(calibration.evolved_tcp_ooo_lastwins_fraction)
+        if rng.random() < calibration.evolved_tcp_ooo_lastwins_fraction
         else OverlapPolicy.FIRST_WINS
     )
-    ignores_noflag = rng.coin(calibration.evolved_ignores_noflag_fraction)
-    validates_ack = rng.coin(calibration.evolved_validates_ack_fraction)
-    fin_teardown = rng.coin(calibration.evolved_fin_teardown_fraction)
+    ignores_noflag = rng.random() < calibration.evolved_ignores_noflag_fraction
+    validates_ack = rng.random() < calibration.evolved_validates_ack_fraction
+    fin_teardown = rng.random() < calibration.evolved_fin_teardown_fraction
     configs: List[GFWConfig] = []
     for generation in generations:
         if generation.startswith("old"):
@@ -241,7 +262,7 @@ def _path_geometry(
         return hop_count, gfw_hop
     hop_count = hop_count + 6  # transcontinental transit
     gaps = calibration.outside_gfw_server_gap
-    gap = gaps[rng.branch(tuple(weight for _, weight in gaps))][0]
+    gap = gaps[_branch(rng, [weight for _, weight in gaps])][0]
     return hop_count, max(2, hop_count - gap)
 
 
@@ -278,18 +299,20 @@ def build_scenario(
     (middleboxes, firewall, GFW devices, workload apps) is still rebuilt
     per trial, preserving the trial-isolation contract above.
     """
-    rng = ledger_root(seed)
+    rng = random.Random(seed)
     if reuse is None:
         clock = SimClock()
         recorder = TraceRecorder(enabled=trace)
-        network = Network(clock=clock, rng=rng.spawn(), trace=recorder)
+        network = Network(
+            clock=clock, rng=random.Random(rng.randrange(2**31)), trace=recorder
+        )
     else:
         clock = reuse.clock
         clock.reset()
         recorder = reuse.trace
         recorder.reset(enabled=trace)
         network = reuse.network
-        network.rng = rng.spawn()
+        network.rng = random.Random(rng.randrange(2**31))
         network.undeliverable = 0
 
     if workload == "dns":
@@ -338,13 +361,13 @@ def build_scenario(
 
     # -- client-side middleboxes (Table 2) --------------------------------
     for box in vantage.middleboxes.build_boxes(
-        hop=CLIENT_MIDDLEBOX_HOP, rng=rng.spawn()
+        hop=CLIENT_MIDDLEBOX_HOP, rng=random.Random(rng.randrange(2**31))
     ):
         path.add_element(box)
     firewall_present = (
         force_firewall
         if force_firewall is not None
-        else rng.coin(calibration.stateful_firewall_fraction)
+        else rng.random() < calibration.stateful_firewall_fraction
     )
     if firewall_present:
         path.add_element(
@@ -353,15 +376,15 @@ def build_scenario(
                 hop=FIREWALL_HOP,
                 teardown_probability=firewall_teardown_probability,
                 check_sequences=(
-                    rng.coin(calibration.firewall_checks_sequences_fraction)
+                    rng.random() < calibration.firewall_checks_sequences_fraction
                 ),
-                rng=rng.spawn(),
+                rng=random.Random(rng.randrange(2**31)),
             )
         )
 
     # -- the GFW installation ------------------------------------------------
     cluster = GFWCluster(
-        rng=rng.spawn(),
+        rng=random.Random(rng.randrange(2**31)),
         miss_probability=calibration.gfw_miss_probability,
     )
     censored_path = resolver.censored_path if resolver is not None else True
@@ -375,7 +398,7 @@ def build_scenario(
             # cannot leak across matrix cells.  The heterogeneous
             # pseudo-variant resolves to one concrete member variant per
             # (vantage, target) route — a pure crc32 function with no
-            # recorded draws, so pooled scenario reuse replays the same
+            # RNG draws, so pooled scenario reuse rebuilds the same
             # installation and the build draw order is untouched.
             member_variant, temporal_profile = resolve_route(
                 gfw_variant, vantage.name, server_name
@@ -401,7 +424,7 @@ def build_scenario(
                 hop=gfw_hop,
                 config=config,
                 clock=clock,
-                rng=rng.spawn(),
+                rng=random.Random(rng.randrange(2**31)),
                 cluster=cluster,
             )
             device.dns_poisoner = poisoner
@@ -413,20 +436,23 @@ def build_scenario(
     client_profile = _profile_variant("linux-4.4", False)
     server_profile = _server_profile(website)
     if reuse is None:
-        # The endpoint stacks draw only their ISNs — values that never
-        # steer control flow — so their streams record opaquely and a
-        # replay candidate can match across seeds.
         client_tcp = TCPHost(
-            client, clock, profile=client_profile, rng=rng.spawn(opaque=True),
+            client, clock, profile=client_profile,
+            rng=random.Random(rng.randrange(2**31)),
         )
         server_tcp = TCPHost(
-            server, clock, profile=server_profile, rng=rng.spawn(opaque=True),
+            server, clock, profile=server_profile,
+            rng=random.Random(rng.randrange(2**31)),
         )
     else:
         client_tcp = reuse.client_tcp
-        client_tcp.reset(profile=client_profile, rng=rng.spawn(opaque=True))
+        client_tcp.reset(
+            profile=client_profile, rng=random.Random(rng.randrange(2**31))
+        )
         server_tcp = reuse.server_tcp
-        server_tcp.reset(profile=server_profile, rng=rng.spawn(opaque=True))
+        server_tcp.reset(
+            profile=server_profile, rng=random.Random(rng.randrange(2**31))
+        )
 
     scenario = Scenario(
         clock=clock,

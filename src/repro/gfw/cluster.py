@@ -17,7 +17,6 @@ from __future__ import annotations
 import random
 from typing import Dict, Tuple
 
-from repro.rngledger import as_trial_random
 from repro.gfw.flow import ConnKey
 
 
@@ -25,10 +24,7 @@ class GFWCluster:
     """One censoring installation shared by the devices on a path."""
 
     def __init__(self, rng: random.Random, miss_probability: float = 0.028) -> None:
-        # Coerced so the per-flow miss draw and the devices' shared NB3
-        # coins can use the recordable ``coin`` helper; plain-RNG callers
-        # (the fleet engine, tests) keep identical draw values.
-        self.rng = as_trial_random(rng)
+        self.rng = rng
         self.miss_probability = miss_probability
         self._missed_flows: Dict[Tuple[ConnKey, int], bool] = {}
         self.trial_nonce = 0
@@ -37,7 +33,7 @@ class GFWCluster:
         """Whether the whole cluster overlooks this flow (drawn once)."""
         cache_key = (key, self.trial_nonce)
         if cache_key not in self._missed_flows:
-            self._missed_flows[cache_key] = self.rng.coin(self.miss_probability)
+            self._missed_flows[cache_key] = self.rng.random() < self.miss_probability
         return self._missed_flows[cache_key]
 
     def new_trial(self) -> None:

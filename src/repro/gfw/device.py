@@ -59,7 +59,6 @@ from repro.gfw.flow import FlowTable, GFWFlow, GFWFlowState, connection_key
 from repro.gfw.models import GFWConfig
 from repro.gfw.resets import ResetInjector
 from repro.gfw.rules import Detection
-from repro.rngledger import as_trial_random
 from repro.telemetry.events import get_bus
 from repro.telemetry.metrics import get_registry
 
@@ -131,13 +130,6 @@ class GFWDevice(Tap):
         #: Detections left unenforced by the diurnal load draw (Ensafi
         #: failure-to-inject; zero unless ``config.temporal`` is set).
         self.resets_suppressed = 0
-        # The suppression coin must be a recordable semantic draw so the
-        # replay ledger forks on it; scenario-built devices already hold
-        # a TrialRandom, plain-RNG constructions (tests) get a same-state
-        # wrapper.  Resolved once here — `_on_detection` is hot.
-        self._temporal_rng = (
-            as_trial_random(self.rng) if config.temporal is not None else None
-        )
         #: Stream bytes handed to DPI inspectors (resource accounting).
         self.bytes_inspected = 0
         #: Optional components, wired by the scenario builder.
@@ -161,11 +153,11 @@ class GFWDevice(Tap):
         # NB3 behaviour is consistent per installation per period (§4, §8):
         # draw once per cluster and share across co-located devices.
         if not hasattr(self.cluster, "rst_resyncs_established"):
-            self.cluster.rst_resyncs_established = self.cluster.rng.coin(
-                config.resync_on_rst_probability
+            self.cluster.rst_resyncs_established = (
+                self.cluster.rng.random() < config.resync_on_rst_probability
             )
-            self.cluster.rst_resyncs_handshake = self.cluster.rng.coin(
-                config.resync_on_rst_handshake_probability
+            self.cluster.rst_resyncs_handshake = (
+                self.cluster.rng.random() < config.resync_on_rst_handshake_probability
             )
 
     # ------------------------------------------------------------------
@@ -524,14 +516,13 @@ class GFWDevice(Tap):
             )
             return
         temporal = self.config.temporal
-        if temporal is not None and self._temporal_rng.coin(
+        if temporal is not None and self.rng.random() < (
             temporal.reset_suppression(self.config.sim_hour)
         ):
             # Ensafi failure-to-inject: the DPI match stands, but the
             # loaded injector emits no volley and records no blacklist
-            # entry.  One recorded coin per detected flow (`flow.punished`
-            # is already latched by the caller), so the replay tier forks
-            # on the draw instead of silently diverging.
+            # entry.  One draw per detected flow (`flow.punished` is
+            # already latched by the caller).
             self.resets_suppressed += 1
             _METRIC_RESET_SUPPRESSED.inc()
             self._bus.publish(

@@ -13,15 +13,13 @@ This module supplies the deterministic fabric for that model:
   registered model variant plus a per-route :class:`TemporalProfile`.
   Assignment is a **pure function** of ``(ensemble seed, vantage name,
   target name)`` via crc32 (never ``hash()``): permutation-stable,
-  interpreter-stable, and — critically — free of recorded RNG draws, so
-  scenario builds keep their exact historical draw order and the pooled
+  interpreter-stable, and — critically — free of RNG draws, so scenario
+  builds keep their exact historical draw order and the pooled
   scenario-reuse path stays byte-identical.
 - :class:`TemporalProfile` — a sinusoidal diurnal load curve mapped to a
   reset-*suppression* probability plus a blacklist-TTL drift factor.
-  The suppression coin itself is drawn **at detection time on the
-  device's ledger-recorded stream** (one ``rng.coin`` per detected
-  flow), so PR 9's replay tier forks on it instead of silently
-  diverging.
+  The suppression coin itself is drawn at detection time on the
+  device's own stream (one ``rng.random()`` per detected flow).
 
 The ``heterogeneous`` pseudo-variant rides the existing ``gfw_variant``
 axis everywhere (scenario builds, the fleet's shared state, the

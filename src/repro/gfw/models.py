@@ -88,7 +88,7 @@ class GFWConfig:
     #: TemporalProfile`, duck-typed to avoid the import cycle).  ``None``
     #: — the default for every registered variant — means no load
     #: modulation and, critically, no extra RNG draws: the historical
-    #: draw order and every replay/golden pin stay byte-identical.
+    #: draw order and every golden pin stay byte-identical.
     #: Routes of the ``heterogeneous`` pseudo-variant get one installed
     #: at scenario build.
     temporal: object = None

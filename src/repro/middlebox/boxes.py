@@ -21,7 +21,6 @@ import enum
 import random
 from typing import Dict, Optional, Tuple
 
-from repro.rngledger import TrialRandom, as_trial_random
 from repro.netstack.fragment import FragmentReassembler, OverlapPolicy
 from repro.netstack.options import KIND_MD5SIG
 from repro.netstack.packet import FIN, IPPacket, RST, TCPSegment, seq_add, seq_sub
@@ -93,13 +92,13 @@ class FieldSanitizerBox(InlineBox):
         self.drop_no_flag = drop_no_flag
         self.drop_fin = drop_fin
         self.drop_rst = drop_rst
-        self.rng = as_trial_random(rng) or TrialRandom(hash(name) & 0xFFFFFFFF)
+        self.rng = rng or random.Random(hash(name) & 0xFFFFFFFF)
         self.dropped: Dict[str, int] = {}
 
     def _roll(self, probability: float, label: str) -> bool:
         if probability <= 0.0:
             return False
-        if probability >= 1.0 or self.rng.coin(probability):
+        if probability >= 1.0 or self.rng.random() < probability:
             self.dropped[label] = self.dropped.get(label, 0) + 1
             return True
         return False
@@ -173,7 +172,7 @@ class StatefulFirewallBox(InlineBox):
         #: Probability a matching RST/FIN actually poisons the entry —
         #: some boxes only "sometimes" adopt forged control packets.
         self.teardown_probability = teardown_probability
-        self.rng = as_trial_random(rng) or TrialRandom(hash(name) & 0xFFFFFFFF)
+        self.rng = rng or random.Random(hash(name) & 0xFFFFFFFF)
         self._entries: Dict[Tuple, _FirewallEntry] = {}
         self.packets_blocked = 0
         self.teardowns = 0
@@ -235,7 +234,7 @@ class StatefulFirewallBox(InlineBox):
     def _teardown_roll(self) -> bool:
         if self.teardown_probability >= 1.0:
             return True
-        return self.rng.coin(self.teardown_probability)
+        return self.rng.random() < self.teardown_probability
 
     def reset_state(self) -> None:
         self._entries.clear()

@@ -23,7 +23,6 @@ from bisect import bisect_left, bisect_right
 from heapq import heappush
 from typing import Dict, List, Optional, Tuple
 
-from repro.rngledger import TrialRandom, as_trial_random
 from repro.netstack.packet import IPPacket
 from repro.netsim.node import Endpoint
 from repro.netsim.path import (
@@ -403,12 +402,7 @@ class Network:
         trace: Optional[TraceRecorder] = None,
     ) -> None:
         self.clock = clock if clock is not None else SimClock()
-        # Coerced so the per-launch loss draw below can use the semantic
-        # ``coin`` helper (recorded when the scenario builder binds a
-        # replay ledger) with identical draw values for plain-RNG callers.
-        self.rng: TrialRandom = (
-            as_trial_random(rng) if rng is not None else TrialRandom(0)
-        )
+        self.rng = rng if rng is not None else random.Random(0)
         # Note: "trace or default" would be wrong — an empty recorder is
         # falsy through its __len__.
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
@@ -492,7 +486,7 @@ class Network:
         server never receives — a real and exploited asymmetry).
         """
         drop_hop: Optional[int] = None
-        if path.loss_rate > 0 and self.rng.coin(path.loss_rate):
+        if path.loss_rate > 0 and self.rng.random() < path.loss_rate:
             destination_hop = path.destination_hop(direction)
             low, high = sorted((origin_hop, destination_hop))
             drop_hop = self.rng.randint(low + 1, high)

@@ -24,21 +24,6 @@ def _fresh_result_cache():
 
 
 @pytest.fixture(autouse=True)
-def _fresh_replay_store():
-    """Isolate tests from the process-wide replay program store.
-
-    Same reasoning as the result cache above: a test that monkeypatches
-    simulator internals must not replay a program recorded under
-    unpatched code (and vice versa).
-    """
-    from repro.experiments import replay
-
-    replay.clear()
-    yield
-    replay.clear()
-
-
-@pytest.fixture(autouse=True)
 def _quiet_event_bus():
     """Leave the telemetry bus the way each test found it: disabled
     (unless the environment says otherwise) and empty."""

@@ -40,6 +40,8 @@ from repro.netstack.packet import (
 )
 from repro.telemetry.metrics import get_registry
 
+from helpers import ENGINE_PREFIXES
+
 VANTAGES = CHINA_VANTAGE_POINTS[:2]
 SITES = outside_china_catalog(count=2)
 STRATEGIES = ["none", "tcb-teardown-rst/ttl"]
@@ -80,14 +82,12 @@ def _batched_records(tasks, window):
 def _trial_semantic(delta):
     """Strip execution-strategy counters from a telemetry delta.
 
-    ``scenario.built/reused/evicted``, ``pool.*``, ``netsim.*``,
-    ``result_cache.*`` and ``replay.*`` legitimately differ between
-    serial, batched and replayed runs (they describe what the execution
-    engine did, not what the simulated trial did); everything else —
-    GFW, DPI, TCP, trial outcome metrics — must not.
+    ``scenario.built/reused/evicted``, ``pool.*``, ``netsim.*`` and
+    ``result_cache.*`` legitimately differ between serial and batched
+    runs (they describe what the execution engine did, not what the
+    simulated trial did); everything else — GFW, DPI, TCP, trial outcome
+    metrics — must not.
     """
-    from repro.experiments.replay import ENGINE_PREFIXES
-
     counters = {
         name: value
         for name, value in delta["counters"].items()

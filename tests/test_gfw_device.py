@@ -385,3 +385,22 @@ class TestResetState:
         world.gfw.reset_state()
         assert world.gfw.tracked_flow_count() == 0
         assert len(world.gfw.blacklist) == 0
+
+
+class TestStreamSharing:
+    def test_default_cluster_shares_the_device_stream(self):
+        """A device built without a cluster hands its own RNG object to
+        the cluster it creates: the cluster's miss and NB3 coins continue
+        the device's stream instead of replaying a copy of it."""
+        from repro.netsim import SimClock
+
+        devices = [
+            GFWDevice(
+                "gfw", hop=8, config=evolved_config(), clock=SimClock(),
+                rng=random.Random(5),
+            ),
+            _harness().device,
+            mini_topology().gfw,
+        ]
+        for device in devices:
+            assert device.cluster.rng is device.rng

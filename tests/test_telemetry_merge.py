@@ -12,18 +12,19 @@ from repro.experiments import (
     run_http_trial,
 )
 from repro.experiments.parallel import map_trials, shutdown_pool
-from repro.experiments.replay import ENGINE_PREFIXES
 from repro.telemetry import MetricsRegistry, get_registry
+
+from helpers import ENGINE_PREFIXES
 
 
 def _mergeable(snapshot):
     """The order-independently mergeable part of a snapshot: counters and
     histogram buckets (gauges merge by max and are compared separately).
 
-    Engine-owned instruments are stripped: how much pool/replay/netsim
-    work each process performed depends on its warm state (fork-inherited
-    scenario pools, recorded replay programs), not on the trials — only
-    trial-owned accounting must merge identically."""
+    Engine-owned instruments are stripped: how much pool/netsim work
+    each process performed depends on its warm state (fork-inherited
+    scenario pools), not on the trials — only trial-owned accounting
+    must merge identically."""
     return {
         "counters": {
             name: value
@@ -101,7 +102,7 @@ def _one_trial(cell):
 
 
 def test_parallel_sweep_matches_serial_registry(monkeypatch):
-    monkeypatch.setenv("REPRO_RESULT_CACHE", "0")  # replay has no metrics
+    monkeypatch.setenv("REPRO_RESULT_CACHE", "0")  # cache hits count no metrics
     registry = get_registry()
     sites = outside_china_catalog(count=2)
     cells = [
