@@ -105,7 +105,10 @@ def _table1_slice(reuse: bool) -> float:
         for vantage in vantages:
             for site in sites:
                 for seed in range(TRIAL_SEEDS):
-                    _simulate_http_trial(vantage, site, strategy, seed=seed)
+                    _record, scenario = _simulate_http_trial(
+                        vantage, site, strategy, seed=seed
+                    )
+                    scenarios.release_scenario(scenario)
                     trials += 1
     elapsed = time.perf_counter() - start
     scenarios.clear_scenario_pool()

@@ -205,12 +205,13 @@ def _cell_salt(vantage: str, hour: float, strategy_id: str) -> int:
 def _inconsistency_cell_worker(task: Tuple) -> InconsistencyCell:
     """Process-pool work unit: one cell's repeats, observables included.
 
-    Observables are read from each finished scenario *before* the next
-    trial can lease it back out of the pool; devices are rebuilt per
-    trial, so the counters are per-trial by construction.
+    Observables are read from each finished scenario before it goes
+    back to the pool; devices are rebuilt per trial, so the counters are
+    per-trial by construction.
     """
     from repro.experiments.calibration import CLEAN_ROOM
     from repro.experiments.runner import Outcome, _simulate_http_trial
+    from repro.experiments.scenarios import release_scenario
 
     vantage, website, hour, strategy_id, repeats, seed = task
     ensemble = active_ensemble()
@@ -243,6 +244,7 @@ def _inconsistency_cell_worker(task: Tuple) -> InconsistencyCell:
             cell.resets_suppressed += getattr(device, "resets_suppressed", 0)
             cell.blacklist_adds += device.blacklist.total_blacklistings
             cell.blacklist_expirations += device.blacklist.total_expirations
+        release_scenario(scenario)
     cell.distribution = VerdictDistribution(
         counts[Outcome.SUCCESS],
         counts[Outcome.FAILURE1],

@@ -37,6 +37,12 @@ class UDPHost:
     def unbind(self, port: int) -> None:
         self._sockets.pop(port, None)
 
+    def clear(self) -> None:
+        """Unbind every port.  Bound applications hold this socket table,
+        which holds their handlers, so a discarded table is only freed by
+        reference counting once it is emptied."""
+        self._sockets.clear()
+
     def sendto(
         self, payload: bytes, dst_ip: str, dst_port: int, src_port: int
     ) -> None:

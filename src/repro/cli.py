@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from time import perf_counter
 from typing import List, Optional
 
 
@@ -347,6 +348,32 @@ def _perf_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+class _CollectorTimer:
+    """A ``gc.callbacks`` hook timing the cyclic garbage collector, whose
+    pauses cProfile attributes to no function."""
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.seconds = 0.0
+        self._start = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._start = perf_counter()
+        else:
+            self.seconds += perf_counter() - self._start
+            self.collections[info["generation"]] += 1
+
+    def summary(self, wall_seconds: float) -> str:
+        gen0, gen1, gen2 = self.collections
+        share = self.seconds / wall_seconds if wall_seconds > 0 else 0.0
+        return (
+            f"gc: collections gen0={gen0} gen1={gen1} gen2={gen2}, "
+            f"{self.seconds:.3f} s in the collector "
+            f"({share:.1%} of {wall_seconds:.3f} s profiled wall time)"
+        )
+
+
 def _perf_profile(args: argparse.Namespace) -> int:
     """cProfile one experiment cell and print the hottest functions.
 
@@ -354,9 +381,11 @@ def _perf_profile(args: argparse.Namespace) -> int:
     be profiled with the same flags that diagnosed it.  ``--exec`` picks
     the execution path under the profiler: the plain per-trial simulator
     or the batch-stepped shared-heap path (honouring
-    ``REPRO_BATCH_TRIALS``).
+    ``REPRO_BATCH_TRIALS``).  A summary line reports the time spent in
+    the cyclic garbage collector, which no profiled function is charged.
     """
     import cProfile
+    import gc
     import pstats
 
     from repro.experiments import (
@@ -369,6 +398,7 @@ def _perf_profile(args: argparse.Namespace) -> int:
         _simulate_http_trial,
         batch_window,
     )
+    from repro.experiments.scenarios import release_scenario
 
     vantage = vantage_by_name(args.vantage)
     website = outside_china_catalog()[args.site]
@@ -380,18 +410,24 @@ def _perf_profile(args: argparse.Namespace) -> int:
         for repeat in range(args.repeats)
     ]
     window = batch_window()
+    collector = _CollectorTimer()
+    gc.callbacks.append(collector)
     profiler = cProfile.Profile()
+    wall_start = perf_counter()
     profiler.enable()
     if args.exec_mode == "serial":
         for _, _, _, _, seed, keyword in tasks:
-            _simulate_http_trial(
+            _record, scenario = _simulate_http_trial(
                 vantage, website, args.strategy, DEFAULT_CALIBRATION,
                 seed=seed, keyword=keyword,
             )
+            release_scenario(scenario)
     else:
         for begin in range(0, len(tasks), window):
             _run_http_batch_records(tasks[begin : begin + window])
     profiler.disable()
+    wall_seconds = perf_counter() - wall_start
+    gc.callbacks.remove(collector)
     stats = pstats.Stats(profiler)
     if args.out:
         stats.dump_stats(args.out)
@@ -404,6 +440,7 @@ def _perf_profile(args: argparse.Namespace) -> int:
         f"exec={args.exec_mode}"
         + (f" window={window}" if args.exec_mode == "batch" else "")
     )
+    print(collector.summary(wall_seconds))
     stats.sort_stats("cumulative").print_stats(args.top)
     return 0
 

@@ -79,6 +79,7 @@ def ladder_filename(cell: ConformanceCell) -> str:
 def capture_ladder(cell: ConformanceCell, seed: int = DEFAULT_SEED) -> str:
     """One traced run of a cell, rendered as a self-describing ladder."""
     from repro.experiments.runner import _simulate_http_trial
+    from repro.experiments.scenarios import release_scenario
 
     record, scenario = _simulate_http_trial(
         profile_vantage(cell.profile),
@@ -91,12 +92,14 @@ def capture_ladder(cell: ConformanceCell, seed: int = DEFAULT_SEED) -> str:
         gfw_variant=cell.gfw_variant,
     )
     assert scenario.trace is not None
+    ladder = scenario.trace.format_ladder()
+    release_scenario(scenario)
     header = [
         f"# cell: {cell.cell_id}",
         f"# seed: {seed}",
         f"# outcome: {record.outcome.value}",
     ]
-    return "\n".join(header) + "\n" + scenario.trace.format_ladder() + "\n"
+    return "\n".join(header) + "\n" + ladder + "\n"
 
 
 def load_verdicts(directory: Optional[Path] = None) -> Optional[Dict]:

@@ -280,6 +280,7 @@ def run_cell(
         _simulate_http_trial,
         batch_window,
     )
+    from repro.experiments.scenarios import release_scenario
 
     vantage = profile_vantage(cell.profile)
     website = conformance_site()
@@ -313,8 +314,9 @@ def run_cell(
                 )
             )
     else:
-        records = [
-            _simulate_http_trial(
+        records = []
+        for repeat in range(repeats):
+            record, scenario = _simulate_http_trial(
                 vantage,
                 website,
                 cell.strategy_id,
@@ -322,9 +324,9 @@ def run_cell(
                 seed=(seed * 1_000_003 + repeat) ^ salt,
                 keyword=True,
                 gfw_variant=cell.gfw_variant,
-            )[0]
-            for repeat in range(repeats)
-        ]
+            )
+            release_scenario(scenario)
+            records.append(record)
     for record in records:
         if record.outcome is Outcome.SUCCESS:
             result.success += 1

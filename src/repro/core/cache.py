@@ -269,10 +269,9 @@ class FrontedStore:
     def __init__(self, store: KeyValueStore, front_capacity: int = 256) -> None:
         self.store = store
         self.front = LRUCache(front_capacity)
-        store.on_expire(self._invalidate)
-
-    def _invalidate(self, key: str) -> None:
-        self.front.delete(key)
+        # The front's own method, not one of ours: a hook bound to this
+        # object would tie store and front end into a reference cycle.
+        store.on_expire(self.front.delete)
 
     # -- the KeyValueStore surface ----------------------------------------
     def set(self, key: str, value: Any, ttl: Optional[float] = None) -> None:

@@ -38,7 +38,9 @@ class DNSForwarder:
         clock: SimClock,
         resolver_port: int = DNS_PORT,
     ) -> None:
-        self.framework = framework
+        # The host, not the framework: the framework holds our hook, so a
+        # reference back to it would close a reference cycle.
+        self.host = framework.host
         self.tcp_host = tcp_host
         self.resolver_ip = resolver_ip
         self.resolver_port = resolver_port
@@ -110,10 +112,10 @@ class DNSForwarder:
         # transparency means the app never learns the query took a detour.
         reply = IPPacket(
             src=original_resolver,
-            dst=self.framework.host.ip,
+            dst=self.host.ip,
             payload=UDPDatagram(
                 src_port=DNS_PORT, dst_port=client_port, payload=response
             ),
         )
         reply.meta["origin"] = "intang-dns-forwarder"
-        self.framework.host.handle_packet(reply, self.clock.now)
+        self.host.handle_packet(reply, self.clock.now)

@@ -79,38 +79,44 @@ class INTANG:
             self.hop_estimator = HopEstimator(network, host.ip, delta=hop_delta)
         #: connection key -> (server_ip, strategy_id) for result feedback.
         self.active: Dict[Tuple[int, str, int], Tuple[str, str]] = {}
-        self._make_strategy_factory = make_strategy_factory
+
+        # The framework's callbacks close over the pieces they use (so
+        # ``fixed_strategy`` is read here, once), never over this object:
+        # bound methods would tie INTANG and its framework into a
+        # reference cycle that outlives every trial until the cyclic
+        # collector finds it.
+        selector = self.selector
+        active = self.active
+
+        def build_strategy(ctx: ConnectionContext) -> EvasionStrategy:
+            strategy_id = fixed_strategy or selector.choose(ctx.dst_ip)
+            active[ctx.key()] = (ctx.dst_ip, strategy_id)
+            get_registry().counter("intang.strategies_built").inc()
+            get_bus().publish(
+                "intang", "strategy_selected", time=clock.now,
+                server=ctx.dst_ip, strategy=strategy_id,
+                fixed=fixed_strategy is not None,
+            )
+            return make_strategy_factory(strategy_id)(ctx)
 
         self.framework = InterceptionFramework(
             host=host,
             clock=clock,
             rng=self.rng,
-            strategy_factory=self._build_strategy,
-            insertion_ttl_for=self._insertion_ttl,
+            strategy_factory=build_strategy,
+            # Without an estimator the framework's default TTL (10) is
+            # INTANG's too.
+            insertion_ttl_for=(
+                self.hop_estimator.insertion_ttl
+                if self.hop_estimator is not None
+                else None
+            ),
         )
         self.dns_forwarder: Optional[DNSForwarder] = None
         if dns_resolver_ip is not None:
             self.dns_forwarder = DNSForwarder(
                 self.framework, tcp_host, dns_resolver_ip, clock
             )
-
-    # ------------------------------------------------------------------
-    def _insertion_ttl(self, server_ip: str) -> int:
-        if self.hop_estimator is None:
-            return 10
-        return self.hop_estimator.insertion_ttl(server_ip)
-
-    def _build_strategy(self, ctx: ConnectionContext) -> EvasionStrategy:
-        strategy_id = self.fixed_strategy or self.selector.choose(ctx.dst_ip)
-        self.active[ctx.key()] = (ctx.dst_ip, strategy_id)
-        get_registry().counter("intang.strategies_built").inc()
-        get_bus().publish(
-            "intang", "strategy_selected", time=self.clock.now,
-            server=ctx.dst_ip, strategy=strategy_id,
-            fixed=self.fixed_strategy is not None,
-        )
-        factory = self._make_strategy_factory(strategy_id)
-        return factory(ctx)
 
     # ------------------------------------------------------------------
     def report_result(self, server_ip: str, success: bool) -> None:

@@ -450,7 +450,6 @@ def _fleet_flow_setup(
         seed=flow.seed,
         workload="http",
         gfw_variant=spec.gfw_variant,
-        lease=True,
     )
     batch.adopt(scenario.clock, flow_id=flow.index)
     shared.graft(scenario, flow.index)
@@ -725,6 +724,11 @@ def run_fleet_group(
     )
     result.blacklistings = sum(b.total_blacklistings for b in shared.blacklists)
     result.peak_flows_tracked = shared.peak_flows_tracked
+    # The tables' eviction hook is bound to ``shared``, which holds the
+    # tables: cut that cycle so the group's censor state is freed by
+    # reference counting.
+    for table in shared.flow_tables:
+        table.on_evict = None
     return result
 
 

@@ -249,15 +249,14 @@ def _http_trial_setup(
     The setup phase only *schedules* (INTANG's interception hooks, the
     client's request segments); no event fires until the clock runs, so a
     batch runner can interleave many set-up trials through one heap.
-    When ``batch`` is given the scenario is leased from the pool (the
-    caller hands it back via ``release_scenario``) and its clock is
-    adopted into the shared heap before anything is scheduled on it.
+    The scenario is leased from the pool (the caller hands it back via
+    ``release_scenario``); when ``batch`` is given its clock is adopted
+    into the shared heap before anything is scheduled on it.
     """
     wall_start = perf_counter() if get_tracer().enabled else 0.0
     scenario = acquire_scenario(
         vantage=vantage, website=website, calibration=calibration,
         seed=seed, workload="http", trace=trace, gfw_variant=gfw_variant,
-        lease=batch is not None,
     )
     if batch is not None:
         batch.adopt(scenario.clock)
@@ -371,9 +370,11 @@ def _simulate_http_trial(
     gfw_variant: Optional[str] = None,
 ) -> Tuple[TrialRecord, Scenario]:
     """Simulate one HTTP trial from scratch, returning the record *and*
-    the finished scenario (for diagnosis; the cache layer above discards
-    it).  ``trace=True`` turns on the packet trace recorder, whose events
-    also land on the telemetry bus when that is enabled.  ``gfw_variant``
+    the finished scenario, intact for diagnosis.  The caller owns the
+    scenario: hand it back with ``release_scenario`` once done with it,
+    so the pool can reuse it (or, unpooled, it is disposed).
+    ``trace=True`` turns on the packet trace recorder, whose events also
+    land on the telemetry bus when that is enabled.  ``gfw_variant``
     forces a named installation variant (conformance cells)."""
     ctx = _http_trial_setup(
         vantage, website, strategy_id, calibration, seed, keyword,
@@ -466,8 +467,6 @@ def run_http_trial(
     INTANG's own trick (§6), applied to the harness.  Disable with
     ``REPRO_RESULT_CACHE=0``.
     """
-    note_trials()
-    get_registry().counter("trials.run").inc()
     cache_key: Optional[str] = None
     if selector is None and result_cache.enabled():
         cache_key = result_cache.trial_key(
@@ -475,15 +474,36 @@ def run_http_trial(
         )
         hit = result_cache.lookup(cache_key)
         if hit is not None and hit.get("record") is not None:
+            note_trials()
+            _TRIALS_RUN.inc()
             return _http_record_from_payload(hit["record"])
-    record, _scenario = _simulate_http_trial(
+    return _run_fresh_http_trial(
+        vantage, website, strategy_id, calibration, seed, keyword,
+        cache_key, selector=selector,
+    )
+
+
+def _run_fresh_http_trial(
+    vantage: VantagePoint,
+    website: Website,
+    strategy_id: Optional[str],
+    calibration: Calibration,
+    seed: int,
+    keyword: bool,
+    key: Optional[str],
+    selector: Optional[StrategySelector] = None,
+) -> TrialRecord:
+    """Simulate one HTTP trial on its own run loop with the per-trial
+    bookkeeping (trial count, ``trials.run``, the full historical record
+    under ``key``), handing its scenario back to the pool."""
+    note_trials()
+    _TRIALS_RUN.inc()
+    record, scenario = _simulate_http_trial(
         vantage, website, strategy_id, calibration,
         seed=seed, keyword=keyword, selector=selector,
     )
-    if cache_key is not None:
-        result_cache.record_trial(
-            cache_key, record.outcome.value, _http_record_payload(record)
-        )
+    release_scenario(scenario)
+    _record_fresh_trial(key, record)
     return record
 
 
@@ -544,13 +564,12 @@ class RateTriple:
         return self.distribution.wilson(z=z)
 
 
-def _http_outcome_worker(task: Tuple) -> Outcome:
-    """Process-pool work unit: one HTTP trial, reduced to its outcome."""
-    vantage, website, strategy_id, calibration, seed, keyword = task
-    record = run_http_trial(
-        vantage, website, strategy_id, calibration, seed=seed, keyword=keyword,
-    )
-    return record.outcome
+def _http_outcome_worker(entry: Tuple[Tuple, Optional[str]]) -> Outcome:
+    """Process-pool work unit: one HTTP trial on its own run loop,
+    reduced to its outcome (``entry`` as in
+    :func:`_http_outcome_batch_worker`)."""
+    task, key = entry
+    return _run_fresh_http_trial(*task, key).outcome
 
 
 def _http_task_key(task: Tuple) -> str:
@@ -560,33 +579,42 @@ def _http_task_key(task: Tuple) -> str:
     )
 
 
-def _http_outcome_batch_worker(window: Tuple[Tuple, ...]) -> List[Outcome]:
+def _http_outcome_batch_worker(
+    window: Tuple[Tuple[Tuple, Optional[str]], ...],
+) -> List[Outcome]:
     """Process-pool work unit: a window of HTTP trials on one shared heap.
 
-    Mirrors :func:`run_http_trial`'s bookkeeping per trial (trial count,
-    ``trials.run``, historical-result recording) — the parent has already
-    filtered cache hits out of the window.
+    Each entry is ``(task, key)``: the trial's task tuple and the
+    result-cache key :func:`run_http_outcomes` built for it (None with
+    the cache off).  Mirrors :func:`run_http_trial`'s bookkeeping per
+    trial (trial count, ``trials.run``, the full historical record) —
+    the parent has already filtered cache hits out of the window.
     """
-    tasks = list(window)
-    cache_on = result_cache.enabled()
-    note_trials(len(tasks))
-    _TRIALS_RUN.inc(len(tasks))
-    records = _run_http_batch_records(tasks)
-    outcomes: List[Outcome] = []
-    for task, record in zip(tasks, records):
-        if cache_on:
-            result_cache.record_trial(
-                _http_task_key(task), record.outcome.value,
-                _http_record_payload(record),
-            )
-        outcomes.append(record.outcome)
-    return outcomes
+    note_trials(len(window))
+    _TRIALS_RUN.inc(len(window))
+    records = _run_http_batch_records([task for task, _key in window])
+    for (_task, key), record in zip(window, records):
+        _record_fresh_trial(key, record)
+    return [record.outcome for record in records]
+
+
+def _record_fresh_trial(key: Optional[str], record: TrialRecord) -> None:
+    """Store a simulated trial's full record under its key.  In a pool
+    worker the store dies with the process; the parent then keeps the
+    outcome only (:func:`run_http_outcomes`)."""
+    if key is not None:
+        result_cache.record_trial(
+            key, record.outcome.value, _http_record_payload(record)
+        )
 
 
 def _dispatch_http_tasks(
-    tasks: List[Tuple], workers: Optional[int], shards: Optional[int] = None
+    entries: List[Tuple[Tuple, Optional[str]]],
+    workers: Optional[int],
+    shards: Optional[int] = None,
 ) -> List[Outcome]:
-    """Fan trial tasks out — batch-stepped windows unless disabled.
+    """Fan ``(task, cache key)`` entries out — batch-stepped windows
+    unless disabled.
 
     ``shards`` switches from per-window pool dispatch to the persistent
     shard runner (one contiguous slice of windows per worker, one
@@ -594,15 +622,15 @@ def _dispatch_http_tasks(
     """
     window = batch_window()
     sharded = shards is not None and shards > 1
-    if window <= 1 or len(tasks) <= 1:
+    if window <= 1 or len(entries) <= 1:
         if sharded:
             return run_sharded(
-                _http_outcome_worker, tasks, shards=shards, workers=workers
+                _http_outcome_worker, entries, shards=shards, workers=workers
             )
-        return map_trials(_http_outcome_worker, tasks, workers=workers)
+        return map_trials(_http_outcome_worker, entries, workers=workers)
     windows = [
-        tuple(tasks[start : start + window])
-        for start in range(0, len(tasks), window)
+        tuple(entries[start : start + window])
+        for start in range(0, len(entries), window)
     ]
     trials = [len(w) for w in windows]
     if sharded:
@@ -631,8 +659,11 @@ def run_http_outcomes(
 
     Historical results are consulted here, *before* the process-pool
     fan-out, so a fully-cached cell costs a few dict lookups and never
-    spawns a worker; outcomes computed by workers are recorded in this
-    (parent) process so the next sweep over the same cell is warm.
+    spawns a worker.  Each trial's cache key is built once, here, and
+    travels with its task: a trial simulated in this process stores its
+    full record, and outcomes computed by pool workers are recorded in
+    this (parent) process, outcome only, so the next sweep over the same
+    cell is warm.
 
     Uncached trials run in batch-stepped windows (``REPRO_BATCH_TRIALS``
     trials per shared event heap); set the knob to 1 for the per-trial
@@ -640,7 +671,9 @@ def run_http_outcomes(
     """
     tasks = [tuple(t) for t in tasks]
     if not result_cache.enabled():
-        return _dispatch_http_tasks(tasks, workers, shards)
+        return _dispatch_http_tasks(
+            [(task, None) for task in tasks], workers, shards
+        )
     keys = [_http_task_key(task) for task in tasks]
     outcomes: List[Optional[Outcome]] = []
     for key in keys:
@@ -651,10 +684,11 @@ def run_http_outcomes(
         note_trials(len(tasks) - len(pending))  # cache hits, but still trials
     if pending:
         fresh = _dispatch_http_tasks(
-            [tasks[index] for index in pending], workers, shards
+            [(tasks[index], keys[index]) for index in pending], workers, shards
         )
         for index, outcome in zip(pending, fresh):
             outcomes[index] = outcome
+            # A no-op where the full record was stored in this process.
             result_cache.record_outcome(keys[index], outcome.value)
     return outcomes  # type: ignore[return-value]
 
@@ -933,6 +967,7 @@ def run_dns_trial(
     answers: List[str] = []
     client.resolve(domain, lambda message: answers.extend(message.answers))
     scenario.run()
+    release_scenario(scenario)
     answered = bool(answers)
     answer = answers[0] if answers else None
     result = DNSTrialResult(
@@ -1066,6 +1101,7 @@ def run_tor_trial(
     )
     second = client.open_circuit(bridge_site.ip)
     scenario.run(6.0)
+    release_scenario(scenario)
     return TorTrialResult(
         first_circuit_ok=first.established and first.cells_relayed > 0,
         probe_launched=bool(probes),
@@ -1128,10 +1164,12 @@ def run_vpn_trial(
     client = OpenVPNClient(scenario.client_tcp)
     session = client.open_session(vpn_site.ip)
     scenario.run(8.0)
+    resets = scenario.gfw_resets_received()
+    release_scenario(scenario)
     return VPNTrialResult(
         established=session.established,
         frames_ok=session.payload_frames > 0,
-        reset=session.reset or scenario.gfw_resets_received() > 0,
+        reset=session.reset or resets > 0,
     )
 
 

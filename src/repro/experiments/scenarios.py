@@ -93,6 +93,9 @@ class Scenario:
     #: Free-list key when this scenario came from :func:`acquire_scenario`;
     #: :func:`release_scenario` uses it to return the scenario to its cell.
     _pool_key: Optional[tuple] = None
+    #: Set once the scenario is handed back (:func:`release_scenario`);
+    #: a second release is a bug.
+    _released: bool = False
 
     def run(self, duration: Optional[float] = None) -> None:
         self.clock.run_for(duration or self.calibration.trial_duration)
@@ -140,6 +143,43 @@ class Scenario:
                 "scenario was not created by build_scenario; cannot reset"
             )
         return build_scenario(seed=seed, reuse=self, **self._build_args)
+
+    def _clear_trial(self) -> None:
+        """Drop everything the last trial hung on the reusable topology:
+        queued events, host handlers and egress filters (stacks, sniffer,
+        INTANG), connections and listeners, UDP sockets, path elements,
+        and this wrapper's references to the trial's devices and apps.
+
+        Several of these point back at the topology (a stack's handler
+        at the stack, a listener's application at its stack, an element
+        at its path), so cutting them here lets the trial's objects be
+        freed by reference counting instead of by the cyclic collector,
+        and a pooled scenario holds no dead trial.
+        """
+        self.clock.reset()
+        self.client.reset()
+        self.server.reset()
+        self.client_tcp.clear()
+        self.server_tcp.clear()
+        for udp in (self.udp_client, self.udp_server):
+            if udp is not None:
+                udp.clear()
+        self.path.clear_elements()
+        self.gfw_devices = []
+        self.gfw_packets_at_client = []
+        self.http_server = self.tor_bridge = self.vpn_server = None
+        self.udp_client = self.udp_server = None
+
+    def dispose(self) -> None:
+        """Cut this scenario's back-references so its whole object graph
+        is freed by reference counting once dropped.
+
+        For a scenario nobody will run again: the pool disposes the
+        scenarios it evicts, and :func:`release_scenario` the ones that
+        were never pooled.
+        """
+        self._clear_trial()
+        self.network.clear()
 
     def gfw_detections(self) -> int:
         return sum(len(device.detections) for device in self.gfw_devices)
@@ -543,18 +583,29 @@ def _pool_limit() -> int:
 
 
 def release_scenario(scenario: Scenario) -> None:
-    """Return an idle scenario to its cell's free list.
+    """Hand a finished scenario back: cleared of its trial, to its cell's
+    free list when it came from :func:`acquire_scenario`, otherwise to
+    :meth:`Scenario.dispose`.  Read whatever the trial left on the
+    scenario first.
 
     Evicts least-recently-used entries (oldest key first) once the total
-    pooled count exceeds ``REPRO_SCENARIO_POOL_MAX``; evictions are
-    counted by the ``scenario.evicted`` telemetry counter.  Scenarios
-    without a pool key (fresh builds taken outside :func:`acquire_scenario`)
-    are dropped silently.
+    pooled count exceeds ``REPRO_SCENARIO_POOL_MAX``, disposing each;
+    evictions are counted by the ``scenario.evicted`` telemetry counter.
+    Raises ``RuntimeError`` on a second release of the same scenario,
+    which would otherwise put it on the free list twice and let two
+    later acquires share one object graph.
     """
     global _pool_count
-    key = scenario._pool_key
-    if key is None:
+    if scenario._released:
+        raise RuntimeError(
+            f"scenario {scenario.client.ip}->{scenario.server.ip} released twice"
+        )
+    scenario._released = True
+    if scenario._pool_key is None:
+        scenario.dispose()
         return
+    scenario._clear_trial()
+    key = scenario._pool_key
     free = _SCENARIO_POOL.get(key)
     if free is None:
         _SCENARIO_POOL[key] = [scenario]
@@ -565,11 +616,12 @@ def release_scenario(scenario: Scenario) -> None:
     limit = _pool_limit()
     while _pool_count > limit and _SCENARIO_POOL:
         oldest_key, oldest_free = next(iter(_SCENARIO_POOL.items()))
-        oldest_free.pop(0)
+        evicted = oldest_free.pop(0)
         if not oldest_free:
             del _SCENARIO_POOL[oldest_key]
         _pool_count -= 1
         _SCENARIOS_EVICTED.inc()
+        evicted.dispose()
 
 
 def acquire_scenario(
@@ -583,7 +635,6 @@ def acquire_scenario(
     force_firewall: Optional[bool] = None,
     firewall_teardown_probability: float = 1.0,
     gfw_variant: Optional[str] = None,
-    lease: bool = False,
 ) -> Scenario:
     """:func:`build_scenario`, but reusing pooled topology objects per cell.
 
@@ -595,11 +646,10 @@ def acquire_scenario(
     ``REPRO_SCENARIO_REUSE`` knob is off.  The pool is per-process, so
     parallel sweeps (``REPRO_WORKERS``) reuse within each worker.
 
-    By default the scenario is returned to the free list immediately (a
-    serial trial finishes with it before the next acquire can pop it).
-    ``lease=True`` keeps it checked out — batched execution leases a whole
-    window of scenarios at once and hands each back via
-    :func:`release_scenario` when its trial is finalized.
+    The scenario stays checked out until the caller hands it back via
+    :func:`release_scenario`, which clears the finished trial off it (or
+    disposes an unpooled build); one never handed back is simply not
+    reused.
     """
     target = resolver if workload == "dns" else website
     if trace or target is None or not env_flag("REPRO_SCENARIO_REUSE", True):
@@ -642,16 +692,15 @@ def acquire_scenario(
         reuse=pooled,
     )
     scenario._pool_key = key
-    if not lease:
-        # Mirror the historical contract: the scenario sits in the pool
-        # while its (strictly serial) trial runs on it.
-        release_scenario(scenario)
     return scenario
 
 
 def clear_scenario_pool() -> None:
-    """Drop all pooled scenarios (tests and benchmarks)."""
+    """Dispose and drop all pooled scenarios (tests and benchmarks)."""
     global _pool_count
+    for free in _SCENARIO_POOL.values():
+        for scenario in free:
+            scenario.dispose()
     _SCENARIO_POOL.clear()
     _pool_count = 0
 

@@ -59,7 +59,7 @@ from repro.gfw.flow import FlowTable, GFWFlow, GFWFlowState, connection_key
 from repro.gfw.models import GFWConfig
 from repro.gfw.resets import ResetInjector
 from repro.gfw.rules import Detection
-from repro.telemetry.events import get_bus
+from repro.telemetry.events import EventBus, get_bus
 from repro.telemetry.metrics import get_registry
 
 # Process-lifetime registry instruments, resolved once at import: devices
@@ -86,6 +86,38 @@ _METRIC_DPI_MATCH_LATENCY = _REGISTRY.histogram(
 #: devices with a ``TemporalProfile`` installed (the ``heterogeneous``
 #: route axis) ever increment it.
 _METRIC_RESET_SUPPRESSED = _REGISTRY.counter("gfw.reset_suppressed_load")
+
+
+def _eviction_reporter(bus: EventBus, clock: SimClock, device: str):
+    """A flow table's capacity-eviction hook: name the flow the censor forgot.
+
+    The event is the attribution hook for eviction-induced errors: an
+    ``active`` eviction of a flow the DPI had not finished with is a
+    censorship false negative in the making, and one evicted out of
+    RESYNC loses the pending resynchronization entirely.
+
+    The hook closes over what it reports, not over the device: a bound
+    method would tie device and table into a reference cycle that only
+    the cyclic collector could free.
+    """
+
+    def on_evict(key: object, flow: GFWFlow) -> None:
+        # Namespaced keys are ``(int, ConnKey)``; plain keys are ConnKey
+        # 2-tuples of (ip, port) endpoints, so the int test disambiguates.
+        namespace = (
+            key[0]
+            if isinstance(key, tuple) and key and isinstance(key[0], int)
+            else None
+        )
+        bus.publish(
+            "gfw", "flow_evicted", time=clock.now, device=device,
+            namespace=namespace,
+            state=flow.state.value,
+            after_fin=flow.fin_seen,
+            believed_client=f"{flow.believed_client[0]}:{flow.believed_client[1]}",
+        )
+
+    return on_evict
 
 
 class GFWDevice(Tap):
@@ -149,7 +181,7 @@ class GFWDevice(Tap):
         self._metric_teardown = _METRIC_TEARDOWN
         self._metric_resync_entered = _METRIC_RESYNC_ENTERED
         self._metric_resync_exited = _METRIC_RESYNC_EXITED
-        self.flows.on_evict = self._on_flow_evicted
+        self.flows.on_evict = _eviction_reporter(self._bus, clock, name)
         # NB3 behaviour is consistent per installation per period (§4, §8):
         # draw once per cluster and share across co-located devices.
         if not hasattr(self.cluster, "rst_resyncs_established"):
@@ -215,29 +247,6 @@ class GFWDevice(Tap):
             "gfw", "resync_exit", time=self.clock.now,
             device=self.name, namespace=self.flow_namespace,
             via=via, adopted_seq=seq & 0xFFFFFFFF,
-        )
-
-    def _on_flow_evicted(self, key: object, flow: GFWFlow) -> None:
-        """Capacity eviction callback: name the flow the censor forgot.
-
-        The event is the attribution hook for eviction-induced errors:
-        an ``active`` eviction of a flow the DPI had not finished with is
-        a censorship false negative in the making, and one evicted out of
-        RESYNC loses the pending resynchronization entirely.
-        """
-        # Namespaced keys are ``(int, ConnKey)``; plain keys are ConnKey
-        # 2-tuples of (ip, port) endpoints, so the int test disambiguates.
-        namespace = (
-            key[0]
-            if isinstance(key, tuple) and key and isinstance(key[0], int)
-            else None
-        )
-        self._bus.publish(
-            "gfw", "flow_evicted", time=self.clock.now, device=self.name,
-            namespace=namespace,
-            state=flow.state.value,
-            after_fin=flow.fin_seen,
-            believed_client=f"{flow.believed_client[0]}:{flow.believed_client[1]}",
         )
 
     def _teardown(self, key: object, cause: str) -> None:

@@ -432,6 +432,18 @@ class Network:
         self._single_path = path if len(self._paths) == 1 else None
         return path
 
+    def clear(self) -> None:
+        """Detach every host and path.  Both point back at this network,
+        so a discarded topology is only freed by reference counting once
+        the links are cut."""
+        for host in self.hosts.values():
+            host.network = None
+        for path in self._paths.values():
+            path.network = None
+        self.hosts.clear()
+        self._paths.clear()
+        self._single_path = None
+
     def path_between(self, ip_a: str, ip_b: str) -> Path:
         try:
             return self._paths[frozenset((ip_a, ip_b))]

@@ -391,31 +391,34 @@ def recycle_packet(packet: "IPPacket") -> None:
     pooled shells pin no trial state.  No-op when ``REPRO_PACKET_POOL``
     is off or the free lists are full.
     """
-    if not _pool_enabled():
-        return
-    recycled = 0
-    segment = packet.payload
-    if type(segment) is TCPSegment and len(_SEGMENT_FREE) < _POOL_CAP:
-        segment.payload = b""
-        segment.options = []
-        _SEGMENT_FREE.append(segment)
-        recycled += 1
-    if len(_PACKET_FREE) < _POOL_CAP:
-        packet.payload = b""
-        packet.meta = None  # type: ignore[assignment]  # reassigned on reissue
-        _PACKET_FREE.append(packet)
-        recycled += 1
-    if recycled:
-        _POOL_RECYCLED[0] += recycled
-        _POOL_RECYCLED_METRIC.inc(recycled)
+    if _pool_enabled():
+        _recycle((packet,))
 
 
 def recycle_packets(packets: Iterable["IPPacket"]) -> None:
-    """Recycle a batch of dead packets (trial-teardown harvest)."""
-    if not _pool_enabled():
-        return
+    """Recycle a batch of dead packets (trial-teardown harvest); the
+    ``REPRO_PACKET_POOL`` knob is read once per batch."""
+    if _pool_enabled():
+        _recycle(packets)
+
+
+def _recycle(packets: Iterable["IPPacket"]) -> None:
+    recycled = 0
     for packet in packets:
-        recycle_packet(packet)
+        segment = packet.payload
+        if type(segment) is TCPSegment and len(_SEGMENT_FREE) < _POOL_CAP:
+            segment.payload = b""
+            segment.options = []
+            _SEGMENT_FREE.append(segment)
+            recycled += 1
+        if len(_PACKET_FREE) < _POOL_CAP:
+            packet.payload = b""
+            packet.meta = None  # type: ignore[assignment]  # reassigned on reissue
+            _PACKET_FREE.append(packet)
+            recycled += 1
+    if recycled:
+        _POOL_RECYCLED[0] += recycled
+        _POOL_RECYCLED_METRIC.inc(recycled)
 
 
 def packet_pool_stats() -> dict:

@@ -289,12 +289,18 @@ class TCPConnection:
             return
         self.tcb.state = TCPState.CLOSED
         self.close_reason = reason
-        if self._rto_handle is not None:
-            self._rto_handle.cancel()
-            self._rto_handle = None
+        self._disarm_rto()
         self._unacked.clear()
         if self.on_close is not None:
             self.on_close(self, reason)
+
+    def _disarm_rto(self) -> None:
+        """Cancel the retransmission timer.  Its handle points back at
+        this connection, so a connection dropped with the timer armed
+        would sit in a reference cycle until the cyclic collector ran."""
+        if self._rto_handle is not None:
+            self._rto_handle.cancel()
+            self._rto_handle = None
 
     def _drop(self, reason: DropReason, detail: str = "") -> None:
         self.drop_log.append((reason, detail))
@@ -641,12 +647,25 @@ class TCPHost:
         if profile is not None:
             self.profile = profile
         self.rng = rng or random.Random(hash(self.host.ip) & 0xFFFFFFFF)
-        self.connections.clear()
-        self.listeners.clear()
+        self.clear()
         self.drops.clear()
         self.stray_rsts_sent = 0
         self._ephemeral_port = 32768
         self.host.register_handler(self._on_packet)
+
+    def clear(self) -> None:
+        """Drop every connection and listener.
+
+        Connections point back at this stack and listeners at their
+        applications, which point back at it too; emptying both tables
+        (and disarming the connections' timers) lets a finished trial's
+        connections and a discarded topology's stacks be freed by
+        reference counting.
+        """
+        for connection in self.connections.values():
+            connection._disarm_rto()
+        self.connections.clear()
+        self.listeners.clear()
 
     # -- API ----------------------------------------------------------------
     def listen(

@@ -191,6 +191,7 @@ def diagnose_trial(
     """
     from repro.experiments.calibration import DEFAULT_CALIBRATION
     from repro.experiments.runner import _simulate_http_trial
+    from repro.experiments.scenarios import release_scenario
     from repro.telemetry.events import capturing
 
     if calibration is None:
@@ -199,10 +200,11 @@ def diagnose_trial(
     before = registry.snapshot()
     with capturing() as bus:
         watermark = bus.next_seq
-        record, _scenario = _simulate_http_trial(
+        record, scenario = _simulate_http_trial(
             vantage, website, strategy_id, calibration,
             seed=seed, keyword=keyword, trace=True, gfw_variant=gfw_variant,
         )
+        release_scenario(scenario)
         events = bus.events(since_seq=watermark - 1)
     return TrialDiagnosis(
         record=record, events=events, metrics=registry.diff(before)

@@ -269,7 +269,7 @@ class TestScenarioPoolBounds:
         before = evicted.value
         leased = [
             scenarios.acquire_scenario(
-                CHINA_VANTAGE_POINTS[0], website=site, seed=0, lease=True
+                CHINA_VANTAGE_POINTS[0], website=site, seed=0
             )
             for site in sites
         ]
@@ -284,7 +284,7 @@ class TestScenarioPoolBounds:
     def test_pool_max_zero_keeps_nothing(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCENARIO_POOL_MAX", "0")
         scenario = scenarios.acquire_scenario(
-            CHINA_VANTAGE_POINTS[0], website=SITES[0], seed=0, lease=True
+            CHINA_VANTAGE_POINTS[0], website=SITES[0], seed=0
         )
         scenarios.release_scenario(scenario)
         assert scenarios.scenario_pool_size() == 0

@@ -221,10 +221,13 @@ def test_runner_parity_with_reuse_knob_on_and_off(monkeypatch):
     from repro.experiments.runner import _simulate_http_trial
 
     vantage, website = _vantage_and_site()
+    registry = get_registry()
     records = {}
+    reused = {}
     for flag in ("0", "1"):
         monkeypatch.setenv("REPRO_SCENARIO_REUSE", flag)
         scenarios.clear_scenario_pool()
+        before = registry.counter_value("scenario.reused")
         out = []
         for strategy in (None, "tcb-teardown-rst/ttl"):
             for seed in range(6):
@@ -236,9 +239,13 @@ def test_runner_parity_with_reuse_knob_on_and_off(monkeypatch):
                     record.detections, record.diagnosis,
                     scenario.gfw_resets_received(),
                 ))
+                scenarios.release_scenario(scenario)
         records[flag] = out
+        reused[flag] = registry.counter_value("scenario.reused") - before
     scenarios.clear_scenario_pool()
     assert records["0"] == records["1"]
+    # Every trial after the first ran on a pooled, reused topology.
+    assert reused == {"0": 0, "1": 11}
 
 
 def test_cell_parity_serial_vs_workers_with_reuse(monkeypatch):
@@ -265,6 +272,7 @@ def test_acquire_scenario_pools_per_cell(monkeypatch):
     from repro.experiments.scenarios import (
         acquire_scenario,
         clear_scenario_pool,
+        release_scenario,
     )
 
     monkeypatch.setenv("REPRO_SCENARIO_REUSE", "1")
@@ -275,6 +283,7 @@ def test_acquire_scenario_pools_per_cell(monkeypatch):
     reused = registry.counter_value("scenario.reused")
 
     first = acquire_scenario(vantage, website=website, seed=1)
+    release_scenario(first)
     second = acquire_scenario(vantage, website=website, seed=2)
     assert second.clock is first.clock
     assert second.network is first.network
@@ -327,10 +336,13 @@ def test_runner_parity_with_reuse_under_loss_and_jitter(monkeypatch):
 
     lossy = CLEAN_ROOM.variant(base_loss_rate=0.08, path_jitter=0.15)
     vantage, website = _vantage_and_site()
+    registry = get_registry()
     records = {}
+    reused = {}
     for flag in ("0", "1"):
         monkeypatch.setenv("REPRO_SCENARIO_REUSE", flag)
         scenarios.clear_scenario_pool()
+        before = registry.counter_value("scenario.reused")
         out = []
         for seed in range(8):
             record, scenario = _simulate_http_trial(
@@ -342,9 +354,12 @@ def test_runner_parity_with_reuse_under_loss_and_jitter(monkeypatch):
                 scenario.gfw_resets_received(),
                 scenario.path.loss_rate, scenario.path.jitter,
             ))
+            scenarios.release_scenario(scenario)
         records[flag] = out
+        reused[flag] = registry.counter_value("scenario.reused") - before
     scenarios.clear_scenario_pool()
     assert records["0"] == records["1"]
+    assert reused == {"0": 0, "1": 7}
     # The fault knobs actually reached the path on every build.
     assert all(row[-2] == 0.08 and row[-1] == 0.15 for row in records["1"])
 
