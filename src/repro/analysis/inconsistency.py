@@ -233,6 +233,9 @@ def _inconsistency_cell_worker(task: Tuple) -> InconsistencyCell:
             seed=(seed * 1_000_003 + repeat) ^ salt,
             keyword=True,
             gfw_variant=HETEROGENEOUS_VARIANT,
+            # The reset and blacklist counters below keep counting after
+            # the record is final.
+            stop_at_verdict=False,
         )
         counts[record.outcome] += 1
         for device in scenario.gfw_devices:

@@ -382,7 +382,10 @@ def _perf_profile(args: argparse.Namespace) -> int:
     the execution path under the profiler: the plain per-trial simulator
     or the batch-stepped shared-heap path (honouring
     ``REPRO_BATCH_TRIALS``).  A summary line reports the time spent in
-    the cyclic garbage collector, which no profiled function is charged.
+    the cyclic garbage collector, which no profiled function is charged,
+    and another how many trials the stop rule ended at their final
+    record (``trials.stopped_at_verdict``), which explains a drop in
+    per-layer call counts.
     """
     import cProfile
     import gc
@@ -399,6 +402,7 @@ def _perf_profile(args: argparse.Namespace) -> int:
         batch_window,
     )
     from repro.experiments.scenarios import release_scenario
+    from repro.telemetry.metrics import get_registry
 
     vantage = vantage_by_name(args.vantage)
     website = outside_china_catalog()[args.site]
@@ -410,6 +414,8 @@ def _perf_profile(args: argparse.Namespace) -> int:
         for repeat in range(args.repeats)
     ]
     window = batch_window()
+    stopped = get_registry().counter("trials.stopped_at_verdict")
+    stopped_before = stopped.value
     collector = _CollectorTimer()
     gc.callbacks.append(collector)
     profiler = cProfile.Profile()
@@ -441,6 +447,10 @@ def _perf_profile(args: argparse.Namespace) -> int:
         + (f" window={window}" if args.exec_mode == "batch" else "")
     )
     print(collector.summary(wall_seconds))
+    print(
+        f"stopped: {stopped.value - stopped_before} of {len(tasks)} trials "
+        "ended at their final record (trials.stopped_at_verdict)"
+    )
     stats.sort_stats("cumulative").print_stats(args.top)
     return 0
 

@@ -90,6 +90,7 @@ def capture_ladder(cell: ConformanceCell, seed: int = DEFAULT_SEED) -> str:
         keyword=True,
         trace=True,
         gfw_variant=cell.gfw_variant,
+        stop_at_verdict=False,  # the ladder shows the whole exchange
     )
     assert scenario.trace is not None
     ladder = scenario.trace.format_ladder()

@@ -112,12 +112,7 @@ def diagnose_failure(scenario: Scenario, outcome: Outcome) -> Optional[str]:
     if outcome is Outcome.SUCCESS:
         return None
     if outcome is Outcome.FAILURE2:
-        kinds = sorted(
-            {
-                str(p.meta.get("origin", "gfw")).replace("gfw-", "")
-                for p in scenario.gfw_packets_at_client
-            }
-        )
+        kinds = sorted(scenario.reset_kinds)
         return f"keyword-detected ({'+'.join(kinds)} resets)"
     for element in scenario.path.elements:
         if isinstance(element, StatefulFirewallBox) and element.packets_blocked:
@@ -193,6 +188,8 @@ def _http_record_from_payload(payload: Dict) -> TrialRecord:
 
 _REGISTRY = get_registry()
 _TRIALS_RUN = _REGISTRY.counter("trials.run")
+#: HTTP trials whose run the stop rule ended at their final record.
+_TRIALS_STOPPED = _REGISTRY.counter("trials.stopped_at_verdict")
 _OUTCOME_COUNTERS = {
     Outcome.SUCCESS: _REGISTRY.counter("trials.success"),
     Outcome.FAILURE1: _REGISTRY.counter("trials.failure1"),
@@ -243,6 +240,7 @@ def _http_trial_setup(
     trace: bool = False,
     gfw_variant: Optional[str] = None,
     batch: Optional[BatchSim] = None,
+    stop_at_verdict: bool = True,
 ) -> _HttpTrialContext:
     """Build the trial topology and queue its workload, without running.
 
@@ -252,12 +250,17 @@ def _http_trial_setup(
     The scenario is leased from the pool (the caller hands it back via
     ``release_scenario``); when ``batch`` is given its clock is adopted
     into the shared heap before anything is scheduled on it.
+
+    ``stop_at_verdict`` ends the run as soon as the trial's record is
+    final (:meth:`Scenario.record_final`); callers that read the
+    scenario beyond the record pass False for the full horizon.
     """
     wall_start = perf_counter() if get_tracer().enabled else 0.0
     scenario = acquire_scenario(
         vantage=vantage, website=website, calibration=calibration,
         seed=seed, workload="http", trace=trace, gfw_variant=gfw_variant,
     )
+    scenario.stop_at_verdict = stop_at_verdict
     if batch is not None:
         batch.adopt(scenario.clock)
     intang = INTANG(
@@ -323,6 +326,8 @@ def _http_trial_finalize(ctx: _HttpTrialContext) -> TrialRecord:
     # cache-replayed trial never re-counts and the parallel engine's
     # merged registry equals the serial run's.
     _OUTCOME_COUNTERS[outcome].inc()
+    if scenario.stopped_at_verdict:
+        _TRIALS_STOPPED.inc()
     _BYTES_INSPECTED.observe(
         sum(device.bytes_inspected for device in scenario.gfw_devices)
     )
@@ -368,17 +373,22 @@ def _simulate_http_trial(
     selector: Optional[StrategySelector] = None,
     trace: bool = False,
     gfw_variant: Optional[str] = None,
+    stop_at_verdict: bool = True,
 ) -> Tuple[TrialRecord, Scenario]:
     """Simulate one HTTP trial from scratch, returning the record *and*
-    the finished scenario, intact for diagnosis.  The caller owns the
-    scenario: hand it back with ``release_scenario`` once done with it,
-    so the pool can reuse it (or, unpooled, it is disposed).
-    ``trace=True`` turns on the packet trace recorder, whose events also
-    land on the telemetry bus when that is enabled.  ``gfw_variant``
-    forces a named installation variant (conformance cells)."""
+    the finished scenario.  The caller owns the scenario: hand it back
+    with ``release_scenario`` once done with it, so the pool can reuse it
+    (or, unpooled, it is disposed).  ``trace=True`` turns on the packet
+    trace recorder, whose events also land on the telemetry bus when that
+    is enabled.  ``gfw_variant`` forces a named installation variant
+    (conformance cells).  The run ends once the record is final unless
+    ``stop_at_verdict=False`` asks for the full horizon, which a caller
+    reading the scenario beyond the record (ladders, device counters,
+    event timelines) needs."""
     ctx = _http_trial_setup(
         vantage, website, strategy_id, calibration, seed, keyword,
         selector=selector, trace=trace, gfw_variant=gfw_variant,
+        stop_at_verdict=stop_at_verdict,
     )
     ctx.scenario.run()
     record = _http_trial_finalize(ctx)
@@ -405,9 +415,10 @@ def _run_http_batch_records(
     seed, keyword)`` tuple.  Setup happens in task order (every RNG draw
     a trial makes flows from its own seeded generators, so interleaving
     the *run* phases cannot perturb any trial's draw sequence), then one
-    batch run drains every trial to its own horizon, then finalization
-    again walks task order.  Byte-identical to running the tasks one at a
-    time — pinned by the batch-parity tier-1 tests.
+    batch run takes every trial until its record is final or to its
+    horizon, whichever comes first; then finalization again walks task
+    order.  Byte-identical to running the tasks one at a time — pinned
+    by the batch-parity tier-1 tests.
     """
     tracer = get_tracer()
     batch_span = tracer.begin(
@@ -495,12 +506,15 @@ def _run_fresh_http_trial(
 ) -> TrialRecord:
     """Simulate one HTTP trial on its own run loop with the per-trial
     bookkeeping (trial count, ``trials.run``, the full historical record
-    under ``key``), handing its scenario back to the pool."""
+    under ``key``), handing its scenario back to the pool.  Only the
+    record is kept, so the run stops once it is final; an adaptive
+    selector's trial runs to the horizon."""
     note_trials()
     _TRIALS_RUN.inc()
     record, scenario = _simulate_http_trial(
         vantage, website, strategy_id, calibration,
         seed=seed, keyword=keyword, selector=selector,
+        stop_at_verdict=selector is None,
     )
     release_scenario(scenario)
     _record_fresh_trial(key, record)

@@ -19,7 +19,7 @@ import random
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace as dataclass_replace
 from functools import lru_cache
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
 from repro.netstack.fragment import OverlapPolicy
 from repro.netstack.packet import IPPacket
@@ -82,6 +82,14 @@ class Scenario:
     trace: Optional[TraceRecorder] = None
     #: GFW-forged packets that reached the client (set by the sniffer).
     gfw_packets_at_client: List[IPPacket] = field(default_factory=list)
+    #: Their reset kinds (``type1``, ``type2``), kept by the sniffer as
+    #: they arrive; the Failure-2 diagnosis names these.
+    reset_kinds: Set[str] = field(default_factory=set)
+    #: Armed by the HTTP runners that keep only the trial record: the
+    #: sniffer ends the run once :meth:`record_final` holds.
+    stop_at_verdict: bool = False
+    #: Set when that stop ended the run before its horizon.
+    stopped_at_verdict: bool = False
     http_server: Optional[HTTPServer] = None
     udp_client: Optional[UDPHost] = None
     udp_server: Optional[UDPHost] = None
@@ -98,7 +106,34 @@ class Scenario:
     _released: bool = False
 
     def run(self, duration: Optional[float] = None) -> None:
-        self.clock.run_for(duration or self.calibration.trial_duration)
+        self.clock.run_for(
+            self.calibration.trial_duration if duration is None else duration
+        )
+
+    def record_final(self) -> bool:
+        """Whether nothing later in the run can change the HTTP trial's
+        record.  Three things must hold:
+
+        - a GFW reset has reached the client, so the outcome is an
+          irrevocable Failure 2 (``runner.classify``);
+        - every GFW device has latched its verdict for the flow, a
+          detection or a cluster miss (``flow.punished`` allows one per
+          flow), so ``detections`` is final;
+        - the client holds a reset of every type a device injected, so
+          the kind set behind the diagnosis is final.
+        """
+        if not self.gfw_packets_at_client:
+            return False
+        kinds = self.reset_kinds
+        for device in self.gfw_devices:
+            if not (device.detections or device.missed_detections):
+                return False
+            if (
+                device.resets_injected
+                and f"type{device.config.reset_type}" not in kinds
+            ):
+                return False
+        return True
 
     def apply_route_drift(self) -> Optional[str]:
         """Maybe drift the route (call *after* hop measurement).
@@ -549,6 +584,12 @@ def build_scenario(
             origin = str(meta.get("origin", ""))
             if origin.startswith("gfw") and packet.is_tcp and packet.tcp.is_rst:
                 scenario.gfw_packets_at_client.append(packet)
+                scenario.reset_kinds.add(origin.replace("gfw-", ""))
+                if scenario.stop_at_verdict and scenario.record_final():
+                    # Lowering the live horizon ends this trial's run
+                    # (serial or batched) after this instant.
+                    scenario.stopped_at_verdict = True
+                    clock._run_until = now
         return False
 
     client.register_handler(sniff, prepend=True)

@@ -28,7 +28,11 @@ Correctness rests on two invariants:
 
 An event popped past its own trial's horizon is discarded, which is
 observably identical to the serial run loop leaving it queued (the
-scenario is reset before any later run could fire it).
+scenario is reset before any later run could fire it).  The horizon is
+read live, as :meth:`SimClock.run` reads it: a trial whose event lowers
+its own clock's ``_run_until`` (an HTTP trial whose record is final)
+stops there, and its remaining entries are discarded as they surface,
+while every other adopted trial runs on to its own horizon.
 
 **Shared-device batch mode** (``BatchSim(shared=True)``) inverts the
 independence contract on purpose: the fleet engine multiplexes many
@@ -75,7 +79,7 @@ class BatchSim:
             scenario = acquire_scenario(...)   # clock reset -> empty queue
             batch.adopt(scenario.clock)
             ... per-trial setup (posts events on the adopted clock) ...
-        batch.run(duration)                    # drains every trial
+        batch.run(duration)                    # runs every trial to its horizon
         ... per-trial finalization ...
         batch.release()                        # detach clocks
 
@@ -174,9 +178,9 @@ class BatchSim:
                 event.fire()
                 executed += 1
         finally:
-            for clock, bound in zip(clocks, untils):
-                if clock._now < bound:
-                    clock._now = bound
+            for clock in clocks:
+                if clock._now < clock._run_until:
+                    clock._now = clock._run_until
                 clock._run_until = _INF
             tracer.end(span, executed=executed)
         return executed

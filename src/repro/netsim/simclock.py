@@ -78,7 +78,9 @@ class SimClock:
     (``inf`` when idle).  The packet-traversal hot path reads it to decide
     whether a leg may be processed inline instead of via the heap: an
     arrival past the horizon must stay queued so that run-loop semantics
-    (events beyond ``until`` never fire) are preserved exactly.
+    (events beyond ``until`` never fire) are preserved exactly.  The run
+    loop reads it live, so an event may lower it to ``now`` to end the
+    run early: only events due at that same instant still fire.
     """
 
     __slots__ = ("_now", "_seq", "_queue", "_run_until")
@@ -122,7 +124,11 @@ class SimClock:
         heapq.heappush(self._queue, (self._now + delay, self._seq, event))
 
     def run(self, until: Optional[float] = None, max_events: int = 1_000_000) -> int:
-        """Process events until the queue drains or ``until`` is reached.
+        """Process events until the queue drains or the horizon is reached.
+
+        The horizon starts at ``until`` and may be lowered by an event
+        (see the class docstring); a bounded run leaves ``now`` at the
+        final horizon.
 
         Returns the number of events executed.  ``max_events`` guards
         against runaway retransmission loops in buggy experiment setups.
@@ -130,12 +136,11 @@ class SimClock:
         queue = self._queue
         pop = heapq.heappop
         executed = 0
-        bound = _INF if until is None else until
-        self._run_until = bound
+        self._run_until = _INF if until is None else until
         try:
             while queue and executed < max_events:
                 time = queue[0][0]
-                if time > bound:
+                if time > self._run_until:
                     break
                 event = pop(queue)[2]
                 if time > self._now:
@@ -145,9 +150,10 @@ class SimClock:
                 event.fire()
                 executed += 1
         finally:
+            horizon = self._run_until
             self._run_until = _INF
-        if until is not None and self._now < until:
-            self._now = until
+        if until is not None and self._now < horizon:
+            self._now = horizon
         return executed
 
     def run_for(self, duration: float) -> int:

@@ -203,6 +203,7 @@ def diagnose_trial(
         record, scenario = _simulate_http_trial(
             vantage, website, strategy_id, calibration,
             seed=seed, keyword=keyword, trace=True, gfw_variant=gfw_variant,
+            stop_at_verdict=False,  # the timeline covers the whole run
         )
         release_scenario(scenario)
         events = bus.events(since_seq=watermark - 1)

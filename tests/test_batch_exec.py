@@ -196,6 +196,41 @@ class TestBatchSimOrdering:
         assert fired == [(0, 1.0), (1, 1.0), (1, 5.0)]
         assert clocks[0].now == 2.0 and clocks[1].now == 10.0
 
+    def test_lowered_horizon_stops_only_that_trial(self):
+        """An event lowering its own clock's ``_run_until`` stops that
+        trial at the same event and the same ``now`` as the serial loop;
+        the other adopted trials run to their horizons as before."""
+
+        def schedule(clock, fired, stopper):
+            def stop():
+                fired.append("stop")
+                clock._run_until = clock.now
+
+            clock.schedule(0.5, fired.append, "early")
+            if stopper:
+                clock.schedule(1.0, stop)
+            clock.schedule(1.0, fired.append, "same-instant")
+            clock.schedule(2.0, fired.append, "late")
+
+        serial_fired = []
+        serial = SimClock()
+        schedule(serial, serial_fired, stopper=True)
+        serial.run(until=10.0)
+
+        batch = BatchSim()
+        clocks = [SimClock() for _ in range(3)]
+        fired = [[] for _ in clocks]
+        for tid, clock in enumerate(clocks):
+            batch.adopt(clock)
+            schedule(clock, fired[tid], stopper=(tid == 1))
+        batch.run(10.0)
+        batch.release()
+        assert fired[1] == serial_fired == ["early", "stop", "same-instant"]
+        assert clocks[1].now == serial.now == 1.0
+        for tid in (0, 2):
+            assert fired[tid] == ["early", "same-instant", "late"]
+            assert clocks[tid].now == 10.0
+
     @given(
         st.lists(
             st.lists(st.integers(min_value=0, max_value=400), min_size=1, max_size=12),

@@ -116,3 +116,30 @@ def test_callback_args_passed_through():
     clock.schedule(0.0, lambda a, b: seen.append((a, b)), 1, "two")
     clock.run()
     assert seen == [(1, "two")]
+
+
+def _lowering_schedule(clock, fired):
+    """t=1 lowers the clock's own horizon; its same-instant peer still
+    fires, nothing later does."""
+
+    def stop():
+        fired.append("stop")
+        clock._run_until = clock.now
+
+    clock.schedule(0.5, fired.append, "early")
+    clock.schedule(1.0, stop)
+    clock.schedule(1.0, fired.append, "same-instant")
+    clock.schedule(2.0, fired.append, "late")
+
+
+def test_event_lowering_the_horizon_ends_the_run():
+    clock = SimClock()
+    fired = []
+    _lowering_schedule(clock, fired)
+    executed = clock.run(until=10.0)
+    assert fired == ["early", "stop", "same-instant"]
+    assert executed == 3
+    # The run ends at its final horizon, not at the requested one.
+    assert clock.now == 1.0
+    assert clock._run_until == float("inf")
+    assert clock.pending() == 1  # the t=2 event stays queued, unfired
