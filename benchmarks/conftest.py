@@ -198,7 +198,6 @@ def pytest_sessionfinish(session, exitstatus):
             "platform": platform.platform(),
             "cpu_count": os.cpu_count(),
             "workers": workers,
-            "batch_trials": os.environ.get("REPRO_BATCH_TRIALS"),
             "repro_full": full_scale(),
             "run": run_ordinal,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

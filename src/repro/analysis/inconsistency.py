@@ -16,10 +16,9 @@ with every cell carried as a :class:`VerdictDistribution` — n-trial
 outcome counts plus a Wilson score interval — rather than a bare label.
 
 Execution notes: per-cell seeds are fixed before fan-out (the same crc32
-salt scheme as the conformance matrix), each trial is simulated directly
-(never served from the result cache), and device observables are
-harvested from the finished scenario before the pool can recycle it —
-so the report is byte-identical for any ``--shards``/worker split, which
+salt scheme as the conformance matrix), each trial is simulated directly,
+and device observables are harvested from the finished scenario before
+it is released — so the report is byte-identical for any ``--shards``/worker split, which
 ``tests/test_heterogeneity.py`` pins.
 
 Heavy imports (runner, conformance) stay function-local: the module
@@ -205,9 +204,9 @@ def _cell_salt(vantage: str, hour: float, strategy_id: str) -> int:
 def _inconsistency_cell_worker(task: Tuple) -> InconsistencyCell:
     """Process-pool work unit: one cell's repeats, observables included.
 
-    Observables are read from each finished scenario before it goes
-    back to the pool; devices are rebuilt per trial, so the counters are
-    per-trial by construction.
+    Observables are read from each finished scenario before it is
+    released; devices are built per trial, so the counters are per-trial
+    by construction.
     """
     from repro.experiments.calibration import CLEAN_ROOM
     from repro.experiments.runner import Outcome, _simulate_http_trial

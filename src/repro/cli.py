@@ -286,7 +286,7 @@ def _perf_rates(document: dict) -> "dict[str, float]":
     ``rate``/``unit`` pair recorded by non-trial benches (bench_dpi's
     bytes/s, bench_fleet's flow events/s — keyed ``<bench>::<unit>``),
     and any ``*_per_second*`` entries inside a bench's ``metrics`` block
-    (the netsim packet rates, the reuse-on/off trial rates).  Zero rates
+    (the netsim packet rates and the fresh-build trial rate).  Zero rates
     are bookkeeping-only benches and are skipped.
     """
     rates: dict = {}
@@ -378,14 +378,11 @@ def _perf_profile(args: argparse.Namespace) -> int:
     """cProfile one experiment cell and print the hottest functions.
 
     The cell selectors mirror ``telemetry diagnose`` so a slow trial can
-    be profiled with the same flags that diagnosed it.  ``--exec`` picks
-    the execution path under the profiler: the plain per-trial simulator
-    or the batch-stepped shared-heap path (honouring
-    ``REPRO_BATCH_TRIALS``).  A summary line reports the time spent in
-    the cyclic garbage collector, which no profiled function is charged,
-    and another how many trials the stop rule ended at their final
-    record (``trials.stopped_at_verdict``), which explains a drop in
-    per-layer call counts.
+    be profiled with the same flags that diagnosed it.  A summary line
+    reports the time spent in the cyclic garbage collector, which no
+    profiled function is charged, and another how many trials the stop
+    rule ended at their final record (``trials.stopped_at_verdict``),
+    which explains a drop in per-layer call counts.
     """
     import cProfile
     import gc
@@ -396,24 +393,12 @@ def _perf_profile(args: argparse.Namespace) -> int:
         outside_china_catalog,
         vantage_by_name,
     )
-    from repro.experiments.runner import (
-        _run_http_batch_records,
-        _simulate_http_trial,
-        batch_window,
-    )
+    from repro.experiments.runner import _simulate_http_trial
     from repro.experiments.scenarios import release_scenario
     from repro.telemetry.metrics import get_registry
 
     vantage = vantage_by_name(args.vantage)
     website = outside_china_catalog()[args.site]
-    tasks = [
-        (
-            vantage, website, args.strategy, DEFAULT_CALIBRATION,
-            args.seed + repeat, not args.benign,
-        )
-        for repeat in range(args.repeats)
-    ]
-    window = batch_window()
     stopped = get_registry().counter("trials.stopped_at_verdict")
     stopped_before = stopped.value
     collector = _CollectorTimer()
@@ -421,16 +406,12 @@ def _perf_profile(args: argparse.Namespace) -> int:
     profiler = cProfile.Profile()
     wall_start = perf_counter()
     profiler.enable()
-    if args.exec_mode == "serial":
-        for _, _, _, _, seed, keyword in tasks:
-            _record, scenario = _simulate_http_trial(
-                vantage, website, args.strategy, DEFAULT_CALIBRATION,
-                seed=seed, keyword=keyword,
-            )
-            release_scenario(scenario)
-    else:
-        for begin in range(0, len(tasks), window):
-            _run_http_batch_records(tasks[begin : begin + window])
+    for repeat in range(args.repeats):
+        _record, scenario = _simulate_http_trial(
+            vantage, website, args.strategy, DEFAULT_CALIBRATION,
+            seed=args.seed + repeat, keyword=not args.benign,
+        )
+        release_scenario(scenario)
     profiler.disable()
     wall_seconds = perf_counter() - wall_start
     gc.callbacks.remove(collector)
@@ -442,13 +423,11 @@ def _perf_profile(args: argparse.Namespace) -> int:
         f"cell: vantage={vantage.name} site={website.name} "
         f"strategy={args.strategy or 'none'} "
         f"{'benign' if args.benign else 'keyword'} "
-        f"seeds={args.seed}..{args.seed + args.repeats - 1} "
-        f"exec={args.exec_mode}"
-        + (f" window={window}" if args.exec_mode == "batch" else "")
+        f"seeds={args.seed}..{args.seed + args.repeats - 1}"
     )
     print(collector.summary(wall_seconds))
     print(
-        f"stopped: {stopped.value - stopped_before} of {len(tasks)} trials "
+        f"stopped: {stopped.value - stopped_before} of {args.repeats} trials "
         "ended at their final record (trials.stopped_at_verdict)"
     )
     stats.sort_stats("cumulative").print_stats(args.top)
@@ -1167,11 +1146,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trials to profile (consecutive seeds)")
     p.add_argument("--top", type=int, default=25,
                    help="rows of the cumulative-time table to print")
-    p.add_argument("--exec", dest="exec_mode",
-                   choices=("serial", "batch"), default="serial",
-                   help="profile: execution path to profile — per-trial "
-                        "simulator or batch-stepped shared heap "
-                        "(REPRO_BATCH_TRIALS)")
     p.add_argument("--out", default=None,
                    help="also dump raw pstats here (e.g. profile.pstats)")
 

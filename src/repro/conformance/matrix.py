@@ -12,11 +12,10 @@ repeats to a discrete **verdict**:
   itself kills the connection, e.g. Aliyun discarding fragments);
 - ``mixed``   — none of the above holds (genuinely probabilistic cell).
 
-The historical-result cache is deliberately bypassed (cells call the
-simulation directly): conformance asks "what does the *code* do today",
-never "what did it do last week".  Scenario reuse and the process pool
-are exercised on purpose — worker-count independence is itself part of
-the contract under test.
+Every cell is simulated afresh: conformance asks "what does the *code*
+do today", never "what did it do last week".  The process pool is
+exercised on purpose — worker-count independence is itself part of the
+contract under test.
 """
 
 from __future__ import annotations
@@ -265,21 +264,12 @@ def run_cell(
     repeats: int = DEFAULT_REPEATS,
     seed: int = DEFAULT_SEED,
 ) -> CellResult:
-    """Run one cell's repeats and reduce them to counts.
-
-    Repeats are multiplexed through one shared event heap in windows of
-    ``REPRO_BATCH_TRIALS`` (byte-identical to the serial loop — pinned by
-    the batch-parity tier-1 tests); ``REPRO_BATCH_TRIALS=1`` falls back
-    to running them one at a time.  Imports the runner lazily so the
-    module stays importable in process-pool workers without dragging the
-    app stack in at enumeration time.
+    """Run one cell's repeats, one trial at a time, and reduce them to
+    counts.  Imports the runner lazily so the module stays importable in
+    process-pool workers without dragging the app stack in at
+    enumeration time.
     """
-    from repro.experiments.runner import (
-        Outcome,
-        _run_http_batch_records,
-        _simulate_http_trial,
-        batch_window,
-    )
+    from repro.experiments.runner import Outcome, _simulate_http_trial
     from repro.experiments.scenarios import release_scenario
 
     vantage = profile_vantage(cell.profile)
@@ -293,41 +283,17 @@ def run_cell(
         strategy=cell.strategy_id, variant=cell.gfw_variant,
         profile=cell.profile, fault=cell.fault.name,
     )
-    window = batch_window()
-    if window > 1 and repeats > 1:
-        tasks = [
-            (
-                vantage,
-                website,
-                cell.strategy_id,
-                calibration,
-                (seed * 1_000_003 + repeat) ^ salt,
-                True,
-            )
-            for repeat in range(repeats)
-        ]
-        records = []
-        for start in range(0, len(tasks), window):
-            records.extend(
-                _run_http_batch_records(
-                    tasks[start : start + window], gfw_variant=cell.gfw_variant
-                )
-            )
-    else:
-        records = []
-        for repeat in range(repeats):
-            record, scenario = _simulate_http_trial(
-                vantage,
-                website,
-                cell.strategy_id,
-                calibration,
-                seed=(seed * 1_000_003 + repeat) ^ salt,
-                keyword=True,
-                gfw_variant=cell.gfw_variant,
-            )
-            release_scenario(scenario)
-            records.append(record)
-    for record in records:
+    for repeat in range(repeats):
+        record, scenario = _simulate_http_trial(
+            vantage,
+            website,
+            cell.strategy_id,
+            calibration,
+            seed=(seed * 1_000_003 + repeat) ^ salt,
+            keyword=True,
+            gfw_variant=cell.gfw_variant,
+        )
+        release_scenario(scenario)
         if record.outcome is Outcome.SUCCESS:
             result.success += 1
         elif record.outcome is Outcome.FAILURE1:

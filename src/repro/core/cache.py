@@ -262,8 +262,8 @@ class FrontedStore:
     serve a value the store has dropped.
 
     The class mirrors the :class:`KeyValueStore` surface, so anything
-    holding a store (the strategy selector, the historical-result
-    cache) works against either unchanged.
+    holding a store (the strategy selector's per-server history) works
+    against either unchanged.
     """
 
     def __init__(self, store: KeyValueStore, front_capacity: int = 256) -> None:

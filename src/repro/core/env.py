@@ -1,10 +1,10 @@
 """Environment-knob parsing shared by every ``REPRO_*`` switch.
 
-The harness grew one ad-hoc ``os.environ`` read per knob
-(``REPRO_WORKERS`` in the parallel engine, ``REPRO_RESULT_CACHE`` in the
-result cache, now ``REPRO_TELEMETRY`` in the telemetry layer), each with
-its own idea of what "truthy" means and each silently swallowing typos.
-This module is the single parser: booleans accept the usual spellings,
+The runtime knobs are ``REPRO_WORKERS`` (the parallel engine) and
+``REPRO_TELEMETRY``, ``REPRO_TRACE``, ``REPRO_FLIGHT`` and
+``REPRO_FLIGHT_RING`` (the telemetry layer).  This module is their
+single parser, so no knob has its own idea of what "truthy" means or
+silently swallows a typo: booleans accept the usual spellings,
 integers are validated, and a malformed value raises :class:`EnvKnobError`
 naming the variable — a typo'd knob should fail loudly, not quietly run
 the experiment with the default.

@@ -121,9 +121,7 @@ class Calibration:
     #: Simulated hour-of-day (0–24) the trial runs at.  Only routes of
     #: the ``heterogeneous`` GFW pseudo-variant consult it (diurnal
     #: reset-suppression curves, :mod:`repro.gfw.heterogeneity`); every
-    #: paper-default experiment is hour-invariant.  A distinct hour also
-    #: changes the calibration fingerprint, so the result cache keys
-    #: hours apart instead of aliasing them.
+    #: paper-default experiment is hour-invariant.
     sim_hour: float = 12.0
 
     # -- tool parameters ------------------------------------------------------------

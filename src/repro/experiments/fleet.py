@@ -5,14 +5,13 @@ machinery — the bounded TCB table (§2.1 "costly"), the resync states
 (§4), the 90-second blacklist — is never observed under concurrent
 load.  This module multiplexes thousands-to-millions of simulated
 client flows through **one shared censoring installation**: every flow
-still gets its own topology (client, path, TCP stacks) from the
-scenario pool, but the GFW devices of all flows in a group are grafted
-onto one shared :class:`~repro.gfw.flow.FlowTable`, one shared
+still gets its own freshly built topology (client, path, TCP stacks),
+but the GFW devices of all flows in a group are grafted onto one shared :class:`~repro.gfw.flow.FlowTable`, one shared
 :class:`~repro.gfw.blacklist.Blacklist`, one shared
 :class:`~repro.gfw.cluster.GFWCluster`, and one shared blocked-IP set.
 Flow-table keys are namespaced by a global flow id
-(:attr:`GFWDevice.flow_namespace`), so the four-tuples of pooled
-scenarios never alias while LRU churn, resync-state pressure, and
+(:attr:`GFWDevice.flow_namespace`), so the four-tuples of flows that
+share endpoints never alias while LRU churn, resync-state pressure, and
 blacklist contention are exercised for real.
 
 Everything is deterministic by construction:
@@ -26,7 +25,7 @@ Everything is deterministic by construction:
   run serially or via :func:`run_sharded` with byte-identical merged
   results and trial-semantic telemetry;
 - within a group, flows run in waves of ``spec.window`` concurrent
-  trials on one ``BatchSim(shared=True)`` heap; the heap's
+  trials on one :class:`~repro.netsim.batch.BatchSim` heap; the heap's
   ``(time, seq)`` order is deterministic, so the race for shared
   tables replays exactly.
 
@@ -69,7 +68,6 @@ from repro.gfw.heterogeneity import (
 )
 from repro.gfw.models import model_variant_configs
 from repro.netsim.batch import BatchSim
-from repro.netstack.packet import recycle_packets
 from repro.strategies.registry import TABLE1_ROWS
 from repro.telemetry.events import enable_bus, get_bus
 from repro.telemetry.export import histogram_quantile
@@ -386,7 +384,7 @@ class SharedGFWState:
         """Point a freshly built scenario's devices at the shared state.
 
         Safe because ``build_scenario`` constructs brand-new
-        ``GFWDevice`` objects on every (re)build — the per-scenario
+        ``GFWDevice`` objects on every build — the per-scenario
         tables we displace here are garbage, and per-flow measurement
         hooks (``detections``, reset counts) stay on the private
         device, so classification remains per-flow.
@@ -529,8 +527,8 @@ def _dump_flow_anomaly(
 ) -> None:
     """Flight-record one anomalous flow: ring of its events + snapshots.
 
-    Must run *before* the scenario's sniffed packets are recycled —
-    the dump summarizes them.
+    Must run *before* the scenario is released — the dump summarizes
+    its sniffed packets.
     """
     flight = get_flight()
     if not flight.enabled:
@@ -652,11 +650,6 @@ def _finalize_flow(
             "blacklist_false_positive", ctx, shared,
             {"outcome": outcome.value, "resets": resets},
         )
-    # The record is final; harvest the sniffer's forged packets into
-    # the packet free lists and hand the scenario back to the pool.
-    if scenario.gfw_packets_at_client:
-        recycle_packets(scenario.gfw_packets_at_client)
-        scenario.gfw_packets_at_client.clear()
     release_scenario(scenario)
 
 
@@ -686,7 +679,7 @@ def run_fleet_group(
         wave_span = tracer.begin(
             f"wave{wave_number}", "wave", wave=wave_number, flows=len(wave)
         )
-        batch = BatchSim(shared=True)
+        batch = BatchSim()
         contexts: List[_FleetFlowContext] = []
         try:
             for index in wave:

@@ -84,9 +84,8 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
     torn down for fewer — a small map mid-sweep (3 tasks after a
     10,000-task cell) must not cycle every worker process.  A call that
     needs fewer workers than the pool holds simply submits fewer chunks,
-    so surplus processes sleep.  Reuse amortizes both process start-up
-    and worker-side warm state (scenario pools, packet free lists)
-    across the many cells of a sweep.
+    so surplus processes sleep.  Reuse amortizes process start-up across
+    the many cells of a sweep.
     """
     global _pool, _pool_workers
     if _pool is None or _pool_workers < workers:
@@ -235,7 +234,7 @@ def map_trials(
 
     ``trials_per_task`` tells the parent how many paper-trials one work
     unit performs — a single count shared by every task, or one entry per
-    task (batched windows have a short tail) — keeping the trials/sec
+    task (fleet groups differ in size) — keeping the trials/sec
     accounting truthful when the actual counting happens inside worker
     processes.
     """
@@ -267,9 +266,7 @@ def map_trials(
 def _shard_worker(payload: Tuple[Callable, Tuple]) -> List[Any]:
     """Worker-side shard loop: run every task of one shard in order.
 
-    Lives at module level so the payload pickles; per-worker warm state
-    (the scenario pool, packet free lists) persists across the shard's
-    tasks, which is the point of sharding.
+    Lives at module level so the payload pickles.
     """
     func, shard = payload
     tracer = get_tracer()
@@ -292,10 +289,8 @@ def run_sharded(
     Where :func:`map_trials` ships every task through the pool
     individually (one pickled payload and one registry delta per task),
     sharding ships ``shards`` payloads total: each worker receives a
-    contiguous slice of the task list, runs it serially with its warm
-    per-process scenario pool, and returns one result list plus one
-    merged telemetry delta.  Contiguity matters — task lists are grouped
-    by cell, so a shard's tasks hit the same pooled topologies.
+    contiguous slice of the task list, runs it serially, and returns one
+    result list plus one merged telemetry delta.
 
     Results come back in task order (shards are reassembled in slice
     order) and the registry merge is order-independent, so the output is

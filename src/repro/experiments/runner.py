@@ -24,25 +24,20 @@ from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.cache import KeyValueStore
-from repro.core.env import env_int
 from repro.core.intang import INTANG
 from repro.core.selection import StrategySelector
 from repro.apps.dns import DNSUdpClient
 from repro.apps.http import HTTPClient
 from repro.apps.tor import TorClient
 from repro.apps.vpn import OpenVPNClient
-from repro.experiments import result_cache
 from repro.experiments.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.experiments.parallel import map_trials, note_trials, run_sharded
 from repro.experiments.scenarios import (
     HONEST_DNS_ANSWER,
     Scenario,
     acquire_scenario,
-    build_scenario,
     release_scenario,
 )
-from repro.netsim.batch import BatchSim
-from repro.netstack.packet import recycle_packets
 from repro.experiments.vantage import VantagePoint
 from repro.experiments.websites import Resolver, Website
 from repro.telemetry.metrics import get_registry
@@ -158,34 +153,6 @@ def make_persistent_selector(priority: Optional[Sequence[str]] = None) -> Strate
 # ---------------------------------------------------------------------------
 # HTTP (Tables 1 and 4)
 # ---------------------------------------------------------------------------
-def _http_record_payload(record: TrialRecord) -> Dict:
-    """A JSON-representable image of a trial record (for the
-    historical-result cache)."""
-    return {
-        "outcome": record.outcome.value,
-        "strategy_id": record.strategy_id,
-        "vantage": record.vantage,
-        "target": record.target,
-        "keyword": record.keyword,
-        "drift": record.drift,
-        "detections": record.detections,
-        "diagnosis": record.diagnosis,
-    }
-
-
-def _http_record_from_payload(payload: Dict) -> TrialRecord:
-    return TrialRecord(
-        outcome=Outcome(payload["outcome"]),
-        strategy_id=payload["strategy_id"],
-        vantage=payload["vantage"],
-        target=payload["target"],
-        keyword=payload["keyword"],
-        drift=payload.get("drift"),
-        detections=payload.get("detections", 0),
-        diagnosis=payload.get("diagnosis"),
-    )
-
-
 _REGISTRY = get_registry()
 _TRIALS_RUN = _REGISTRY.counter("trials.run")
 #: HTTP trials whose run the stop rule ended at their final record.
@@ -206,63 +173,34 @@ _TRIAL_WALL_SECONDS = _REGISTRY.histogram(
 )
 
 
-@dataclass
-class _HttpTrialContext:
-    """The live state of one HTTP trial between setup and finalization.
-
-    Batched execution interleaves many trials through one shared event
-    heap; each trial's pre-run state (the INTANG instance, the in-flight
-    HTTP exchange, the drift that was applied) parks here until the batch
-    run drains and the trial can be classified.
-    """
-
-    vantage: VantagePoint
-    website: Website
-    strategy_id: Optional[str]
-    keyword: bool
-    selector: Optional[StrategySelector]
-    scenario: Scenario
-    intang: INTANG
-    exchange: object
-    drift: Optional[str]
-    seed: int = 0
-    wall_start: float = 0.0
-
-
-def _http_trial_setup(
+def _simulate_http_trial(
     vantage: VantagePoint,
     website: Website,
     strategy_id: Optional[str],
-    calibration: Calibration,
-    seed: int,
-    keyword: bool,
+    calibration: Calibration = DEFAULT_CALIBRATION,
+    seed: int = 0,
+    keyword: bool = True,
     selector: Optional[StrategySelector] = None,
     trace: bool = False,
     gfw_variant: Optional[str] = None,
-    batch: Optional[BatchSim] = None,
     stop_at_verdict: bool = True,
-) -> _HttpTrialContext:
-    """Build the trial topology and queue its workload, without running.
-
-    The setup phase only *schedules* (INTANG's interception hooks, the
-    client's request segments); no event fires until the clock runs, so a
-    batch runner can interleave many set-up trials through one heap.
-    The scenario is leased from the pool (the caller hands it back via
-    ``release_scenario``); when ``batch`` is given its clock is adopted
-    into the shared heap before anything is scheduled on it.
-
-    ``stop_at_verdict`` ends the run as soon as the trial's record is
-    final (:meth:`Scenario.record_final`); callers that read the
-    scenario beyond the record pass False for the full horizon.
-    """
+) -> Tuple[TrialRecord, Scenario]:
+    """Simulate one HTTP trial from scratch, returning the record *and*
+    the finished scenario.  The caller owns the scenario: hand it back
+    with ``release_scenario`` once done with it.  ``trace=True`` turns on
+    the packet trace recorder, whose events also land on the telemetry
+    bus when that is enabled.  ``gfw_variant`` forces a named
+    installation variant (conformance cells).  The run ends once the
+    record is final (:meth:`Scenario.record_final`) unless
+    ``stop_at_verdict=False`` asks for the full horizon, which a caller
+    reading the scenario beyond the record (ladders, device counters,
+    event timelines) needs."""
     wall_start = perf_counter() if get_tracer().enabled else 0.0
     scenario = acquire_scenario(
         vantage=vantage, website=website, calibration=calibration,
         seed=seed, workload="http", trace=trace, gfw_variant=gfw_variant,
     )
     scenario.stop_at_verdict = stop_at_verdict
-    if batch is not None:
-        batch.adopt(scenario.clock)
     intang = INTANG(
         host=scenario.client,
         tcp_host=scenario.client_tcp,
@@ -290,41 +228,24 @@ def _http_trial_setup(
         host=website.name,
         path=SENSITIVE_PATH if keyword else BENIGN_PATH,
     )
-    return _HttpTrialContext(
-        vantage=vantage,
-        website=website,
-        strategy_id=strategy_id,
-        keyword=keyword,
-        selector=selector,
-        scenario=scenario,
-        intang=intang,
-        exchange=exchange,
-        drift=drift,
-        seed=seed,
-        wall_start=wall_start,
-    )
+    scenario.run()
 
-
-def _http_trial_finalize(ctx: _HttpTrialContext) -> TrialRecord:
-    """Classify a finished trial and count it; the run phase is over."""
-    scenario = ctx.scenario
-    outcome = classify(ctx.exchange.got_response, scenario.gfw_resets_received())
-    used = ctx.intang.last_strategy_for(ctx.website.ip) or (ctx.strategy_id or "none")
-    if ctx.selector is not None:
-        ctx.intang.report_result(ctx.website.ip, outcome is Outcome.SUCCESS)
+    outcome = classify(exchange.got_response, scenario.gfw_resets_received())
+    used = intang.last_strategy_for(website.ip) or (strategy_id or "none")
+    if selector is not None:
+        intang.report_result(website.ip, outcome is Outcome.SUCCESS)
     record = TrialRecord(
         outcome=outcome,
         strategy_id=used,
-        vantage=ctx.vantage.name,
-        target=ctx.website.name,
-        keyword=ctx.keyword,
-        drift=ctx.drift,
+        vantage=vantage.name,
+        target=website.name,
+        keyword=keyword,
+        drift=drift,
         detections=scenario.gfw_detections(),
         diagnosis=diagnose_failure(scenario, outcome),
     )
-    # Outcome accounting lives here — inside the fresh simulation — so a
-    # cache-replayed trial never re-counts and the parallel engine's
-    # merged registry equals the serial run's.
+    # Outcome accounting lives here, inside the simulation, so the
+    # parallel engine's merged registry equals the serial run's.
     _OUTCOME_COUNTERS[outcome].inc()
     if scenario.stopped_at_verdict:
         _TRIALS_STOPPED.inc()
@@ -333,10 +254,8 @@ def _http_trial_finalize(ctx: _HttpTrialContext) -> TrialRecord:
     )
     tracer = get_tracer()
     if tracer.enabled:
-        # The trial span is built whole here — batched trials finish out
-        # of order, so begin/end stack discipline can't describe them.
         wall_end = perf_counter()
-        _TRIAL_WALL_SECONDS.observe(max(0.0, wall_end - ctx.wall_start))
+        _TRIAL_WALL_SECONDS.observe(max(0.0, wall_end - wall_start))
         sim_end = scenario.clock.now
         tracer.add(
             make_span(
@@ -344,15 +263,15 @@ def _http_trial_finalize(ctx: _HttpTrialContext) -> TrialRecord:
                 "trial",
                 sim_start=0.0,
                 sim_end=sim_end,
-                wall_start=ctx.wall_start,
+                wall_start=wall_start,
                 wall_end=wall_end,
                 attrs={
                     "strategy": used,
-                    "vantage": ctx.vantage.name,
-                    "target": ctx.website.name,
-                    "keyword": ctx.keyword,
+                    "vantage": vantage.name,
+                    "target": website.name,
+                    "keyword": keyword,
                     "outcome": outcome.value,
-                    "seed": ctx.seed,
+                    "seed": seed,
                 },
                 children=[
                     make_span("setup", "phase", sim_start=0.0, sim_end=0.0),
@@ -360,105 +279,16 @@ def _http_trial_finalize(ctx: _HttpTrialContext) -> TrialRecord:
                 ],
             )
         )
-    return record
-
-
-def _simulate_http_trial(
-    vantage: VantagePoint,
-    website: Website,
-    strategy_id: Optional[str],
-    calibration: Calibration = DEFAULT_CALIBRATION,
-    seed: int = 0,
-    keyword: bool = True,
-    selector: Optional[StrategySelector] = None,
-    trace: bool = False,
-    gfw_variant: Optional[str] = None,
-    stop_at_verdict: bool = True,
-) -> Tuple[TrialRecord, Scenario]:
-    """Simulate one HTTP trial from scratch, returning the record *and*
-    the finished scenario.  The caller owns the scenario: hand it back
-    with ``release_scenario`` once done with it, so the pool can reuse it
-    (or, unpooled, it is disposed).  ``trace=True`` turns on the packet
-    trace recorder, whose events also land on the telemetry bus when that
-    is enabled.  ``gfw_variant`` forces a named installation variant
-    (conformance cells).  The run ends once the record is final unless
-    ``stop_at_verdict=False`` asks for the full horizon, which a caller
-    reading the scenario beyond the record (ladders, device counters,
-    event timelines) needs."""
-    ctx = _http_trial_setup(
-        vantage, website, strategy_id, calibration, seed, keyword,
-        selector=selector, trace=trace, gfw_variant=gfw_variant,
-        stop_at_verdict=stop_at_verdict,
-    )
-    ctx.scenario.run()
-    record = _http_trial_finalize(ctx)
-    return record, ctx.scenario
+    return record, scenario
 
 
 def batch_window() -> int:
-    """Trials multiplexed per shared event heap (``REPRO_BATCH_TRIALS``).
+    """Always ``1``; kept only because ``perfbench/`` names it.
 
-    1 disables batching (the per-trial run loop); the default window of
-    16 amortizes scheduler entry across a cell's seed sweep without
-    leasing more than 16 live scenario object graphs per cell.
+    Every independent trial runs on its own clock; only fleet waves
+    share an event heap.
     """
-    return env_int("REPRO_BATCH_TRIALS", 16, minimum=1)
-
-
-def _run_http_batch_records(
-    tasks: Sequence[Tuple],
-    gfw_variant: Optional[str] = None,
-) -> List[TrialRecord]:
-    """Run a window of independent HTTP trials through one shared heap.
-
-    Each task is the usual ``(vantage, website, strategy_id, calibration,
-    seed, keyword)`` tuple.  Setup happens in task order (every RNG draw
-    a trial makes flows from its own seeded generators, so interleaving
-    the *run* phases cannot perturb any trial's draw sequence), then one
-    batch run takes every trial until its record is final or to its
-    horizon, whichever comes first; then finalization again walks task
-    order.  Byte-identical to running the tasks one at a time — pinned
-    by the batch-parity tier-1 tests.
-    """
-    tracer = get_tracer()
-    batch_span = tracer.begin(
-        f"http-batch[{len(tasks)}]", "batch", window=len(tasks)
-    )
-    try:
-        batch = BatchSim()
-        contexts: List[_HttpTrialContext] = []
-        try:
-            for task in tasks:
-                vantage, website, strategy_id, calibration, seed, keyword = task
-                contexts.append(
-                    _http_trial_setup(
-                        vantage, website, strategy_id, calibration, seed,
-                        keyword, gfw_variant=gfw_variant, batch=batch,
-                    )
-                )
-            batch.run(
-                [ctx.scenario.calibration.trial_duration for ctx in contexts]
-            )
-        finally:
-            batch.release()
-        records = []
-        for ctx in contexts:
-            records.append(_http_trial_finalize(ctx))
-            scenario = ctx.scenario
-            # The record is final and the scenario goes straight back to
-            # the pool, so the sniffer's forged-reset packets are dead —
-            # harvest them into the packet free lists (unless a trace
-            # retains them).
-            trace = scenario.trace
-            if scenario.gfw_packets_at_client and (
-                trace is None or not trace.enabled
-            ):
-                recycle_packets(scenario.gfw_packets_at_client)
-                scenario.gfw_packets_at_client.clear()
-            release_scenario(scenario)
-        return records
-    finally:
-        tracer.end(batch_span)
+    return 1
 
 
 def run_http_trial(
@@ -472,43 +302,9 @@ def run_http_trial(
 ) -> TrialRecord:
     """One request; ``strategy_id=None`` lets INTANG's selector choose.
 
-    When no adaptive selector is threaded through (the trial is then a
-    pure function of its arguments), the historical-result cache may
-    replay a previously recorded outcome instead of re-simulating —
-    INTANG's own trick (§6), applied to the harness.  Disable with
-    ``REPRO_RESULT_CACHE=0``.
+    Only the record is kept, so the run stops once it is final; an
+    adaptive selector's trial runs to the horizon.
     """
-    cache_key: Optional[str] = None
-    if selector is None and result_cache.enabled():
-        cache_key = result_cache.trial_key(
-            "http", vantage, website, strategy_id, calibration, seed, keyword
-        )
-        hit = result_cache.lookup(cache_key)
-        if hit is not None and hit.get("record") is not None:
-            note_trials()
-            _TRIALS_RUN.inc()
-            return _http_record_from_payload(hit["record"])
-    return _run_fresh_http_trial(
-        vantage, website, strategy_id, calibration, seed, keyword,
-        cache_key, selector=selector,
-    )
-
-
-def _run_fresh_http_trial(
-    vantage: VantagePoint,
-    website: Website,
-    strategy_id: Optional[str],
-    calibration: Calibration,
-    seed: int,
-    keyword: bool,
-    key: Optional[str],
-    selector: Optional[StrategySelector] = None,
-) -> TrialRecord:
-    """Simulate one HTTP trial on its own run loop with the per-trial
-    bookkeeping (trial count, ``trials.run``, the full historical record
-    under ``key``), handing its scenario back to the pool.  Only the
-    record is kept, so the run stops once it is final; an adaptive
-    selector's trial runs to the horizon."""
     note_trials()
     _TRIALS_RUN.inc()
     record, scenario = _simulate_http_trial(
@@ -517,7 +313,6 @@ def _run_fresh_http_trial(
         stop_at_verdict=selector is None,
     )
     release_scenario(scenario)
-    _record_fresh_trial(key, record)
     return record
 
 
@@ -578,86 +373,9 @@ class RateTriple:
         return self.distribution.wilson(z=z)
 
 
-def _http_outcome_worker(entry: Tuple[Tuple, Optional[str]]) -> Outcome:
-    """Process-pool work unit: one HTTP trial on its own run loop,
-    reduced to its outcome (``entry`` as in
-    :func:`_http_outcome_batch_worker`)."""
-    task, key = entry
-    return _run_fresh_http_trial(*task, key).outcome
-
-
-def _http_task_key(task: Tuple) -> str:
-    vantage, website, strategy_id, calibration, seed, keyword = task
-    return result_cache.trial_key(
-        "http", vantage, website, strategy_id, calibration, seed, keyword
-    )
-
-
-def _http_outcome_batch_worker(
-    window: Tuple[Tuple[Tuple, Optional[str]], ...],
-) -> List[Outcome]:
-    """Process-pool work unit: a window of HTTP trials on one shared heap.
-
-    Each entry is ``(task, key)``: the trial's task tuple and the
-    result-cache key :func:`run_http_outcomes` built for it (None with
-    the cache off).  Mirrors :func:`run_http_trial`'s bookkeeping per
-    trial (trial count, ``trials.run``, the full historical record) —
-    the parent has already filtered cache hits out of the window.
-    """
-    note_trials(len(window))
-    _TRIALS_RUN.inc(len(window))
-    records = _run_http_batch_records([task for task, _key in window])
-    for (_task, key), record in zip(window, records):
-        _record_fresh_trial(key, record)
-    return [record.outcome for record in records]
-
-
-def _record_fresh_trial(key: Optional[str], record: TrialRecord) -> None:
-    """Store a simulated trial's full record under its key.  In a pool
-    worker the store dies with the process; the parent then keeps the
-    outcome only (:func:`run_http_outcomes`)."""
-    if key is not None:
-        result_cache.record_trial(
-            key, record.outcome.value, _http_record_payload(record)
-        )
-
-
-def _dispatch_http_tasks(
-    entries: List[Tuple[Tuple, Optional[str]]],
-    workers: Optional[int],
-    shards: Optional[int] = None,
-) -> List[Outcome]:
-    """Fan ``(task, cache key)`` entries out — batch-stepped windows
-    unless disabled.
-
-    ``shards`` switches from per-window pool dispatch to the persistent
-    shard runner (one contiguous slice of windows per worker, one
-    telemetry delta per shard).  Outcomes are identical either way.
-    """
-    window = batch_window()
-    sharded = shards is not None and shards > 1
-    if window <= 1 or len(entries) <= 1:
-        if sharded:
-            return run_sharded(
-                _http_outcome_worker, entries, shards=shards, workers=workers
-            )
-        return map_trials(_http_outcome_worker, entries, workers=workers)
-    windows = [
-        tuple(entries[start : start + window])
-        for start in range(0, len(entries), window)
-    ]
-    trials = [len(w) for w in windows]
-    if sharded:
-        chunks = run_sharded(
-            _http_outcome_batch_worker, windows, shards=shards,
-            workers=workers, trials_per_task=trials,
-        )
-    else:
-        chunks = map_trials(
-            _http_outcome_batch_worker, windows, workers=workers,
-            trials_per_task=trials,
-        )
-    return [outcome for chunk in chunks for outcome in chunk]
+def _http_outcome_worker(task: Tuple) -> Outcome:
+    """Process-pool work unit: one HTTP trial, reduced to its outcome."""
+    return run_http_trial(*task).outcome
 
 
 def run_http_outcomes(
@@ -669,42 +387,17 @@ def run_http_outcomes(
 
     Each task is a ``(vantage, website, strategy_id, calibration, seed,
     keyword)`` tuple; this is the engine entry point for benches that
-    build their own seed formulas (the ablation sweeps).
-
-    Historical results are consulted here, *before* the process-pool
-    fan-out, so a fully-cached cell costs a few dict lookups and never
-    spawns a worker.  Each trial's cache key is built once, here, and
-    travels with its task: a trial simulated in this process stores its
-    full record, and outcomes computed by pool workers are recorded in
-    this (parent) process, outcome only, so the next sweep over the same
-    cell is warm.
-
-    Uncached trials run in batch-stepped windows (``REPRO_BATCH_TRIALS``
-    trials per shared event heap); set the knob to 1 for the per-trial
-    run loop.  The two paths are byte-identical.
+    build their own seed formulas (the ablation sweeps).  ``shards``
+    (> 1) switches from per-task pool dispatch to the persistent shard
+    runner (one contiguous slice of tasks per worker, one telemetry
+    delta per shard).  Outcomes are identical either way.
     """
     tasks = [tuple(t) for t in tasks]
-    if not result_cache.enabled():
-        return _dispatch_http_tasks(
-            [(task, None) for task in tasks], workers, shards
+    if shards is not None and shards > 1:
+        return run_sharded(
+            _http_outcome_worker, tasks, shards=shards, workers=workers
         )
-    keys = [_http_task_key(task) for task in tasks]
-    outcomes: List[Optional[Outcome]] = []
-    for key in keys:
-        hit = result_cache.lookup(key)
-        outcomes.append(Outcome(hit["outcome"]) if hit is not None else None)
-    pending = [index for index, outcome in enumerate(outcomes) if outcome is None]
-    if len(pending) < len(tasks):
-        note_trials(len(tasks) - len(pending))  # cache hits, but still trials
-    if pending:
-        fresh = _dispatch_http_tasks(
-            [(tasks[index], keys[index]) for index in pending], workers, shards
-        )
-        for index, outcome in zip(pending, fresh):
-            outcomes[index] = outcome
-            # A no-op where the full record was stored in this process.
-            result_cache.record_outcome(keys[index], outcome.value)
-    return outcomes  # type: ignore[return-value]
+    return map_trials(_http_outcome_worker, tasks, workers=workers)
 
 
 def _cell_tasks(
@@ -744,7 +437,7 @@ def run_strategy_cell(
     ``REPRO_WORKERS`` environment knob); the seeds are fixed before
     fan-out, so the resulting :class:`RateTriple` is identical for any
     worker count.  ``shards`` (> 1) routes the fan-out through the
-    persistent shard runner instead of per-window dispatch.
+    persistent shard runner instead of per-task dispatch.
     """
     tasks = _cell_tasks(
         strategy_id, vantages, websites, calibration, repeats, seed, keyword
@@ -907,21 +600,6 @@ class DNSTrialResult:
         return self.answered and not self.poisoned and self.answer == HONEST_DNS_ANSWER
 
 
-def _dns_task_key(
-    vantage: VantagePoint,
-    resolver: Resolver,
-    strategy_id: Optional[str],
-    calibration: Calibration,
-    seed: int,
-    domain: str,
-    use_intang: bool,
-) -> str:
-    return result_cache.trial_key(
-        "dns", vantage, resolver, strategy_id, calibration, seed,
-        extra=f"{domain}:{'intang' if use_intang else 'bare'}",
-    )
-
-
 def run_dns_trial(
     vantage: VantagePoint,
     resolver: Resolver,
@@ -938,19 +616,6 @@ def run_dns_trial(
     """
     note_trials()
     get_registry().counter("trials.run").inc()
-    cache_key: Optional[str] = None
-    if result_cache.enabled():
-        cache_key = _dns_task_key(
-            vantage, resolver, strategy_id, calibration, seed, domain, use_intang
-        )
-        hit = result_cache.lookup(cache_key)
-        if hit is not None and hit.get("record") is not None:
-            payload = hit["record"]
-            return DNSTrialResult(
-                answered=payload["answered"],
-                answer=payload["answer"],
-                poisoned=payload["poisoned"],
-            )
     # §7.2 measured two *specific* resolver routes: interference was
     # seen only from Tianjin, so the firewall is forced there and
     # forced absent elsewhere rather than drawn from the population.
@@ -984,22 +649,11 @@ def run_dns_trial(
     release_scenario(scenario)
     answered = bool(answers)
     answer = answers[0] if answers else None
-    result = DNSTrialResult(
+    return DNSTrialResult(
         answered=answered,
         answer=answer,
         poisoned=answered and answer != HONEST_DNS_ANSWER,
     )
-    if cache_key is not None:
-        result_cache.record_trial(
-            cache_key,
-            "success" if result.success else "failure",
-            {
-                "answered": result.answered,
-                "answer": result.answer,
-                "poisoned": result.poisoned,
-            },
-        )
-    return result
 
 
 def _dns_trial_worker(task: Tuple) -> DNSTrialResult:
@@ -1032,34 +686,8 @@ def run_dns_cell(
         (vantage, resolver, strategy_id, calibration, seed + q, domain, use_intang)
         for q in range(queries)
     ]
-    if not result_cache.enabled():
-        results = map_trials(_dns_trial_worker, tasks, workers=workers)
-        return sum(1 for r in results if r.success) / queries
-    # Replay recorded resolutions before fanning out (see
-    # run_http_outcomes for the rationale).
-    successes = 0
-    pending: List[Tuple] = []
-    for task in tasks:
-        hit = result_cache.lookup(_dns_task_key(*task))
-        if hit is not None:
-            note_trials()
-            successes += 1 if hit["outcome"] == "success" else 0
-        else:
-            pending.append(task)
-    if pending:
-        fresh = map_trials(_dns_trial_worker, pending, workers=workers)
-        for task, result in zip(pending, fresh):
-            result_cache.record_trial(
-                _dns_task_key(*task),
-                "success" if result.success else "failure",
-                {
-                    "answered": result.answered,
-                    "answer": result.answer,
-                    "poisoned": result.poisoned,
-                },
-            )
-            successes += 1 if result.success else 0
-    return successes / queries
+    results = map_trials(_dns_trial_worker, tasks, workers=workers)
+    return sum(1 for r in results if r.success) / queries
 
 
 # ---------------------------------------------------------------------------

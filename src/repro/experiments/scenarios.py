@@ -16,10 +16,9 @@ varies across periods.
 from __future__ import annotations
 
 import random
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace as dataclass_replace
 from functools import lru_cache
-from typing import Any, Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.netstack.fragment import OverlapPolicy
 from repro.netstack.packet import IPPacket
@@ -46,7 +45,6 @@ from repro.apps.dns import DNSTcpResolver, DNSUdpResolver
 from repro.apps.tor import TorBridge
 from repro.apps.udp import UDPHost
 from repro.apps.vpn import OpenVPNServer
-from repro.core.env import env_flag, env_int
 from repro.experiments.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.experiments.vantage import VantagePoint
 from repro.experiments.websites import Resolver, Website
@@ -95,12 +93,6 @@ class Scenario:
     udp_server: Optional[UDPHost] = None
     tor_bridge: Optional[TorBridge] = None
     vpn_server: Optional[OpenVPNServer] = None
-    #: Keyword arguments :func:`build_scenario` was called with (everything
-    #: but ``seed``), kept so :meth:`reset` can replay the build.
-    _build_args: Optional[Dict[str, Any]] = None
-    #: Free-list key when this scenario came from :func:`acquire_scenario`;
-    #: :func:`release_scenario` uses it to return the scenario to its cell.
-    _pool_key: Optional[tuple] = None
     #: Set once the scenario is handed back (:func:`release_scenario`);
     #: a second release is a bug.
     _released: bool = False
@@ -164,57 +156,43 @@ class Scenario:
             return None  # drift would be geometrically impossible; skip
         return f"{side}{delta:+d}"
 
-    def reset(self, seed: int) -> "Scenario":
-        """Rebuild this trial topology for a new seed, reusing the heavy
-        pieces (clock, network, hosts, path, TCP stacks) in place.
+    def reset(self, seed: int) -> None:
+        """No-op; kept only because ``perfbench/`` names it.
 
-        Returns a fresh :class:`Scenario` wrapper.  The rebuild replays
-        :func:`build_scenario`'s exact RNG draw sequence against reset
-        objects, so results are byte-identical to a from-scratch build
-        with the same arguments and seed.
+        Scenarios are never rebuilt in place: every trial gets a fresh
+        :func:`build_scenario`.  ``perfbench/layertrace.BOUNDARIES``
+        still wraps this method, so the name stays until that file
+        drops it.
         """
-        if self._build_args is None:
-            raise ValueError(
-                "scenario was not created by build_scenario; cannot reset"
-            )
-        return build_scenario(seed=seed, reuse=self, **self._build_args)
 
-    def _clear_trial(self) -> None:
-        """Drop everything the last trial hung on the reusable topology:
-        queued events, host handlers and egress filters (stacks, sniffer,
-        INTANG), connections and listeners, UDP sockets, path elements,
-        and this wrapper's references to the trial's devices and apps.
+    def dispose(self) -> None:
+        """Cut this scenario's back-references so its whole object graph
+        is freed by reference counting once dropped.
 
-        Several of these point back at the topology (a stack's handler
-        at the stack, a listener's application at its stack, an element
-        at its path), so cutting them here lets the trial's objects be
-        freed by reference counting instead of by the cyclic collector,
-        and a pooled scenario holds no dead trial.
+        Drops everything the trial hung on the topology: queued events,
+        host handlers and egress filters (stacks, sniffer, INTANG),
+        connections and listeners, UDP sockets, path elements, the
+        network's hosts and paths, and this wrapper's references to the
+        trial's devices and apps.  Several of these point back at the
+        topology (a stack's handler at the stack, a listener's
+        application at its stack, an element at its path), so cutting
+        them lets the trial's objects be freed without the cyclic
+        collector.  Read whatever the trial left on the scenario first.
         """
         self.clock.reset()
-        self.client.reset()
-        self.server.reset()
+        self.client.clear()
+        self.server.clear()
         self.client_tcp.clear()
         self.server_tcp.clear()
         for udp in (self.udp_client, self.udp_server):
             if udp is not None:
                 udp.clear()
         self.path.clear_elements()
+        self.network.clear()
         self.gfw_devices = []
         self.gfw_packets_at_client = []
         self.http_server = self.tor_bridge = self.vpn_server = None
         self.udp_client = self.udp_server = None
-
-    def dispose(self) -> None:
-        """Cut this scenario's back-references so its whole object graph
-        is freed by reference counting once dropped.
-
-        For a scenario nobody will run again: the pool disposes the
-        scenarios it evicts, and :func:`release_scenario` the ones that
-        were never pooled.
-        """
-        self._clear_trial()
-        self.network.clear()
 
     def gfw_detections(self) -> int:
         return sum(len(device.detections) for device in self.gfw_devices)
@@ -352,7 +330,6 @@ def build_scenario(
     force_firewall: Optional[bool] = None,
     firewall_teardown_probability: float = 1.0,
     gfw_variant: Optional[str] = None,
-    reuse: Optional[Scenario] = None,
 ) -> Scenario:
     """Build one trial topology.
 
@@ -365,30 +342,13 @@ def build_scenario(
     the device composition from the calibration's population fractions —
     the conformance harness uses this so a matrix cell's verdict is a
     pure function of (strategy, variant, profile, fault point, seed).
-
-    ``reuse`` hands back a previous scenario for the same endpoints whose
-    heavy objects (clock, network, hosts, path, TCP stacks) are reset and
-    re-wired in place rather than reallocated.  Both code paths share the
-    same draw sequence from ``Random(seed)``, so fresh and reused builds
-    are indistinguishable trial-for-trial; everything behavioural
-    (middleboxes, firewall, GFW devices, workload apps) is still rebuilt
-    per trial, preserving the trial-isolation contract above.
     """
     rng = random.Random(seed)
-    if reuse is None:
-        clock = SimClock()
-        recorder = TraceRecorder(enabled=trace)
-        network = Network(
-            clock=clock, rng=random.Random(rng.randrange(2**31)), trace=recorder
-        )
-    else:
-        clock = reuse.clock
-        clock.reset()
-        recorder = reuse.trace
-        recorder.reset(enabled=trace)
-        network = reuse.network
-        network.rng = random.Random(rng.randrange(2**31))
-        network.undeliverable = 0
+    clock = SimClock()
+    recorder = TraceRecorder(enabled=trace)
+    network = Network(
+        clock=clock, rng=random.Random(rng.randrange(2**31)), trace=recorder
+    )
 
     if workload == "dns":
         if resolver is None:
@@ -404,35 +364,17 @@ def build_scenario(
         server_name = website.name
     hop_count, gfw_hop = _path_geometry(vantage, rng, calibration, hop_count, gfw_hop)
 
-    base_delay = 0.04 if vantage.inside_china else 0.09
-    if reuse is None:
-        client = network.add_host(Host(vantage.ip, vantage.name))
-        server = network.add_host(Host(server_ip, server_name))
-        path = Path(
-            client_ip=vantage.ip,
-            server_ip=server_ip,
-            hop_count=hop_count,
-            base_delay=base_delay,
-            loss_rate=_draw_loss_rate(rng, calibration),
-            jitter=calibration.path_jitter,
-        )
-        network.add_path(path)
-    else:
-        if reuse.client.ip != vantage.ip or reuse.server.ip != server_ip:
-            raise ValueError(
-                "reuse scenario endpoints do not match: "
-                f"{reuse.client.ip}->{reuse.server.ip} vs {vantage.ip}->{server_ip}"
-            )
-        client = reuse.client
-        server = reuse.server
-        client.reset()
-        server.reset()
-        path = reuse.path
-        path.clear_elements()
-        path.reconfigure(
-            hop_count, base_delay, _draw_loss_rate(rng, calibration),
-            jitter=calibration.path_jitter,
-        )
+    client = network.add_host(Host(vantage.ip, vantage.name))
+    server = network.add_host(Host(server_ip, server_name))
+    path = Path(
+        client_ip=vantage.ip,
+        server_ip=server_ip,
+        hop_count=hop_count,
+        base_delay=0.04 if vantage.inside_china else 0.09,
+        loss_rate=_draw_loss_rate(rng, calibration),
+        jitter=calibration.path_jitter,
+    )
+    network.add_path(path)
 
     # -- client-side middleboxes (Table 2) --------------------------------
     for box in vantage.middleboxes.build_boxes(
@@ -473,8 +415,7 @@ def build_scenario(
             # cannot leak across matrix cells.  The heterogeneous
             # pseudo-variant resolves to one concrete member variant per
             # (vantage, target) route — a pure crc32 function with no
-            # RNG draws, so pooled scenario reuse rebuilds the same
-            # installation and the build draw order is untouched.
+            # RNG draws, so the build draw order is untouched.
             member_variant, temporal_profile = resolve_route(
                 gfw_variant, vantage.name, server_name
             )
@@ -508,26 +449,14 @@ def build_scenario(
             devices.append(device)
 
     # -- endpoint stacks ---------------------------------------------------------
-    client_profile = _profile_variant("linux-4.4", False)
-    server_profile = _server_profile(website)
-    if reuse is None:
-        client_tcp = TCPHost(
-            client, clock, profile=client_profile,
-            rng=random.Random(rng.randrange(2**31)),
-        )
-        server_tcp = TCPHost(
-            server, clock, profile=server_profile,
-            rng=random.Random(rng.randrange(2**31)),
-        )
-    else:
-        client_tcp = reuse.client_tcp
-        client_tcp.reset(
-            profile=client_profile, rng=random.Random(rng.randrange(2**31))
-        )
-        server_tcp = reuse.server_tcp
-        server_tcp.reset(
-            profile=server_profile, rng=random.Random(rng.randrange(2**31))
-        )
+    client_tcp = TCPHost(
+        client, clock, profile=_profile_variant("linux-4.4", False),
+        rng=random.Random(rng.randrange(2**31)),
+    )
+    server_tcp = TCPHost(
+        server, clock, profile=_server_profile(website),
+        rng=random.Random(rng.randrange(2**31)),
+    )
 
     scenario = Scenario(
         clock=clock,
@@ -545,17 +474,6 @@ def build_scenario(
         website=website,
         resolver=resolver,
         trace=recorder,
-        _build_args=dict(
-            vantage=vantage,
-            website=website,
-            resolver=resolver,
-            calibration=calibration,
-            workload=workload,
-            trace=trace,
-            force_firewall=force_firewall,
-            firewall_teardown_probability=firewall_teardown_probability,
-            gfw_variant=gfw_variant,
-        ),
     )
 
     # -- workload --------------------------------------------------------------
@@ -596,73 +514,7 @@ def build_scenario(
     return scenario
 
 
-#: Pooled scenarios keyed by endpoint identity — the only build inputs the
-#: reuse fast path cannot re-draw or rebuild.  Everything else (calibration
-#: coins, middlebox composition, GFW installation, workload apps) is derived
-#: from the seed per build, so two calls with the same key but different
-#: seeds or workloads still reuse one set of heavy objects.
-#:
-#: Each key maps to a *free list* of idle scenarios: batched execution
-#: needs several live scenarios per cell simultaneously (one per trial in
-#: the window), so the pool stacks them instead of keeping one.  Keys are
-#: LRU-ordered; the total scenario count is bounded by
-#: ``REPRO_SCENARIO_POOL_MAX`` (a 792-cell conformance sweep would
-#: otherwise keep every cell's topology alive forever).
-_SCENARIO_POOL: "OrderedDict[tuple, List[Scenario]]" = OrderedDict()
-#: Default total-scenario cap; override with REPRO_SCENARIO_POOL_MAX.
-_SCENARIO_POOL_DEFAULT_MAX = 256
-#: Total scenarios currently pooled across all keys.
-_pool_count = 0
-
 _SCENARIOS_BUILT = get_registry().counter("scenario.built")
-_SCENARIOS_REUSED = get_registry().counter("scenario.reused")
-_SCENARIOS_EVICTED = get_registry().counter("scenario.evicted")
-
-
-def _pool_limit() -> int:
-    return env_int("REPRO_SCENARIO_POOL_MAX", _SCENARIO_POOL_DEFAULT_MAX, minimum=0)
-
-
-def release_scenario(scenario: Scenario) -> None:
-    """Hand a finished scenario back: cleared of its trial, to its cell's
-    free list when it came from :func:`acquire_scenario`, otherwise to
-    :meth:`Scenario.dispose`.  Read whatever the trial left on the
-    scenario first.
-
-    Evicts least-recently-used entries (oldest key first) once the total
-    pooled count exceeds ``REPRO_SCENARIO_POOL_MAX``, disposing each;
-    evictions are counted by the ``scenario.evicted`` telemetry counter.
-    Raises ``RuntimeError`` on a second release of the same scenario,
-    which would otherwise put it on the free list twice and let two
-    later acquires share one object graph.
-    """
-    global _pool_count
-    if scenario._released:
-        raise RuntimeError(
-            f"scenario {scenario.client.ip}->{scenario.server.ip} released twice"
-        )
-    scenario._released = True
-    if scenario._pool_key is None:
-        scenario.dispose()
-        return
-    scenario._clear_trial()
-    key = scenario._pool_key
-    free = _SCENARIO_POOL.get(key)
-    if free is None:
-        _SCENARIO_POOL[key] = [scenario]
-    else:
-        free.append(scenario)
-        _SCENARIO_POOL.move_to_end(key)
-    _pool_count += 1
-    limit = _pool_limit()
-    while _pool_count > limit and _SCENARIO_POOL:
-        oldest_key, oldest_free = next(iter(_SCENARIO_POOL.items()))
-        evicted = oldest_free.pop(0)
-        if not oldest_free:
-            del _SCENARIO_POOL[oldest_key]
-        _pool_count -= 1
-        _SCENARIOS_EVICTED.inc()
-        evicted.dispose()
 
 
 def acquire_scenario(
@@ -677,49 +529,14 @@ def acquire_scenario(
     firewall_teardown_probability: float = 1.0,
     gfw_variant: Optional[str] = None,
 ) -> Scenario:
-    """:func:`build_scenario`, but reusing pooled topology objects per cell.
+    """Lease a trial topology: a fresh :func:`build_scenario`, counted
+    by the ``scenario.built`` telemetry counter.
 
-    Behaviourally identical to a fresh build: reuse replays the exact RNG
-    draw sequence against reset objects, so for a fixed seed the reused
-    and freshly-built scenarios produce byte-identical trial results.
-    Falls back to plain builds when tracing is requested (traced trials
-    are for debugging; keep them maximally isolated) or when the
-    ``REPRO_SCENARIO_REUSE`` knob is off.  The pool is per-process, so
-    parallel sweeps (``REPRO_WORKERS``) reuse within each worker.
-
-    The scenario stays checked out until the caller hands it back via
-    :func:`release_scenario`, which clears the finished trial off it (or
-    disposes an unpooled build); one never handed back is simply not
-    reused.
+    The caller owns the scenario until it hands it back with
+    :func:`release_scenario`.
     """
-    target = resolver if workload == "dns" else website
-    if trace or target is None or not env_flag("REPRO_SCENARIO_REUSE", True):
-        _SCENARIOS_BUILT.inc()
-        return build_scenario(
-            vantage,
-            website=website,
-            resolver=resolver,
-            calibration=calibration,
-            seed=seed,
-            workload=workload,
-            trace=trace,
-            force_firewall=force_firewall,
-            firewall_teardown_probability=firewall_teardown_probability,
-            gfw_variant=gfw_variant,
-        )
-    global _pool_count
-    key = (vantage.ip, vantage.name, target.ip, target.name)
-    free = _SCENARIO_POOL.get(key)
-    if free:
-        pooled = free.pop()
-        if not free:
-            del _SCENARIO_POOL[key]
-        _pool_count -= 1
-        _SCENARIOS_REUSED.inc()
-    else:
-        pooled = None
-        _SCENARIOS_BUILT.inc()
-    scenario = build_scenario(
+    _SCENARIOS_BUILT.inc()
+    return build_scenario(
         vantage,
         website=website,
         resolver=resolver,
@@ -730,25 +547,30 @@ def acquire_scenario(
         force_firewall=force_firewall,
         firewall_teardown_probability=firewall_teardown_probability,
         gfw_variant=gfw_variant,
-        reuse=pooled,
     )
-    scenario._pool_key = key
-    return scenario
 
 
-def clear_scenario_pool() -> None:
-    """Dispose and drop all pooled scenarios (tests and benchmarks)."""
-    global _pool_count
-    for free in _SCENARIO_POOL.values():
-        for scenario in free:
-            scenario.dispose()
-    _SCENARIO_POOL.clear()
-    _pool_count = 0
+def release_scenario(scenario: Scenario) -> None:
+    """Hand a finished scenario back: :meth:`Scenario.dispose` frees its
+    object graph.  Read whatever the trial left on the scenario first.
+
+    Raises ``RuntimeError`` on a second release of the same scenario: a
+    second owner still holding it is a bug.
+    """
+    if scenario._released:
+        raise RuntimeError(
+            f"scenario {scenario.client.ip}->{scenario.server.ip} released twice"
+        )
+    scenario._released = True
+    scenario.dispose()
 
 
 def scenario_pool_size() -> int:
-    """Total idle scenarios currently pooled (tests and diagnostics)."""
-    return _pool_count
+    """Always ``0``; kept only because ``perfbench/`` names it.
+
+    No scenario outlives its trial, so nothing is ever pooled.
+    """
+    return 0
 
 
 @lru_cache(maxsize=1)

@@ -14,8 +14,7 @@ This module supplies the deterministic fabric for that model:
   Assignment is a **pure function** of ``(ensemble seed, vantage name,
   target name)`` via crc32 (never ``hash()``): permutation-stable,
   interpreter-stable, and — critically — free of RNG draws, so scenario
-  builds keep their exact historical draw order and the pooled
-  scenario-reuse path stays byte-identical.
+  builds keep their exact historical draw order.
 - :class:`TemporalProfile` — a sinusoidal diurnal load curve mapped to a
   reset-*suppression* probability plus a blacklist-TTL drift factor.
   The suppression coin itself is drawn at detection time on the

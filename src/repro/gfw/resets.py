@@ -46,9 +46,8 @@ class ResetInjector:
     def _forged_packet(
         self, src: str, dst: str, segment: TCPSegment, ttl: int, kind: str
     ) -> IPPacket:
-        """Wrap a forged segment; built by direct slot assignment (pooled
-        shell) because volleys are the dominant packet source in censored
-        trials."""
+        """Wrap a forged segment; built by direct slot assignment because
+        volleys are the dominant packet source in censored trials."""
         packet = packet_shell()
         packet.src = src
         packet.dst = dst

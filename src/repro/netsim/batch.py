@@ -1,57 +1,46 @@
-"""Batch-stepped execution: many independent trials, one event heap.
+"""One event heap for a fleet wave: many client flows, one shared censor.
 
-A paper-scale sweep runs thousands of *independent* trials whose event
-loops are individually tiny (a few hundred events each).  Paying a fresh
-heap, run-loop entry, and per-trial drain for each one is pure scheduler
-overhead.  :class:`BatchSim` amortizes it: the clocks of many trials are
-*adopted* into one shared binary heap and a single run loop drains all of
-them together.
+The fleet engine (:mod:`repro.experiments.fleet`) runs a wave of client
+flows whose GFW devices deliberately share one flow table, blacklist and
+cluster, so the censor's stateful machinery is exercised under
+concurrent load (LRU churn, resync pressure, blacklist collateral).
+:class:`BatchSim` gives the wave one event heap: the clocks of its flows
+are *adopted* into a shared binary heap and a single run loop drains
+them all, so the flows race for the shared tables in one deterministic
+order.  Independent trials never come here; each runs on its own clock.
 
-Correctness rests on two invariants:
+Correctness rests on three invariants:
 
 1. **Trial-id tagging via sequence striding.**  Heap entries stay the
    ``(time, seq, event)`` 3-tuples the whole engine pushes (including the
    inlined push in ``network._post``); adoption simply sets the adopted
    clock's ``_seq`` to ``tid << TRIAL_SHIFT``.  Every scheduling path
-   only ever increments ``_seq``, so each trial's entries occupy a
-   disjoint, per-trial monotonic seq range: tie-breaking *within* a trial
-   is byte-identical to serial execution, cross-trial keys never collide,
-   and the run loop recovers the owning trial with ``seq >> TRIAL_SHIFT``.
+   only ever increments ``_seq``, so each flow's entries occupy a
+   disjoint, per-flow monotonic seq range: tie-breaking *within* a flow
+   is the same as on a private clock, cross-flow keys never collide, and
+   the run loop recovers the owning flow with ``seq >> TRIAL_SHIFT``.
 
-2. **Per-trial virtual clocks.**  Adopted clocks share only the queue;
+2. **Per-flow virtual clocks.**  Adopted clocks share only the queue;
    each keeps its own ``_now`` (set from the popped entry's time before
    the event fires) and its own ``_run_until`` horizon, so timestamps
    observed by TCP stacks, GFW devices, and trace ladders are exactly
-   what a private clock would have shown.  Trials never share RNGs or
-   mutable state — independence is the caller's contract, enforced by the
-   scenario layer which builds disjoint object graphs per trial.
+   what a private clock would have shown.  An event popped past its own
+   flow's horizon is discarded, as a private run loop would leave it
+   queued and never fire it.  The horizon is read live, as
+   :meth:`SimClock.run` reads it, so an event that lowers its own
+   clock's ``_run_until`` stops that flow alone.
 
-An event popped past its own trial's horizon is discarded, which is
-observably identical to the serial run loop leaving it queued (the
-scenario is reset before any later run could fire it).  The horizon is
-read live, as :meth:`SimClock.run` reads it: a trial whose event lowers
-its own clock's ``_run_until`` (an HTTP trial whose record is final)
-stops there, and its remaining entries are discarded as they surface,
-while every other adopted trial runs on to its own horizon.
+3. **Stable flow ids.**  Each adoption carries an explicit flow id
+   (:meth:`adopt`'s ``flow_id``), a workload-level identity that shared
+   devices use to namespace their flow-table keys.  Trial ids restart
+   at 0 for every ``BatchSim``; flow ids are global across the waves of
+   a fleet run, so shared state keyed by them never aliases across
+   waves.
 
-**Shared-device batch mode** (``BatchSim(shared=True)``) inverts the
-independence contract on purpose: the fleet engine multiplexes many
-*client flows* whose GFW devices deliberately share one flow table,
-blacklist, and cluster, so the censor's stateful machinery is exercised
-under concurrent load (LRU churn, resync pressure, blacklist collateral).
-Two things change:
-
-- each adoption carries an explicit **flow id** (:meth:`adopt`'s
-  ``flow_id``), a stable workload-level identity that shared devices use
-  to namespace their flow-table keys.  Trial ids restart at 0 for every
-  ``BatchSim``; flow ids are global across the waves of a fleet run, so
-  shared state keyed by them never aliases across waves;
-- cross-trial event interleaving is now *observable* (trials race for
-  the shared tables in heap order).  The heap order itself is still
-  deterministic — ``(time, seq)`` keys are pure functions of the
-  adopted trials — so a fleet wave remains reproducible; it is just no
-  longer equivalent to running its trials one at a time, which is the
-  entire point.
+Cross-flow interleaving is *observable* (flows race for the shared
+tables in heap order), but the order itself is deterministic —
+``(time, seq)`` keys are pure functions of the adopted flows — so a
+wave is reproducible.
 """
 
 from __future__ import annotations
@@ -70,36 +59,30 @@ TRIAL_SHIFT = 32
 
 
 class BatchSim:
-    """Multiplexes many independent trials' events through one heap.
+    """Multiplexes one fleet wave's flows through one event heap.
 
     Lifecycle::
 
         batch = BatchSim()
-        for each trial:
-            scenario = acquire_scenario(...)   # clock reset -> empty queue
-            batch.adopt(scenario.clock)
-            ... per-trial setup (posts events on the adopted clock) ...
-        batch.run(duration)                    # runs every trial to its horizon
-        ... per-trial finalization ...
+        for each flow:
+            scenario = acquire_scenario(...)   # fresh clock -> empty queue
+            batch.adopt(scenario.clock, flow_id=...)
+            ... per-flow setup (posts events on the adopted clock) ...
+        batch.run(horizons)                    # runs every flow to its horizon
         batch.release()                        # detach clocks
+        ... per-flow finalization ...
 
-    ``adopt`` must see a freshly reset clock (empty queue); resetting a
-    clock *while* adopted would clear the shared heap and is a contract
+    ``adopt`` must see a fresh clock (empty queue); resetting a clock
+    *while* adopted would clear the shared heap and is a contract
     violation.
-
-    ``shared=True`` declares shared-device mode: the caller's trials
-    intentionally share mutable device state (the fleet workload), and
-    each adoption may carry an explicit ``flow_id`` — the stable
-    workload-level identity shared devices key their per-flow state by.
     """
 
-    __slots__ = ("_queue", "_clocks", "_flow_ids", "shared")
+    __slots__ = ("_queue", "_clocks", "_flow_ids")
 
-    def __init__(self, shared: bool = False) -> None:
+    def __init__(self) -> None:
         self._queue: list = []
         self._clocks: List[SimClock] = []
         self._flow_ids: List[int] = []
-        self.shared = shared
 
     @property
     def trials(self) -> int:
@@ -108,13 +91,13 @@ class BatchSim:
     def adopt(self, clock: SimClock, flow_id: Optional[int] = None) -> int:
         """Point ``clock`` at the shared heap; returns its trial id.
 
-        ``flow_id`` (shared-device mode) is the workload-level flow
-        identity for this trial; it defaults to the trial id.  Flow ids
-        must be unique within one batch — duplicate ids would alias
-        shared per-flow state between two live trials.
+        ``flow_id`` is the workload-level flow identity for this trial;
+        it defaults to the trial id.  Flow ids must be unique within one
+        batch — duplicate ids would alias shared per-flow state between
+        two live trials.
         """
         if clock._queue:
-            raise RuntimeError("adopt requires a freshly reset clock")
+            raise RuntimeError("adopt requires a fresh clock (empty queue)")
         if any(adopted is clock for adopted in self._clocks):
             raise RuntimeError("clock already adopted")
         tid = len(self._clocks)
@@ -160,15 +143,14 @@ class BatchSim:
         budget = max_events_per_trial * max(1, len(clocks))
         tracer = get_tracer()
         span = tracer.begin(
-            f"batch.run[{len(clocks)}]", "batch-run",
-            trials=len(clocks), shared=self.shared,
+            f"batch.run[{len(clocks)}]", "batch-run", trials=len(clocks)
         )
         try:
             while queue and executed < budget:
                 time, seq, event = pop(queue)
                 clock = clocks[seq >> TRIAL_SHIFT]
                 if time > clock._run_until:
-                    # This trial's horizon has passed; the serial loop
+                    # This flow's horizon has passed; a private run loop
                     # would have left the event queued and never fired it.
                     continue
                 if time > clock._now:
@@ -189,8 +171,8 @@ class BatchSim:
         """Detach every adopted clock, giving each a fresh private queue.
 
         Leftover entries (post-horizon events, cancelled timers) are
-        dropped with the shared heap — exactly what ``SimClock.reset``
-        does to a private queue between trials.
+        dropped with the shared heap, as ``SimClock.reset`` drops a
+        private queue's.
         """
         for clock in self._clocks:
             clock._queue = []

@@ -115,35 +115,11 @@ class Path:
             element.reset_state()
 
     def clear_elements(self) -> None:
-        """Detach every element (scenario reuse rebuilds them per trial)."""
+        """Detach every element (scenario teardown)."""
         for element in self.elements:
             element.path = None
         self.elements.clear()
         self._schedule = None
-
-    def reconfigure(
-        self,
-        hop_count: int,
-        base_delay: float,
-        loss_rate: float,
-        jitter: float = 0.0,
-    ) -> None:
-        """Re-draw this path's geometry in place (scenario reuse).
-
-        ``jitter`` is reset too — a pooled path previously configured for
-        a jittery cell must not leak its delay noise into the next cell,
-        exactly as ``loss_rate`` is re-drawn on every reuse.
-        """
-        if hop_count < 2:
-            raise ValueError("a path needs at least two hops")
-        if not 0.0 <= jitter < 1.0:
-            raise ValueError("jitter must be a fraction in [0, 1)")
-        self.hop_count = hop_count
-        self.base_delay = base_delay
-        self.loss_rate = loss_rate
-        self.jitter = jitter
-        self._schedule = None
-        self._per_hop_delay = base_delay / hop_count
 
     # -- route dynamics -------------------------------------------------------
     def drift_server_side(self, delta: int) -> None:

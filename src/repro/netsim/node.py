@@ -91,17 +91,15 @@ class Host(Endpoint):
     def unregister_handler(self, handler: Callable[[IPPacket, float], bool]) -> None:
         self._handlers.remove(handler)
 
-    def reset(self) -> None:
-        """Restore pristine state in place (scenario reuse between trials).
+    def clear(self) -> None:
+        """Drop handlers and egress filters (scenario teardown).
 
-        Handlers and egress filters are dropped — the scenario builder
-        re-registers the stack, sniffer, and interception layers in the
-        same order a fresh host would see them.
+        The stack, sniffer, and interception layers registered here all
+        point back at this host; dropping them lets a finished trial's
+        objects be freed by reference counting.
         """
         self._handlers.clear()
         self._egress_filters.clear()
-        self._reassembler = FragmentReassembler(policy=self._reassembler.policy)
-        self.unclaimed_packets = 0
 
     # -- send ---------------------------------------------------------------
     def send(self, packet: IPPacket) -> None:

@@ -68,7 +68,7 @@ class EventHandle(Event):
 class SimClock:
     """Binary-heap event scheduler with deterministic tie-breaking.
 
-    Batched execution (:class:`~repro.netsim.batch.BatchSim`) may point
+    A fleet wave (:class:`~repro.netsim.batch.BatchSim`) points
     ``_queue`` at a heap shared by many clocks and stride ``_seq`` into a
     per-trial range; every scheduling path below only ever does
     ``_seq += 1`` and pushes 3-tuples, so it is oblivious to whether the
@@ -168,7 +168,7 @@ class SimClock:
         """Drop all queued events and rewind to ``start``.
 
         In-place, so every object holding this clock (TCP stacks, GFW
-        devices, the network) stays valid across scenario reuse.
+        devices, the network) sees the cleared queue.
         """
         self._queue.clear()
         self._now = start

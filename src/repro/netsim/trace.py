@@ -85,17 +85,6 @@ class TraceRecorder:
     def clear(self) -> None:
         self.events.clear()
 
-    def reset(self, enabled: Optional[bool] = None) -> None:
-        """Restore pristine state in place (scenario reuse between trials).
-
-        Unlike :meth:`clear`, the sequence counter rewinds too, so a
-        reused recorder numbers events exactly like a fresh one.
-        """
-        self.events.clear()
-        self._next_seq = 0
-        if enabled is not None:
-            self.enabled = enabled
-
     def filter(self, action: Optional[str] = None, location: Optional[str] = None) -> List[TraceEvent]:
         """Return events matching the given action and/or location."""
         selected = self.events

@@ -17,10 +17,9 @@ insertion packets deliberately corrupt:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.netstack.options import TCPOption
-from repro.telemetry.metrics import get_registry
 
 # TCP flag bits (RFC 793).
 FIN = 0x01
@@ -161,12 +160,7 @@ class TCPSegment:
         ``__init__`` through a kwargs dict — several times slower than
         direct slot assignment.
         """
-        free = _SEGMENT_FREE
-        if free:
-            duplicate = free.pop()
-            _POOL_REUSE[0] += 1
-        else:
-            duplicate = TCPSegment.__new__(TCPSegment)
+        duplicate = TCPSegment.__new__(TCPSegment)
         duplicate.src_port = self.src_port
         duplicate.dst_port = self.dst_port
         duplicate.seq = self.seq
@@ -284,12 +278,7 @@ class IPPacket:
         (UDP/raw payloads are shared, matching the historical semantics).
         Hand-rolled for the same hot-path reason as
         :meth:`TCPSegment.copy`."""
-        free = _PACKET_FREE
-        if free:
-            duplicate = free.pop()
-            _POOL_REUSE[0] += 1
-        else:
-            duplicate = IPPacket.__new__(IPPacket)
+        duplicate = IPPacket.__new__(IPPacket)
         duplicate.src = self.src
         duplicate.dst = self.dst
         payload = self.payload
@@ -316,127 +305,21 @@ class IPPacket:
         return f"{self.src}->{self.dst} ttl={self.ttl}{extras} {body}"
 
 
-# -- packet free-list pool ----------------------------------------------------
-#
-# Packets and segments are the simulator's dominant allocation: a censored
-# HTTP trial creates on the order of 200 of them (stack transmissions,
-# per-hop defensive copies, forged reset volleys).  Instead of paying
-# allocator + GC tracking cost for each, finished trials *recycle* their
-# dead packets into module free lists, and the two allocation fast paths
-# (:meth:`TCPSegment.copy` / :meth:`IPPacket.copy` and the shell
-# constructors below) pop a shell instead of calling ``__new__``.
-#
-# Safety contract: a recycled object must be truly dead — recycling a
-# packet that any stack, flow buffer, or trace recorder still references
-# corrupts that holder when the shell is reissued.  The only call sites
-# are therefore trial-teardown harvests of buffers with known lifetimes
-# (e.g. the measurement sniffer's forged-reset list, once the trial
-# record has been finalized and traces are off).  Every shell consumer
-# assigns *all* slots before the object escapes, so a reissued shell is
-# indistinguishable from a fresh ``__new__`` instance.
-#
-# ``REPRO_PACKET_POOL=0`` disables recycling (the free lists then stay
-# empty and every allocation takes the ``__new__`` path).
-
-#: Per-list cap; beyond it recycled objects are simply dropped to the GC.
-_POOL_CAP = 4096
-
-_SEGMENT_FREE: List["TCPSegment"] = []
-_PACKET_FREE: List["IPPacket"] = []
-#: Shells reissued from the free lists (single-element list so the hot
-#: paths bump it without a ``global`` declaration or method call).
-_POOL_REUSE = [0]
-#: Objects accepted by :func:`recycle_packet` since process start.
-_POOL_RECYCLED = [0]
-
-_POOL_RECYCLED_METRIC = get_registry().counter("pool.packets_recycled")
-
-
-def _pool_enabled() -> bool:
-    # Deferred import: repro.core's package __init__ imports this module,
-    # so a top-level import of repro.core.env would be circular.
-    from repro.core.env import env_flag
-
-    return env_flag("REPRO_PACKET_POOL", True)
-
-
 def segment_shell() -> "TCPSegment":
-    """A blank segment shell: pooled when available, fresh otherwise.
+    """A blank segment built without ``__init__``.
 
-    The caller MUST assign every field before the shell escapes; stale
-    slot values from the shell's previous life are otherwise visible.
+    Forged-reset volleys (``gfw/resets.py``) assign every slot directly,
+    which skips ``__init__``'s keyword handling on the dominant packet
+    source of a censored trial.  The caller MUST assign every field
+    before the shell escapes.
     """
-    free = _SEGMENT_FREE
-    if free:
-        _POOL_REUSE[0] += 1
-        return free.pop()
     return TCPSegment.__new__(TCPSegment)
 
 
 def packet_shell() -> "IPPacket":
-    """A blank IP packet shell; same all-fields contract as
-    :func:`segment_shell`."""
-    free = _PACKET_FREE
-    if free:
-        _POOL_REUSE[0] += 1
-        return free.pop()
+    """A blank IP packet built without ``__init__``; same all-fields
+    contract as :func:`segment_shell`."""
     return IPPacket.__new__(IPPacket)
-
-
-def recycle_packet(packet: "IPPacket") -> None:
-    """Return a dead packet (and its TCP segment, if any) to the pool.
-
-    The caller asserts nothing else references ``packet`` or its
-    payload.  Heavy references (payload bytes, meta dict) are dropped so
-    pooled shells pin no trial state.  No-op when ``REPRO_PACKET_POOL``
-    is off or the free lists are full.
-    """
-    if _pool_enabled():
-        _recycle((packet,))
-
-
-def recycle_packets(packets: Iterable["IPPacket"]) -> None:
-    """Recycle a batch of dead packets (trial-teardown harvest); the
-    ``REPRO_PACKET_POOL`` knob is read once per batch."""
-    if _pool_enabled():
-        _recycle(packets)
-
-
-def _recycle(packets: Iterable["IPPacket"]) -> None:
-    recycled = 0
-    for packet in packets:
-        segment = packet.payload
-        if type(segment) is TCPSegment and len(_SEGMENT_FREE) < _POOL_CAP:
-            segment.payload = b""
-            segment.options = []
-            _SEGMENT_FREE.append(segment)
-            recycled += 1
-        if len(_PACKET_FREE) < _POOL_CAP:
-            packet.payload = b""
-            packet.meta = None  # type: ignore[assignment]  # reassigned on reissue
-            _PACKET_FREE.append(packet)
-            recycled += 1
-    if recycled:
-        _POOL_RECYCLED[0] += recycled
-        _POOL_RECYCLED_METRIC.inc(recycled)
-
-
-def packet_pool_stats() -> dict:
-    """Pool diagnostics: reuse/recycle totals and current free-list sizes."""
-    return {
-        "reused": _POOL_REUSE[0],
-        "recycled": _POOL_RECYCLED[0],
-        "free_segments": len(_SEGMENT_FREE),
-        "free_packets": len(_PACKET_FREE),
-    }
-
-
-def clear_packet_pool() -> None:
-    """Drop pooled shells and zero the stats (tests)."""
-    _SEGMENT_FREE.clear()
-    _PACKET_FREE.clear()
-    _POOL_REUSE[0] = 0
-    _POOL_RECYCLED[0] = 0
 
 
 def tcp_packet(

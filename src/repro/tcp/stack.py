@@ -633,26 +633,6 @@ class TCPHost:
         self._ephemeral_port = 32768
         host.register_handler(self._on_packet)
 
-    def reset(
-        self,
-        profile: Optional[StackProfile] = None,
-        rng: Optional[random.Random] = None,
-    ) -> None:
-        """Restore pristine state in place (scenario reuse between trials).
-
-        The owning :class:`Host` must have been reset first (dropping the
-        old packet handler); this re-registers ``_on_packet`` so handler
-        order matches a freshly constructed stack.
-        """
-        if profile is not None:
-            self.profile = profile
-        self.rng = rng or random.Random(hash(self.host.ip) & 0xFFFFFFFF)
-        self.clear()
-        self.drops.clear()
-        self.stray_rsts_sent = 0
-        self._ephemeral_port = 32768
-        self.host.register_handler(self._on_packet)
-
     def clear(self) -> None:
         """Drop every connection and listener.
 

@@ -181,9 +181,8 @@ def diagnose_trial(
 ) -> TrialDiagnosis:
     """Re-run one HTTP cell with full telemetry and explain its outcome.
 
-    Always re-simulates (never replays the historical-result cache —
-    a cached outcome has no events to explain) and leaves the cache
-    untouched.  The bus is force-enabled for the duration via
+    Always re-simulates, so the trial's events are there to explain.
+    The bus is force-enabled for the duration via
     :func:`~repro.telemetry.events.capturing`, so this works regardless
     of ``REPRO_TELEMETRY``.  ``gfw_variant`` forces a named installation
     variant, letting the conformance harness explain a drifted matrix
@@ -216,7 +215,7 @@ def diagnose_trial(
 class FleetFlowDiagnosis:
     """One fleet flow's timeline, extracted from a shared-device re-run.
 
-    The fleet engine multiplexes pooled scenarios through one shared
+    The fleet engine multiplexes many flows' scenarios through one shared
     GFW installation, so the raw bus interleaves every flow in the
     group; ``events`` holds only the records attributed to the target
     flow via its namespaced identity (``GFWDevice.flow_namespace`` on
@@ -263,8 +262,8 @@ def diagnose_fleet_flow(spec: Any, index: int) -> FleetFlowDiagnosis:
     whole group runs with its shared flow table, blacklist, and
     cluster, because the anomalies worth explaining (evictions,
     blacklist collateral) only exist under that load.  The target
-    flow's records are then selected by namespaced identity, so pooled
-    scenarios with colliding four-tuples cannot alias into the answer.
+    flow's records are then selected by namespaced identity, so flows
+    with colliding four-tuples cannot alias into the answer.
     """
     from repro.experiments.fleet import flow_spec, run_fleet_group
     from repro.telemetry.events import capturing

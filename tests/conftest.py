@@ -9,21 +9,6 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 
 @pytest.fixture(autouse=True)
-def _fresh_result_cache():
-    """Isolate tests from the process-wide historical-result cache.
-
-    Trials are pure functions of their cache key, so replays are
-    normally safe — but tests that monkeypatch simulator internals
-    would otherwise see results recorded under unpatched code.
-    """
-    from repro.experiments import result_cache
-
-    result_cache.clear()
-    yield
-    result_cache.clear()
-
-
-@pytest.fixture(autouse=True)
 def _quiet_event_bus():
     """Leave the telemetry bus the way each test found it: disabled
     (unless the environment says otherwise) and empty."""

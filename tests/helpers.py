@@ -20,10 +20,9 @@ from repro.gfw import GFWConfig, GFWDevice, evolved_config
 from repro.apps.http import HTTPClient, HTTPServer
 
 #: Registry instrument prefixes owned by the execution engine rather than
-#: the simulated trial: how much pool, cache or dispatch work a run does
-#: depends on its execution shape and warm state, so parity tests compare
-#: everything else.
-ENGINE_PREFIXES = ("scenario.", "pool.", "netsim.", "result_cache.")
+#: the simulated trial: how much build or dispatch work a run does depends
+#: on its execution shape, so parity tests compare everything else.
+ENGINE_PREFIXES = ("scenario.", "netsim.")
 
 CLIENT_IP = "10.0.0.1"
 SERVER_IP = "93.184.216.34"

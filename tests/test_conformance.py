@@ -213,13 +213,9 @@ def test_forced_variant_is_differential():
     assert evolved.verdict == "blocked"
 
 
-def test_matrix_verdicts_identical_serial_vs_two_workers(monkeypatch):
-    """Satellite pin: same seed => identical verdict map for any worker
-    count and with scenario reuse on, on a lossy/jittery cell set."""
-    monkeypatch.setenv("REPRO_SCENARIO_REUSE", "1")
-    from repro.experiments import scenarios
-
-    scenarios.clear_scenario_pool()
+def test_matrix_verdicts_identical_serial_vs_two_workers():
+    """Same seed => identical verdict map for any worker count, on a
+    lossy/jittery cell set."""
     cells = default_cells(
         strategies=["tcb-teardown-rst/ttl", "resync-desync"],
         variants=["evolved", "evolved-nb3-off"],
@@ -227,9 +223,7 @@ def test_matrix_verdicts_identical_serial_vs_two_workers(monkeypatch):
         faults=["lossy"],
     )
     serial = run_matrix(cells, repeats=4, seed=5, workers=0)
-    scenarios.clear_scenario_pool()
     fanned = run_matrix(cells, repeats=4, seed=5, workers=2)
-    scenarios.clear_scenario_pool()
     assert {k: v.as_payload() for k, v in serial.items()} == \
         {k: v.as_payload() for k, v in fanned.items()}
 

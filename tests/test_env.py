@@ -62,19 +62,6 @@ class TestEnvInt:
 class TestKnobRouting:
     """The real knobs go through this parser, so typos fail loudly."""
 
-    def test_result_cache_routes_through_env_flag(self, monkeypatch):
-        from repro.experiments import result_cache
-
-        monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
-        assert result_cache.enabled() is False
-        monkeypatch.setenv("REPRO_RESULT_CACHE", "yes")
-        assert result_cache.enabled() is True
-        monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
-        assert result_cache.enabled() is True  # default on
-        monkeypatch.setenv("REPRO_RESULT_CACHE", "maybe")
-        with pytest.raises(EnvKnobError, match="REPRO_RESULT_CACHE"):
-            result_cache.enabled()
-
     def test_workers_routes_through_env_int(self, monkeypatch):
         from repro.experiments.parallel import configured_workers
 

@@ -10,11 +10,9 @@ of evaluation order (the property sharding relies on).
 
 import dataclasses
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments import scenarios
 from repro.experiments.fleet import (
     DEFAULT_FLEET_STRATEGIES,
     FleetResult,
@@ -24,7 +22,6 @@ from repro.experiments.fleet import (
     run_fleet_group,
     site_index,
 )
-from repro.netstack.packet import clear_packet_pool
 from repro.telemetry import get_registry
 
 #: Small but load-bearing: capacity 24 is below each group's ~40
@@ -38,15 +35,14 @@ SPEC = FleetSpec(
 def _fleet_semantic(delta):
     """Strip execution-strategy counters from a telemetry delta.
 
-    ``scenario.*`` and ``pool.*`` legitimately differ between serial
-    and sharded runs (worker pools start with cold scenario caches);
-    everything else — fleet outcome counters, eviction attribution,
-    GFW/DPI/TCP accounting — must not.
+    ``scenario.*`` describes what the execution engine did, not what
+    the simulated flows did; everything else — fleet outcome counters,
+    eviction attribution, GFW/DPI/TCP accounting — must match.
     """
     counters = {
         name: value
         for name, value in delta["counters"].items()
-        if not name.startswith(("scenario.", "pool."))
+        if not name.startswith("scenario.")
     }
     return counters, delta["histograms"]
 
@@ -54,17 +50,8 @@ def _fleet_semantic(delta):
 class TestFleetParity:
     """Serial, sharded, and direct group runs are byte-identical."""
 
-    @pytest.fixture(autouse=True)
-    def _fresh_pools(self):
-        scenarios.clear_scenario_pool()
-        clear_packet_pool()
-        yield
-        scenarios.clear_scenario_pool()
-        clear_packet_pool()
-
     def test_serial_vs_sharded_results_identical(self):
         serial = run_fleet(SPEC, shards=1)
-        scenarios.clear_scenario_pool()
         sharded = run_fleet(SPEC, shards=2, workers=2)
         assert dataclasses.asdict(serial) == dataclasses.asdict(sharded)
 
@@ -72,7 +59,6 @@ class TestFleetParity:
         # The shared-device batch path invoked directly, group by group,
         # is the same computation run_fleet orchestrates.
         serial = run_fleet(SPEC, shards=1)
-        scenarios.clear_scenario_pool()
         direct = FleetResult.merge(
             SPEC, [run_fleet_group(SPEC, g) for g in range(SPEC.groups)]
         )
@@ -91,12 +77,10 @@ class TestFleetParity:
         run_fleet(SPEC, shards=1)
         serial_delta = registry.diff(before)
 
-        scenarios.clear_scenario_pool()
         before = registry.snapshot()
         run_fleet(SPEC, shards=2, workers=2)
         sharded_delta = registry.diff(before)
 
-        scenarios.clear_scenario_pool()
         before = registry.snapshot()
         for group in range(SPEC.groups):
             run_fleet_group(SPEC, group)
@@ -106,8 +90,8 @@ class TestFleetParity:
         assert _fleet_semantic(serial_delta) == _fleet_semantic(direct_delta)
 
     def test_same_spec_twice_identical(self):
-        # Warm scenario pools and recycled packet shells from the first
-        # run must not leak into the second.
+        # Nothing from the first run (module state, shared tables) may
+        # leak into the second.
         first = run_fleet(SPEC, shards=1)
         second = run_fleet(SPEC, shards=1)
         assert dataclasses.asdict(first) == dataclasses.asdict(second)

@@ -1,22 +1,8 @@
-"""Historical-result reuse (the INTANG trick applied to the harness)."""
-
-import pytest
+"""INTANG's historical-result store front (§6, Fig. 2): the LRU cache
+that fronts the key-value store, so a known server's history is read
+without a store round trip."""
 
 from repro.core.cache import FrontedStore, KeyValueStore
-from repro.experiments import result_cache
-from repro.experiments.calibration import DEFAULT_CALIBRATION
-from repro.experiments.runner import (
-    Outcome,
-    make_persistent_selector,
-    run_http_outcomes,
-    run_http_trial,
-    run_strategy_cell,
-)
-from repro.experiments.vantage import CHINA_VANTAGE_POINTS
-from repro.experiments.websites import outside_china_catalog
-
-VANTAGE = CHINA_VANTAGE_POINTS[0]
-SITES = outside_china_catalog(count=3)
 
 
 class TestFrontedStore:
@@ -65,104 +51,3 @@ class TestFrontedStore:
         assert len(fronted) == 2
         assert dict(fronted.items()) == {"a": 1, "b": 2}
         assert fronted.expire("a", 1.0)
-
-
-class TestKnobAndKeys:
-    def test_disabled_by_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
-        assert not result_cache.enabled()
-        result_cache.record_trial("k", "success", {"x": 1})
-        assert result_cache.lookup("k") is None
-
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
-        assert result_cache.enabled()
-
-    def test_keys_separate_every_input(self):
-        base = dict(
-            kind="http", vantage=VANTAGE, target=SITES[0],
-            strategy_id="s", calibration=DEFAULT_CALIBRATION, seed=1,
-        )
-        key = result_cache.trial_key(**base)
-        assert key != result_cache.trial_key(**{**base, "seed": 2})
-        assert key != result_cache.trial_key(**{**base, "strategy_id": "t"})
-        assert key != result_cache.trial_key(**{**base, "target": SITES[1]})
-        assert key != result_cache.trial_key(**{**base, "kind": "dns"})
-        assert key != result_cache.trial_key(**base, keyword=False)
-        changed = DEFAULT_CALIBRATION.variant(hop_delta=9)
-        assert key != result_cache.trial_key(**{**base, "calibration": changed})
-        assert key == result_cache.trial_key(**base)
-
-    def test_outcome_entry_never_downgrades_record(self):
-        result_cache.record_trial("k", "success", {"full": True})
-        result_cache.record_outcome("k", "failure1")
-        payload = result_cache.lookup("k")
-        assert payload == {"outcome": "success", "record": {"full": True}}
-
-    def test_clear_invalidates_and_zeroes_stats(self):
-        result_cache.record_outcome("k", "success")
-        assert result_cache.lookup("k") is not None
-        result_cache.clear()
-        assert result_cache.lookup("k") is None
-        assert result_cache.stats()["entries"] == 0
-
-
-class TestRunnerIntegration:
-    def test_cached_trial_replays_identical_record(self):
-        first = run_http_trial(VANTAGE, SITES[0], "tcb-teardown-rst/ttl", seed=3)
-        hits_before = result_cache.stats()["hits"]
-        second = run_http_trial(VANTAGE, SITES[0], "tcb-teardown-rst/ttl", seed=3)
-        assert result_cache.stats()["hits"] == hits_before + 1
-        assert first == second  # every TrialRecord field, not just outcome
-
-    def test_cache_disabled_still_deterministic(self, monkeypatch):
-        first = run_http_trial(VANTAGE, SITES[0], "none", seed=5)
-        monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
-        result_cache.clear()
-        second = run_http_trial(VANTAGE, SITES[0], "none", seed=5)
-        assert first == second
-        assert result_cache.stats() == {
-            "entries": 0, "hits": 0, "misses": 0,
-            "front_hits": 0, "front_evictions": 0,
-        }
-
-    def test_adaptive_selector_trials_bypass_cache(self):
-        selector = make_persistent_selector()
-        run_http_trial(VANTAGE, SITES[0], None, seed=3, selector=selector)
-        assert result_cache.stats()["entries"] == 0
-
-    def test_cell_warm_rerun_matches_cold(self):
-        cold = run_strategy_cell(
-            "inorder-overlap/ttl", [VANTAGE], SITES, repeats=2, seed=11
-        )
-        entries = result_cache.stats()["entries"]
-        assert entries >= len(SITES) * 2
-        warm = run_strategy_cell(
-            "inorder-overlap/ttl", [VANTAGE], SITES, repeats=2, seed=11
-        )
-        assert result_cache.stats()["entries"] == entries  # nothing re-ran
-        assert cold == warm
-
-    def test_outcomes_partial_warmth(self):
-        tasks = [
-            (VANTAGE, site, "none", DEFAULT_CALIBRATION, seed, True)
-            for site in SITES
-            for seed in (21, 22)
-        ]
-        full = run_http_outcomes(tasks)
-        result_cache.clear()
-        half = run_http_outcomes(tasks[:3])
-        mixed = run_http_outcomes(tasks)  # 3 cached + 3 fresh
-        assert mixed[:3] == half
-        assert mixed == full
-        assert all(isinstance(outcome, Outcome) for outcome in mixed)
-
-    def test_dump_load_roundtrip_replays(self):
-        record = run_http_trial(VANTAGE, SITES[1], "none", seed=9)
-        blob = result_cache.dump()
-        result_cache.clear()
-        result_cache.load(blob)
-        hits_before = result_cache.stats()["hits"]
-        replay = run_http_trial(VANTAGE, SITES[1], "none", seed=9)
-        assert result_cache.stats()["hits"] == hits_before + 1
-        assert replay == record

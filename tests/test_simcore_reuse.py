@@ -1,6 +1,6 @@
-"""Heap-scheduled simulator core and per-cell scenario reuse.
+"""Heap-scheduled simulator core and seed-determined trials.
 
-Three contracts from the perf PR are pinned here:
+Three contracts are pinned here:
 
 1. the heapq event queue fires in (time, FIFO) order, including events
    scheduled from inside other events and cancelled handles — checked
@@ -8,15 +8,10 @@ Three contracts from the perf PR are pinned here:
 2. the precomputed per-direction visit schedule matches the legacy
    sort-and-filter scan for arbitrary topologies, and is rebuilt only on
    invalidation (the ``netsim.schedule_rebuilds`` counter);
-3. scenario reuse is invisible: a reused scenario replays the exact RNG
-   draw sequence, so its trials — down to the packet ladder — are
-   byte-identical to a from-scratch build, with the knob on or off and
-   for any worker count.
+3. a trial is a pure function of its seed: the same seed gives the same
+   packet ladder, and a cell gives the same rates for any worker count.
 """
 
-import random
-
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.netsim.network import Path
@@ -163,17 +158,13 @@ def test_schedule_rebuilds_only_on_invalidation():
     path.travel_plan(0, Direction.CLIENT_TO_SERVER)
     assert rebuilds() == base + 3
 
-    path.reconfigure(hop_count=12, base_delay=0.05, loss_rate=0.0)
-    path.travel_plan(0, Direction.SERVER_TO_CLIENT)
-    assert rebuilds() == base + 4
-
     path.clear_elements()
     path.travel_plan(0, Direction.CLIENT_TO_SERVER)
-    assert rebuilds() == base + 5
+    assert rebuilds() == base + 4
 
 
 # ---------------------------------------------------------------------------
-# 3. scenario reuse parity
+# 3. seed-determined trials
 # ---------------------------------------------------------------------------
 def _vantage_and_site():
     from repro.experiments.vantage import CHINA_VANTAGE_POINTS
@@ -182,186 +173,20 @@ def _vantage_and_site():
     return CHINA_VANTAGE_POINTS[0], outside_china_catalog(count=2)[0]
 
 
-def _drive_http(scenario, website):
-    from repro.apps.http import HTTPClient
-    from repro.experiments.runner import SENSITIVE_PATH
-
-    client = HTTPClient(scenario.client_tcp)
-    _conn, exchange = client.get(
-        website.ip, host=website.name, path=SENSITIVE_PATH
-    )
-    scenario.run()
-    return (
-        exchange.got_response,
-        scenario.gfw_resets_received(),
-        scenario.gfw_detections(),
-        scenario.trace.format_ladder(),
-    )
-
-
-def test_scenario_reset_is_byte_identical_to_fresh_build():
-    from repro.experiments.scenarios import build_scenario
-
-    vantage, website = _vantage_and_site()
-    fresh = _drive_http(
-        build_scenario(vantage, website, seed=41, trace=True), website
-    )
-
-    warm = build_scenario(vantage, website, seed=13, trace=True)
-    _drive_http(warm, website)  # dirty every reusable object
-    reused_scenario = warm.reset(41)
-    assert reused_scenario.clock is warm.clock
-    assert reused_scenario.network is warm.network
-    assert reused_scenario.client_tcp is warm.client_tcp
-    assert _drive_http(reused_scenario, website) == fresh
-
-
-def test_runner_parity_with_reuse_knob_on_and_off(monkeypatch):
-    from repro.experiments import scenarios
-    from repro.experiments.runner import _simulate_http_trial
-
-    vantage, website = _vantage_and_site()
-    registry = get_registry()
-    records = {}
-    reused = {}
-    for flag in ("0", "1"):
-        monkeypatch.setenv("REPRO_SCENARIO_REUSE", flag)
-        scenarios.clear_scenario_pool()
-        before = registry.counter_value("scenario.reused")
-        out = []
-        for strategy in (None, "tcb-teardown-rst/ttl"):
-            for seed in range(6):
-                record, scenario = _simulate_http_trial(
-                    vantage, website, strategy, seed=seed
-                )
-                out.append((
-                    record.outcome, record.strategy_id, record.drift,
-                    record.detections, record.diagnosis,
-                    scenario.gfw_resets_received(),
-                ))
-                scenarios.release_scenario(scenario)
-        records[flag] = out
-        reused[flag] = registry.counter_value("scenario.reused") - before
-    scenarios.clear_scenario_pool()
-    assert records["0"] == records["1"]
-    # Every trial after the first ran on a pooled, reused topology.
-    assert reused == {"0": 0, "1": 11}
-
-
-def test_cell_parity_serial_vs_workers_with_reuse(monkeypatch):
-    from repro.experiments import result_cache, scenarios
+def test_cell_parity_serial_vs_workers():
     from repro.experiments.runner import run_strategy_cell
     from repro.experiments.vantage import CHINA_VANTAGE_POINTS
     from repro.experiments.websites import outside_china_catalog
 
-    monkeypatch.setenv("REPRO_SCENARIO_REUSE", "1")
-    scenarios.clear_scenario_pool()
     vantages = CHINA_VANTAGE_POINTS[:2]
     sites = outside_china_catalog(count=2)
     serial = run_strategy_cell(
         "tcb-teardown-rst/ttl", vantages, sites, repeats=1, seed=3, workers=0
     )
-    result_cache.clear()
     parallel = run_strategy_cell(
         "tcb-teardown-rst/ttl", vantages, sites, repeats=1, seed=3, workers=2
     )
     assert serial == parallel
-
-
-def test_acquire_scenario_pools_per_cell(monkeypatch):
-    from repro.experiments.scenarios import (
-        acquire_scenario,
-        clear_scenario_pool,
-        release_scenario,
-    )
-
-    monkeypatch.setenv("REPRO_SCENARIO_REUSE", "1")
-    vantage, website = _vantage_and_site()
-    registry = get_registry()
-    clear_scenario_pool()
-    built = registry.counter_value("scenario.built")
-    reused = registry.counter_value("scenario.reused")
-
-    first = acquire_scenario(vantage, website=website, seed=1)
-    release_scenario(first)
-    second = acquire_scenario(vantage, website=website, seed=2)
-    assert second.clock is first.clock
-    assert second.network is first.network
-    assert second.path is first.path
-    assert registry.counter_value("scenario.built") == built + 1
-    assert registry.counter_value("scenario.reused") == reused + 1
-
-    # Traced trials stay fully isolated from the pool.
-    traced = acquire_scenario(vantage, website=website, seed=3, trace=True)
-    assert traced.clock is not first.clock
-
-    # The knob falls back to plain builds.
-    monkeypatch.setenv("REPRO_SCENARIO_REUSE", "0")
-    plain = acquire_scenario(vantage, website=website, seed=4)
-    assert plain.clock is not first.clock
-    clear_scenario_pool()
-
-
-def test_path_reconfigure_threads_and_validates_jitter():
-    path = Path(
-        client_ip="10.0.0.1", server_ip="10.0.0.2",
-        hop_count=5, base_delay=0.01,
-    )
-    path.reconfigure(hop_count=6, base_delay=0.02, loss_rate=0.1, jitter=0.25)
-    assert path.jitter == 0.25
-    assert path.loss_rate == 0.1
-    # Omitting jitter resets it: a pooled path configured for a jittery
-    # cell must not leak delay noise into the next cell.
-    path.reconfigure(hop_count=6, base_delay=0.02, loss_rate=0.0)
-    assert path.jitter == 0.0
-    with pytest.raises(ValueError):
-        path.reconfigure(hop_count=6, base_delay=0.02, loss_rate=0.0,
-                         jitter=1.0)
-    with pytest.raises(ValueError):
-        path.reconfigure(hop_count=6, base_delay=0.02, loss_rate=0.0,
-                         jitter=-0.1)
-    with pytest.raises(ValueError):
-        path.reconfigure(hop_count=1, base_delay=0.02, loss_rate=0.0)
-    assert path.jitter == 0.0  # failed reconfigure leaves state intact
-
-
-def test_runner_parity_with_reuse_under_loss_and_jitter(monkeypatch):
-    """Extends the zero-fault parity pin above to a degraded path: same
-    seed => identical outcome with scenario reuse on or off, at nonzero
-    loss *and* jitter (the conformance fault grid), under a forced GFW
-    model variant."""
-    from repro.experiments import scenarios
-    from repro.experiments.calibration import CLEAN_ROOM
-    from repro.experiments.runner import _simulate_http_trial
-
-    lossy = CLEAN_ROOM.variant(base_loss_rate=0.08, path_jitter=0.15)
-    vantage, website = _vantage_and_site()
-    registry = get_registry()
-    records = {}
-    reused = {}
-    for flag in ("0", "1"):
-        monkeypatch.setenv("REPRO_SCENARIO_REUSE", flag)
-        scenarios.clear_scenario_pool()
-        before = registry.counter_value("scenario.reused")
-        out = []
-        for seed in range(8):
-            record, scenario = _simulate_http_trial(
-                vantage, website, "tcb-teardown-rst/ttl", lossy,
-                seed=seed, gfw_variant="evolved-nb3-off",
-            )
-            out.append((
-                record.outcome, record.detections, record.diagnosis,
-                scenario.gfw_resets_received(),
-                scenario.path.loss_rate, scenario.path.jitter,
-            ))
-            scenarios.release_scenario(scenario)
-        records[flag] = out
-        reused[flag] = registry.counter_value("scenario.reused") - before
-    scenarios.clear_scenario_pool()
-    assert records["0"] == records["1"]
-    assert reused == {"0": 0, "1": 7}
-    # The fault knobs actually reached the path on every build.
-    assert all(row[-2] == 0.08 and row[-1] == 0.15 for row in records["1"])
 
 
 def test_lossy_ladder_is_seed_deterministic():
@@ -381,23 +206,3 @@ def test_lossy_ladder_is_seed_deterministic():
         ladders.append((record.outcome, scenario.trace.format_ladder()))
     assert ladders[0] == ladders[1]
     assert ladders[0][1]  # the trace actually recorded something
-
-
-def test_reused_host_handler_order_matches_fresh(monkeypatch):
-    """INTANG, the sniffer, and the TCP stack must re-register in the
-    same order on a reused host as on a fresh one."""
-    from repro.experiments.scenarios import build_scenario
-
-    vantage, website = _vantage_and_site()
-    fresh = build_scenario(vantage, website, seed=9)
-    names_fresh = [
-        getattr(handler, "__qualname__", repr(handler))
-        for handler in fresh.client._handlers
-    ]
-    warm = build_scenario(vantage, website, seed=5)
-    reused = build_scenario(vantage, website, seed=9, reuse=warm)
-    names_reused = [
-        getattr(handler, "__qualname__", repr(handler))
-        for handler in reused.client._handlers
-    ]
-    assert names_reused == names_fresh

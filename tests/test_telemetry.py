@@ -272,27 +272,6 @@ class TestGFWInstrumentation:
         assert registry.counter_value("gfw.tcb_created") == created
 
 
-class TestResultCacheShim:
-    def test_stats_shape_and_registry_backing(self):
-        from repro.experiments import result_cache
-
-        result_cache.clear()
-        result_cache.lookup("missing-key")
-        result_cache.record_outcome("k", "success")
-        result_cache.lookup("k")
-        stats = result_cache.stats()
-        assert set(stats) == {
-            "entries", "hits", "misses", "front_hits", "front_evictions"
-        }
-        assert stats["misses"] == 1
-        assert stats["hits"] == 1
-        registry = get_registry()
-        assert registry.counter_value("result_cache.hits") == 1
-        assert registry.counter_value("result_cache.misses") == 1
-        result_cache.clear()
-        assert result_cache.stats()["hits"] == 0
-
-
 # ---------------------------------------------------------------------------
 # Diagnosis
 # ---------------------------------------------------------------------------

@@ -102,7 +102,6 @@ def _one_trial(cell):
 
 
 def test_parallel_sweep_matches_serial_registry(monkeypatch):
-    monkeypatch.setenv("REPRO_RESULT_CACHE", "0")  # cache hits count no metrics
     registry = get_registry()
     sites = outside_china_catalog(count=2)
     cells = [

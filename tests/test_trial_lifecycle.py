@@ -1,14 +1,14 @@
 """Tier-1 pins for the trial object lifecycle.
 
 A finished trial's object graph (its GFW installation, INTANG instance,
-TCP connections, and, once the pool drops it, the topology) must be
-freed by reference counting.  Anything left in a reference cycle waits
+TCP connections, and topology) must be freed by reference counting
+once its scenario is released.  Anything left in a reference cycle waits
 for a full cyclic collection, which a sweep of thousands of trials pays
 for in wall time.  Each test runs one trial path with the collector in
 ``DEBUG_SAVEALL`` mode and asserts the collector found no ``repro``
 object: everything the path dropped had already been freed.
 
-The double-release guard of the scenario pool is pinned here too.
+The double-release guard of the scenario lease is pinned here too.
 """
 
 import gc
@@ -30,13 +30,8 @@ STRATEGY = "tcb-teardown-rst/ttl"
 
 
 @pytest.fixture(autouse=True)
-def _fresh_pool(monkeypatch):
-    for knob in ("REPRO_BATCH_TRIALS", "REPRO_SCENARIO_POOL_MAX",
-                 "REPRO_SCENARIO_REUSE", "REPRO_WORKERS"):
-        monkeypatch.delenv(knob, raising=False)
-    scenarios.clear_scenario_pool()
-    yield
-    scenarios.clear_scenario_pool()
+def _serial(monkeypatch):
+    monkeypatch.delenv("REPRO_WORKERS", raising=False)
 
 
 def cyclic_garbage(run):
@@ -58,30 +53,31 @@ def cyclic_garbage(run):
 
 
 def two_cells():
-    # The second cell reuses the first cell's pooled scenarios, which
-    # drops the first cell's trial objects.
     for seed in (1, 2):
         run_strategy_cell(STRATEGY, VANTAGES, SITES, repeats=2, seed=seed)
 
 
-def test_batched_cells_leave_no_cycles():
+def test_serial_trials_leave_no_cycles():
     assert cyclic_garbage(two_cells) == []
 
 
-def test_serial_trials_leave_no_cycles(monkeypatch):
-    monkeypatch.setenv("REPRO_BATCH_TRIALS", "1")
-    assert cyclic_garbage(two_cells) == []
+def test_unpooled_builds_leave_no_cycles():
+    """A scenario built directly (not leased) and run to its horizon."""
+    from repro.apps.http import HTTPClient
+    from repro.experiments.runner import SENSITIVE_PATH
 
+    def run():
+        for seed in (1, 2):
+            scenario = scenarios.build_scenario(
+                VANTAGES[0], website=SITES[0], seed=seed
+            )
+            HTTPClient(scenario.client_tcp).get(
+                SITES[0].ip, host=SITES[0].name, path=SENSITIVE_PATH
+            )
+            scenario.run()
+            scenarios.release_scenario(scenario)
 
-def test_pool_eviction_leaves_no_cycles(monkeypatch):
-    monkeypatch.setenv("REPRO_SCENARIO_POOL_MAX", "1")
-    assert cyclic_garbage(two_cells) == []
-
-
-def test_unpooled_builds_leave_no_cycles(monkeypatch):
-    monkeypatch.setenv("REPRO_SCENARIO_REUSE", "0")
-    monkeypatch.setenv("REPRO_BATCH_TRIALS", "1")
-    assert cyclic_garbage(two_cells) == []
+    assert cyclic_garbage(run) == []
 
 
 def test_conformance_cells_leave_no_cycles():
@@ -135,24 +131,15 @@ class TestReleaseOwnership:
         scenarios.release_scenario(scenario)
         with pytest.raises(RuntimeError, match="released twice"):
             scenarios.release_scenario(scenario)
-        # The free list holds the scenario once, so two acquires get two
-        # distinct object graphs.
-        first = scenarios.acquire_scenario(
-            VANTAGES[0], website=SITES[0], seed=1
-        )
-        second = scenarios.acquire_scenario(
-            VANTAGES[0], website=SITES[0], seed=2
-        )
-        assert first.clock is not second.clock
 
     def test_reacquired_scenario_can_be_released_again(self):
         scenario = scenarios.acquire_scenario(
             VANTAGES[0], website=SITES[0], seed=0
         )
         scenarios.release_scenario(scenario)
+        # Every lease is a fresh object graph with its own release.
         again = scenarios.acquire_scenario(
             VANTAGES[0], website=SITES[0], seed=1
         )
-        assert again.clock is scenario.clock
+        assert again.clock is not scenario.clock
         scenarios.release_scenario(again)
-        assert scenarios.scenario_pool_size() == 1

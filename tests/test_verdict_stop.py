@@ -32,13 +32,9 @@ from repro.experiments import (
     outside_china_catalog,
     run_strategy_cell,
 )
-from repro.experiments import fleet, scenarios
+from repro.experiments import fleet
 from repro.experiments.calibration import CLEAN_ROOM
-from repro.experiments.runner import (
-    _cell_tasks,
-    _run_http_batch_records,
-    _simulate_http_trial,
-)
+from repro.experiments.runner import _cell_tasks, _simulate_http_trial
 from repro.experiments.scenarios import build_scenario, release_scenario
 from repro.gfw.heterogeneity import HETEROGENEOUS_VARIANT
 from repro.strategies.registry import TABLE1_ROWS
@@ -54,21 +50,16 @@ def _stopped_count() -> int:
 
 
 def _records(tasks, stop, gfw_variant=None):
-    """Stopped: the production batched path.  Full horizon: the serial
-    loop with the stop disarmed."""
-    if stop:
-        records = _run_http_batch_records(tasks, gfw_variant=gfw_variant)
-    else:
-        records = []
-        for vantage, site, strategy_id, calibration, seed, keyword in tasks:
-            record, scenario = _simulate_http_trial(
-                vantage, site, strategy_id, calibration, seed=seed,
-                keyword=keyword, gfw_variant=gfw_variant,
-                stop_at_verdict=False,
-            )
-            release_scenario(scenario)
-            records.append(record)
-    return [dataclasses.astuple(record) for record in records]
+    """The trials' records with the stop armed or disarmed."""
+    records = []
+    for vantage, site, strategy_id, calibration, seed, keyword in tasks:
+        record, scenario = _simulate_http_trial(
+            vantage, site, strategy_id, calibration, seed=seed,
+            keyword=keyword, gfw_variant=gfw_variant, stop_at_verdict=stop,
+        )
+        release_scenario(scenario)
+        records.append(dataclasses.astuple(record))
+    return records
 
 
 def _conformance_records(repeats, stop):
@@ -120,10 +111,8 @@ def test_paper_scale_records_same_with_and_without_the_stop():
                 strategy_id, CHINA_VANTAGE_POINTS, sites,
                 DEFAULT_CALIBRATION, 1, seed, keyword,
             )
-            for begin in range(0, len(tasks), 16):
-                window = tasks[begin : begin + 16]
-                full.extend(_records(window, stop=False))
-                stopped.extend(_records(window, stop=True))
+            full.extend(_records(tasks, stop=False))
+            stopped.extend(_records(tasks, stop=True))
         assert len(full) == 15 * 165
         stops = _stopped_count() - before
         if keyword:
@@ -171,8 +160,7 @@ def test_run_zero_fires_nothing_past_t0():
     release_scenario(scenario)
 
 
-def test_stopped_counter_equal_serial_batched_and_sharded(monkeypatch):
-    monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
+def test_stopped_counter_equal_serial_workers_and_sharded():
     vantages = CHINA_VANTAGE_POINTS[:2]
     sites = outside_china_catalog(count=2)
 
@@ -181,11 +169,9 @@ def test_stopped_counter_equal_serial_batched_and_sharded(monkeypatch):
         run_strategy_cell("none", vantages, sites, repeats=2, **kwargs)
         return _stopped_count() - before
 
-    monkeypatch.setenv("REPRO_BATCH_TRIALS", "1")
     serial = stops(workers=1)
-    monkeypatch.delenv("REPRO_BATCH_TRIALS")
     assert serial > 0
-    assert stops(workers=1) == serial
+    assert stops(workers=2) == serial
     assert stops(workers=2, shards=2) == serial
 
 
@@ -284,13 +270,11 @@ def test_fleet_waves_never_arm_the_stop(monkeypatch):
         release(scenario)
 
     monkeypatch.setattr(fleet, "release_scenario", recording_release)
-    scenarios.clear_scenario_pool()
     before = _stopped_count()
     spec = fleet.FleetSpec(
         flows=48, groups=2, window=16, max_flows=24, sites=12, seed=99
     )
     result = fleet.run_fleet(spec, shards=1)
-    scenarios.clear_scenario_pool()
     assert len(armed) == 48
     assert not any(armed)
     assert _stopped_count() == before
