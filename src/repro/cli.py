@@ -381,12 +381,13 @@ def _perf_profile(args: argparse.Namespace) -> int:
     be profiled with the same flags that diagnosed it.  A summary line
     reports the time spent in the cyclic garbage collector, which no
     profiled function is charged, and another how many trials the stop
-    rule ended at their final record (``trials.stopped_at_verdict``),
-    which explains a drop in per-layer call counts.
+    rule ended at their final record, split by outcome, which explains a
+    drop in per-layer call counts.
     """
     import cProfile
     import gc
     import pstats
+    from collections import Counter
 
     from repro.experiments import (
         DEFAULT_CALIBRATION,
@@ -395,22 +396,22 @@ def _perf_profile(args: argparse.Namespace) -> int:
     )
     from repro.experiments.runner import _simulate_http_trial
     from repro.experiments.scenarios import release_scenario
-    from repro.telemetry.metrics import get_registry
 
     vantage = vantage_by_name(args.vantage)
     website = outside_china_catalog()[args.site]
-    stopped = get_registry().counter("trials.stopped_at_verdict")
-    stopped_before = stopped.value
+    stopped = Counter()
     collector = _CollectorTimer()
     gc.callbacks.append(collector)
     profiler = cProfile.Profile()
     wall_start = perf_counter()
     profiler.enable()
     for repeat in range(args.repeats):
-        _record, scenario = _simulate_http_trial(
+        record, scenario = _simulate_http_trial(
             vantage, website, args.strategy, DEFAULT_CALIBRATION,
             seed=args.seed + repeat, keyword=not args.benign,
         )
+        if scenario.stopped_at_verdict:
+            stopped[record.outcome.value] += 1
         release_scenario(scenario)
     profiler.disable()
     wall_seconds = perf_counter() - wall_start
@@ -427,8 +428,9 @@ def _perf_profile(args: argparse.Namespace) -> int:
     )
     print(collector.summary(wall_seconds))
     print(
-        f"stopped: {stopped.value - stopped_before} of {args.repeats} trials "
-        "ended at their final record (trials.stopped_at_verdict)"
+        f"stopped: {sum(stopped.values())} of {args.repeats} "
+        f"(success {stopped['success']}, failure2 {stopped['failure2']}) "
+        "trials ended at their final record"
     )
     stats.sort_stats("cumulative").print_stats(args.top)
     return 0

@@ -67,6 +67,7 @@ from repro.gfw.heterogeneity import (
     validate_variant,
 )
 from repro.gfw.models import model_variant_configs
+from repro.lazyrandom import LazyRandom
 from repro.netsim.batch import BatchSim
 from repro.strategies.registry import TABLE1_ROWS
 from repro.telemetry.events import enable_bus, get_bus
@@ -458,7 +459,7 @@ def _fleet_flow_setup(
             tcp_host=scenario.client_tcp,
             clock=scenario.clock,
             network=scenario.network,
-            rng=random.Random(flow.seed ^ 0x5EED),
+            rng=LazyRandom(flow.seed ^ 0x5EED),
             fixed_strategy=flow.strategy_id,
             hop_delta=calibration.hop_delta,
         )

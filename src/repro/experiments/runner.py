@@ -40,6 +40,7 @@ from repro.experiments.scenarios import (
 )
 from repro.experiments.vantage import VantagePoint
 from repro.experiments.websites import Resolver, Website
+from repro.lazyrandom import LazyRandom
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.trace import get_tracer, make_span
 
@@ -206,7 +207,7 @@ def _simulate_http_trial(
         tcp_host=scenario.client_tcp,
         clock=scenario.clock,
         network=scenario.network,
-        rng=random.Random(seed ^ 0x5EED),
+        rng=LazyRandom(seed ^ 0x5EED),
         fixed_strategy=strategy_id,
         hop_delta=calibration.hop_delta,
         selector=selector,
@@ -227,6 +228,7 @@ def _simulate_http_trial(
         website.ip,
         host=website.name,
         path=SENSITIVE_PATH if keyword else BENIGN_PATH,
+        on_done=scenario.response_done if stop_at_verdict else None,
     )
     scenario.run()
 

@@ -22,12 +22,14 @@ from typing import List, Optional, Set
 
 from repro.netstack.fragment import OverlapPolicy
 from repro.netstack.packet import IPPacket
-from repro.netsim.network import Network, Path
+from repro.netsim.network import Network, Path, _Transit
 from repro.netsim.node import Host
+from repro.netsim.path import Direction
 from repro.netsim.simclock import SimClock
 from repro.netsim.trace import TraceRecorder
 from repro.tcp.profiles import profile_by_name
 from repro.tcp.stack import TCPHost
+from repro.tcp.tcb import TCPState
 from repro.middlebox.boxes import StatefulFirewallBox
 from repro.gfw.active_prober import ActiveProber
 from repro.gfw.cluster import GFWCluster
@@ -48,6 +50,7 @@ from repro.apps.vpn import OpenVPNServer
 from repro.experiments.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.experiments.vantage import VantagePoint
 from repro.experiments.websites import Resolver, Website
+from repro.lazyrandom import LazyRandom
 from repro.telemetry.metrics import get_registry
 
 #: Hop index where the vantage provider's equipment sits.
@@ -84,10 +87,13 @@ class Scenario:
     #: they arrive; the Failure-2 diagnosis names these.
     reset_kinds: Set[str] = field(default_factory=set)
     #: Armed by the HTTP runners that keep only the trial record: the
-    #: sniffer ends the run once :meth:`record_final` holds.
+    #: sniffer and :meth:`response_done` end the run once
+    #: :meth:`record_final` holds.
     stop_at_verdict: bool = False
     #: Set when that stop ended the run before its horizon.
     stopped_at_verdict: bool = False
+    #: Set by :meth:`response_done` once the HTTP response is complete.
+    response_complete: bool = False
     http_server: Optional[HTTPServer] = None
     udp_client: Optional[UDPHost] = None
     udp_server: Optional[UDPHost] = None
@@ -104,28 +110,111 @@ class Scenario:
 
     def record_final(self) -> bool:
         """Whether nothing later in the run can change the HTTP trial's
-        record.  Three things must hold:
+        record: its outcome (``runner.classify``), ``detections`` and the
+        reset kind set behind the diagnosis.  It holds in two situations.
 
-        - a GFW reset has reached the client, so the outcome is an
-          irrevocable Failure 2 (``runner.classify``);
-        - every GFW device has latched its verdict for the flow, a
-          detection or a cluster miss (``flow.punished`` allows one per
-          flow), so ``detections`` is final;
-        - the client holds a reset of every type a device injected, so
-          the kind set behind the diagnosis is final.
+        **Failure 2.**  A GFW reset has reached the client, so the outcome
+        is irrevocable, and every GFW device is settled:
+
+        - a device that latched its verdict for the flow (a detection or
+          a cluster miss; ``flow.punished`` allows one per flow) keeps
+          ``detections`` final.  If it injected a reset kind the client
+          does not hold, that kind must no longer be able to arrive: the
+          device is type 1 (one volley per punished flow, no blacklist)
+          and none of its resets is still queued toward the client.  A
+          type-2 device's blacklist re-injects, so it keeps blocking;
+        - a device that has not latched must be inert: no TCB, no pending
+          fragments, TCBs opened only on a pure SYN, the client connection
+          CLOSED and no client packet queued, so it can never open a TCB.
+          An evolved device opens one on a SYN/ACK (NB1), so it blocks.
+
+        **Success.**  The response is complete (:meth:`response_done`), no
+        GFW reset has reached the client, and no device can see
+        believed-client payload again: no device has injected anything or
+        holds a blacklist entry, a reversed TCB (its believed client is
+        not the client) or pending IP fragments; no client segment with
+        payload is unacked; and no client-sent packet is still queued
+        (insertions delayed by jitter included).  So no detection, volley
+        or reset can follow.
         """
-        if not self.gfw_packets_at_client:
-            return False
+        if self.gfw_packets_at_client:
+            return self._failure2_final()
+        return self.response_complete and self._success_final()
+
+    def _failure2_final(self) -> bool:
         kinds = self.reset_kinds
         for device in self.gfw_devices:
-            if not (device.detections or device.missed_detections):
-                return False
-            if (
-                device.resets_injected
-                and f"type{device.config.reset_type}" not in kinds
-            ):
+            if device.detections or device.missed_detections:
+                reset_type = device.config.reset_type
+                if (
+                    device.resets_injected
+                    and f"type{reset_type}" not in kinds
+                    and (
+                        reset_type != 1
+                        or self._queued(device.name, Direction.SERVER_TO_CLIENT)
+                    )
+                ):
+                    return False
+            elif not self._inert(device):
                 return False
         return True
+
+    def _inert(self, device: GFWDevice) -> bool:
+        if (
+            len(device.flows)
+            or device._fragments.pending_count()
+            or device.config.creates_tcb_on_synack
+        ):
+            return False
+        for connection in self.client_tcp.connections.values():
+            if connection.tcb.state is not TCPState.CLOSED:
+                return False
+        return not self._queued(self.client.name, Direction.CLIENT_TO_SERVER)
+
+    def _success_final(self) -> bool:
+        client_ip = self.client.ip
+        for device in self.gfw_devices:
+            if (
+                device.resets_injected
+                or device.forged_synacks_injected
+                or len(device.blacklist)
+                or device._fragments.pending_count()
+            ):
+                return False
+            for flow in device.flows.values():
+                if flow.believed_client[0] != client_ip:
+                    return False
+        for connection in self.client_tcp.connections.values():
+            for entry in connection._unacked:
+                if entry["segment"].payload:
+                    return False
+        return not self._queued(self.client.name, Direction.CLIENT_TO_SERVER)
+
+    def _queued(self, origin: str, direction: Direction) -> bool:
+        """Whether a packet ``origin`` sent in ``direction`` is still on
+        the clock's queue."""
+        for _time, _seq, event in self.clock._queue:
+            if (
+                event.__class__ is _Transit
+                and event.origin == origin
+                and event.direction is direction
+            ):
+                return True
+        return False
+
+    def stop_if_final(self) -> None:
+        """End the run at this instant if the stop is armed and the
+        record is final."""
+        if self.stop_at_verdict and self.record_final():
+            self.stopped_at_verdict = True
+            # Lowering the live horizon ends this trial's run after this
+            # instant.
+            self.clock._run_until = self.clock._now
+
+    def response_done(self, _exchange: object) -> None:
+        """``HTTPClient.get``'s ``on_done``: the response is complete."""
+        self.response_complete = True
+        self.stop_if_final()
 
     def apply_route_drift(self) -> Optional[str]:
         """Maybe drift the route (call *after* hop measurement).
@@ -347,7 +436,7 @@ def build_scenario(
     clock = SimClock()
     recorder = TraceRecorder(enabled=trace)
     network = Network(
-        clock=clock, rng=random.Random(rng.randrange(2**31)), trace=recorder
+        clock=clock, rng=LazyRandom(rng.randrange(2**31)), trace=recorder
     )
 
     if workload == "dns":
@@ -378,7 +467,7 @@ def build_scenario(
 
     # -- client-side middleboxes (Table 2) --------------------------------
     for box in vantage.middleboxes.build_boxes(
-        hop=CLIENT_MIDDLEBOX_HOP, rng=random.Random(rng.randrange(2**31))
+        hop=CLIENT_MIDDLEBOX_HOP, rng=LazyRandom(rng.randrange(2**31))
     ):
         path.add_element(box)
     firewall_present = (
@@ -395,13 +484,13 @@ def build_scenario(
                 check_sequences=(
                     rng.random() < calibration.firewall_checks_sequences_fraction
                 ),
-                rng=random.Random(rng.randrange(2**31)),
+                rng=LazyRandom(rng.randrange(2**31)),
             )
         )
 
     # -- the GFW installation ------------------------------------------------
     cluster = GFWCluster(
-        rng=random.Random(rng.randrange(2**31)),
+        rng=LazyRandom(rng.randrange(2**31)),
         miss_probability=calibration.gfw_miss_probability,
     )
     censored_path = resolver.censored_path if resolver is not None else True
@@ -440,7 +529,7 @@ def build_scenario(
                 hop=gfw_hop,
                 config=config,
                 clock=clock,
-                rng=random.Random(rng.randrange(2**31)),
+                rng=LazyRandom(rng.randrange(2**31)),
                 cluster=cluster,
             )
             device.dns_poisoner = poisoner
@@ -451,11 +540,11 @@ def build_scenario(
     # -- endpoint stacks ---------------------------------------------------------
     client_tcp = TCPHost(
         client, clock, profile=_profile_variant("linux-4.4", False),
-        rng=random.Random(rng.randrange(2**31)),
+        rng=LazyRandom(rng.randrange(2**31)),
     )
     server_tcp = TCPHost(
         server, clock, profile=_server_profile(website),
-        rng=random.Random(rng.randrange(2**31)),
+        rng=LazyRandom(rng.randrange(2**31)),
     )
 
     scenario = Scenario(
@@ -503,11 +592,8 @@ def build_scenario(
             if origin.startswith("gfw") and packet.is_tcp and packet.tcp.is_rst:
                 scenario.gfw_packets_at_client.append(packet)
                 scenario.reset_kinds.add(origin.replace("gfw-", ""))
-                if scenario.stop_at_verdict and scenario.record_final():
-                    # Lowering the live horizon ends this trial's run
-                    # (serial or batched) after this instant.
-                    scenario.stopped_at_verdict = True
-                    clock._run_until = now
+                if scenario.stop_at_verdict:  # never armed in fleet waves
+                    scenario.stop_if_final()
         return False
 
     client.register_handler(sniff, prepend=True)

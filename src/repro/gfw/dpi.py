@@ -29,6 +29,7 @@ property tests and the ``bench_dpi`` throughput comparison.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Set
 
 from repro.gfw.automaton import KeywordAutomaton, SMALL_SEGMENT, compile_keywords
@@ -51,7 +52,9 @@ _DNS_COLLECTING = 0  # still waiting for the 2-byte frame + message
 _DNS_DONE = 1  # parsed, unparseable, or framing ruled the stream out
 
 
+@lru_cache(maxsize=1)
 def _classification_prefix_len() -> int:
+    """Stream bytes protocol classification needs (computed once)."""
     from repro.apps.tor import TOR_HANDSHAKE_PREAMBLE
     from repro.apps.vpn import OPENVPN_TCP_PREAMBLE
 

@@ -120,6 +120,15 @@ def connection_key(src: Tuple[str, int], dst: Tuple[str, int]) -> ConnKey:
     return (ends[0], ends[1])
 
 
+# Process-lifetime registry instruments, resolved once at import as in
+# ``gfw/device.py``: every trial builds a table per device.
+_REGISTRY = get_registry()
+_METRIC_CREATED = _REGISTRY.counter("gfw.flows_created")
+_METRIC_EVICTED = _REGISTRY.counter("gfw.flows_evicted")
+_METRIC_EVICTED_ACTIVE = _REGISTRY.counter("gfw.flows_evicted_active")
+_METRIC_EVICTED_AFTER_FIN = _REGISTRY.counter("gfw.flows_evicted_after_fin")
+
+
 class FlowTable:
     """The device's bounded TCB store with least-recently-used eviction.
 
@@ -162,13 +171,10 @@ class FlowTable:
         self.flows_evicted_after_fin = 0
         self.peak_tracked = 0
         self.on_evict: Optional[Callable[[object, GFWFlow], None]] = None
-        registry = get_registry()
-        self._metric_created = registry.counter("gfw.flows_created")
-        self._metric_evicted = registry.counter("gfw.flows_evicted")
-        self._metric_evicted_active = registry.counter("gfw.flows_evicted_active")
-        self._metric_evicted_after_fin = registry.counter(
-            "gfw.flows_evicted_after_fin"
-        )
+        self._metric_created = _METRIC_CREATED
+        self._metric_evicted = _METRIC_EVICTED
+        self._metric_evicted_active = _METRIC_EVICTED_ACTIVE
+        self._metric_evicted_after_fin = _METRIC_EVICTED_AFTER_FIN
 
     # -- the dict-shaped API the device and benches use ------------------
     def get(self, key: object) -> Optional[GFWFlow]:

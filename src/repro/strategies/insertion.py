@@ -162,7 +162,27 @@ def _transport_len(packet: IPPacket) -> int:
     return len(serialize_tcp(packet.tcp, packet.src, packet.dst))
 
 
+#: The 36 symbols :func:`junk_payload` draws from.
+_JUNK_ALPHABET = b"abcdefghijklmnopqrstuvwxyz0123456789"
+
+
 def junk_payload(ctx: ConnectionContext, length: int) -> bytes:
-    """Random printable garbage of ``length`` bytes (never matches rules)."""
-    alphabet = b"abcdefghijklmnopqrstuvwxyz0123456789"
-    return bytes(ctx.rng.choice(alphabet) for _ in range(length))
+    """Random printable garbage of ``length`` bytes (never matches rules).
+
+    Byte for byte ``bytes(ctx.rng.choice(_JUNK_ALPHABET) ...)``, leaving
+    the stream in the same place: ``choice`` draws ``getrandbits(6)``
+    until the value is below 36, and this is that loop inlined.
+    ``getrandbits(0)`` consumes nothing; it seeds a
+    :class:`~repro.lazyrandom.LazyRandom` up front so the loop calls the
+    C method directly.
+    """
+    rng = ctx.rng
+    rng.getrandbits(0)
+    getrandbits = rng.getrandbits
+    junk = bytearray(length)
+    for index in range(length):
+        bits = getrandbits(6)
+        while bits >= 36:
+            bits = getrandbits(6)
+        junk[index] = _JUNK_ALPHABET[bits]
+    return bytes(junk)

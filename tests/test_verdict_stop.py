@@ -1,11 +1,13 @@
 """Tier-1 pins for the stop rule: an independent HTTP trial ends once
 its record is final (``Scenario.record_final``).
 
-Soundness is checked, not argued: every conformance cell, with and
-without the stop, must give equal :class:`TrialRecord`s.  Callers that
-read the scenario beyond the record (the inconsistency counters,
-``diagnose_trial``'s timeline, the golden ladders) must still see the
-full horizon, and fleet waves must never arm the stop.
+Soundness is checked, not argued: every conformance cell and a
+Table-1 slice, with and without the stop, must give equal
+:class:`TrialRecord`s, and each condition of the predicate is flipped
+alone in a unit test.  Callers that read the scenario beyond the
+record (the inconsistency counters, ``diagnose_trial``'s timeline, the
+golden ladders) must still see the full horizon, and fleet waves must
+never arm the stop.
 """
 
 import dataclasses
@@ -34,13 +36,17 @@ from repro.experiments import (
 )
 from repro.experiments import fleet
 from repro.experiments.calibration import CLEAN_ROOM
-from repro.experiments.runner import _cell_tasks, _simulate_http_trial
+from repro.experiments.runner import Outcome, _cell_tasks, _simulate_http_trial
 from repro.experiments.scenarios import build_scenario, release_scenario
+from repro.gfw.flow import GFWFlow, GFWFlowState
 from repro.gfw.heterogeneity import HETEROGENEOUS_VARIANT
+from repro.netstack.fragment import make_fragment
+from repro.netstack.packet import ACK, IPPacket, TCPSegment
 from repro.strategies.registry import TABLE1_ROWS
 from repro.telemetry import diagnose_trial
 from repro.telemetry.events import capturing
 from repro.telemetry.metrics import get_registry
+from repro.tcp.tcb import TCPState
 
 STOPPED = "trials.stopped_at_verdict"
 
@@ -93,6 +99,33 @@ def test_every_conformance_cell_same_records_with_and_without_the_stop():
     assert len(full) == 2 * 924
 
 
+def _table1_records(sites, keyword, seed, stop):
+    records = []
+    for _label, strategy_id, _discrepancy in TABLE1_ROWS:
+        tasks = _cell_tasks(
+            strategy_id, CHINA_VANTAGE_POINTS, sites,
+            DEFAULT_CALIBRATION, 1, seed, keyword,
+        )
+        records.extend(_records(tasks, stop))
+    return records
+
+
+def _assert_table1_stop_is_sound(sites, keyword, seed):
+    full = _table1_records(sites, keyword, seed, stop=False)
+    before = _stopped_count()
+    stopped = _table1_records(sites, keyword, seed, stop=True)
+    # Benign requests are Success trials, which stop at their response.
+    _assert_stop_is_sound(full, stopped, _stopped_count() - before)
+    assert len(full) == 15 * len(CHINA_VANTAGE_POINTS) * len(sites)
+
+
+@pytest.mark.parametrize("keyword", [True, False])
+def test_table1_slice_same_records_with_and_without_the_stop(keyword):
+    """Table-1 vantages bring client middleboxes, stateful firewalls and
+    route drift, which the matrix's neutral profiles do not."""
+    _assert_table1_stop_is_sound(outside_china_catalog(count=2), keyword, 11)
+
+
 @pytest.mark.slow
 def test_paper_scale_records_same_with_and_without_the_stop():
     """924 cells x 6 repeats, plus Table 1 at n = 165 per row in both
@@ -104,33 +137,53 @@ def test_paper_scale_records_same_with_and_without_the_stop():
 
     sites = outside_china_catalog(count=15)
     for keyword, seed in ((True, 7), (False, 8)):
-        full, stopped = [], []
-        before = _stopped_count()
-        for _label, strategy_id, _discrepancy in TABLE1_ROWS:
-            tasks = _cell_tasks(
-                strategy_id, CHINA_VANTAGE_POINTS, sites,
-                DEFAULT_CALIBRATION, 1, seed, keyword,
-            )
-            full.extend(_records(tasks, stop=False))
-            stopped.extend(_records(tasks, stop=True))
-        assert len(full) == 15 * 165
-        stops = _stopped_count() - before
-        if keyword:
-            _assert_stop_is_sound(full, stopped, stops)
-        else:
-            # Benign requests draw no resets, so nothing may stop.
-            assert full == stopped and stops == 0
+        _assert_table1_stop_is_sound(sites, keyword, seed)
+
+
+def _queue_forged_resets(device, scenario):
+    """Put ``device``'s real reset volley toward the client on the clock's
+    queue, as ``GFWDevice._punish`` does."""
+    for packet in device.injector.forged_resets(
+        spoof_src=(scenario.server.ip, 80),
+        toward=(scenario.client.ip, 40000),
+        seq_base=0,
+        ack_hint=0,
+    ):
+        device._inject(packet)
+        device.resets_injected += 1
+
+
+def _flow(believed_client, believed_server):
+    return GFWFlow(
+        believed_client=believed_client,
+        believed_server=believed_server,
+        state=GFWFlowState.ESTABLISHED,
+    )
+
+
+def _client_packet(scenario):
+    return IPPacket(
+        src=scenario.client.ip, dst=scenario.server.ip,
+        payload=TCPSegment(src_port=40000, dst_port=80, flags=ACK),
+    )
+
+
+def _pending_fragment(scenario):
+    return make_fragment(_client_packet(scenario), b"x" * 8, 0, True)
 
 
 def test_record_final_needs_all_three_conditions():
-    """Each condition of the predicate is load-bearing on its own (the
-    matrix above never binds on the device latch, so pin it here)."""
+    """Each Failure-2 condition is load-bearing on its own (the matrix
+    never binds on the device latch, so pin it here), and a reset kind
+    the client lacks blocks while it can still arrive."""
     scenario = build_scenario(
         CHINA_VANTAGE_POINTS[0], website=outside_china_catalog(count=1)[0],
         seed=0,
     )
     type2, type1 = scenario.gfw_devices
     assert (type2.config.reset_type, type1.config.reset_type) == (2, 1)
+    # Both devices are evolved, so an unlatched one is never inert.
+    assert type1.config.creates_tcb_on_synack
     type2.detections.append((0.1, "match"))
     type2.resets_injected = 3
     assert not scenario.record_final()  # no reset at the client yet
@@ -139,10 +192,104 @@ def test_record_final_needs_all_three_conditions():
     assert not scenario.record_final()  # the type-1 device has not latched
     type1.missed_detections.append((0.1, "match"))
     assert scenario.record_final()  # a cluster miss latches it too
-    type1.resets_injected = 1
+    _queue_forged_resets(type1, scenario)
     assert not scenario.record_final()  # its type-1 reset is still in flight
-    scenario.reset_kinds.add("type1")
+    scenario.run()
+    assert "type1" in scenario.reset_kinds
     assert scenario.record_final()
+    # A type-1 kind that never arrived, with none of its resets queued,
+    # was lost: the device sends one volley per flow and keeps no
+    # blacklist.
+    scenario.reset_kinds.discard("type1")
+    assert scenario.record_final()
+    # A missing type-2 kind may still come: its blacklist re-injects.
+    scenario.reset_kinds.discard("type2")
+    assert not scenario.record_final()
+    release_scenario(scenario)
+
+
+def test_record_final_unlatched_device_must_be_inert():
+    """An unlatched device stops blocking only when it can never open a
+    TCB; each condition of that is load-bearing."""
+    scenario = build_scenario(
+        CHINA_VANTAGE_POINTS[0], website=outside_china_catalog(count=1)[0],
+        seed=0, gfw_variant="mixed",
+    )
+    evolved, old = scenario.gfw_devices
+    assert (evolved.config.model, old.config.model) == ("evolved", "old")
+    evolved.detections.append((0.1, "match"))
+    evolved.resets_injected = 3
+    scenario.gfw_packets_at_client.append("rst")
+    scenario.reset_kinds.add("type2")
+    assert scenario.record_final()  # the old device is inert
+    # NB1: a device that opens TCBs on a SYN/ACK may still open one.
+    old.config.creates_tcb_on_synack = True
+    assert not scenario.record_final()
+    old.config.creates_tcb_on_synack = False
+    key = ("held",)
+    old.flows[key] = _flow((scenario.client.ip, 40000), (scenario.server.ip, 80))
+    assert not scenario.record_final()  # it holds a TCB
+    del old.flows[key]
+    connection = scenario.client_tcp.connect(scenario.server.ip, 80)
+    assert not scenario.record_final()  # its SYN is queued
+    scenario.clock.reset()
+    assert connection.state is TCPState.SYN_SENT
+    assert not scenario.record_final()  # the client connection is open
+    connection.abort()
+    assert connection.state is TCPState.CLOSED
+    assert not scenario.record_final()  # its RST is still queued
+    scenario.clock.reset()
+    assert scenario.record_final()
+    old._fragments.add(_pending_fragment(scenario))
+    assert not scenario.record_final()  # a pending fragment may complete
+    release_scenario(scenario)
+
+
+def test_record_final_success_needs_every_condition():
+    """A completed response is final only while no device can see
+    believed-client payload again; each condition is load-bearing."""
+    record, scenario = _simulate_http_trial(
+        CHINA_VANTAGE_POINTS[0], outside_china_catalog(count=1)[0], "none",
+        DEFAULT_CALIBRATION, seed=0, keyword=False, stop_at_verdict=False,
+    )
+    assert record.outcome is Outcome.SUCCESS
+    assert not scenario.record_final()  # the response was never noted
+    scenario.response_complete = True
+    assert scenario.record_final()
+
+    device = scenario.gfw_devices[0]
+    client, server = (scenario.client.ip, 40000), (scenario.server.ip, 80)
+    for counter in ("resets_injected", "forged_synacks_injected"):
+        setattr(device, counter, 1)
+        assert not scenario.record_final()  # the device injected
+        setattr(device, counter, 0)
+    device.blacklist.add(client[0], server[0], scenario.clock.now)
+    assert not scenario.record_final()
+    device.blacklist.clear()
+
+    key = ("extra",)
+    device.flows[key] = _flow(server, client)
+    assert not scenario.record_final()  # a reversed TCB inspects the server
+    device.flows[key] = _flow(client, server)
+    assert scenario.record_final()  # an ordinary one sees no more payload
+    del device.flows[key]
+
+    (connection,) = scenario.client_tcp.connections.values()
+    entry = {"segment": TCPSegment(src_port=40000, dst_port=80, payload=b"GET"),
+             "retries": 0}
+    connection._unacked.append(entry)
+    assert not scenario.record_final()  # unacked payload is retransmitted
+    entry["segment"].payload = b""
+    assert scenario.record_final()  # an unacked FIN carries none
+    connection._unacked.remove(entry)
+
+    scenario.network.send(scenario.client, _client_packet(scenario))
+    assert not scenario.record_final()  # a client packet is in flight
+    scenario.clock.reset()
+    assert scenario.record_final()
+
+    device._fragments.add(_pending_fragment(scenario))
+    assert not scenario.record_final()  # a pending fragment may complete
     release_scenario(scenario)
 
 
