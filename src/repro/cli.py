@@ -370,7 +370,7 @@ class _CollectorTimer:
         return (
             f"gc: collections gen0={gen0} gen1={gen1} gen2={gen2}, "
             f"{self.seconds:.3f} s in the collector "
-            f"({share:.1%} of {wall_seconds:.3f} s profiled wall time)"
+            f"({share:.1%} of {wall_seconds:.3f} s wall time)"
         )
 
 
@@ -751,8 +751,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     Prints flow-events/s plus per-strategy effectiveness; ``--curve``
     additionally sweeps fleet sizes past the flow-table capacity to
     show strategy effectiveness degrading (or improving — eviction
-    thrash helps the client) under censor load.
+    thrash helps the client) under censor load.  The cyclic collector's
+    passes and seconds during the run are reported too; with worker
+    shards only this process's passes are counted.
     """
+    import gc
     import json as json_module
     import time as time_module
 
@@ -780,11 +783,20 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         gfw_variant=args.variant,
         max_flows=args.max_flows,
     )
+    collector = _CollectorTimer()
+    gc.callbacks.append(collector)
     start = time_module.perf_counter()
-    result = run_fleet(spec, shards=args.shards, workers=args.workers)
-    elapsed = time_module.perf_counter() - start
+    try:
+        result = run_fleet(spec, shards=args.shards, workers=args.workers)
+    finally:
+        elapsed = time_module.perf_counter() - start
+        gc.callbacks.remove(collector)
     payload = result.to_dict()
     payload["wall_seconds"] = round(elapsed, 3)
+    payload["collector"] = {
+        "collections": list(collector.collections),
+        "seconds": round(collector.seconds, 3),
+    }
     if elapsed > 0:
         payload["flow_events_per_second"] = round(result.flow_events / elapsed, 1)
         payload["flows_per_second"] = round(result.flows / elapsed, 1)
@@ -834,6 +846,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         f"false negatives, {result.blacklist_false_positives} blacklist "
         f"false positives (extension, not a paper result)"
     )
+    print(f"  {collector.summary(elapsed)}")
     latency = payload.get("flow_sim_latency") or {}
     if latency.get("count"):
         print(

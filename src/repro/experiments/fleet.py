@@ -38,6 +38,7 @@ GFW under load — and is labelled as such in DESIGN.md.
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 import zlib
@@ -654,6 +655,36 @@ def _finalize_flow(
     release_scenario(scenario)
 
 
+def _run_wave(
+    spec: FleetSpec,
+    wave: Sequence[int],
+    shared: SharedGFWState,
+    calibration: Calibration,
+    result: FleetGroupResult,
+) -> None:
+    """Run one wave of flows on one heap, then classify and free them.
+
+    The wave's contexts die when this frame returns, so the caller's
+    collector pause covers their release too.
+    """
+    batch = BatchSim()
+    contexts: List[_FleetFlowContext] = []
+    try:
+        for index in wave:
+            contexts.append(
+                _fleet_flow_setup(
+                    spec, flow_spec(spec, index), shared, batch, calibration
+                )
+            )
+        result.flow_events += batch.run(
+            [ctx.scenario.calibration.trial_duration for ctx in contexts]
+        )
+    finally:
+        batch.release()
+    for ctx in contexts:
+        _finalize_flow(ctx, shared, result)
+
+
 def run_fleet_group(
     spec: FleetSpec,
     group: int,
@@ -662,7 +693,9 @@ def run_fleet_group(
     """Run one client group against its shared censor, wave by wave.
 
     Pure function of ``(spec, group)``: this is the unit
-    :func:`run_fleet` shards across processes.
+    :func:`run_fleet` shards across processes.  The cyclic collector is
+    paused for each wave, from its first flow setup until its flows are
+    freed, and left as the caller had it between waves and afterwards.
     """
     if get_flight().enabled:
         # The ring must be filling on the serial-inline path too, where
@@ -680,22 +713,15 @@ def run_fleet_group(
         wave_span = tracer.begin(
             f"wave{wave_number}", "wave", wave=wave_number, flows=len(wave)
         )
-        batch = BatchSim()
-        contexts: List[_FleetFlowContext] = []
+        # A wave's trial graphs are acyclic (DESIGN.md §13), so a
+        # collector pass inside it could only rescan live scenarios.
+        collector_was_enabled = gc.isenabled()
+        gc.disable()
         try:
-            for index in wave:
-                contexts.append(
-                    _fleet_flow_setup(
-                        spec, flow_spec(spec, index), shared, batch, calibration
-                    )
-                )
-            result.flow_events += batch.run(
-                [ctx.scenario.calibration.trial_duration for ctx in contexts]
-            )
+            _run_wave(spec, wave, shared, calibration, result)
         finally:
-            batch.release()
-        for ctx in contexts:
-            _finalize_flow(ctx, shared, result)
+            if collector_was_enabled:
+                gc.enable()
         shared.end_wave()
         if wave_span is not None:
             # The wave ends when its slowest flow does (sim time).

@@ -261,15 +261,14 @@ class GFWDevice(Tap):
     # TCP state machine
     # ------------------------------------------------------------------
     def _process_tcp(self, packet: IPPacket, segment: TCPSegment, now: float) -> None:
+        if self.blacklist.contains(packet.src, packet.dst, now):
+            self._enforce_blacklist(packet, segment, now)
+            return
         src = (packet.src, segment.src_port)
         dst = (packet.dst, segment.dst_port)
         key = connection_key(src, dst)
         if self.flow_namespace is not None:
             key = (self.flow_namespace, key)
-
-        if self.blacklist.contains(packet.src, packet.dst, now):
-            self._enforce_blacklist(packet, segment, now)
-            return
 
         # GFW-side acceptance checks (all off in both real configs —
         # exactly the discrepancies of Table 3 — but modelled so the
@@ -566,10 +565,7 @@ class GFWDevice(Tap):
             seq_base=flow.client_next_seq,
             ack_hint=flow.server_next_seq,
         )
-        for packet in toward_client + toward_server:
-            self._inject(packet)
-            self.resets_injected += 1
-            self._metric_rst_sent.inc()
+        self._inject_resets(toward_client + toward_server)
         self._bus.publish(
             "gfw", "rst_sent", time=now, device=self.name,
             namespace=self.flow_namespace,
@@ -588,7 +584,7 @@ class GFWDevice(Tap):
             forged = self.injector.forged_synack(
                 spoof_src=dst, toward=src, acked_seq=segment.seq
             )
-            self._inject(forged)
+            self.inject((forged,))
             self.forged_synacks_injected += 1
             self._metric_synack_forged.inc()
             self._bus.publish(
@@ -600,25 +596,17 @@ class GFWDevice(Tap):
         if segment.is_rst:
             return  # nothing to disrupt
         seq_base = segment.ack if segment.has_ack else 0
-        injected = 0
-        for forged in self.injector.forged_resets(
-            spoof_src=dst, toward=src, seq_base=seq_base, ack_hint=segment.end_seq
-        ):
-            self._inject(forged)
-            self.resets_injected += 1
-            self._metric_rst_sent.inc()
-            injected += 1
-        for forged in self.injector.forged_resets(
-            spoof_src=src, toward=dst, seq_base=segment.end_seq, ack_hint=seq_base
-        ):
-            self._inject(forged)
-            self.resets_injected += 1
-            self._metric_rst_sent.inc()
-            injected += 1
+        end_seq = segment.end_seq
+        volley = self.injector.forged_resets(
+            spoof_src=dst, toward=src, seq_base=seq_base, ack_hint=end_seq
+        ) + self.injector.forged_resets(
+            spoof_src=src, toward=dst, seq_base=end_seq, ack_hint=seq_base
+        )
+        self._inject_resets(volley)
         self._bus.publish(
             "gfw", "rst_sent", time=now, device=self.name,
             namespace=self.flow_namespace,
-            count=injected, note="blacklist enforcement",
+            count=len(volley), note="blacklist enforcement",
         )
 
     def _enforce_ip_block(self, packet: IPPacket, now: float) -> None:
@@ -631,31 +619,24 @@ class GFWDevice(Tap):
         src = (packet.src, segment.src_port)
         dst = (packet.dst, segment.dst_port)
         seq_base = segment.ack if segment.has_ack else 0
-        injected = 0
-        for forged in self.injector.forged_resets(
+        volley = self.injector.forged_resets(
             spoof_src=dst, toward=src, seq_base=seq_base, ack_hint=segment.end_seq
-        ):
-            self._inject(forged)
-            self.resets_injected += 1
-            self._metric_rst_sent.inc()
-            injected += 1
+        )
+        self._inject_resets(volley)
         self._bus.publish(
             "gfw", "rst_sent", time=now, device=self.name,
             namespace=self.flow_namespace,
-            count=injected, note="ip block",
+            count=len(volley), note="ip block",
         )
 
     def block_ip(self, ip: str) -> None:
         self.blocked_ips.add(ip)
 
-    def _inject(self, packet: IPPacket) -> None:
-        """Route a forged packet toward whichever path end owns its dst."""
-        if self.path is None:
-            raise RuntimeError(f"GFW device {self.name} is not attached to a path")
-        if packet.dst == self.path.client_ip:  # type: ignore[attr-defined]
-            self.inject_toward_client(packet)
-        else:
-            self.inject_toward_server(packet)
+    def _inject_resets(self, volley: List[IPPacket]) -> None:
+        """Put a forged reset volley on the wire and count it once."""
+        self.inject(volley)
+        self.resets_injected += len(volley)
+        self._metric_rst_sent.inc(len(volley))
 
     # ------------------------------------------------------------------
     # Introspection helpers used by tests and the analysis package

@@ -45,7 +45,7 @@ class DNSPoisoner:
             return
         self.poisonings.append((now, qname))
         forged.meta["origin"] = "gfw-dns-poison"
-        device._inject(forged)
+        device.inject((forged,))
 
     @staticmethod
     def _query_name(payload: bytes) -> Optional[str]:

@@ -22,7 +22,6 @@ from repro.netstack.packet import (
     IPPacket,
     RST,
     SYN,
-    TCPSegment,
     packet_shell,
     segment_shell,
     seq_add,
@@ -43,31 +42,34 @@ class ResetInjector:
         self._cyclic_window = 512
         self._origin = f"gfw-type{reset_type}"
 
-    def _forged_packet(
-        self, src: str, dst: str, segment: TCPSegment, ttl: int, kind: str
+    def _forged(
+        self,
+        spoof_src: Tuple[str, int],
+        toward: Tuple[str, int],
+        seq: int,
+        ack: int,
+        flags: int,
+        kind: str,
     ) -> IPPacket:
-        """Wrap a forged segment; built by direct slot assignment because
-        volleys are the dominant packet source in censored trials."""
-        packet = packet_shell()
-        packet.src = src
-        packet.dst = dst
-        packet.payload = segment
-        packet.ttl = ttl
-        packet.identification = 0
-        packet.dont_fragment = True
-        packet.more_fragments = False
-        packet.frag_offset = 0
-        packet.total_length_override = None
-        packet.meta = {"origin": self._origin, "forged": kind}
-        return packet
-
-    @staticmethod
-    def _forged_segment(
-        src_port: int, dst_port: int, seq: int, ack: int, flags: int, window: int
-    ) -> TCPSegment:
+        """One forged packet with this type's window and TTL signature
+        (window drawn first).  Built by direct slot assignment in one
+        frame because volleys are the dominant packet source in censored
+        trials."""
+        if self.reset_type == 1:
+            window = self.rng.randint(1, 65535)
+            ttl = self.rng.randint(33, 225)
+        else:
+            window = self._cyclic_window + 79
+            if window > 65000:
+                window = 512
+            self._cyclic_window = window
+            ttl = self._cyclic_ttl + 1
+            if ttl > 128:
+                ttl = 64
+            self._cyclic_ttl = ttl
         segment = segment_shell()
-        segment.src_port = src_port
-        segment.dst_port = dst_port
+        segment.src_port = spoof_src[1]
+        segment.dst_port = toward[1]
         segment.seq = seq
         segment.ack = ack
         segment.flags = flags
@@ -77,24 +79,18 @@ class ResetInjector:
         segment.urgent = 0
         segment.checksum_override = None
         segment.data_offset_override = None
-        return segment
-
-    # -- signature helpers -------------------------------------------------
-    def _next_ttl(self) -> int:
-        if self.reset_type == 1:
-            return self.rng.randint(33, 225)
-        self._cyclic_ttl += 1
-        if self._cyclic_ttl > 128:
-            self._cyclic_ttl = 64
-        return self._cyclic_ttl
-
-    def _next_window(self) -> int:
-        if self.reset_type == 1:
-            return self.rng.randint(1, 65535)
-        self._cyclic_window += 79
-        if self._cyclic_window > 65000:
-            self._cyclic_window = 512
-        return self._cyclic_window
+        packet = packet_shell()
+        packet.src = spoof_src[0]
+        packet.dst = toward[0]
+        packet.payload = segment
+        packet.ttl = ttl
+        packet.identification = 0
+        packet.dont_fragment = True
+        packet.more_fragments = False
+        packet.frag_offset = 0
+        packet.total_length_override = None
+        packet.meta = {"origin": self._origin, "forged": kind}
+        return packet
 
     # -- packet builders -----------------------------------------------------
     def forged_resets(
@@ -110,30 +106,20 @@ class ResetInjector:
         RST/ACKs at ``seq_base`` + {0, 1460, 4380} (§2.1 footnote: future
         sequence numbers offset the risk of falling behind real traffic).
         """
-        packets: List[IPPacket] = []
         if self.reset_type == 1:
-            offsets = (0,)
+            offsets: Tuple[int, ...] = (0,)
             flags = RST
             ack = 0
         else:
             offsets = (0, 1460, 4380)
             flags = RST | ACK
             ack = ack_hint
-        for offset in offsets:
-            segment = self._forged_segment(
-                spoof_src[1],
-                toward[1],
-                seq_add(seq_base, offset),
-                ack,
-                flags,
-                self._next_window(),
+        return [
+            self._forged(
+                spoof_src, toward, seq_add(seq_base, offset), ack, flags, "reset"
             )
-            packets.append(
-                self._forged_packet(
-                    spoof_src[0], toward[0], segment, self._next_ttl(), "reset"
-                )
-            )
-        return packets
+            for offset in offsets
+        ]
 
     def forged_synack(
         self,
@@ -146,14 +132,11 @@ class ResetInjector:
         Only type-2 devices do this (§2.1).  The sequence number is drawn
         at random so the client's handshake cannot complete correctly.
         """
-        segment = self._forged_segment(
-            spoof_src[1],
-            toward[1],
+        return self._forged(
+            spoof_src,
+            toward,
             self.rng.randrange(0, 2**32),
             seq_add(acked_seq, 1),
             SYN | ACK,
-            self._next_window(),
-        )
-        return self._forged_packet(
-            spoof_src[0], toward[0], segment, self._next_ttl(), "synack"
+            "synack",
         )

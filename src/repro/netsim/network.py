@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from heapq import heappush
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.netstack.packet import IPPacket
 from repro.netsim.node import Endpoint
@@ -30,7 +30,6 @@ from repro.netsim.path import (
     InlineBox,
     PathElement,
     ProcessResult,
-    Tap,
     Verdict,
 )
 from repro.netsim.simclock import SimClock
@@ -203,13 +202,6 @@ class Path:
 
     def hop_distance(self, origin_hop: int, target_hop: int) -> int:
         return abs(target_hop - origin_hop)
-
-    def inject(self, tap: Tap, packet: IPPacket, direction: Direction) -> None:
-        """Entry point for on-path taps injecting forged packets."""
-        if self.network is None:
-            raise RuntimeError(f"path {self.name} is not attached to a network")
-        packet.meta.setdefault("injected_by", tap.name)
-        self.network.launch(self, packet, direction, origin_hop=tap.hop, origin=tap.name)
 
 
 class _Transit:
@@ -454,46 +446,61 @@ class Network:
             self.trace.record(
                 self.clock.now, sender.name, "send", packet, direction.value
             )
-        self.launch(
-            path, packet, direction, origin_hop=path.sender_hop(direction),
-            origin=sender.name,
-        )
+        self.launch(path, (packet,), path.sender_hop(direction), sender.name)
 
     def launch(
         self,
         path: Path,
-        packet: IPPacket,
-        direction: Direction,
+        packets: Sequence[IPPacket],
         origin_hop: int,
         origin: str,
     ) -> None:
-        """Start event-driven traversal of ``packet`` along ``path``.
+        """Start event-driven traversal of ``packets`` along ``path``.
 
-        Loss is decided up front by drawing a drop hop; elements before the
-        drop hop still see the packet (so the GFW may act on a packet the
-        server never receives — a real and exploited asymmetry).
+        The packets leave ``origin_hop`` in list order, each toward the
+        path end that owns its destination.  Loss is decided up front by
+        drawing a drop hop; elements before the drop hop still see the
+        packet (so the GFW may act on a packet the server never receives —
+        a real and exploited asymmetry).  Every packet gets its own loss
+        draw, :class:`_Transit` and heap entry, as if launched alone; only
+        the loss rate and each direction's travel plan are resolved once
+        per call, so an on-path tap's whole volley is one call.
         """
-        drop_hop: Optional[int] = None
-        if path.loss_rate > 0 and self.rng.random() < path.loss_rate:
-            destination_hop = path.destination_hop(direction)
-            low, high = sorted((origin_hop, destination_hop))
-            drop_hop = self.rng.randint(low + 1, high)
-            if direction is Direction.SERVER_TO_CLIENT:
-                # express as the hop (client coordinate) where it dies
-                drop_hop = self.rng.randint(low, high - 1)
-        plan, start = path.travel_plan(origin_hop, direction)
-        transit = _Transit()
-        transit.network = self
-        transit.path = path
-        transit.packet = packet
-        transit.direction = direction
-        transit.current_hop = origin_hop
-        transit.plan = plan
-        transit.plan_len = len(plan)
-        transit.plan_index = start
-        transit.drop_hop = drop_hop
-        transit.origin = origin
-        self._post(transit)
+        rng = self.rng
+        loss_rate = path.loss_rate
+        client_ip = path.client_ip
+        toward_client = toward_server = None
+        for packet in packets:
+            if packet.dst == client_ip:
+                direction = Direction.SERVER_TO_CLIENT
+                if toward_client is None:
+                    toward_client = path.travel_plan(origin_hop, direction)
+                plan, start = toward_client
+            else:
+                direction = Direction.CLIENT_TO_SERVER
+                if toward_server is None:
+                    toward_server = path.travel_plan(origin_hop, direction)
+                plan, start = toward_server
+            drop_hop: Optional[int] = None
+            if loss_rate > 0 and rng.random() < loss_rate:
+                destination_hop = path.destination_hop(direction)
+                low, high = sorted((origin_hop, destination_hop))
+                drop_hop = rng.randint(low + 1, high)
+                if direction is Direction.SERVER_TO_CLIENT:
+                    # express as the hop (client coordinate) where it dies
+                    drop_hop = rng.randint(low, high - 1)
+            transit = _Transit()
+            transit.network = self
+            transit.path = path
+            transit.packet = packet
+            transit.direction = direction
+            transit.current_hop = origin_hop
+            transit.plan = plan
+            transit.plan_len = len(plan)
+            transit.plan_index = start
+            transit.drop_hop = drop_hop
+            transit.origin = origin
+            self._post(transit)
 
     # -- traversal engine -----------------------------------------------------
     def _post(self, transit: _Transit) -> None:

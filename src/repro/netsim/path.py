@@ -122,8 +122,8 @@ class Tap(PathElement):
     """An on-path monitor: sees copies, can inject, can never drop.
 
     Subclasses (the GFW device) implement :meth:`observe` and use
-    :meth:`inject_toward_client` / :meth:`inject_toward_server` to put
-    forged packets on the wire from their own hop position.
+    :meth:`inject` to put forged packets on the wire from their own hop
+    position.
     """
 
     #: When True (the default, and the documented contract) the network
@@ -142,17 +142,21 @@ class Tap(PathElement):
     def reset_state(self) -> None:
         """Clear per-connection state between experiment trials."""
 
-    # The two injection helpers delegate to the owning Path, which is set
-    # when the tap is attached.  They exist so GFW code reads naturally.
-    def inject_toward_client(self, packet: IPPacket) -> None:
-        if self.path is None:
-            raise RuntimeError(f"tap {self.name} is not attached to a path")
-        self.path.inject(self, packet, Direction.SERVER_TO_CLIENT)  # type: ignore[attr-defined]
+    def inject(self, packets: Sequence[IPPacket]) -> None:
+        """Put forged ``packets`` on the wire from this tap's hop, in order.
 
-    def inject_toward_server(self, packet: IPPacket) -> None:
-        if self.path is None:
+        Each heads toward the path end that owns its destination address.
+        A whole volley is one call; a single packet is a one-item volley.
+        """
+        path = self.path
+        if path is None:
             raise RuntimeError(f"tap {self.name} is not attached to a path")
-        self.path.inject(self, packet, Direction.CLIENT_TO_SERVER)  # type: ignore[attr-defined]
+        network = path.network  # type: ignore[attr-defined]
+        if network is None:
+            raise RuntimeError(f"tap {self.name}'s path is not attached to a network")
+        for packet in packets:
+            packet.meta.setdefault("injected_by", self.name)
+        network.launch(path, packets, self.hop, self.name)
 
 
 def elements_in_direction(

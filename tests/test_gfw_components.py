@@ -170,7 +170,7 @@ class TestDNSPoisonerParsing:
                     def domain_is_poisoned(domain):
                         return True
 
-            def _inject(self, packet):  # pragma: no cover
+            def inject(self, packets):  # pragma: no cover
                 raise AssertionError("must not inject for garbage")
 
         packet = udp_packet("1.1.1.1", "8.8.8.8", 5000, 53, b"\x00\x01")

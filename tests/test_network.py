@@ -218,7 +218,7 @@ class TestInjection:
         a.send(_pkt())
         clock.run()
         forged = tcp_packet(B, A, 80, 1000, flags=RST, ttl=64)
-        tap.inject_toward_client(forged)
+        tap.inject([forged])
         clock.run()
         assert any(p.tcp.is_rst for p, _ in a.received)
 
@@ -227,14 +227,14 @@ class TestInjection:
         tap = RecordingTap("gfw", hop=4)
         path.add_element(tap)
         forged = tcp_packet(A, B, 1000, 80, flags=RST, ttl=64)
-        tap.inject_toward_server(forged)
+        tap.inject([forged])
         clock.run()
         assert any(p.tcp.is_rst for p, _ in b.received)
 
     def test_injection_requires_attachment(self):
         tap = RecordingTap("stray", hop=1)
         with pytest.raises(RuntimeError):
-            tap.inject_toward_client(_pkt())
+            tap.inject([_pkt()])
 
     def test_injected_packet_arrives_before_original_at_destination(self):
         """A reset injected from mid-path wins the race to the server."""
@@ -244,7 +244,7 @@ class TestInjection:
             def observe(self, packet, direction, now):
                 if packet.is_tcp and packet.tcp.has_ack:
                     forged = tcp_packet(A, B, 1000, 80, flags=RST)
-                    self.inject_toward_server(forged)
+                    self.inject([forged])
 
         path.add_element(Injector("inj", hop=5))
         a.send(_pkt())

@@ -271,6 +271,23 @@ def test_fleet_cli_json_reports_latency_percentiles(capsys):
     assert 0.0 < latency["p50"] <= latency["p90"] <= latency["p99"]
 
 
+def test_fleet_cli_json_reports_collector_time(capsys):
+    from repro.cli import main
+
+    rc = main(
+        [
+            "fleet", "run", "--flows", "24", "--groups", "1",
+            "--window", "12", "--sites", "6", "--seed", "5", "--json",
+        ]
+    )
+    assert rc == 0
+    collector = json.loads(capsys.readouterr().out)["collector"]
+    assert sorted(collector) == ["collections", "seconds"]
+    assert len(collector["collections"]) == 3
+    assert all(isinstance(n, int) and n >= 0 for n in collector["collections"])
+    assert collector["seconds"] >= 0.0
+
+
 def test_obs_report_renders_trajectory(tmp_path, capsys):
     from repro.cli import main
 

@@ -20,7 +20,7 @@ from repro.experiments import (
     outside_china_catalog,
     run_strategy_cell,
 )
-from repro.experiments import scenarios
+from repro.experiments import fleet, scenarios
 from repro.experiments.runner import run_dns_trial, run_tor_trial, run_vpn_trial
 from repro.experiments.websites import DYN_RESOLVERS
 
@@ -143,3 +143,98 @@ class TestReleaseOwnership:
         )
         assert again.clock is not scenario.clock
         scenarios.release_scenario(again)
+
+
+class TestFleetCollectorPause:
+    """``run_fleet_group`` pauses the cyclic collector for each wave and
+    hands back the collector state its caller had."""
+
+    #: Three waves of 32 flows: each wave allocates far more tracked
+    #: objects than one young-generation threshold.
+    SPEC_ARGS = dict(flows=96, seed=5, groups=1, window=32, max_flows=16)
+
+    @pytest.fixture
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:  # pragma: no cover - the suite runs with the collector on
+            gc.disable()
+
+    def test_no_collector_pass_while_a_wave_runs(
+        self, monkeypatch, restore_collector
+    ):
+        """Every flow setup and finalization runs with the collector
+        paused, and no pass starts inside a wave.  A pass the pause
+        deferred may run at a wave boundary, at most one per wave."""
+        spec = fleet.FleetSpec(**self.SPEC_ARGS)
+        waves = len(range(0, spec.flows, spec.window))
+        assert waves >= 2
+        seen_enabled = []
+        for name in ("_fleet_flow_setup", "_finalize_flow"):
+            real = getattr(fleet, name)
+
+            def spy(*args, _real=real):
+                seen_enabled.append(gc.isenabled())
+                return _real(*args)
+
+            monkeypatch.setattr(fleet, name, spy)
+        in_wave = []
+        real_run_wave = fleet._run_wave
+
+        def run_wave(*args):
+            in_wave.append(True)
+            try:
+                return real_run_wave(*args)
+            finally:
+                in_wave.pop()
+
+        monkeypatch.setattr(fleet, "_run_wave", run_wave)
+        passes = []
+
+        def count(phase, info):
+            if phase == "start":
+                passes.append(bool(in_wave))
+
+        gc.enable()
+        gc.callbacks.append(count)
+        try:
+            result = fleet.run_fleet_group(spec, 0)
+        finally:
+            gc.callbacks.remove(count)
+        assert result.flows == spec.flows
+        assert seen_enabled == [False] * (2 * spec.flows)
+        assert True not in passes
+        assert len(passes) <= waves
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("caller_enabled", [True, False])
+    def test_caller_collector_state_is_restored(
+        self, restore_collector, caller_enabled
+    ):
+        spec = fleet.FleetSpec(**self.SPEC_ARGS)
+        (gc.enable if caller_enabled else gc.disable)()
+        fleet.run_fleet_group(spec, 0)
+        assert gc.isenabled() is caller_enabled
+
+    @pytest.mark.parametrize("caller_enabled", [True, False])
+    def test_collector_state_is_restored_when_a_wave_raises(
+        self, monkeypatch, restore_collector, caller_enabled
+    ):
+        spec = fleet.FleetSpec(**self.SPEC_ARGS)
+        real = fleet._fleet_flow_setup
+        calls = []
+
+        def failing_setup(*args):
+            calls.append(gc.isenabled())
+            if len(calls) == 2:
+                raise RuntimeError("setup failed")
+            return real(*args)
+
+        monkeypatch.setattr(fleet, "_fleet_flow_setup", failing_setup)
+        (gc.enable if caller_enabled else gc.disable)()
+        with pytest.raises(RuntimeError, match="setup failed"):
+            fleet.run_fleet_group(spec, 0)
+        assert calls == [False, False]
+        assert gc.isenabled() is caller_enabled

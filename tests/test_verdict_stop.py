@@ -143,14 +143,14 @@ def test_paper_scale_records_same_with_and_without_the_stop():
 def _queue_forged_resets(device, scenario):
     """Put ``device``'s real reset volley toward the client on the clock's
     queue, as ``GFWDevice._punish`` does."""
-    for packet in device.injector.forged_resets(
+    volley = device.injector.forged_resets(
         spoof_src=(scenario.server.ip, 80),
         toward=(scenario.client.ip, 40000),
         seq_base=0,
         ack_hint=0,
-    ):
-        device._inject(packet)
-        device.resets_injected += 1
+    )
+    device.inject(volley)
+    device.resets_injected += len(volley)
 
 
 def _flow(believed_client, believed_server):
