@@ -15,7 +15,7 @@ import random
 from conftest import report
 
 from repro.core.intang import INTANG
-from repro.experiments.parallel import map_trials, note_trials
+from repro.experiments.parallel import map_trials
 from repro.gfw import evolved_config
 from repro.experiments.tables import render_table
 
@@ -44,7 +44,6 @@ TRIALS = 12
 def _countermeasure_trial(task):
     """Process-pool work unit: one hardened-GFW fetch, True when evaded."""
     tweaks, strategy, seed = task
-    note_trials()
     config = evolved_config()
     for name, value in tweaks.items():
         setattr(config, name, value)
@@ -80,8 +79,8 @@ def countermeasure_sweep() -> str:
     return text
 
 
-def test_ablation_countermeasures(benchmark):
-    text = benchmark.pedantic(countermeasure_sweep, rounds=1, iterations=1)
+def test_ablation_countermeasures():
+    text = countermeasure_sweep()
     report("ablation_countermeasures", text)
     lines = [line for line in text.splitlines() if "%" in line and "|" in line]
 

@@ -55,9 +55,7 @@ def delta_sweep(sites_count: int) -> str:
     return text
 
 
-def test_ablation_delta(benchmark):
-    text = benchmark.pedantic(
-        delta_sweep, args=(bench_sites(10, 30),), rounds=1, iterations=1
-    )
+def test_ablation_delta():
+    text = delta_sweep(bench_sites(10, 30))
     report("ablation_delta", text)
     assert "delta=2" in text

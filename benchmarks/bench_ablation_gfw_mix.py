@@ -57,10 +57,8 @@ def mixture_sweep(sites_count: int) -> str:
     )
 
 
-def test_ablation_gfw_mix(benchmark):
-    text = benchmark.pedantic(
-        mixture_sweep, args=(bench_sites(8, 25),), rounds=1, iterations=1
-    )
+def test_ablation_gfw_mix():
+    text = mixture_sweep(bench_sites(8, 25))
     report("ablation_gfw_mix", text)
     lines = [line for line in text.splitlines() if "%" in line]
 

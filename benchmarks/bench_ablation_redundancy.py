@@ -10,7 +10,7 @@ import random
 from conftest import report
 
 from repro.core.framework import InterceptionFramework
-from repro.experiments.parallel import map_trials, note_trials
+from repro.experiments.parallel import map_trials
 from repro.strategies.improved import ImprovedTCBTeardown
 from repro.strategies.insertion import Discrepancy
 from repro.experiments.tables import render_table
@@ -26,7 +26,6 @@ TRIALS = 40
 def _redundancy_trial(task):
     """Process-pool work unit: one lossy-path fetch, True when evaded."""
     copies, seed = task
-    note_trials()
     world = mini_topology(seed=seed, loss_rate=LOSS_RATE)
 
     def factory(ctx):
@@ -58,8 +57,8 @@ def redundancy_sweep() -> str:
     return text
 
 
-def test_ablation_redundancy(benchmark):
-    text = benchmark.pedantic(redundancy_sweep, rounds=1, iterations=1)
+def test_ablation_redundancy():
+    text = redundancy_sweep()
     report("ablation_redundancy", text)
     lines = [line for line in text.splitlines() if "%" in line and "|" in line]
     single = int(lines[0].split("|")[1].strip().rstrip("%"))

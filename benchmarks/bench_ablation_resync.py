@@ -57,8 +57,8 @@ def resync_sweep(sites_count: int = 10) -> str:
     return text
 
 
-def test_ablation_resync(benchmark):
-    text = benchmark.pedantic(resync_sweep, rounds=1, iterations=1)
+def test_ablation_resync():
+    text = resync_sweep()
     report("ablation_resync", text)
     lines = [line for line in text.splitlines() if line.startswith("P(resync)")]
 

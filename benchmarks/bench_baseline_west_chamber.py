@@ -44,11 +44,8 @@ def west_chamber_baseline(sites_count: int) -> str:
     return "\n".join(lines)
 
 
-def test_west_chamber_baseline(benchmark):
-    text = benchmark.pedantic(
-        west_chamber_baseline, args=(bench_sites(10, 30),),
-        rounds=1, iterations=1,
-    )
+def test_west_chamber_baseline():
+    text = west_chamber_baseline(bench_sites(10, 30))
     report("baseline_west_chamber", text)
     lines = [line for line in text.splitlines() if "success=" in line]
     modern_env_wc = float(lines[0].split("success=")[1].split("%")[0])

@@ -17,7 +17,7 @@ Two regression gates ride on this bench:
 
 import time
 
-from conftest import record_metric, record_rate, report
+from conftest import report
 
 from repro.gfw.dpi import RescanInspector, StreamInspector
 from repro.gfw.rules import RuleSet
@@ -59,22 +59,15 @@ def test_dpi_streaming_vs_rescan():
         f"  {'segment':>9}  {'streaming':>10}  {'rescan':>10}  {'speedup':>8}",
     ]
     speedups = {}
-    streamed_bytes = 0
-    streamed_seconds = 0.0
     for segment_size in SEGMENT_SIZES:
         stream = _benign_stream(STREAM_BYTES[segment_size])
         streaming = _throughput_mbps(StreamInspector, stream, segment_size)
         rescan = _throughput_mbps(RescanInspector, stream, segment_size)
         speedups[segment_size] = streaming / rescan
-        streamed_bytes += len(stream)
-        streamed_seconds += len(stream) / (streaming * 1e6)
         lines.append(
             f"  {segment_size:>7} B  {streaming:>10.2f}  {rescan:>10.2f}"
             f"  {streaming / rescan:>7.1f}x"
         )
-        record_metric(f"streaming_mbps_seg{segment_size}", round(streaming, 2))
-        record_metric(f"rescan_mbps_seg{segment_size}", round(rescan, 2))
-        record_metric(f"speedup_seg{segment_size}", round(streaming / rescan, 2))
         floor = STREAMING_FLOOR_MBPS[segment_size]
         assert streaming >= floor * 0.7, (
             f"streaming DPI regressed at {segment_size}-byte segments: "
@@ -86,9 +79,6 @@ def test_dpi_streaming_vs_rescan():
         " stream, and drops detections past the trim.)"
     )
     report("dpi_throughput", "\n".join(lines))
-    # This bench runs no trials; its BENCH_perf.json entry is the
-    # aggregate streaming-engine byte rate across all segment sizes.
-    record_rate(streamed_bytes / streamed_seconds, "bytes_per_second")
     # The headline acceptance criterion: >= 5x on 1-byte segments.
     assert speedups[1] >= 5.0, f"1-byte-segment speedup {speedups[1]:.1f}x < 5x"
 

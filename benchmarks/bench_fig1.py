@@ -3,8 +3,8 @@
 Builds client ─ client-side middleboxes ─ GFW ─ server-side path ─ server
 and demonstrates each capability the figure assigns: the on-path GFW
 reads and injects but cannot drop; in-path middleboxes drop; the client
-initiates the connection.  The benchmark times topology construction +
-one full censored exchange (the simulator's unit of work)."""
+initiates the connection.  The bench runs topology construction + one
+full censored exchange (the simulator's unit of work)."""
 
 from conftest import report
 
@@ -54,8 +54,8 @@ def threat_model_demo() -> str:
     return "\n".join(lines)
 
 
-def test_fig1(benchmark):
-    text = benchmark.pedantic(threat_model_demo, rounds=3, iterations=1)
+def test_fig1():
+    text = threat_model_demo()
     report("fig1", text)
     assert "inject capability" in text
     assert "drops attributed to the GFW element: 0" in text

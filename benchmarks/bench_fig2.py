@@ -3,7 +3,7 @@
 One run drives every box in the figure: the netfilter-queue-equivalent
 interception loop (main thread), strategy callbacks, the Redis-substitute
 store + LRU caches (caching thread), and the DNS forwarder (DNS thread).
-The benchmark times a full INTANG-protected HTTP exchange plus a DNS
+The bench runs a full INTANG-protected HTTP exchange plus a DNS
 resolution — the tool's steady-state unit of work."""
 
 import random
@@ -62,8 +62,8 @@ def intang_architecture_demo() -> str:
     return "\n".join(lines)
 
 
-def test_fig2(benchmark):
-    text = benchmark.pedantic(intang_architecture_demo, rounds=3, iterations=1)
+def test_fig2():
+    text = intang_architecture_demo()
     report("fig2", text)
     assert "forwarded=1" in text
     assert "HTTP evaded: True" in text

@@ -51,8 +51,8 @@ def fig3_trace() -> str:
     return "\n".join(lines)
 
 
-def test_fig3(benchmark):
-    text = benchmark.pedantic(fig3_trace, rounds=3, iterations=1)
+def test_fig3():
+    text = fig3_trace()
     report("fig3", text)
     assert "detections=0" in text
     assert "response=True" in text

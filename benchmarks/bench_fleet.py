@@ -1,38 +1,33 @@
-"""Fleet engine throughput and strategy effectiveness under censor load.
+"""Fleet engine capacity and strategy effectiveness under censor load.
 
 Two legs, both against **one shared GFW installation** (the fleet
 engine's whole point — the paper probed the censor one flow at a time):
 
-1. throughput: a benign-dominated population whose TCBs all survive
-   (the evolved model never tears down on FIN), so the shared flow
-   table genuinely holds every fleet flow concurrently while the batch
-   heap drains waves of them — flow-events/s and flows/s recorded into
-   BENCH_perf.json via the generic ``rate``/``unit`` fields;
+1. capacity: a benign-dominated population whose TCBs all survive (the
+   evolved model never tears down on FIN), so the shared flow table
+   must hold every fleet flow concurrently while the batch heap drains
+   waves of them, and evict none;
 2. effectiveness-vs-load: the Table-1 strategy pool swept across fleet
    sizes below and above the shared table's ``max_flows`` capacity, the
    measurement the paper could never take on the live GFW.  Blacklist
    contention (another client blacklists your host pair first) and LRU
    eviction (the censor forgets mid-stream flows) both move the rates.
 
-Sizes are environment-tunable:
+Neither leg is timed; ``perfbench``'s ``fleet_contended`` workload
+measures the fleet's speed.  Sizes are environment-tunable:
 
-- ``REPRO_FLEET_FLOWS`` — throughput-leg fleet size (default 10000;
-  CI smoke uses 2000);
+- ``REPRO_FLEET_FLOWS`` — capacity-leg fleet size (default 10000; CI
+  smoke uses 2000);
 - ``REPRO_FLEET_CURVE`` — comma-separated effectiveness sweep sizes
   (default ``256,1024,4096`` around the scaled 512-flow capacity).
 """
 
 import os
-import time
 
-from conftest import record_metric, record_rate, report
+from conftest import report
 
+from repro.core.env import env_int
 from repro.experiments.fleet import FleetSpec, run_fleet
-
-#: Committed flow-events/second floor for the 10k-concurrent-flow
-#: throughput leg on the CI container class (measured ~60k on the
-#: reference container); the smoke gate fails only below floor * 0.7.
-FLOW_EVENTS_PER_SECOND_FLOOR = 50_000.0
 
 #: Shared-table capacity for the effectiveness sweep.  This is the
 #: ``GFWConfig.max_flows`` knob, scaled down from the default 4096 so
@@ -42,7 +37,7 @@ CURVE_MAX_FLOWS = 512
 
 
 def fleet_flows(default: int = 10_000) -> int:
-    return int(os.environ.get("REPRO_FLEET_FLOWS", default))
+    return env_int("REPRO_FLEET_FLOWS", default, minimum=1)
 
 
 def curve_sizes(default: str = "256,1024,4096"):
@@ -50,49 +45,18 @@ def curve_sizes(default: str = "256,1024,4096"):
     return [int(part) for part in raw.split(",") if part.strip()]
 
 
-def test_fleet_throughput():
-    """>= 50k flow-events/s single-core with 10k concurrently tracked flows."""
+def test_fleet_tracks_every_flow():
+    """With 10k concurrent flows the shared censor tracks all, evicts none."""
     flows = fleet_flows()
-    spec = FleetSpec(
+    result = run_fleet(FleetSpec(
         flows=flows,
-        groups=1,                 # one shared censor, one core
+        groups=1,                 # one shared censor
         window=256,               # concurrent flows per batch heap
         sensitive_fraction=0.0,   # no blacklistings -> every TCB persists
         max_flows=max(16_384, flows + 1),  # capacity above the fleet
-    )
-    # Warm the scenario pool and code paths, then measure.
-    run_fleet(FleetSpec(flows=min(flows, 1000), groups=1, window=256,
-                        sensitive_fraction=0.0, max_flows=16_384))
-    start = time.perf_counter()
-    result = run_fleet(spec)
-    elapsed = time.perf_counter() - start
-    events_per_second = result.flow_events / elapsed
-    flows_per_second = result.flows / elapsed
-
-    # The shared censor must genuinely be tracking the whole fleet
-    # concurrently — nothing tears these TCBs down and nothing evicts.
+    ))
     assert result.peak_flows_tracked == flows
     assert result.flows_evicted == 0
-
-    record_rate(events_per_second, "flow_events_per_second")
-    record_metric("fleet_flows", flows)
-    record_metric("fleet_flows_per_second", round(flows_per_second, 1))
-    record_metric("fleet_concurrent_tracked_flows", result.peak_flows_tracked)
-    record_metric("fleet_flow_events", result.flow_events)
-
-    lines = [
-        "Fleet throughput (one shared GFW, benign population)",
-        f"  {flows} flows, {result.flow_events} flow events in {elapsed:.2f}s",
-        f"  {events_per_second:,.0f} flow-events/s, {flows_per_second:,.0f} flows/s",
-        f"  censor concurrently tracked {result.peak_flows_tracked} flows",
-    ]
-    report("fleet_throughput", "\n".join(lines))
-
-    floor = FLOW_EVENTS_PER_SECOND_FLOOR
-    assert events_per_second >= floor * 0.7, (
-        f"fleet throughput regressed: {events_per_second:,.0f} "
-        f"flow-events/s < 70% of the {floor:,.0f} floor"
-    )
 
 
 def test_fleet_effectiveness_vs_load():
@@ -117,24 +81,10 @@ def test_fleet_effectiveness_vs_load():
             window=CURVE_MAX_FLOWS,
             max_flows=CURVE_MAX_FLOWS,
         )
-        start = time.perf_counter()
         result = run_fleet(spec)
-        elapsed = time.perf_counter() - start
         rates = result.strategy_rates()
         if labels is None:
             labels = sorted(rates)
-        record_metric(f"curve_success_at_{size}", {
-            label: round(rate, 4) for label, rate in sorted(rates.items())
-        })
-        record_metric(f"curve_load_at_{size}", {
-            "flows_evicted_active": result.flows_evicted_active,
-            "flows_evicted_after_fin": result.flows_evicted_after_fin,
-            "eviction_false_negatives": result.eviction_false_negatives,
-            "blacklist_false_positives": result.blacklist_false_positives,
-            "evictions_in_resync": result.evictions_in_resync,
-            "blacklistings": result.blacklistings,
-            "flows_per_second": round(result.flows / elapsed, 1),
-        })
         lines.append(
             f"  {size:>6} flows: "
             f"evict(active/fin)={result.flows_evicted_active}/"

@@ -50,10 +50,8 @@ def provider_breakdown(sites_count: int) -> str:
     return text
 
 
-def test_provider_breakdown(benchmark):
-    text = benchmark.pedantic(
-        provider_breakdown, args=(bench_sites(12, 40),), rounds=1, iterations=1
-    )
+def test_provider_breakdown():
+    text = provider_breakdown(bench_sites(12, 40))
     report("provider_breakdown", text)
     lines = [line for line in text.splitlines() if line.startswith("inorder-overlap/bad-checksum")]
     cells = [cell.strip() for cell in lines[0].split("|")]

@@ -9,9 +9,7 @@ fragments dominated by Failure 1 (Aliyun discards) and Failure 2
 ~70 % success with ~25 % Failure 2 (NB3), FIN teardown dead.
 """
 
-import time
-
-from conftest import bench_repeats, bench_sites, record_metric, report
+from conftest import bench_repeats, bench_sites, report
 
 from repro.experiments import (
     CHINA_VANTAGE_POINTS,
@@ -69,57 +67,9 @@ def regenerate_table1(sites_count: int, repeats: int) -> str:
     return text
 
 
-def _timed_slice(seed: int) -> float:
-    """One strategy cell's trials/s (fresh seed, so no cache replay)."""
-    sites = outside_china_catalog(count=6)
-    start = time.perf_counter()
-    table = run_strategy_cell(
-        "tcb-teardown-rst/ttl", CHINA_VANTAGE_POINTS, sites,
-        DEFAULT_CALIBRATION, repeats=3, seed=seed, keyword=True,
-    )
-    elapsed = time.perf_counter() - start
-    return table.trials / elapsed if elapsed > 0 else 0.0
-
-
-def measure_trace_overhead() -> None:
-    """Record the span tracer's knob-on cost beside the knob-off rate.
-
-    Runs the same cell on fresh seeds (no cache replay) in alternating
-    off/on pairs and keeps the best rate of each mode — single ~0.2 s
-    slices are noise-dominated on a loaded runner — so BENCH_perf.json
-    carries the measured overhead of the observability layer, not a
-    guess."""
-    from repro.telemetry import enable_tracer, get_tracer
-
-    _timed_slice(seed=9000)  # warmup: site catalog + scenario pool
-    rate_off = 0.0
-    rate_on = 0.0
-    seed = 9001
-    try:
-        for _ in range(3):
-            enable_tracer(False)
-            rate_off = max(rate_off, _timed_slice(seed=seed))
-            seed += 1
-            enable_tracer(True)
-            rate_on = max(rate_on, _timed_slice(seed=seed))
-            seed += 1
-            get_tracer().clear()
-    finally:
-        enable_tracer(False)
-    record_metric("trials_per_second_trace_on", round(rate_on, 2))
-    if rate_off > 0:
-        record_metric(
-            "trace_overhead_percent",
-            round(100.0 * (rate_off - rate_on) / rate_off, 2),
-        )
-
-
-def test_table1(benchmark):
+def test_table1():
     sites_count = bench_sites()
     repeats = bench_repeats()
-    text = benchmark.pedantic(
-        regenerate_table1, args=(sites_count, repeats), rounds=1, iterations=1
-    )
+    text = regenerate_table1(sites_count, repeats)
     report("table1", text)
-    measure_trace_overhead()
     assert "TCB teardown with FIN" in text

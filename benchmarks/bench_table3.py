@@ -25,8 +25,8 @@ def regenerate_table3() -> str:
     return text
 
 
-def test_table3(benchmark):
-    text = benchmark.pedantic(regenerate_table3, rounds=1, iterations=1)
+def test_table3():
+    text = regenerate_table3()
     report("table3", text)
     # All nine paper rows present:
     for condition in (

@@ -68,10 +68,7 @@ def regenerate_table4(sites_count: int, repeats: int) -> str:
     return text
 
 
-def test_table4(benchmark):
-    text = benchmark.pedantic(
-        regenerate_table4, args=(bench_sites(), bench_repeats()),
-        rounds=1, iterations=1,
-    )
+def test_table4():
+    text = regenerate_table4(bench_sites(), bench_repeats())
     report("table4", text)
     assert "INTANG Performance" in text

@@ -26,7 +26,7 @@ def regenerate_table5() -> str:
     return text
 
 
-def test_table5(benchmark):
-    text = benchmark.pedantic(regenerate_table5, rounds=1, iterations=1)
+def test_table5():
+    text = regenerate_table5()
     report("table5", text)
     assert "Derived and static maps agree: True" in text

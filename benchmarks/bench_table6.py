@@ -60,9 +60,7 @@ def regenerate_table6(queries: int) -> str:
     return text
 
 
-def test_table6(benchmark):
-    text = benchmark.pedantic(
-        regenerate_table6, args=(bench_dns_queries(),), rounds=1, iterations=1
-    )
+def test_table6():
+    text = regenerate_table6(bench_dns_queries())
     report("table6", text)
     assert "uncensored (success)" in text

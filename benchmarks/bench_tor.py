@@ -55,8 +55,8 @@ def tor_campaign() -> str:
     return text
 
 
-def test_tor(benchmark):
-    text = benchmark.pedantic(tor_campaign, rounds=1, iterations=1)
+def test_tor():
+    text = tor_campaign()
     report("tor", text)
     assert "INTANG success: 11/11" in text
     assert "4 unfiltered vantage points" in text

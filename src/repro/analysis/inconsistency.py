@@ -394,15 +394,9 @@ def run_inconsistency(
             tasks,
             shards=shards,
             workers=workers,
-            trials_per_task=repeats,
         )
     else:
-        cells = map_trials(
-            _inconsistency_cell_worker,
-            tasks,
-            workers=workers,
-            trials_per_task=repeats,
-        )
+        cells = map_trials(_inconsistency_cell_worker, tasks, workers=workers)
     ensemble = active_ensemble()
     routes: Dict[str, Dict] = {}
     for vantage in points:

@@ -16,14 +16,15 @@
     python -m repro obs trace --shards 2    # Chrome/Perfetto span trace
     python -m repro obs export --latency    # OpenMetrics + p50/p90/p99
     python -m repro obs flight --out dumps/ # anomaly flight-recorder dumps
-    python -m repro obs report --format md  # perf trajectory across runs
     python -m repro conformance run         # full differential matrix
     python -m repro conformance diff        # show drift vs tests/golden/
     python -m repro conformance bless       # accept new golden artifacts
     python -m repro inconsistency run       # Ensafi-style vantage x hour sweep
 
 Everything prints to stdout; sizes are small by default so each command
-finishes in seconds.
+finishes in seconds.  Speed is measured outside the CLI, by
+``perfbench/run.py`` (gated in CI by ``benchmarks/perf_gate.py``);
+``perf profile`` is for finding where a slow cell spends its time.
 """
 
 from __future__ import annotations
@@ -268,83 +269,6 @@ def _cmd_ladder(args: argparse.Namespace) -> int:
     print(f"Fig. {args.figure}: {strategy} — "
           f"{'evaded' if exchange.got_response else 'failed'}\n")
     print(world.trace.format_ladder())
-    return 0
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    if args.mode == "profile":
-        return _perf_profile(args)
-    if args.mode == "compare":
-        return _perf_compare(args)
-    raise AssertionError(f"unknown perf mode {args.mode!r}")
-
-
-def _perf_rates(document: dict) -> "dict[str, float]":
-    """Extract every throughput figure from a BENCH_perf.json document.
-
-    Covers the per-bench ``trials_per_second`` field, the generic
-    ``rate``/``unit`` pair recorded by non-trial benches (bench_dpi's
-    bytes/s, bench_fleet's flow events/s — keyed ``<bench>::<unit>``),
-    and any ``*_per_second*`` entries inside a bench's ``metrics`` block
-    (the netsim packet rates and the fresh-build trial rate).  Zero rates
-    are bookkeeping-only benches and are skipped.
-    """
-    rates: dict = {}
-    for entry in document.get("benches", []):
-        name = entry.get("bench", "?")
-        tps = entry.get("trials_per_second") or 0.0
-        if tps > 0:
-            rates[name] = float(tps)
-        rate = entry.get("rate") or 0.0
-        if isinstance(rate, (int, float)) and rate > 0:
-            rates[f"{name}::{entry.get('unit') or 'rate'}"] = float(rate)
-        for metric, value in (entry.get("metrics") or {}).items():
-            if "per_second" in metric and isinstance(value, (int, float)) and value > 0:
-                rates[f"{name}::{metric}"] = float(value)
-    return rates
-
-
-def _perf_compare(args: argparse.Namespace) -> int:
-    """Gate a candidate BENCH_perf.json against a committed baseline.
-
-    Exits non-zero when any bench's throughput dropped by more than
-    ``--threshold`` (fractional; default 0.30).  Benches present in only
-    one document are reported but never fail the gate — the bench suite
-    is allowed to grow and shrink across commits.
-    """
-    import json as json_module
-
-    if len(args.files) != 2:
-        print("usage: repro perf compare BASELINE.json CANDIDATE.json",
-              file=sys.stderr)
-        return 2
-    with open(args.files[0], "r", encoding="utf-8") as handle:
-        baseline = _perf_rates(json_module.load(handle))
-    with open(args.files[1], "r", encoding="utf-8") as handle:
-        candidate = _perf_rates(json_module.load(handle))
-    threshold = args.threshold
-    regressions = []
-    for name in sorted(set(baseline) | set(candidate)):
-        base = baseline.get(name)
-        cand = candidate.get(name)
-        if base is None or cand is None:
-            which = "candidate" if base is None else "baseline"
-            print(f"  only-in-{which}: {name}")
-            continue
-        change = (cand - base) / base
-        regressed = cand < base * (1.0 - threshold)
-        marker = "REGRESSION" if regressed else "ok"
-        print(f"  {marker:>10}  {name}: {base:.1f} -> {cand:.1f} ({change:+.1%})")
-        if regressed:
-            regressions.append(name)
-    if regressions:
-        print(
-            f"perf compare: {len(regressions)} bench(es) regressed more than "
-            f"{threshold:.0%}: {', '.join(regressions)}",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"perf compare: OK (threshold {threshold:.0%})", file=sys.stderr)
     return 0
 
 
@@ -878,9 +802,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         return _obs_trace(args)
     if args.mode == "export":
         return _obs_export(args)
-    if args.mode == "flight":
-        return _obs_flight(args)
-    return _obs_report(args)
+    return _obs_flight(args)
 
 
 def _obs_trace(args: argparse.Namespace) -> int:
@@ -1032,68 +954,6 @@ def _obs_flight(args: argparse.Namespace) -> int:
     return 0
 
 
-def _obs_report(args: argparse.Namespace) -> int:
-    """Render the perf trajectory across recorded benchmark runs.
-
-    Reads ``BENCH_history.jsonl`` (one line per ``make bench`` run,
-    appended by the benchmark harness) and tabulates every throughput
-    figure across the last ``--last`` runs, with the delta from the
-    previous run.  Falls back to the single committed BENCH_perf.json
-    when no history exists yet.
-    """
-    import json as json_module
-    import os
-
-    documents = []
-    if os.path.exists(args.history):
-        with open(args.history, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    documents.append(json_module.loads(line))
-    elif os.path.exists(args.perf):
-        with open(args.perf, "r", encoding="utf-8") as handle:
-            documents.append(json_module.load(handle))
-    if not documents:
-        print(f"obs report: neither {args.history} nor {args.perf} exists",
-              file=sys.stderr)
-        return 2
-    documents.sort(key=lambda doc: doc.get("run", 0))
-    documents = documents[-args.last:]
-    runs = [doc.get("run", index) for index, doc in enumerate(documents)]
-    rates = [_perf_rates(doc) for doc in documents]
-    names = sorted(set().union(*rates))
-
-    def cell(value):
-        return f"{value:,.0f}" if value is not None else "-"
-
-    header = ["bench"] + [f"run {run}" for run in runs] + ["delta"]
-    rows = []
-    for name in names:
-        series = [r.get(name) for r in rates]
-        present = [v for v in series if v is not None]
-        delta = "-"
-        if len(present) >= 2 and present[-2]:
-            delta = f"{(present[-1] - present[-2]) / present[-2]:+.1%}"
-        rows.append([name] + [cell(v) for v in series] + [delta])
-    if args.format == "md":
-        print("| " + " | ".join(header) + " |")
-        print("|" + "|".join("---" for _ in header) + "|")
-        for row in rows:
-            print("| " + " | ".join(row) + " |")
-    else:
-        widths = [
-            max(len(str(row[i])) for row in [header] + rows)
-            for i in range(len(header))
-        ]
-        print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-        for row in rows:
-            print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    print(f"({len(documents)} run(s); rates are per-second throughput)",
-          file=sys.stderr)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1141,13 +1001,7 @@ def build_parser() -> argparse.ArgumentParser:
         "perf",
         help="profile one experiment cell (cProfile) for hot-path work",
     )
-    p.add_argument("mode", choices=("profile", "compare"))
-    p.add_argument("files", nargs="*",
-                   help="compare: BASELINE.json CANDIDATE.json "
-                        "(two BENCH_perf.json documents)")
-    p.add_argument("--threshold", type=float, default=0.30,
-                   help="compare: max tolerated fractional trials/s drop "
-                        "per bench before exiting non-zero (default 0.30)")
+    p.add_argument("mode", choices=("profile",))
     p.add_argument("--strategy", default=None,
                    help="strategy id (default: none/baseline)")
     p.add_argument("--vantage", default="aliyun-beijing",
@@ -1295,10 +1149,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "obs",
-        help="run observability: span traces, exporters, flight dumps, "
-             "perf trajectory",
+        help="run observability: span traces, exporters, flight dumps",
     )
-    p.add_argument("mode", choices=("trace", "export", "flight", "report"))
+    p.add_argument("mode", choices=("trace", "export", "flight"))
     p.add_argument("--strategies", default="tcb-teardown-rst/ttl",
                    help="[trace] comma-separated strategy ids for the "
                         "traced conformance subset")
@@ -1340,14 +1193,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="[flight] catalog size for the fleet workload")
     p.add_argument("--variant", default="evolved",
                    help="[flight] GFW model variant")
-    p.add_argument("--history", default="benchmarks/results/BENCH_history.jsonl",
-                   help="[report] benchmark-history JSONL path")
-    p.add_argument("--perf", default="benchmarks/results/BENCH_perf.json",
-                   help="[report] fallback single BENCH_perf.json")
-    p.add_argument("--last", type=int, default=8,
-                   help="[report] runs of history to tabulate")
-    p.add_argument("--format", choices=("table", "md"), default="table",
-                   help="[report] output format")
     p.add_argument("--out", default=None,
                    help="[trace/export] output file; [flight] dump directory")
     return parser
@@ -1365,7 +1210,7 @@ _COMMANDS = {
     "probe": _cmd_probe,
     "trial": _cmd_trial,
     "ladder": _cmd_ladder,
-    "perf": _cmd_perf,
+    "perf": _perf_profile,
     "conformance": _cmd_conformance,
     "inconsistency": _cmd_inconsistency,
     "telemetry": _cmd_telemetry,

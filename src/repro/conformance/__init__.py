@@ -10,7 +10,7 @@ the standing net that guards that matrix against regression:
 - :mod:`repro.conformance.matrix` enumerates the full strategy-catalog ×
   model-variant × middlebox-profile × fault-grid matrix and runs every
   cell through the ordinary scenario/runner machinery (parallel pool and
-  scenario reuse included);
+  process shards included);
 - :mod:`repro.conformance.oracles` encodes the paper-derived expected
   verdicts as declarative data, with explicit ``KNOWN_DIVERGENCE``
   entries where the reproduction intentionally differs;

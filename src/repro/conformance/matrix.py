@@ -356,10 +356,7 @@ def run_matrix(
                 tasks,
                 shards=shards,
                 workers=workers,
-                trials_per_task=repeats,
             )
         else:
-            results = map_trials(
-                _cell_worker, tasks, workers=workers, trials_per_task=repeats
-            )
+            results = map_trials(_cell_worker, tasks, workers=workers)
     return {result.cell.cell_id: result for result in results}

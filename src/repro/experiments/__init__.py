@@ -36,7 +36,6 @@ from repro.experiments.scenarios import Scenario, build_scenario
 from repro.experiments.parallel import (
     configured_workers,
     map_trials,
-    trials_completed,
 )
 from repro.experiments.runner import (
     Outcome,
@@ -89,7 +88,6 @@ __all__ = [
     "build_scenario",
     "configured_workers",
     "map_trials",
-    "trials_completed",
     "Outcome",
     "PerVantageRates",
     "RateTriple",

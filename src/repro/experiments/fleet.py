@@ -50,7 +50,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.apps.http import HTTPClient
 from repro.core.intang import INTANG
 from repro.experiments.calibration import DEFAULT_CALIBRATION, Calibration
-from repro.experiments.parallel import note_trials, run_sharded
+from repro.experiments.parallel import run_sharded
 from repro.experiments.runner import BENIGN_PATH, SENSITIVE_PATH, Outcome, classify
 from repro.experiments.scenarios import (
     Scenario,
@@ -753,11 +753,9 @@ def run_fleet_group(
 
 
 def _fleet_group_worker(task: Tuple[FleetSpec, int]) -> FleetGroupResult:
-    """Module-level shard worker (pickles); counts its own trials."""
+    """Module-level shard worker (pickles)."""
     spec, group = task
-    result = run_fleet_group(spec, group)
-    note_trials(result.flows)
-    return result
+    return run_fleet_group(spec, group)
 
 
 @dataclass
@@ -899,13 +897,11 @@ def run_fleet(
     ``run_sharded`` elsewhere).
     """
     tasks = [(spec, group) for group in range(spec.groups)]
-    trials_per_task = [len(spec.group_indices(g)) for g in range(spec.groups)]
     results = run_sharded(
         _fleet_group_worker,
         tasks,
         shards=1 if shards is None else shards,
         workers=workers,
-        trials_per_task=trials_per_task,
     )
     return FleetResult.merge(spec, results)
 

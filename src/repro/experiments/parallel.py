@@ -11,11 +11,15 @@ This module supplies the deterministic fan-out:
   historical serial loops) or on a shared :class:`ProcessPoolExecutor`
   otherwise.  Results come back in task order, so any merge downstream
   (rate counting, per-vantage grouping) is independent of scheduling.
+- :func:`run_sharded` — the same map over contiguous shards, one pool
+  payload and one telemetry delta per shard.
 - ``REPRO_WORKERS`` — the environment knob every cell runner and bench
   reads through :func:`configured_workers`; ``0`` (or any non-positive
   value) means "all cores".
-- a session-wide trial counter that the bench harness samples to report
-  trials/sec into ``BENCH_perf.json``.
+
+The engine keeps no trial counter of its own: trial functions count
+into the metrics registry (``trials.run``, ``fleet.flows``), whose
+worker deltas merge back into the parent.
 
 Determinism contract: trial seeds are computed *before* fan-out (see
 :func:`repro.experiments.runner.trial_seed`), each work unit derives all
@@ -28,7 +32,7 @@ from __future__ import annotations
 import atexit
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.core.env import env_int
 from repro.telemetry.flight import get_flight
@@ -38,11 +42,8 @@ from repro.telemetry.trace import get_tracer
 __all__ = [
     "configured_workers",
     "map_trials",
-    "note_trials",
-    "reset_trial_count",
     "run_sharded",
     "shutdown_pool",
-    "trials_completed",
 ]
 
 #: Target number of chunks handed to each worker; >1 smooths out uneven
@@ -51,7 +52,6 @@ DEFAULT_CHUNKS_PER_WORKER = 4
 
 _pool: Optional[ProcessPoolExecutor] = None
 _pool_workers = 0
-_trials_completed = 0
 
 
 def configured_workers(workers: Optional[int] = None) -> int:
@@ -98,24 +98,18 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
 atexit.register(shutdown_pool)
 
 
-# -- execution-shape accounting (sampled by benchmarks/conftest.py) ---------
+# -- execution-shape accounting (printed by perfbench/run.py) --------------
 _exec_stats = {"workers": 0, "shards": 0}
 
 
-def reset_execution_stats() -> None:
-    """Zero the per-window effective worker/shard high-water marks."""
-    _exec_stats["workers"] = 0
-    _exec_stats["shards"] = 0
-
-
 def execution_stats() -> dict:
-    """High-water effective worker and shard counts since the last reset.
+    """High-water effective worker and shard counts in this process.
 
     ``configured_workers()`` reports what the environment *asked for*;
     these are what the engine actually used — maps clamp the worker count
     to the task count and sharded runs may collapse to the serial path,
-    so a bench's recorded throughput is only interpretable against the
-    effective values.
+    so a measured throughput is only interpretable against the effective
+    values.
     """
     return dict(_exec_stats)
 
@@ -123,23 +117,6 @@ def execution_stats() -> dict:
 def _note_execution(workers: int, shards: int = 0) -> None:
     _exec_stats["workers"] = max(_exec_stats["workers"], workers)
     _exec_stats["shards"] = max(_exec_stats["shards"], shards)
-
-
-# -- trial accounting (sampled by benchmarks/conftest.py) -------------------
-def note_trials(count: int = 1) -> None:
-    """Record ``count`` completed trials in this process."""
-    global _trials_completed
-    _trials_completed += count
-
-
-def trials_completed() -> int:
-    """Trials completed in (or accounted to) this process so far."""
-    return _trials_completed
-
-
-def reset_trial_count() -> None:
-    global _trials_completed
-    _trials_completed = 0
 
 
 def _run_task_with_snapshot(
@@ -193,26 +170,11 @@ def _merge_worker_delta(registry, delta: dict) -> None:
     get_flight().adopt(delta.get("flight"))
 
 
-def _mirrored_trials(
-    trials_per_task: Union[int, Sequence[int]], task_count: int
-) -> int:
-    """Total paper-trials represented by ``task_count`` work units."""
-    if isinstance(trials_per_task, int):
-        return trials_per_task * task_count
-    if len(trials_per_task) != task_count:
-        raise ValueError(
-            f"trials_per_task has {len(trials_per_task)} entries "
-            f"for {task_count} tasks"
-        )
-    return sum(trials_per_task)
-
-
 def map_trials(
     func: Callable[[Tuple], Any],
     tasks: Iterable[Tuple],
     workers: Optional[int] = None,
     chunksize: Optional[int] = None,
-    trials_per_task: Union[int, Sequence[int]] = 1,
 ) -> List[Any]:
     """Order-preserving (possibly parallel) map over trial work units.
 
@@ -231,19 +193,13 @@ def map_trials(
     into its own registry.  The merge is order-independent — counters and
     histogram buckets add — so the merged registry equals the one a
     serial run would have built, for any worker count or schedule.
-
-    ``trials_per_task`` tells the parent how many paper-trials one work
-    unit performs — a single count shared by every task, or one entry per
-    task (fleet groups differ in size) — keeping the trials/sec
-    accounting truthful when the actual counting happens inside worker
-    processes.
     """
     tasks = list(tasks)
     effective = min(configured_workers(workers), len(tasks))
     _note_execution(max(1, effective))
     if effective <= 1 or len(tasks) <= 1:
-        # Inline path: the trial functions themselves count trials and
-        # write the parent registry directly.
+        # Inline path: the trial functions write the parent registry
+        # directly.
         return [func(task) for task in tasks]
     if chunksize is None:
         chunksize = max(1, len(tasks) // (effective * DEFAULT_CHUNKS_PER_WORKER))
@@ -258,8 +214,6 @@ def map_trials(
     ):
         _merge_worker_delta(registry, delta)
         results.append(result)
-    # Worker-process counters are invisible here; mirror their work.
-    note_trials(_mirrored_trials(trials_per_task, len(tasks)))
     return results
 
 
@@ -282,7 +236,6 @@ def run_sharded(
     tasks: Iterable[Tuple],
     shards: Optional[int] = None,
     workers: Optional[int] = None,
-    trials_per_task: Union[int, Sequence[int]] = 1,
 ) -> List[Any]:
     """Partition ``tasks`` into contiguous shards, one worker unit each.
 
@@ -327,5 +280,4 @@ def run_sharded(
     ):
         _merge_worker_delta(registry, delta)
         results.extend(shard_results)
-    note_trials(_mirrored_trials(trials_per_task, len(tasks)))
     return results

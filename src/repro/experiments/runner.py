@@ -31,7 +31,7 @@ from repro.apps.http import HTTPClient
 from repro.apps.tor import TorClient
 from repro.apps.vpn import OpenVPNClient
 from repro.experiments.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.experiments.parallel import map_trials, note_trials, run_sharded
+from repro.experiments.parallel import map_trials, run_sharded
 from repro.experiments.scenarios import (
     HONEST_DNS_ANSWER,
     Scenario,
@@ -307,7 +307,6 @@ def run_http_trial(
     Only the record is kept, so the run stops once it is final; an
     adaptive selector's trial runs to the horizon.
     """
-    note_trials()
     _TRIALS_RUN.inc()
     record, scenario = _simulate_http_trial(
         vantage, website, strategy_id, calibration,
@@ -555,13 +554,9 @@ def run_per_vantage(
     if shards is not None and shards > 1:
         triples = run_sharded(
             _vantage_row_worker, tasks, shards=shards, workers=workers,
-            trials_per_task=len(websites) * repeats,
         )
     else:
-        triples = map_trials(
-            _vantage_row_worker, tasks, workers=workers,
-            trials_per_task=len(websites) * repeats,
-        )
+        triples = map_trials(_vantage_row_worker, tasks, workers=workers)
     result = PerVantageRates()
     for vantage, triple in zip(vantages, triples):
         result.rates[vantage.name] = triple
@@ -616,7 +611,6 @@ def run_dns_trial(
     Success is the paper's: the honest answer arrives (no poisoning, no
     TCP reset).  Without INTANG the UDP query is poisoned in flight.
     """
-    note_trials()
     get_registry().counter("trials.run").inc()
     # §7.2 measured two *specific* resolver routes: interference was
     # seen only from Tianjin, so the firewall is forced there and
@@ -715,7 +709,6 @@ def run_tor_trial(
     ``strategy_id=None`` means bare Tor; with a strategy INTANG hides the
     handshake fingerprint from the GFW so no probe ever fires.
     """
-    note_trials()
     get_registry().counter("trials.run").inc()
     scenario = acquire_scenario(
         vantage=vantage, website=bridge_site, calibration=calibration,
@@ -789,7 +782,6 @@ def run_vpn_trial(
     calibration: Calibration = DEFAULT_CALIBRATION,
     seed: int = 0,
 ) -> VPNTrialResult:
-    note_trials()
     get_registry().counter("trials.run").inc()
     scenario = acquire_scenario(
         vantage=vantage, website=vpn_site, calibration=calibration,

@@ -14,8 +14,9 @@ Pins the PR-8 contracts:
   views identically;
 - ``diagnose_fleet_flow`` resolves one flow's timeline out of a shared
   censor without aliasing (namespaced connection keys);
-- the exporters (OpenMetrics text, histogram quantiles) and the bench
-  harness's monotonic run ordinal behave as documented.
+- the exporters (OpenMetrics text, histogram quantiles) behave as
+  documented, and the bench harness's sizing knobs parse through
+  :mod:`repro.core.env`.
 """
 
 import json
@@ -288,30 +289,6 @@ def test_fleet_cli_json_reports_collector_time(capsys):
     assert collector["seconds"] >= 0.0
 
 
-def test_obs_report_renders_trajectory(tmp_path, capsys):
-    from repro.cli import main
-
-    history = tmp_path / "history.jsonl"
-    runs = [
-        {"run": 1, "benches": [
-            {"bench": "b1", "trials": 10, "trials_per_second": 100.0},
-        ]},
-        {"run": 2, "benches": [
-            {"bench": "b1", "trials": 10, "trials_per_second": 150.0},
-        ]},
-    ]
-    history.write_text(
-        "".join(json.dumps(doc) + "\n" for doc in runs), encoding="utf-8"
-    )
-    rc = main(
-        ["obs", "report", "--history", str(history), "--format", "md"]
-    )
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "| b1 |" in out
-    assert "+50.0%" in out
-
-
 # -- shared-censor flow diagnosis (satellite) ---------------------------
 
 
@@ -381,7 +358,7 @@ def test_openmetrics_exposition_shape():
     assert summaries["trial.wall_seconds"]["count"] == 4
 
 
-# -- bench run ordinal (satellite) --------------------------------------
+# -- bench sizing knobs -------------------------------------------------
 
 
 def _bench_conftest():
@@ -397,26 +374,33 @@ def _bench_conftest():
     return module
 
 
-def test_bench_run_ordinal_is_monotonic_and_clock_free(tmp_path):
+@pytest.mark.parametrize("spelling", ["1", "true", "Yes", "ON"])
+def test_bench_full_scale_accepts_every_boolean_spelling(monkeypatch, spelling):
     bench = _bench_conftest()
-    assert bench._next_run_ordinal({}) == 1
-    benches = {
-        "a": {"bench": "a", "run": 3},
-        "b": {"bench": "b", "run": 7},
-        "c": {"bench": "c"},  # pre-ordinal record
-    }
-    assert bench._next_run_ordinal(benches) == 8
+    monkeypatch.setenv("REPRO_FULL", spelling)
+    monkeypatch.setenv("REPRO_BENCH_SITES", "3")
+    assert bench.full_scale()
+    assert bench.bench_sites() == 77
+    assert bench.bench_repeats() == 50
+    assert bench.bench_dns_queries() == 100
 
-    history = tmp_path / "BENCH_history.jsonl"
-    for run in (1, 2):
-        bench._append_history(str(history), {"run": run, "benches": []})
-    lines = [
-        json.loads(line)
-        for line in history.read_text().splitlines() if line
-    ]
-    assert [doc["run"] for doc in lines] == [1, 2]
-    # The file is bounded: old lines fall off.
-    for run in range(3, bench._HISTORY_KEEP + 5):
-        bench._append_history(str(history), {"run": run, "benches": []})
-    lines = history.read_text().splitlines()
-    assert len(lines) == bench._HISTORY_KEEP
+
+@pytest.mark.parametrize("name, reader", [
+    ("REPRO_BENCH_SITES", "bench_sites"),
+    ("REPRO_BENCH_REPEATS", "bench_repeats"),
+    ("REPRO_BENCH_DNS", "bench_dns_queries"),
+])
+def test_bench_size_knobs_reject_malformed_values(monkeypatch, name, reader):
+    from repro.core.env import EnvKnobError
+
+    bench = _bench_conftest()
+    monkeypatch.delenv("REPRO_FULL", raising=False)
+    monkeypatch.setenv(name, "7")
+    assert getattr(bench, reader)() == 7
+    for bad in ("abc", "0"):
+        monkeypatch.setenv(name, bad)
+        with pytest.raises(EnvKnobError, match=name):
+            getattr(bench, reader)()
+    monkeypatch.setenv("REPRO_FULL", "maybe")
+    with pytest.raises(EnvKnobError, match="REPRO_FULL"):
+        getattr(bench, reader)()

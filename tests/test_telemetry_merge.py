@@ -21,10 +21,9 @@ def _mergeable(snapshot):
     """The order-independently mergeable part of a snapshot: counters and
     histogram buckets (gauges merge by max and are compared separately).
 
-    Engine-owned instruments are stripped: how much pool/netsim work
-    each process performed depends on its warm state (fork-inherited
-    scenario pools), not on the trials — only trial-owned accounting
-    must merge identically."""
+    Engine-owned instruments are stripped: how much scenario/netsim work
+    each process performed depends on its execution shape, not on the
+    trials — only trial-owned accounting must merge identically."""
     return {
         "counters": {
             name: value
