@@ -21,8 +21,9 @@ simulator:
 - :mod:`repro.analysis` — the §5.3 ignore-path analysis (Table 3/5);
 - :mod:`repro.experiments` — vantage points, catalogs, and the trial
   runner that regenerates every table in the paper;
-- :mod:`repro.telemetry` — the metrics registry, structured event bus,
-  and per-trial diagnosis traces shared by all of the above.
+- :mod:`repro.telemetry` — the metrics registry, the observability
+  recorder (spans, event ring, anomaly dumps), and per-trial diagnosis
+  shared by all of the above.
 
 Quickstart::
 

@@ -324,6 +324,7 @@ def _perf_profile(args: argparse.Namespace) -> int:
     vantage = vantage_by_name(args.vantage)
     website = outside_china_catalog()[args.site]
     stopped = Counter()
+    used = Counter()
     collector = _CollectorTimer()
     gc.callbacks.append(collector)
     profiler = cProfile.Profile()
@@ -336,6 +337,7 @@ def _perf_profile(args: argparse.Namespace) -> int:
         )
         if scenario.stopped_at_verdict:
             stopped[record.outcome.value] += 1
+        used[record.strategy_id] += 1
         release_scenario(scenario)
     profiler.disable()
     wall_seconds = perf_counter() - wall_start
@@ -344,9 +346,13 @@ def _perf_profile(args: argparse.Namespace) -> int:
     if args.out:
         stats.dump_stats(args.out)
         print(f"wrote {args.out}", file=sys.stderr)
+    # The ids the trials ran, with counts: without --strategy INTANG's
+    # selector picks one per trial (what ``telemetry diagnose`` shows
+    # as the record's ``strategy=``).
+    used_ids = ",".join(f"{sid}:{n}" for sid, n in sorted(used.items()))
     print(
         f"cell: vantage={vantage.name} site={website.name} "
-        f"strategy={args.strategy or 'none'} "
+        f"strategy={args.strategy or 'adaptive'} used={used_ids} "
         f"{'benign' if args.benign else 'keyword'} "
         f"seeds={args.seed}..{args.seed + args.repeats - 1}"
     )
@@ -407,11 +413,12 @@ def _conformance_diagnose_drift(drifts, results, limit: int, seed: int) -> None:
         conformance_site,
         profile_vantage,
     )
-    from repro.telemetry import diagnose_trial, get_flight
+    from repro.telemetry import diagnose_trial, get_recorder
 
-    flight = get_flight()
+    recorder = get_recorder()
     for drift in drifts[:limit]:
         cell = results[drift.cell_id].cell
+        since = recorder.next_seq
         diagnosis = diagnose_trial(
             profile_vantage(cell.profile),
             conformance_site(),
@@ -420,18 +427,17 @@ def _conformance_diagnose_drift(drifts, results, limit: int, seed: int) -> None:
             seed=(seed * 1_000_003) ^ cell.seed_salt(),
             gfw_variant=cell.gfw_variant,
         )
-        if flight.enabled:
-            # Drift is exactly the anomaly the flight recorder exists
-            # for: keep the diagnosing re-run's event ring.
-            flight.record(
-                "oracle_drift",
-                context={
-                    "cell": drift.cell_id,
-                    "observed": drift.observed,
-                    "detail": drift.format(),
-                },
-                events=diagnosis.events,
-            )
+        # Drift is exactly the anomaly dumps exist for: keep the
+        # diagnosing re-run's slice of the event ring.
+        recorder.dump(
+            "oracle_drift",
+            since=since,
+            context={
+                "cell": drift.cell_id,
+                "observed": drift.observed,
+                "detail": drift.format(),
+            },
+        )
         print(f"\n== diagnosis: {drift.cell_id} " + "=" * 30)
         print(diagnosis.render())
     if len(drifts) > limit:
@@ -808,27 +814,24 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 def _obs_trace(args: argparse.Namespace) -> int:
     """Span-trace a conformance subset and export Chrome trace-event JSON.
 
-    The tracer is force-enabled for the run (the parallel engine
-    forwards the flag into workers, whose drained span trees merge back
+    The recorder collects spans for the run (the parallel engine
+    forwards its level into workers, whose drained span trees merge back
     under the sweep span), then the whole forest is flattened to the
     ``chrome://tracing`` / Perfetto trace-event format.
     """
     import json as json_module
 
     from repro.conformance import run_matrix
-    from repro.telemetry import chrome_trace, enable_tracer, get_tracer
+    from repro.telemetry import SPANS, chrome_trace, observing
 
     cells = _conformance_cells(args)
-    enable_tracer(True)
-    try:
-        get_tracer().clear()
+    with observing(SPANS) as recorder:
+        recorder.clear()
         results = run_matrix(
             cells, repeats=args.repeats, seed=args.seed,
             workers=args.workers, shards=args.shards,
         )
-        trees = get_tracer().drain()
-    finally:
-        enable_tracer(False)
+        trees = recorder.drain()["spans"]
     document = chrome_trace(trees)
     print(
         f"obs trace: {len(results)} cells -> {len(trees)} root spans, "
@@ -898,7 +901,7 @@ def _obs_export(args: argparse.Namespace) -> int:
 
 
 def _obs_flight(args: argparse.Namespace) -> int:
-    """Run a fleet workload with the flight recorder armed; dump anomalies.
+    """Run a fleet workload with the event ring on; dump anomalies.
 
     Each anomaly (eviction false negative, blacklist false positive)
     produces one JSON dump: the per-flow event ring, the shared flow
@@ -908,7 +911,7 @@ def _obs_flight(args: argparse.Namespace) -> int:
     import os
 
     from repro.experiments.fleet import FleetSpec, run_fleet
-    from repro.telemetry import enable_flight, get_flight
+    from repro.telemetry import EVENTS, observing
 
     spec = FleetSpec(
         flows=args.flows,
@@ -919,13 +922,10 @@ def _obs_flight(args: argparse.Namespace) -> int:
         gfw_variant=args.variant,
         max_flows=args.max_flows,
     )
-    enable_flight(True)
-    try:
-        get_flight().clear()
+    with observing(EVENTS) as recorder:
+        recorder.clear()
         result = run_fleet(spec, shards=1)
-        dumps = get_flight().drain()
-    finally:
-        enable_flight(False)
+        dumps = recorder.drain()["dumps"]
     print(
         f"obs flight: {result.flows} flows -> "
         f"{result.eviction_false_negatives} eviction FNs, "
@@ -1003,7 +1003,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("mode", choices=("profile",))
     p.add_argument("--strategy", default=None,
-                   help="strategy id (default: none/baseline)")
+                   help="strategy id (default: INTANG's adaptive "
+                        "selector; 'none' is the no-strategy baseline)")
     p.add_argument("--vantage", default="aliyun-beijing",
                    help="vantage point name")
     p.add_argument("--site", type=int, default=0,
@@ -1124,7 +1125,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("mode", choices=("diagnose", "metrics"))
     p.add_argument("--strategy", default=None,
-                   help="strategy id (default: none/baseline)")
+                   help="strategy id (default: [diagnose] INTANG's "
+                        "adaptive selector, [metrics] none, the "
+                        "no-strategy baseline)")
     p.add_argument("--vantage", default="aliyun-beijing",
                    help="[diagnose] vantage point name")
     p.add_argument("--site", type=int, default=0,

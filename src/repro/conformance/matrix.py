@@ -32,8 +32,7 @@ from repro.experiments.websites import Website, outside_china_catalog
 from repro.gfw.heterogeneity import HETEROGENEOUS_VARIANT, validate_variant
 from repro.gfw.models import MODEL_VARIANTS
 from repro.strategies.registry import STRATEGY_REGISTRY
-from repro.telemetry.flight import get_flight
-from repro.telemetry.trace import get_tracer
+from repro.telemetry.recorder import get_recorder
 
 __all__ = [
     "CONFORMANCE_PROFILES",
@@ -277,8 +276,9 @@ def run_cell(
     calibration = cell_calibration(cell.fault)
     salt = cell.seed_salt()
     result = CellResult(cell=cell)
-    tracer = get_tracer()
-    cell_span = tracer.begin(
+    recorder = get_recorder()
+    since = recorder.next_seq
+    cell_span = recorder.begin(
         f"cell:{cell.cell_id}", "cell",
         strategy=cell.strategy_id, variant=cell.gfw_variant,
         profile=cell.profile, fault=cell.fault.name,
@@ -300,24 +300,20 @@ def run_cell(
             result.failure1 += 1
         else:
             result.failure2 += 1
-    tracer.end(cell_span, verdict=result.verdict)
+    recorder.end(cell_span, verdict=result.verdict)
     if result.verdict == "broken":
-        # The strategy itself killed the connection: flight-record the
-        # cell so the silence is attributable without a re-run.
-        flight = get_flight()
-        if flight.enabled:
-            from repro.telemetry.events import get_bus
-
-            flight.record(
-                "broken",
-                context={
-                    "cell": cell.cell_id,
-                    "success": result.success,
-                    "failure1": result.failure1,
-                    "failure2": result.failure2,
-                },
-                events=get_bus().events(),
-            )
+        # The strategy itself killed the connection: dump the cell's
+        # events so the silence is attributable without a re-run.
+        recorder.dump(
+            "broken",
+            since=since,
+            context={
+                "cell": cell.cell_id,
+                "success": result.success,
+                "failure1": result.failure1,
+                "failure2": result.failure2,
+            },
+        )
     return result
 
 
@@ -347,7 +343,7 @@ def run_matrix(
     tasks = [(cell, repeats, seed) for cell in cells]
     # The sweep span stays open through the merge so worker-drained cell
     # spans attach under it.
-    with get_tracer().span(
+    with get_recorder().span(
         "conformance.matrix", "sweep", cells=len(tasks), repeats=repeats
     ):
         if shards is not None and shards > 1:

@@ -29,7 +29,7 @@ from repro.netstack.packet import IPPacket, TCPSegment
 from repro.netsim.node import Host
 from repro.netsim.simclock import SimClock
 from repro.core.strategy_base import ConnectionContext, EvasionStrategy, NoStrategy
-from repro.telemetry.events import get_bus
+from repro.telemetry.recorder import get_recorder
 from repro.telemetry.metrics import get_registry
 
 #: factory(ctx) -> strategy instance for a freshly opened connection.
@@ -63,7 +63,7 @@ class InterceptionFramework:
         #: or None to decline.
         self.udp_hooks: List[Callable[[IPPacket, float], Optional[List[IPPacket]]]] = []
         self._attached = False
-        self._bus = get_bus()
+        self._recorder = get_recorder()
         registry = get_registry()
         self._metric_intercepted = registry.counter("strategy.packets_intercepted")
         self._metric_dropped = registry.counter("strategy.packets_dropped")
@@ -125,11 +125,11 @@ class InterceptionFramework:
         dropped = packet not in released
         if dropped:
             self._metric_dropped.inc()
-        if self._bus.enabled:
+        if self._recorder.events_on:
             verdict = "drop" if dropped else (
                 "accept" if released == [packet] else "rewrite"
             )
-            self._bus.publish(
+            self._recorder.publish(
                 "strategy", "on_outgoing", time=now,
                 strategy=strategy.strategy_id, verdict=verdict,
                 summary=packet.summary(),

@@ -30,7 +30,7 @@ from repro.core.framework import InterceptionFramework
 from repro.core.hops import HopEstimator
 from repro.core.selection import StrategySelector
 from repro.core.strategy_base import ConnectionContext, EvasionStrategy
-from repro.telemetry.events import get_bus
+from repro.telemetry.recorder import get_recorder
 from repro.telemetry.metrics import get_registry
 
 
@@ -92,7 +92,7 @@ class INTANG:
             strategy_id = fixed_strategy or selector.choose(ctx.dst_ip)
             active[ctx.key()] = (ctx.dst_ip, strategy_id)
             get_registry().counter("intang.strategies_built").inc()
-            get_bus().publish(
+            get_recorder().publish(
                 "intang", "strategy_selected", time=clock.now,
                 server=ctx.dst_ip, strategy=strategy_id,
                 fixed=fixed_strategy is not None,
@@ -128,7 +128,7 @@ class INTANG:
         registry.counter(
             "intang.results_success" if success else "intang.results_failure"
         ).inc()
-        get_bus().publish(
+        get_recorder().publish(
             "intang", "result_reported", time=self.clock.now,
             server=server_ip, strategy=strategy_id, success=success,
         )

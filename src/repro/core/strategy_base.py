@@ -27,7 +27,7 @@ from repro.netstack.packet import (
     seq_add,
 )
 from repro.netsim.simclock import SimClock
-from repro.telemetry.events import get_bus
+from repro.telemetry.recorder import get_recorder
 from repro.telemetry.metrics import get_registry
 
 
@@ -66,7 +66,7 @@ class ConnectionContext:
         self.last_tsval_sent: Optional[int] = None
         #: Insertion packets this connection emitted (for tests/metrics).
         self.insertions_sent: List[IPPacket] = []
-        self._bus = get_bus()
+        self._recorder = get_recorder()
         self._metric_insertions = get_registry().counter(
             "strategy.insertions_sent"
         )
@@ -150,8 +150,8 @@ class ConnectionContext:
             self.insertions_sent.append(duplicate)
             self._metric_insertions.inc()
             self.raw_send(duplicate)
-        if self._bus.enabled:
-            self._bus.publish(
+        if self._recorder.events_on:
+            self._recorder.publish(
                 "strategy", "insertion", time=self._now(), mode="raw",
                 copies=max(1, copies), summary=packet.summary(),
             )
@@ -170,8 +170,8 @@ class ConnectionContext:
             self.insertions_sent.append(duplicate)
             self._metric_insertions.inc()
             released.append(duplicate)
-        if self._bus.enabled:
-            self._bus.publish(
+        if self._recorder.events_on:
+            self._recorder.publish(
                 "strategy", "insertion", time=self._now(), mode="queued",
                 copies=max(1, copies), summary=packet.summary(),
             )

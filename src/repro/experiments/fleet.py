@@ -71,11 +71,11 @@ from repro.gfw.models import model_variant_configs
 from repro.lazyrandom import LazyRandom
 from repro.netsim.batch import BatchSim
 from repro.strategies.registry import TABLE1_ROWS
-from repro.telemetry.events import enable_bus, get_bus
 from repro.telemetry.export import histogram_quantile
-from repro.telemetry.flight import get_flight, packet_summary, tcb_summary
+from repro.telemetry.flight import packet_summary, tcb_summary
 from repro.telemetry.metrics import get_registry
-from repro.telemetry.trace import get_tracer, make_span
+from repro.telemetry.recorder import get_recorder
+from repro.telemetry.trace import make_span
 
 __all__ = [
     "FleetSpec",
@@ -305,10 +305,10 @@ class SharedGFWState:
         #: Flow ids whose TCB was evicted while still mid-stream.
         self.evicted_active_flows: Set[int] = set()
         #: namespace -> the namespaced flow-table key that was evicted
-        #: (flight-recorder context: *which* TCB the LRU dropped).
+        #: (anomaly-dump context: *which* TCB the LRU dropped).
         self.evicted_keys: Dict[int, object] = {}
         self.evictions_in_resync = 0
-        self._bus = get_bus()
+        self._recorder = get_recorder()
         if self._hetero:
             # One full installation per ensemble member, living side by
             # side: routes resolve to members, so wave N's blacklistings
@@ -372,7 +372,7 @@ class SharedGFWState:
         if not flow.fin_seen and namespace is not None:
             self.evicted_active_flows.add(namespace)
             self.evicted_keys[namespace] = key
-        self._bus.publish(
+        self._recorder.publish(
             "fleet",
             "flow_evicted",
             flow=namespace,
@@ -433,6 +433,9 @@ class _FleetFlowContext:
     #: Sim-time marks: ``start`` (connection established) and
     #: ``verdict`` (first response parse or close, whichever first).
     timing: Dict[str, float] = field(default_factory=dict)
+    #: The recorder's event watermark at setup: an anomaly dump slices
+    #: the ring from here.
+    since: int = 0
 
 
 def _fleet_flow_setup(
@@ -443,6 +446,7 @@ def _fleet_flow_setup(
     calibration: Calibration,
 ) -> _FleetFlowContext:
     """Lease a scenario, graft the shared censor, queue the workload."""
+    since = get_recorder().next_seq
     scenario = acquire_scenario(
         vantage=flow.vantage,
         website=flow.website,
@@ -493,7 +497,7 @@ def _fleet_flow_setup(
     conn.on_close = _mark_close
     return _FleetFlowContext(
         flow=flow, scenario=scenario, intang=intang, exchange=exchange,
-        timing=timing,
+        timing=timing, since=since,
     )
 
 
@@ -527,31 +531,35 @@ def _dump_flow_anomaly(
     shared: SharedGFWState,
     extra_context: Dict[str, object],
 ) -> None:
-    """Flight-record one anomalous flow: ring of its events + snapshots.
+    """Dump one anomalous flow: ring of its events + snapshots.
 
     Must run *before* the scenario is released — the dump summarizes
     its sniffed packets.
     """
-    flight = get_flight()
-    if not flight.enabled:
-        return
     flow = ctx.flow
     scenario = ctx.scenario
-    ring = [
-        e
-        for e in get_bus().events()
-        if e.fields.get("flow") == flow.index
-        or e.fields.get("namespace") == flow.index
-    ]
-    tcbs = {}
-    for position, table in enumerate(shared.flow_tables):
-        for key, entry in table.items():
-            if isinstance(key, tuple) and key and key[0] == flow.index:
-                tcbs[f"device{position}:{key!r}"] = tcb_summary(entry)
+
+    def snapshots() -> Dict[str, object]:
+        tcbs = {}
+        for position, table in enumerate(shared.flow_tables):
+            for key, entry in table.items():
+                if isinstance(key, tuple) and key and key[0] == flow.index:
+                    tcbs[f"device{position}:{key!r}"] = tcb_summary(entry)
+        return {
+            "tcbs": tcbs,
+            "gfw_packets_at_client": [
+                packet_summary(p) for p in scenario.gfw_packets_at_client
+            ],
+        }
+
     evicted_key = shared.evicted_keys.get(flow.index)
-    flight.record(
+    get_recorder().dump(
         anomaly,
+        since=ctx.since,
         time=scenario.clock.now,
+        match=lambda e: flow.index in (
+            e.fields.get("flow"), e.fields.get("namespace")
+        ),
         context={
             "flow": flow.index,
             "label": flow.label,
@@ -560,13 +568,7 @@ def _dump_flow_anomaly(
             "evicted_key": repr(evicted_key) if evicted_key else None,
             **extra_context,
         },
-        events=ring,
-        snapshots={
-            "tcbs": tcbs,
-            "gfw_packets_at_client": [
-                packet_summary(p) for p in scenario.gfw_packets_at_client
-            ],
-        },
+        snapshots=snapshots,
     )
 
 
@@ -598,9 +600,9 @@ def _finalize_flow(
     latency = round(max(0.0, verdict_time - started) * 1048576.0) / 1048576.0
     _FLEET_LATENCY.observe(latency)
     _observe_latency(result.flow_sim_latency, latency)
-    tracer = get_tracer()
-    if tracer.enabled:
-        tracer.add(
+    recorder = get_recorder()
+    if recorder.spans_on:
+        recorder.add(
             make_span(
                 f"flow{flow.index}",
                 "flow",
@@ -615,7 +617,6 @@ def _finalize_flow(
                 },
             )
         )
-    bus = get_bus()
     if (
         flow.sensitive
         and outcome is Outcome.SUCCESS
@@ -625,7 +626,7 @@ def _finalize_flow(
     ):
         result.eviction_false_negatives += 1
         _FLEET_EVICTION_FN.inc()
-        bus.publish(
+        recorder.publish(
             "fleet",
             "eviction_false_negative",
             time=scenario.clock.now,
@@ -640,7 +641,7 @@ def _finalize_flow(
     if not flow.sensitive and resets > 0:
         result.blacklist_false_positives += 1
         _FLEET_BLACKLIST_FP.inc()
-        bus.publish(
+        recorder.publish(
             "fleet",
             "blacklist_false_positive",
             time=scenario.clock.now,
@@ -697,20 +698,16 @@ def run_fleet_group(
     paused for each wave, from its first flow setup until its flows are
     freed, and left as the caller had it between waves and afterwards.
     """
-    if get_flight().enabled:
-        # The ring must be filling on the serial-inline path too, where
-        # no pool-worker payload flipped the bus on.
-        enable_bus(True)
-    tracer = get_tracer()
+    recorder = get_recorder()
     shared = SharedGFWState(spec, group)
     indices = list(spec.group_indices(group))
     result = FleetGroupResult(group=group, flows=len(indices), flow_events=0)
-    group_span = tracer.begin(
+    group_span = recorder.begin(
         f"fleet.group{group}", "sweep", group=group, flows=len(indices)
     )
     for wave_number, start in enumerate(range(0, len(indices), spec.window)):
         wave = indices[start : start + spec.window]
-        wave_span = tracer.begin(
+        wave_span = recorder.begin(
             f"wave{wave_number}", "wave", wave=wave_number, flows=len(wave)
         )
         # A wave's trial graphs are acyclic (DESIGN.md §13), so a
@@ -725,14 +722,14 @@ def run_fleet_group(
         shared.end_wave()
         if wave_span is not None:
             # The wave ends when its slowest flow does (sim time).
-            tracer.end(
+            recorder.end(
                 wave_span,
                 sim_end=max(
                     (s["sim_end"] for s in wave_span["children"]),
                     default=0.0,
                 ),
             )
-    tracer.end(group_span)
+    recorder.end(group_span)
     result.evictions_in_resync = shared.evictions_in_resync
     result.flows_created = sum(t.flows_created for t in shared.flow_tables)
     result.flows_evicted = sum(t.flows_evicted for t in shared.flow_tables)

@@ -35,9 +35,8 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.core.env import env_int
-from repro.telemetry.flight import get_flight
 from repro.telemetry.metrics import get_registry
-from repro.telemetry.trace import get_tracer
+from repro.telemetry.recorder import get_recorder
 
 __all__ = [
     "configured_workers",
@@ -120,54 +119,43 @@ def _note_execution(workers: int, shards: int = 0) -> None:
 
 
 def _run_task_with_snapshot(
-    payload: Tuple[Callable, Tuple, bool, bool]
+    payload: Tuple[Callable, Tuple, int]
 ) -> Tuple[Any, dict]:
     """Worker-side wrapper: run one task, return its result plus the
-    metrics-registry delta it produced.
+    telemetry delta it produced.
 
     The delta (not the full snapshot) is what merges cleanly: a worker
     process is reused for many tasks, so its registry accumulates — the
     parent must see only what *this* task added or counts double.
 
-    The payload carries the parent's trace/flight switches: pool workers
-    persist across calls, so environment knobs flipped after pool start
-    (``enable_tracer`` in the CLI, ``tracing()`` in tests) would never
-    reach them otherwise.  Span trees and flight dumps ride back inside
-    the delta dict — :meth:`MetricsRegistry.merge` ignores unknown
-    top-level keys, so the channel is free.
+    The payload carries the parent's recorder level: pool workers
+    persist across calls, so a level raised after pool start
+    (``observing()`` in the CLI and tests) would never reach them
+    otherwise.  The recorder's drained records (span trees, anomaly
+    dumps) ride back inside the delta dict under ``"records"`` —
+    :meth:`MetricsRegistry.merge` ignores unknown top-level keys, so the
+    channel is free.
     """
-    func, task, trace_on, flight_on = payload
+    func, task, level = payload
     registry = get_registry()
-    tracer = get_tracer()
-    tracer.enabled = trace_on
-    flight = get_flight()
-    flight.enabled = flight_on
-    if flight_on:
-        from repro.telemetry.events import enable_bus
-
-        enable_bus(True)
-    # Stale trees/dumps from a task whose parent died mid-merge must not
-    # leak into this task's delta.
-    tracer.drain()
-    flight.drain()
+    recorder = get_recorder()
+    recorder.level = level
+    # Start from nothing: a forked worker inherits the parent's open
+    # spans (the sweep span a pool created mid-sweep forks under), its
+    # ring and its records.  Spans closed onto an inherited parent would
+    # never reach the roots this task drains.
+    recorder.clear()
     before = registry.snapshot()
     result = func(task)
     delta = registry.diff(before)
-    if trace_on:
-        delta["spans"] = tracer.drain()
-    dumps = flight.drain()
-    if dumps:
-        delta["flight"] = dumps
+    delta["records"] = recorder.drain()
     return result, delta
 
 
 def _merge_worker_delta(registry, delta: dict) -> None:
-    """Fold one worker delta into the parent: metrics, spans, dumps."""
+    """Fold one worker delta into the parent: metrics, then records."""
     registry.merge(delta)
-    spans = delta.get("spans")
-    if spans:
-        get_tracer().merge(spans)
-    get_flight().adopt(delta.get("flight"))
+    get_recorder().merge(delta.get("records"))
 
 
 def map_trials(
@@ -204,9 +192,8 @@ def map_trials(
     if chunksize is None:
         chunksize = max(1, len(tasks) // (effective * DEFAULT_CHUNKS_PER_WORKER))
     pool = _get_pool(effective)
-    trace_on = get_tracer().enabled
-    flight_on = get_flight().enabled
-    payloads = [(func, task, trace_on, flight_on) for task in tasks]
+    level = get_recorder().level
+    payloads = [(func, task, level) for task in tasks]
     registry = get_registry()
     results: List[Any] = []
     for result, delta in pool.map(
@@ -223,12 +210,12 @@ def _shard_worker(payload: Tuple[Callable, Tuple]) -> List[Any]:
     Lives at module level so the payload pickles.
     """
     func, shard = payload
-    tracer = get_tracer()
-    span = tracer.begin(f"shard[{len(shard)}]", "shard", tasks=len(shard))
+    recorder = get_recorder()
+    span = recorder.begin(f"shard[{len(shard)}]", "shard", tasks=len(shard))
     try:
         return [func(task) for task in shard]
     finally:
-        tracer.end(span)
+        recorder.end(span)
 
 
 def run_sharded(
@@ -267,12 +254,8 @@ def run_sharded(
         slices.append(tuple(tasks[start : start + size]))
         start += size
     pool = _get_pool(min(requested, shards))
-    trace_on = get_tracer().enabled
-    flight_on = get_flight().enabled
-    payloads = [
-        (_shard_worker, (func, shard), trace_on, flight_on)
-        for shard in slices
-    ]
+    level = get_recorder().level
+    payloads = [(_shard_worker, (func, shard), level) for shard in slices]
     registry = get_registry()
     results: List[Any] = []
     for shard_results, delta in pool.map(

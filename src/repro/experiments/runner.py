@@ -42,7 +42,8 @@ from repro.experiments.vantage import VantagePoint
 from repro.experiments.websites import Resolver, Website
 from repro.lazyrandom import LazyRandom
 from repro.telemetry.metrics import get_registry
-from repro.telemetry.trace import get_tracer, make_span
+from repro.telemetry.recorder import get_recorder
+from repro.telemetry.trace import make_span
 
 #: The keyword the paper probes with (§3.3).
 SENSITIVE_PATH = "/?search=ultrasurf"
@@ -165,7 +166,7 @@ _OUTCOME_COUNTERS = {
 }
 _BYTES_INSPECTED = _REGISTRY.histogram("trial.bytes_inspected")
 #: Wall-clock trial latency.  Registered unconditionally (so serial and
-#: sharded instrument sets match) but *observed* only while tracing is
+#: sharded instrument sets match) but *observed* only while spans are
 #: on — wall times are nondeterministic and would break the
 #: serial-vs-sharded telemetry identity the parity tests pin.
 _TRIAL_WALL_SECONDS = _REGISTRY.histogram(
@@ -189,14 +190,14 @@ def _simulate_http_trial(
     """Simulate one HTTP trial from scratch, returning the record *and*
     the finished scenario.  The caller owns the scenario: hand it back
     with ``release_scenario`` once done with it.  ``trace=True`` turns on
-    the packet trace recorder, whose events also land on the telemetry
-    bus when that is enabled.  ``gfw_variant`` forces a named
-    installation variant (conformance cells).  The run ends once the
-    record is final (:meth:`Scenario.record_final`) unless
-    ``stop_at_verdict=False`` asks for the full horizon, which a caller
-    reading the scenario beyond the record (ladders, device counters,
-    event timelines) needs."""
-    wall_start = perf_counter() if get_tracer().enabled else 0.0
+    the packet trace recorder, whose events also land in the
+    observability recorder's event ring when that is kept.
+    ``gfw_variant`` forces a named installation variant (conformance
+    cells).  The run ends once the record is final
+    (:meth:`Scenario.record_final`) unless ``stop_at_verdict=False`` asks
+    for the full horizon, which a caller reading the scenario beyond the
+    record (ladders, device counters, event timelines) needs."""
+    wall_start = perf_counter() if get_recorder().spans_on else 0.0
     scenario = acquire_scenario(
         vantage=vantage, website=website, calibration=calibration,
         seed=seed, workload="http", trace=trace, gfw_variant=gfw_variant,
@@ -254,12 +255,12 @@ def _simulate_http_trial(
     _BYTES_INSPECTED.observe(
         sum(device.bytes_inspected for device in scenario.gfw_devices)
     )
-    tracer = get_tracer()
-    if tracer.enabled:
+    recorder = get_recorder()
+    if recorder.spans_on:
         wall_end = perf_counter()
         _TRIAL_WALL_SECONDS.observe(max(0.0, wall_end - wall_start))
         sim_end = scenario.clock.now
-        tracer.add(
+        recorder.add(
             make_span(
                 f"trial:{used}",
                 "trial",
@@ -443,7 +444,7 @@ def run_strategy_cell(
     tasks = _cell_tasks(
         strategy_id, vantages, websites, calibration, repeats, seed, keyword
     )
-    with get_tracer().span(
+    with get_recorder().span(
         f"cell:{strategy_id}", "sweep",
         strategy=strategy_id, trials=len(tasks), keyword=keyword,
     ):

@@ -59,7 +59,7 @@ from repro.gfw.flow import FlowTable, GFWFlow, GFWFlowState, connection_key
 from repro.gfw.models import GFWConfig
 from repro.gfw.resets import ResetInjector
 from repro.gfw.rules import Detection
-from repro.telemetry.events import EventBus, get_bus
+from repro.telemetry.recorder import Recorder, get_recorder
 from repro.telemetry.metrics import get_registry
 
 # Process-lifetime registry instruments, resolved once at import: devices
@@ -88,7 +88,7 @@ _METRIC_DPI_MATCH_LATENCY = _REGISTRY.histogram(
 _METRIC_RESET_SUPPRESSED = _REGISTRY.counter("gfw.reset_suppressed_load")
 
 
-def _eviction_reporter(bus: EventBus, clock: SimClock, device: str):
+def _eviction_reporter(recorder: Recorder, clock: SimClock, device: str):
     """A flow table's capacity-eviction hook: name the flow the censor forgot.
 
     The event is the attribution hook for eviction-induced errors: an
@@ -109,7 +109,7 @@ def _eviction_reporter(bus: EventBus, clock: SimClock, device: str):
             if isinstance(key, tuple) and key and isinstance(key[0], int)
             else None
         )
-        bus.publish(
+        recorder.publish(
             "gfw", "flow_evicted", time=clock.now, device=device,
             namespace=namespace,
             state=flow.state.value,
@@ -168,10 +168,10 @@ class GFWDevice(Tap):
         self.dns_poisoner = None  # type: Optional[object]
         self.active_prober = None  # type: Optional[object]
         # Telemetry: process-lifetime registry instruments (merged across
-        # the worker pool) and the structured event bus.  The per-device
+        # the worker pool) and the observability recorder.  The per-device
         # attributes above stay authoritative for `stats()` because they
         # are zeroed between trials; the registry accumulates.
-        self._bus = get_bus()
+        self._recorder = get_recorder()
         self._metric_rst_sent = _METRIC_RST_SENT
         self._metric_synack_forged = _METRIC_SYNACK_FORGED
         self._metric_dpi_match = _METRIC_DPI_MATCH
@@ -181,7 +181,7 @@ class GFWDevice(Tap):
         self._metric_teardown = _METRIC_TEARDOWN
         self._metric_resync_entered = _METRIC_RESYNC_ENTERED
         self._metric_resync_exited = _METRIC_RESYNC_EXITED
-        self.flows.on_evict = _eviction_reporter(self._bus, clock, name)
+        self.flows.on_evict = _eviction_reporter(self._recorder, clock, name)
         # NB3 behaviour is consistent per installation per period (§4, §8):
         # draw once per cluster and share across co-located devices.
         if not hasattr(self.cluster, "rst_resyncs_established"):
@@ -235,7 +235,7 @@ class GFWDevice(Tap):
         if already:
             return
         self._metric_resync_entered.inc()
-        self._bus.publish(
+        self._recorder.publish(
             "gfw", "resync_enter", time=self.clock.now,
             device=self.name, namespace=self.flow_namespace, cause=cause,
         )
@@ -243,7 +243,7 @@ class GFWDevice(Tap):
     def _exit_resync(self, flow: GFWFlow, seq: int, via: str) -> None:
         flow.resynchronize_to(seq, self.config.rules, self.config.tcp_ooo_policy)
         self._metric_resync_exited.inc()
-        self._bus.publish(
+        self._recorder.publish(
             "gfw", "resync_exit", time=self.clock.now,
             device=self.name, namespace=self.flow_namespace,
             via=via, adopted_seq=seq & 0xFFFFFFFF,
@@ -252,7 +252,7 @@ class GFWDevice(Tap):
     def _teardown(self, key: object, cause: str) -> None:
         del self.flows[key]
         self._metric_teardown.inc()
-        self._bus.publish(
+        self._recorder.publish(
             "gfw", "tcb_teardown", time=self.clock.now,
             device=self.name, namespace=self.flow_namespace, cause=cause,
         )
@@ -336,7 +336,7 @@ class GFWDevice(Tap):
             )
             self.flows[key] = flow
             self._metric_tcb_created.inc()
-            self._bus.publish(
+            self._recorder.publish(
                 "gfw", "tcb_create", time=now, device=self.name, on="syn",
                 namespace=self.flow_namespace,
                 believed_client=f"{src[0]}:{src[1]}",
@@ -360,7 +360,7 @@ class GFWDevice(Tap):
             flow.note_server_activity(seq_add(segment.seq, 1))
             self.flows[key] = flow
             self._metric_tcb_created.inc()
-            self._bus.publish(
+            self._recorder.publish(
                 "gfw", "tcb_create", time=now, device=self.name, on="synack",
                 namespace=self.flow_namespace,
                 believed_client=f"{dst[0]}:{dst[1]}",
@@ -498,7 +498,7 @@ class GFWDevice(Tap):
         if self.cluster.flow_missed(flow.endpoints_key()):
             self.missed_detections.append((now, detection))
             self._metric_dpi_miss.inc()
-            self._bus.publish(
+            self._recorder.publish(
                 "gfw", "dpi_miss", time=now, device=self.name,
                 namespace=self.flow_namespace,
                 rule=detection.kind, detail=detection.detail,
@@ -513,7 +513,7 @@ class GFWDevice(Tap):
         _METRIC_DPI_MATCH_LATENCY.observe(
             round(max(0.0, now - flow.created_at) * 1048576.0) / 1048576.0
         )
-        self._bus.publish(
+        self._recorder.publish(
             "gfw", "dpi_match", time=now, device=self.name,
             namespace=self.flow_namespace,
             rule=detection.kind, detail=detection.detail,
@@ -533,7 +533,7 @@ class GFWDevice(Tap):
             # already latched by the caller).
             self.resets_suppressed += 1
             _METRIC_RESET_SUPPRESSED.inc()
-            self._bus.publish(
+            self._recorder.publish(
                 "gfw", "reset_suppressed", time=now, device=self.name,
                 namespace=self.flow_namespace,
                 sim_hour=self.config.sim_hour,
@@ -545,7 +545,7 @@ class GFWDevice(Tap):
             self.blacklist.add(
                 flow.believed_client[0], flow.believed_server[0], now
             )
-            self._bus.publish(
+            self._recorder.publish(
                 "gfw", "blacklist_add", time=now, device=self.name,
                 namespace=self.flow_namespace,
                 client=flow.believed_client[0], server=flow.believed_server[0],
@@ -566,7 +566,7 @@ class GFWDevice(Tap):
             ack_hint=flow.server_next_seq,
         )
         self._inject_resets(toward_client + toward_server)
-        self._bus.publish(
+        self._recorder.publish(
             "gfw", "rst_sent", time=now, device=self.name,
             namespace=self.flow_namespace,
             count=len(toward_client) + len(toward_server),
@@ -587,7 +587,7 @@ class GFWDevice(Tap):
             self.inject((forged,))
             self.forged_synacks_injected += 1
             self._metric_synack_forged.inc()
-            self._bus.publish(
+            self._recorder.publish(
                 "gfw", "synack_forged", time=now, device=self.name,
                 namespace=self.flow_namespace,
                 toward=f"{src[0]}:{src[1]}",
@@ -603,7 +603,7 @@ class GFWDevice(Tap):
             spoof_src=src, toward=dst, seq_base=end_seq, ack_hint=seq_base
         )
         self._inject_resets(volley)
-        self._bus.publish(
+        self._recorder.publish(
             "gfw", "rst_sent", time=now, device=self.name,
             namespace=self.flow_namespace,
             count=len(volley), note="blacklist enforcement",
@@ -623,7 +623,7 @@ class GFWDevice(Tap):
             spoof_src=dst, toward=src, seq_base=seq_base, ack_hint=segment.end_seq
         )
         self._inject_resets(volley)
-        self._bus.publish(
+        self._recorder.publish(
             "gfw", "rst_sent", time=now, device=self.name,
             namespace=self.flow_namespace,
             count=len(volley), note="ip block",

@@ -49,7 +49,7 @@ import heapq
 from typing import List, Optional, Sequence, Union
 
 from repro.netsim.simclock import SimClock, _INF
-from repro.telemetry.trace import get_tracer
+from repro.telemetry.recorder import get_recorder
 
 #: Bits reserved for the per-trial sequence counter.  2**32 scheduling
 #: operations per trial is ~three orders of magnitude above the run
@@ -141,8 +141,8 @@ class BatchSim:
         pop = heapq.heappop
         executed = 0
         budget = max_events_per_trial * max(1, len(clocks))
-        tracer = get_tracer()
-        span = tracer.begin(
+        recorder = get_recorder()
+        span = recorder.begin(
             f"batch.run[{len(clocks)}]", "batch-run", trials=len(clocks)
         )
         try:
@@ -164,7 +164,7 @@ class BatchSim:
                 if clock._now < clock._run_until:
                     clock._now = clock._run_until
                 clock._run_until = _INF
-            tracer.end(span, executed=executed)
+            recorder.end(span, executed=executed)
         return executed
 
     def release(self) -> None:

@@ -6,10 +6,10 @@ Traces serve two purposes in this reproduction:
 2. regenerating the paper's sequence diagrams (Fig. 3 and Fig. 4) as
    textual packet ladders via :func:`format_ladder`.
 
-Every recorded event is also published on the process telemetry bus
-(:mod:`repro.telemetry.events`, component ``netsim``) when that bus is
-enabled, so per-trial diagnosis can interleave packet observations with
-GFW state transitions on one sequenced timeline.
+Every recorded event is also published through the process recorder
+(:mod:`repro.telemetry.recorder`, component ``netsim``) when it keeps
+the event ring, so per-trial diagnosis can interleave packet
+observations with GFW state transitions on one sequenced timeline.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.netstack.packet import IPPacket
-from repro.telemetry.events import get_bus
+from repro.telemetry.recorder import get_recorder
 
 
 @dataclass
@@ -77,7 +77,7 @@ class TraceRecorder:
             return
         self._next_seq += 1
         self.events.append(event)
-        get_bus().publish(
+        get_recorder().publish(
             "netsim", action, time=time,
             location=location, summary=summary, direction=direction, note=note,
         )

@@ -1,33 +1,30 @@
-"""Unified telemetry: metrics, events, spans, flight dumps, exporters.
+"""Unified telemetry: metrics, one observability recorder, exporters.
 
-Six layers, one import surface:
+Five layers, one import surface:
 
 - :mod:`repro.telemetry.metrics` — the process-local
   :class:`~repro.telemetry.metrics.MetricsRegistry` of counters, gauges,
   and fixed-bucket histograms, with picklable snapshots the parallel
   trial engine merges across worker processes (order-independently);
-- :mod:`repro.telemetry.events` — the bounded, sequenced
-  :class:`~repro.telemetry.events.EventBus` that the trace recorder, the
-  GFW device, strategies, and INTANG publish structured
-  :class:`~repro.telemetry.events.TelemetryEvent` records into
-  (``REPRO_TELEMETRY`` knob);
-- :mod:`repro.telemetry.trace` — the hierarchical
-  :class:`~repro.telemetry.trace.SpanTracer` (sweep → shard → batch/wave
-  → trial/flow → phase spans, wall + sim time, ``REPRO_TRACE`` knob)
-  whose drained trees merge across shards like registry deltas;
-- :mod:`repro.telemetry.flight` — the anomaly
-  :class:`~repro.telemetry.flight.FlightRecorder` (``REPRO_FLIGHT``
-  knob): bounded event-ring + packet/TCB snapshot dumps emitted only
-  when an eviction false negative, blacklist false positive, oracle
-  drift, or broken verdict fires;
+- :mod:`repro.telemetry.recorder` — the process-local
+  :class:`~repro.telemetry.recorder.Recorder`, one ordered stream behind
+  one level (``REPRO_OBS=off|spans|events``): the span forest (sweep →
+  shard → wave → trial/flow → phase, wall + sim time), the bounded,
+  sequenced ring of :class:`~repro.telemetry.events.TelemetryEvent`
+  records that the trace recorder, the GFW device, strategies, and
+  INTANG publish, and anomaly dumps cut from that ring.  Its drained
+  records merge across shards like registry deltas.  The event schema
+  lives in :mod:`repro.telemetry.events`, the span shape and the
+  serial-vs-sharded comparison in :mod:`repro.telemetry.trace`, and the
+  dump snapshot helpers in :mod:`repro.telemetry.flight`;
 - :mod:`repro.telemetry.export` — Chrome/Perfetto trace-event JSON,
   OpenMetrics text exposition, and p50/p90/p99 summaries;
 - :mod:`repro.telemetry.diagnose` — ``diagnose_trial()`` /
   ``diagnose_fleet_flow()``, which re-run one cell or fleet flow with
-  full telemetry and render the merged packet+state timeline.
+  the event ring on and render the merged packet+state timeline.
 
-The diagnosis/trace/flight/export layers pull in heavier dependencies,
-so they are exposed lazily — ``from repro.telemetry import
+The diagnosis and export layers pull in heavier dependencies, so
+they are exposed lazily — ``from repro.telemetry import
 diagnose_trial`` works without making ``import repro.telemetry`` heavy.
 """
 
@@ -40,13 +37,16 @@ from repro.telemetry.metrics import (
     get_registry,
     reset_registry,
 )
-from repro.telemetry.events import (
-    EventBus,
-    TelemetryEvent,
-    capturing,
-    enable_bus,
-    get_bus,
-    reset_bus,
+from repro.telemetry.events import TelemetryEvent
+from repro.telemetry.trace import SEMANTIC_KINDS, make_span, trial_semantic
+from repro.telemetry.recorder import (
+    EVENTS,
+    OFF,
+    SPANS,
+    Recorder,
+    get_recorder,
+    observing,
+    reset_recorder,
 )
 
 #: Lazily exposed name -> providing submodule.
@@ -55,18 +55,6 @@ _LAZY = {
     "diagnose_trial": "diagnose",
     "FleetFlowDiagnosis": "diagnose",
     "diagnose_fleet_flow": "diagnose",
-    "SEMANTIC_KINDS": "trace",
-    "SpanTracer": "trace",
-    "enable_tracer": "trace",
-    "get_tracer": "trace",
-    "make_span": "trace",
-    "reset_tracer": "trace",
-    "tracing": "trace",
-    "trial_semantic": "trace",
-    "FlightRecorder": "flight",
-    "enable_flight": "flight",
-    "get_flight": "flight",
-    "reset_flight": "flight",
     "chrome_trace": "export",
     "histogram_quantile": "export",
     "latency_summary": "export",
@@ -82,12 +70,17 @@ __all__ = [
     "filter_snapshot",
     "get_registry",
     "reset_registry",
-    "EventBus",
+    "EVENTS",
+    "OFF",
+    "SPANS",
+    "Recorder",
     "TelemetryEvent",
-    "capturing",
-    "enable_bus",
-    "get_bus",
-    "reset_bus",
+    "get_recorder",
+    "observing",
+    "reset_recorder",
+    "SEMANTIC_KINDS",
+    "make_span",
+    "trial_semantic",
 ] + sorted(_LAZY)
 
 

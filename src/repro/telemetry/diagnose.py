@@ -1,12 +1,12 @@
 """Per-trial diagnosis: re-run one cell with full telemetry and explain it.
 
 :func:`diagnose_trial` re-simulates a single experiment cell with the
-packet trace recorder *and* the event bus turned on, then renders the
+packet trace recorder *and* the event ring turned on, then renders the
 merged timeline — packet observations from the trace recorder
 interleaved with the GFW's TCB state transitions, strategy decisions,
-and INTANG's bookkeeping, all in one ``(time, seq)`` order (the bus-wide
-sequence counter makes the interleaving exact, not a tie-break
-heuristic).
+and INTANG's bookkeeping, all in one ``(time, seq)`` order (the
+recorder-wide sequence counter makes the interleaving exact, not a
+tie-break heuristic).
 
 The point is attribution.  A Table 1/4 cell says *what* happened
 (Success / Failure 1 / Failure 2); the diagnosis timeline says *which
@@ -22,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.telemetry.events import TelemetryEvent, get_bus
+from repro.telemetry.events import TelemetryEvent
 from repro.telemetry.metrics import get_registry
+from repro.telemetry.recorder import EVENTS, observing
 
 __all__ = [
     "FleetFlowDiagnosis",
@@ -81,8 +82,9 @@ class TrialDiagnosis:
                 )
             if match is None and rst is None:
                 parts.append(
-                    "No dpi_match on this run's bus — the resets came from "
-                    "a middlebox or blacklist state outside this window."
+                    "No dpi_match in this run's events — the resets came "
+                    "from a middlebox or blacklist state outside this "
+                    "window."
                 )
             return " ".join(parts)
 
@@ -163,7 +165,7 @@ class TrialDiagnosis:
         sections = [
             "\n".join(header),
             "-- timeline (packets + GFW state, one sequence) " + "-" * 24,
-            self.timeline() or "(no events: is the bus capturing?)",
+            self.timeline() or "(no events: is the event ring on?)",
             "-- metrics delta " + "-" * 55,
             registry_view.format_table(metrics_prefix),
         ]
@@ -182,30 +184,29 @@ def diagnose_trial(
     """Re-run one HTTP cell with full telemetry and explain its outcome.
 
     Always re-simulates, so the trial's events are there to explain.
-    The bus is force-enabled for the duration via
-    :func:`~repro.telemetry.events.capturing`, so this works regardless
-    of ``REPRO_TELEMETRY``.  ``gfw_variant`` forces a named installation
+    The recorder keeps the event ring for the duration
+    (:func:`~repro.telemetry.recorder.observing`), so this works
+    whatever ``REPRO_OBS`` says.  ``gfw_variant`` forces a named installation
     variant, letting the conformance harness explain a drifted matrix
     cell with the exact censor configuration that produced it.
     """
     from repro.experiments.calibration import DEFAULT_CALIBRATION
     from repro.experiments.runner import _simulate_http_trial
     from repro.experiments.scenarios import release_scenario
-    from repro.telemetry.events import capturing
 
     if calibration is None:
         calibration = DEFAULT_CALIBRATION
     registry = get_registry()
     before = registry.snapshot()
-    with capturing() as bus:
-        watermark = bus.next_seq
+    with observing(EVENTS) as recorder:
+        watermark = recorder.next_seq
         record, scenario = _simulate_http_trial(
             vantage, website, strategy_id, calibration,
             seed=seed, keyword=keyword, trace=True, gfw_variant=gfw_variant,
             stop_at_verdict=False,  # the timeline covers the whole run
         )
         release_scenario(scenario)
-        events = bus.events(since_seq=watermark - 1)
+        events = recorder.events(since_seq=watermark - 1)
     return TrialDiagnosis(
         record=record, events=events, metrics=registry.diff(before)
     )
@@ -216,7 +217,7 @@ class FleetFlowDiagnosis:
     """One fleet flow's timeline, extracted from a shared-device re-run.
 
     The fleet engine multiplexes many flows' scenarios through one shared
-    GFW installation, so the raw bus interleaves every flow in the
+    GFW installation, so the raw event ring interleaves every flow in the
     group; ``events`` holds only the records attributed to the target
     flow via its namespaced identity (``GFWDevice.flow_namespace`` on
     censor events, the ``flow`` field on fleet-level ones).
@@ -266,7 +267,6 @@ def diagnose_fleet_flow(spec: Any, index: int) -> FleetFlowDiagnosis:
     with colliding four-tuples cannot alias into the answer.
     """
     from repro.experiments.fleet import flow_spec, run_fleet_group
-    from repro.telemetry.events import capturing
 
     if not 0 <= index < spec.flows:
         raise ValueError(
@@ -276,12 +276,12 @@ def diagnose_fleet_flow(spec: Any, index: int) -> FleetFlowDiagnosis:
     group = index % spec.groups
     registry = get_registry()
     before = registry.snapshot()
-    with capturing() as bus:
-        watermark = bus.next_seq
+    with observing(EVENTS) as recorder:
+        watermark = recorder.next_seq
         group_result = run_fleet_group(spec, group)
         events = [
             e
-            for e in bus.events(since_seq=watermark - 1)
+            for e in recorder.events(since_seq=watermark - 1)
             if e.fields.get("namespace") == index
             or e.fields.get("flow") == index
         ]

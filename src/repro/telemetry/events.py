@@ -1,56 +1,35 @@
-"""The structured event bus: one sequence of timestamped records.
+"""The event schema: one structured, sequenced observation.
 
-Every component with something attributable to say publishes here — the
-trace recorder (packet observations), the GFW device (TCB create /
-teardown / resync transitions, DPI matches, reset emission), strategy
-callbacks (``on_outgoing`` verdicts, insertion-packet injections), and
-INTANG (strategy selection, result feedback).  Because all publishers
-share one monotonic sequence counter, a diagnosis can interleave packet
-events and censor state transitions into a single timeline without any
-cross-source tie-breaking (sim-times collide constantly: a GFW device
-observes, matches, and injects at the same instant).
+Every component with something attributable to say publishes a
+:class:`TelemetryEvent` through the process recorder
+(:meth:`repro.telemetry.recorder.Recorder.publish`) — the trace recorder
+(packet observations), the GFW device (TCB create / teardown / resync
+transitions, DPI matches, reset emission), strategy callbacks
+(``on_outgoing`` verdicts, insertion-packet injections), and INTANG
+(strategy selection, result feedback).  All publishers share the
+recorder's monotonic sequence counter, so a diagnosis can interleave
+packet events and censor state transitions into a single timeline
+without any cross-source tie-breaking (sim-times collide constantly: a
+GFW device observes, matches, and injects at the same instant).
 
-The bus is a bounded ring (oldest events fall off; ``dropped`` counts
-them) and is **off by default** — per-packet event construction is
-measurable on paper-scale sweeps.  It turns on three ways:
-
-- ``REPRO_TELEMETRY=1`` in the environment (read when the bus is built);
-- :func:`enable_bus` / the :func:`capturing` context manager (what
-  :func:`repro.telemetry.diagnose.diagnose_trial` uses);
-- setting ``get_bus().enabled`` directly.
-
-Events published inside pool workers stay in the worker's ring;
-diagnosis is a serial, single-process affair by design.
+:func:`event_payload` is an event's plain-dict form, the shape anomaly
+dumps carry across the process boundary and into JSON.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterator, List, Optional
+from types import SimpleNamespace
+from typing import Any, Dict
 
-from repro.telemetry.metrics import get_registry
-
-__all__ = [
-    "TelemetryEvent",
-    "EventBus",
-    "get_bus",
-    "enable_bus",
-    "capturing",
-    "reset_bus",
-]
-
-#: Default ring capacity; one HTTP trial with full tracing publishes a
-#: few hundred events, so this holds several trials of history.
-DEFAULT_CAPACITY = 8192
+__all__ = ["TelemetryEvent", "event_payload", "get_bus"]
 
 
 @dataclass
 class TelemetryEvent:
     """One structured observation.
 
-    ``seq`` is bus-wide monotonic (the total order of publication);
+    ``seq`` is recorder-wide monotonic (the total order of publication);
     ``time`` is sim-time.  ``fields`` carries component-specific
     key/values (packet summaries, state names, causes).
     """
@@ -72,116 +51,31 @@ class TelemetryEvent:
         )
 
 
-class EventBus:
-    """A bounded, sequenced event ring shared by all publishers."""
-
-    def __init__(
-        self, capacity: int = DEFAULT_CAPACITY, enabled: Optional[bool] = None
-    ) -> None:
-        self.capacity = capacity
-        if enabled is None:
-            # Imported here, not at module top: repro.core.__init__ pulls
-            # in publishers that import this module, so a module-level
-            # import of repro.core.env would be circular.
-            from repro.core.env import env_flag
-
-            enabled = env_flag("REPRO_TELEMETRY", False)
-        self.enabled = enabled
-        self._ring: Deque[TelemetryEvent] = deque(maxlen=capacity)
-        self._next_seq = 0
-        #: Events pushed out of the ring by newer ones.  Mirrored into
-        #: the registry (``telemetry.events_dropped``), so snapshots and
-        #: worker-merged deltas expose the silent loss.
-        self.dropped = 0
-        self._metric_dropped = get_registry().counter(
-            "telemetry.events_dropped"
-        )
-
-    def publish(
-        self, component: str, kind: str, time: float = 0.0, **fields: Any
-    ) -> Optional[TelemetryEvent]:
-        """Append an event; returns it, or None when the bus is off."""
-        if not self.enabled:
-            return None
-        if len(self._ring) == self.capacity:
-            self.dropped += 1
-            self._metric_dropped.inc()
-        event = TelemetryEvent(
-            seq=self._next_seq, time=time, component=component, kind=kind,
-            fields=fields,
-        )
-        self._next_seq += 1
-        self._ring.append(event)
-        return event
-
-    # -- reads -----------------------------------------------------------
-    def events(
-        self,
-        component: Optional[str] = None,
-        kind: Optional[str] = None,
-        since_seq: int = -1,
-    ) -> List[TelemetryEvent]:
-        """Events still in the ring, filtered and in publication order."""
-        return [
-            event
-            for event in self._ring
-            if event.seq > since_seq
-            and (component is None or event.component == component)
-            and (kind is None or event.kind == kind)
-        ]
-
-    @property
-    def next_seq(self) -> int:
-        """The watermark: events published after now have ``seq >= this``."""
-        return self._next_seq
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    def clear(self) -> None:
-        self._ring.clear()
-        self.dropped = 0
+def plain(value: Any) -> Any:
+    """JSON/pickle-safe projection of an arbitrary field value."""
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): plain(v) for k, v in value.items()}
+    return repr(value)
 
 
-# ---------------------------------------------------------------------------
-_bus: Optional[EventBus] = None
+def event_payload(event: TelemetryEvent, base: int = 0) -> Dict[str, Any]:
+    """``event`` as a plain dict, its ``seq`` counted from ``base``."""
+    return {
+        "seq": event.seq - base,
+        "time": event.time,
+        "component": event.component,
+        "kind": event.kind,
+        "fields": {str(k): plain(v) for k, v in event.fields.items()},
+    }
 
 
-def get_bus() -> EventBus:
-    """The process-local bus (built on first use; reads ``REPRO_TELEMETRY``)."""
-    global _bus
-    if _bus is None:
-        _bus = EventBus()
-    return _bus
+def get_bus() -> SimpleNamespace:
+    """Stand-in for the frozen ``perfbench/run.py``, which reads only
+    ``.enabled``: whether the recorder keeps the event ring."""
+    from repro.telemetry.recorder import EVENTS, get_recorder
 
-
-def reset_bus() -> None:
-    """Discard the process bus; the next :func:`get_bus` rebuilds it
-    (and re-reads the environment knob).  Test isolation hook."""
-    global _bus
-    _bus = None
-
-
-def enable_bus(enabled: bool = True) -> EventBus:
-    """Force the bus on (or off) regardless of the environment knob."""
-    bus = get_bus()
-    bus.enabled = enabled
-    return bus
-
-
-@contextmanager
-def capturing(clear: bool = False) -> Iterator[EventBus]:
-    """Temporarily enable the bus; restores the prior state on exit.
-
-    ``clear=True`` empties the ring first so the captured window holds
-    only events from the ``with`` body.
-    """
-    bus = get_bus()
-    prior = bus.enabled
-    if clear:
-        bus.clear()
-    bus.enabled = True
-    try:
-        yield bus
-    finally:
-        bus.enabled = prior
+    return SimpleNamespace(enabled=get_recorder().level >= EVENTS)

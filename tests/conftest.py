@@ -9,11 +9,11 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 
 @pytest.fixture(autouse=True)
-def _quiet_event_bus():
-    """Leave the telemetry bus the way each test found it: disabled
-    (unless the environment says otherwise) and empty."""
-    from repro.telemetry import events
+def _quiet_recorder():
+    """Give each test a fresh observability recorder: at the level the
+    environment asks for (off unless ``REPRO_OBS`` is set) and empty."""
+    from repro.telemetry import reset_recorder
 
-    events.reset_bus()
+    reset_recorder()
     yield
-    events.reset_bus()
+    reset_recorder()

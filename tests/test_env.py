@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.env import EnvKnobError, env_flag, env_int
+from repro.core.env import EnvKnobError, env_choice, env_flag, env_int
 
 
 class TestEnvFlag:
@@ -59,6 +59,25 @@ class TestEnvInt:
             env_int("REPRO_TEST_INT", default=0, minimum=1)
 
 
+class TestEnvChoice:
+    CHOICES = ("off", "spans", "events")
+
+    def test_unset_or_empty_returns_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TEST_CHOICE", raising=False)
+        assert env_choice("REPRO_TEST_CHOICE", self.CHOICES, "off") == "off"
+        monkeypatch.setenv("REPRO_TEST_CHOICE", "  ")
+        assert env_choice("REPRO_TEST_CHOICE", self.CHOICES, "on") == "on"
+
+    def test_matches_ignoring_case_and_space(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TEST_CHOICE", " EVENTS ")
+        assert env_choice("REPRO_TEST_CHOICE", self.CHOICES, "off") == "events"
+
+    def test_unknown_name_raises_listing_the_choices(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TEST_CHOICE", "all")
+        with pytest.raises(EnvKnobError, match="REPRO_TEST_CHOICE.*spans"):
+            env_choice("REPRO_TEST_CHOICE", self.CHOICES, "off")
+
+
 class TestKnobRouting:
     """The real knobs go through this parser, so typos fail loudly."""
 
@@ -77,14 +96,20 @@ class TestKnobRouting:
             configured_workers()
 
     def test_telemetry_knob_controls_bus(self, monkeypatch):
-        from repro.telemetry import events
+        from repro.telemetry import EVENTS, OFF, SPANS, reset_recorder
 
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        events.reset_bus()
-        assert events.get_bus().enabled is True
-        monkeypatch.setenv("REPRO_TELEMETRY", "off")
-        events.reset_bus()
-        assert events.get_bus().enabled is False
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-        events.reset_bus()
-        assert events.get_bus().enabled is False  # default off
+        for spelling, level in [
+            ("events", EVENTS), (" Spans ", SPANS), ("off", OFF), ("", OFF),
+        ]:
+            monkeypatch.setenv("REPRO_OBS", spelling)
+            recorder = reset_recorder()
+            assert recorder.level == level
+            assert recorder.spans_on is (level >= SPANS)
+            assert recorder.events_on is (level >= EVENTS)
+            assert (recorder.publish("gfw", "x") is None) is (level < EVENTS)
+        monkeypatch.delenv("REPRO_OBS", raising=False)
+        assert reset_recorder().level == OFF  # default off
+        for bad in ("1", "on", "trace", "event"):
+            monkeypatch.setenv("REPRO_OBS", bad)
+            with pytest.raises(EnvKnobError, match="REPRO_OBS"):
+                reset_recorder()

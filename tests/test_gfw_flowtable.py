@@ -257,11 +257,11 @@ class TestEvictionSplit:
         assert devices[0].flow_for(CLIENT_IP, 7201, SERVER_IP, 80) is None
 
     def test_eviction_event_carries_namespace(self):
-        from repro.telemetry import capturing
+        from repro.telemetry import EVENTS, observing
 
         device = make_device(max_flows=1)
         device.flow_namespace = 42
-        with capturing() as bus:
+        with observing(EVENTS) as bus:
             device.observe(syn_packet(7301), Direction.CLIENT_TO_SERVER, 0.0)
             device.observe(syn_packet(7302), Direction.CLIENT_TO_SERVER, 0.1)
             events = [e for e in bus.events() if e.kind == "flow_evicted"]

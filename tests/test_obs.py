@@ -1,14 +1,18 @@
-"""Observability acceptance tests: spans, flight recorder, exporters.
+"""Observability acceptance tests: spans, anomaly dumps, exporters.
 
-Pins the PR-8 contracts:
+Pins these contracts of the one recorder:
 
 - serial vs ``shards=2`` conformance runs produce span forests with
   identical trial-semantic content, and the sharded forest exports as
   valid Chrome trace-event JSON;
 - a fleet shape with exactly one induced eviction false negative
-  produces exactly one flight-recorder dump whose event ring names the
+  produces exactly one anomaly dump whose event window names the
   evicting LRU transition and the evicted flow's namespaced key;
-- the EventBus surfaces ring overflow through the registry
+- fleet dumps cross the process boundary in the merged worker records
+  unchanged: two shards on two workers dump what one shard does;
+- a dump is a bounded slice of the event ring, taken only while the
+  ring is kept;
+- the event ring surfaces overflow through the registry
   (``telemetry.events_dropped``);
 - ``repro telemetry metrics --prefix`` filters the table and the JSON
   views identically;
@@ -23,51 +27,35 @@ import json
 
 import pytest
 
-from repro.telemetry import events as events_module
-from repro.telemetry import flight as flight_module
-from repro.telemetry import trace as trace_module
+from repro.telemetry import EVENTS, OFF, SPANS, Recorder, observing
 from repro.telemetry.export import (
     chrome_trace,
     histogram_quantile,
     latency_summary,
     openmetrics,
 )
-from repro.telemetry.trace import (
-    SpanTracer,
-    get_tracer,
-    make_span,
-    trial_semantic,
-)
+from repro.telemetry.recorder import DUMP_WINDOW
+from repro.telemetry.trace import make_span, trial_semantic
 
 
-@pytest.fixture(autouse=True)
-def _fresh_observability():
-    """Every test starts and ends with pristine tracer/flight state."""
-    trace_module.reset_tracer()
-    flight_module._FLIGHT = None
-    yield
-    trace_module.reset_tracer()
-    flight_module._FLIGHT = None
-
-
-# -- SpanTracer unit behaviour ------------------------------------------
+# -- span recording -----------------------------------------------------
 
 
 def test_tracer_disabled_is_inert():
-    tracer = SpanTracer(enabled=False)
+    tracer = Recorder(level=OFF)
     assert tracer.begin("x", "trial") is None
     tracer.end(None)
     tracer.add(make_span("y", "trial"))
-    assert tracer.drain() == []
+    assert tracer.drain() == {"spans": [], "dumps": []}
 
 
 def test_tracer_nesting_and_drain():
-    tracer = SpanTracer(enabled=True)
+    tracer = Recorder(level=SPANS)
     outer = tracer.begin("sweep", "sweep", cells=2)
     inner = tracer.begin("cell:a", "cell")
     tracer.end(inner, verdict="evades")
     tracer.end(outer)
-    trees = tracer.drain()
+    trees = tracer.drain()["spans"]
     assert len(trees) == 1
     root = trees[0]
     assert root["name"] == "sweep"
@@ -76,26 +64,39 @@ def test_tracer_nesting_and_drain():
     (child,) = root["children"]
     assert child["name"] == "cell:a"
     assert child["attrs"]["verdict"] == "evades"
-    assert tracer.drain() == []
+    assert tracer.drain()["spans"] == []
 
 
 def test_tracer_end_recovers_leaked_children():
     """A child left open by an exception attaches under the closing
     ancestor instead of orphaning the stack."""
-    tracer = SpanTracer(enabled=True)
+    tracer = Recorder(level=SPANS)
     outer = tracer.begin("outer", "sweep")
     tracer.begin("leaked", "trial")  # never explicitly ended
     tracer.end(outer)
-    (root,) = tracer.drain()
+    (root,) = tracer.drain()["spans"]
     assert [c["name"] for c in root["children"]] == ["leaked"]
 
 
 def test_tracer_merge_works_while_disabled():
-    """The parent of a sharded run may itself have tracing off; worker
-    trees must still be collected (mirrors MetricsRegistry.merge)."""
-    tracer = SpanTracer(enabled=False)
-    tracer.merge([make_span("from-worker", "trial")])
-    assert [t["name"] for t in tracer.roots] == ["from-worker"]
+    """Merging worker records happens at any level, like
+    MetricsRegistry.merge; spans attach under the open span."""
+    tracer = Recorder(level=OFF)
+    tracer.merge(
+        {"spans": [make_span("from-worker", "trial")],
+         "dumps": [{"anomaly": "broken"}]}
+    )
+    tracer.merge(None)
+    assert tracer.drain() == {
+        "spans": [make_span("from-worker", "trial")],
+        "dumps": [{"anomaly": "broken"}],
+    }
+    tracer.level = SPANS
+    sweep = tracer.begin("sweep", "sweep")
+    tracer.merge({"spans": [make_span("late", "trial")], "dumps": []})
+    tracer.end(sweep)
+    (root,) = tracer.drain()["spans"]
+    assert [c["name"] for c in root["children"]] == ["late"]
 
 
 def test_trial_semantic_strips_hoists_and_sorts():
@@ -117,6 +118,7 @@ def test_trial_semantic_strips_hoists_and_sorts():
 
 def _run_traced_matrix(shards):
     from repro.conformance import default_cells, run_matrix
+    from repro.experiments.parallel import shutdown_pool
 
     cells = default_cells(
         strategies=["tcb-teardown-rst/ttl", "inorder-overlap/ttl"],
@@ -124,10 +126,16 @@ def _run_traced_matrix(shards):
         profiles=["neutral"],
         faults=["clean"],
     )
-    tracer = trace_module.reset_tracer()
-    tracer.enabled = True
-    results = run_matrix(cells, repeats=4, seed=11, shards=shards)
-    return results, tracer.drain()
+    with observing(SPANS) as recorder:
+        recorder.clear()
+        # Two workers when sharded, so the shards really run in pool
+        # processes, forked mid-sweep under the open sweep span.
+        shutdown_pool()
+        results = run_matrix(
+            cells, repeats=4, seed=11, shards=shards,
+            workers=2 if shards else 1,
+        )
+        return results, recorder.drain()["spans"]
 
 
 @pytest.mark.slow
@@ -139,6 +147,9 @@ def test_span_forest_serial_vs_sharded_semantic_identity():
     assert {k: r.as_payload() for k, r in serial_results.items()} == {
         k: r.as_payload() for k, r in sharded_results.items()
     }
+    # The workers' shard spans reached the parent's forest.
+    (sharded_sweep,) = sharded_trees
+    assert [c["kind"] for c in sharded_sweep["children"]] == ["shard"] * 2
     serial_semantic = trial_semantic(serial_trees)
     sharded_semantic = trial_semantic(sharded_trees)
     assert serial_semantic == sharded_semantic
@@ -156,7 +167,33 @@ def test_span_forest_serial_vs_sharded_semantic_identity():
         assert {"name", "ts", "dur", "pid", "tid"} <= set(event)
 
 
-# -- flight recorder (acceptance) ---------------------------------------
+def test_worker_spans_reach_a_parent_that_forked_mid_sweep():
+    """A pool created under an open sweep span forks that span into its
+    workers; their shard and cell spans must still come back."""
+    from repro.conformance import default_cells
+    from repro.conformance.matrix import _cell_worker
+    from repro.experiments.parallel import run_sharded, shutdown_pool
+
+    cells = default_cells(
+        strategies=["tcb-teardown-rst/ttl"], variants=["evolved"],
+        profiles=["neutral", "aliyun"], faults=["clean"],
+    )
+    shutdown_pool()
+    with observing(SPANS) as recorder:
+        with recorder.span("sweep", "sweep"):
+            run_sharded(
+                _cell_worker, [(cell, 1, 3) for cell in cells],
+                shards=2, workers=2,
+            )
+        (sweep,) = recorder.drain()["spans"]
+    shards = sweep["children"]
+    assert [shard["kind"] for shard in shards] == ["shard", "shard"]
+    assert sorted(
+        cell["name"] for shard in shards for cell in shard["children"]
+    ) == sorted(f"cell:{cell.cell_id}" for cell in cells)
+
+
+# -- anomaly dumps (acceptance) -----------------------------------------
 
 
 #: The pinned anomalous fleet shape: exactly ONE eviction false
@@ -169,16 +206,11 @@ EVICTION_FN_SPEC = dict(
 @pytest.mark.slow
 def test_flight_recorder_single_eviction_false_negative_dump():
     from repro.experiments.fleet import FleetSpec, run_fleet
-    from repro.telemetry.flight import enable_flight, get_flight
 
     spec = FleetSpec(**EVICTION_FN_SPEC)
-    enable_flight(True)
-    try:
-        get_flight().clear()
+    with observing(EVENTS) as recorder:
         result = run_fleet(spec, shards=1)
-        dumps = get_flight().drain()
-    finally:
-        enable_flight(False)
+        dumps = recorder.drain()["dumps"]
 
     assert result.eviction_false_negatives == 1
     assert result.blacklist_false_positives == 0
@@ -202,7 +234,60 @@ def test_flight_recorder_single_eviction_false_negative_dump():
     assert json.loads(json.dumps(dump))["anomaly"] == dump["anomaly"]
 
 
-# -- EventBus drop accounting (satellite) -------------------------------
+#: The CI ``obs flight`` fleet shape (known blacklist false positives).
+CI_FLIGHT_SPEC = dict(
+    flows=120, groups=3, window=16, max_flows=24, sites=12, seed=99
+)
+
+
+def _fleet_dumps(**execution):
+    from repro.experiments.fleet import FleetSpec, run_fleet
+
+    with observing(EVENTS) as recorder:
+        run_fleet(FleetSpec(**CI_FLIGHT_SPEC), **execution)
+        dumps = recorder.drain()["dumps"]
+    return sorted(json.dumps(dump, sort_keys=True) for dump in dumps)
+
+
+def test_fleet_dumps_cross_the_process_boundary_unchanged():
+    from repro.experiments.parallel import shutdown_pool
+
+    serial = _fleet_dumps(shards=1)
+    # A fresh pool forks from a parent whose ring still holds the serial
+    # run's events: those must not leak into the workers' dumps.
+    shutdown_pool()
+    sharded = _fleet_dumps(shards=2, workers=2)
+    assert serial, "the CI shape produced no dumps"
+    assert sharded == serial
+
+
+def test_dump_is_a_bounded_slice_of_the_ring():
+    recorder = Recorder(level=SPANS)
+    assert recorder.dump("broken", since=0) is None  # no ring, no dump
+    recorder.level = EVENTS
+    recorder.publish("gfw", "before", flow=1)
+    since = recorder.next_seq
+    for index in range(DUMP_WINDOW + 10):
+        recorder.publish("gfw", "tick", time=float(index), flow=index % 2)
+    dump = recorder.dump(
+        "eviction_false_negative",
+        since=since,
+        context={"flow": 1},
+        match=lambda event: event.fields["flow"] == 1,
+        snapshots=lambda: {"tcbs": {"k": (1, 2)}},
+    )
+    # The newest matching events since the watermark, seq rebased.
+    assert len(dump["events"]) == (DUMP_WINDOW + 10) // 2
+    assert [e["seq"] for e in dump["events"][:2]] == [1, 3]
+    assert all(e["kind"] == "tick" for e in dump["events"])
+    unmatched = recorder.dump("broken", since=since)
+    assert len(unmatched["events"]) == DUMP_WINDOW
+    assert unmatched["events"][-1]["seq"] == DUMP_WINDOW + 9
+    assert dump["snapshots"] == {"tcbs": {"k": [1, 2]}}
+    assert recorder.drain()["dumps"] == [dump, unmatched]
+
+
+# -- event ring drop accounting -----------------------------------------
 
 
 def test_event_bus_drop_counter_reaches_registry():
@@ -210,7 +295,7 @@ def test_event_bus_drop_counter_reaches_registry():
 
     registry = get_registry()
     before = registry.counter_value("telemetry.events_dropped")
-    bus = events_module.EventBus(capacity=4, enabled=True)
+    bus = Recorder(level=EVENTS, capacity=4)
     for index in range(6):
         bus.publish("test", "tick", time=float(index))
     assert bus.dropped == 2
@@ -254,6 +339,30 @@ def test_metrics_cli_prefix_filters_json_and_table(capsys):
     ]
     # Same instrument set through both views.
     assert sorted(table_names) == sorted(names)
+
+
+def test_perf_profile_names_the_strategies_the_trials_used(capsys):
+    """Without --strategy the profiled trials run INTANG's adaptive
+    selector; the cell line must name what it picked, as the diagnosis
+    of the same seed does, not claim the no-strategy baseline."""
+    import re
+
+    from repro.cli import main
+
+    assert main(["telemetry", "diagnose", "--seed", "7"]) == 0
+    diagnosed = re.search(r"strategy=(\S+)", capsys.readouterr().out)[1]
+    assert diagnosed != "none"
+    assert main(
+        ["perf", "profile", "--seed", "7", "--repeats", "1", "--top", "1"]
+    ) == 0
+    cell = capsys.readouterr().out.splitlines()[0]
+    assert " strategy=adaptive " in cell
+    assert f" used={diagnosed}:1 " in cell
+    assert main(
+        ["perf", "profile", "--strategy", "none", "--repeats", "2",
+         "--top", "1"]
+    ) == 0
+    assert " strategy=none used=none:2 " in capsys.readouterr().out
 
 
 def test_fleet_cli_json_reports_latency_percentiles(capsys):

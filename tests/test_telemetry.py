@@ -1,18 +1,21 @@
-"""The telemetry layer: registry, event bus, instrumentation, diagnosis."""
+"""The telemetry layer: registry, event ring, instrumentation, diagnosis."""
 
 import json
 
 import pytest
 
 from repro.telemetry import (
-    EventBus,
+    EVENTS,
+    OFF,
+    SPANS,
     MetricsRegistry,
-    capturing,
+    Recorder,
     diagnose_trial,
-    get_bus,
+    get_recorder,
     get_registry,
+    observing,
+    reset_recorder,
 )
-from repro.telemetry.events import reset_bus
 
 from helpers import KEYWORD_PATH, detections, fetch, mini_topology
 
@@ -131,23 +134,24 @@ class TestSnapshots:
 
 
 # ---------------------------------------------------------------------------
-# Event bus
+# Event ring
 # ---------------------------------------------------------------------------
 class TestEventBus:
     def test_disabled_bus_publishes_nothing(self):
-        bus = EventBus(enabled=False)
-        assert bus.publish("x", "y") is None
-        assert len(bus) == 0
+        for level in (OFF, SPANS):
+            bus = Recorder(level=level)
+            assert bus.publish("x", "y") is None
+            assert len(bus) == 0
 
     def test_seq_is_monotonic_and_bus_wide(self):
-        bus = EventBus(enabled=True)
+        bus = Recorder(level=EVENTS)
         bus.publish("a", "k1")
         bus.publish("b", "k2")
         events = bus.events()
         assert [e.seq for e in events] == [0, 1]
 
     def test_ring_is_bounded_and_counts_drops(self):
-        bus = EventBus(capacity=3, enabled=True)
+        bus = Recorder(level=EVENTS, capacity=3)
         for index in range(5):
             bus.publish("c", "k", index=index)
         assert len(bus) == 3
@@ -157,7 +161,7 @@ class TestEventBus:
         assert bus.next_seq == 5
 
     def test_filters(self):
-        bus = EventBus(enabled=True)
+        bus = Recorder(level=EVENTS)
         bus.publish("gfw", "rst_sent")
         bus.publish("gfw", "dpi_match")
         bus.publish("netsim", "send")
@@ -166,15 +170,20 @@ class TestEventBus:
         assert len(bus.events(component="gfw", kind="dpi_match")) == 1
 
     def test_capturing_restores_prior_state(self):
-        bus = get_bus()
-        assert bus.enabled is False  # conftest resets; REPRO_TELEMETRY off
-        with capturing() as inner:
+        bus = get_recorder()
+        assert bus.level == OFF  # conftest resets; REPRO_OBS unset
+        with observing(EVENTS) as inner:
             assert inner is bus
-            assert bus.enabled is True
-        assert bus.enabled is False
+            assert bus.events_on is True
+        assert bus.level == OFF and bus.events_on is False
+        # observing never lowers the level it finds.
+        bus.level = EVENTS
+        with observing(OFF):
+            assert bus.events_on is True
+        assert bus.level == EVENTS
 
     def test_event_format_mentions_component_and_fields(self):
-        bus = EventBus(enabled=True)
+        bus = Recorder(level=EVENTS)
         event = bus.publish("gfw", "resync_enter", time=0.25, cause="NB2a")
         line = event.format()
         assert "250.000ms" in line
@@ -213,7 +222,8 @@ class TestTraceOrdering:
     def test_trace_forwards_to_bus_when_enabled(self):
         from repro.netsim.trace import TraceRecorder
 
-        with capturing(clear=True) as bus:
+        with observing(EVENTS) as bus:
+            bus.clear()
             recorder = TraceRecorder()
             recorder.record(0.5, "gfw", "observe", None, note="hi")
             events = bus.events(component="netsim")
@@ -240,7 +250,8 @@ class TestGFWInstrumentation:
         assert delta.get("gfw.bytes_inspected", 0) == world.gfw.bytes_inspected
 
     def test_state_transitions_publish_events(self):
-        with capturing(clear=True) as bus:
+        with observing(EVENTS) as bus:
+            bus.clear()
             world = mini_topology(seed=5)
             fetch(world, path=KEYWORD_PATH)
             kinds = {event.kind for event in bus.events(component="gfw")}
@@ -326,9 +337,9 @@ class TestDiagnoseTrial:
 
     def test_diagnosis_leaves_bus_disabled(self, _diagnosis_inputs):
         vantage, website = _diagnosis_inputs
-        reset_bus()
+        reset_recorder()
         diagnose_trial(vantage, website, "none", seed=3)
-        assert get_bus().enabled is False
+        assert get_recorder().level == OFF
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from repro.netstack.fragment import make_fragment
 from repro.netstack.packet import ACK, IPPacket, TCPSegment
 from repro.strategies.registry import TABLE1_ROWS
 from repro.telemetry import diagnose_trial
-from repro.telemetry.events import capturing
+from repro.telemetry import EVENTS, observing
 from repro.telemetry.metrics import get_registry
 from repro.tcp.tcb import TCPState
 
@@ -369,7 +369,7 @@ def _event_rows(events):
 
 
 def _captured_events(vantage, website, stop):
-    with capturing() as bus:
+    with observing(EVENTS) as bus:
         watermark = bus.next_seq
         _record, scenario = _simulate_http_trial(
             vantage, website, "none", DEFAULT_CALIBRATION, seed=7,

@@ -225,11 +225,12 @@ class TestBlacklistTTLDrift:
 
     def test_readd_after_expiry_publishes_blacklist_add_once_per_match(self):
         """Regression: each DPI re-match after TTL expiry publishes
-        exactly one ``blacklist_add`` on the EventBus — no duplicate
+        exactly one ``blacklist_add`` in the event ring — no duplicate
         event for the volley, no missing event for the re-add."""
-        from repro.telemetry.events import capturing
+        from repro.telemetry import EVENTS, observing
 
-        with capturing(clear=True) as bus:
+        with observing(EVENTS) as bus:
+            bus.clear()
             world = mini_topology(seed=31)
             world.gfw.blacklist.duration = 1.0  # expire between fetches
             fetch(world)
