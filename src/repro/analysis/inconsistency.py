@@ -18,8 +18,8 @@ outcome counts plus a Wilson score interval — rather than a bare label.
 Execution notes: per-cell seeds are fixed before fan-out (the same crc32
 salt scheme as the conformance matrix), each trial is simulated directly,
 and device observables are harvested from the finished scenario before
-it is released — so the report is byte-identical for any ``--shards``/worker split, which
-``tests/test_heterogeneity.py`` pins.
+it is released — so the report is byte-identical for any worker count,
+which ``tests/test_heterogeneity.py`` pins.
 
 Heavy imports (runner, conformance) stay function-local: the module
 itself must be importable from pickled pool workers and from
@@ -98,7 +98,7 @@ class VerdictDistribution:
     :func:`repro.conformance.matrix.classify_counts`; this type carries
     what that reduction throws away: the counts themselves and a
     confidence interval on the success proportion.  Merging is integer
-    addition, hence associative and commutative — shard-order-proof.
+    addition, hence associative and commutative — chunk-order-proof.
     """
 
     success: int = 0
@@ -360,7 +360,7 @@ class InconsistencyReport:
         }
 
     def to_json(self) -> str:
-        """Canonical serialization — byte-identical for any shard split."""
+        """Canonical serialization — byte-identical for any worker count."""
         return json.dumps(self.as_payload(), indent=2, sort_keys=True)
 
 
@@ -371,12 +371,11 @@ def run_inconsistency(
     repeats: int = 6,
     seed: int = 2017,
     workers: Optional[int] = None,
-    shards: Optional[int] = None,
 ) -> InconsistencyReport:
     """Run the vantage × hour × strategy sweep against the heterogeneous
     censor and reduce it to an :class:`InconsistencyReport`."""
     from repro.conformance.matrix import conformance_site
-    from repro.experiments.parallel import map_trials, run_sharded
+    from repro.experiments.parallel import map_trials
 
     points = lab_vantages(vantages)
     website = conformance_site()
@@ -388,15 +387,7 @@ def run_inconsistency(
         for hour in hour_list
         for strategy_id in strategy_list
     ]
-    if shards is not None and shards > 1:
-        cells = run_sharded(
-            _inconsistency_cell_worker,
-            tasks,
-            shards=shards,
-            workers=workers,
-        )
-    else:
-        cells = map_trials(_inconsistency_cell_worker, tasks, workers=workers)
+    cells = map_trials(_inconsistency_cell_worker, tasks, workers=workers)
     ensemble = active_ensemble()
     routes: Dict[str, Dict] = {}
     for vantage in points:

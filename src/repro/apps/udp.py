@@ -34,9 +34,6 @@ class UDPHost:
         self._sockets[port] = handler
         return port
 
-    def unbind(self, port: int) -> None:
-        self._sockets.pop(port, None)
-
     def clear(self) -> None:
         """Unbind every port.  Bound applications hold this socket table,
         which holds their handlers, so a discarded table is only freed by

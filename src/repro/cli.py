@@ -13,16 +13,20 @@
         --out profile.pstats                # cProfile one cell
     python -m repro telemetry diagnose --strategy resync-desync
     python -m repro telemetry metrics --json # registry snapshot of a sweep
-    python -m repro obs trace --shards 2    # Chrome/Perfetto span trace
+    python -m repro obs trace --workers 2   # Chrome/Perfetto span trace
     python -m repro obs export --latency    # OpenMetrics + p50/p90/p99
     python -m repro obs flight --out dumps/ # anomaly flight-recorder dumps
     python -m repro conformance run         # full differential matrix
     python -m repro conformance diff        # show drift vs tests/golden/
     python -m repro conformance bless       # accept new golden artifacts
     python -m repro inconsistency run       # Ensafi-style vantage x hour sweep
+    python -m repro fleet run --trace-out fleet.json  # fleet + its spans
 
 Everything prints to stdout; sizes are small by default so each command
-finishes in seconds.  Speed is measured outside the CLI, by
+finishes in seconds.  ``REPRO_WORKERS`` (or ``--workers`` where a
+command offers it) is the one parallelism knob: every fan-out runs as
+contiguous chunks on a process pool, with output identical for any
+worker count.  Speed is measured outside the CLI, by
 ``perfbench/run.py`` (gated in CI by ``benchmarks/perf_gate.py``);
 ``perf profile`` is for finding where a slow cell spends its time.
 """
@@ -63,12 +67,10 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         with_kw = run_strategy_cell(
             strategy_id, CHINA_VANTAGE_POINTS, sites, DEFAULT_CALIBRATION,
             repeats=args.repeats, seed=args.seed, keyword=True,
-            shards=args.shards,
         )
         without_kw = run_strategy_cell(
             strategy_id, CHINA_VANTAGE_POINTS, sites, DEFAULT_CALIBRATION,
             repeats=args.repeats, seed=args.seed + 1, keyword=False,
-            shards=args.shards,
         )
         results.append((label, discrepancy, with_kw, without_kw))
         print(".", end="", flush=True, file=sys.stderr)
@@ -112,14 +114,14 @@ def _cmd_table4(args: argparse.Namespace) -> int:
             label,
             run_table4_row(strategy_id, CHINA_VANTAGE_POINTS, sites,
                            DEFAULT_CALIBRATION, repeats=args.repeats,
-                           seed=args.seed, shards=args.shards),
+                           seed=args.seed),
         ))
         print(".", end="", flush=True, file=sys.stderr)
     rows.append((
         "INTANG Performance",
         run_table4_row(None, CHINA_VANTAGE_POINTS, sites, DEFAULT_CALIBRATION,
                        repeats=max(4, args.repeats), seed=args.seed,
-                       adaptive=True, shards=args.shards),
+                       adaptive=True),
     ))
     print(file=sys.stderr)
     print(format_table4(rows, title="Table 4 (inside China)"))
@@ -394,7 +396,6 @@ def _conformance_matrix(args: argparse.Namespace):
           f"x {args.repeats} repeats (seed {args.seed})", file=sys.stderr)
     return run_matrix(
         cells, repeats=args.repeats, seed=args.seed, workers=args.workers,
-        shards=getattr(args, "shards", None),
     )
 
 
@@ -636,7 +637,6 @@ def _cmd_inconsistency(args: argparse.Namespace) -> int:
             repeats=args.repeats,
             seed=args.seed,
             workers=args.workers,
-            shards=args.shards,
         )
     payload_json = report.to_json()
     if args.out:
@@ -682,8 +682,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     additionally sweeps fleet sizes past the flow-table capacity to
     show strategy effectiveness degrading (or improving — eviction
     thrash helps the client) under censor load.  The cyclic collector's
-    passes and seconds during the run are reported too; with worker
-    shards only this process's passes are counted.
+    passes and seconds during the run are reported too; with more than
+    one worker only this process's passes are counted.  ``--trace-out``
+    runs the fleet with spans on and writes them (group, wave, flow) as
+    Chrome/Perfetto trace-event JSON.
     """
     import gc
     import json as json_module
@@ -695,6 +697,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         effectiveness_curve,
         run_fleet,
     )
+    from repro.telemetry import OFF, SPANS, observing, write_chrome_trace
 
     strategies = DEFAULT_FLEET_STRATEGIES
     if args.strategies:
@@ -717,10 +720,17 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     gc.callbacks.append(collector)
     start = time_module.perf_counter()
     try:
-        result = run_fleet(spec, shards=args.shards, workers=args.workers)
+        with observing(SPANS if args.trace_out else OFF) as recorder:
+            recorder.clear()
+            result = run_fleet(spec, workers=args.workers)
+            trees = recorder.drain()["spans"]
     finally:
         elapsed = time_module.perf_counter() - start
         gc.callbacks.remove(collector)
+    if args.trace_out:
+        events = write_chrome_trace(trees, args.trace_out)
+        print(f"wrote {args.trace_out} ({len(trees)} root spans, {events} "
+              f"trace events; open in ui.perfetto.dev)", file=sys.stderr)
     payload = result.to_dict()
     payload["wall_seconds"] = round(elapsed, 3)
     payload["collector"] = {
@@ -742,7 +752,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                 "blacklist_false_positives": point.blacklist_false_positives,
             }
             for size, point in effectiveness_curve(
-                spec, sizes, shards=args.shards, workers=args.workers
+                spec, sizes, workers=args.workers
             )
         ]
     if args.out:
@@ -829,7 +839,7 @@ def _obs_trace(args: argparse.Namespace) -> int:
         recorder.clear()
         results = run_matrix(
             cells, repeats=args.repeats, seed=args.seed,
-            workers=args.workers, shards=args.shards,
+            workers=args.workers,
         )
         trees = recorder.drain()["spans"]
     document = chrome_trace(trees)
@@ -924,7 +934,7 @@ def _obs_flight(args: argparse.Namespace) -> int:
     )
     with observing(EVENTS) as recorder:
         recorder.clear()
-        result = run_fleet(spec, shards=1)
+        result = run_fleet(spec)
         dumps = recorder.drain()["dumps"]
     print(
         f"obs flight: {result.flows} flows -> "
@@ -968,9 +978,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sites", type=int, default=12)
         p.add_argument("--repeats", type=int, default=1)
         p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--shards", type=int, default=None,
-                       help="persistent shard runner: contiguous work "
-                            "slices per worker (default: per-window dispatch)")
 
     sub.add_parser("table2", help="regenerate table 2")
     sub.add_parser("table3", help="regenerate table 3")
@@ -1039,9 +1046,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=2017)
     p.add_argument("--workers", type=int, default=None,
                    help="process-pool size (default: REPRO_WORKERS)")
-    p.add_argument("--shards", type=int, default=None,
-                   help="persistent shard runner: contiguous cell slices "
-                        "per worker (default: per-cell dispatch)")
     p.add_argument("--golden-dir", default=None,
                    help="override the tests/golden/ directory")
     p.add_argument("--json", action="store_true",
@@ -1072,9 +1076,6 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="ensemble_seed",
                    help="route-assignment seed (default: the built-in "
                         "ensemble's)")
-    p.add_argument("--shards", type=int, default=None,
-                   help="persistent shard runner over the cell grid "
-                        "(byte-identical to serial)")
     p.add_argument("--workers", type=int, default=None,
                    help="process-pool size (default: REPRO_WORKERS)")
     p.add_argument("--json", action="store_true",
@@ -1107,10 +1108,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="GFW model variant (see gfw/models.py)")
     p.add_argument("--max-flows", type=int, default=None, dest="max_flows",
                    help="shared flow-table capacity override")
-    p.add_argument("--shards", type=int, default=1,
-                   help="process shards (whole client groups each)")
     p.add_argument("--workers", type=int, default=None,
-                   help="process-pool size (default: REPRO_WORKERS)")
+                   help="process-pool size; whole client groups per "
+                        "chunk (default: REPRO_WORKERS)")
     p.add_argument("--curve", default=None,
                    help="comma-separated fleet sizes for the "
                         "effectiveness-vs-load sweep")
@@ -1118,6 +1118,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the full report as JSON")
     p.add_argument("--out", default=None,
                    help="also write the JSON report here")
+    p.add_argument("--trace-out", default=None, dest="trace_out",
+                   help="record spans and write them here as "
+                        "Chrome/Perfetto trace-event JSON")
 
     p = sub.add_parser(
         "telemetry",
@@ -1169,9 +1172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=2017)
     p.add_argument("--workers", type=int, default=None,
                    help="[trace] process-pool size (default: REPRO_WORKERS)")
-    p.add_argument("--shards", type=int, default=None,
-                   help="[trace] persistent shard runner (span trees merge "
-                        "across shards)")
     p.add_argument("--snapshot", default=None,
                    help="[export] read this snapshot JSON instead of "
                         "running a sweep")

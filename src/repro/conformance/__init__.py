@@ -9,8 +9,8 @@ the standing net that guards that matrix against regression:
 
 - :mod:`repro.conformance.matrix` enumerates the full strategy-catalog ×
   model-variant × middlebox-profile × fault-grid matrix and runs every
-  cell through the ordinary scenario/runner machinery (parallel pool and
-  process shards included);
+  cell through the ordinary scenario/runner machinery (the parallel
+  fan-out included);
 - :mod:`repro.conformance.oracles` encodes the paper-derived expected
   verdicts as declarative data, with explicit ``KNOWN_DIVERGENCE``
   entries where the reproduction intentionally differs;

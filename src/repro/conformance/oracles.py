@@ -387,10 +387,6 @@ def expected_verdicts(cell: ConformanceCell) -> Optional[Tuple[str, ...]]:
     return rule.allowed if rule is not None else None
 
 
-def divergences_for(cell: ConformanceCell) -> List[KnownDivergence]:
-    return [entry for entry in KNOWN_DIVERGENCE if entry.matches(cell)]
-
-
 def check_verdicts(
     results: Dict[str, CellResult],
 ) -> Tuple[List[VerdictDrift], List[str]]:

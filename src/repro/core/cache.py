@@ -319,10 +319,6 @@ class FrontedStore:
     def sweep(self) -> int:
         return self.store.sweep()
 
-    def clear_front(self) -> None:
-        """Drop the transient layer (the durable store is untouched)."""
-        self.front.clear()
-
     # -- persistence -------------------------------------------------------
     def dump(self) -> str:
         return self.store.dump()

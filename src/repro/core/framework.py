@@ -84,9 +84,6 @@ class InterceptionFramework:
         self.host.unregister_handler(self._ingress)
         self._attached = False
 
-    def strategy_for(self, key: ConnKey) -> Optional[EvasionStrategy]:
-        return self.strategies.get(key)
-
     def forget_connection(self, key: ConnKey) -> None:
         self.contexts.pop(key, None)
         self.strategies.pop(key, None)

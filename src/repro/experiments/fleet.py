@@ -22,8 +22,9 @@ Everything is deterministic by construction:
 - flows are partitioned into ``spec.groups`` client groups (round
   robin by index), each group owning one shared GFW installation, so a
   group is a pure function of ``(spec, group_index)`` and groups can
-  run serially or via :func:`run_sharded` with byte-identical merged
-  results and trial-semantic telemetry;
+  run serially or in contiguous chunks via
+  :func:`~repro.experiments.parallel.map_trials` with byte-identical
+  merged results and trial-semantic telemetry;
 - within a group, flows run in waves of ``spec.window`` concurrent
   trials on one :class:`~repro.netsim.batch.BatchSim` heap; the heap's
   ``(time, seq)`` order is deterministic, so the race for shared
@@ -50,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.apps.http import HTTPClient
 from repro.core.intang import INTANG
 from repro.experiments.calibration import DEFAULT_CALIBRATION, Calibration
-from repro.experiments.parallel import run_sharded
+from repro.experiments.parallel import map_trials
 from repro.experiments.runner import BENIGN_PATH, SENSITIVE_PATH, Outcome, classify
 from repro.experiments.scenarios import (
     Scenario,
@@ -114,7 +115,7 @@ _FLEET_EVICT_RESYNC = _REGISTRY.counter("fleet.evictions_in_resync")
 
 #: First-byte-to-verdict sim-latency buckets (seconds of simulated
 #: time).  Deterministic — sim times are a pure function of the spec —
-#: so this histogram is always on and survives the serial-vs-sharded
+#: so this histogram is always on and survives the serial-vs-parallel
 #: telemetry parity pins.
 _LATENCY_BUCKETS: Tuple[float, ...] = (
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0
@@ -163,7 +164,7 @@ class FleetSpec:
     """A deterministic description of a whole client population.
 
     Every knob here is *workload* semantics: two runs with equal specs
-    produce byte-identical merged results regardless of sharding.  In
+    produce byte-identical merged results for any worker count.  In
     particular ``window`` (how many flows share one batch heap at a
     time) and ``groups`` (how many independent censoring installations
     the population is split across) change which flows race each other
@@ -184,8 +185,8 @@ class FleetSpec:
     #: Strategy pool assigned round-robin to sensitive flows
     #: ("none" = the paper's baseline client).
     strategies: Tuple[str, ...] = DEFAULT_FLEET_STRATEGIES
-    #: Client groups == independent shared GFW installations; sharding
-    #: partitions groups (clients), never cells.
+    #: Client groups == independent shared GFW installations; the
+    #: fan-out partitions groups (clients), never cells.
     groups: int = 4
     #: Concurrent flows per shared batch heap (wave size).
     window: int = 64
@@ -255,7 +256,7 @@ def site_index(spec: FleetSpec, index: int) -> int:
 
     The draw hashes ``(spec.seed, index)`` directly — no RNG stream is
     shared between flows — so any partition of the index space (group
-    round robin, process shards) sees exactly the same site per flow.
+    round robin, process chunks) sees exactly the same site per flow.
     """
     return bisect_right(
         _site_cdf(spec.sites, spec.zipf_alpha), _unit(spec.seed, index, "site")
@@ -314,7 +315,7 @@ class SharedGFWState:
             # side: routes resolve to members, so wave N's blacklistings
             # on an evolved route never leak onto an old-model route —
             # exactly Ensafi's per-path state independence.  Seeds are
-            # salted per member, keeping serial == sharded.
+            # salted per member, keeping serial == parallel.
             for member in active_ensemble().members:
                 self._install_member(member, spec, group, salt=f":{member}")
         else:
@@ -596,7 +597,7 @@ def _finalize_flow(
     # Quantized to a dyadic grid (multiples of 2^-20 s, ~1 µs): every
     # observation and every partial sum is then exactly representable,
     # so the histogram's float ``sum`` is identical under any
-    # serial/sharded grouping (the telemetry-parity pins).
+    # serial/chunked grouping (the telemetry-parity pins).
     latency = round(max(0.0, verdict_time - started) * 1048576.0) / 1048576.0
     _FLEET_LATENCY.observe(latency)
     _observe_latency(result.flow_sim_latency, latency)
@@ -694,7 +695,7 @@ def run_fleet_group(
     """Run one client group against its shared censor, wave by wave.
 
     Pure function of ``(spec, group)``: this is the unit
-    :func:`run_fleet` shards across processes.  The cyclic collector is
+    :func:`run_fleet` fans out across processes.  The cyclic collector is
     paused for each wave, from its first flow setup until its flows are
     freed, and left as the caller had it between waves and afterwards.
     """
@@ -750,7 +751,7 @@ def run_fleet_group(
 
 
 def _fleet_group_worker(task: Tuple[FleetSpec, int]) -> FleetGroupResult:
-    """Module-level shard worker (pickles)."""
+    """Module-level fan-out work unit (pickles)."""
     spec, group = task
     return run_fleet_group(spec, group)
 
@@ -881,32 +882,30 @@ class FleetResult:
 
 def run_fleet(
     spec: FleetSpec,
-    shards: Optional[int] = 1,
     workers: Optional[int] = None,
+    shards: Optional[int] = None,
 ) -> FleetResult:
-    """Run the whole fleet, optionally sharding groups across processes.
+    """Run the whole fleet, fanning groups out over ``workers`` processes.
 
-    Sharding partitions *clients* (whole groups, each with its own
+    The fan-out partitions *clients* (whole groups, each with its own
     shared censor), never cells: a group never straddles two
-    processes, so shared-state coupling is identical for any shard
+    processes, so shared-state coupling is identical for any worker
     count and the merged result is byte-identical to the serial run
-    (telemetry modulo execution-strategy counters, exactly like
-    ``run_sharded`` elsewhere).
+    (telemetry modulo execution counters, like every
+    :func:`~repro.experiments.parallel.map_trials` caller).
+
+    ``shards`` is ignored: it is kept only because the frozen
+    ``perfbench/workloads.py`` passes ``shards=1`` (DESIGN.md §14).
     """
+    del shards
     tasks = [(spec, group) for group in range(spec.groups)]
-    results = run_sharded(
-        _fleet_group_worker,
-        tasks,
-        shards=1 if shards is None else shards,
-        workers=workers,
-    )
+    results = map_trials(_fleet_group_worker, tasks, workers=workers)
     return FleetResult.merge(spec, results)
 
 
 def effectiveness_curve(
     base_spec: FleetSpec,
     sizes: Sequence[int],
-    shards: Optional[int] = 1,
     workers: Optional[int] = None,
 ) -> List[Tuple[int, FleetResult]]:
     """Strategy effectiveness as fleet size sweeps past ``max_flows``.
@@ -919,5 +918,5 @@ def effectiveness_curve(
     points: List[Tuple[int, FleetResult]] = []
     for size in sizes:
         spec = replace(base_spec, flows=size)
-        points.append((size, run_fleet(spec, shards=shards, workers=workers)))
+        points.append((size, run_fleet(spec, workers=workers)))
     return points

@@ -31,7 +31,7 @@ from repro.apps.http import HTTPClient
 from repro.apps.tor import TorClient
 from repro.apps.vpn import OpenVPNClient
 from repro.experiments.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.experiments.parallel import map_trials, run_sharded
+from repro.experiments.parallel import map_trials
 from repro.experiments.scenarios import (
     HONEST_DNS_ANSWER,
     Scenario,
@@ -166,9 +166,9 @@ _OUTCOME_COUNTERS = {
 }
 _BYTES_INSPECTED = _REGISTRY.histogram("trial.bytes_inspected")
 #: Wall-clock trial latency.  Registered unconditionally (so serial and
-#: sharded instrument sets match) but *observed* only while spans are
+#: chunked instrument sets match) but *observed* only while spans are
 #: on — wall times are nondeterministic and would break the
-#: serial-vs-sharded telemetry identity the parity tests pin.
+#: serial-vs-parallel telemetry identity the parity tests pin.
 _TRIAL_WALL_SECONDS = _REGISTRY.histogram(
     "trial.wall_seconds",
     buckets=(0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.5),
@@ -383,22 +383,14 @@ def _http_outcome_worker(task: Tuple) -> Outcome:
 def run_http_outcomes(
     tasks: Sequence[Tuple],
     workers: Optional[int] = None,
-    shards: Optional[int] = None,
 ) -> List[Outcome]:
     """Run independent HTTP trials (serial or fanned out) in task order.
 
     Each task is a ``(vantage, website, strategy_id, calibration, seed,
     keyword)`` tuple; this is the engine entry point for benches that
-    build their own seed formulas (the ablation sweeps).  ``shards``
-    (> 1) switches from per-task pool dispatch to the persistent shard
-    runner (one contiguous slice of tasks per worker, one telemetry
-    delta per shard).  Outcomes are identical either way.
+    build their own seed formulas (the ablation sweeps).
     """
     tasks = [tuple(t) for t in tasks]
-    if shards is not None and shards > 1:
-        return run_sharded(
-            _http_outcome_worker, tasks, shards=shards, workers=workers
-        )
     return map_trials(_http_outcome_worker, tasks, workers=workers)
 
 
@@ -431,15 +423,13 @@ def run_strategy_cell(
     seed: int = 0,
     keyword: bool = True,
     workers: Optional[int] = None,
-    shards: Optional[int] = None,
 ) -> RateTriple:
     """One Table 1 cell: a strategy across vantage × site × repeats.
 
     Trials fan out over ``workers`` processes (default: the
     ``REPRO_WORKERS`` environment knob); the seeds are fixed before
     fan-out, so the resulting :class:`RateTriple` is identical for any
-    worker count.  ``shards`` (> 1) routes the fan-out through the
-    persistent shard runner instead of per-task dispatch.
+    worker count.
     """
     tasks = _cell_tasks(
         strategy_id, vantages, websites, calibration, repeats, seed, keyword
@@ -448,7 +438,7 @@ def run_strategy_cell(
         f"cell:{strategy_id}", "sweep",
         strategy=strategy_id, trials=len(tasks), keyword=keyword,
     ):
-        outcomes = run_http_outcomes(tasks, workers=workers, shards=shards)
+        outcomes = run_http_outcomes(tasks, workers=workers)
     return RateTriple.from_outcomes(outcomes)
 
 
@@ -543,7 +533,6 @@ def run_per_vantage(
     seed: int = 0,
     adaptive: bool = False,
     workers: Optional[int] = None,
-    shards: Optional[int] = None,
 ) -> PerVantageRates:
     """Per-vantage rates for one strategy, fanned out a vantage at a time."""
     websites = tuple(websites)
@@ -552,12 +541,7 @@ def run_per_vantage(
          calibration, repeats, seed, adaptive)
         for v_index, vantage in enumerate(vantages)
     ]
-    if shards is not None and shards > 1:
-        triples = run_sharded(
-            _vantage_row_worker, tasks, shards=shards, workers=workers,
-        )
-    else:
-        triples = map_trials(_vantage_row_worker, tasks, workers=workers)
+    triples = map_trials(_vantage_row_worker, tasks, workers=workers)
     result = PerVantageRates()
     for vantage, triple in zip(vantages, triples):
         result.rates[vantage.name] = triple
@@ -573,14 +557,12 @@ def run_table4_row(
     seed: int = 0,
     adaptive: bool = False,
     workers: Optional[int] = None,
-    shards: Optional[int] = None,
 ) -> PerVantageRates:
     """One Table 4 row; ``adaptive=True`` is the "INTANG Performance" row
     (the selector carries measurement history across repeats)."""
     return run_per_vantage(
         strategy_id, vantages, websites, calibration,
         repeats=repeats, seed=seed, adaptive=adaptive, workers=workers,
-        shards=shards,
     )
 
 

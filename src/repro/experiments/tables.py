@@ -135,16 +135,6 @@ def format_rate_line(label: str, triple: RateTriple) -> str:
     return line
 
 
-def format_distribution_cell(distribution) -> str:
-    """One distribution-valued verdict cell: point verdict, counts, and
-    the Wilson 95 % interval on the success proportion."""
-    low, high = distribution.wilson()
-    return (
-        f"{distribution.verdict} {distribution.success}/{distribution.trials}"
-        f" [{low:.2f},{high:.2f}]"
-    )
-
-
 def format_disagreement_matrix(
     matrix: Dict[str, Dict[str, str]],
     routes: Sequence[str],

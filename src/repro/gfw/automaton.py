@@ -203,8 +203,3 @@ def compile_keywords(keywords: Iterable[bytes]) -> KeywordAutomaton:
         automaton = KeywordAutomaton(key)
         _AUTOMATON_MEMO[key] = automaton
     return automaton
-
-
-def automaton_memo_size() -> int:
-    """How many distinct automata this process has compiled (tests)."""
-    return len(_AUTOMATON_MEMO)

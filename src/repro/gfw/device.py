@@ -218,10 +218,18 @@ class GFWDevice(Tap):
                 self.dns_poisoner.handle(self, packet, direction, now)
 
     def reset_state(self) -> None:
-        """Forget all flows and blacklists (between experiment trials)."""
+        """Forget all flows, blacklists and blocked IPs, and zero every
+        per-device counter :meth:`stats` reports (between experiment
+        trials)."""
         self.flows.reset()
         self.blacklist.clear()
+        self.blocked_ips.clear()
         self._fragments = FragmentReassembler(policy=self.config.ip_frag_policy)
+        self.detections.clear()
+        self.missed_detections.clear()
+        self.resets_injected = 0
+        self.forged_synacks_injected = 0
+        self.resets_suppressed = 0
         self.bytes_inspected = 0
         self.cluster.new_trial()
 
@@ -508,7 +516,7 @@ class GFWDevice(Tap):
         self.detections.append((now, detection))
         self._metric_dpi_match.inc()
         # Dyadic quantization (multiples of 2^-20 s): keeps the
-        # histogram's float sum bit-identical under any serial/sharded
+        # histogram's float sum bit-identical under any serial/parallel
         # worker grouping (see the fleet latency observation).
         _METRIC_DPI_MATCH_LATENCY.observe(
             round(max(0.0, now - flow.created_at) * 1048576.0) / 1048576.0

@@ -111,10 +111,6 @@ class BatchSim:
         clock._seq = tid << TRIAL_SHIFT
         return tid
 
-    def flow_id_for(self, tid: int) -> int:
-        """The workload flow id adopted under trial id ``tid``."""
-        return self._flow_ids[tid]
-
     def run(
         self,
         until: Union[float, Sequence[float]],

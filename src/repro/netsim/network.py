@@ -108,11 +108,6 @@ class Path:
             return Direction.SERVER_TO_CLIENT
         raise ValueError(f"{sender_ip} is not an endpoint of {self.name}")
 
-    def reset_elements(self) -> None:
-        """Clear per-connection state on every element (between trials)."""
-        for element in self.elements:
-            element.reset_state()
-
     def clear_elements(self) -> None:
         """Detach every element (scenario teardown)."""
         for element in self.elements:
@@ -155,9 +150,6 @@ class Path:
         self._per_hop_delay = self.base_delay / self.hop_count
 
     # -- traversal --------------------------------------------------------------
-    def per_hop_delay(self) -> float:
-        return self._per_hop_delay
-
     def sender_hop(self, direction: Direction) -> int:
         """Hop coordinate (client-based) of the sender for ``direction``."""
         return 0 if direction is Direction.CLIENT_TO_SERVER else self.hop_count
@@ -199,9 +191,6 @@ class Path:
         """Elements the packet will meet, in travel order."""
         plan, start = self.travel_plan(origin_hop, direction)
         return list(plan[start:])
-
-    def hop_distance(self, origin_hop: int, target_hop: int) -> int:
-        return abs(target_hop - origin_hop)
 
 
 class _Transit:

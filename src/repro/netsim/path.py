@@ -16,7 +16,7 @@ server's).
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.netstack.packet import IPPacket
 
@@ -95,12 +95,6 @@ class PathElement:
         self.hop = hop
         self.path: Optional[object] = None  # backref set by Path.attach
 
-    def hop_from(self, direction: Direction, total_hops: int) -> int:
-        """Hop index measured from the sender for ``direction``."""
-        if direction is Direction.CLIENT_TO_SERVER:
-            return self.hop
-        return total_hops - self.hop
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name} hop={self.hop}>"
 
@@ -157,16 +151,6 @@ class Tap(PathElement):
         for packet in packets:
             packet.meta.setdefault("injected_by", self.name)
         network.launch(path, packets, self.hop, self.name)
-
-
-def elements_in_direction(
-    elements: List[PathElement], direction: Direction
-) -> List[PathElement]:
-    """Order path elements as encountered when travelling ``direction``."""
-    ordered = sorted(elements, key=lambda element: element.hop)
-    if direction is Direction.SERVER_TO_CLIENT:
-        ordered.reverse()
-    return ordered
 
 
 PathElementLike = Union[InlineBox, Tap]

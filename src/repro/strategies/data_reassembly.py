@@ -17,7 +17,7 @@ invisible to it.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.netstack.fragment import make_fragment
 from repro.netstack.packet import IPPacket, seq_add
@@ -177,10 +177,3 @@ class InOrderDataOverlap(EvasionStrategy):
         junk = apply_discrepancy(junk, self.discrepancy, self.ctx)
         self.ctx.send_insertion(junk, copies=self.copies)
         return [packet]
-
-
-def first_data_packet(packet: IPPacket, min_payload: int = 1) -> Optional[IPPacket]:
-    """Helper used by tests: the packet if it carries enough payload."""
-    if packet.is_tcp and len(packet.tcp.payload) >= min_payload:
-        return packet
-    return None

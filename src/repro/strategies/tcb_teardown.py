@@ -43,14 +43,6 @@ class TCBTeardown(EvasionStrategy):
         self.copies = copies
         self._fired = False
 
-    @property
-    def flavor(self) -> str:
-        if self.teardown_flags == RST:
-            return "rst"
-        if self.teardown_flags == (RST | ACK):
-            return "rst-ack"
-        return "fin"
-
     def on_outgoing(self, packet: IPPacket) -> List[IPPacket]:
         segment = packet.tcp
         ready = (

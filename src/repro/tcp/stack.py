@@ -126,10 +126,6 @@ class TCPConnection:
     def is_established(self) -> bool:
         return self.tcb.state is TCPState.ESTABLISHED
 
-    @property
-    def is_closed(self) -> bool:
-        return self.tcb.state is TCPState.CLOSED
-
     def send(self, data: bytes, segment_size: int = DEFAULT_MSS) -> None:
         """Queue and transmit application data as one or more segments."""
         if self.tcb.state not in (TCPState.ESTABLISHED, TCPState.CLOSE_WAIT):

@@ -9,13 +9,13 @@ Five layers, one import surface:
 - :mod:`repro.telemetry.recorder` — the process-local
   :class:`~repro.telemetry.recorder.Recorder`, one ordered stream behind
   one level (``REPRO_OBS=off|spans|events``): the span forest (sweep →
-  shard → wave → trial/flow → phase, wall + sim time), the bounded,
+  chunk → wave → trial/flow → phase, wall + sim time), the bounded,
   sequenced ring of :class:`~repro.telemetry.events.TelemetryEvent`
   records that the trace recorder, the GFW device, strategies, and
   INTANG publish, and anomaly dumps cut from that ring.  Its drained
-  records merge across shards like registry deltas.  The event schema
+  records merge across worker chunks like registry deltas.  The event schema
   lives in :mod:`repro.telemetry.events`, the span shape and the
-  serial-vs-sharded comparison in :mod:`repro.telemetry.trace`, and the
+  serial-vs-parallel comparison in :mod:`repro.telemetry.trace`, and the
   dump snapshot helpers in :mod:`repro.telemetry.flight`;
 - :mod:`repro.telemetry.export` — Chrome/Perfetto trace-event JSON,
   OpenMetrics text exposition, and p50/p90/p99 summaries;

@@ -5,7 +5,7 @@ keeps, ordered by cost:
 
 - ``off`` (the default) keeps nothing; every entry point returns after
   one attribute check, so an unobserved run pays nothing else;
-- ``spans`` collects the hierarchical span forest (sweep → shard →
+- ``spans`` collects the hierarchical span forest (sweep → chunk →
   wave → trial/flow → phase, wall + sim time; see
   :mod:`repro.telemetry.trace`);
 - ``events`` also keeps the bounded, sequenced event ring every
@@ -21,11 +21,11 @@ built; :func:`observing` raises it for a scoped window (the CLI's
 
 Finished root spans and dumps are the recorder's *records*.
 :meth:`Recorder.drain` / :meth:`Recorder.merge` move them across the
-``run_sharded`` process boundary inside the worker's telemetry delta,
+``map_trials`` process boundary inside the worker's telemetry delta,
 the way registry diffs move: merged spans attach under whatever span
 is open in the parent, merged dumps append.  A dump's event ``seq``
 values count from the start of its window, so a dump is a function of
-the workload alone and equal for any shard layout.
+the workload alone and equal for any chunk layout.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ class Recorder:
         self, name: str, kind: str, *, sim_start: float = 0.0, **attrs: Any
     ) -> Optional[Dict[str, Any]]:
         """Open a span; returns it (for :meth:`end`) or None below
-        ``spans``.  For LIFO lifetimes: sweeps, shards, waves."""
+        ``spans``.  For LIFO lifetimes: sweeps, chunks, waves."""
         if not self.spans_on:
             return None
         span = make_span(

@@ -1,21 +1,21 @@
 """Span trees: building them and comparing them across execution shapes.
 
 A *span* is one timed unit of work — a conformance cell, a process
-shard, a fleet wave, one trial or fleet flow, or a phase inside a
+chunk, a fleet wave, one trial or fleet flow, or a phase inside a
 trial — carrying both wall-clock bounds (``wall_start`` / ``wall_end``,
 ``time.perf_counter`` seconds) and simulation-time bounds
 (``sim_start`` / ``sim_end``, :class:`~repro.netsim.sim.SimClock`
-seconds).  Spans nest: a sweep span contains shard spans, a shard span
+seconds).  Spans nest: a sweep span contains chunk spans, a chunk span
 contains trial spans, a trial span contains phase spans.  The process
 recorder (:class:`repro.telemetry.recorder.Recorder`) opens, closes and
 collects them; this module holds the plain-dict shape and the
 comparison.
 
 Span trees are plain nested dicts — picklable and JSON-representable —
-so they cross the ``run_sharded`` process boundary inside the worker's
+so they cross the ``map_trials`` process boundary inside the worker's
 telemetry delta.  Merging is order-independent up to sibling order, and
 :func:`trial_semantic` reduces any tree to its execution-strategy-free
-content so serial and sharded runs can be compared for identity (the
+content so serial and parallel runs can be compared for identity (the
 acceptance contract pinned in ``tests/test_obs.py``).
 """
 
@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 #: Span kinds whose content is a function of the workload alone —
-#: independent of worker count, shard layout, or batch windowing.
+#: independent of worker count, chunk layout, or batch windowing.
 #: Everything else (``sweep`` dispatch wrappers aside, see
 #: :func:`trial_semantic`) describes *how* the run was executed.
 SEMANTIC_KINDS = frozenset({"cell", "trial", "flow", "phase", "wave"})
@@ -67,11 +67,11 @@ def trial_semantic(trees: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Reduce span trees to their execution-strategy-free content.
 
     Strips wall-clock fields (worker-dependent), hoists the children of
-    non-semantic kinds (shard/batch wrappers differ between serial and
-    sharded runs), and sorts every sibling list into a canonical order
-    (shards finish in arbitrary order).  Two runs of the same workload
+    non-semantic kinds (chunk/batch wrappers differ between serial and
+    parallel runs), and sorts every sibling list into a canonical order
+    (chunks finish in arbitrary order).  Two runs of the same workload
     must reduce to equal lists whatever the execution strategy — the
-    span analogue of the registry's serial-vs-sharded byte identity.
+    span analogue of the registry's serial-vs-parallel byte identity.
     """
     out: List[Dict[str, Any]] = []
     for tree in trees:

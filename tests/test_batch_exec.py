@@ -1,7 +1,7 @@
 """Tier-1 pins for the execution engine.
 
 Independent trials give the same cell rates whichever way they are
-fanned out (serially, over a worker pool, or in persistent shards).
+fanned out (serially or in contiguous chunks over a worker pool).
 The fleet's shared event heap (:class:`BatchSim`) keeps every flow's
 events in the order a private clock would fire them; its per-trial
 ordering invariant is property-tested directly.
@@ -17,7 +17,7 @@ from repro.experiments import (
     outside_china_catalog,
     run_strategy_cell,
 )
-from repro.experiments.parallel import run_sharded
+from repro.experiments.parallel import DEFAULT_CHUNKS_PER_WORKER
 from repro.netsim.batch import TRIAL_SHIFT, BatchSim
 from repro.netsim.simclock import SimClock
 
@@ -31,7 +31,7 @@ def _square(task):
 
 
 class TestExecutionParity:
-    """Serial, worker-pool and sharded execution give identical rates."""
+    """Serial and worker-pool execution give identical rates."""
 
     def test_cell_rates_identical_across_execution_modes(self):
         def cell(**kwargs):
@@ -42,7 +42,7 @@ class TestExecutionParity:
 
         serial = cell(workers=1)
         assert cell(workers=2) == serial
-        assert cell(workers=2, shards=2) == serial
+        assert cell(workers=3) == serial
 
 
 class TestBatchSimOrdering:
@@ -153,7 +153,7 @@ class TestBatchSimOrdering:
 
 
 class TestMapTrialsEdgeCases:
-    """Chunk-size arithmetic at the degenerate ends of the task range."""
+    """Chunk arithmetic at the degenerate ends of the task range."""
 
     def test_zero_tasks(self):
         assert map_trials(_square, [], workers=4) == []
@@ -165,11 +165,16 @@ class TestMapTrialsEdgeCases:
         # workers clamp to the task count; order is still preserved.
         assert map_trials(_square, [0, 1, 2], workers=4) == [0, 1, 4]
 
-    def test_run_sharded_matches_serial_map(self):
+    def test_chunked_map_matches_serial_map(self):
+        # 11 tasks on 2 workers: 8 uneven contiguous chunks; 3 workers:
+        # 11 one-task chunks.
         tasks = list(range(11))
         expected = [task * task for task in tasks]
-        assert run_sharded(_square, tasks, shards=3, workers=2) == expected
-        assert run_sharded(_square, tasks, shards=1, workers=2) == expected
+        assert map_trials(_square, tasks, workers=1) == expected
+        assert map_trials(_square, tasks, workers=2) == expected
+        assert map_trials(_square, tasks, workers=3) == expected
 
-    def test_run_sharded_more_shards_than_tasks(self):
-        assert run_sharded(_square, [2, 3], shards=5, workers=2) == [4, 9]
+    def test_fewer_tasks_than_chunks(self):
+        # Chunks clamp to the task count: one task per chunk.
+        tasks = list(range(DEFAULT_CHUNKS_PER_WORKER * 2 - 1))
+        assert map_trials(_square, tasks, workers=2) == [t * t for t in tasks]

@@ -2,10 +2,10 @@
 
 A fleet run is a pure function of its :class:`FleetSpec`: the same spec
 and seed must produce byte-identical merged results and trial-semantic
-telemetry whether the client groups run serially, across process
-shards, or as direct shared-device batch invocations — and the
-heavy-tailed site sampler must assign every flow its site independently
-of evaluation order (the property sharding relies on).
+telemetry whether the client groups run serially, in contiguous chunks
+across worker processes, or as direct shared-device batch invocations —
+and the heavy-tailed site sampler must assign every flow its site
+independently of evaluation order (the property the fan-out relies on).
 """
 
 import dataclasses
@@ -48,17 +48,17 @@ def _fleet_semantic(delta):
 
 
 class TestFleetParity:
-    """Serial, sharded, and direct group runs are byte-identical."""
+    """Serial, 2-worker, and direct group runs are byte-identical."""
 
     def test_serial_vs_sharded_results_identical(self):
-        serial = run_fleet(SPEC, shards=1)
-        sharded = run_fleet(SPEC, shards=2, workers=2)
+        serial = run_fleet(SPEC, workers=1)
+        sharded = run_fleet(SPEC, workers=2)
         assert dataclasses.asdict(serial) == dataclasses.asdict(sharded)
 
     def test_serial_vs_direct_group_runs_identical(self):
         # The shared-device batch path invoked directly, group by group,
         # is the same computation run_fleet orchestrates.
-        serial = run_fleet(SPEC, shards=1)
+        serial = run_fleet(SPEC, workers=1)
         direct = FleetResult.merge(
             SPEC, [run_fleet_group(SPEC, g) for g in range(SPEC.groups)]
         )
@@ -74,11 +74,11 @@ class TestFleetParity:
         registry = get_registry()
 
         before = registry.snapshot()
-        run_fleet(SPEC, shards=1)
+        run_fleet(SPEC, workers=1)
         serial_delta = registry.diff(before)
 
         before = registry.snapshot()
-        run_fleet(SPEC, shards=2, workers=2)
+        run_fleet(SPEC, workers=2)
         sharded_delta = registry.diff(before)
 
         before = registry.snapshot()
@@ -92,8 +92,8 @@ class TestFleetParity:
     def test_same_spec_twice_identical(self):
         # Nothing from the first run (module state, shared tables) may
         # leak into the second.
-        first = run_fleet(SPEC, shards=1)
-        second = run_fleet(SPEC, shards=1)
+        first = run_fleet(SPEC, workers=1)
+        second = run_fleet(SPEC, workers=1)
         assert dataclasses.asdict(first) == dataclasses.asdict(second)
 
     def test_shared_state_is_actually_exercised(self):
@@ -101,7 +101,7 @@ class TestFleetParity:
         # trials: with capacity 24 under each group's ~40 accumulated
         # TCBs, the shared table must churn and the shared blacklist
         # must catch benign collateral.
-        result = run_fleet(SPEC, shards=1)
+        result = run_fleet(SPEC, workers=1)
         assert result.flows == SPEC.flows
         assert result.flow_events > 0
         assert result.flows_evicted > 0

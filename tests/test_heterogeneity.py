@@ -1,10 +1,10 @@
 """Spatiotemporal heterogeneity: route assignment, temporal suppression,
-TTL drift, and the inconsistency sweep's shard-independence.
+TTL drift, and the inconsistency sweep's worker-independence.
 
 The route ensemble is a *pure function* of (seed, vantage, target) — no
 recorded RNG draws — so the properties here mirror the fleet sampler
 pins: permutation-stability, seed-determinism, and byte-identical
-reports for any serial/worker/shard split.
+reports for any serial/worker split.
 """
 
 import math
@@ -221,7 +221,7 @@ class TestBlacklistTTLDrift:
 
 
 # ---------------------------------------------------------------------------
-# conformance reduction + sweep shard-independence
+# conformance reduction + sweep worker-independence
 # ---------------------------------------------------------------------------
 class TestHeterogeneousConformance:
     def test_single_variant_ensemble_reduces_to_mixed(self):
@@ -251,7 +251,8 @@ class TestHeterogeneousConformance:
 
     def test_inconsistency_report_serial_equals_sharded(self):
         """Same pattern as the fleet parity pins: the canonical JSON is
-        byte-identical serial vs 2 workers vs 2 shards."""
+        byte-identical serial vs 2 workers vs 3 workers (two different
+        chunk layouts)."""
         from repro.analysis.inconsistency import run_inconsistency
 
         kwargs = dict(
@@ -263,8 +264,8 @@ class TestHeterogeneousConformance:
         )
         serial = run_inconsistency(**kwargs).to_json()
         workers = run_inconsistency(**kwargs, workers=2).to_json()
-        sharded = run_inconsistency(**kwargs, shards=2, workers=2).to_json()
-        assert serial == workers == sharded
+        three = run_inconsistency(**kwargs, workers=3).to_json()
+        assert serial == workers == three
 
     def test_report_cells_carry_wilson_bounds(self):
         from repro.analysis.inconsistency import run_inconsistency

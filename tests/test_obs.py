@@ -2,14 +2,14 @@
 
 Pins these contracts of the one recorder:
 
-- serial vs ``shards=2`` conformance runs produce span forests with
-  identical trial-semantic content, and the sharded forest exports as
+- serial vs ``workers=2`` conformance runs produce span forests with
+  identical trial-semantic content, and the chunked forest exports as
   valid Chrome trace-event JSON;
 - a fleet shape with exactly one induced eviction false negative
   produces exactly one anomaly dump whose event window names the
   evicting LRU transition and the evicted flow's namespaced key;
 - fleet dumps cross the process boundary in the merged worker records
-  unchanged: two shards on two workers dump what one shard does;
+  unchanged: two workers dump what the serial run does;
 - a dump is a bounded slice of the event ring, taken only while the
   ring is kept;
 - the event ring surfaces overflow through the registry
@@ -102,21 +102,21 @@ def test_tracer_merge_works_while_disabled():
 def test_trial_semantic_strips_hoists_and_sorts():
     trial_b = make_span("trial:b", "trial", sim_end=2.0, wall_end=9.9)
     trial_a = make_span("trial:a", "trial", sim_end=1.0, wall_end=1.1)
-    shard = make_span("shard[2]", "shard", children=[trial_b, trial_a])
-    sweep = make_span("cell:x", "cell", children=[shard])
+    chunk = make_span("chunk[2]", "chunk", children=[trial_b, trial_a])
+    sweep = make_span("cell:x", "cell", children=[chunk])
     reduced = trial_semantic([sweep])
     assert len(reduced) == 1
     cell = reduced[0]
-    # Wall fields are gone, the shard wrapper is hoisted away, and the
+    # Wall fields are gone, the chunk wrapper is hoisted away, and the
     # out-of-order siblings are canonically sorted.
     assert "wall_end" not in cell
     assert [c["name"] for c in cell["children"]] == ["trial:a", "trial:b"]
 
 
-# -- serial vs sharded span parity (acceptance) -------------------------
+# -- serial vs parallel span parity (acceptance) ------------------------
 
 
-def _run_traced_matrix(shards):
+def _run_traced_matrix(workers):
     from repro.conformance import default_cells, run_matrix
     from repro.experiments.parallel import shutdown_pool
 
@@ -128,37 +128,34 @@ def _run_traced_matrix(shards):
     )
     with observing(SPANS) as recorder:
         recorder.clear()
-        # Two workers when sharded, so the shards really run in pool
-        # processes, forked mid-sweep under the open sweep span.
+        # A fresh pool, so the chunks really run in pool processes
+        # forked mid-sweep under the open sweep span.
         shutdown_pool()
-        results = run_matrix(
-            cells, repeats=4, seed=11, shards=shards,
-            workers=2 if shards else 1,
-        )
+        results = run_matrix(cells, repeats=4, seed=11, workers=workers)
         return results, recorder.drain()["spans"]
 
 
 @pytest.mark.slow
-def test_span_forest_serial_vs_sharded_semantic_identity():
-    serial_results, serial_trees = _run_traced_matrix(shards=None)
-    sharded_results, sharded_trees = _run_traced_matrix(shards=2)
+def test_span_forest_serial_vs_parallel_semantic_identity():
+    serial_results, serial_trees = _run_traced_matrix(workers=1)
+    parallel_results, parallel_trees = _run_traced_matrix(workers=2)
     # The verdicts were already pinned identical by the conformance
     # tests; the new contract is the span forests.
     assert {k: r.as_payload() for k, r in serial_results.items()} == {
-        k: r.as_payload() for k, r in sharded_results.items()
+        k: r.as_payload() for k, r in parallel_results.items()
     }
-    # The workers' shard spans reached the parent's forest.
-    (sharded_sweep,) = sharded_trees
-    assert [c["kind"] for c in sharded_sweep["children"]] == ["shard"] * 2
+    # The workers' chunk spans reached the parent's forest.
+    (parallel_sweep,) = parallel_trees
+    assert [c["kind"] for c in parallel_sweep["children"]] == ["chunk"] * 2
     serial_semantic = trial_semantic(serial_trees)
-    sharded_semantic = trial_semantic(sharded_trees)
-    assert serial_semantic == sharded_semantic
+    parallel_semantic = trial_semantic(parallel_trees)
+    assert serial_semantic == parallel_semantic
     assert serial_semantic  # non-vacuous: spans were actually recorded
     kinds = {node["kind"] for node in serial_semantic}
     assert "cell" in kinds
 
-    # The sharded forest must export as valid Chrome trace-event JSON.
-    document = chrome_trace(sharded_trees)
+    # The chunked forest must export as valid Chrome trace-event JSON.
+    document = chrome_trace(parallel_trees)
     text = json.dumps(document)
     parsed = json.loads(text)
     assert parsed["traceEvents"], "trace export produced no events"
@@ -169,10 +166,10 @@ def test_span_forest_serial_vs_sharded_semantic_identity():
 
 def test_worker_spans_reach_a_parent_that_forked_mid_sweep():
     """A pool created under an open sweep span forks that span into its
-    workers; their shard and cell spans must still come back."""
+    workers; their chunk and cell spans must still come back."""
     from repro.conformance import default_cells
     from repro.conformance.matrix import _cell_worker
-    from repro.experiments.parallel import run_sharded, shutdown_pool
+    from repro.experiments.parallel import map_trials, shutdown_pool
 
     cells = default_cells(
         strategies=["tcb-teardown-rst/ttl"], variants=["evolved"],
@@ -181,15 +178,14 @@ def test_worker_spans_reach_a_parent_that_forked_mid_sweep():
     shutdown_pool()
     with observing(SPANS) as recorder:
         with recorder.span("sweep", "sweep"):
-            run_sharded(
-                _cell_worker, [(cell, 1, 3) for cell in cells],
-                shards=2, workers=2,
+            map_trials(
+                _cell_worker, [(cell, 1, 3) for cell in cells], workers=2,
             )
         (sweep,) = recorder.drain()["spans"]
-    shards = sweep["children"]
-    assert [shard["kind"] for shard in shards] == ["shard", "shard"]
+    chunks = sweep["children"]
+    assert [chunk["kind"] for chunk in chunks] == ["chunk", "chunk"]
     assert sorted(
-        cell["name"] for shard in shards for cell in shard["children"]
+        cell["name"] for chunk in chunks for cell in chunk["children"]
     ) == sorted(f"cell:{cell.cell_id}" for cell in cells)
 
 
@@ -209,7 +205,7 @@ def test_flight_recorder_single_eviction_false_negative_dump():
 
     spec = FleetSpec(**EVICTION_FN_SPEC)
     with observing(EVENTS) as recorder:
-        result = run_fleet(spec, shards=1)
+        result = run_fleet(spec, workers=1)
         dumps = recorder.drain()["dumps"]
 
     assert result.eviction_false_negatives == 1
@@ -252,13 +248,13 @@ def _fleet_dumps(**execution):
 def test_fleet_dumps_cross_the_process_boundary_unchanged():
     from repro.experiments.parallel import shutdown_pool
 
-    serial = _fleet_dumps(shards=1)
+    serial = _fleet_dumps(workers=1)
     # A fresh pool forks from a parent whose ring still holds the serial
     # run's events: those must not leak into the workers' dumps.
     shutdown_pool()
-    sharded = _fleet_dumps(shards=2, workers=2)
+    parallel = _fleet_dumps(workers=2)
     assert serial, "the CI shape produced no dumps"
-    assert sharded == serial
+    assert parallel == serial
 
 
 def test_dump_is_a_bounded_slice_of_the_ring():
@@ -305,6 +301,25 @@ def test_event_bus_drop_counter_reaches_registry():
 
 
 # -- CLI surfaces -------------------------------------------------------
+
+
+def test_fleet_run_trace_out_writes_group_wave_and_flow_spans(tmp_path):
+    from repro.cli import main
+
+    def names(workers):
+        path = tmp_path / f"trace{workers}.json"
+        assert main(["fleet", "run", "--flows", "24", "--groups", "2",
+                     "--sites", "6", "--workers", workers,
+                     "--trace-out", str(path)]) == 0
+        events = json.loads(path.read_text())["traceEvents"]
+        return sorted((e["cat"], e["name"]) for e in events)
+
+    serial, chunked = names("1"), names("2")
+    assert {"sweep", "wave", "flow"} <= {cat for cat, _ in serial}
+    assert [cat for cat, _ in serial].count("flow") == 24
+    # Same spans; the 2-worker trace adds one chunk span per group.
+    assert [e for e in chunked if e[0] != "chunk"] == serial
+    assert [cat for cat, _ in chunked].count("chunk") == 2
 
 
 def test_metrics_cli_prefix_filters_json_and_table(capsys):

@@ -97,7 +97,7 @@ def test_fleet_leaves_no_cycles():
     from repro.experiments.fleet import FleetSpec, run_fleet
 
     spec = FleetSpec(flows=96, seed=5, groups=1, window=32, max_flows=16)
-    assert cyclic_garbage(lambda: run_fleet(spec, shards=1)) == []
+    assert cyclic_garbage(lambda: run_fleet(spec, workers=1)) == []
 
 
 def test_dns_tor_vpn_trials_leave_no_cycles():

@@ -319,7 +319,7 @@ def test_stopped_counter_equal_serial_workers_and_sharded():
     serial = stops(workers=1)
     assert serial > 0
     assert stops(workers=2) == serial
-    assert stops(workers=2, shards=2) == serial
+    assert stops(workers=3) == serial
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +421,7 @@ def test_fleet_waves_never_arm_the_stop(monkeypatch):
     spec = fleet.FleetSpec(
         flows=48, groups=2, window=16, max_flows=24, sites=12, seed=99
     )
-    result = fleet.run_fleet(spec, shards=1)
+    result = fleet.run_fleet(spec, workers=1)
     assert len(armed) == 48
     assert not any(armed)
     assert _stopped_count() == before
