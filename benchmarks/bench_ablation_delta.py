@@ -17,7 +17,8 @@ from repro.experiments import (
     inside_china_catalog,
     outside_china_catalog,
 )
-from repro.experiments.runner import RateTriple, run_http_outcomes
+from repro.experiments.outcomes import VerdictDistribution
+from repro.experiments.runner import run_http_outcomes
 from repro.experiments.tables import render_table
 
 STRATEGY = "tcb-creation+resync-desync"
@@ -33,7 +34,7 @@ def _sweep(vantages, sites, deltas, seed=13):
             for v_index, vantage in enumerate(vantages)
             for w_index, website in enumerate(sites)
         ]
-        triple = RateTriple.from_outcomes(run_http_outcomes(tasks))
+        triple = VerdictDistribution.from_outcomes(run_http_outcomes(tasks))
         s, f1, f2 = triple.as_percentages()
         rows.append([f"delta={delta}", f"{s:.1f}%", f"{f1:.1f}%", f"{f2:.1f}%"])
     return rows

@@ -16,7 +16,8 @@ from repro.experiments import (
     DEFAULT_CALIBRATION,
     outside_china_catalog,
 )
-from repro.experiments.runner import RateTriple, run_http_outcomes
+from repro.experiments.outcomes import VerdictDistribution
+from repro.experiments.runner import run_http_outcomes
 from repro.experiments.tables import render_table
 
 SWEEPS = (
@@ -48,8 +49,8 @@ def mixture_sweep(sites_count: int) -> str:
                 for v_index, vantage in enumerate(vantages)
                 for w_index, website in enumerate(sites)
             ]
-            triple = RateTriple.from_outcomes(run_http_outcomes(tasks))
-            cells.append(f"{triple.success * 100:.0f}%")
+            triple = VerdictDistribution.from_outcomes(run_http_outcomes(tasks))
+            cells.append(f"{triple.as_percentages()[0]:.0f}%")
         rows.append(cells)
     return render_table(
         ["GFW population"] + list(STRATEGIES), rows,

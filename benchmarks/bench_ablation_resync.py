@@ -15,7 +15,8 @@ from repro.experiments import (
     DEFAULT_CALIBRATION,
     outside_china_catalog,
 )
-from repro.experiments.runner import RateTriple, run_http_outcomes
+from repro.experiments.outcomes import VerdictDistribution
+from repro.experiments.runner import run_http_outcomes
 from repro.experiments.tables import render_table
 
 PROBABILITIES = (0.0, 0.2, 0.5, 0.8, 1.0)
@@ -43,8 +44,8 @@ def resync_sweep(sites_count: int = 10) -> str:
                 for v_index, vantage in enumerate(vantages)
                 for w_index, website in enumerate(sites)
             ]
-            triple = RateTriple.from_outcomes(run_http_outcomes(tasks))
-            cells.append(f"{triple.success * 100:.0f}%")
+            triple = VerdictDistribution.from_outcomes(run_http_outcomes(tasks))
+            cells.append(f"{triple.as_percentages()[0]:.0f}%")
         rows.append(cells)
     text = render_table(
         ["NB3 coin"] + list(STRATEGIES), rows,

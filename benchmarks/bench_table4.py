@@ -14,7 +14,7 @@ from repro.experiments import (
     OUTSIDE_VANTAGE_POINTS,
     inside_china_catalog,
     outside_china_catalog,
-    run_table4_row,
+    run_per_vantage,
 )
 from repro.experiments.tables import format_table4
 from repro.strategies.registry import TABLE4_STRATEGIES
@@ -38,19 +38,19 @@ def regenerate_table4(sites_count: int, repeats: int) -> str:
     cn_sites = inside_china_catalog(count=max(10, sites_count * 33 // 77))
     inside_rows = []
     for label, strategy_id in TABLE4_STRATEGIES:
-        row = run_table4_row(
+        row = run_per_vantage(
             strategy_id, CHINA_VANTAGE_POINTS, sites, DEFAULT_CALIBRATION,
             repeats=repeats, seed=3,
         )
         inside_rows.append((label, row))
-    adaptive = run_table4_row(
+    adaptive = run_per_vantage(
         None, CHINA_VANTAGE_POINTS, sites, DEFAULT_CALIBRATION,
         repeats=max(4, repeats), seed=3, adaptive=True,
     )
     inside_rows.append(("INTANG Performance", adaptive))
     outside_rows = []
     for label, strategy_id in TABLE4_STRATEGIES:
-        row = run_table4_row(
+        row = run_per_vantage(
             strategy_id, OUTSIDE_VANTAGE_POINTS, cn_sites, DEFAULT_CALIBRATION,
             repeats=max(3, repeats), seed=3,
         )

@@ -31,12 +31,7 @@ from repro.analysis.discrepancy import (
     derive_table5,
     generate_table3,
 )
-from repro.analysis.inconsistency import (
-    InconsistencyReport,
-    VerdictDistribution,
-    run_inconsistency,
-    wilson_interval,
-)
+from repro.analysis.inconsistency import InconsistencyReport, run_inconsistency
 
 __all__ = [
     "IgnoreProbe",
@@ -52,7 +47,5 @@ __all__ = [
     "derive_table5",
     "generate_table3",
     "InconsistencyReport",
-    "VerdictDistribution",
     "run_inconsistency",
-    "wilson_interval",
 ]

@@ -12,7 +12,8 @@ reproduces that study shape against the simulated heterogeneous censor
 - a **diurnal curve** of reset suppression vs hour, and
 - a **blacklist-churn timeline** (adds and TTL expirations per hour),
 
-with every cell carried as a :class:`VerdictDistribution` — n-trial
+with every cell carried as a
+:class:`~repro.experiments.outcomes.VerdictDistribution` — n-trial
 outcome counts plus a Wilson score interval — rather than a bare label.
 
 Execution notes: per-cell seeds are fixed before fan-out (the same crc32
@@ -20,20 +21,22 @@ salt scheme as the conformance matrix), each trial is simulated directly,
 and device observables are harvested from the finished scenario before
 it is released — so the report is byte-identical for any worker count,
 which ``tests/test_heterogeneity.py`` pins.
-
-Heavy imports (runner, conformance) stay function-local: the module
-itself must be importable from pickled pool workers and from
-:mod:`repro.conformance.matrix` without cycles.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.conformance.matrix import conformance_site
+from repro.experiments.calibration import CLEAN_ROOM
+from repro.experiments.outcomes import VerdictDistribution
+from repro.experiments.parallel import map_trials
+from repro.experiments.runner import _simulate_http_trial
+from repro.experiments.scenarios import release_scenario
+from repro.experiments.vantage import VantagePoint
 from repro.gfw.heterogeneity import (
     HETEROGENEOUS_VARIANT,
     active_ensemble,
@@ -44,10 +47,8 @@ __all__ = [
     "DEFAULT_STRATEGIES",
     "InconsistencyCell",
     "InconsistencyReport",
-    "VerdictDistribution",
     "lab_vantages",
     "run_inconsistency",
-    "wilson_interval",
 ]
 
 #: Default sweep axes: the four quarter-day hours and the strategies
@@ -63,84 +64,6 @@ DEFAULT_STRATEGIES: Tuple[str, ...] = (
     "tcb-reversal",
     "improved-tcb-teardown",
 )
-DEFAULT_Z = 1.96  # two-sided 95 %
-
-
-def wilson_interval(
-    successes: int, trials: int, z: float = DEFAULT_Z
-) -> Tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
-
-    Preferred over the normal approximation because conformance cells
-    run single-digit repeats, where Wald intervals collapse to zero
-    width at 0/n and n/n.  ``n=0`` returns the vacuous ``(0, 1)``.
-    """
-    if trials <= 0:
-        return (0.0, 1.0)
-    p = successes / trials
-    z2 = z * z
-    denom = 1.0 + z2 / trials
-    center = (p + z2 / (2.0 * trials)) / denom
-    half = (
-        z
-        * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))
-        / denom
-    )
-    return (max(0.0, center - half), min(1.0, center + half))
-
-
-@dataclass(frozen=True)
-class VerdictDistribution:
-    """Outcome counts of n trials — the distribution-valued verdict.
-
-    The scalar verdict (``evades``/``blocked``/``broken``/``mixed``)
-    stays available as the point-estimate view via
-    :func:`repro.conformance.matrix.classify_counts`; this type carries
-    what that reduction throws away: the counts themselves and a
-    confidence interval on the success proportion.  Merging is integer
-    addition, hence associative and commutative — chunk-order-proof.
-    """
-
-    success: int = 0
-    failure1: int = 0
-    failure2: int = 0
-
-    @property
-    def trials(self) -> int:
-        return self.success + self.failure1 + self.failure2
-
-    @property
-    def verdict(self) -> str:
-        from repro.conformance.matrix import classify_counts
-
-        return classify_counts(self.success, self.failure1, self.failure2)
-
-    def wilson(self, z: float = DEFAULT_Z) -> Tuple[float, float]:
-        """Confidence bounds on the *success* proportion."""
-        return wilson_interval(self.success, self.trials, z=z)
-
-    def merge(self, other: "VerdictDistribution") -> "VerdictDistribution":
-        return VerdictDistribution(
-            self.success + other.success,
-            self.failure1 + other.failure1,
-            self.failure2 + other.failure2,
-        )
-
-    __add__ = merge
-
-    def as_payload(self) -> Dict:
-        low, high = self.wilson()
-        return {
-            "success": self.success,
-            "failure1": self.failure1,
-            "failure2": self.failure2,
-            "trials": self.trials,
-            "verdict": self.verdict,
-            "wilson_low": round(low, 6),
-            "wilson_high": round(high, 6),
-        }
-
-
 def lab_vantages(count: int) -> List:
     """``count`` synthetic in-China vantage points on a private range.
 
@@ -149,8 +72,6 @@ def lab_vantages(count: int) -> List:
     contaminate the disagreement matrix.  Names and IPs are stable, so
     the crc32 route assignment is too.
     """
-    from repro.experiments.vantage import VantagePoint
-
     return [
         VantagePoint(
             name=f"route-vp-{index:02d}",
@@ -183,6 +104,7 @@ class InconsistencyCell:
     def as_payload(self) -> Dict:
         payload = self.distribution.as_payload()
         payload.update(
+            trials=self.distribution.trials,
             vantage=self.vantage,
             hour=self.hour,
             strategy=self.strategy_id,
@@ -208,10 +130,6 @@ def _inconsistency_cell_worker(task: Tuple) -> InconsistencyCell:
     released; devices are built per trial, so the counters are per-trial
     by construction.
     """
-    from repro.experiments.calibration import CLEAN_ROOM
-    from repro.experiments.runner import Outcome, _simulate_http_trial
-    from repro.experiments.scenarios import release_scenario
-
     vantage, website, hour, strategy_id, repeats, seed = task
     ensemble = active_ensemble()
     cell = InconsistencyCell(
@@ -222,7 +140,7 @@ def _inconsistency_cell_worker(task: Tuple) -> InconsistencyCell:
     )
     calibration = CLEAN_ROOM.variant(sim_hour=float(hour))
     salt = _cell_salt(vantage.name, hour, strategy_id)
-    counts = {Outcome.SUCCESS: 0, Outcome.FAILURE1: 0, Outcome.FAILURE2: 0}
+    outcomes = []
     for repeat in range(repeats):
         record, scenario = _simulate_http_trial(
             vantage,
@@ -236,7 +154,7 @@ def _inconsistency_cell_worker(task: Tuple) -> InconsistencyCell:
             # the record is final.
             stop_at_verdict=False,
         )
-        counts[record.outcome] += 1
+        outcomes.append(record.outcome)
         for device in scenario.gfw_devices:
             # Materialize lazy TTL expiries at the trial's end time —
             # pairs whose connection died never re-read the blacklist.
@@ -247,11 +165,7 @@ def _inconsistency_cell_worker(task: Tuple) -> InconsistencyCell:
             cell.blacklist_adds += device.blacklist.total_blacklistings
             cell.blacklist_expirations += device.blacklist.total_expirations
         release_scenario(scenario)
-    cell.distribution = VerdictDistribution(
-        counts[Outcome.SUCCESS],
-        counts[Outcome.FAILURE1],
-        counts[Outcome.FAILURE2],
-    )
+    cell.distribution = VerdictDistribution.from_outcomes(outcomes)
     return cell
 
 
@@ -273,9 +187,7 @@ class InconsistencyReport:
         merged: Dict[Tuple[str, str], VerdictDistribution] = {}
         for cell in self.cells:
             key = (cell.strategy_id, cell.vantage)
-            merged[key] = merged.get(key, VerdictDistribution()).merge(
-                cell.distribution
-            )
+            merged[key] = merged.get(key, VerdictDistribution()) + cell.distribution
         return merged
 
     def disagreement_matrix(self) -> Dict[str, Dict[str, str]]:
@@ -374,9 +286,6 @@ def run_inconsistency(
 ) -> InconsistencyReport:
     """Run the vantage × hour × strategy sweep against the heterogeneous
     censor and reduce it to an :class:`InconsistencyReport`."""
-    from repro.conformance.matrix import conformance_site
-    from repro.experiments.parallel import map_trials
-
     points = lab_vantages(vantages)
     website = conformance_site()
     hour_list = [float(h) for h in hours]

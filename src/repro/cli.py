@@ -102,7 +102,7 @@ def _cmd_table4(args: argparse.Namespace) -> int:
         CHINA_VANTAGE_POINTS,
         DEFAULT_CALIBRATION,
         outside_china_catalog,
-        run_table4_row,
+        run_per_vantage,
     )
     from repro.experiments.tables import format_table4
     from repro.strategies.registry import TABLE4_STRATEGIES
@@ -112,16 +112,16 @@ def _cmd_table4(args: argparse.Namespace) -> int:
     for label, strategy_id in TABLE4_STRATEGIES:
         rows.append((
             label,
-            run_table4_row(strategy_id, CHINA_VANTAGE_POINTS, sites,
-                           DEFAULT_CALIBRATION, repeats=args.repeats,
-                           seed=args.seed),
+            run_per_vantage(strategy_id, CHINA_VANTAGE_POINTS, sites,
+                            DEFAULT_CALIBRATION, repeats=args.repeats,
+                            seed=args.seed),
         ))
         print(".", end="", flush=True, file=sys.stderr)
     rows.append((
         "INTANG Performance",
-        run_table4_row(None, CHINA_VANTAGE_POINTS, sites, DEFAULT_CALIBRATION,
-                       repeats=max(4, args.repeats), seed=args.seed,
-                       adaptive=True),
+        run_per_vantage(None, CHINA_VANTAGE_POINTS, sites, DEFAULT_CALIBRATION,
+                        repeats=max(4, args.repeats), seed=args.seed,
+                        adaptive=True),
     ))
     print(file=sys.stderr)
     print(format_table4(rows, title="Table 4 (inside China)"))
@@ -795,12 +795,13 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             f"p99={latency['p99']:.3f}s "
             f"(mean {latency['mean']:.3f}s over {latency['count']} flows)"
         )
-    for label, counts in result.outcomes.items():
-        total = sum(counts)
-        rate = counts[0] / total if total else 0.0
+    for label, tally in result.outcomes.items():
+        total = tally.trials
+        rate = tally.success / total if total else 0.0
         print(
             f"  {label:<36} {rate:7.1%} success  "
-            f"({counts[0]}/{counts[1]}/{counts[2]} s/f1/f2 of {total})"
+            f"({tally.success}/{tally.failure1}/{tally.failure2} s/f1/f2 "
+            f"of {total})"
         )
     for point in payload.get("curve", []):
         print(

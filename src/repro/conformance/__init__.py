@@ -28,11 +28,11 @@ from repro.conformance.matrix import (
     CellResult,
     FAULT_GRID,
     FaultPoint,
-    classify_counts,
     default_cells,
     run_cell,
     run_matrix,
 )
+from repro.experiments.outcomes import classify_counts
 from repro.conformance.oracles import (
     KNOWN_DIVERGENCE,
     ORACLE_RULES,

@@ -3,8 +3,11 @@
 One **cell** is ``(strategy, gfw_variant, middlebox_profile, fault
 point)``.  The harness runs every cell through the ordinary
 scenario/runner machinery (:func:`repro.experiments.runner.
-_simulate_http_trial` with the ``gfw_variant`` override) and reduces the
-repeats to a discrete **verdict**:
+_simulate_http_trial` with the ``gfw_variant`` override) and tallies the
+repeats into a :class:`CellResult` — the cell's
+:class:`~repro.experiments.outcomes.VerdictDistribution` — whose
+discrete **verdict** is :func:`~repro.experiments.outcomes.
+classify_counts`:
 
 - ``evades``  — at least half the repeats succeeded;
 - ``blocked`` — a majority ended in Failure 2 (GFW resets);
@@ -21,12 +24,14 @@ contract under test.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.inconsistency import VerdictDistribution
 from repro.experiments.calibration import CLEAN_ROOM, Calibration
+from repro.experiments.outcomes import VerdictDistribution
 from repro.experiments.parallel import map_trials
+from repro.experiments.runner import _simulate_http_trial
+from repro.experiments.scenarios import release_scenario
 from repro.experiments.vantage import VantagePoint, vantage_by_name
 from repro.experiments.websites import Website, outside_china_catalog
 from repro.gfw.heterogeneity import HETEROGENEOUS_VARIANT, validate_variant
@@ -44,7 +49,6 @@ __all__ = [
     "FAULT_GRID",
     "FaultPoint",
     "cell_calibration",
-    "classify_counts",
     "default_cells",
     "fault_by_name",
     "profile_vantage",
@@ -156,60 +160,12 @@ class ConformanceCell:
         return zlib.crc32(self.cell_id.encode("utf-8")) & 0xFFFFFF
 
 
-@dataclass
-class CellResult:
-    """The observed counts and reduced verdict of one cell."""
+@dataclass(frozen=True)
+class CellResult(VerdictDistribution):
+    """One cell's outcome tally; ``verdict`` is its point estimate and
+    ``as_payload()`` its golden verdict row."""
 
-    cell: ConformanceCell
-    success: int = 0
-    failure1: int = 0
-    failure2: int = 0
-
-    @property
-    def trials(self) -> int:
-        return self.success + self.failure1 + self.failure2
-
-    @property
-    def verdict(self) -> str:
-        return classify_counts(self.success, self.failure1, self.failure2)
-
-    @property
-    def distribution(self) -> VerdictDistribution:
-        """The distribution-valued view of the cell (counts + Wilson
-        bounds); ``verdict`` above remains the point estimate."""
-        return VerdictDistribution(self.success, self.failure1, self.failure2)
-
-    def as_payload(self) -> Dict:
-        """A JSON-representable image (golden verdict snapshot rows).
-
-        Every distribution-valued cell carries its Wilson confidence
-        bounds on the success proportion; golden comparison keys on the
-        ``verdict`` string, so the bounds are additive, not behavioural.
-        """
-        low, high = self.distribution.wilson()
-        return {
-            "verdict": self.verdict,
-            "success": self.success,
-            "failure1": self.failure1,
-            "failure2": self.failure2,
-            "wilson_low": round(low, 6),
-            "wilson_high": round(high, 6),
-        }
-
-
-def classify_counts(success: int, failure1: int, failure2: int) -> str:
-    """Reduce repeat counts to a verdict (ties resolve toward evasion
-    first, then blocking — a 50 % evader still evades in expectation)."""
-    trials = success + failure1 + failure2
-    if trials == 0:
-        return "mixed"
-    if 2 * success >= trials:
-        return "evades"
-    if 2 * failure2 > trials:
-        return "blocked"
-    if 2 * failure1 > trials:
-        return "broken"
-    return "mixed"
+    cell: ConformanceCell = field(kw_only=True)
 
 
 def cell_calibration(fault: FaultPoint) -> Calibration:
@@ -263,19 +219,12 @@ def run_cell(
     repeats: int = DEFAULT_REPEATS,
     seed: int = DEFAULT_SEED,
 ) -> CellResult:
-    """Run one cell's repeats, one trial at a time, and reduce them to
-    counts.  Imports the runner lazily so the module stays importable in
-    process-pool workers without dragging the app stack in at
-    enumeration time.
-    """
-    from repro.experiments.runner import Outcome, _simulate_http_trial
-    from repro.experiments.scenarios import release_scenario
-
+    """Run one cell's repeats, one trial at a time, and tally them."""
     vantage = profile_vantage(cell.profile)
     website = conformance_site()
     calibration = cell_calibration(cell.fault)
     salt = cell.seed_salt()
-    result = CellResult(cell=cell)
+    outcomes = []
     recorder = get_recorder()
     since = recorder.next_seq
     cell_span = recorder.begin(
@@ -294,12 +243,8 @@ def run_cell(
             gfw_variant=cell.gfw_variant,
         )
         release_scenario(scenario)
-        if record.outcome is Outcome.SUCCESS:
-            result.success += 1
-        elif record.outcome is Outcome.FAILURE1:
-            result.failure1 += 1
-        else:
-            result.failure2 += 1
+        outcomes.append(record.outcome)
+    result = CellResult(*VerdictDistribution.from_outcomes(outcomes), cell=cell)
     recorder.end(cell_span, verdict=result.verdict)
     if result.verdict == "broken":
         # The strategy itself killed the connection: dump the cell's

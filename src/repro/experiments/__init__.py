@@ -10,8 +10,9 @@ strategies + INTANG) into the paper's measurement campaign:
 - :mod:`repro.experiments.websites` — synthetic Alexa-style catalogs and
   DNS resolvers;
 - :mod:`repro.experiments.scenarios` — per-trial topology assembly;
-- :mod:`repro.experiments.runner` — trial execution and the
-  Success/Failure-1/Failure-2 classification of §3.4;
+- :mod:`repro.experiments.outcomes` — the Success/Failure-1/Failure-2
+  classification of §3.3 and its one tally, ``VerdictDistribution``;
+- :mod:`repro.experiments.runner` — trial execution;
 - :mod:`repro.experiments.middlebox_probe` — the Table 2 probes;
 - :mod:`repro.experiments.tables` — paper-shaped table rendering.
 """
@@ -37,10 +38,9 @@ from repro.experiments.parallel import (
     configured_workers,
     map_trials,
 )
+from repro.experiments.outcomes import Outcome, VerdictDistribution
 from repro.experiments.runner import (
-    Outcome,
     PerVantageRates,
-    RateTriple,
     TrialRecord,
     diagnose_failure,
     run_cell_by_provider,
@@ -50,7 +50,6 @@ from repro.experiments.runner import (
     run_http_trial,
     run_per_vantage,
     run_strategy_cell,
-    run_table4_row,
     run_tor_cell,
     run_tor_trial,
     run_vpn_cell,
@@ -90,7 +89,7 @@ __all__ = [
     "map_trials",
     "Outcome",
     "PerVantageRates",
-    "RateTriple",
+    "VerdictDistribution",
     "TrialRecord",
     "diagnose_failure",
     "run_cell_by_provider",
@@ -100,7 +99,6 @@ __all__ = [
     "run_http_trial",
     "run_per_vantage",
     "run_strategy_cell",
-    "run_table4_row",
     "run_tor_cell",
     "run_tor_trial",
     "run_vpn_cell",

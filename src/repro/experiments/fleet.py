@@ -52,7 +52,8 @@ from repro.apps.http import HTTPClient
 from repro.core.intang import INTANG
 from repro.experiments.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.experiments.parallel import map_trials
-from repro.experiments.runner import BENIGN_PATH, SENSITIVE_PATH, Outcome, classify
+from repro.experiments.outcomes import Outcome, VerdictDistribution, classify
+from repro.experiments.runner import BENIGN_PATH, SENSITIVE_PATH
 from repro.experiments.scenarios import (
     Scenario,
     acquire_scenario,
@@ -509,8 +510,8 @@ class FleetGroupResult:
     group: int
     flows: int
     flow_events: int
-    #: label -> [success, failure1, failure2] counts.
-    outcomes: Dict[str, List[int]] = field(default_factory=dict)
+    #: label -> outcome tally.
+    outcomes: Dict[str, VerdictDistribution] = field(default_factory=dict)
     eviction_false_negatives: int = 0
     blacklist_false_positives: int = 0
     evictions_in_resync: int = 0
@@ -575,18 +576,12 @@ def _dump_flow_anomaly(
 
 def _finalize_flow(
     ctx: _FleetFlowContext, shared: SharedGFWState, result: FleetGroupResult
-) -> None:
+) -> Outcome:
     """Classify one finished flow and attribute shared-state errors."""
     scenario = ctx.scenario
     flow = ctx.flow
     resets = scenario.gfw_resets_received()
     outcome = classify(ctx.exchange.got_response, resets)
-    bucket = result.outcomes.setdefault(flow.label, [0, 0, 0])
-    bucket[
-        0 if outcome is Outcome.SUCCESS
-        else 1 if outcome is Outcome.FAILURE1
-        else 2
-    ] += 1
     _FLEET_FLOWS.inc()
     _OUTCOME_COUNTERS[outcome].inc()
     # First byte to verdict, in simulated seconds.  A flow that never
@@ -655,6 +650,7 @@ def _finalize_flow(
             {"outcome": outcome.value, "resets": resets},
         )
     release_scenario(scenario)
+    return outcome
 
 
 def _run_wave(
@@ -663,8 +659,10 @@ def _run_wave(
     shared: SharedGFWState,
     calibration: Calibration,
     result: FleetGroupResult,
+    labelled: Dict[str, List[Outcome]],
 ) -> None:
-    """Run one wave of flows on one heap, then classify and free them.
+    """Run one wave of flows on one heap, then classify and free them,
+    appending each flow's outcome to ``labelled`` under its label.
 
     The wave's contexts die when this frame returns, so the caller's
     collector pause covers their release too.
@@ -684,7 +682,9 @@ def _run_wave(
     finally:
         batch.release()
     for ctx in contexts:
-        _finalize_flow(ctx, shared, result)
+        labelled.setdefault(ctx.flow.label, []).append(
+            _finalize_flow(ctx, shared, result)
+        )
 
 
 def run_fleet_group(
@@ -703,6 +703,7 @@ def run_fleet_group(
     shared = SharedGFWState(spec, group)
     indices = list(spec.group_indices(group))
     result = FleetGroupResult(group=group, flows=len(indices), flow_events=0)
+    labelled: Dict[str, List[Outcome]] = {}
     group_span = recorder.begin(
         f"fleet.group{group}", "sweep", group=group, flows=len(indices)
     )
@@ -716,7 +717,7 @@ def run_fleet_group(
         collector_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            _run_wave(spec, wave, shared, calibration, result)
+            _run_wave(spec, wave, shared, calibration, result, labelled)
         finally:
             if collector_was_enabled:
                 gc.enable()
@@ -731,6 +732,10 @@ def run_fleet_group(
                 ),
             )
     recorder.end(group_span)
+    result.outcomes = {
+        label: VerdictDistribution.from_outcomes(outcomes)
+        for label, outcomes in labelled.items()
+    }
     result.evictions_in_resync = shared.evictions_in_resync
     result.flows_created = sum(t.flows_created for t in shared.flow_tables)
     result.flows_evicted = sum(t.flows_evicted for t in shared.flow_tables)
@@ -763,7 +768,7 @@ class FleetResult:
     spec: FleetSpec
     flows: int
     flow_events: int
-    outcomes: Dict[str, List[int]]
+    outcomes: Dict[str, VerdictDistribution]
     eviction_false_negatives: int
     blacklist_false_positives: int
     evictions_in_resync: int
@@ -781,13 +786,11 @@ class FleetResult:
     def merge(
         cls, spec: FleetSpec, groups: Sequence[FleetGroupResult]
     ) -> "FleetResult":
-        outcomes: Dict[str, List[int]] = {}
+        outcomes: Dict[str, VerdictDistribution] = {}
         latency = _new_latency_hist()
         for group in groups:
-            for label, counts in group.outcomes.items():
-                bucket = outcomes.setdefault(label, [0, 0, 0])
-                for i in range(3):
-                    bucket[i] += counts[i]
+            for label, tally in group.outcomes.items():
+                outcomes[label] = outcomes.get(label, VerdictDistribution()) + tally
             other = group.flow_sim_latency
             latency["counts"] = [
                 a + b for a, b in zip(latency["counts"], other["counts"])
@@ -822,10 +825,10 @@ class FleetResult:
         )
 
     def success_rate(self, label: str) -> Optional[float]:
-        counts = self.outcomes.get(label)
-        if not counts or sum(counts) == 0:
+        tally = self.outcomes.get(label)
+        if tally is None or tally.trials == 0:
             return None
-        return counts[0] / sum(counts)
+        return tally.success / tally.trials
 
     def strategy_rates(self) -> Dict[str, float]:
         """Evasion success per strategy label (benign bucket excluded)."""

@@ -78,15 +78,17 @@ def shutdown_pool() -> None:
 
 
 def _get_pool(workers: int) -> ProcessPoolExecutor:
-    """The shared executor; workers live for the whole sweep.
+    """The shared executor of ``workers`` processes; they live for the
+    whole sweep.
 
-    Grow-only: the pool is recreated when more workers are needed, never
-    torn down for fewer — a small map mid-sweep (3 tasks after a
-    10,000-task cell) must not cycle every worker process.  Reuse
+    Keyed on the *requested* worker count, not the task-clamped one: a
+    small map mid-sweep (3 tasks after a 10,000-task cell) reuses the
+    pool instead of cycling every worker process, while a map asking
+    for a different count gets a pool of exactly that size.  Reuse
     amortizes process start-up across the many cells of a sweep.
     """
     global _pool, _pool_workers
-    if _pool is None or _pool_workers < workers:
+    if _pool is None or _pool_workers != workers:
         shutdown_pool()
         _pool = ProcessPoolExecutor(max_workers=workers)
         _pool_workers = workers
@@ -158,13 +160,14 @@ def map_trials(
     picklable.  With one worker the map runs inline, byte-identical to a
     plain loop.  Otherwise the tasks are cut into ``min(len(tasks),
     workers × DEFAULT_CHUNKS_PER_WORKER)`` contiguous near-even chunks on
-    a pool of ``min(workers, len(tasks))`` processes, and the chunks'
-    results are put back in task order.  Their registry deltas merge
+    the shared pool of ``workers`` processes, and the chunks' results are
+    put back in task order.  Their registry deltas merge
     order-independently (counters and histogram buckets add), so the
     merged registry equals a serial run's for any worker count.
     """
     tasks = list(tasks)
-    effective = min(configured_workers(workers), len(tasks))
+    requested = configured_workers(workers)
+    effective = min(requested, len(tasks))
     if effective <= 1:
         _note_execution(1, 0)
         return [func(task) for task in tasks]
@@ -178,7 +181,7 @@ def map_trials(
         for i in range(count)
     ]
     results: List[Any] = []
-    for chunk_results, delta in _get_pool(effective).map(_run_chunk, payloads):
+    for chunk_results, delta in _get_pool(requested).map(_run_chunk, payloads):
         registry.merge(delta)
         recorder.merge(delta.get("records"))
         results.extend(chunk_results)

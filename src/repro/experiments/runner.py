@@ -1,27 +1,23 @@
-"""Trial runner and outcome classification (§3.3 / §3.4 notation).
-
-"Success means that we receive the HTTP response from the server and
-receive no reset packets from the GFW.  Failure 1 means that we receive
-no HTTP response from the server nor do we receive any resets from the
-GFW.  Failure 2 means that we receive reset packets from the GFW."
+"""Trial runner (§3.3 / §3.4 notation).
 
 One call to :func:`run_http_trial` is one row-cell repetition: a fresh
 topology is built (equivalent to the paper's inter-test intervals that
 let the 90-second blacklist lapse), INTANG measures the hop count, the
 route possibly drifts out from under that measurement, the client
 requests a page whose URL carries (or not) the sensitive keyword, and
-the outcome is classified from the client's viewpoint only — exactly
-what a real measurement client can see.
+the outcome is classified (:mod:`repro.experiments.outcomes`) from the
+client's viewpoint only — exactly what a real measurement client can
+see.  Every cell runner reduces its outcomes to one
+:class:`~repro.experiments.outcomes.VerdictDistribution`.
 """
 
 from __future__ import annotations
 
-import enum
 import random
 import zlib
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cache import KeyValueStore
 from repro.core.intang import INTANG
@@ -31,6 +27,7 @@ from repro.apps.http import HTTPClient
 from repro.apps.tor import TorClient
 from repro.apps.vpn import OpenVPNClient
 from repro.experiments.calibration import Calibration, DEFAULT_CALIBRATION
+from repro.experiments.outcomes import Outcome, VerdictDistribution, classify
 from repro.experiments.parallel import map_trials
 from repro.experiments.scenarios import (
     HONEST_DNS_ANSWER,
@@ -53,12 +50,6 @@ BENIGN_PATH = "/index.html"
 #: RSTs often enough to push success down to the observed 24-38 %
 #: (two redundant RSTs must both fail to poison it: (1-p)^2 ≈ 0.30).
 TIANJIN_DNS_FIREWALL_TEARDOWN = 0.45
-
-
-class Outcome(enum.Enum):
-    SUCCESS = "success"
-    FAILURE1 = "failure1"  # silence: no response, no GFW resets
-    FAILURE2 = "failure2"  # GFW resets observed
 
 
 def strategy_salt(strategy_id: str) -> int:
@@ -128,14 +119,6 @@ def diagnose_failure(scenario: Scenario, outcome: Outcome) -> Optional[str]:
     if scenario.path.loss_rate > 0.2:
         return "loss-burst"
     return "silent (loss or unreached server)"
-
-
-def classify(got_response: bool, gfw_resets: int) -> Outcome:
-    if gfw_resets > 0:
-        return Outcome.FAILURE2
-    if got_response:
-        return Outcome.SUCCESS
-    return Outcome.FAILURE1
 
 
 def make_persistent_selector(priority: Optional[Sequence[str]] = None) -> StrategySelector:
@@ -318,63 +301,6 @@ def run_http_trial(
     return record
 
 
-@dataclass
-class RateTriple:
-    """Aggregated Success / Failure-1 / Failure-2 rates.
-
-    Carries the raw outcome *counts* beside the historical rate floats,
-    so every table row can be read as a distribution-valued verdict
-    (``distribution``/``wilson``) instead of a bare point estimate.  The
-    count fields default to zero and sit after the originals, keeping
-    positional construction in older call sites valid.
-    """
-
-    success: float = 0.0
-    failure1: float = 0.0
-    failure2: float = 0.0
-    trials: int = 0
-    successes: int = 0
-    failure1s: int = 0
-    failure2s: int = 0
-
-    @classmethod
-    def from_outcomes(cls, outcomes: Iterable[Outcome]) -> "RateTriple":
-        counts = {Outcome.SUCCESS: 0, Outcome.FAILURE1: 0, Outcome.FAILURE2: 0}
-        total = 0
-        for outcome in outcomes:
-            counts[outcome] += 1
-            total += 1
-        if total == 0:
-            return cls()
-        return cls(
-            success=counts[Outcome.SUCCESS] / total,
-            failure1=counts[Outcome.FAILURE1] / total,
-            failure2=counts[Outcome.FAILURE2] / total,
-            trials=total,
-            successes=counts[Outcome.SUCCESS],
-            failure1s=counts[Outcome.FAILURE1],
-            failure2s=counts[Outcome.FAILURE2],
-        )
-
-    def as_percentages(self) -> Tuple[float, float, float]:
-        return (self.success * 100, self.failure1 * 100, self.failure2 * 100)
-
-    @property
-    def distribution(self):
-        """The counts as a :class:`~repro.analysis.inconsistency.
-        VerdictDistribution` (lazy import: the analysis layer must stay
-        optional for pickled pool workers)."""
-        from repro.analysis.inconsistency import VerdictDistribution
-
-        return VerdictDistribution(
-            self.successes, self.failure1s, self.failure2s
-        )
-
-    def wilson(self, z: float = 1.96) -> Tuple[float, float]:
-        """Wilson confidence bounds on the success rate."""
-        return self.distribution.wilson(z=z)
-
-
 def _http_outcome_worker(task: Tuple) -> Outcome:
     """Process-pool work unit: one HTTP trial, reduced to its outcome."""
     return run_http_trial(*task).outcome
@@ -423,13 +349,12 @@ def run_strategy_cell(
     seed: int = 0,
     keyword: bool = True,
     workers: Optional[int] = None,
-) -> RateTriple:
+) -> VerdictDistribution:
     """One Table 1 cell: a strategy across vantage × site × repeats.
 
     Trials fan out over ``workers`` processes (default: the
     ``REPRO_WORKERS`` environment knob); the seeds are fixed before
-    fan-out, so the resulting :class:`RateTriple` is identical for any
-    worker count.
+    fan-out, so the resulting tally is identical for any worker count.
     """
     tasks = _cell_tasks(
         strategy_id, vantages, websites, calibration, repeats, seed, keyword
@@ -439,29 +364,29 @@ def run_strategy_cell(
         strategy=strategy_id, trials=len(tasks), keyword=keyword,
     ):
         outcomes = run_http_outcomes(tasks, workers=workers)
-    return RateTriple.from_outcomes(outcomes)
+    return VerdictDistribution.from_outcomes(outcomes)
 
 
 @dataclass
 class PerVantageRates:
-    """Per-vantage success rates, summarized as Table 4's min/max/avg."""
+    """Per-vantage tallies, summarized as Table 4's min/max/avg rates."""
 
-    rates: Dict[str, RateTriple] = field(default_factory=dict)
+    rates: Dict[str, VerdictDistribution] = field(default_factory=dict)
 
-    def _extremes(self, attribute: str) -> Tuple[float, float, float]:
-        values = [getattr(rate, attribute) for rate in self.rates.values()]
+    def _extremes(self, index: int) -> Tuple[float, float, float]:
+        values = [tally.rates()[index] for tally in self.rates.values()]
         if not values:
             return (0.0, 0.0, 0.0)
         return (min(values) * 100, max(values) * 100, sum(values) / len(values) * 100)
 
     def success_min_max_avg(self) -> Tuple[float, float, float]:
-        return self._extremes("success")
+        return self._extremes(0)
 
     def failure1_min_max_avg(self) -> Tuple[float, float, float]:
-        return self._extremes("failure1")
+        return self._extremes(1)
 
     def failure2_min_max_avg(self) -> Tuple[float, float, float]:
-        return self._extremes("failure2")
+        return self._extremes(2)
 
 
 def run_cell_by_provider(
@@ -473,7 +398,7 @@ def run_cell_by_provider(
     seed: int = 0,
     keyword: bool = True,
     workers: Optional[int] = None,
-) -> Dict[str, RateTriple]:
+) -> Dict[str, VerdictDistribution]:
     """One strategy's rates broken down by provider profile.
 
     §7.1 observes that "both the Failures 1 and Failures 2 always happen
@@ -490,12 +415,12 @@ def run_cell_by_provider(
         vantage = task[0]
         outcomes_by_provider.setdefault(vantage.provider_profile, []).append(outcome)
     return {
-        provider: RateTriple.from_outcomes(bucket)
+        provider: VerdictDistribution.from_outcomes(bucket)
         for provider, bucket in outcomes_by_provider.items()
     }
 
 
-def _vantage_row_worker(task: Tuple) -> RateTriple:
+def _vantage_row_worker(task: Tuple) -> VerdictDistribution:
     """Process-pool work unit: one vantage's full trial sequence.
 
     A whole vantage is one unit (not one trial) because the adaptive
@@ -521,7 +446,7 @@ def _vantage_row_worker(task: Tuple) -> RateTriple:
                 selector=selector,
             )
             outcomes.append(record.outcome)
-    return RateTriple.from_outcomes(outcomes)
+    return VerdictDistribution.from_outcomes(outcomes)
 
 
 def run_per_vantage(
@@ -534,35 +459,19 @@ def run_per_vantage(
     adaptive: bool = False,
     workers: Optional[int] = None,
 ) -> PerVantageRates:
-    """Per-vantage rates for one strategy, fanned out a vantage at a time."""
+    """Per-vantage tallies for one strategy, fanned out a vantage at a
+    time: one Table 4 row.  ``adaptive=True`` is the "INTANG
+    Performance" row (the selector carries measurement history across
+    repeats)."""
     websites = tuple(websites)
     tasks = [
         (vantage, v_index, websites, strategy_id,
          calibration, repeats, seed, adaptive)
         for v_index, vantage in enumerate(vantages)
     ]
-    triples = map_trials(_vantage_row_worker, tasks, workers=workers)
-    result = PerVantageRates()
-    for vantage, triple in zip(vantages, triples):
-        result.rates[vantage.name] = triple
-    return result
-
-
-def run_table4_row(
-    strategy_id: Optional[str],
-    vantages: Sequence[VantagePoint],
-    websites: Sequence[Website],
-    calibration: Calibration = DEFAULT_CALIBRATION,
-    repeats: int = 1,
-    seed: int = 0,
-    adaptive: bool = False,
-    workers: Optional[int] = None,
-) -> PerVantageRates:
-    """One Table 4 row; ``adaptive=True`` is the "INTANG Performance" row
-    (the selector carries measurement history across repeats)."""
-    return run_per_vantage(
-        strategy_id, vantages, websites, calibration,
-        repeats=repeats, seed=seed, adaptive=adaptive, workers=workers,
+    tallies = map_trials(_vantage_row_worker, tasks, workers=workers)
+    return PerVantageRates(
+        {vantage.name: tally for vantage, tally in zip(vantages, tallies)}
     )
 
 

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.experiments.runner import PerVantageRates, RateTriple
+from repro.experiments.outcomes import VerdictDistribution
+from repro.experiments.runner import PerVantageRates
 
 
 def _rule(widths: Sequence[int]) -> str:
@@ -42,7 +43,7 @@ def pct(value: float) -> str:
 
 
 def format_table1(
-    results: List[Tuple[str, str, RateTriple, RateTriple]],
+    results: List[Tuple[str, str, VerdictDistribution, VerdictDistribution]],
     title: str = "Table 1: existing evasion strategies",
 ) -> str:
     """``results``: (strategy label, discrepancy, with-kw, without-kw)."""
@@ -121,16 +122,15 @@ def format_table6(
     return render_table(headers, rows, title)
 
 
-def format_rate_line(label: str, triple: RateTriple) -> str:
-    s, f1, f2 = triple.as_percentages()
+def format_rate_line(label: str, tally: VerdictDistribution) -> str:
+    s, f1, f2 = tally.as_percentages()
     line = (
         f"{label:<42} success={s:5.1f}%  failure1={f1:5.1f}%  "
-        f"failure2={f2:5.1f}%  (n={triple.trials})"
+        f"failure2={f2:5.1f}%  (n={tally.trials})"
     )
-    if triple.successes + triple.failure1s + triple.failure2s:
-        # Distribution-valued view: the Wilson 95 % band on the success
-        # rate, present whenever the triple carries raw counts.
-        low, high = triple.wilson()
+    if tally.trials:
+        # The Wilson 95 % band on the success rate.
+        low, high = tally.wilson()
         line += f"  ci95=[{low * 100:.1f}%,{high * 100:.1f}%]"
     return line
 

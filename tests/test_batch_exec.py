@@ -7,6 +7,9 @@ events in the order a private clock would fire them; its per-trial
 ordering invariant is property-tested directly.
 """
 
+import os
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ from repro.experiments import (
     outside_china_catalog,
     run_strategy_cell,
 )
+from repro.experiments import parallel
 from repro.experiments.parallel import DEFAULT_CHUNKS_PER_WORKER
 from repro.netsim.batch import TRIAL_SHIFT, BatchSim
 from repro.netsim.simclock import SimClock
@@ -30,6 +34,12 @@ def _square(task):
     return task * task
 
 
+def _worker_pid(task):
+    """Which process ran the task; the nap spreads chunks over workers."""
+    time.sleep(0.01)
+    return os.getpid()
+
+
 class TestExecutionParity:
     """Serial and worker-pool execution give identical rates."""
 
@@ -38,7 +48,7 @@ class TestExecutionParity:
             triple = run_strategy_cell(
                 "tcb-teardown-rst/ttl", VANTAGES, SITES, repeats=2, **kwargs
             )
-            return (triple.success, triple.failure1, triple.failure2, triple.trials)
+            return (*triple.rates(), triple.trials)
 
         serial = cell(workers=1)
         assert cell(workers=2) == serial
@@ -173,6 +183,17 @@ class TestMapTrialsEdgeCases:
         assert map_trials(_square, tasks, workers=1) == expected
         assert map_trials(_square, tasks, workers=2) == expected
         assert map_trials(_square, tasks, workers=3) == expected
+
+    def test_pool_follows_the_requested_worker_count(self):
+        assert len(set(map_trials(_worker_pid, range(24), workers=3))) <= 3
+        # A map with fewer tasks than workers still reuses the pool.
+        pool = parallel._pool
+        assert map_trials(_square, [1, 2], workers=3) == [1, 4]
+        assert parallel._pool is pool
+        # A 2-worker map after a 3-worker one runs on 2 processes, not on
+        # the 3 the earlier map started.
+        assert len(set(map_trials(_worker_pid, range(24), workers=2))) <= 2
+        parallel.shutdown_pool()
 
     def test_fewer_tasks_than_chunks(self):
         # Chunks clamp to the task count: one task per chunk.

@@ -12,7 +12,7 @@ from repro.experiments import (
     OPENDNS_RESOLVERS,
     OUTSIDE_VANTAGE_POINTS,
     Outcome,
-    RateTriple,
+    VerdictDistribution,
     build_scenario,
     inside_china_catalog,
     outside_china_catalog,
@@ -94,16 +94,17 @@ class TestClassification:
         assert classify(True, 1) is Outcome.FAILURE2
 
     def test_rate_triple(self):
-        triple = RateTriple.from_outcomes(
+        triple = VerdictDistribution.from_outcomes(
             [Outcome.SUCCESS, Outcome.SUCCESS, Outcome.FAILURE1, Outcome.FAILURE2]
         )
-        assert triple.success == 0.5
-        assert triple.failure1 == 0.25
-        assert triple.failure2 == 0.25
+        assert triple.rates() == (0.5, 0.25, 0.25)
+        assert tuple(triple) == (2, 1, 1)
         assert triple.trials == 4
 
     def test_rate_triple_empty(self):
-        assert RateTriple.from_outcomes([]).trials == 0
+        empty = VerdictDistribution.from_outcomes([])
+        assert empty.trials == 0
+        assert empty.rates() == (0.0, 0.0, 0.0)
 
 
 class TestScenarioAssembly:
@@ -290,18 +291,18 @@ class TestStatisticalShape:
             "none", CHINA_VANTAGE_POINTS[:4], outside_china_catalog()[:6],
             DEFAULT_CALIBRATION, seed=2,
         )
-        assert triple.failure2 > 0.85
+        assert triple.failure2 / triple.trials > 0.85
 
     def test_combined_strategy_mostly_success(self):
         triple = run_strategy_cell(
             "tcb-teardown+tcb-reversal", CHINA_VANTAGE_POINTS[:4],
             outside_china_catalog()[:6], DEFAULT_CALIBRATION, seed=2,
         )
-        assert triple.success > 0.8
+        assert triple.success / triple.trials > 0.8
 
     def test_fin_teardown_mostly_caught(self):
         triple = run_strategy_cell(
             "tcb-teardown-fin/ttl", CHINA_VANTAGE_POINTS[:4],
             outside_china_catalog()[:6], DEFAULT_CALIBRATION, seed=2,
         )
-        assert triple.failure2 > 0.7
+        assert triple.failure2 / triple.trials > 0.7

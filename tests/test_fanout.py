@@ -20,7 +20,7 @@ from repro.experiments import (
     CHINA_VANTAGE_POINTS,
     outside_china_catalog,
     run_strategy_cell,
-    run_table4_row,
+    run_per_vantage,
 )
 from repro.experiments.fleet import FleetSpec, run_fleet
 from repro.experiments.parallel import DEFAULT_CHUNKS_PER_WORKER
@@ -38,7 +38,7 @@ FLEET = FleetSpec(flows=48, groups=4, window=8, max_flows=16, sites=8, seed=3)
 SHAPES = {
     "table1_cell": (12, lambda w: repr(run_strategy_cell(
         "tcb-teardown-rst/ttl", V, S, repeats=2, workers=w))),
-    "table4_row": (3, lambda w: repr(run_table4_row(
+    "table4_row": (3, lambda w: repr(run_per_vantage(
         None, V, S, repeats=2, adaptive=True, workers=w))),
     "matrix_subset": (4, lambda w: json.dumps({
         k: r.as_payload()

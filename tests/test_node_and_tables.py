@@ -5,7 +5,8 @@ import pytest
 from repro.netstack.fragment import fragment_packet
 from repro.netstack.packet import ACK, tcp_packet
 from repro.netsim import Host, Network, Path, SimClock
-from repro.experiments.runner import PerVantageRates, RateTriple, Outcome
+from repro.experiments.outcomes import Outcome, VerdictDistribution
+from repro.experiments.runner import PerVantageRates
 from repro.experiments.tables import (
     format_rate_line,
     format_table4,
@@ -144,17 +145,20 @@ class TestTableRendering:
         assert pct(12.345) == "12.3%"
 
     def test_format_rate_line(self):
-        triple = RateTriple.from_outcomes([Outcome.SUCCESS, Outcome.FAILURE2])
+        triple = VerdictDistribution.from_outcomes([Outcome.SUCCESS, Outcome.FAILURE2])
         line = format_rate_line("test", triple)
         assert "success= 50.0%" in line
         assert "(n=2)" in line
 
     def test_format_table4_min_max_avg(self):
         per_vantage = PerVantageRates()
-        per_vantage.rates["a"] = RateTriple(success=0.9, failure1=0.1, trials=10)
-        per_vantage.rates["b"] = RateTriple(success=0.7, failure2=0.3, trials=10)
+        per_vantage.rates["a"] = VerdictDistribution(success=9, failure1=1)
+        per_vantage.rates["b"] = VerdictDistribution(success=7, failure2=3)
         text = format_table4([("Strategy X", per_vantage)])
-        assert "70.0%" in text and "90.0%" in text and "80.0%" in text
+        row = [cell.strip() for cell in text.splitlines()[-1].split("|")]
+        assert row[1:4] == ["70.0%", "90.0%", "80.0%"]  # success rates
+        assert row[4:7] == ["0.0%", "10.0%", "5.0%"]  # failure 1
+        assert row[7:10] == ["0.0%", "30.0%", "15.0%"]  # failure 2
 
     def test_format_table6(self):
         text = format_table6([("Dyn 1", "216.146.35.35", 0.99, 0.93)])

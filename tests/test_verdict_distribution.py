@@ -12,12 +12,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.inconsistency import (
+from repro.experiments.outcomes import (
     DEFAULT_Z,
+    Outcome,
     VerdictDistribution,
+    classify_counts,
     wilson_interval,
 )
-from repro.conformance.matrix import classify_counts
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +81,9 @@ COUNTS = st.tuples(
 )
 
 
+OUTCOMES = st.lists(st.sampled_from(list(Outcome)), max_size=40)
+
+
 def dist(counts):
     return VerdictDistribution(*counts)
 
@@ -109,8 +113,8 @@ class TestVerdictDistribution:
         shard1 = VerdictDistribution(success=2, failure2=1)
         shard2 = VerdictDistribution(success=1, failure1=1, failure2=1)
         pooled = VerdictDistribution(success=3, failure1=1, failure2=2)
-        assert shard1.merge(shard2) == pooled
-        assert shard1.merge(shard2).wilson() == pooled.wilson()
+        assert shard1 + shard2 == pooled
+        assert (shard1 + shard2).wilson() == pooled.wilson()
 
     def test_empty_distribution(self):
         empty = VerdictDistribution()
@@ -126,10 +130,32 @@ class TestVerdictDistribution:
 
     def test_payload_shape(self):
         payload = VerdictDistribution(success=5, failure2=1).as_payload()
+        # The golden verdict rows' key order (tests/golden/verdicts.json).
+        assert list(payload) == [
+            "verdict", "success", "failure1", "failure2",
+            "wilson_low", "wilson_high",
+        ]
         assert payload["verdict"] == "evades"
-        assert payload["trials"] == 6
         assert payload["success"] == 5
+        assert payload["failure2"] == 1
         assert 0.0 <= payload["wilson_low"] <= payload["wilson_high"] <= 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=OUTCOMES, b=OUTCOMES)
+    def test_from_outcomes_is_a_homomorphism(self, a, b):
+        # Tallying a concatenation equals adding the two tallies, so any
+        # chunking of a cell's trials merges to the serial tally.
+        assert VerdictDistribution.from_outcomes(a + b) == (
+            VerdictDistribution.from_outcomes(a)
+            + VerdictDistribution.from_outcomes(b)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(counts=COUNTS)
+    def test_iteration_yields_the_counts(self, counts):
+        d = dist(counts)
+        assert tuple(d) == counts == (d.success, d.failure1, d.failure2)
+        assert sum(d) == d.trials
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +163,18 @@ class TestVerdictDistribution:
 # ---------------------------------------------------------------------------
 class TestDistributionIntegration:
     def test_rate_triple_distribution_round_trip(self):
-        from repro.experiments.runner import Outcome, RateTriple
+        # A Table-1 cell's tally: counts, rates and the Wilson band.
+        from repro.experiments.tables import format_rate_line
 
         outcomes = [Outcome.SUCCESS] * 3 + [Outcome.FAILURE2] * 2
-        triple = RateTriple.from_outcomes(outcomes)
-        d = triple.distribution
-        assert (d.success, d.failure1, d.failure2) == (3, 0, 2)
-        assert triple.wilson() == wilson_interval(3, 5)
+        d = VerdictDistribution.from_outcomes(outcomes)
+        assert tuple(d) == (3, 0, 2)
+        assert d.as_percentages() == (3 / 5 * 100, 0.0, 2 / 5 * 100)
+        assert d.wilson() == wilson_interval(3, 5)
+        low, high = wilson_interval(3, 5)
+        assert format_rate_line("cell", d).endswith(
+            f"(n=5)  ci95=[{low * 100:.1f}%,{high * 100:.1f}%]"
+        )
 
     def test_conformance_cell_result_distribution(self):
         from repro.conformance.matrix import (
@@ -159,9 +190,12 @@ class TestDistributionIntegration:
             success=1,
             failure2=5,
         )
-        d = result.distribution
-        assert d == VerdictDistribution(success=1, failure2=5)
-        assert d.verdict == result.verdict == "blocked"
+        assert tuple(result) == (1, 0, 5)
+        assert result + VerdictDistribution() == VerdictDistribution(
+            success=1, failure2=5
+        )
+        assert result.verdict == "blocked"
+        assert result.wilson() == wilson_interval(1, 6)
         payload = result.as_payload()
         assert payload["wilson_low"] == pytest.approx(
             round(wilson_interval(1, 6)[0], 6)

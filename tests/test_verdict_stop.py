@@ -426,4 +426,4 @@ def test_fleet_waves_never_arm_the_stop(monkeypatch):
     assert not any(armed)
     assert _stopped_count() == before
     # Resets did reach fleet clients, so an armed stop could have fired.
-    assert sum(counts[2] for counts in result.outcomes.values()) > 0
+    assert sum(tally.failure2 for tally in result.outcomes.values()) > 0
