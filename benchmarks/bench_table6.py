@@ -6,47 +6,22 @@ Shape to check: ~99 % success everywhere except Tianjin (whose resolver
 paths cross state-adopting equipment, §7.2), dragging the all-vantage
 average to ~93 %; OpenDNS resolvers work even without INTANG."""
 
-import zlib
-
 from conftest import bench_dns_queries, report
 
 from repro.experiments import (
     CHINA_VANTAGE_POINTS,
     DEFAULT_CALIBRATION,
-    DYN_RESOLVERS,
     OPENDNS_RESOLVERS,
-    run_dns_cell,
     run_dns_trial,
 )
+from repro.experiments.runner import run_table6_rows
 from repro.experiments.tables import format_table6
 
 PAPER = {"Dyn 1": (0.986, 0.927), "Dyn 2": (0.996, 0.931)}
 
 
 def regenerate_table6(queries: int) -> str:
-    rows = []
-    for resolver in DYN_RESOLVERS:
-        # Stable per-resolver salt (hash() varies across interpreter runs).
-        salt = zlib.crc32(resolver.ip.encode("utf-8")) % 977
-        per_vantage = {}
-        for vantage in CHINA_VANTAGE_POINTS:
-            per_vantage[vantage.name] = run_dns_cell(
-                vantage, resolver, queries,
-                calibration=DEFAULT_CALIBRATION, seed=salt,
-            )
-        except_tj = [
-            rate for name, rate in per_vantage.items()
-            if name != "unicom-tianjin"
-        ]
-        rows.append(
-            (
-                resolver.name,
-                resolver.ip,
-                sum(except_tj) / len(except_tj),
-                sum(per_vantage.values()) / len(per_vantage),
-            )
-        )
-    text = format_table6(rows)
+    text = format_table6(run_table6_rows(queries, salted=True))
     opendns = run_dns_trial(
         CHINA_VANTAGE_POINTS[0], OPENDNS_RESOLVERS[0],
         calibration=DEFAULT_CALIBRATION, seed=1, use_intang=False,

@@ -192,7 +192,21 @@ class Scenario:
 
     def _queued(self, origin: str, direction: Direction) -> bool:
         """Whether a packet ``origin`` sent in ``direction`` is still on
-        the clock's queue."""
+        the clock's queue.
+
+        A queued run (``netsim.network._Transit``) always holds at least
+        one packet.  The stop rule runs inside a delivery, so the run
+        being delivered is off the heap; its members still to come are
+        counted through ``Network.delivering``.
+        """
+        delivering = self.network.delivering
+        if (
+            delivering is not None
+            and delivering.packets
+            and delivering.origin == origin
+            and delivering.direction is direction
+        ):
+            return True
         for _time, _seq, event in self.clock._queue:
             if (
                 event.__class__ is _Transit
@@ -419,6 +433,7 @@ def build_scenario(
     force_firewall: Optional[bool] = None,
     firewall_teardown_probability: float = 1.0,
     gfw_variant: Optional[str] = None,
+    shared_censor: Optional[object] = None,
 ) -> Scenario:
     """Build one trial topology.
 
@@ -431,6 +446,12 @@ def build_scenario(
     the device composition from the calibration's population fractions —
     the conformance harness uses this so a matrix cell's verdict is a
     pure function of (strategy, variant, profile, fault point, seed).
+
+    ``shared_censor`` (a fleet group's ``SharedGFWState``; needs
+    ``gfw_variant``) builds the devices on the shared state its
+    ``installation(member_variant)`` returns, a
+    :class:`~repro.gfw.cluster.SharedInstallation`, instead of on a
+    private cluster, flow tables, blacklists and blocked-IP sets.
     """
     rng = random.Random(seed)
     clock = SimClock()
@@ -489,11 +510,17 @@ def build_scenario(
         )
 
     # -- the GFW installation ------------------------------------------------
-    cluster = GFWCluster(
-        rng=LazyRandom(rng.randrange(2**31)),
-        miss_probability=calibration.gfw_miss_probability,
-    )
     censored_path = resolver.censored_path if resolver is not None else True
+    # Drawn for a shared installation too, so every later stream of the
+    # root generator is the same either way.
+    cluster_seed = rng.randrange(2**31)
+    if shared_censor is None:
+        cluster = GFWCluster(
+            rng=LazyRandom(cluster_seed),
+            miss_probability=calibration.gfw_miss_probability,
+        )
+    elif gfw_variant is None or not censored_path:
+        raise ValueError("a shared censor needs a gfw_variant on a censored path")
     devices: List[GFWDevice] = []
     if censored_path:
         prober = ActiveProber(clock)
@@ -523,7 +550,16 @@ def build_scenario(
                     )
         else:
             configs = _gfw_configs(rng, calibration, vantage)
+        positions: tuple = ((None, None, None),) * len(configs)
+        if shared_censor is not None:
+            cluster, positions = shared_censor.installation(member_variant)
+            if len(positions) != len(configs):
+                raise ValueError(
+                    f"shared installation has {len(positions)} device "
+                    f"positions, variant {member_variant!r} {len(configs)}"
+                )
         for index, config in enumerate(configs):
+            flows, blacklist, blocked_ips = positions[index]
             device = GFWDevice(
                 name=f"gfw-{config.model}-t{config.reset_type}-{index}",
                 hop=gfw_hop,
@@ -531,6 +567,9 @@ def build_scenario(
                 clock=clock,
                 rng=LazyRandom(rng.randrange(2**31)),
                 cluster=cluster,
+                flows=flows,
+                blacklist=blacklist,
+                blocked_ips=blocked_ips,
             )
             device.dns_poisoner = poisoner
             device.active_prober = prober
@@ -614,6 +653,7 @@ def acquire_scenario(
     force_firewall: Optional[bool] = None,
     firewall_teardown_probability: float = 1.0,
     gfw_variant: Optional[str] = None,
+    shared_censor: Optional[object] = None,
 ) -> Scenario:
     """Lease a trial topology: a fresh :func:`build_scenario`, counted
     by the ``scenario.built`` telemetry counter.
@@ -633,6 +673,7 @@ def acquire_scenario(
         force_firewall=force_firewall,
         firewall_teardown_probability=firewall_teardown_probability,
         gfw_variant=gfw_variant,
+        shared_censor=shared_censor,
     )
 
 

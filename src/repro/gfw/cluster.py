@@ -10,14 +10,19 @@ than a single box live here:
   independent per-device misses;
 - a trial nonce experiments can bump so per-flow draws refresh between
   repetitions of the same four-tuple.
+
+A fleet group (:mod:`repro.experiments.fleet`) goes further: the devices
+of every flow's path are built on one :class:`SharedInstallation`, so
+flow tables, blacklists and blocked-IP sets are shared across paths too.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
-from repro.gfw.flow import ConnKey
+from repro.gfw.blacklist import Blacklist
+from repro.gfw.flow import ConnKey, FlowTable
 
 
 class GFWCluster:
@@ -40,3 +45,14 @@ class GFWCluster:
         """Refresh per-flow draws (call between experiment repetitions)."""
         self.trial_nonce += 1
         self._missed_flows.clear()
+
+
+class SharedInstallation(NamedTuple):
+    """One censoring installation that the devices of many paths are
+    built on (``build_scenario``'s ``shared_censor``): a cluster with its
+    NB3 coins already drawn, and per device position the flow table,
+    blacklist and blocked-IP set every path's device at that position
+    uses."""
+
+    cluster: GFWCluster
+    positions: Tuple[Tuple[FlowTable, Blacklist, set], ...]

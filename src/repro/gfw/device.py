@@ -136,15 +136,29 @@ class GFWDevice(Tap):
         clock: SimClock,
         rng: Optional[random.Random] = None,
         cluster: Optional[GFWCluster] = None,
+        flows: Optional[FlowTable] = None,
+        blacklist: Optional[Blacklist] = None,
+        blocked_ips: Optional[set] = None,
     ) -> None:
+        """``flows``, ``blacklist`` and ``blocked_ips`` default to private
+        state; a fleet group passes its shared installation's (see
+        :class:`~repro.gfw.cluster.SharedInstallation`), whose flow table
+        reports evictions to its owner."""
         super().__init__(name, hop)
         self.config = config
         self.clock = clock
         self.rng = rng or random.Random(hash(name) & 0xFFFFFFFF)
         self.cluster = cluster or GFWCluster(self.rng, config.miss_probability)
         self.injector = ResetInjector(config.reset_type, self.rng, name)
-        self.blacklist = Blacklist(config.blacklist_duration)
-        self.flows: FlowTable = FlowTable(config.max_flows)
+        self._recorder = get_recorder()
+        self.blacklist = (
+            blacklist if blacklist is not None
+            else Blacklist(config.blacklist_duration)
+        )
+        if flows is None:
+            flows = FlowTable(config.max_flows)
+            flows.on_evict = _eviction_reporter(self._recorder, clock, name)
+        self.flows: FlowTable = flows
         #: Shared-device batch mode (fleet workloads): when set, every
         #: flow-table key is prefixed with this namespace so the flows of
         #: many multiplexed client trials stay distinct inside *one*
@@ -153,7 +167,7 @@ class GFWDevice(Tap):
         self.flow_namespace: Optional[int] = None
         self._fragments = FragmentReassembler(policy=config.ip_frag_policy)
         #: IPs blocked wholesale after Tor active probing (§7.3).
-        self.blocked_ips: set = set()
+        self.blocked_ips: set = blocked_ips if blocked_ips is not None else set()
         #: Measurement hooks.
         self.detections: List[Tuple[float, Detection]] = []
         self.missed_detections: List[Tuple[float, Detection]] = []
@@ -171,7 +185,6 @@ class GFWDevice(Tap):
         # the worker pool) and the observability recorder.  The per-device
         # attributes above stay authoritative for `stats()` because they
         # are zeroed between trials; the registry accumulates.
-        self._recorder = get_recorder()
         self._metric_rst_sent = _METRIC_RST_SENT
         self._metric_synack_forged = _METRIC_SYNACK_FORGED
         self._metric_dpi_match = _METRIC_DPI_MATCH
@@ -181,7 +194,6 @@ class GFWDevice(Tap):
         self._metric_teardown = _METRIC_TEARDOWN
         self._metric_resync_entered = _METRIC_RESYNC_ENTERED
         self._metric_resync_exited = _METRIC_RESYNC_EXITED
-        self.flows.on_evict = _eviction_reporter(self._recorder, clock, name)
         # NB3 behaviour is consistent per installation per period (§4, §8):
         # draw once per cluster and share across co-located devices.
         if not hasattr(self.cluster, "rst_resyncs_established"):

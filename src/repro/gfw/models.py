@@ -110,23 +110,25 @@ class GFWConfig:
 
 def old_config(reset_type: int = 1, **changes: object) -> GFWConfig:
     """The model prior work assumed (§3.2 'prior assumptions')."""
-    config = GFWConfig(
-        model="old",
-        reset_type=reset_type,
-        creates_tcb_on_synack=False,
-        fin_tears_down=True,
-        resync_on_rst_probability=0.0,
-        resync_on_rst_handshake_probability=0.0,
-        supports_resync=False,
-        tcp_ooo_policy=OverlapPolicy.LAST_WINS,
-    )
-    return config.variant(**changes) if changes else config
+    fields: Dict[str, object] = {
+        "model": "old",
+        "reset_type": reset_type,
+        "creates_tcb_on_synack": False,
+        "fin_tears_down": True,
+        "resync_on_rst_probability": 0.0,
+        "resync_on_rst_handshake_probability": 0.0,
+        "supports_resync": False,
+        "tcp_ooo_policy": OverlapPolicy.LAST_WINS,
+    }
+    fields.update(changes)
+    return GFWConfig(**fields)  # type: ignore[arg-type]
 
 
 def evolved_config(reset_type: int = 2, **changes: object) -> GFWConfig:
     """The model inferred by §4 (new behaviors NB1–NB3)."""
-    config = GFWConfig(model="evolved", reset_type=reset_type)
-    return config.variant(**changes) if changes else config
+    fields: Dict[str, object] = {"model": "evolved", "reset_type": reset_type}
+    fields.update(changes)
+    return GFWConfig(**fields)  # type: ignore[arg-type]
 
 
 #: Convenience presets.

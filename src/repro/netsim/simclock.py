@@ -81,15 +81,21 @@ class SimClock:
     (events beyond ``until`` never fire) are preserved exactly.  The run
     loop reads it live, so an event may lower it to ``now`` to end the
     run early: only events due at that same instant still fire.
+
+    ``_tail`` is the packet run :meth:`Network.launch` queued last; a
+    later launch may add packets to it while ``_seq`` shows nothing was
+    scheduled since (see ``repro.netsim.network._Transit``).  Whatever
+    empties the queue wholesale clears it.
     """
 
-    __slots__ = ("_now", "_seq", "_queue", "_run_until")
+    __slots__ = ("_now", "_seq", "_queue", "_run_until", "_tail")
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = start
         self._seq = 0
         self._queue: List[Tuple[float, int, Event]] = []
         self._run_until = _INF
+        self._tail: Any = None
 
     @property
     def now(self) -> float:
@@ -174,3 +180,4 @@ class SimClock:
         self._now = start
         self._seq = 0
         self._run_until = _INF
+        self._tail = None

@@ -66,9 +66,14 @@ class TestBatchSimOrdering:
             batch.adopt(dirty)
         clean = SimClock()
         assert batch.adopt(clean) == 0
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="clock already adopted"):
             batch.adopt(clean)
+        assert batch.adopt(SimClock(), flow_id=7) == 1
+        with pytest.raises(RuntimeError, match="flow id 7 already adopted"):
+            batch.adopt(SimClock(), flow_id=7)
         batch.release()
+        # Release forgets every adopted clock and flow id.
+        assert batch.adopt(clean, flow_id=7) == 0
 
     def test_seq_ranges_are_disjoint_per_trial(self):
         batch = BatchSim()
