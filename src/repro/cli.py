@@ -12,18 +12,19 @@
     python -m repro perf profile --strategy tcb-teardown-rst/ttl \
         --out profile.pstats                # cProfile one cell
     python -m repro telemetry diagnose --strategy resync-desync
-    python -m repro telemetry metrics --json # registry snapshot of a sweep
-    python -m repro obs trace --workers 2   # Chrome/Perfetto span trace
-    python -m repro obs export --latency    # OpenMetrics + p50/p90/p99
-    python -m repro obs flight --out dumps/ # anomaly flight-recorder dumps
+    python -m repro telemetry metrics --format openmetrics  # a sweep's registry
     python -m repro conformance run         # full differential matrix
+    python -m repro conformance run --trace-out trace.json --dump-dir dumps/
     python -m repro conformance diff        # show drift vs tests/golden/
     python -m repro conformance bless       # accept new golden artifacts
     python -m repro inconsistency run       # Ensafi-style vantage x hour sweep
-    python -m repro fleet run --trace-out fleet.json  # fleet + its spans
+    python -m repro fleet run --trace-out fleet.json --dump-dir dumps/
 
 Everything prints to stdout; sizes are small by default so each command
-finishes in seconds.  ``REPRO_WORKERS`` (or ``--workers`` where a
+finishes in seconds.  The two sweep commands, ``conformance`` and
+``fleet``, observe their own run: ``--trace-out`` writes its spans as
+Chrome/Perfetto trace-event JSON and ``--dump-dir`` its anomaly dumps,
+one JSON file each.  ``REPRO_WORKERS`` (or ``--workers`` where a
 command offers it) is the one parallelism knob: every fan-out runs as
 contiguous chunks on a process pool, with output identical for any
 worker count.  Speed is measured outside the CLI, by
@@ -36,8 +37,9 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from contextlib import contextmanager, nullcontext
 from time import perf_counter
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -349,12 +351,62 @@ def _perf_profile(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextmanager
+def _recording(args: argparse.Namespace) -> Iterator[None]:
+    """Observe the ``with`` body, the command's own sweep, and write what
+    ``--trace-out`` and ``--dump-dir`` ask for.
+
+    The recorder is raised only as far as the flags need (spans for a
+    trace, the event ring for dumps) and only for the body; without
+    either flag it stays where ``REPRO_OBS`` put it.  The trace is
+    Chrome/Perfetto trace-event JSON; each anomaly dump is one JSON
+    file, and a ``NO_ANOMALIES`` marker stands in when none fired.
+    """
+    import json
+    import os
+
+    from repro.telemetry import EVENTS, SPANS, observing, write_chrome_trace
+
+    if not (args.trace_out or args.dump_dir):
+        yield
+        return
+    with observing(EVENTS if args.dump_dir else SPANS) as recorder:
+        recorder.clear()
+        yield
+        records = recorder.drain()
+    if args.trace_out:
+        trees = records["spans"]
+        events = write_chrome_trace(trees, args.trace_out)
+        print(f"wrote {args.trace_out} ({len(trees)} root spans, {events} "
+              f"trace events; open in ui.perfetto.dev)", file=sys.stderr)
+    if args.dump_dir:
+        dumps = records["dumps"]
+        os.makedirs(args.dump_dir, exist_ok=True)
+        for index, dump in enumerate(dumps):
+            path = os.path.join(
+                args.dump_dir, f"flight_{index:03d}_{dump['anomaly']}.json"
+            )
+            with open(path, "w", encoding="utf-8") as sink:
+                json.dump(dump, sink, indent=1, default=repr)
+                sink.write("\n")
+        if not dumps:
+            # CI uploads this directory; an empty marker beats a
+            # missing-artifact failure when the run is clean.
+            marker = os.path.join(args.dump_dir, "NO_ANOMALIES")
+            with open(marker, "w", encoding="utf-8") as sink:
+                sink.write("flight recorder armed; no anomalies fired\n")
+        print(f"wrote {len(dumps)} anomaly dumps to {args.dump_dir}",
+              file=sys.stderr)
+
+
 def _cmd_conformance(args: argparse.Namespace) -> int:
     if args.mode == "run":
         return _conformance_run(args)
+    with _recording(args):
+        results = _conformance_matrix(args)
     if args.mode == "diff":
-        return _conformance_diff(args)
-    return _conformance_bless(args)
+        return _conformance_diff(results, args)
+    return _conformance_bless(results, args)
 
 
 def _conformance_cells(args: argparse.Namespace):
@@ -427,16 +479,15 @@ def _conformance_diagnose_drift(drifts, results, limit: int, seed: int) -> None:
               f"raise --max-diagnose)", file=sys.stderr)
 
 
-def _conformance_report(results, args: argparse.Namespace) -> int:
+def _conformance_verdicts(results, args: argparse.Namespace) -> bool:
+    """Print the verdict summary and the oracle check, diagnosing each
+    drifted cell; returns whether the oracle check failed."""
     import json as json_module
 
-    from repro.conformance import check_verdicts, compare_golden
+    from repro.conformance import check_verdicts
     from repro.conformance.oracles import KNOWN_DIVERGENCE
 
     drifts, uncovered = check_verdicts(results)
-    diff = compare_golden(results, _conformance_golden_dir(args),
-                          seed=args.seed)
-
     if args.json:
         document = {cid: r.as_payload() for cid, r in sorted(results.items())}
         print(json_module.dumps(document, indent=2))
@@ -458,20 +509,34 @@ def _conformance_report(results, args: argparse.Namespace) -> int:
                 f"({entry.reason})"
             )
 
-    failed = False
     if uncovered:
-        failed = True
         print(f"\noracle coverage FAILED: {len(uncovered)} cells matched "
               "no rule:")
         for cell_id in uncovered[:20]:
             print(f"  {cell_id}")
     if drifts:
-        failed = True
         print(f"\nverdict drift vs oracle: {len(drifts)} cells:")
         for drift in drifts:
             print("  " + drift.format())
         _conformance_diagnose_drift(drifts, results, args.max_diagnose,
                                     args.seed)
+    return bool(uncovered or drifts)
+
+
+def _conformance_run(args: argparse.Namespace) -> int:
+    """Run the matrix and check it against the oracle and the golden.
+
+    ``--trace-out``/``--dump-dir`` observe the matrix sweep and the
+    drifted cells' diagnosis re-runs (so their ``oracle_drift`` dumps
+    are written), not the golden-ladder re-simulation.
+    """
+    from repro.conformance import compare_golden
+
+    with _recording(args):
+        results = _conformance_matrix(args)
+        failed = _conformance_verdicts(results, args)
+    diff = compare_golden(results, _conformance_golden_dir(args),
+                          seed=args.seed)
     if not diff.clean:
         failed = True
         print("\n" + diff.format())
@@ -482,24 +547,18 @@ def _conformance_report(results, args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _conformance_run(args: argparse.Namespace) -> int:
-    return _conformance_report(_conformance_matrix(args), args)
-
-
-def _conformance_diff(args: argparse.Namespace) -> int:
+def _conformance_diff(results, args: argparse.Namespace) -> int:
     from repro.conformance import compare_golden
 
-    results = _conformance_matrix(args)
     diff = compare_golden(results, _conformance_golden_dir(args),
                           seed=args.seed)
     print(diff.format(max_ladder_lines=args.max_ladder_lines))
     return 0 if diff.clean else 1
 
 
-def _conformance_bless(args: argparse.Namespace) -> int:
+def _conformance_bless(results, args: argparse.Namespace) -> int:
     from repro.conformance import bless
 
-    results = _conformance_matrix(args)
     written = bless(results, _conformance_golden_dir(args),
                     seed=args.seed, repeats=args.repeats)
     for path in written:
@@ -532,7 +591,9 @@ def _telemetry_diagnose(args: argparse.Namespace) -> int:
 
 
 def _telemetry_metrics(args: argparse.Namespace) -> int:
-    """Run a small baseline-able sweep and dump the merged registry."""
+    """Run a small baseline-able sweep and print the merged registry as a
+    table, JSON, or OpenMetrics text (whose histograms carry the buckets
+    a scraper computes quantiles from)."""
     import json
 
     from repro.experiments import (
@@ -541,7 +602,7 @@ def _telemetry_metrics(args: argparse.Namespace) -> int:
         outside_china_catalog,
         run_strategy_cell,
     )
-    from repro.telemetry import filter_snapshot, get_registry
+    from repro.telemetry import filter_snapshot, get_registry, openmetrics
 
     sites = outside_china_catalog(count=args.sites)
     run_strategy_cell(
@@ -557,8 +618,10 @@ def _telemetry_metrics(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8") as sink:
             json.dump(snapshot, sink, indent=2, sort_keys=True)
         print(f"wrote {args.out}", file=sys.stderr)
-    if args.json:
+    if args.format == "json":
         print(json.dumps(snapshot, indent=2, sort_keys=True))
+    elif args.format == "openmetrics":
+        print(openmetrics(snapshot), end="")
     else:
         print(registry.format_table(args.prefix or None))
     if args.check_baseline:
@@ -610,7 +673,7 @@ def _cmd_inconsistency(args: argparse.Namespace) -> int:
         f"(seed {args.seed})",
         file=sys.stderr,
     )
-    with use_ensemble(ensemble) if ensemble is not None else _nullcontext():
+    with use_ensemble(ensemble) if ensemble is not None else nullcontext():
         report = run_inconsistency(
             vantages=args.vantages,
             hours=hours,
@@ -650,12 +713,6 @@ def _cmd_inconsistency(args: argparse.Namespace) -> int:
     return 0
 
 
-def _nullcontext():
-    import contextlib
-
-    return contextlib.nullcontext()
-
-
 def _cmd_fleet(args: argparse.Namespace) -> int:
     """Run a fleet workload: many client flows, one shared GFW.
 
@@ -665,12 +722,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     thrash helps the client) under censor load.  The cyclic collector's
     passes and seconds during the run are reported too; with more than
     one worker only this process's passes are counted.  ``--trace-out``
-    runs the fleet with spans on and writes them (group, wave, flow) as
-    Chrome/Perfetto trace-event JSON.
+    writes the run's spans (group, wave, flow) and ``--dump-dir`` its
+    anomaly dumps (eviction false negatives, blacklist false positives),
+    each naming the flow, its event ring and the shared TCB snapshots.
     """
     import gc
     import json as json_module
-    import time as time_module
 
     from repro.experiments.fleet import (
         DEFAULT_FLEET_STRATEGIES,
@@ -678,7 +735,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         effectiveness_curve,
         run_fleet,
     )
-    from repro.telemetry import OFF, SPANS, observing, write_chrome_trace
 
     strategies = DEFAULT_FLEET_STRATEGIES
     if args.strategies:
@@ -699,19 +755,13 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     )
     collector = _CollectorTimer()
     gc.callbacks.append(collector)
-    start = time_module.perf_counter()
-    try:
-        with observing(SPANS if args.trace_out else OFF) as recorder:
-            recorder.clear()
+    with _recording(args):
+        start = perf_counter()
+        try:
             result = run_fleet(spec, workers=args.workers)
-            trees = recorder.drain()["spans"]
-    finally:
-        elapsed = time_module.perf_counter() - start
-        gc.callbacks.remove(collector)
-    if args.trace_out:
-        events = write_chrome_trace(trees, args.trace_out)
-        print(f"wrote {args.trace_out} ({len(trees)} root spans, {events} "
-              f"trace events; open in ui.perfetto.dev)", file=sys.stderr)
+        finally:
+            elapsed = perf_counter() - start
+            gc.callbacks.remove(collector)
     payload = result.to_dict()
     payload["wall_seconds"] = round(elapsed, 3)
     payload["collector"] = {
@@ -795,155 +845,14 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_obs(args: argparse.Namespace) -> int:
-    if args.mode == "trace":
-        return _obs_trace(args)
-    if args.mode == "export":
-        return _obs_export(args)
-    return _obs_flight(args)
-
-
-def _obs_trace(args: argparse.Namespace) -> int:
-    """Span-trace a conformance subset and export Chrome trace-event JSON.
-
-    The recorder collects spans for the run (the parallel engine
-    forwards its level into workers, whose drained span trees merge back
-    under the sweep span), then the whole forest is flattened to the
-    ``chrome://tracing`` / Perfetto trace-event format.
-    """
-    import json as json_module
-
-    from repro.conformance import run_matrix
-    from repro.telemetry import SPANS, chrome_trace, observing
-
-    cells = _conformance_cells(args)
-    with observing(SPANS) as recorder:
-        recorder.clear()
-        results = run_matrix(
-            cells, repeats=args.repeats, seed=args.seed,
-            workers=args.workers,
-        )
-        trees = recorder.drain()["spans"]
-    document = chrome_trace(trees)
-    print(
-        f"obs trace: {len(results)} cells -> {len(trees)} root spans, "
-        f"{len(document['traceEvents'])} trace events",
-        file=sys.stderr,
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as sink:
-            json_module.dump(document, sink, indent=1, default=repr)
-            sink.write("\n")
-        print(f"wrote {args.out} (open in ui.perfetto.dev or "
-              f"chrome://tracing)", file=sys.stderr)
-    else:
-        print(json_module.dumps(document, indent=1, default=repr))
-    return 0
-
-
-def _obs_export(args: argparse.Namespace) -> int:
-    """Export a metrics snapshot as OpenMetrics text (plus latency table).
-
-    Reads a snapshot JSON written earlier (``--snapshot``, e.g. by
-    ``repro telemetry metrics --out``) or runs the same small sweep as
-    ``repro telemetry metrics`` to produce one.
-    """
-    import json as json_module
-
-    from repro.telemetry import filter_snapshot, latency_summary, openmetrics
-
-    if args.snapshot:
-        with open(args.snapshot, "r", encoding="utf-8") as handle:
-            snapshot = json_module.load(handle)
-    else:
-        from repro.experiments import (
-            CHINA_VANTAGE_POINTS,
-            DEFAULT_CALIBRATION,
-            outside_china_catalog,
-            run_strategy_cell,
-        )
-        from repro.telemetry import get_registry
-
-        run_strategy_cell(
-            args.strategy or "none", CHINA_VANTAGE_POINTS,
-            outside_china_catalog(count=args.sites), DEFAULT_CALIBRATION,
-            repeats=args.repeats, seed=args.seed, keyword=True,
-        )
-        snapshot = get_registry().snapshot()
-    snapshot = filter_snapshot(snapshot, args.prefix)
-    text = openmetrics(snapshot)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as sink:
-            sink.write(text)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        print(text, end="")
-    if args.latency:
-        summaries = latency_summary(snapshot)
-        if summaries:
-            print("\n# latency summaries (seconds)", file=sys.stderr)
-            for name, stats in sorted(summaries.items()):
-                print(
-                    f"#   {name}: n={stats['count']} "
-                    f"mean={stats['mean']:.4f} p50={stats['p50']:.4f} "
-                    f"p90={stats['p90']:.4f} p99={stats['p99']:.4f}",
-                    file=sys.stderr,
-                )
-    return 0
-
-
-def _obs_flight(args: argparse.Namespace) -> int:
-    """Run a fleet workload with the event ring on; dump anomalies.
-
-    Each anomaly (eviction false negative, blacklist false positive)
-    produces one JSON dump: the per-flow event ring, the shared flow
-    table's TCB snapshots, and the packets still queued at the client.
-    """
-    import json as json_module
-    import os
-
-    from repro.experiments.fleet import FleetSpec, run_fleet
-    from repro.telemetry import EVENTS, observing
-
-    spec = FleetSpec(
-        flows=args.flows,
-        seed=args.seed,
-        sites=args.fleet_sites,
-        groups=args.groups,
-        window=args.window,
-        gfw_variant=args.variant,
-        max_flows=args.max_flows,
-    )
-    with observing(EVENTS) as recorder:
-        recorder.clear()
-        result = run_fleet(spec)
-        dumps = recorder.drain()["dumps"]
-    print(
-        f"obs flight: {result.flows} flows -> "
-        f"{result.eviction_false_negatives} eviction FNs, "
-        f"{result.blacklist_false_positives} blacklist FPs, "
-        f"{len(dumps)} flight dumps",
-        file=sys.stderr,
-    )
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        for index, dump in enumerate(dumps):
-            path = os.path.join(
-                args.out, f"flight_{index:03d}_{dump['anomaly']}.json"
-            )
-            with open(path, "w", encoding="utf-8") as sink:
-                json_module.dump(dump, sink, indent=1, default=repr)
-                sink.write("\n")
-            print(f"wrote {path}", file=sys.stderr)
-        if not dumps:
-            # CI uploads this directory; an empty marker beats a
-            # missing-artifact failure when the run is clean.
-            marker = os.path.join(args.out, "NO_ANOMALIES")
-            with open(marker, "w", encoding="utf-8") as sink:
-                sink.write("flight recorder armed; no anomalies fired\n")
-    else:
-        print(json_module.dumps(dumps, indent=1, default=repr))
-    return 0
+def _add_recording_flags(p: argparse.ArgumentParser) -> None:
+    """The sweep commands' observability outputs (see ``_recording``)."""
+    p.add_argument("--trace-out", default=None, dest="trace_out",
+                   help="record the sweep's spans and write them here as "
+                        "Chrome/Perfetto trace-event JSON")
+    p.add_argument("--dump-dir", default=None, dest="dump_dir",
+                   help="record the sweep's anomaly dumps and write each "
+                        "here as one JSON file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1037,6 +946,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "diagnosis")
     p.add_argument("--max-ladder-lines", type=int, default=40,
                    help="[diff] ladder-diff lines to show per cell")
+    _add_recording_flags(p)
 
     p = sub.add_parser(
         "inconsistency",
@@ -1105,9 +1015,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the full report as JSON")
     p.add_argument("--out", default=None,
                    help="also write the JSON report here")
-    p.add_argument("--trace-out", default=None, dest="trace_out",
-                   help="record spans and write them here as "
-                        "Chrome/Perfetto trace-event JSON")
+    _add_recording_flags(p)
 
     p = sub.add_parser(
         "telemetry",
@@ -1129,8 +1037,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=1,
                    help="[metrics] repeats per vantage x site")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--json", action="store_true",
-                   help="[metrics] print the snapshot as JSON")
+    p.add_argument("--format", choices=("table", "json", "openmetrics"),
+                   default="table",
+                   help="[metrics] how to print the snapshot")
     p.add_argument("--prefix", default=None,
                    help="[metrics] restrict output (table and JSON alike) "
                         "to instrument names with this prefix")
@@ -1140,51 +1049,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="[metrics] exit nonzero unless the sweep saw "
                         "dpi.match and gfw.rst_sent")
 
-    p = sub.add_parser(
-        "obs",
-        help="run observability: span traces, exporters, flight dumps",
-    )
-    p.add_argument("mode", choices=("trace", "export", "flight"))
-    p.add_argument("--strategies", default="tcb-teardown-rst/ttl",
-                   help="[trace] comma-separated strategy ids for the "
-                        "traced conformance subset")
-    p.add_argument("--variants", default="evolved",
-                   help="[trace] comma-separated GFW model variants")
-    p.add_argument("--profiles", default="neutral",
-                   help="[trace] comma-separated middlebox profiles")
-    p.add_argument("--faults", default="clean",
-                   help="[trace] comma-separated fault-grid points")
-    p.add_argument("--repeats", type=int, default=4,
-                   help="[trace/export] repeats per cell / sweep")
-    p.add_argument("--seed", type=int, default=2017)
-    p.add_argument("--workers", type=int, default=None,
-                   help="[trace] process-pool size (default: REPRO_WORKERS)")
-    p.add_argument("--snapshot", default=None,
-                   help="[export] read this snapshot JSON instead of "
-                        "running a sweep")
-    p.add_argument("--strategy", default=None,
-                   help="[export] strategy id for the fallback sweep")
-    p.add_argument("--sites", type=int, default=4,
-                   help="[export] catalog size for the fallback sweep")
-    p.add_argument("--prefix", default=None,
-                   help="[export] restrict to instrument names with this "
-                        "prefix")
-    p.add_argument("--latency", action="store_true",
-                   help="[export] also print p50/p90/p99 latency summaries")
-    p.add_argument("--flows", type=int, default=120,
-                   help="[flight] total fleet flows")
-    p.add_argument("--groups", type=int, default=3,
-                   help="[flight] client groups")
-    p.add_argument("--window", type=int, default=16,
-                   help="[flight] concurrent flows per shared batch heap")
-    p.add_argument("--max-flows", type=int, default=24, dest="max_flows",
-                   help="[flight] shared flow-table capacity")
-    p.add_argument("--fleet-sites", type=int, default=12, dest="fleet_sites",
-                   help="[flight] catalog size for the fleet workload")
-    p.add_argument("--variant", default="evolved",
-                   help="[flight] GFW model variant")
-    p.add_argument("--out", default=None,
-                   help="[trace/export] output file; [flight] dump directory")
     return parser
 
 
@@ -1205,7 +1069,6 @@ _COMMANDS = {
     "inconsistency": _cmd_inconsistency,
     "telemetry": _cmd_telemetry,
     "fleet": _cmd_fleet,
-    "obs": _cmd_obs,
 }
 
 

@@ -74,7 +74,7 @@ from repro.gfw.models import model_variant_configs
 from repro.lazyrandom import LazyRandom
 from repro.netsim.batch import BatchSim
 from repro.strategies.registry import TABLE1_ROWS
-from repro.telemetry.export import histogram_quantile
+from repro.telemetry.export import latency_summary
 from repro.telemetry.flight import packet_summary, tcb_summary
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.recorder import get_recorder
@@ -874,18 +874,9 @@ class FleetResult:
             "flows_evicted_after_fin": self.flows_evicted_after_fin,
             "blacklistings": self.blacklistings,
             "peak_flows_tracked": self.peak_flows_tracked,
-            "flow_sim_latency": {
-                "count": self.flow_sim_latency["count"],
-                "mean": (
-                    self.flow_sim_latency["sum"]
-                    / self.flow_sim_latency["count"]
-                    if self.flow_sim_latency["count"]
-                    else 0.0
-                ),
-                "p50": histogram_quantile(self.flow_sim_latency, 0.50),
-                "p90": histogram_quantile(self.flow_sim_latency, 0.90),
-                "p99": histogram_quantile(self.flow_sim_latency, 0.99),
-            },
+            "flow_sim_latency": latency_summary(
+                {"histograms": {"latency": self.flow_sim_latency}}
+            )["latency"],
         }
 
 

@@ -19,9 +19,9 @@ Five layers, one import surface:
   dump snapshot helpers in :mod:`repro.telemetry.flight`;
 - :mod:`repro.telemetry.export` — Chrome/Perfetto trace-event JSON,
   OpenMetrics text exposition, and p50/p90/p99 summaries;
-- :mod:`repro.telemetry.diagnose` — ``diagnose_trial()`` /
-  ``diagnose_fleet_flow()``, which re-run one cell or fleet flow with
-  the event ring on and render the merged packet+state timeline.
+- :mod:`repro.telemetry.diagnose` — ``diagnose_trial()``, which re-runs
+  one cell with the event ring on and renders the merged packet+state
+  timeline.
 
 The diagnosis and export layers pull in heavier dependencies, so
 they are exposed lazily — ``from repro.telemetry import
@@ -53,8 +53,6 @@ from repro.telemetry.recorder import (
 _LAZY = {
     "TrialDiagnosis": "diagnose",
     "diagnose_trial": "diagnose",
-    "FleetFlowDiagnosis": "diagnose",
-    "diagnose_fleet_flow": "diagnose",
     "chrome_trace": "export",
     "histogram_quantile": "export",
     "latency_summary": "export",

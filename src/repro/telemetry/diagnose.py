@@ -27,9 +27,7 @@ from repro.telemetry.metrics import get_registry
 from repro.telemetry.recorder import EVENTS, observing
 
 __all__ = [
-    "FleetFlowDiagnosis",
     "TrialDiagnosis",
-    "diagnose_fleet_flow",
     "diagnose_trial",
 ]
 
@@ -209,85 +207,4 @@ def diagnose_trial(
         events = recorder.events(since_seq=watermark - 1)
     return TrialDiagnosis(
         record=record, events=events, metrics=registry.diff(before)
-    )
-
-
-@dataclass
-class FleetFlowDiagnosis:
-    """One fleet flow's timeline, extracted from a shared-device re-run.
-
-    The fleet engine multiplexes many flows' scenarios through one shared
-    GFW installation, so the raw event ring interleaves every flow in the
-    group; ``events`` holds only the records attributed to the target
-    flow via its namespaced identity (``GFWDevice.flow_namespace`` on
-    censor events, the ``flow`` field on fleet-level ones).
-    """
-
-    #: The :class:`~repro.experiments.fleet.FlowSpec` that was diagnosed.
-    flow: Any
-    #: The whole group's :class:`FleetGroupResult` (context: the load).
-    group_result: Any
-    #: Only this flow's events, in publication order.
-    events: List[TelemetryEvent] = field(default_factory=list)
-    #: The group re-run's registry delta.
-    metrics: Dict = field(default_factory=dict)
-
-    def timeline(self) -> str:
-        ordered = sorted(self.events, key=lambda e: (e.time, e.seq))
-        return "\n".join(event.format() for event in ordered)
-
-    def render(self) -> str:
-        flow = self.flow
-        header = [
-            f"flow    : #{flow.index} {flow.vantage.name} -> "
-            f"{flow.website.name} label={flow.label}",
-            f"group   : {self.group_result.group} "
-            f"({self.group_result.flows} flows, "
-            f"{self.group_result.flows_evicted} evictions, "
-            f"{self.group_result.blacklistings} blacklistings)",
-        ]
-        return "\n".join(
-            [
-                "\n".join(header),
-                "-- this flow's timeline (shared censor, namespaced) "
-                + "-" * 20,
-                self.timeline() or "(no events attributed to this flow)",
-            ]
-        )
-
-
-def diagnose_fleet_flow(spec: Any, index: int) -> FleetFlowDiagnosis:
-    """Re-run one fleet group under full telemetry; explain one flow.
-
-    Unlike :func:`diagnose_trial`, the re-run is *not* isolated — the
-    whole group runs with its shared flow table, blacklist, and
-    cluster, because the anomalies worth explaining (evictions,
-    blacklist collateral) only exist under that load.  The target
-    flow's records are then selected by namespaced identity, so flows
-    with colliding four-tuples cannot alias into the answer.
-    """
-    from repro.experiments.fleet import flow_spec, run_fleet_group
-
-    if not 0 <= index < spec.flows:
-        raise ValueError(
-            f"flow index {index} outside the fleet's range "
-            f"[0, {spec.flows})"
-        )
-    group = index % spec.groups
-    registry = get_registry()
-    before = registry.snapshot()
-    with observing(EVENTS) as recorder:
-        watermark = recorder.next_seq
-        group_result = run_fleet_group(spec, group)
-        events = [
-            e
-            for e in recorder.events(since_seq=watermark - 1)
-            if e.fields.get("namespace") == index
-            or e.fields.get("flow") == index
-        ]
-    return FleetFlowDiagnosis(
-        flow=flow_spec(spec, index),
-        group_result=group_result,
-        events=events,
-        metrics=registry.diff(before),
     )

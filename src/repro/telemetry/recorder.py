@@ -16,8 +16,8 @@ keeps, ordered by cost:
   positive, oracle drift, or broken verdict fires.
 
 The level comes from ``REPRO_OBS=off|spans|events`` when the recorder is
-built; :func:`observing` raises it for a scoped window (the CLI's
-``obs`` commands, diagnosis, tests).
+built; :func:`observing` raises it for a scoped window (the sweep
+commands' ``--trace-out``/``--dump-dir``, diagnosis, tests).
 
 Finished root spans and dumps are the recorder's *records*.
 :meth:`Recorder.drain` / :meth:`Recorder.merge` move them across the

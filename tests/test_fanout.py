@@ -103,7 +103,6 @@ def test_two_workers_match_serial(name):
 
 @pytest.mark.parametrize("command", [
     "table1", "table4", "conformance run", "inconsistency run", "fleet run",
-    "obs trace",
 ])
 def test_cli_has_no_shards_flag(command, capsys):
     with pytest.raises(SystemExit):

@@ -14,10 +14,11 @@ Pins these contracts of the one recorder:
   ring is kept;
 - the event ring surfaces overflow through the registry
   (``telemetry.events_dropped``);
-- ``repro telemetry metrics --prefix`` filters the table and the JSON
-  views identically;
-- ``diagnose_fleet_flow`` resolves one flow's timeline out of a shared
-  censor without aliasing (namespaced connection keys);
+- ``repro telemetry metrics --prefix`` filters the table, JSON and
+  OpenMetrics views identically;
+- the sweep commands observe their own run: ``conformance run
+  --trace-out`` writes CI's 29-event trace, and ``--dump-dir`` writes
+  the dumps the run recorded (fleet anomalies, ``broken`` cells);
 - the exporters (OpenMetrics text, histogram quantiles) behave as
   documented, and the bench harness's sizing knobs parse through
   :mod:`repro.core.env`.
@@ -230,7 +231,7 @@ def test_flight_recorder_single_eviction_false_negative_dump():
     assert json.loads(json.dumps(dump))["anomaly"] == dump["anomaly"]
 
 
-#: The CI ``obs flight`` fleet shape (known blacklist false positives).
+#: The CI flight-recorder fleet shape (known blacklist false positives).
 CI_FLIGHT_SPEC = dict(
     flows=120, groups=3, window=16, max_flows=24, sites=12, seed=99
 )
@@ -322,12 +323,85 @@ def test_fleet_run_trace_out_writes_group_wave_and_flow_spans(tmp_path):
     assert [cat for cat, _ in chunked].count("chunk") == 2
 
 
+def test_conformance_run_trace_out_writes_the_ci_trace(tmp_path):
+    """CI's span-trace step: 2 cells on 2 workers trace as 1 sweep,
+    2 chunks, 2 cells, 8 trials and 16 phases, and nothing from the
+    golden-ladder re-simulation that follows the sweep."""
+    from collections import Counter
+
+    from repro.cli import main
+
+    path = tmp_path / "trace.json"
+    assert main([
+        "conformance", "run",
+        "--strategies", "tcb-teardown-rst/ttl,tcb-creation-syn/ttl",
+        "--variants", "evolved", "--profiles", "neutral", "--faults", "clean",
+        "--repeats", "4", "--workers", "2", "--trace-out", str(path),
+    ]) == 0
+    events = json.loads(path.read_text())["traceEvents"]
+    assert len(events) == 29
+    assert Counter(event["cat"] for event in events) == {
+        "sweep": 1, "chunk": 2, "cell": 2, "trial": 8, "phase": 16,
+    }
+
+
+def test_fleet_run_dump_dir_writes_the_runs_dumps(tmp_path):
+    from repro.cli import main
+
+    assert main([
+        "fleet", "run", "--flows", "120", "--groups", "3", "--window", "16",
+        "--max-flows", "24", "--sites", "12", "--seed", "99",
+        "--workers", "1", "--dump-dir", str(tmp_path),
+    ]) == 0
+    written = sorted(
+        json.dumps(json.loads(path.read_text()), sort_keys=True)
+        for path in tmp_path.glob("flight_*.json")
+    )
+    assert written == _fleet_dumps(workers=1)
+
+
+def test_conformance_run_dump_dir_writes_the_broken_cell(tmp_path):
+    from repro.cli import main
+
+    assert main([
+        "conformance", "run", "--strategies", "ooo-ip-fragments",
+        "--variants", "evolved", "--profiles", "aliyun", "--faults", "clean",
+        "--dump-dir", str(tmp_path),
+    ]) == 0
+    (path,) = tmp_path.iterdir()
+    assert path.name == "flight_000_broken.json"
+    dump = json.loads(path.read_text())
+    assert dump["context"]["cell"] == (
+        "ooo-ip-fragments|evolved|aliyun|clean"
+    )
+    assert dump["events"], "the broken cell's event window is empty"
+
+
+def test_dump_dir_marks_a_run_without_anomalies(tmp_path):
+    from repro.cli import main
+
+    assert main([
+        "fleet", "run", "--flows", "4", "--groups", "1", "--sites", "2",
+        "--dump-dir", str(tmp_path),
+    ]) == 0
+    assert [path.name for path in tmp_path.iterdir()] == ["NO_ANOMALIES"]
+
+
+def test_obs_command_is_gone(capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["obs", "trace"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'obs'" in capsys.readouterr().err
+
+
 def test_metrics_cli_prefix_filters_json_and_table(capsys):
     from repro.cli import main
 
     rc = main(
         [
-            "telemetry", "metrics", "--json", "--prefix", "dpi.",
+            "telemetry", "metrics", "--format", "json", "--prefix", "dpi.",
             "--sites", "2", "--seed", "31",
         ]
     )
@@ -354,6 +428,21 @@ def test_metrics_cli_prefix_filters_json_and_table(capsys):
     ]
     # Same instrument set through both views.
     assert sorted(table_names) == sorted(names)
+
+    rc = main(
+        [
+            "telemetry", "metrics", "--format", "openmetrics",
+            "--prefix", "dpi.", "--sites", "2", "--seed", "31",
+        ]
+    )
+    assert rc == 0
+    text = capsys.readouterr().out
+    assert text.endswith("# EOF\n")
+    families = [line.split()[2] for line in text.splitlines()
+                if line.startswith("# TYPE ")]
+    assert sorted(families) == sorted(
+        "repro_" + name.replace(".", "_") for name in names
+    )
 
 
 def test_perf_profile_names_the_strategies_the_trials_used(capsys):
@@ -411,33 +500,6 @@ def test_fleet_cli_json_reports_collector_time(capsys):
     assert len(collector["collections"]) == 3
     assert all(isinstance(n, int) and n >= 0 for n in collector["collections"])
     assert collector["seconds"] >= 0.0
-
-
-# -- shared-censor flow diagnosis (satellite) ---------------------------
-
-
-@pytest.mark.slow
-def test_diagnose_fleet_flow_is_namespace_exact():
-    from repro.experiments.fleet import FleetSpec
-    from repro.telemetry import diagnose_fleet_flow
-
-    spec = FleetSpec(flows=24, groups=2, window=8, sites=6, seed=13)
-    index = 7  # group 1 under index % groups
-    diagnosis = diagnose_fleet_flow(spec, index)
-    assert diagnosis.flow.index == index
-    assert diagnosis.group_result.group == index % spec.groups
-    assert diagnosis.events, "no events attributed to the flow"
-    # Namespacing is exact: every attributed event carries the target
-    # flow's identity, never a pooled-scenario alias.
-    for event in diagnosis.events:
-        assert index in (
-            event.fields.get("namespace"), event.fields.get("flow")
-        )
-    rendered = diagnosis.render()
-    assert f"#{index}" in rendered
-
-    with pytest.raises(ValueError):
-        diagnose_fleet_flow(spec, spec.flows)
 
 
 # -- exporters ----------------------------------------------------------

@@ -361,7 +361,7 @@ class TestTelemetryCLI:
         out_file = tmp_path / "snap.json"
         code = main([
             "telemetry", "metrics", "--sites", "2", "--seed", "3",
-            "--json", "--out", str(out_file), "--check-baseline",
+            "--format", "json", "--out", str(out_file), "--check-baseline",
         ])
         assert code == 0
         printed = json.loads(capsys.readouterr().out)
