@@ -3,31 +3,11 @@
 Runs both halves of §5.3 (server ignores × GFW accepts) live and prints
 the confirmed discrepancy rows, plus the §5.3 kernel cross-validation."""
 
-from conftest import report
-
-from repro.analysis import cross_validate_stacks, generate_table3
-from repro.experiments.tables import format_table3, render_table
-
-
-def regenerate_table3() -> str:
-    rows = generate_table3()
-    text = format_table3([row.as_tuple() for row in rows])
-    divergences = cross_validate_stacks()
-    table = [
-        [d.profile, d.probe, d.state, f"{d.reference_verdict} -> {d.this_verdict}"]
-        for d in divergences
-    ]
-    text += "\n\n" + render_table(
-        ["Stack", "Probe", "State", "Divergence vs linux-4.4"],
-        table,
-        title="Cross-validation with other TCP stacks (§5.3)",
-    )
-    return text
+from conftest import report_artifact
 
 
 def test_table3():
-    text = regenerate_table3()
-    report("table3", text)
+    text = report_artifact("table3")
     # All nine paper rows present:
     for condition in (
         "IP total length > actual length",

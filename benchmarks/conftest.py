@@ -15,6 +15,11 @@ spellings and a malformed or non-positive size raises
 
 Each bench prints its table (visible with ``-s``) and writes it under
 ``benchmarks/results/`` so EXPERIMENTS.md can cite a recorded artifact.
+The paper tables come from the artifact registry
+(:mod:`repro.experiments.artifacts`, the producer ``repro tableN``
+prints too), at its default sizes and seeds unless a knob above says
+otherwise; Tables 1, 4 and 6 also write their per-cluster records as
+``tableN.json``.
 The benches time nothing; speed is measured by ``perfbench/run.py`` and
 gated by ``benchmarks/perf_gate.py``.
 """
@@ -61,3 +66,24 @@ def report(name: str, text: str) -> str:
     print()
     print(text)
     return path
+
+
+def report_artifact(artifact_id: str) -> str:
+    """Regenerate a paper table from the artifact registry at the bench
+    sizes, report its text, and write a clustered table's records as
+    ``<id>.json`` beside it; returns the text."""
+    from repro.experiments.artifacts import ARTIFACTS, records_json
+
+    artifact = ARTIFACTS[artifact_id]
+    sizes = {"sites": bench_sites, "repeats": bench_repeats,
+             "queries": bench_dns_queries}
+    records = artifact.produce(**{
+        name: sizes[name](default)
+        for name, default in artifact.options.items() if name in sizes
+    })
+    text = artifact.formatter(records)
+    report(artifact_id, text)
+    if artifact.clustered:
+        with open(os.path.join(RESULTS_DIR, f"{artifact_id}.json"), "w") as sink:
+            sink.write(records_json(records))
+    return text

@@ -2,8 +2,9 @@
 
 ::
 
-    python -m repro list                    # what can be regenerated
-    python -m repro table1 --sites 20       # Table 1 at chosen scale
+    python -m repro list                    # paper tables + strategies
+    python -m repro table1                  # benchmarks/results/table1.txt
+    python -m repro table1 --sites 77 --repeats 50   # at paper scale
     python -m repro table2 .. table6
     python -m repro matrix                  # strategy × GFW-generation
     python -m repro probe [--model old]     # GFW responsiveness probe
@@ -21,15 +22,18 @@
     python -m repro fleet run --trace-out fleet.json --dump-dir dumps/
 
 Everything prints to stdout; sizes are small by default so each command
-finishes in seconds.  The two sweep commands, ``conformance`` and
-``fleet``, observe their own run: ``--trace-out`` writes its spans as
-Chrome/Perfetto trace-event JSON and ``--dump-dir`` its anomaly dumps,
-one JSON file each.  ``REPRO_WORKERS`` (or ``--workers`` where a
-command offers it) is the one parallelism knob: every fan-out runs as
-contiguous chunks on a process pool, with output identical for any
-worker count.  Speed is measured outside the CLI, by
-``perfbench/run.py`` (gated in CI by ``benchmarks/perf_gate.py``);
-``perf profile`` is for finding where a slow cell spends its time.
+finishes in seconds.  ``tableN`` and ``benchmarks/bench_tableN.py`` share
+one producer per table (:mod:`repro.experiments.artifacts`): with no
+flags, a table command prints its committed results file exactly.  The
+two sweep commands, ``conformance`` and ``fleet``, observe their own
+run: ``--trace-out`` writes its spans as Chrome/Perfetto trace-event
+JSON and ``--dump-dir`` its anomaly dumps, one JSON file each.
+``REPRO_WORKERS`` (or ``--workers`` where a command offers it) is the
+one parallelism knob: every fan-out runs as contiguous chunks on a
+process pool, with output identical for any worker count.  Speed is
+measured outside the CLI, by ``perfbench/run.py`` (gated in CI by
+``benchmarks/perf_gate.py``); ``perf profile`` is for finding where a
+slow cell spends its time.
 """
 
 from __future__ import annotations
@@ -43,106 +47,27 @@ from typing import Iterator, List, Optional
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from repro.experiments.artifacts import ARTIFACTS
     from repro.strategies.registry import STRATEGY_REGISTRY
 
-    print("Artifacts: table1 table2 table3 table4 table5 table6 matrix "
-          "probe trial ladder conformance")
+    print("Paper tables (repro <id>):")
+    for artifact in ARTIFACTS.values():
+        print(f"  {artifact.id}  {artifact.title}")
     print("\nStrategies:")
     for strategy_id in sorted(STRATEGY_REGISTRY):
         print(f"  {strategy_id}")
     return 0
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    from repro.experiments import (
-        CHINA_VANTAGE_POINTS,
-        DEFAULT_CALIBRATION,
-        outside_china_catalog,
-        run_strategy_cell,
+def _cmd_artifact(args: argparse.Namespace) -> int:
+    """Print one paper table, exactly as its bench writes it."""
+    from repro.experiments.artifacts import ARTIFACTS
+
+    artifact = ARTIFACTS[args.command]
+    records = artifact.produce(
+        **{name: getattr(args, name) for name in artifact.options}
     )
-    from repro.experiments.tables import format_table1
-    from repro.strategies.registry import TABLE1_ROWS
-
-    sites = outside_china_catalog(count=args.sites)
-    results = []
-    for label, strategy_id, discrepancy in TABLE1_ROWS:
-        with_kw = run_strategy_cell(
-            strategy_id, CHINA_VANTAGE_POINTS, sites, DEFAULT_CALIBRATION,
-            repeats=args.repeats, seed=args.seed, keyword=True,
-        )
-        without_kw = run_strategy_cell(
-            strategy_id, CHINA_VANTAGE_POINTS, sites, DEFAULT_CALIBRATION,
-            repeats=args.repeats, seed=args.seed + 1, keyword=False,
-        )
-        results.append((label, discrepancy, with_kw, without_kw))
-        print(".", end="", flush=True, file=sys.stderr)
-    print(file=sys.stderr)
-    print(format_table1(results))
-    return 0
-
-
-def _cmd_table2(args: argparse.Namespace) -> int:
-    from repro.experiments.middlebox_probe import probe_all
-    from repro.experiments.tables import format_table2
-    from repro.experiments.vantage import CHINA_VANTAGE_POINTS
-
-    print(format_table2(probe_all(CHINA_VANTAGE_POINTS)))
-    return 0
-
-
-def _cmd_table3(args: argparse.Namespace) -> int:
-    from repro.analysis import generate_table3
-    from repro.experiments.tables import format_table3
-
-    rows = generate_table3()
-    print(format_table3([row.as_tuple() for row in rows]))
-    return 0
-
-
-def _cmd_table4(args: argparse.Namespace) -> int:
-    from repro.experiments import (
-        CHINA_VANTAGE_POINTS,
-        DEFAULT_CALIBRATION,
-        outside_china_catalog,
-        run_per_vantage,
-    )
-    from repro.experiments.tables import format_table4
-    from repro.strategies.registry import TABLE4_STRATEGIES
-
-    sites = outside_china_catalog(count=args.sites)
-    rows = []
-    for label, strategy_id in TABLE4_STRATEGIES:
-        rows.append((
-            label,
-            run_per_vantage(strategy_id, CHINA_VANTAGE_POINTS, sites,
-                            DEFAULT_CALIBRATION, repeats=args.repeats,
-                            seed=args.seed),
-        ))
-        print(".", end="", flush=True, file=sys.stderr)
-    rows.append((
-        "INTANG Performance",
-        run_per_vantage(None, CHINA_VANTAGE_POINTS, sites, DEFAULT_CALIBRATION,
-                        repeats=max(4, args.repeats), seed=args.seed,
-                        adaptive=True),
-    ))
-    print(file=sys.stderr)
-    print(format_table4(rows, title="Table 4 (inside China)"))
-    return 0
-
-
-def _cmd_table5(args: argparse.Namespace) -> int:
-    from repro.analysis import derive_table5
-    from repro.experiments.tables import format_table5
-
-    print(format_table5(derive_table5()))
-    return 0
-
-
-def _cmd_table6(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import run_table6_rows
-    from repro.experiments.tables import format_table6
-
-    print(format_table6(run_table6_rows(args.queries)))
+    print(artifact.formatter(records))
     return 0
 
 
@@ -862,19 +787,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list artifacts and strategies")
+    sub.add_parser("list", help="list paper tables and strategies")
 
-    for name in ("table1", "table4"):
-        p = sub.add_parser(name, help=f"regenerate {name}")
-        p.add_argument("--sites", type=int, default=12)
-        p.add_argument("--repeats", type=int, default=1)
-        p.add_argument("--seed", type=int, default=7)
+    from repro.experiments.artifacts import ARTIFACTS
 
-    sub.add_parser("table2", help="regenerate table 2")
-    sub.add_parser("table3", help="regenerate table 3")
-    sub.add_parser("table5", help="regenerate table 5")
-    p = sub.add_parser("table6", help="regenerate table 6")
-    p.add_argument("--queries", type=int, default=15)
+    for artifact in ARTIFACTS.values():
+        p = sub.add_parser(artifact.id, help=artifact.title)
+        for name, default in artifact.options.items():
+            p.add_argument(f"--{name}", type=int, default=default,
+                           help="default: %(default)s, the bench's")
 
     p = sub.add_parser("matrix", help="strategy × GFW-generation matrix")
     p.add_argument("--seed", type=int, default=1)
@@ -1054,12 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 _COMMANDS = {
     "list": _cmd_list,
-    "table1": _cmd_table1,
-    "table2": _cmd_table2,
-    "table3": _cmd_table3,
-    "table4": _cmd_table4,
-    "table5": _cmd_table5,
-    "table6": _cmd_table6,
     "matrix": _cmd_matrix,
     "probe": _cmd_probe,
     "trial": _cmd_trial,
@@ -1074,7 +989,7 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    return _COMMANDS.get(args.command, _cmd_artifact)(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

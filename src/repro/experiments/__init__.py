@@ -14,7 +14,9 @@ strategies + INTANG) into the paper's measurement campaign:
   classification of §3.3 and its one tally, ``VerdictDistribution``;
 - :mod:`repro.experiments.runner` — trial execution;
 - :mod:`repro.experiments.middlebox_probe` — the Table 2 probes;
-- :mod:`repro.experiments.tables` — paper-shaped table rendering.
+- :mod:`repro.experiments.tables` — paper-shaped table rendering;
+- :mod:`repro.experiments.artifacts` — one producer per paper table,
+  behind ``repro tableN`` and the table benches.
 """
 
 from repro.experiments.calibration import CLEAN_ROOM, Calibration, DEFAULT_CALIBRATION
@@ -49,7 +51,9 @@ from repro.experiments.runner import (
     run_http_outcomes,
     run_http_trial,
     run_per_vantage,
+    run_per_vantage_clusters,
     run_strategy_cell,
+    run_strategy_clusters,
     run_tor_cell,
     run_tor_trial,
     run_vpn_cell,
@@ -98,7 +102,9 @@ __all__ = [
     "run_http_outcomes",
     "run_http_trial",
     "run_per_vantage",
+    "run_per_vantage_clusters",
     "run_strategy_cell",
+    "run_strategy_clusters",
     "run_tor_cell",
     "run_tor_trial",
     "run_vpn_cell",

@@ -103,13 +103,13 @@ class VerdictDistribution:
 
     @classmethod
     def from_outcomes(cls, outcomes: Iterable[Outcome]) -> "VerdictDistribution":
-        counts = {Outcome.SUCCESS: 0, Outcome.FAILURE1: 0, Outcome.FAILURE2: 0}
-        for outcome in outcomes:
-            counts[outcome] += 1
+        # list.count compares by identity first: no Enum.__hash__ call
+        # per outcome, which a dict of counters pays.
+        outcomes = list(outcomes)
         return cls(
-            counts[Outcome.SUCCESS],
-            counts[Outcome.FAILURE1],
-            counts[Outcome.FAILURE2],
+            outcomes.count(Outcome.SUCCESS),
+            outcomes.count(Outcome.FAILURE1),
+            outcomes.count(Outcome.FAILURE2),
         )
 
     def __add__(self, other: "VerdictDistribution") -> "VerdictDistribution":

@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
+from itertools import islice
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -340,6 +341,42 @@ def _cell_tasks(
     ]
 
 
+def run_strategy_clusters(
+    strategy_id: str,
+    vantages: Sequence[VantagePoint],
+    websites: Sequence[Website],
+    calibration: Calibration = DEFAULT_CALIBRATION,
+    repeats: int = 1,
+    seed: int = 0,
+    keyword: bool = True,
+    workers: Optional[int] = None,
+) -> List[List[VerdictDistribution]]:
+    """One Table 1 cell kept as its clusters: ``clusters[v][w]`` tallies
+    the ``repeats`` trials of ``vantages[v]`` against ``websites[w]``.
+
+    A (vantage, site) pair is one route, and routes disagree (Ensafi et
+    al., PAPERS.md), so these tallies, not the cell's pooled total, are
+    the units a resampling of the cell draws.  Trials fan out over
+    ``workers`` processes (default: the ``REPRO_WORKERS`` environment
+    knob); the seeds are fixed before fan-out, so every tally is
+    identical for any worker count.
+    """
+    tasks = _cell_tasks(
+        strategy_id, vantages, websites, calibration, repeats, seed, keyword
+    )
+    with get_recorder().span(
+        f"cell:{strategy_id}", "sweep",
+        strategy=strategy_id, trials=len(tasks), keyword=keyword,
+    ):
+        outcomes = run_http_outcomes(tasks, workers=workers)
+    # Tasks run vantage by vantage, site by site, ``repeats`` at a time.
+    trials = iter(outcomes)
+    return [
+        [VerdictDistribution.from_outcomes(islice(trials, repeats)) for _ in websites]
+        for _ in vantages
+    ]
+
+
 def run_strategy_cell(
     strategy_id: str,
     vantages: Sequence[VantagePoint],
@@ -350,21 +387,13 @@ def run_strategy_cell(
     keyword: bool = True,
     workers: Optional[int] = None,
 ) -> VerdictDistribution:
-    """One Table 1 cell: a strategy across vantage × site × repeats.
-
-    Trials fan out over ``workers`` processes (default: the
-    ``REPRO_WORKERS`` environment knob); the seeds are fixed before
-    fan-out, so the resulting tally is identical for any worker count.
-    """
-    tasks = _cell_tasks(
-        strategy_id, vantages, websites, calibration, repeats, seed, keyword
+    """One Table 1 cell: a strategy across vantage × site × repeats, the
+    sum of its :func:`run_strategy_clusters`."""
+    clusters = run_strategy_clusters(
+        strategy_id, vantages, websites, calibration,
+        repeats=repeats, seed=seed, keyword=keyword, workers=workers,
     )
-    with get_recorder().span(
-        f"cell:{strategy_id}", "sweep",
-        strategy=strategy_id, trials=len(tasks), keyword=keyword,
-    ):
-        outcomes = run_http_outcomes(tasks, workers=workers)
-    return VerdictDistribution.from_outcomes(outcomes)
+    return sum((tally for row in clusters for tally in row), VerdictDistribution())
 
 
 @dataclass
@@ -399,29 +428,31 @@ def run_cell_by_provider(
     keyword: bool = True,
     workers: Optional[int] = None,
 ) -> Dict[str, VerdictDistribution]:
-    """One strategy's rates broken down by provider profile.
+    """One strategy's rates broken down by provider profile: its
+    :func:`run_strategy_clusters` summed per provider, in order of first
+    appearance.
 
     §7.1 observes that "both the Failures 1 and Failures 2 always happen
     with regards to a few specific websites/IPs" and vantage points; the
     per-provider view makes middlebox-driven asymmetries (e.g. Tianjin's
     sanitizers, Aliyun's fragment policy) directly visible.
     """
-    tasks = _cell_tasks(
-        strategy_id, vantages, websites, calibration, repeats, seed, keyword
+    clusters = run_strategy_clusters(
+        strategy_id, vantages, websites, calibration,
+        repeats=repeats, seed=seed, keyword=keyword, workers=workers,
     )
-    outcomes = run_http_outcomes(tasks, workers=workers)
-    outcomes_by_provider: Dict[str, List[Outcome]] = {}
-    for task, outcome in zip(tasks, outcomes):
-        vantage = task[0]
-        outcomes_by_provider.setdefault(vantage.provider_profile, []).append(outcome)
-    return {
-        provider: VerdictDistribution.from_outcomes(bucket)
-        for provider, bucket in outcomes_by_provider.items()
-    }
+    by_provider: Dict[str, VerdictDistribution] = {}
+    for vantage, row in zip(vantages, clusters):
+        provider = vantage.provider_profile
+        by_provider[provider] = sum(
+            row, by_provider.get(provider, VerdictDistribution())
+        )
+    return by_provider
 
 
-def _vantage_row_worker(task: Tuple) -> VerdictDistribution:
-    """Process-pool work unit: one vantage's full trial sequence.
+def _vantage_row_worker(task: Tuple) -> List[VerdictDistribution]:
+    """Process-pool work unit: one vantage's full trial sequence, tallied
+    per site.
 
     A whole vantage is one unit (not one trial) because the adaptive
     INTANG row threads a persistent selector through its vantage's
@@ -433,10 +464,9 @@ def _vantage_row_worker(task: Tuple) -> VerdictDistribution:
         calibration, repeats, seed, adaptive,
     ) = task
     selector = make_persistent_selector() if adaptive else None
-    outcomes: List[Outcome] = []
-    for w_index, website in enumerate(websites):
-        for repeat in range(repeats):
-            record = run_http_trial(
+    return [
+        VerdictDistribution.from_outcomes(
+            run_http_trial(
                 vantage, website,
                 None if adaptive else strategy_id,
                 calibration,
@@ -444,9 +474,35 @@ def _vantage_row_worker(task: Tuple) -> VerdictDistribution:
                                 strategy_id or "intang"),
                 keyword=True,
                 selector=selector,
-            )
-            outcomes.append(record.outcome)
-    return VerdictDistribution.from_outcomes(outcomes)
+            ).outcome
+            for repeat in range(repeats)
+        )
+        for w_index, website in enumerate(websites)
+    ]
+
+
+def run_per_vantage_clusters(
+    strategy_id: Optional[str],
+    vantages: Sequence[VantagePoint],
+    websites: Sequence[Website],
+    calibration: Calibration = DEFAULT_CALIBRATION,
+    repeats: int = 1,
+    seed: int = 0,
+    adaptive: bool = False,
+    workers: Optional[int] = None,
+) -> List[List[VerdictDistribution]]:
+    """One Table 4 row kept as its clusters: ``clusters[v][w]`` tallies
+    the trials of ``vantages[v]`` against ``websites[w]``, fanned out a
+    vantage at a time.  ``adaptive=True`` is the "INTANG Performance"
+    row (the selector carries measurement history across one vantage's
+    sites and repeats)."""
+    websites = tuple(websites)
+    tasks = [
+        (vantage, v_index, websites, strategy_id,
+         calibration, repeats, seed, adaptive)
+        for v_index, vantage in enumerate(vantages)
+    ]
+    return map_trials(_vantage_row_worker, tasks, workers=workers)
 
 
 def run_per_vantage(
@@ -459,20 +515,16 @@ def run_per_vantage(
     adaptive: bool = False,
     workers: Optional[int] = None,
 ) -> PerVantageRates:
-    """Per-vantage tallies for one strategy, fanned out a vantage at a
-    time: one Table 4 row.  ``adaptive=True`` is the "INTANG
-    Performance" row (the selector carries measurement history across
-    repeats)."""
-    websites = tuple(websites)
-    tasks = [
-        (vantage, v_index, websites, strategy_id,
-         calibration, repeats, seed, adaptive)
-        for v_index, vantage in enumerate(vantages)
-    ]
-    tallies = map_trials(_vantage_row_worker, tasks, workers=workers)
-    return PerVantageRates(
-        {vantage.name: tally for vantage, tally in zip(vantages, tallies)}
+    """Per-vantage tallies for one strategy, one Table 4 row: its
+    :func:`run_per_vantage_clusters` summed per vantage."""
+    clusters = run_per_vantage_clusters(
+        strategy_id, vantages, websites, calibration,
+        repeats=repeats, seed=seed, adaptive=adaptive, workers=workers,
     )
+    return PerVantageRates({
+        vantage.name: sum(row, VerdictDistribution())
+        for vantage, row in zip(vantages, clusters)
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -562,49 +614,39 @@ def run_dns_cell(
     domain: str = "www.dropbox.com",
     use_intang: bool = True,
     workers: Optional[int] = None,
-) -> float:
-    """One Table 6 cell: the success rate of ``queries`` resolutions.
+) -> int:
+    """One Table 6 cell: how many of ``queries`` resolutions succeed.
 
-    Query ``q`` uses seed ``seed + q``, fixed before fan-out, so the rate
-    is identical for any worker count.
+    Query ``q`` uses seed ``seed + q``, fixed before fan-out, so the
+    count is identical for any worker count.
     """
-    if queries <= 0:
-        return 0.0
     tasks = [
         (vantage, resolver, strategy_id, calibration, seed + q, domain, use_intang)
         for q in range(queries)
     ]
     results = map_trials(_dns_trial_worker, tasks, workers=workers)
-    return sum(1 for r in results if r.success) / queries
+    return sum(1 for r in results if r.success)
 
 
-def run_table6_rows(
-    queries: int, salted: bool = False
-) -> List[Tuple[str, str, float, float]]:
-    """Table 6's Dyn rows: ``(name, ip, rate except Tianjin, rate over
-    all vantages)``, each vantage's rate one :func:`run_dns_cell` of
-    ``queries`` resolutions.  Cell seeds start at 0, or with ``salted`` at
-    a stable per-resolver salt (crc32 of its IP, mod 977)."""
-    rows = []
-    for resolver in DYN_RESOLVERS:
-        seed = zlib.crc32(resolver.ip.encode("utf-8")) % 977 if salted else 0
-        per_vantage = {
-            vantage.name: run_dns_cell(vantage, resolver, queries, seed=seed)
-            for vantage in CHINA_VANTAGE_POINTS
-        }
-        except_tj = [
-            rate for name, rate in per_vantage.items()
-            if name != "unicom-tianjin"
-        ]
-        rows.append(
-            (
-                resolver.name,
-                resolver.ip,
-                sum(except_tj) / len(except_tj),
-                sum(per_vantage.values()) / len(per_vantage),
-            )
+def run_table6_rows(queries: int) -> List[Tuple[str, str, Dict[str, int]]]:
+    """Table 6's Dyn rows kept as their clusters: ``(name, ip, successes
+    per vantage)``, each vantage's count one :func:`run_dns_cell` of
+    ``queries`` resolutions.  Cell seeds start at a stable per-resolver
+    salt (crc32 of its IP, mod 977)."""
+    return [
+        (
+            resolver.name,
+            resolver.ip,
+            {
+                vantage.name: run_dns_cell(
+                    vantage, resolver, queries,
+                    seed=zlib.crc32(resolver.ip.encode("utf-8")) % 977,
+                )
+                for vantage in CHINA_VANTAGE_POINTS
+            },
         )
-    return rows
+        for resolver in DYN_RESOLVERS
+    ]
 
 
 # ---------------------------------------------------------------------------

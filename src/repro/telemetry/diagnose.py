@@ -158,8 +158,18 @@ class TrialDiagnosis:
             + (f" (drift={record.drift})" if record.drift else ""),
             f"verdict : {self.explanation()}",
         ]
+        # Only what the trial moved: the delta keeps every registered
+        # instrument (worker merges need the zeros), the report does not.
+        moved = {
+            family: {
+                name: value
+                for name, value in self.metrics.get(family, {}).items()
+                if (value["count"] if family == "histograms" else value)
+            }
+            for family in ("counters", "gauges", "histograms")
+        }
         registry_view = get_registry().__class__()
-        registry_view.merge(self.metrics)
+        registry_view.merge(moved)
         sections = [
             "\n".join(header),
             "-- timeline (packets + GFW state, one sequence) " + "-" * 24,

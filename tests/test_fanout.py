@@ -24,6 +24,7 @@ from repro.experiments import (
 )
 from repro.experiments.fleet import FleetSpec, run_fleet
 from repro.experiments.parallel import DEFAULT_CHUNKS_PER_WORKER
+from repro.experiments.artifacts import ARTIFACTS, records_json
 from repro.experiments.runner import run_table6_rows
 from repro.experiments.tables import format_table6
 from repro.telemetry import SPANS, get_registry, observing
@@ -111,12 +112,29 @@ def test_cli_has_no_shards_flag(command, capsys):
 
 
 def test_table6_rows_match_serial_and_the_cli(capsys, monkeypatch):
-    """``repro table6`` prints the rows ``run_table6_rows`` returns,
-    and each cell fans out like every other sweep."""
+    """``repro table6`` prints the registry's Table 6, whose records are
+    the per-(resolver, vantage) counts ``run_table6_rows`` returns, and
+    each cell fans out like every other sweep."""
+    table6 = ARTIFACTS["table6"]
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
     rows = run_table6_rows(2)
+    records = table6.produce(queries=2)
     monkeypatch.setenv("REPRO_WORKERS", "2")
-    assert run_table6_rows(2) == rows
+    assert records_json(table6.produce(queries=2)) == records_json(records)
     monkeypatch.delenv("REPRO_WORKERS")
     assert main(["table6", "--queries", "2"]) == 0
-    assert capsys.readouterr().out == format_table6(rows) + "\n"
+    out = capsys.readouterr().out
+    assert out == table6.formatter(records) + "\n"
+    assert "OpenDNS 208.67.222.222 without INTANG" in out
+    assert "Paper: Dyn1 98.6%/92.7%, Dyn2 99.6%/93.1%" in out
+    # The printed rates are the clusters' sums.
+    assert [(r["name"], r["ip"], r["successes"]) for r in records["resolvers"]] == [
+        (name, ip, successes) for name, ip, successes in rows
+    ]
+    rates = []
+    for name, ip, successes in rows:
+        assert list(successes) == [v.name for v in CHINA_VANTAGE_POINTS]
+        except_tj = [n for v, n in successes.items() if v != "unicom-tianjin"]
+        rates.append((name, ip, sum(except_tj) / 2 / len(except_tj),
+                      sum(successes.values()) / 2 / len(successes)))
+    assert out.startswith(format_table6(rates) + "\n")

@@ -377,6 +377,35 @@ def test_conformance_run_dump_dir_writes_the_broken_cell(tmp_path):
     assert dump["events"], "the broken cell's event window is empty"
 
 
+def test_forced_drift_diagnosis_prints_only_moved_instruments(
+    capsys, monkeypatch
+):
+    """A drift diagnosis's metrics delta lists what the re-run moved, not
+    every registered instrument at zero."""
+    import dataclasses
+    import re
+
+    from repro.cli import main
+    from repro.conformance import oracles
+
+    find_rule = oracles.find_rule
+    monkeypatch.setattr(
+        oracles, "find_rule",
+        lambda cell: dataclasses.replace(find_rule(cell), allowed=()),
+    )
+    assert main([
+        "conformance", "run",
+        "--strategies", "tcb-teardown-rst/ttl,tcb-creation-syn/ttl",
+        "--variants", "evolved", "--profiles", "neutral", "--faults", "clean",
+        "--repeats", "4",
+    ]) == 1
+    out = capsys.readouterr().out
+    assert out.count("-- metrics delta ") == 2
+    assert re.search(r"\scounter\s+[1-9]", out)
+    assert not re.search(r"\scounter\s+0$", out, re.MULTILINE)
+    assert not re.search(r"\shistogram\s+count=0 ", out)
+
+
 def test_dump_dir_marks_a_run_without_anomalies(tmp_path):
     from repro.cli import main
 
