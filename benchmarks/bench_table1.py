@@ -13,5 +13,5 @@ from conftest import report_artifact
 
 
 def test_table1():
-    text = report_artifact("table1")
+    text, _ = report_artifact("table1")
     assert "TCB teardown with FIN" in text

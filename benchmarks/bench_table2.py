@@ -8,7 +8,7 @@ from conftest import report_artifact
 
 
 def test_table2():
-    text = report_artifact("table2")
+    text, _ = report_artifact("table2")
     assert "Discarded" in text and "Reassembled" in text
 
 

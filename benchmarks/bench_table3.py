@@ -7,7 +7,7 @@ from conftest import report_artifact
 
 
 def test_table3():
-    text = report_artifact("table3")
+    text, _ = report_artifact("table3")
     # All nine paper rows present:
     for condition in (
         "IP total length > actual length",

@@ -10,5 +10,5 @@ from conftest import report_artifact
 
 
 def test_table4():
-    text = report_artifact("table4")
+    text, _ = report_artifact("table4")
     assert "INTANG Performance" in text

@@ -7,5 +7,5 @@ from conftest import report_artifact
 
 
 def test_table5():
-    text = report_artifact("table5")
+    text, _ = report_artifact("table5")
     assert "Derived and static maps agree: True" in text

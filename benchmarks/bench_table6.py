@@ -10,5 +10,5 @@ from conftest import report_artifact
 
 
 def test_table6():
-    text = report_artifact("table6")
+    text, _ = report_artifact("table6")
     assert "uncensored (success)" in text

@@ -1,10 +1,12 @@
 """Shared sizing and reporting helpers for the benchmark harness.
 
-Every bench regenerates one of the paper's tables or figures.  Sizes are
-environment-tunable so the default run finishes in minutes while a
-paper-scale run stays one flag away:
+Every bench regenerates one results file: a paper table or figure, an
+ablation or the fleet curve.  Sizes are environment-tunable so the
+default run finishes in minutes while a paper-scale run stays one flag
+away:
 
-- ``REPRO_BENCH_SITES``   — websites per cell (default 15; paper: 77);
+- ``REPRO_BENCH_SITES``   — websites per cell (default: the artifact's,
+  15 for Tables 1 and 4; paper: 77);
 - ``REPRO_BENCH_REPEATS`` — repeats per vantage×site (default 1; paper: 50);
 - ``REPRO_BENCH_DNS``     — DNS queries per vantage (default 25; paper: 100);
 - ``REPRO_FULL=1``        — paper-scale dataset sizes.
@@ -13,13 +15,13 @@ The knobs go through :mod:`repro.core.env`: booleans accept the usual
 spellings and a malformed or non-positive size raises
 :class:`~repro.core.env.EnvKnobError` naming the variable.
 
-Each bench prints its table (visible with ``-s``) and writes it under
-``benchmarks/results/`` so EXPERIMENTS.md can cite a recorded artifact.
-The paper tables come from the artifact registry
-(:mod:`repro.experiments.artifacts`, the producer ``repro tableN``
-prints too), at its default sizes and seeds unless a knob above says
-otherwise; Tables 1, 4 and 6 also write their per-cluster records as
-``tableN.json``.
+Each bench is one call into the artifact registry
+(:mod:`repro.experiments.artifacts`, the producer ``repro <id>`` prints
+too) plus its shape asserts: it prints the artifact's text (visible with
+``-s``) and writes it under ``benchmarks/results/`` so EXPERIMENTS.md can
+cite a recorded artifact, at the registry's default sizes and seeds
+unless a knob above says otherwise; Tables 1, 4 and 6 also write their
+per-cluster records as ``tableN.json``.
 The benches time nothing; speed is measured by ``perfbench/run.py`` and
 gated by ``benchmarks/perf_gate.py``.
 """
@@ -29,7 +31,6 @@ import sys
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.core.env import env_flag, env_int  # noqa: E402
@@ -68,10 +69,10 @@ def report(name: str, text: str) -> str:
     return path
 
 
-def report_artifact(artifact_id: str) -> str:
-    """Regenerate a paper table from the artifact registry at the bench
-    sizes, report its text, and write a clustered table's records as
-    ``<id>.json`` beside it; returns the text."""
+def report_artifact(artifact_id: str):
+    """Regenerate one registry artifact at the bench sizes, report its
+    text, and write a clustered table's records as ``<id>.json`` beside
+    it; returns the text and the records."""
     from repro.experiments.artifacts import ARTIFACTS, records_json
 
     artifact = ARTIFACTS[artifact_id]
@@ -86,4 +87,4 @@ def report_artifact(artifact_id: str) -> str:
     if artifact.clustered:
         with open(os.path.join(RESULTS_DIR, f"{artifact_id}.json"), "w") as sink:
             sink.write(records_json(records))
-    return text
+    return text, records

@@ -18,12 +18,8 @@ import random
 from repro.apps.dns import DNSTcpResolver, DNSUdpClient, DNSUdpResolver
 from repro.apps.udp import UDPHost
 from repro.core.intang import INTANG
+from repro.experiments.lab import SERVER_IP, mini_topology
 from repro.gfw.dns_poisoner import DNSPoisoner, POISONED_ANSWER_IP
-
-import sys
-import os
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
-from helpers import SERVER_IP, mini_topology  # noqa: E402
 
 CENSORED = "www.dropbox.com"
 REAL_ANSWER = "104.16.100.29"

@@ -9,24 +9,11 @@ packets reach the GFW's hop and die before the server.
 Run:  python examples/packet_ladders.py
 """
 
-import random
-
-from repro.core.intang import INTANG
-
-import sys
-import os
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
-from helpers import fetch, mini_topology  # noqa: E402
+from repro.experiments.lab import lab_trial
 
 
 def ladder(strategy_id: str, title: str) -> None:
-    world = mini_topology(seed=8, trace=True)
-    INTANG(
-        host=world.client, tcp_host=world.client_tcp, clock=world.clock,
-        network=world.network, fixed_strategy=strategy_id,
-        rng=random.Random(4),
-    )
-    exchange = fetch(world)
+    world, exchange = lab_trial(strategy_id, seed=8, rng_seed=4, trace=True)
     print(f"=== {title} ===")
     print(f"strategy: {strategy_id}")
     print(f"result:   {'evaded - response received' if exchange.got_response else 'failed'}"

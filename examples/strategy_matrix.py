@@ -1,26 +1,18 @@
 #!/usr/bin/env python3
 """The strategy × GFW-generation matrix, live.
 
-Runs every registered evasion strategy against clean-room instances of
-both GFW models (the Khattak-era "old" model and the §4 "evolved" one)
-and prints who wins — the qualitative heart of the paper in one table:
-old strategies die against the evolved model, the new §5 strategies die
-against the old model, and only the §7.1 combinations beat both.
+Runs 14 of the 22 registered evasion strategies (``repro matrix`` runs
+all of them) against clean-room instances of both GFW models (the
+Khattak-era "old" model and the §4 "evolved" one) and prints who wins
+— the qualitative heart of the paper in one table: old strategies die
+against the evolved model, the new §5 strategies die against the old
+model, and only the §7.1 combinations beat both.
 
 Run:  python examples/strategy_matrix.py
 """
 
-import random
-
-from repro.apps.http import HTTPClient
-from repro.core.intang import INTANG
-from repro.gfw import evolved_config, old_config
+from repro.experiments.lab import strategy_matrix
 from repro.experiments.tables import render_table
-
-import sys
-import os
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
-from helpers import SERVER_IP, fetch, mini_topology  # noqa: E402
 
 MATRIX_STRATEGIES = [
     "none",
@@ -40,32 +32,11 @@ MATRIX_STRATEGIES = [
 ]
 
 
-def outcome(strategy_id: str, model: str, seed: int = 1) -> str:
-    config = evolved_config() if model == "evolved" else old_config()
-    world = mini_topology(gfw_config=config, seed=seed)
-    INTANG(
-        host=world.client, tcp_host=world.client_tcp, clock=world.clock,
-        network=world.network, fixed_strategy=strategy_id,
-        rng=random.Random(seed + 7),
-    )
-    exchange = fetch(world)
-    if world.gfw.detections:
-        return "caught"
-    if exchange.got_response:
-        return "EVADES"
-    return "broken"
-
-
 def main() -> None:
-    rows = []
-    for strategy_id in MATRIX_STRATEGIES:
-        rows.append(
-            [strategy_id, outcome(strategy_id, "old"), outcome(strategy_id, "evolved")]
-        )
     print(
         render_table(
             ["Strategy", "old GFW model", "evolved GFW model"],
-            rows,
+            strategy_matrix(MATRIX_STRATEGIES),
             title="Strategy x GFW-generation matrix (clean-room paths)",
         )
     )

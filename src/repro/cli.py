@@ -2,10 +2,11 @@
 
 ::
 
-    python -m repro list                    # paper tables + strategies
+    python -m repro list                    # every artifact + strategies
     python -m repro table1                  # benchmarks/results/table1.txt
     python -m repro table1 --sites 77 --repeats 50   # at paper scale
-    python -m repro table2 .. table6
+    python -m repro table2 .. table6, fig1 .. fig4, tor, vpn, resets
+    python -m repro ablation_delta --sites 30        # ablations, baselines
     python -m repro matrix                  # strategy × GFW-generation
     python -m repro probe [--model old]     # GFW responsiveness probe
     python -m repro trial --strategy tcb-teardown+tcb-reversal
@@ -22,10 +23,13 @@
     python -m repro fleet run --trace-out fleet.json --dump-dir dumps/
 
 Everything prints to stdout; sizes are small by default so each command
-finishes in seconds.  ``tableN`` and ``benchmarks/bench_tableN.py`` share
-one producer per table (:mod:`repro.experiments.artifacts`): with no
-flags, a table command prints its committed results file exactly.  The
-two sweep commands, ``conformance`` and ``fleet``, observe their own
+finishes in seconds.  ``repro <id>`` and ``benchmarks/bench_<id>.py``
+share one producer per results file (:mod:`repro.experiments.artifacts`):
+with no flags, an artifact command prints its committed
+``benchmarks/results/<id>.txt`` exactly.  ``matrix``, ``probe`` and
+``ladder`` run in the package's lab world (:mod:`repro.experiments.lab`);
+only ``conformance`` reads the checkout (its ``tests/golden/`` snapshot).
+The two sweep commands, ``conformance`` and ``fleet``, observe their own
 run: ``--trace-out`` writes its spans as Chrome/Perfetto trace-event
 JSON and ``--dump-dir`` its anomaly dumps, one JSON file each.
 ``REPRO_WORKERS`` (or ``--workers`` where a command offers it) is the
@@ -50,9 +54,10 @@ def _cmd_list(args: argparse.Namespace) -> int:
     from repro.experiments.artifacts import ARTIFACTS
     from repro.strategies.registry import STRATEGY_REGISTRY
 
-    print("Paper tables (repro <id>):")
+    width = max(len(artifact_id) for artifact_id in ARTIFACTS)
+    print("Artifacts: paper tables, figures and ablations (repro <id>):")
     for artifact in ARTIFACTS.values():
-        print(f"  {artifact.id}  {artifact.title}")
+        print(f"  {artifact.id:<{width}}  {artifact.title}")
     print("\nStrategies:")
     for strategy_id in sorted(STRATEGY_REGISTRY):
         print(f"  {strategy_id}")
@@ -72,59 +77,19 @@ def _cmd_artifact(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    import os
-
-    sys.path.insert(
-        0, os.path.join(os.path.dirname(__file__), "..", "..", "tests")
-    )
-    from repro.core.intang import INTANG
+    from repro.experiments.lab import strategy_matrix
     from repro.experiments.tables import render_table
-    from repro.gfw import evolved_config, old_config
     from repro.strategies.registry import STRATEGY_REGISTRY
 
-    try:
-        from helpers import fetch, mini_topology
-    except ImportError:
-        print("matrix requires the repository checkout (tests/helpers.py)",
-              file=sys.stderr)
-        return 2
-
-    rows = []
-    for strategy_id in sorted(STRATEGY_REGISTRY):
-        cells = [strategy_id]
-        for model_config in (old_config, evolved_config):
-            world = mini_topology(gfw_config=model_config(), seed=args.seed)
-            INTANG(host=world.client, tcp_host=world.client_tcp,
-                   clock=world.clock, network=world.network,
-                   fixed_strategy=strategy_id,
-                   rng=random.Random(args.seed + 7))
-            exchange = fetch(world)
-            if world.gfw.detections:
-                cells.append("caught")
-            elif exchange.got_response:
-                cells.append("EVADES")
-            else:
-                cells.append("broken")
-        rows.append(cells)
+    rows = strategy_matrix(sorted(STRATEGY_REGISTRY), seed=args.seed)
     print(render_table(["Strategy", "old GFW", "evolved GFW"], rows))
     return 0
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
-    import os
-
-    sys.path.insert(
-        0, os.path.join(os.path.dirname(__file__), "..", "..", "tests")
-    )
     from repro.core.responsiveness import ResponsivenessProbe
+    from repro.experiments.lab import SERVER_IP, mini_topology
     from repro.gfw import evolved_config, old_config
-
-    try:
-        from helpers import SERVER_IP, mini_topology
-    except ImportError:
-        print("probe requires the repository checkout (tests/helpers.py)",
-              file=sys.stderr)
-        return 2
 
     config = old_config(reset_type=2) if args.model == "old" else evolved_config()
     world = mini_topology(gfw_config=config, with_gfw=not args.clean,
@@ -155,27 +120,11 @@ def _cmd_trial(args: argparse.Namespace) -> int:
 
 
 def _cmd_ladder(args: argparse.Namespace) -> int:
-    import os
-
-    sys.path.insert(
-        0, os.path.join(os.path.dirname(__file__), "..", "..", "tests")
-    )
-    from repro.core.intang import INTANG
-
-    try:
-        from helpers import fetch, mini_topology
-    except ImportError:
-        print("ladder requires the repository checkout (tests/helpers.py)",
-              file=sys.stderr)
-        return 2
+    from repro.experiments.lab import lab_trial
 
     strategy = ("tcb-creation+resync-desync" if args.figure == 3
                 else "tcb-teardown+tcb-reversal")
-    world = mini_topology(seed=args.seed, trace=True)
-    INTANG(host=world.client, tcp_host=world.client_tcp, clock=world.clock,
-           network=world.network, fixed_strategy=strategy,
-           rng=random.Random(args.seed))
-    exchange = fetch(world)
+    world, exchange = lab_trial(strategy, args.seed, args.seed, trace=True)
     print(f"Fig. {args.figure}: {strategy} — "
           f"{'evaded' if exchange.got_response else 'failed'}\n")
     print(world.trace.format_ladder())

@@ -1,11 +1,14 @@
-"""The paper's tables as one registry: one producer per table.
+"""Every results file as one registry: one producer per table, figure
+and ablation.
 
 Each :class:`Artifact` pairs a producer (size options -> records) with
 a formatter (records -> the text ``benchmarks/results/<id>.txt`` holds)
 and the paper's values.  ``repro <id>`` and ``benchmarks/bench_<id>.py``
 are both thin calls into :data:`ARTIFACTS`, so the command line and the
-committed table cannot drift apart, and every paper number is defined
-once, here.
+committed file cannot drift apart, and every paper number is defined
+once.  The tables are produced here; the figures and the §2.1/§7.3
+observations in :mod:`repro.experiments.figures`, the ablations,
+baselines and the fleet curve in :mod:`repro.experiments.ablations`.
 
 Tables 1, 4 and 6 are measured over vantages × sites (× resolvers), not
 over independent trials, and routes disagree (Ensafi et al., PAPERS.md).
@@ -25,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.analysis import cross_validate_stacks, derive_table5, generate_table3
+from repro.experiments import ablations, figures
 from repro.experiments.calibration import DEFAULT_CALIBRATION
 from repro.experiments.middlebox_probe import probe_all
 from repro.experiments.outcomes import VerdictDistribution
@@ -63,7 +67,7 @@ __all__ = ["ARTIFACTS", "Artifact", "records_json"]
 
 @dataclass(frozen=True)
 class Artifact:
-    """One paper table: how to produce it, print it, and what the paper
+    """One results file: how to produce it, print it, and what the paper
     reported."""
 
     id: str
@@ -73,7 +77,8 @@ class Artifact:
     #: ``formatter(records) -> text``, the bench's results file verbatim.
     formatter: Callable[[Any], str]
     #: The size options and their bench defaults (``sites``, ``repeats``
-    #: and ``seed``; ``queries``): each is a ``repro <id>`` flag.
+    #: and ``seed``; ``queries``): each is a ``repro <id>`` flag.  Only
+    #: the paper tables and the site-sized ablations have any.
     options: Mapping[str, int] = field(default_factory=dict)
     #: The paper's values, as the formatter quotes them.
     paper: Mapping[str, Any] = field(default_factory=dict)
@@ -369,7 +374,7 @@ def _format_table6(records: Dict) -> str:
     return text
 
 
-#: Every paper table, by its ``repro`` command name.
+#: Every results file, by its ``repro`` command name.
 ARTIFACTS: Dict[str, Artifact] = {
     artifact.id: artifact
     for artifact in (
@@ -408,5 +413,39 @@ ARTIFACTS: Dict[str, Artifact] = {
             paper_n={"vantages": 11, "queries": 100},
             clustered=True,
         ),
+        Artifact("fig1", "the threat model as a live topology",
+                 figures.threat_model, figures.format_threat_model),
+        Artifact("fig2", "INTANG's components, one pass each",
+                 figures.intang_architecture, figures.format_intang_architecture),
+        Artifact("fig3", "TCB Creation + Resync/Desync packet ladder",
+                 figures.fig3_ladder, figures.format_fig3),
+        Artifact("fig4", "TCB Teardown + TCB Reversal packet ladder",
+                 figures.fig4_ladder, figures.format_fig4),
+        Artifact("resets", "§2.1 forged-reset signatures and the blocking regime",
+                 figures.reset_signatures, figures.format_reset_signatures),
+        Artifact("tor", "§7.3 Tor: active probing and INTANG's cover",
+                 figures.tor_campaign, figures.format_tor_campaign),
+        Artifact("vpn", "§7.3 OpenVPN-over-TCP: DPI reset vs INTANG",
+                 figures.vpn_campaign, figures.format_vpn_campaign),
+        Artifact("ablation_delta", "ablation: the TTL margin delta (§7.1)",
+                 ablations.delta_sweep, ablations.format_delta_sweep,
+                 options={"sites": 10}),
+        Artifact("ablation_redundancy", "ablation: insertion copies vs loss (§3.4)",
+                 ablations.redundancy_sweep, ablations.format_redundancy_sweep),
+        Artifact("ablation_gfw_mix", "ablation: GFW generation mixture (§7.1)",
+                 ablations.mixture_sweep, ablations.format_mixture_sweep,
+                 options={"sites": 8}),
+        Artifact("ablation_resync", "ablation: NB3 resync-on-RST probability (§4)",
+                 ablations.resync_sweep, ablations.format_resync_sweep),
+        Artifact("ablation_countermeasures", "ablation: §8's GFW hardenings, enacted",
+                 ablations.countermeasure_sweep, ablations.format_countermeasure_sweep),
+        Artifact("baseline_west_chamber", "the West Chamber Project vs today's GFW",
+                 ablations.west_chamber_baseline,
+                 ablations.format_west_chamber_baseline, options={"sites": 10}),
+        Artifact("provider_breakdown", "Table 1's sensitive rows per provider (§3.4)",
+                 ablations.provider_breakdown, ablations.format_provider_breakdown,
+                 options={"sites": 12}),
+        Artifact("fleet_effectiveness", "strategy success vs shared-censor load",
+                 ablations.fleet_curve, ablations.format_fleet_curve),
     )
 }

@@ -24,7 +24,7 @@ from repro.apps.tor import TOR_HANDSHAKE_PREAMBLE, TorBridge, TorClient
 from repro.apps.udp import UDPHost
 from repro.apps.vpn import OpenVPNClient, OpenVPNServer
 
-from helpers import CLIENT_IP, SERVER_IP, mini_topology
+from repro.experiments.lab import CLIENT_IP, SERVER_IP, mini_topology
 
 
 class TestHTTPCodec:

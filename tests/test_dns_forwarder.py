@@ -11,7 +11,7 @@ from repro.core.intang import INTANG
 from repro.gfw import evolved_config
 from repro.gfw.dns_poisoner import POISONED_ANSWER_IP, DNSPoisoner
 
-from helpers import SERVER_IP, mini_topology
+from repro.experiments.lab import SERVER_IP, mini_topology
 
 REAL_ANSWER = "104.16.100.29"
 CENSORED = "www.dropbox.com"

@@ -19,7 +19,8 @@ from repro.netstack.packet import (
 from repro.netsim.trace import TraceEvent, TraceRecorder
 from repro.tcp.tcb import TCPState
 
-from helpers import CLIENT_IP, SERVER_IP, detections, fetch, mini_topology
+from repro.experiments.lab import CLIENT_IP, SERVER_IP, fetch, mini_topology
+from helpers import detections
 
 
 class TestListenerGating:

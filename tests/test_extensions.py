@@ -9,20 +9,14 @@ from repro.core.intang import INTANG
 from repro.core.responsiveness import ResponsivenessProbe
 from repro.gfw import evolved_config, old_config
 
-from helpers import SERVER_IP, detections, fetch, mini_topology
+from repro.experiments.lab import SERVER_IP, fetch, lab_trial, mini_topology
+from helpers import detections
 
 
 class TestWestChamberBaseline:
     def _run(self, model, seed=3):
         config = evolved_config() if model == "evolved" else old_config()
-        world = mini_topology(gfw_config=config, seed=seed)
-        INTANG(
-            host=world.client, tcp_host=world.client_tcp, clock=world.clock,
-            network=world.network, fixed_strategy="west-chamber",
-            rng=random.Random(seed),
-        )
-        exchange = fetch(world)
-        return world, exchange
+        return lab_trial("west-chamber", seed, seed, gfw_config=config)
 
     def test_worked_against_the_2010_era_gfw(self):
         world, exchange = self._run("old")
@@ -38,13 +32,7 @@ class TestWestChamberBaseline:
             # either way once the FIN is ignored and the RST resyncs.
             config.resync_on_rst_probability = 1.0
             config.resync_on_rst_handshake_probability = 1.0
-            world = mini_topology(gfw_config=config, seed=seed)
-            INTANG(
-                host=world.client, tcp_host=world.client_tcp,
-                clock=world.clock, network=world.network,
-                fixed_strategy="west-chamber", rng=random.Random(seed),
-            )
-            fetch(world)
+            world, _ = lab_trial("west-chamber", seed, seed, gfw_config=config)
             if detections(world):
                 caught += 1
         assert caught == 4
@@ -172,6 +160,39 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "evaded" in out
         assert "[SA]" in out
+
+    def test_matrix(self, capsys):
+        from repro.cli import main
+
+        assert main(["matrix"]) == 0
+        rows = [
+            [cell.strip() for cell in line.split("|")]
+            for line in capsys.readouterr().out.splitlines()
+        ]
+        assert ["west-chamber", "EVADES", "caught"] in rows
+        assert ["tcb-teardown+tcb-reversal", "EVADES", "EVADES"] in rows
+
+    def test_lab_commands_need_only_the_package(self, tmp_path):
+        """matrix, probe and ladder run from a copy of ``src/`` alone, as
+        from an installed package: no repository checkout behind them."""
+        import os
+        import shutil
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = tmp_path / "src"
+        shutil.copytree(Path(repro.__file__).parent, src / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        for argv in (["matrix"], ["probe", "--clean"], ["ladder", "--figure", "3"]):
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", *argv], cwd=tmp_path, env=env,
+                capture_output=True, text=True,
+            )
+            assert done.returncode == 0, (argv, done.stderr)
 
     def test_unknown_command_rejected(self):
         from repro.cli import main

@@ -11,7 +11,7 @@ from repro.core.selection import StrategyRecord, StrategySelector
 from repro.core.strategy_base import ConnectionContext, EvasionStrategy, NoStrategy
 from repro.netstack.packet import ACK, SYN
 
-from helpers import CLIENT_IP, SERVER_IP, fetch, mini_topology
+from repro.experiments.lab import CLIENT_IP, SERVER_IP, fetch, mini_topology
 
 
 class CountingStrategy(EvasionStrategy):

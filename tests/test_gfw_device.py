@@ -9,7 +9,8 @@ from repro.gfw import GFWDevice, GFWFlowState, evolved_config, old_config
 from repro.gfw.flow import expected_reset_seqs
 from repro.analysis.probe import GFWHarness
 
-from helpers import CLIENT_IP, SERVER_IP, detections, fetch, mini_topology
+from repro.experiments.lab import CLIENT_IP, SERVER_IP, fetch, mini_topology
+from helpers import detections
 
 
 def _harness(config=None, **kw):

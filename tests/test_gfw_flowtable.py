@@ -17,7 +17,8 @@ from repro.gfw.device import GFWDevice
 from repro.gfw.flow import FlowTable, GFWFlow, GFWFlowState, connection_key
 from repro.gfw.models import evolved_config
 
-from helpers import detections, fetch, mini_topology
+from repro.experiments.lab import fetch, mini_topology
+from helpers import detections
 
 CLIENT_IP = "10.1.0.1"
 SERVER_IP = "93.184.216.34"

@@ -19,7 +19,7 @@ from repro.strategies.insertion import (
     packet_type_of,
 )
 
-from helpers import CLIENT_IP, SERVER_IP
+from repro.experiments.lab import CLIENT_IP, SERVER_IP
 
 
 @pytest.fixture

@@ -16,7 +16,8 @@ from repro.experiments import (
 from repro.experiments.runner import make_persistent_selector
 from repro.gfw import evolved_config
 
-from helpers import CLIENT_IP, SERVER_IP, detections, fetch, mini_topology
+from repro.experiments.lab import CLIENT_IP, SERVER_IP, fetch, lab_trial, mini_topology
+from helpers import detections
 
 
 class TestNinetySecondBlacklist:
@@ -152,13 +153,7 @@ class TestFigureTraces:
     fig3/fig4 benchmarks)."""
 
     def _traced_run(self, strategy_id):
-        world = mini_topology(seed=36, trace=True)
-        INTANG(
-            host=world.client, tcp_host=world.client_tcp, clock=world.clock,
-            network=world.network, fixed_strategy=strategy_id,
-            rng=random.Random(1),
-        )
-        exchange = fetch(world)
+        world, exchange = lab_trial(strategy_id, 36, 1, trace=True)
         assert exchange.got_response
         sends = [
             event for event in world.trace.events

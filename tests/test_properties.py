@@ -27,7 +27,7 @@ from repro.netstack.wire import parse_ip, serialize_ip
 from repro.gfw.blacklist import Blacklist
 from repro.tcp.tcb import TCPState
 
-from helpers import CLIENT_IP, SERVER_IP, mini_topology
+from repro.experiments.lab import CLIENT_IP, SERVER_IP, mini_topology
 
 # ---------------------------------------------------------------------------
 # Strategies for generating arbitrary-but-valid packet objects

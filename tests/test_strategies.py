@@ -23,7 +23,8 @@ from repro.core.intang import INTANG
 from repro.gfw import evolved_config, old_config
 from repro.strategies.registry import STRATEGY_REGISTRY
 
-from helpers import SERVER_IP, detections, fetch, mini_topology
+from repro.experiments.lab import SERVER_IP, fetch, mini_topology
+from helpers import detections
 
 
 def run_strategy(strategy_id, model="evolved", seed=1, config_tweaks=None, **world_kw):

@@ -16,7 +16,7 @@ from repro.tcp.profiles import (
 )
 from repro.tcp.tcb import TCPState
 
-from helpers import CLIENT_IP, SERVER_IP, mini_topology
+from repro.experiments.lab import CLIENT_IP, SERVER_IP, mini_topology
 
 
 def _established_world(profile):

@@ -8,7 +8,7 @@ from repro.netstack.packet import ACK, FIN, IPPacket, RST, SYN, seq_add
 from repro.tcp.stack import CloseReason, DropReason
 from repro.tcp.tcb import TCPState
 
-from helpers import CLIENT_IP, SERVER_IP, fetch, mini_topology
+from repro.experiments.lab import CLIENT_IP, SERVER_IP, fetch, mini_topology
 
 
 def _connect(world):

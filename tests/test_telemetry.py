@@ -17,7 +17,8 @@ from repro.telemetry import (
     reset_recorder,
 )
 
-from helpers import KEYWORD_PATH, detections, fetch, mini_topology
+from repro.experiments.lab import KEYWORD_PATH, fetch, mini_topology
+from helpers import detections
 
 
 # ---------------------------------------------------------------------------

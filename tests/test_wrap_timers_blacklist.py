@@ -10,7 +10,8 @@ from repro.netstack.packet import ACK, IPPacket, TCPSegment, seq_add
 from repro.tcp.stack import INITIAL_RTO, CloseReason
 from repro.tcp.tcb import TCPState
 
-from helpers import CLIENT_IP, SERVER_IP, detections, fetch, mini_topology
+from repro.experiments.lab import CLIENT_IP, SERVER_IP, fetch, mini_topology
+from helpers import detections
 
 
 class TestSequenceWraparound:
