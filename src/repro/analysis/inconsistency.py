@@ -37,6 +37,7 @@ from repro.experiments.parallel import map_trials
 from repro.experiments.runner import _simulate_http_trial
 from repro.experiments.scenarios import release_scenario
 from repro.experiments.vantage import VantagePoint
+from repro.experiments.websites import Website
 from repro.gfw.heterogeneity import (
     HETEROGENEOUS_VARIANT,
     active_ensemble,
@@ -123,14 +124,20 @@ def _cell_salt(vantage: str, hour: float, strategy_id: str) -> int:
     return zlib.crc32(token.encode("utf-8")) & 0xFFFFFF
 
 
-def _inconsistency_cell_worker(task: Tuple) -> InconsistencyCell:
+def _inconsistency_cell_worker(
+    vantage: VantagePoint,
+    website: Website,
+    hour: float,
+    strategy_id: str,
+    repeats: int,
+    seed: int,
+) -> InconsistencyCell:
     """Process-pool work unit: one cell's repeats, observables included.
 
     Observables are read from each finished scenario before it is
     released; devices are built per trial, so the counters are per-trial
     by construction.
     """
-    vantage, website, hour, strategy_id, repeats, seed = task
     ensemble = active_ensemble()
     cell = InconsistencyCell(
         vantage=vantage.name,

@@ -262,12 +262,6 @@ def run_cell(
     return result
 
 
-def _cell_worker(task: Tuple) -> CellResult:
-    """Process-pool work unit: one full cell."""
-    cell, repeats, seed = task
-    return run_cell(cell, repeats=repeats, seed=seed)
-
-
 def run_matrix(
     cells: Optional[Sequence[ConformanceCell]] = None,
     repeats: int = DEFAULT_REPEATS,
@@ -287,5 +281,5 @@ def run_matrix(
     with get_recorder().span(
         "conformance.matrix", "sweep", cells=len(tasks), repeats=repeats
     ):
-        results = map_trials(_cell_worker, tasks, workers=workers)
+        results = map_trials(run_cell, tasks, workers=workers)
     return {result.cell.cell_id: result for result in results}

@@ -46,17 +46,13 @@ from repro.experiments.runner import (
     TrialRecord,
     diagnose_failure,
     run_cell_by_provider,
-    run_dns_cell,
     run_dns_trial,
     run_http_outcomes,
     run_http_trial,
-    run_per_vantage,
     run_per_vantage_clusters,
     run_strategy_cell,
     run_strategy_clusters,
-    run_tor_cell,
     run_tor_trial,
-    run_vpn_cell,
     run_vpn_trial,
     strategy_salt,
     trial_seed,
@@ -97,17 +93,13 @@ __all__ = [
     "TrialRecord",
     "diagnose_failure",
     "run_cell_by_provider",
-    "run_dns_cell",
     "run_dns_trial",
     "run_http_outcomes",
     "run_http_trial",
-    "run_per_vantage",
     "run_per_vantage_clusters",
     "run_strategy_cell",
     "run_strategy_clusters",
-    "run_tor_cell",
     "run_tor_trial",
-    "run_vpn_cell",
     "run_vpn_trial",
     "strategy_salt",
     "trial_seed",

@@ -93,9 +93,8 @@ REDUNDANCY_TRIALS = 40
 REDUNDANCY_COPIES = (1, 2, 3, 5)
 
 
-def _redundancy_trial(task) -> bool:
+def _redundancy_trial(copies: int, seed: int) -> bool:
     """Process-pool work unit: one lossy-path fetch, True when evaded."""
-    copies, seed = task
     world = mini_topology(seed=seed, loss_rate=REDUNDANCY_LOSS_RATE)
 
     def factory(ctx):
@@ -236,9 +235,8 @@ COUNTERMEASURE_STRATEGIES = (
 COUNTERMEASURE_TRIALS = 12
 
 
-def _countermeasure_trial(task) -> bool:
+def _countermeasure_trial(tweaks: Dict, strategy: str, seed: int) -> bool:
     """Process-pool work unit: one hardened-GFW fetch, True when evaded."""
-    tweaks, strategy, seed = task
     config = evolved_config()
     for name, value in tweaks.items():
         setattr(config, name, value)

@@ -246,19 +246,22 @@ def _table4_half(
     rows: Sequence, vantages: Sequence[VantagePoint],
     sites: Sequence[Website], seed: int,
 ) -> Dict:
-    return {
-        "site_names": [site.name for site in sites],
-        "rows": [
-            {
-                "label": label, "strategy": strategy_id, "repeats": repeats,
-                "clusters": _by_vantage(vantages, run_per_vantage_clusters(
-                    strategy_id, vantages, sites, DEFAULT_CALIBRATION,
-                    repeats=repeats, seed=seed, adaptive=strategy_id is None,
-                )),
-            }
-            for label, strategy_id, repeats in rows
-        ],
-    }
+    records = []
+    for label, strategy_id, repeats in rows:
+        if strategy_id is None:  # "INTANG Performance", the adaptive row
+            clusters = run_per_vantage_clusters(
+                vantages, sites, DEFAULT_CALIBRATION, repeats=repeats, seed=seed,
+            )
+        else:  # a fixed strategy's row is its Table 1 keyword cell
+            clusters = run_strategy_clusters(
+                strategy_id, vantages, sites, DEFAULT_CALIBRATION,
+                repeats=repeats, seed=seed, keyword=True,
+            )
+        records.append({
+            "label": label, "strategy": strategy_id, "repeats": repeats,
+            "clusters": _by_vantage(vantages, clusters),
+        })
+    return {"site_names": [site.name for site in sites], "rows": records}
 
 
 def _table4(sites: int, repeats: int, seed: int) -> Dict:

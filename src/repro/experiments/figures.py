@@ -18,7 +18,8 @@ from repro.experiments.calibration import CLEAN_ROOM
 from repro.experiments.lab import (
     CLIENT_IP, SERVER_IP, fetch, lab_trial, mini_topology,
 )
-from repro.experiments.runner import SENSITIVE_PATH, run_tor_cell, run_vpn_cell
+from repro.experiments.parallel import map_trials
+from repro.experiments.runner import SENSITIVE_PATH, run_tor_trial, run_vpn_trial
 from repro.experiments.scenarios import build_scenario
 from repro.experiments.tables import render_table
 from repro.experiments.vantage import CHINA_VANTAGE_POINTS, vantage_by_name
@@ -286,9 +287,12 @@ def tor_campaign() -> Dict:
     handshake draws an active probe and a whole-IP block, and INTANG
     succeeds everywhere."""
     bridge = outside_china_catalog()[0]
-    bare = run_tor_cell(CHINA_VANTAGE_POINTS, bridge, None, CLEAN_ROOM, seed=2)
-    helped = run_tor_cell(
-        CHINA_VANTAGE_POINTS, bridge, "improved-tcb-teardown", CLEAN_ROOM, seed=2
+    bare, helped = (
+        map_trials(run_tor_trial, [
+            (vantage, bridge, strategy_id, CLEAN_ROOM, 2)
+            for vantage in CHINA_VANTAGE_POINTS
+        ])
+        for strategy_id in (None, "improved-tcb-teardown")
     )
     return {"vantages": [
         {
@@ -334,8 +338,12 @@ def vpn_campaign() -> Dict:
     unexplained re-measurement) a bare session survives too."""
     site = outside_china_catalog()[1]
     vantages = CHINA_VANTAGE_POINTS[:6]
-    bare = run_vpn_cell(vantages, site, None, CLEAN_ROOM, seed=2)
-    helped = run_vpn_cell(vantages, site, "improved-tcb-teardown", CLEAN_ROOM, seed=2)
+    bare, helped = (
+        map_trials(run_vpn_trial, [
+            (vantage, site, strategy_id, CLEAN_ROOM, 2) for vantage in vantages
+        ])
+        for strategy_id in (None, "improved-tcb-teardown")
+    )
     scenario = build_scenario(
         vantage=CHINA_VANTAGE_POINTS[0], website=site,
         calibration=CLEAN_ROOM, seed=3, workload="vpn",

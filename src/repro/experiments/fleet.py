@@ -40,6 +40,7 @@ GFW under load — and is labelled as such in DESIGN.md.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import math
 import random
@@ -54,7 +55,7 @@ from repro.core.intang import INTANG
 from repro.experiments.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.experiments.parallel import map_trials
 from repro.experiments.outcomes import Outcome, VerdictDistribution, classify
-from repro.experiments.runner import BENIGN_PATH, SENSITIVE_PATH
+from repro.experiments.runner import BENIGN_PATH, SENSITIVE_PATH, attach_intang
 from repro.experiments.scenarios import (
     Scenario,
     acquire_scenario,
@@ -76,7 +77,7 @@ from repro.netsim.batch import BatchSim
 from repro.strategies.registry import TABLE1_ROWS
 from repro.telemetry.export import latency_summary
 from repro.telemetry.flight import packet_summary, tcb_summary
-from repro.telemetry.metrics import get_registry
+from repro.telemetry.metrics import Histogram, get_registry
 from repro.telemetry.recorder import get_recorder
 from repro.telemetry.trace import make_span
 
@@ -127,27 +128,10 @@ _FLEET_LATENCY = _REGISTRY.histogram(
 )
 
 
-def _new_latency_hist() -> Dict[str, object]:
-    """An empty per-group latency histogram (registry snapshot shape)."""
-    return {
-        "buckets": list(_LATENCY_BUCKETS),
-        "counts": [0] * (len(_LATENCY_BUCKETS) + 1),
-        "sum": 0.0,
-        "count": 0,
-    }
+def _latency_histogram() -> Histogram:
+    """An empty, unregistered histogram of one result's flow latencies."""
+    return Histogram("fleet.flow_sim_latency", _LATENCY_BUCKETS)
 
-
-def _observe_latency(hist: Dict[str, object], value: float) -> None:
-    """Mirror ``Histogram.observe`` onto a plain-dict histogram."""
-    counts = hist["counts"]
-    for i, bound in enumerate(hist["buckets"]):
-        if value <= bound:
-            counts[i] += 1
-            break
-    else:
-        counts[-1] += 1
-    hist["sum"] += value
-    hist["count"] += 1
 
 _OUTCOME_COUNTERS = {
     Outcome.SUCCESS: _FLEET_SUCCESS,
@@ -467,14 +451,8 @@ def _fleet_flow_setup(
     shared.graft(scenario, flow.index)
     intang: Optional[INTANG] = None
     if flow.strategy_id is not None and flow.strategy_id != "none":
-        intang = INTANG(
-            host=scenario.client,
-            tcp_host=scenario.client_tcp,
-            clock=scenario.clock,
-            network=scenario.network,
-            rng=LazyRandom(flow.seed ^ 0x5EED),
-            fixed_strategy=flow.strategy_id,
-            hop_delta=calibration.hop_delta,
+        intang = attach_intang(
+            scenario, flow.strategy_id, LazyRandom(flow.seed ^ 0x5EED)
         )
         if intang.hop_estimator is not None:
             intang.hop_estimator.measure(flow.website.ip)
@@ -510,13 +488,15 @@ def _fleet_flow_setup(
 
 
 @dataclass
-class FleetGroupResult:
-    """Order-independent aggregates of one client group."""
+class FleetResult:
+    """Order-independent aggregates of one client group
+    (:func:`run_fleet_group`) or of a whole run, the :meth:`merge` of its
+    groups (:func:`run_fleet`)."""
 
-    group: int
-    flows: int
-    flow_events: int
-    #: label -> outcome tally.
+    spec: FleetSpec
+    flows: int = 0
+    flow_events: int = 0
+    #: label -> outcome tally, labels sorted once merged.
     outcomes: Dict[str, VerdictDistribution] = field(default_factory=dict)
     eviction_false_negatives: int = 0
     blacklist_false_positives: int = 0
@@ -529,8 +509,79 @@ class FleetGroupResult:
     peak_flows_tracked: int = 0
     #: First-byte-to-verdict sim-latency histogram (snapshot shape).
     flow_sim_latency: Dict[str, object] = field(
-        default_factory=_new_latency_hist
+        default_factory=lambda: _latency_histogram().snapshot()
     )
+
+    @classmethod
+    def merge(
+        cls, spec: FleetSpec, groups: Sequence[FleetResult]
+    ) -> FleetResult:
+        """Fold group results field by field: tallies add, the peak
+        table occupancy is the largest group's, latency buckets add."""
+        merged = cls(spec)
+        for f in dataclasses.fields(cls)[1:]:
+            values = [getattr(group, f.name) for group in groups]
+            if f.name == "outcomes":
+                tallies: Dict[str, VerdictDistribution] = {}
+                for outcomes in values:
+                    for label, tally in outcomes.items():
+                        tallies[label] = (
+                            tallies.get(label, VerdictDistribution()) + tally
+                        )
+                value = dict(sorted(tallies.items()))
+            elif f.name == "peak_flows_tracked":
+                value = max(values)
+            elif f.name == "flow_sim_latency":
+                value = dict(
+                    values[0],
+                    counts=[sum(c) for c in zip(*(h["counts"] for h in values))],
+                    # fsum, not +=: exact summation makes the merged float
+                    # identical under any group permutation.
+                    sum=math.fsum(h["sum"] for h in values),
+                    count=sum(h["count"] for h in values),
+                )
+            else:
+                value = sum(values)
+            setattr(merged, f.name, value)
+        return merged
+
+    def success_rate(self, label: str) -> Optional[float]:
+        tally = self.outcomes.get(label)
+        if tally is None or tally.trials == 0:
+            return None
+        return tally.success / tally.trials
+
+    def strategy_rates(self) -> Dict[str, float]:
+        """Evasion success per strategy label (benign bucket excluded)."""
+        rates = {}
+        for label in self.outcomes:
+            if label == "benign":
+                continue
+            rate = self.success_rate(label)
+            if rate is not None:
+                rates[label] = rate
+        return rates
+
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            "spec": dataclasses.asdict(self.spec),
+            "flows": self.flows,
+            "flow_events": self.flow_events,
+            "outcomes": {k: list(v) for k, v in self.outcomes.items()},
+            "strategy_success": self.strategy_rates(),
+            "eviction_false_negatives": self.eviction_false_negatives,
+            "blacklist_false_positives": self.blacklist_false_positives,
+            "evictions_in_resync": self.evictions_in_resync,
+            "flows_created": self.flows_created,
+            "flows_evicted": self.flows_evicted,
+            "flows_evicted_active": self.flows_evicted_active,
+            "flows_evicted_after_fin": self.flows_evicted_after_fin,
+            "blacklistings": self.blacklistings,
+            "peak_flows_tracked": self.peak_flows_tracked,
+            "flow_sim_latency": latency_summary(
+                {"histograms": {"latency": self.flow_sim_latency}}
+            )["latency"],
+        }
 
 
 def _dump_flow_anomaly(
@@ -581,7 +632,10 @@ def _dump_flow_anomaly(
 
 
 def _finalize_flow(
-    ctx: _FleetFlowContext, shared: SharedGFWState, result: FleetGroupResult
+    ctx: _FleetFlowContext,
+    shared: SharedGFWState,
+    result: FleetResult,
+    latencies: Histogram,
 ) -> Outcome:
     """Classify one finished flow and attribute shared-state errors."""
     scenario = ctx.scenario
@@ -601,7 +655,7 @@ def _finalize_flow(
     # serial/chunked grouping (the telemetry-parity pins).
     latency = round(max(0.0, verdict_time - started) * 1048576.0) / 1048576.0
     _FLEET_LATENCY.observe(latency)
-    _observe_latency(result.flow_sim_latency, latency)
+    latencies.observe(latency)
     recorder = get_recorder()
     if recorder.spans_on:
         recorder.add(
@@ -664,7 +718,8 @@ def _run_wave(
     wave: Sequence[int],
     shared: SharedGFWState,
     calibration: Calibration,
-    result: FleetGroupResult,
+    result: FleetResult,
+    latencies: Histogram,
     labelled: Dict[str, List[Outcome]],
 ) -> None:
     """Run one wave of flows on one heap, then classify and free them,
@@ -689,7 +744,7 @@ def _run_wave(
         batch.release()
     for ctx in contexts:
         labelled.setdefault(ctx.flow.label, []).append(
-            _finalize_flow(ctx, shared, result)
+            _finalize_flow(ctx, shared, result, latencies)
         )
 
 
@@ -697,8 +752,9 @@ def run_fleet_group(
     spec: FleetSpec,
     group: int,
     calibration: Calibration = DEFAULT_CALIBRATION,
-) -> FleetGroupResult:
-    """Run one client group against its shared censor, wave by wave.
+) -> FleetResult:
+    """Run one client group against its shared censor, wave by wave,
+    into a one-group :class:`FleetResult`.
 
     Pure function of ``(spec, group)``: this is the unit
     :func:`run_fleet` fans out across processes.  The cyclic collector is
@@ -708,7 +764,8 @@ def run_fleet_group(
     recorder = get_recorder()
     shared = SharedGFWState(spec, group)
     indices = list(spec.group_indices(group))
-    result = FleetGroupResult(group=group, flows=len(indices), flow_events=0)
+    result = FleetResult(spec, flows=len(indices))
+    latencies = _latency_histogram()
     labelled: Dict[str, List[Outcome]] = {}
     group_span = recorder.begin(
         f"fleet.group{group}", "sweep", group=group, flows=len(indices)
@@ -723,7 +780,7 @@ def run_fleet_group(
         collector_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            _run_wave(spec, wave, shared, calibration, result, labelled)
+            _run_wave(spec, wave, shared, calibration, result, latencies, labelled)
         finally:
             if collector_was_enabled:
                 gc.enable()
@@ -753,131 +810,13 @@ def run_fleet_group(
     )
     result.blacklistings = sum(b.total_blacklistings for b in shared.blacklists)
     result.peak_flows_tracked = shared.peak_flows_tracked
+    result.flow_sim_latency = latencies.snapshot()
     # The tables' eviction hook is bound to ``shared``, which holds the
     # tables: cut that cycle so the group's censor state is freed by
     # reference counting.
     for table in shared.flow_tables:
         table.on_evict = None
     return result
-
-
-def _fleet_group_worker(task: Tuple[FleetSpec, int]) -> FleetGroupResult:
-    """Module-level fan-out work unit (pickles)."""
-    spec, group = task
-    return run_fleet_group(spec, group)
-
-
-@dataclass
-class FleetResult:
-    """Merged, order-independent aggregates of a whole fleet run."""
-
-    spec: FleetSpec
-    flows: int
-    flow_events: int
-    outcomes: Dict[str, VerdictDistribution]
-    eviction_false_negatives: int
-    blacklist_false_positives: int
-    evictions_in_resync: int
-    flows_created: int
-    flows_evicted: int
-    flows_evicted_active: int
-    flows_evicted_after_fin: int
-    blacklistings: int
-    peak_flows_tracked: int
-    flow_sim_latency: Dict[str, object] = field(
-        default_factory=_new_latency_hist
-    )
-
-    @classmethod
-    def merge(
-        cls, spec: FleetSpec, groups: Sequence[FleetGroupResult]
-    ) -> "FleetResult":
-        outcomes: Dict[str, VerdictDistribution] = {}
-        latency = _new_latency_hist()
-        for group in groups:
-            for label, tally in group.outcomes.items():
-                outcomes[label] = outcomes.get(label, VerdictDistribution()) + tally
-            other = group.flow_sim_latency
-            latency["counts"] = [
-                a + b for a, b in zip(latency["counts"], other["counts"])
-            ]
-            latency["count"] += other["count"]
-        # fsum, not +=: exact summation makes the merged float identical
-        # under any group permutation (the order-independence pin).
-        latency["sum"] = math.fsum(
-            g.flow_sim_latency["sum"] for g in groups
-        )
-        return cls(
-            spec=spec,
-            flows=sum(g.flows for g in groups),
-            flow_events=sum(g.flow_events for g in groups),
-            outcomes={label: outcomes[label] for label in sorted(outcomes)},
-            eviction_false_negatives=sum(
-                g.eviction_false_negatives for g in groups
-            ),
-            blacklist_false_positives=sum(
-                g.blacklist_false_positives for g in groups
-            ),
-            evictions_in_resync=sum(g.evictions_in_resync for g in groups),
-            flows_created=sum(g.flows_created for g in groups),
-            flows_evicted=sum(g.flows_evicted for g in groups),
-            flows_evicted_active=sum(g.flows_evicted_active for g in groups),
-            flows_evicted_after_fin=sum(
-                g.flows_evicted_after_fin for g in groups
-            ),
-            blacklistings=sum(g.blacklistings for g in groups),
-            peak_flows_tracked=max(g.peak_flows_tracked for g in groups),
-            flow_sim_latency=latency,
-        )
-
-    def success_rate(self, label: str) -> Optional[float]:
-        tally = self.outcomes.get(label)
-        if tally is None or tally.trials == 0:
-            return None
-        return tally.success / tally.trials
-
-    def strategy_rates(self) -> Dict[str, float]:
-        """Evasion success per strategy label (benign bucket excluded)."""
-        rates = {}
-        for label in self.outcomes:
-            if label == "benign":
-                continue
-            rate = self.success_rate(label)
-            if rate is not None:
-                rates[label] = rate
-        return rates
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "spec": {
-                "flows": self.spec.flows,
-                "seed": self.spec.seed,
-                "sites": self.spec.sites,
-                "zipf_alpha": self.spec.zipf_alpha,
-                "sensitive_fraction": self.spec.sensitive_fraction,
-                "strategies": list(self.spec.strategies),
-                "groups": self.spec.groups,
-                "window": self.spec.window,
-                "gfw_variant": self.spec.gfw_variant,
-                "max_flows": self.spec.max_flows,
-            },
-            "flows": self.flows,
-            "flow_events": self.flow_events,
-            "outcomes": {k: list(v) for k, v in self.outcomes.items()},
-            "strategy_success": self.strategy_rates(),
-            "eviction_false_negatives": self.eviction_false_negatives,
-            "blacklist_false_positives": self.blacklist_false_positives,
-            "evictions_in_resync": self.evictions_in_resync,
-            "flows_created": self.flows_created,
-            "flows_evicted": self.flows_evicted,
-            "flows_evicted_active": self.flows_evicted_active,
-            "flows_evicted_after_fin": self.flows_evicted_after_fin,
-            "blacklistings": self.blacklistings,
-            "peak_flows_tracked": self.peak_flows_tracked,
-            "flow_sim_latency": latency_summary(
-                {"histograms": {"latency": self.flow_sim_latency}}
-            )["latency"],
-        }
 
 
 def run_fleet(
@@ -899,7 +838,7 @@ def run_fleet(
     """
     del shards
     tasks = [(spec, group) for group in range(spec.groups)]
-    results = map_trials(_fleet_group_worker, tasks, workers=workers)
+    results = map_trials(run_fleet_group, tasks, workers=workers)
     return FleetResult.merge(spec, results)
 
 

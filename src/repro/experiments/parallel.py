@@ -7,7 +7,7 @@ means no shared state, which makes the sweep embarrassingly parallel.
 This module supplies the deterministic fan-out:
 
 - :func:`map_trials` — the one fan-out: an order-preserving map over
-  picklable work-unit tuples, executed inline when ``workers == 1``
+  picklable argument tuples, executed inline when ``workers == 1``
   (byte-identical to the historical serial loops) or, otherwise, as
   contiguous chunks on a shared :class:`ProcessPoolExecutor` — one pool
   payload, one registry delta and one drained-records payload per
@@ -141,7 +141,7 @@ def _run_chunk(payload: Tuple[Callable, Tuple, int]) -> Tuple[List[Any], dict]:
     before = registry.snapshot()
     span = recorder.begin(f"chunk[{len(chunk)}]", "chunk", tasks=len(chunk))
     try:
-        results = [func(task) for task in chunk]
+        results = [func(*task) for task in chunk]
     finally:
         recorder.end(span)
     delta = registry.diff(before)
@@ -150,18 +150,20 @@ def _run_chunk(payload: Tuple[Callable, Tuple, int]) -> Tuple[List[Any], dict]:
 
 
 def map_trials(
-    func: Callable[[Tuple], Any],
+    func: Callable[..., Any],
     tasks: Iterable[Tuple],
     workers: Optional[int] = None,
 ) -> List[Any]:
-    """Order-preserving map over trial work units; the one fan-out.
+    """Order-preserving ``[func(*task) for task in tasks]``; the one
+    fan-out.
 
-    ``func`` must be a module-level callable and every task tuple must be
-    picklable.  With one worker the map runs inline, byte-identical to a
-    plain loop.  Otherwise the tasks are cut into ``min(len(tasks),
-    workers × DEFAULT_CHUNKS_PER_WORKER)`` contiguous near-even chunks on
-    the shared pool of ``workers`` processes, and the chunks' results are
-    put back in task order.  Their registry deltas merge
+    Each task tuple is ``func``'s positional arguments, so a sweep maps
+    its trial function itself.  ``func`` must be a module-level callable
+    and every task tuple must be picklable.  With one worker the map
+    runs inline, byte-identical to a plain loop.  Otherwise the tasks are
+    cut into ``min(len(tasks), workers × DEFAULT_CHUNKS_PER_WORKER)``
+    contiguous near-even chunks on the shared pool of ``workers``
+    processes, and the chunks' results are put back in task order.  Their registry deltas merge
     order-independently (counters and histogram buckets add), so the
     merged registry equals a serial run's for any worker count.
     """
@@ -170,7 +172,7 @@ def map_trials(
     effective = min(requested, len(tasks))
     if effective <= 1:
         _note_execution(1, 0)
-        return [func(task) for task in tasks]
+        return [func(*task) for task in tasks]
     count = min(len(tasks), effective * DEFAULT_CHUNKS_PER_WORKER)
     _note_execution(effective, count)
     base, extra = divmod(len(tasks), count)

@@ -136,6 +136,26 @@ def make_persistent_selector(priority: Optional[Sequence[str]] = None) -> Strate
     return StrategySelector(store, priority=list(priority or DEFAULT_PRIORITY))
 
 
+def attach_intang(
+    scenario: Scenario, strategy_id: Optional[str], rng: random.Random, **extra
+) -> INTANG:
+    """Run INTANG on ``scenario``'s client: ``strategy_id`` pinned (or
+    ``None`` for its selector's choice), insertion TTLs the scenario
+    calibration's ``hop_delta`` short of the measured hop count.  Each
+    trial kind passes its own ``rng`` and its ``extra`` INTANG arguments
+    (a persistent ``selector``, the DNS forwarder's ``dns_resolver_ip``)."""
+    return INTANG(
+        host=scenario.client,
+        tcp_host=scenario.client_tcp,
+        clock=scenario.clock,
+        network=scenario.network,
+        rng=rng,
+        fixed_strategy=strategy_id,
+        hop_delta=scenario.calibration.hop_delta,
+        **extra,
+    )
+
+
 # ---------------------------------------------------------------------------
 # HTTP (Tables 1 and 4)
 # ---------------------------------------------------------------------------
@@ -187,15 +207,8 @@ def _simulate_http_trial(
         seed=seed, workload="http", trace=trace, gfw_variant=gfw_variant,
     )
     scenario.stop_at_verdict = stop_at_verdict
-    intang = INTANG(
-        host=scenario.client,
-        tcp_host=scenario.client_tcp,
-        clock=scenario.clock,
-        network=scenario.network,
-        rng=LazyRandom(seed ^ 0x5EED),
-        fixed_strategy=strategy_id,
-        hop_delta=calibration.hop_delta,
-        selector=selector,
+    intang = attach_intang(
+        scenario, strategy_id, LazyRandom(seed ^ 0x5EED), selector=selector
     )
     if intang.hop_estimator is not None:
         intang.hop_estimator.measure(website.ip)
@@ -302,9 +315,10 @@ def run_http_trial(
     return record
 
 
-def _http_outcome_worker(task: Tuple) -> Outcome:
-    """Process-pool work unit: one HTTP trial, reduced to its outcome."""
-    return run_http_trial(*task).outcome
+def _http_outcome(*trial_args) -> Outcome:
+    """One :func:`run_http_trial`, reduced to its outcome (the record's
+    other fields would only cross the process boundary to be dropped)."""
+    return run_http_trial(*trial_args).outcome
 
 
 def run_http_outcomes(
@@ -317,8 +331,7 @@ def run_http_outcomes(
     keyword)`` tuple; this is the engine entry point for benches that
     build their own seed formulas (the ablation sweeps).
     """
-    tasks = [tuple(t) for t in tasks]
-    return map_trials(_http_outcome_worker, tasks, workers=workers)
+    return map_trials(_http_outcome, tasks, workers=workers)
 
 
 def _cell_tasks(
@@ -450,28 +463,28 @@ def run_cell_by_provider(
     return by_provider
 
 
-def _vantage_row_worker(task: Tuple) -> List[VerdictDistribution]:
-    """Process-pool work unit: one vantage's full trial sequence, tallied
-    per site.
+def _vantage_row_worker(
+    vantage: VantagePoint,
+    v_index: int,
+    websites: Sequence[Website],
+    calibration: Calibration,
+    repeats: int,
+    seed: int,
+) -> List[VerdictDistribution]:
+    """Process-pool work unit: one vantage's adaptive trial sequence,
+    tallied per site.
 
-    A whole vantage is one unit (not one trial) because the adaptive
-    INTANG row threads a persistent selector through its vantage's
-    trials — that sequence is inherently serial, but vantages never share
-    state and so fan out cleanly.
+    A whole vantage is one unit (not one trial) because the persistent
+    selector threads its measurement history through the vantage's
+    trials — that sequence is inherently serial, but vantages never
+    share state and so fan out cleanly.
     """
-    (
-        vantage, v_index, websites, strategy_id,
-        calibration, repeats, seed, adaptive,
-    ) = task
-    selector = make_persistent_selector() if adaptive else None
+    selector = make_persistent_selector()
     return [
         VerdictDistribution.from_outcomes(
             run_http_trial(
-                vantage, website,
-                None if adaptive else strategy_id,
-                calibration,
-                seed=trial_seed(seed, v_index, w_index, repeat,
-                                strategy_id or "intang"),
+                vantage, website, None, calibration,
+                seed=trial_seed(seed, v_index, w_index, repeat, "intang"),
                 keyword=True,
                 selector=selector,
             ).outcome
@@ -482,49 +495,25 @@ def _vantage_row_worker(task: Tuple) -> List[VerdictDistribution]:
 
 
 def run_per_vantage_clusters(
-    strategy_id: Optional[str],
     vantages: Sequence[VantagePoint],
     websites: Sequence[Website],
     calibration: Calibration = DEFAULT_CALIBRATION,
     repeats: int = 1,
     seed: int = 0,
-    adaptive: bool = False,
     workers: Optional[int] = None,
 ) -> List[List[VerdictDistribution]]:
-    """One Table 4 row kept as its clusters: ``clusters[v][w]`` tallies
-    the trials of ``vantages[v]`` against ``websites[w]``, fanned out a
-    vantage at a time.  ``adaptive=True`` is the "INTANG Performance"
-    row (the selector carries measurement history across one vantage's
-    sites and repeats)."""
+    """Table 4's "INTANG Performance" row kept as its clusters:
+    ``clusters[v][w]`` tallies the keyword trials of ``vantages[v]``
+    against ``websites[w]`` with INTANG's selector choosing the strategy
+    and carrying its history across one vantage's sites and repeats,
+    fanned out a vantage at a time.  Table 4's fixed-strategy rows are
+    :func:`run_strategy_clusters` cells."""
     websites = tuple(websites)
     tasks = [
-        (vantage, v_index, websites, strategy_id,
-         calibration, repeats, seed, adaptive)
+        (vantage, v_index, websites, calibration, repeats, seed)
         for v_index, vantage in enumerate(vantages)
     ]
     return map_trials(_vantage_row_worker, tasks, workers=workers)
-
-
-def run_per_vantage(
-    strategy_id: Optional[str],
-    vantages: Sequence[VantagePoint],
-    websites: Sequence[Website],
-    calibration: Calibration = DEFAULT_CALIBRATION,
-    repeats: int = 1,
-    seed: int = 0,
-    adaptive: bool = False,
-    workers: Optional[int] = None,
-) -> PerVantageRates:
-    """Per-vantage tallies for one strategy, one Table 4 row: its
-    :func:`run_per_vantage_clusters` summed per vantage."""
-    clusters = run_per_vantage_clusters(
-        strategy_id, vantages, websites, calibration,
-        repeats=repeats, seed=seed, adaptive=adaptive, workers=workers,
-    )
-    return PerVantageRates({
-        vantage.name: sum(row, VerdictDistribution())
-        for vantage, row in zip(vantages, clusters)
-    })
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +544,7 @@ def run_dns_trial(
     Success is the paper's: the honest answer arrives (no poisoning, no
     TCP reset).  Without INTANG the UDP query is poisoned in flight.
     """
-    get_registry().counter("trials.run").inc()
+    _TRIALS_RUN.inc()
     # §7.2 measured two *specific* resolver routes: interference was
     # seen only from Tianjin, so the firewall is forced there and
     # forced absent elsewhere rather than drawn from the population.
@@ -571,14 +560,8 @@ def run_dns_trial(
         firewall_teardown_probability=firewall_teardown,
     )
     if use_intang:
-        INTANG(
-            host=scenario.client,
-            tcp_host=scenario.client_tcp,
-            clock=scenario.clock,
-            network=scenario.network,
-            rng=random.Random(seed ^ 0xD5),
-            fixed_strategy=strategy_id,
-            hop_delta=calibration.hop_delta,
+        attach_intang(
+            scenario, strategy_id, random.Random(seed ^ 0xD5),
             dns_resolver_ip=resolver.ip,
         )
     assert scenario.udp_client is not None
@@ -596,52 +579,28 @@ def run_dns_trial(
     )
 
 
-def _dns_trial_worker(task: Tuple) -> DNSTrialResult:
-    vantage, resolver, strategy_id, calibration, seed, domain, use_intang = task
-    return run_dns_trial(
-        vantage, resolver, strategy_id, calibration,
-        seed=seed, domain=domain, use_intang=use_intang,
-    )
-
-
-def run_dns_cell(
-    vantage: VantagePoint,
-    resolver: Resolver,
-    queries: int,
-    strategy_id: Optional[str] = "improved-tcb-teardown",
-    calibration: Calibration = DEFAULT_CALIBRATION,
-    seed: int = 0,
-    domain: str = "www.dropbox.com",
-    use_intang: bool = True,
-    workers: Optional[int] = None,
-) -> int:
-    """One Table 6 cell: how many of ``queries`` resolutions succeed.
-
-    Query ``q`` uses seed ``seed + q``, fixed before fan-out, so the
-    count is identical for any worker count.
-    """
-    tasks = [
-        (vantage, resolver, strategy_id, calibration, seed + q, domain, use_intang)
-        for q in range(queries)
-    ]
-    results = map_trials(_dns_trial_worker, tasks, workers=workers)
-    return sum(1 for r in results if r.success)
-
-
 def run_table6_rows(queries: int) -> List[Tuple[str, str, Dict[str, int]]]:
     """Table 6's Dyn rows kept as their clusters: ``(name, ip, successes
-    per vantage)``, each vantage's count one :func:`run_dns_cell` of
-    ``queries`` resolutions.  Cell seeds start at a stable per-resolver
-    salt (crc32 of its IP, mod 977)."""
+    per vantage)``, each count how many of ``queries`` resolutions
+    through INTANG (improved TCB teardown) succeed.  Query ``q`` uses
+    seed ``salt + q``, the salt stable per resolver (crc32 of its IP,
+    mod 977); seeds are fixed before fan-out, so every count is
+    identical for any worker count."""
+    tasks = [
+        (vantage, resolver, "improved-tcb-teardown", DEFAULT_CALIBRATION,
+         zlib.crc32(resolver.ip.encode("utf-8")) % 977 + q)
+        for resolver in DYN_RESOLVERS
+        for vantage in CHINA_VANTAGE_POINTS
+        for q in range(queries)
+    ]
+    # Tasks run resolver by resolver, vantage by vantage.
+    results = iter(map_trials(run_dns_trial, tasks))
     return [
         (
             resolver.name,
             resolver.ip,
             {
-                vantage.name: run_dns_cell(
-                    vantage, resolver, queries,
-                    seed=zlib.crc32(resolver.ip.encode("utf-8")) % 977,
-                )
+                vantage.name: sum(r.success for r in islice(results, queries))
                 for vantage in CHINA_VANTAGE_POINTS
             },
         )
@@ -672,21 +631,13 @@ def run_tor_trial(
     ``strategy_id=None`` means bare Tor; with a strategy INTANG hides the
     handshake fingerprint from the GFW so no probe ever fires.
     """
-    get_registry().counter("trials.run").inc()
+    _TRIALS_RUN.inc()
     scenario = acquire_scenario(
         vantage=vantage, website=bridge_site, calibration=calibration,
         seed=seed, workload="tor",
     )
     if strategy_id is not None:
-        INTANG(
-            host=scenario.client,
-            tcp_host=scenario.client_tcp,
-            clock=scenario.clock,
-            network=scenario.network,
-            rng=random.Random(seed ^ 0x70),
-            fixed_strategy=strategy_id,
-            hop_delta=calibration.hop_delta,
-        )
+        attach_intang(scenario, strategy_id, random.Random(seed ^ 0x70))
     client = TorClient(scenario.client_tcp)
     first = client.open_circuit(bridge_site.ip)
     scenario.run(6.0)  # roomy window for detection + active probe
@@ -710,27 +661,6 @@ def run_tor_trial(
     )
 
 
-def _tor_trial_worker(task: Tuple) -> TorTrialResult:
-    vantage, bridge_site, strategy_id, calibration, seed = task
-    return run_tor_trial(vantage, bridge_site, strategy_id, calibration, seed=seed)
-
-
-def run_tor_cell(
-    vantages: Sequence[VantagePoint],
-    bridge_site: Website,
-    strategy_id: Optional[str] = None,
-    calibration: Calibration = DEFAULT_CALIBRATION,
-    seed: int = 0,
-    workers: Optional[int] = None,
-) -> List[TorTrialResult]:
-    """One Tor trial per vantage, in vantage order (§7.3's campaign)."""
-    tasks = [
-        (vantage, bridge_site, strategy_id, calibration, seed)
-        for vantage in vantages
-    ]
-    return map_trials(_tor_trial_worker, tasks, workers=workers)
-
-
 @dataclass
 class VPNTrialResult:
     established: bool
@@ -745,21 +675,13 @@ def run_vpn_trial(
     calibration: Calibration = DEFAULT_CALIBRATION,
     seed: int = 0,
 ) -> VPNTrialResult:
-    get_registry().counter("trials.run").inc()
+    _TRIALS_RUN.inc()
     scenario = acquire_scenario(
         vantage=vantage, website=vpn_site, calibration=calibration,
         seed=seed, workload="vpn",
     )
     if strategy_id is not None:
-        INTANG(
-            host=scenario.client,
-            tcp_host=scenario.client_tcp,
-            clock=scenario.clock,
-            network=scenario.network,
-            rng=random.Random(seed ^ 0x4A),
-            fixed_strategy=strategy_id,
-            hop_delta=calibration.hop_delta,
-        )
+        attach_intang(scenario, strategy_id, random.Random(seed ^ 0x4A))
     client = OpenVPNClient(scenario.client_tcp)
     session = client.open_session(vpn_site.ip)
     scenario.run(8.0)
@@ -770,24 +692,3 @@ def run_vpn_trial(
         frames_ok=session.payload_frames > 0,
         reset=session.reset or resets > 0,
     )
-
-
-def _vpn_trial_worker(task: Tuple) -> VPNTrialResult:
-    vantage, vpn_site, strategy_id, calibration, seed = task
-    return run_vpn_trial(vantage, vpn_site, strategy_id, calibration, seed=seed)
-
-
-def run_vpn_cell(
-    vantages: Sequence[VantagePoint],
-    vpn_site: Website,
-    strategy_id: Optional[str] = None,
-    calibration: Calibration = DEFAULT_CALIBRATION,
-    seed: int = 0,
-    workers: Optional[int] = None,
-) -> List[VPNTrialResult]:
-    """One VPN trial per vantage, in vantage order (§7.3's campaign)."""
-    tasks = [
-        (vantage, vpn_site, strategy_id, calibration, seed)
-        for vantage in vantages
-    ]
-    return map_trials(_vpn_trial_worker, tasks, workers=workers)

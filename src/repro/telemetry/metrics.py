@@ -106,6 +106,15 @@ class Histogram:
         self.sum += value
         self.count += 1
 
+    def snapshot(self) -> Dict:
+        """This histogram as a registry snapshot stores it."""
+        return {
+            "buckets": list(self.buckets),
+            "counts": list(self.counts),
+            "sum": self.sum,
+            "count": self.count,
+        }
+
     def reset(self) -> None:
         self.counts = [0] * (len(self.buckets) + 1)
         self.sum = 0.0
@@ -176,12 +185,7 @@ class MetricsRegistry:
             },
             "gauges": {name: gauge.value for name, gauge in self._gauges.items()},
             "histograms": {
-                name: {
-                    "buckets": list(histogram.buckets),
-                    "counts": list(histogram.counts),
-                    "sum": histogram.sum,
-                    "count": histogram.count,
-                }
+                name: histogram.snapshot()
                 for name, histogram in self._histograms.items()
             },
         }

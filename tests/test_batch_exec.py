@@ -34,6 +34,10 @@ def _square(task):
     return task * task
 
 
+def _power(base, exponent):
+    return base ** exponent
+
+
 def _worker_pid(task):
     """Which process ran the task; the nap spreads chunks over workers."""
     time.sleep(0.01)
@@ -174,33 +178,44 @@ class TestMapTrialsEdgeCases:
         assert map_trials(_square, [], workers=4) == []
 
     def test_single_task(self):
-        assert map_trials(_square, [7], workers=4) == [49]
+        assert map_trials(_square, [(7,)], workers=4) == [49]
 
     def test_fewer_tasks_than_workers(self):
         # workers clamp to the task count; order is still preserved.
-        assert map_trials(_square, [0, 1, 2], workers=4) == [0, 1, 4]
+        assert map_trials(_square, [(0,), (1,), (2,)], workers=4) == [0, 1, 4]
 
     def test_chunked_map_matches_serial_map(self):
         # 11 tasks on 2 workers: 8 uneven contiguous chunks; 3 workers:
         # 11 one-task chunks.
-        tasks = list(range(11))
-        expected = [task * task for task in tasks]
+        tasks = [(task,) for task in range(11)]
+        expected = [task * task for task in range(11)]
         assert map_trials(_square, tasks, workers=1) == expected
         assert map_trials(_square, tasks, workers=2) == expected
         assert map_trials(_square, tasks, workers=3) == expected
 
     def test_pool_follows_the_requested_worker_count(self):
-        assert len(set(map_trials(_worker_pid, range(24), workers=3))) <= 3
+        naps = [(task,) for task in range(24)]
+        assert len(set(map_trials(_worker_pid, naps, workers=3))) <= 3
         # A map with fewer tasks than workers still reuses the pool.
         pool = parallel._pool
-        assert map_trials(_square, [1, 2], workers=3) == [1, 4]
+        assert map_trials(_square, [(1,), (2,)], workers=3) == [1, 4]
         assert parallel._pool is pool
         # A 2-worker map after a 3-worker one runs on 2 processes, not on
         # the 3 the earlier map started.
-        assert len(set(map_trials(_worker_pid, range(24), workers=2))) <= 2
+        assert len(set(map_trials(_worker_pid, naps, workers=2))) <= 2
         parallel.shutdown_pool()
 
     def test_fewer_tasks_than_chunks(self):
         # Chunks clamp to the task count: one task per chunk.
-        tasks = list(range(DEFAULT_CHUNKS_PER_WORKER * 2 - 1))
-        assert map_trials(_square, tasks, workers=2) == [t * t for t in tasks]
+        count = DEFAULT_CHUNKS_PER_WORKER * 2 - 1
+        tasks = [(task,) for task in range(count)]
+        assert map_trials(_square, tasks, workers=2) == [
+            t * t for t in range(count)
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_task_is_the_functions_arguments(self, workers):
+        tasks = [(base, exponent) for base in range(3) for exponent in range(4)]
+        assert map_trials(_power, tasks, workers=workers) == [
+            base ** exponent for base, exponent in tasks
+        ]

@@ -1,7 +1,8 @@
 """Tier-1 pins for the one fan-out path, :func:`map_trials`.
 
-For a Table-1 cell, a Table-4 row, a matrix subset, the inconsistency
-sweep and a 4-group fleet, a 2-worker run (contiguous chunks) matches
+For a Table-1 cell (which is also a fixed-strategy Table-4 row), the
+adaptive Table-4 row, a matrix subset, the inconsistency sweep and a
+4-group fleet, a 2-worker run (contiguous chunks) matches
 the serial run: results byte for byte, the merged registry apart from
 execution instruments, and the trial-semantic span forest, with every
 task span under exactly one chunk span.
@@ -19,8 +20,8 @@ from repro.conformance import default_cells, run_matrix
 from repro.experiments import (
     CHINA_VANTAGE_POINTS,
     outside_china_catalog,
+    run_per_vantage_clusters,
     run_strategy_cell,
-    run_per_vantage,
 )
 from repro.experiments.fleet import FleetSpec, run_fleet
 from repro.experiments.parallel import DEFAULT_CHUNKS_PER_WORKER
@@ -41,8 +42,8 @@ FLEET = FleetSpec(flows=48, groups=4, window=8, max_flows=16, sites=8, seed=3)
 SHAPES = {
     "table1_cell": (12, lambda w: repr(run_strategy_cell(
         "tcb-teardown-rst/ttl", V, S, repeats=2, workers=w))),
-    "table4_row": (3, lambda w: repr(run_per_vantage(
-        None, V, S, repeats=2, adaptive=True, workers=w))),
+    "table4_row": (3, lambda w: repr(run_per_vantage_clusters(
+        V, S, repeats=2, workers=w))),
     "matrix_subset": (4, lambda w: json.dumps({
         k: r.as_payload()
         for k, r in run_matrix(CELLS, repeats=2, seed=11, workers=w).items()

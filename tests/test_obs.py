@@ -169,7 +169,7 @@ def test_worker_spans_reach_a_parent_that_forked_mid_sweep():
     """A pool created under an open sweep span forks that span into its
     workers; their chunk and cell spans must still come back."""
     from repro.conformance import default_cells
-    from repro.conformance.matrix import _cell_worker
+    from repro.conformance.matrix import run_cell
     from repro.experiments.parallel import map_trials, shutdown_pool
 
     cells = default_cells(
@@ -180,7 +180,7 @@ def test_worker_spans_reach_a_parent_that_forked_mid_sweep():
     with observing(SPANS) as recorder:
         with recorder.span("sweep", "sweep"):
             map_trials(
-                _cell_worker, [(cell, 1, 3) for cell in cells], workers=2,
+                run_cell, [(cell, 1, 3) for cell in cells], workers=2,
             )
         (sweep,) = recorder.drain()["spans"]
     chunks = sweep["children"]

@@ -17,16 +17,16 @@ from repro.core.cache import KeyValueStore
 from repro.experiments import (
     CHINA_VANTAGE_POINTS,
     DEFAULT_CALIBRATION,
-    DYN_RESOLVERS,
     configured_workers,
     map_trials,
     outside_china_catalog,
-    run_dns_cell,
-    run_per_vantage,
+    run_per_vantage_clusters,
     run_strategy_cell,
+    run_strategy_clusters,
     strategy_salt,
     trial_seed,
 )
+from repro.experiments.runner import run_table6_rows
 from repro.netstack.checksum import (
     fold_carries,
     internet_checksum,
@@ -56,43 +56,42 @@ class TestParallelDeterminism:
             assert fanned == serial
 
     def test_per_vantage_identical_across_worker_counts(self):
-        serial = run_per_vantage(
+        # A fixed-strategy Table 4 row: a keyword cell's per-(vantage,
+        # site) clusters.
+        serial = run_strategy_clusters(
             "tcb-reversal", self.VANTAGES, self.SITES,
-            DEFAULT_CALIBRATION, seed=1, workers=1,
+            DEFAULT_CALIBRATION, seed=1, keyword=True, workers=1,
         )
-        fanned = run_per_vantage(
+        fanned = run_strategy_clusters(
             "tcb-reversal", self.VANTAGES, self.SITES,
-            DEFAULT_CALIBRATION, seed=1, workers=2,
+            DEFAULT_CALIBRATION, seed=1, keyword=True, workers=2,
         )
-        assert fanned.rates == serial.rates
+        assert fanned == serial
 
     def test_adaptive_per_vantage_identical_across_worker_counts(self):
         # The adaptive selector is stateful *within* a vantage; the
         # engine must still be deterministic because each vantage's
         # serial trial sequence is one work unit.
-        serial = run_per_vantage(
-            None, self.VANTAGES, self.SITES,
-            DEFAULT_CALIBRATION, seed=3, adaptive=True, workers=1,
+        serial = run_per_vantage_clusters(
+            self.VANTAGES, self.SITES, DEFAULT_CALIBRATION, seed=3, workers=1,
         )
-        fanned = run_per_vantage(
-            None, self.VANTAGES, self.SITES,
-            DEFAULT_CALIBRATION, seed=3, adaptive=True, workers=2,
-        )
-        assert fanned.rates == serial.rates
-
-    def test_dns_cell_identical_across_worker_counts(self):
-        serial = run_dns_cell(
-            CHINA_VANTAGE_POINTS[0], DYN_RESOLVERS[0], 6, seed=5, workers=1,
-        )
-        fanned = run_dns_cell(
-            CHINA_VANTAGE_POINTS[0], DYN_RESOLVERS[0], 6, seed=5, workers=2,
+        fanned = run_per_vantage_clusters(
+            self.VANTAGES, self.SITES, DEFAULT_CALIBRATION, seed=3, workers=2,
         )
         assert fanned == serial
 
+    def test_dns_cell_identical_across_worker_counts(self, monkeypatch):
+        # Every Table 6 cell: one (resolver, vantage) success count.
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        serial = run_table6_rows(6)
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        assert run_table6_rows(6) == serial
+
     def test_map_trials_preserves_task_order(self):
-        tasks = list(range(20))
-        assert map_trials(_square, tasks, workers=1) == [t * t for t in tasks]
-        assert map_trials(_square, tasks, workers=2) == [t * t for t in tasks]
+        tasks = [(t,) for t in range(20)]
+        expected = [t * t for t in range(20)]
+        assert map_trials(_square, tasks, workers=1) == expected
+        assert map_trials(_square, tasks, workers=2) == expected
 
     def test_configured_workers_env_knob(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)

@@ -91,9 +91,8 @@ def test_chunk_deltas_register_every_instrument():
 # The real thing: a forked pool with REPRO_WORKERS=2 must hand back
 # deltas that merge into exactly the serial registry.
 # ---------------------------------------------------------------------------
-def _one_trial(cell):
+def _one_trial(vantage, website):
     """Module-level so the process pool can pickle it."""
-    vantage, website = cell
     record = run_http_trial(
         vantage, website, "none", DEFAULT_CALIBRATION, seed=2
     )

@@ -349,7 +349,7 @@ def test_inconsistency_cell_counters_equal_a_full_horizon_run():
     website = conformance_site()
     hour, repeats, seed = 0.0, 4, 2017
     cell = _inconsistency_cell_worker(
-        (vantage, website, hour, "none", repeats, seed)
+        vantage, website, hour, "none", repeats, seed
     )
     salt = _cell_salt(vantage.name, hour, "none")
     seeds = [(seed * 1_000_003 + repeat) ^ salt for repeat in range(repeats)]
