@@ -316,25 +316,14 @@ def _conformance_golden_dir(args: argparse.Namespace):
 
 def _conformance_diagnose_drift(drifts, results, limit: int, seed: int) -> None:
     """Explain drifted cells through the telemetry diagnosis layer."""
-    from repro.conformance.matrix import (
-        cell_calibration,
-        conformance_site,
-        profile_vantage,
-    )
     from repro.telemetry import diagnose_trial, get_recorder
 
     recorder = get_recorder()
     for drift in drifts[:limit]:
         cell = results[drift.cell_id].cell
         since = recorder.next_seq
-        diagnosis = diagnose_trial(
-            profile_vantage(cell.profile),
-            conformance_site(),
-            cell.strategy_id,
-            cell_calibration(cell.fault),
-            seed=(seed * 1_000_003) ^ cell.seed_salt(),
-            gfw_variant=cell.gfw_variant,
-        )
+        (kwargs,) = cell.trial_kwargs(seed)
+        diagnosis = diagnose_trial(**kwargs)
         # Drift is exactly the anomaly dumps exist for: keep the
         # diagnosing re-run's slice of the event ring.
         recorder.dump(

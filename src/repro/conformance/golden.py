@@ -31,9 +31,6 @@ from repro.conformance.matrix import (
     ConformanceCell,
     DEFAULT_SEED,
     FAULT_GRID,
-    cell_calibration,
-    conformance_site,
-    profile_vantage,
 )
 from repro.strategies.registry import STRATEGY_REGISTRY
 
@@ -81,15 +78,11 @@ def capture_ladder(cell: ConformanceCell, seed: int = DEFAULT_SEED) -> str:
     from repro.experiments.runner import _simulate_http_trial
     from repro.experiments.scenarios import release_scenario
 
+    (kwargs,) = cell.trial_kwargs(seed)
     record, scenario = _simulate_http_trial(
-        profile_vantage(cell.profile),
-        conformance_site(),
-        cell.strategy_id,
-        cell_calibration(cell.fault),
-        seed=(seed * 1_000_003) ^ cell.seed_salt(),
+        **kwargs,
         keyword=True,
         trace=True,
-        gfw_variant=cell.gfw_variant,
         stop_at_verdict=False,  # the ladder shows the whole exchange
     )
     assert scenario.trace is not None

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.calibration import CLEAN_ROOM, Calibration
 from repro.experiments.outcomes import VerdictDistribution
@@ -159,6 +159,28 @@ class ConformanceCell:
         """Interpreter-stable (crc32, not ``hash``) per-cell seed salt."""
         return zlib.crc32(self.cell_id.encode("utf-8")) & 0xFFFFFF
 
+    def trial_kwargs(self, seed: int, repeats: int = 1) -> List[Dict[str, Any]]:
+        """The trial arguments of this cell's first ``repeats`` repeats
+        under sweep ``seed``, one keyword dict per repeat.
+
+        Every repeat fetches the fixed site from the profile's vantage
+        at the fault's calibration; only the cell-salted seed differs.
+        The run, its canonical ladder and a drift diagnosis all re-run
+        exactly these trials.
+        """
+        shared = dict(
+            vantage=profile_vantage(self.profile),
+            website=conformance_site(),
+            strategy_id=self.strategy_id,
+            calibration=cell_calibration(self.fault),
+            gfw_variant=self.gfw_variant,
+        )
+        salt = self.seed_salt()
+        return [
+            dict(shared, seed=(seed * 1_000_003 + repeat) ^ salt)
+            for repeat in range(repeats)
+        ]
+
 
 @dataclass(frozen=True)
 class CellResult(VerdictDistribution):
@@ -220,10 +242,6 @@ def run_cell(
     seed: int = DEFAULT_SEED,
 ) -> CellResult:
     """Run one cell's repeats, one trial at a time, and tally them."""
-    vantage = profile_vantage(cell.profile)
-    website = conformance_site()
-    calibration = cell_calibration(cell.fault)
-    salt = cell.seed_salt()
     outcomes = []
     recorder = get_recorder()
     since = recorder.next_seq
@@ -232,16 +250,8 @@ def run_cell(
         strategy=cell.strategy_id, variant=cell.gfw_variant,
         profile=cell.profile, fault=cell.fault.name,
     )
-    for repeat in range(repeats):
-        record, scenario = _simulate_http_trial(
-            vantage,
-            website,
-            cell.strategy_id,
-            calibration,
-            seed=(seed * 1_000_003 + repeat) ^ salt,
-            keyword=True,
-            gfw_variant=cell.gfw_variant,
-        )
+    for kwargs in cell.trial_kwargs(seed, repeats):
+        record, scenario = _simulate_http_trial(**kwargs, keyword=True)
         release_scenario(scenario)
         outcomes.append(record.outcome)
     result = CellResult(*VerdictDistribution.from_outcomes(outcomes), cell=cell)

@@ -1,7 +1,7 @@
 """INTANG assembled (§6, Fig. 2).
 
 Wires together the interception framework (main thread), the
-Redis-substitute store + LRU caches (caching thread), the strategy
+Redis-substitute store + LRU front cache (caching thread), the strategy
 selector, the hop estimator, and optionally the DNS forwarder (DNS
 thread).  The real tool's three threads collapse to one event loop in
 simulation, but every component boundary of Fig. 2 is preserved.
@@ -24,7 +24,7 @@ from repro.netsim.network import Network
 from repro.netsim.node import Host
 from repro.netsim.simclock import SimClock
 from repro.tcp.stack import TCPHost
-from repro.core.cache import FrontedStore, KeyValueStore
+from repro.core.cache import KeyValueStore
 from repro.core.dns_forwarder import DNSForwarder
 from repro.core.framework import InterceptionFramework
 from repro.core.hops import HopEstimator
@@ -60,19 +60,16 @@ class INTANG:
         self.clock = clock
         self.rng = rng or random.Random(0x1A7A46)
         # A selector may be shared across INTANG instances (the paper's
-        # Redis store persists across restarts); otherwise build our own.
-        if selector is not None:
-            self.selector = selector
-            self.store = selector.store
-        else:
-            # Fig. 2's caching layer verbatim: the Redis substitute
-            # behind a transient main-thread LRU front.
-            self.store = FrontedStore(
-                KeyValueStore(time_source=lambda: clock.now)
+        # Redis store persists across restarts); otherwise build our own:
+        # Fig. 2's caching layer, the Redis substitute behind the
+        # selector's transient main-thread LRU front.
+        if selector is None:
+            selector = StrategySelector(
+                KeyValueStore(time_source=lambda: clock.now),
+                priority=list(priority or DEFAULT_PRIORITY),
             )
-            self.selector = StrategySelector(
-                self.store, priority=list(priority or DEFAULT_PRIORITY)
-            )
+        self.selector = selector
+        self.store = selector.store
         self.fixed_strategy = fixed_strategy
         self.hop_estimator: Optional[HopEstimator] = None
         if network is not None:
@@ -167,7 +164,7 @@ class INTANG:
     # -- persistence (the Redis store's data-persistency feature, §6) -----
     def save_state(self) -> str:
         """Serialize the measurement history (per-server records)."""
-        return self.store.dump()
+        return self.selector.dump()
 
     def load_state(self, blob: str) -> None:
         """Restore measurement history saved by :meth:`save_state`.
@@ -176,7 +173,7 @@ class INTANG:
         already converged on per server — the point of §6's persistent
         key-value store.
         """
-        self.store.load(blob)
+        self.selector.load(blob)
 
 
 __all__ = ["INTANG"]

@@ -7,8 +7,10 @@ successful trial, it caches the strategy ID …"
 
 Records live in the Redis-substitute :class:`~repro.core.cache.KeyValueStore`
 with a TTL ("to counter changes in the network or the server, the cached
-record is retained only for a certain period of time") behind a
-transient LRU front cache.
+record is retained only for a certain period of time") behind one
+transient LRU front cache of decoded records.  The selector owns both
+layers, so its :meth:`~StrategySelector.load` is the one place a restore
+invalidates the front.
 """
 
 from __future__ import annotations
@@ -118,6 +120,20 @@ class StrategySelector:
     def record_for(self, server_ip: str) -> StrategyRecord:
         """Read-only view of the record (for tests and reporting)."""
         return self._record_for(server_ip)
+
+    # -- persistence (the Redis store's data-persistency feature, §6) -----
+    def dump(self) -> str:
+        """Serialize the per-server records."""
+        return self.store.dump()
+
+    def load(self, blob: str) -> None:
+        """Restore records saved by :meth:`dump`.
+
+        Loaded records may shadow ones the front cache holds, so the
+        transient front starts over.
+        """
+        self.store.load(blob)
+        self.front_cache.clear()
 
     # ------------------------------------------------------------------
     def _key(self, server_ip: str) -> str:

@@ -35,6 +35,11 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.core.env import env_int
+from repro.gfw.heterogeneity import (
+    RouteEnsemble,
+    active_ensemble,
+    set_active_ensemble,
+)
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.recorder import get_recorder
 
@@ -117,22 +122,26 @@ def _note_execution(workers: int, chunks: int) -> None:
     _exec_stats["chunks"] = max(_exec_stats["chunks"], chunks)
 
 
-def _run_chunk(payload: Tuple[Callable, Tuple, int]) -> Tuple[List[Any], dict]:
+def _run_chunk(
+    payload: Tuple[Callable, Tuple, int, RouteEnsemble],
+) -> Tuple[List[Any], dict]:
     """Worker side: run one chunk serially under one ``chunk`` span;
     return its results and the telemetry delta it produced.
 
     The delta, not the full snapshot: a reused worker's registry
     accumulates, so the parent must see only what this chunk added.
-    The payload carries the parent's recorder level, because a level
-    raised after the pool started (``observing()``) would never reach
-    the workers otherwise.  Drained records (span trees, anomaly dumps)
+    The payload carries the parent's recorder level and route ensemble,
+    because a level raised (``observing()``) or an ensemble installed
+    (``use_ensemble()``) after the pool started would never reach the
+    workers otherwise.  Drained records (span trees, anomaly dumps)
     ride in the delta under ``"records"``, a key
     :meth:`MetricsRegistry.merge` ignores.
     """
-    func, chunk, level = payload
+    func, chunk, level, ensemble = payload
     registry = get_registry()
     recorder = get_recorder()
     recorder.level = level
+    set_active_ensemble(ensemble)
     # Start from nothing: a forked worker inherits the parent's open
     # spans (the sweep span a pool created mid-sweep forks under), its
     # ring and its records.  Spans closed onto an inherited parent would
@@ -178,8 +187,9 @@ def map_trials(
     base, extra = divmod(len(tasks), count)
     bounds = [i * base + min(i, extra) for i in range(count + 1)]
     registry, recorder = get_registry(), get_recorder()
+    ensemble = active_ensemble()
     payloads = [
-        (func, tuple(tasks[bounds[i] : bounds[i + 1]]), recorder.level)
+        (func, tuple(tasks[bounds[i] : bounds[i + 1]]), recorder.level, ensemble)
         for i in range(count)
     ]
     results: List[Any] = []

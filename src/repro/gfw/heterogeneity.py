@@ -182,9 +182,10 @@ class RouteEnsemble:
 
 
 #: The process-wide ensemble consulted by ``resolve_route``.  Module
-#: state (not a scenario field) because the resolution must be reachable
-#: from pickled process-pool workers without widening every task tuple;
-#: the default is fixed so serial and parallel runs agree.
+#: state (not a scenario field) so the resolution is reachable without
+#: widening every task tuple; each pool chunk's payload carries the
+#: parent's ensemble to its worker (``parallel._run_chunk``), so serial
+#: and parallel runs agree.
 DEFAULT_ROUTE_ENSEMBLE = RouteEnsemble()
 _ACTIVE_ENSEMBLE: RouteEnsemble = DEFAULT_ROUTE_ENSEMBLE
 

@@ -4,8 +4,13 @@ import os
 import sys
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, os.path.dirname(__file__))
+
+# ``--hypothesis-profile=ci`` draws the same examples on every run, so a
+# CI failure reproduces and a pass is not luck of the draw.
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture(autouse=True)

@@ -108,6 +108,9 @@ class TestStatePersistence:
             clock=world2.clock, network=world2.network,
             rng=random.Random(2),
         )
+        # A read before the restore caches the fresh instance's empty
+        # record; the restore must replace it.
+        assert second.selector.record_for(SERVER_IP).pinned is None
         second.load_state(blob)
         assert second.selector.record_for(SERVER_IP).pinned == pinned_before
         assert second.selector.choose(SERVER_IP) == pinned_before

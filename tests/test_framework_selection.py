@@ -226,6 +226,18 @@ class TestStrategySelector:
         time[0] = 200.0
         assert selector.choose("1.1.1.1") == "s1"  # record expired
 
+    def test_load_serves_restored_records_over_cached_ones(self):
+        saved = self._selector()
+        saved.report("1.1.1.1", "s2", True)
+        blob = saved.dump()
+        selector = self._selector()
+        # The read caches an empty record in the front…
+        assert selector.record_for("1.1.1.1").pinned is None
+        selector.load(blob)
+        # …which the restore must not let shadow the loaded one.
+        assert selector.record_for("1.1.1.1").pinned == "s2"
+        assert selector.choose("1.1.1.1") == "s2"
+
     def test_empty_priority_rejected(self):
         store = KeyValueStore(time_source=lambda: 0.0)
         with pytest.raises(ValueError):

@@ -267,6 +267,27 @@ class TestHeterogeneousConformance:
         three = run_inconsistency(**kwargs, workers=3).to_json()
         assert serial == workers == three
 
+    def test_ensemble_override_reaches_a_warm_pool(self):
+        """An ensemble installed after the pool's workers started must
+        reach them: the 2-worker report equals the serial one."""
+        import operator
+
+        from repro.analysis.inconsistency import run_inconsistency
+        from repro.experiments.parallel import map_trials
+
+        assert map_trials(operator.add, [(1, 2), (3, 4)], workers=2) == [3, 7]
+        kwargs = dict(
+            vantages=4,
+            hours=(0.0, 12.0),
+            strategies=("tcb-teardown-rst/ttl",),
+            repeats=2,
+            seed=2017,
+        )
+        with use_ensemble(RouteEnsemble(seed=5)):
+            serial = run_inconsistency(**kwargs, workers=1).to_json()
+            pooled = run_inconsistency(**kwargs, workers=2).to_json()
+        assert serial == pooled
+
     def test_report_cells_carry_wilson_bounds(self):
         from repro.analysis.inconsistency import run_inconsistency
 

@@ -196,16 +196,15 @@ class TestLazySweep:
         assert store.get("k") is None
         assert not store.exists("k")
 
-    def test_expiry_callback_fires_via_lazy_sweep(self):
+    def test_any_read_past_the_watermark_sweeps(self):
         store, state = self.make_store()
-        evicted = []
-        store.on_expire(evicted.append)
         store.set("a", 1, ttl=5.0)
         store.set("b", 2, ttl=15.0)
         state["now"] = 6.0
         store.get("unrelated")  # any read past the watermark sweeps
-        assert evicted == ["a"]
+        assert "a" not in store._data
         assert store.get("b") == 2
+        assert len(store) == 1
 
     def test_no_sweep_before_first_deadline(self):
         store, state = self.make_store()
@@ -217,9 +216,10 @@ class TestLazySweep:
     def test_expire_lowers_the_watermark(self):
         store, state = self.make_store()
         store.set("a", 1, ttl=100.0)
-        store.expire("a", 1.0)
+        store.set("a", 1, ttl=1.0)  # a re-set with a shorter TTL
         state["now"] = 2.0
         assert store.get("a") is None
+        assert not store.exists("a")
 
     def test_persistent_keys_never_swept(self):
         store, state = self.make_store()
