@@ -21,6 +21,8 @@ simulator:
 - :mod:`repro.analysis` — the §5.3 ignore-path analysis (Table 3/5);
 - :mod:`repro.experiments` — vantage points, catalogs, and the trial
   runner that regenerates every table in the paper;
+- :mod:`repro.conformance` — the differential strategy × GFW-variant ×
+  middlebox-profile verdict matrix and its golden snapshot;
 - :mod:`repro.telemetry` — the metrics registry, the observability
   recorder (spans, event ring, anomaly dumps), and per-trial diagnosis
   shared by all of the above.
@@ -48,5 +50,6 @@ __all__ = [
     "core",
     "analysis",
     "experiments",
+    "conformance",
     "telemetry",
 ]

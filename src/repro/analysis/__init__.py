@@ -16,36 +16,17 @@ server in the target TCP state and at a live GFW device, and the
 verdict is read from their actual state, not from source inspection.
 """
 
-from repro.analysis.ignore_paths import (
-    IgnoreProbe,
-    IgnoreVerdict,
-    STANDARD_PROBES,
-    ServerHarness,
-    run_ignore_path_analysis,
-)
-from repro.analysis.probe import GFWHarness, gfw_accepts_probe
-from repro.analysis.discrepancy import (
-    DiscrepancyRow,
-    cross_validate_middleboxes,
-    cross_validate_stacks,
-    derive_table5,
-    generate_table3,
-)
-from repro.analysis.inconsistency import InconsistencyReport, run_inconsistency
+from repro.exports import lazy_exports
 
-__all__ = [
-    "IgnoreProbe",
-    "IgnoreVerdict",
-    "STANDARD_PROBES",
-    "ServerHarness",
-    "run_ignore_path_analysis",
-    "GFWHarness",
-    "gfw_accepts_probe",
-    "DiscrepancyRow",
-    "cross_validate_middleboxes",
-    "cross_validate_stacks",
-    "derive_table5",
-    "generate_table3",
-    "InconsistencyReport",
-    "run_inconsistency",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".ignore_paths": (
+        "IgnoreProbe", "IgnoreVerdict", "STANDARD_PROBES", "ServerHarness",
+        "run_ignore_path_analysis",
+    ),
+    ".probe": ("GFWHarness", "gfw_accepts_probe"),
+    ".discrepancy": (
+        "DiscrepancyRow", "cross_validate_middleboxes", "cross_validate_stacks",
+        "derive_table5", "generate_table3",
+    ),
+    ".inconsistency": ("InconsistencyReport", "run_inconsistency"),
+})

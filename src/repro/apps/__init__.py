@@ -6,49 +6,3 @@ These are the protocols the paper evaluates INTANG with (§7): HTTP
 bytes the GFW's DPI engine can parse — requests cross the wire, get
 reassembled, and match (or evade) the rule set for mechanistic reasons.
 """
-
-from repro.apps.udp import UDPHost
-from repro.apps.http import (
-    HTTPClient,
-    HTTPExchange,
-    HTTPServer,
-    build_request,
-    parse_request,
-    parse_response,
-)
-from repro.apps.dns import (
-    DNSMessage,
-    DNSTcpResolver,
-    DNSUdpClient,
-    DNSUdpResolver,
-    encode_query,
-    encode_response,
-    extract_query_name,
-    parse_message,
-)
-from repro.apps.tor import TorBridge, TorClient, TOR_HANDSHAKE_PREAMBLE
-from repro.apps.vpn import OpenVPNClient, OpenVPNServer, OPENVPN_TCP_PREAMBLE
-
-__all__ = [
-    "UDPHost",
-    "HTTPClient",
-    "HTTPExchange",
-    "HTTPServer",
-    "build_request",
-    "parse_request",
-    "parse_response",
-    "DNSMessage",
-    "DNSTcpResolver",
-    "DNSUdpClient",
-    "DNSUdpResolver",
-    "encode_query",
-    "encode_response",
-    "extract_query_name",
-    "parse_message",
-    "TorBridge",
-    "TorClient",
-    "TOR_HANDSHAKE_PREAMBLE",
-    "OpenVPNClient",
-    "OpenVPNServer",
-    "OPENVPN_TCP_PREAMBLE",
-]

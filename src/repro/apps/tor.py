@@ -15,11 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
+from repro.apps.preambles import TOR_HANDSHAKE_PREAMBLE
 from repro.tcp.stack import CloseReason, TCPConnection, TCPHost
-
-#: The client-hello bytes the GFW's DPI fingerprints.  Modelled on the
-#: distinctive cipher-suite ordering of Tor's TLS handshake.
-TOR_HANDSHAKE_PREAMBLE = b"\x16\x03\x01TOR-CLIENT-HELLO:cipherlist=FFCC"
 
 TOR_SERVER_HELLO = b"\x16\x03\x01TOR-SERVER-HELLO"
 TOR_DEFAULT_PORT = 443

@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro.apps.preambles import OPENVPN_TCP_PREAMBLE
 from repro.tcp.stack import CloseReason, TCPConnection, TCPHost
 
-#: Length-prefixed P_CONTROL_HARD_RESET_CLIENT_V2 lookalike.
-OPENVPN_TCP_PREAMBLE = b"\x00\x2a\x38OPENVPN-HARD-RESET-CLIENT-V2" + bytes(13)
 OPENVPN_SERVER_REPLY = b"\x00\x1e\x40OPENVPN-HARD-RESET-SERVER-V2"
 OPENVPN_DEFAULT_PORT = 1194
 

@@ -459,6 +459,10 @@ def _telemetry_metrics(args: argparse.Namespace) -> int:
     a scraper computes quantiles from)."""
     import json
 
+    # An instrument registers when its module is imported, and the
+    # snapshot lists every registered one: the HTTP sweep never loads
+    # the fleet, so import it here to keep its (zero) counters listed.
+    import repro.experiments.fleet  # noqa: F401
     from repro.experiments import (
         CHINA_VANTAGE_POINTS,
         DEFAULT_CALIBRATION,

@@ -21,56 +21,21 @@ the standing net that guards that matrix against regression:
 Exposed on the command line as ``repro conformance run|diff|bless``.
 """
 
-from repro.conformance.matrix import (
-    CONFORMANCE_PROFILES,
-    CONFORMANCE_VARIANTS,
-    ConformanceCell,
-    CellResult,
-    FAULT_GRID,
-    FaultPoint,
-    default_cells,
-    run_cell,
-    run_matrix,
-)
-from repro.experiments.outcomes import classify_counts
-from repro.conformance.oracles import (
-    KNOWN_DIVERGENCE,
-    ORACLE_RULES,
-    OracleRule,
-    VerdictDrift,
-    check_verdicts,
-    expected_verdicts,
-)
-from repro.conformance.golden import (
-    GoldenDiff,
-    bless,
-    capture_ladder,
-    compare_golden,
-    golden_cells,
-    golden_dir,
-)
+from repro.exports import lazy_exports
 
-__all__ = [
-    "CONFORMANCE_PROFILES",
-    "CONFORMANCE_VARIANTS",
-    "ConformanceCell",
-    "CellResult",
-    "FAULT_GRID",
-    "FaultPoint",
-    "classify_counts",
-    "default_cells",
-    "run_cell",
-    "run_matrix",
-    "KNOWN_DIVERGENCE",
-    "ORACLE_RULES",
-    "OracleRule",
-    "VerdictDrift",
-    "check_verdicts",
-    "expected_verdicts",
-    "GoldenDiff",
-    "bless",
-    "capture_ladder",
-    "compare_golden",
-    "golden_cells",
-    "golden_dir",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".matrix": (
+        "CONFORMANCE_PROFILES", "CONFORMANCE_VARIANTS", "ConformanceCell",
+        "CellResult", "FAULT_GRID", "FaultPoint", "default_cells", "run_cell",
+        "run_matrix",
+    ),
+    "..experiments.outcomes": ("classify_counts",),
+    ".oracles": (
+        "KNOWN_DIVERGENCE", "ORACLE_RULES", "OracleRule", "VerdictDrift",
+        "check_verdicts", "expected_verdicts",
+    ),
+    ".golden": (
+        "GoldenDiff", "bless", "capture_ladder", "compare_golden",
+        "golden_cells", "golden_dir",
+    ),
+})

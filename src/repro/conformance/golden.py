@@ -19,7 +19,6 @@ bless`` rewrites the artifacts after a reviewed, intentional change.
 
 from __future__ import annotations
 
-import difflib
 import json
 import re
 from dataclasses import dataclass, field
@@ -226,6 +225,8 @@ def compare_golden(
             continue
         blessed_text = path.read_text()
         if blessed_text != observed:
+            import difflib  # only a drifted ladder is diffed
+
             diff.ladder_diffs[cell.cell_id] = "\n".join(
                 difflib.unified_diff(
                     blessed_text.splitlines(),

@@ -22,27 +22,3 @@ sockets; this package is its architectural twin on the simulator:
   (the measurement half of the paper's "measurement-driven" tool);
 - :mod:`repro.core.intang` — the assembled tool.
 """
-
-from repro.core.cache import KeyValueStore, LRUCache
-from repro.core.strategy_base import ConnectionContext, EvasionStrategy
-from repro.core.framework import InterceptionFramework
-from repro.core.hops import HopEstimator
-from repro.core.selection import StrategyRecord, StrategySelector
-from repro.core.dns_forwarder import DNSForwarder
-from repro.core.responsiveness import ResponsivenessProbe, ResponsivenessReport
-from repro.core.intang import INTANG
-
-__all__ = [
-    "KeyValueStore",
-    "LRUCache",
-    "ConnectionContext",
-    "EvasionStrategy",
-    "InterceptionFramework",
-    "HopEstimator",
-    "StrategyRecord",
-    "StrategySelector",
-    "DNSForwarder",
-    "ResponsivenessProbe",
-    "ResponsivenessReport",
-    "INTANG",
-]

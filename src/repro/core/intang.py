@@ -18,20 +18,23 @@ Typical use::
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from repro.netsim.network import Network
 from repro.netsim.node import Host
 from repro.netsim.simclock import SimClock
 from repro.tcp.stack import TCPHost
 from repro.core.cache import KeyValueStore
-from repro.core.dns_forwarder import DNSForwarder
 from repro.core.framework import InterceptionFramework
 from repro.core.hops import HopEstimator
 from repro.core.selection import StrategySelector
 from repro.core.strategy_base import ConnectionContext, EvasionStrategy
+from repro.strategies.registry import DEFAULT_PRIORITY, make_strategy_factory
 from repro.telemetry.recorder import get_recorder
 from repro.telemetry.metrics import get_registry
+
+if TYPE_CHECKING:
+    from repro.core.dns_forwarder import DNSForwarder
 
 
 class INTANG:
@@ -50,11 +53,6 @@ class INTANG:
         hop_delta: int = 2,
         selector: Optional[StrategySelector] = None,
     ) -> None:
-        from repro.strategies.registry import (
-            DEFAULT_PRIORITY,
-            make_strategy_factory,
-        )
-
         self.host = host
         self.tcp_host = tcp_host
         self.clock = clock
@@ -111,6 +109,8 @@ class INTANG:
         )
         self.dns_forwarder: Optional[DNSForwarder] = None
         if dns_resolver_ip is not None:
+            from repro.core.dns_forwarder import DNSForwarder
+
             self.dns_forwarder = DNSForwarder(
                 self.framework, tcp_host, dns_resolver_ip, clock
             )

@@ -19,96 +19,30 @@ strategies + INTANG) into the paper's measurement campaign:
   behind ``repro tableN`` and the table benches.
 """
 
-from repro.experiments.calibration import CLEAN_ROOM, Calibration, DEFAULT_CALIBRATION
-from repro.experiments.vantage import (
-    ALL_VANTAGE_POINTS,
-    CHINA_VANTAGE_POINTS,
-    OUTSIDE_VANTAGE_POINTS,
-    VantagePoint,
-    vantage_by_name,
-)
-from repro.experiments.websites import (
-    DYN_RESOLVERS,
-    OPENDNS_RESOLVERS,
-    Resolver,
-    Website,
-    inside_china_catalog,
-    outside_china_catalog,
-)
-from repro.experiments.scenarios import Scenario, build_scenario
-from repro.experiments.parallel import (
-    configured_workers,
-    map_trials,
-)
-from repro.experiments.outcomes import Outcome, VerdictDistribution
-from repro.experiments.runner import (
-    PerVantageRates,
-    TrialRecord,
-    diagnose_failure,
-    run_cell_by_provider,
-    run_dns_trial,
-    run_http_outcomes,
-    run_http_trial,
-    run_per_vantage_clusters,
-    run_strategy_cell,
-    run_strategy_clusters,
-    run_tor_trial,
-    run_vpn_trial,
-    strategy_salt,
-    trial_seed,
-)
-from repro.experiments.fleet import (
-    DEFAULT_FLEET_STRATEGIES,
-    FleetResult,
-    FleetSpec,
-    FlowSpec,
-    effectiveness_curve,
-    flow_spec,
-    run_fleet,
-    run_fleet_group,
-)
+from repro.exports import lazy_exports
 
-__all__ = [
-    "CLEAN_ROOM",
-    "Calibration",
-    "DEFAULT_CALIBRATION",
-    "ALL_VANTAGE_POINTS",
-    "CHINA_VANTAGE_POINTS",
-    "OUTSIDE_VANTAGE_POINTS",
-    "VantagePoint",
-    "vantage_by_name",
-    "DYN_RESOLVERS",
-    "OPENDNS_RESOLVERS",
-    "Resolver",
-    "Website",
-    "inside_china_catalog",
-    "outside_china_catalog",
-    "Scenario",
-    "build_scenario",
-    "configured_workers",
-    "map_trials",
-    "Outcome",
-    "PerVantageRates",
-    "VerdictDistribution",
-    "TrialRecord",
-    "diagnose_failure",
-    "run_cell_by_provider",
-    "run_dns_trial",
-    "run_http_outcomes",
-    "run_http_trial",
-    "run_per_vantage_clusters",
-    "run_strategy_cell",
-    "run_strategy_clusters",
-    "run_tor_trial",
-    "run_vpn_trial",
-    "strategy_salt",
-    "trial_seed",
-    "DEFAULT_FLEET_STRATEGIES",
-    "FleetResult",
-    "FleetSpec",
-    "FlowSpec",
-    "effectiveness_curve",
-    "flow_spec",
-    "run_fleet",
-    "run_fleet_group",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".calibration": ("CLEAN_ROOM", "Calibration", "DEFAULT_CALIBRATION"),
+    ".vantage": (
+        "ALL_VANTAGE_POINTS", "CHINA_VANTAGE_POINTS", "OUTSIDE_VANTAGE_POINTS",
+        "VantagePoint", "vantage_by_name",
+    ),
+    ".websites": (
+        "DYN_RESOLVERS", "OPENDNS_RESOLVERS", "Resolver", "Website",
+        "inside_china_catalog", "outside_china_catalog",
+    ),
+    ".scenarios": ("Scenario", "build_scenario"),
+    ".parallel": ("configured_workers", "map_trials"),
+    ".outcomes": ("Outcome", "VerdictDistribution"),
+    ".runner": (
+        "PerVantageRates", "TrialRecord", "diagnose_failure",
+        "run_cell_by_provider", "run_dns_trial", "run_http_outcomes",
+        "run_http_trial", "run_per_vantage_clusters", "run_strategy_cell",
+        "run_strategy_clusters", "run_tor_trial", "run_vpn_trial",
+        "strategy_salt", "trial_seed",
+    ),
+    ".fleet": (
+        "DEFAULT_FLEET_STRATEGIES", "FleetResult", "FleetSpec", "FlowSpec",
+        "effectiveness_curve", "flow_spec", "run_fleet", "run_fleet_group",
+    ),
+})

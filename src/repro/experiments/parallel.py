@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import atexit
 import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.core.env import env_int
 from repro.gfw.heterogeneity import (
@@ -42,6 +41,9 @@ from repro.gfw.heterogeneity import (
 )
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.recorder import get_recorder
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "configured_workers",
@@ -91,8 +93,11 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
     pool instead of cycling every worker process, while a map asking
     for a different count gets a pool of exactly that size.  Reuse
     amortizes process start-up across the many cells of a sweep.
+    Imported here: a serial process never loads the pool machinery.
     """
     global _pool, _pool_workers
+    from concurrent.futures import ProcessPoolExecutor
+
     if _pool is None or _pool_workers != workers:
         shutdown_pool()
         _pool = ProcessPoolExecutor(max_workers=workers)

@@ -23,10 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.cache import KeyValueStore
 from repro.core.intang import INTANG
 from repro.core.selection import StrategySelector
-from repro.apps.dns import DNSUdpClient
 from repro.apps.http import HTTPClient
-from repro.apps.tor import TorClient
-from repro.apps.vpn import OpenVPNClient
 from repro.experiments.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.experiments.outcomes import Outcome, VerdictDistribution, classify
 from repro.experiments.parallel import map_trials
@@ -544,6 +541,8 @@ def run_dns_trial(
     Success is the paper's: the honest answer arrives (no poisoning, no
     TCP reset).  Without INTANG the UDP query is poisoned in flight.
     """
+    from repro.apps.dns import DNSUdpClient
+
     _TRIALS_RUN.inc()
     # §7.2 measured two *specific* resolver routes: interference was
     # seen only from Tianjin, so the firewall is forced there and
@@ -631,6 +630,8 @@ def run_tor_trial(
     ``strategy_id=None`` means bare Tor; with a strategy INTANG hides the
     handshake fingerprint from the GFW so no probe ever fires.
     """
+    from repro.apps.tor import TorClient
+
     _TRIALS_RUN.inc()
     scenario = acquire_scenario(
         vantage=vantage, website=bridge_site, calibration=calibration,
@@ -675,6 +676,8 @@ def run_vpn_trial(
     calibration: Calibration = DEFAULT_CALIBRATION,
     seed: int = 0,
 ) -> VPNTrialResult:
+    from repro.apps.vpn import OpenVPNClient
+
     _TRIALS_RUN.inc()
     scenario = acquire_scenario(
         vantage=vantage, website=vpn_site, calibration=calibration,

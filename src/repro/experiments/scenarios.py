@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace as dataclass_replace
 from functools import lru_cache
-from typing import List, Optional, Set
+from typing import TYPE_CHECKING, List, Optional, Set
 
 from repro.netstack.fragment import OverlapPolicy
 from repro.netstack.packet import IPPacket
@@ -43,15 +43,16 @@ from repro.gfw.models import (
     old_config,
 )
 from repro.apps.http import HTTPServer
-from repro.apps.dns import DNSTcpResolver, DNSUdpResolver
-from repro.apps.tor import TorBridge
-from repro.apps.udp import UDPHost
-from repro.apps.vpn import OpenVPNServer
 from repro.experiments.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.experiments.vantage import VantagePoint
 from repro.experiments.websites import Resolver, Website
 from repro.lazyrandom import LazyRandom
 from repro.telemetry.metrics import get_registry
+
+if TYPE_CHECKING:
+    from repro.apps.tor import TorBridge
+    from repro.apps.udp import UDPHost
+    from repro.apps.vpn import OpenVPNServer
 
 #: Hop index where the vantage provider's equipment sits.
 CLIENT_MIDDLEBOX_HOP = 2
@@ -604,21 +605,28 @@ def build_scenario(
         trace=recorder,
     )
 
-    # -- workload --------------------------------------------------------------
+    # -- workload: each non-HTTP workload imports its own apps ------------------
     if workload == "http":
         scenario.http_server = HTTPServer(server_tcp)
     elif workload == "dns":
+        from repro.apps.dns import DNSTcpResolver, DNSUdpResolver
+        from repro.apps.udp import UDPHost
+
         zone = _censored_zone()
         scenario.udp_server = UDPHost(server)
         DNSUdpResolver(scenario.udp_server, zone)
         DNSTcpResolver(server_tcp, zone)
         scenario.udp_client = UDPHost(client)
     elif workload == "tor":
+        from repro.apps.tor import TorBridge
+
         scenario.tor_bridge = TorBridge(server_tcp)
         for device in devices:
             if device.active_prober is not None:
                 device.active_prober.bridge_oracle = scenario.tor_bridge.answers_probe
     elif workload == "vpn":
+        from repro.apps.vpn import OpenVPNServer
+
         scenario.vpn_server = OpenVPNServer(server_tcp)
     else:
         raise ValueError(f"unknown workload {workload!r}")

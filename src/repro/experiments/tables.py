@@ -6,10 +6,12 @@ tables so a reproduction run can be eyeballed against the originals.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.experiments.outcomes import VerdictDistribution
-from repro.experiments.runner import PerVantageRates
+
+if TYPE_CHECKING:  # rendering runs no trial
+    from repro.experiments.runner import PerVantageRates
 
 
 def _rule(widths: Sequence[int]) -> str:

@@ -18,43 +18,20 @@ RST/ACKs at X, X+1460, X+4380, enforces the 90-second blacklist, and
 forges SYN/ACKs during it.
 """
 
-from repro.gfw.rules import Detection, RuleSet, DEFAULT_KEYWORDS
-from repro.gfw.dpi import StreamInspector
-from repro.gfw.flow import GFWFlow, GFWFlowState
-from repro.gfw.resets import ResetInjector
-from repro.gfw.blacklist import Blacklist
-from repro.gfw.models import (
-    EVOLVED_GFW,
-    GFWConfig,
-    MODEL_VARIANTS,
-    OLD_GFW,
-    evolved_config,
-    model_variant_configs,
-    old_config,
-)
-from repro.gfw.cluster import GFWCluster
-from repro.gfw.device import GFWDevice
-from repro.gfw.dns_poisoner import DNSPoisoner
-from repro.gfw.active_prober import ActiveProber
+from repro.exports import lazy_exports
 
-__all__ = [
-    "Detection",
-    "RuleSet",
-    "DEFAULT_KEYWORDS",
-    "StreamInspector",
-    "GFWFlow",
-    "GFWFlowState",
-    "ResetInjector",
-    "Blacklist",
-    "GFWConfig",
-    "MODEL_VARIANTS",
-    "OLD_GFW",
-    "EVOLVED_GFW",
-    "evolved_config",
-    "model_variant_configs",
-    "old_config",
-    "GFWCluster",
-    "GFWDevice",
-    "DNSPoisoner",
-    "ActiveProber",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".rules": ("Detection", "RuleSet", "DEFAULT_KEYWORDS"),
+    ".dpi": ("StreamInspector",),
+    ".flow": ("GFWFlow", "GFWFlowState"),
+    ".resets": ("ResetInjector",),
+    ".blacklist": ("Blacklist",),
+    ".models": (
+        "GFWConfig", "MODEL_VARIANTS", "OLD_GFW", "EVOLVED_GFW",
+        "evolved_config", "model_variant_configs", "old_config",
+    ),
+    ".cluster": ("GFWCluster",),
+    ".device": ("GFWDevice",),
+    ".dns_poisoner": ("DNSPoisoner",),
+    ".active_prober": ("ActiveProber",),
+})

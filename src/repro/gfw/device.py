@@ -30,6 +30,7 @@ direct transcription of the paper's findings:
 from __future__ import annotations
 
 import random
+import zlib
 from typing import Dict, List, Optional, Tuple
 
 from repro.netstack.fragment import FragmentReassembler
@@ -147,7 +148,7 @@ class GFWDevice(Tap):
         super().__init__(name, hop)
         self.config = config
         self.clock = clock
-        self.rng = rng or random.Random(hash(name) & 0xFFFFFFFF)
+        self.rng = rng or random.Random(zlib.crc32(name.encode()))
         self.cluster = cluster or GFWCluster(self.rng, config.miss_probability)
         self.injector = ResetInjector(config.reset_type, self.rng, name)
         self._recorder = get_recorder()

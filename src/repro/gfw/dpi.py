@@ -29,9 +29,9 @@ property tests and the ``bench_dpi`` throughput comparison.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional, Set
 
+from repro.apps.preambles import OPENVPN_TCP_PREAMBLE, TOR_HANDSHAKE_PREAMBLE
 from repro.gfw.automaton import KeywordAutomaton, SMALL_SEGMENT, compile_keywords
 from repro.gfw.rules import Detection, RuleSet
 
@@ -52,17 +52,12 @@ _DNS_COLLECTING = 0  # still waiting for the 2-byte frame + message
 _DNS_DONE = 1  # parsed, unparseable, or framing ruled the stream out
 
 
-@lru_cache(maxsize=1)
-def _classification_prefix_len() -> int:
-    """Stream bytes protocol classification needs (computed once)."""
-    from repro.apps.tor import TOR_HANDSHAKE_PREAMBLE
-    from repro.apps.vpn import OPENVPN_TCP_PREAMBLE
-
-    return max(
-        len(TOR_HANDSHAKE_PREAMBLE),
-        len(OPENVPN_TCP_PREAMBLE),
-        max(len(m) for m in _HTTP_PREFIXES),
-    )
+#: Stream bytes protocol classification needs.
+_CLASSIFICATION_PREFIX_LEN = max(
+    len(TOR_HANDSHAKE_PREAMBLE),
+    len(OPENVPN_TCP_PREAMBLE),
+    max(len(m) for m in _HTTP_PREFIXES),
+)
 
 
 class StreamInspector:
@@ -81,7 +76,7 @@ class StreamInspector:
         self.detection: Optional[Detection] = None
         self.bytes_inspected = 0
         self._prefix = bytearray()
-        self._prefix_needed = _classification_prefix_len()
+        self._prefix_needed = _CLASSIFICATION_PREFIX_LEN
         self._class = _CLASS_UNDECIDED
         #: Latched once the class says keyword hits are (ir)relevant.
         self._scan_on = True
@@ -169,9 +164,6 @@ class StreamInspector:
     # stream prefix is immutable once written, so every outcome latches.
     # ------------------------------------------------------------------
     def _ingest_prefix(self, data: bytes) -> Optional[Detection]:
-        from repro.apps.tor import TOR_HANDSHAKE_PREAMBLE
-        from repro.apps.vpn import OPENVPN_TCP_PREAMBLE
-
         self._prefix.extend(data[: self._prefix_needed - len(self._prefix)])
         prefix = bytes(self._prefix)
         rules = self.rules
@@ -301,11 +293,6 @@ class RescanInspector:
         return None
 
     def _inspect_tor_vpn(self, stream: bytes) -> Optional[Detection]:
-        # Imported lazily to keep the substrate packages decoupled at
-        # import time (apps also import nothing from gfw).
-        from repro.apps.tor import TOR_HANDSHAKE_PREAMBLE
-        from repro.apps.vpn import OPENVPN_TCP_PREAMBLE
-
         if self.rules.detect_tor and stream.startswith(TOR_HANDSHAKE_PREAMBLE):
             return Detection("tor", "handshake-fingerprint")
         if self.rules.detect_vpn and stream.startswith(OPENVPN_TCP_PREAMBLE):

@@ -9,32 +9,16 @@ packets into their own connection state, blackholing the real traffic
 afterwards.
 """
 
-from repro.middlebox.boxes import (
-    FieldSanitizerBox,
-    FragmentHandlingBox,
-    FragmentMode,
-    StatefulFirewallBox,
-)
-from repro.middlebox.profiles import (
-    MiddleboxProfile,
-    PROFILE_ALIYUN,
-    PROFILE_QCLOUD,
-    PROFILE_UNICOM_SJZ,
-    PROFILE_UNICOM_TJ,
-    PROFILE_TRANSPARENT,
-    PROVIDER_PROFILES,
-)
+from repro.exports import lazy_exports
 
-__all__ = [
-    "FieldSanitizerBox",
-    "FragmentHandlingBox",
-    "FragmentMode",
-    "StatefulFirewallBox",
-    "MiddleboxProfile",
-    "PROFILE_ALIYUN",
-    "PROFILE_QCLOUD",
-    "PROFILE_UNICOM_SJZ",
-    "PROFILE_UNICOM_TJ",
-    "PROFILE_TRANSPARENT",
-    "PROVIDER_PROFILES",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".boxes": (
+        "FieldSanitizerBox", "FragmentHandlingBox", "FragmentMode",
+        "StatefulFirewallBox",
+    ),
+    ".profiles": (
+        "MiddleboxProfile", "PROFILE_ALIYUN", "PROFILE_QCLOUD",
+        "PROFILE_UNICOM_SJZ", "PROFILE_UNICOM_TJ", "PROFILE_TRANSPARENT",
+        "PROVIDER_PROFILES",
+    ),
+})

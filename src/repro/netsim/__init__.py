@@ -17,23 +17,12 @@ them:
 - propagation delay, so handshakes and injected resets race realistically.
 """
 
-from repro.netsim.simclock import SimClock
-from repro.netsim.path import Direction, InlineBox, PathElement, Tap, Verdict
-from repro.netsim.network import Network, Path
-from repro.netsim.node import Endpoint, Host
-from repro.netsim.trace import TraceEvent, TraceRecorder
+from repro.exports import lazy_exports
 
-__all__ = [
-    "SimClock",
-    "Direction",
-    "InlineBox",
-    "PathElement",
-    "Tap",
-    "Verdict",
-    "Network",
-    "Path",
-    "Endpoint",
-    "Host",
-    "TraceEvent",
-    "TraceRecorder",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".simclock": ("SimClock",),
+    ".path": ("Direction", "InlineBox", "PathElement", "Tap", "Verdict"),
+    ".network": ("Network", "Path"),
+    ".node": ("Endpoint", "Host"),
+    ".trace": ("TraceEvent", "TraceRecorder"),
+})

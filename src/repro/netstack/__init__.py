@@ -16,76 +16,3 @@ This package provides the low-level substrate every other layer builds on:
 - :mod:`repro.netstack.fragment` — IPv4 fragmentation and the overlap
   reassembly *policies* (first-wins vs last-wins) that §3.2 exploits.
 """
-
-from repro.netstack.packet import (
-    FIN,
-    SYN,
-    RST,
-    PSH,
-    ACK,
-    URG,
-    IPPacket,
-    TCPSegment,
-    UDPDatagram,
-    flags_to_str,
-    ip_to_int,
-    int_to_ip,
-)
-from repro.netstack.options import (
-    TCPOption,
-    MSSOption,
-    WindowScaleOption,
-    SACKPermittedOption,
-    TimestampOption,
-    MD5SignatureOption,
-    NopOption,
-    EndOfOptionsOption,
-)
-from repro.netstack.checksum import internet_checksum, pseudo_header_checksum
-from repro.netstack.wire import (
-    serialize_ip,
-    parse_ip,
-    serialize_tcp,
-    parse_tcp,
-    serialize_udp,
-    parse_udp,
-)
-from repro.netstack.fragment import (
-    FragmentReassembler,
-    OverlapPolicy,
-    fragment_packet,
-)
-
-__all__ = [
-    "FIN",
-    "SYN",
-    "RST",
-    "PSH",
-    "ACK",
-    "URG",
-    "IPPacket",
-    "TCPSegment",
-    "UDPDatagram",
-    "flags_to_str",
-    "ip_to_int",
-    "int_to_ip",
-    "TCPOption",
-    "MSSOption",
-    "WindowScaleOption",
-    "SACKPermittedOption",
-    "TimestampOption",
-    "MD5SignatureOption",
-    "NopOption",
-    "EndOfOptionsOption",
-    "internet_checksum",
-    "pseudo_header_checksum",
-    "serialize_ip",
-    "parse_ip",
-    "serialize_tcp",
-    "parse_tcp",
-    "serialize_udp",
-    "parse_udp",
-    "FragmentReassembler",
-    "OverlapPolicy",
-    "fragment_packet",
-]

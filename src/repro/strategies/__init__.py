@@ -15,50 +15,3 @@ Three generations of strategies are implemented:
 The :mod:`repro.strategies.registry` maps strategy identifiers (the row
 labels of the paper's tables) to factories usable with INTANG.
 """
-
-from repro.strategies.insertion import (
-    Discrepancy,
-    PREFERRED_DISCREPANCIES,
-    apply_discrepancy,
-    craft_insertion,
-)
-from repro.strategies.tcb_creation import TCBCreationWithSYN
-from repro.strategies.data_reassembly import (
-    InOrderDataOverlap,
-    OutOfOrderIPFragments,
-    OutOfOrderTCPSegments,
-)
-from repro.strategies.tcb_teardown import TCBTeardown
-from repro.strategies.desync import send_desync_packet
-from repro.strategies.resync_desync import ResyncDesync, TCBCreationResyncDesync
-from repro.strategies.tcb_reversal import TCBReversal, TeardownReversal
-from repro.strategies.improved import ImprovedInOrderOverlap, ImprovedTCBTeardown
-from repro.strategies.registry import (
-    STRATEGY_REGISTRY,
-    TABLE1_ROWS,
-    TABLE4_STRATEGIES,
-    make_strategy_factory,
-)
-
-__all__ = [
-    "Discrepancy",
-    "PREFERRED_DISCREPANCIES",
-    "apply_discrepancy",
-    "craft_insertion",
-    "TCBCreationWithSYN",
-    "InOrderDataOverlap",
-    "OutOfOrderIPFragments",
-    "OutOfOrderTCPSegments",
-    "TCBTeardown",
-    "send_desync_packet",
-    "ResyncDesync",
-    "TCBCreationResyncDesync",
-    "TCBReversal",
-    "TeardownReversal",
-    "ImprovedInOrderOverlap",
-    "ImprovedTCBTeardown",
-    "STRATEGY_REGISTRY",
-    "TABLE1_ROWS",
-    "TABLE4_STRATEGIES",
-    "make_strategy_factory",
-]

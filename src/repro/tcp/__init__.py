@@ -15,34 +15,14 @@ that matter parameterized per kernel version:
 - out-of-order segment reassembly with a configurable overlap preference.
 """
 
-from repro.tcp.tcb import TCB, TCPState
-from repro.tcp.reassembly import ReceiveBuffer
-from repro.tcp.profiles import (
-    LINUX_2_4_37,
-    LINUX_2_6_34,
-    LINUX_3_14,
-    LINUX_4_0,
-    LINUX_4_4,
-    ALL_PROFILES,
-    RstPolicy,
-    StackProfile,
-    SynInEstablishedPolicy,
-)
-from repro.tcp.stack import TCPConnection, TCPHost
+from repro.exports import lazy_exports
 
-__all__ = [
-    "TCB",
-    "TCPState",
-    "ReceiveBuffer",
-    "LINUX_2_4_37",
-    "LINUX_2_6_34",
-    "LINUX_3_14",
-    "LINUX_4_0",
-    "LINUX_4_4",
-    "ALL_PROFILES",
-    "RstPolicy",
-    "StackProfile",
-    "SynInEstablishedPolicy",
-    "TCPConnection",
-    "TCPHost",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".tcb": ("TCB", "TCPState"),
+    ".reassembly": ("ReceiveBuffer",),
+    ".profiles": (
+        "LINUX_2_4_37", "LINUX_2_6_34", "LINUX_3_14", "LINUX_4_0", "LINUX_4_4",
+        "ALL_PROFILES", "RstPolicy", "StackProfile", "SynInEstablishedPolicy",
+    ),
+    ".stack": ("TCPConnection", "TCPHost"),
+})

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import random
+import zlib
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.netstack.options import (
@@ -620,7 +621,7 @@ class TCPHost:
         self.host = host
         self.clock = clock
         self.profile = profile
-        self.rng = rng or random.Random(hash(host.ip) & 0xFFFFFFFF)
+        self.rng = rng or random.Random(zlib.crc32(host.ip.encode()))
         self.connections: Dict[Tuple[int, str, int], TCPConnection] = {}
         self.listeners: Dict[int, Callable[[TCPConnection], None]] = {}
         self.drops: List[Tuple[Tuple[str, int, str, int], DropReason]] = []

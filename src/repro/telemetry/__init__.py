@@ -23,70 +23,27 @@ Five layers, one import surface:
   one cell with the event ring on and renders the merged packet+state
   timeline.
 
-The diagnosis and export layers pull in heavier dependencies, so
-they are exposed lazily — ``from repro.telemetry import
-diagnose_trial`` works without making ``import repro.telemetry`` heavy.
+Every name is exported lazily (:mod:`repro.exports`): ``from
+repro.telemetry import diagnose_trial`` loads the diagnosis layer, and
+``import repro.telemetry`` alone loads no layer.
 """
 
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    filter_snapshot,
-    get_registry,
-    reset_registry,
-)
-from repro.telemetry.events import TelemetryEvent
-from repro.telemetry.trace import SEMANTIC_KINDS, make_span, trial_semantic
-from repro.telemetry.recorder import (
-    EVENTS,
-    OFF,
-    SPANS,
-    Recorder,
-    get_recorder,
-    observing,
-    reset_recorder,
-)
+from repro.exports import lazy_exports
 
-#: Lazily exposed name -> providing submodule.
-_LAZY = {
-    "TrialDiagnosis": "diagnose",
-    "diagnose_trial": "diagnose",
-    "chrome_trace": "export",
-    "histogram_quantile": "export",
-    "latency_summary": "export",
-    "openmetrics": "export",
-    "write_chrome_trace": "export",
-}
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "filter_snapshot",
-    "get_registry",
-    "reset_registry",
-    "EVENTS",
-    "OFF",
-    "SPANS",
-    "Recorder",
-    "TelemetryEvent",
-    "get_recorder",
-    "observing",
-    "reset_recorder",
-    "SEMANTIC_KINDS",
-    "make_span",
-    "trial_semantic",
-] + sorted(_LAZY)
-
-
-def __getattr__(name):
-    module_name = _LAZY.get(name)
-    if module_name is not None:
-        import importlib
-
-        module = importlib.import_module(f"repro.telemetry.{module_name}")
-        return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".metrics": (
+        "Counter", "Gauge", "Histogram", "MetricsRegistry", "filter_snapshot",
+        "get_registry", "reset_registry",
+    ),
+    ".events": ("TelemetryEvent",),
+    ".trace": ("SEMANTIC_KINDS", "make_span", "trial_semantic"),
+    ".recorder": (
+        "EVENTS", "OFF", "SPANS", "Recorder", "get_recorder", "observing",
+        "reset_recorder",
+    ),
+    ".diagnose": ("TrialDiagnosis", "diagnose_trial"),
+    ".export": (
+        "chrome_trace", "histogram_quantile", "latency_summary", "openmetrics",
+        "write_chrome_trace",
+    ),
+})

@@ -130,18 +130,25 @@ class MetricsRegistry:
         self._histograms: Dict[str, Histogram] = {}
 
     # -- registration ----------------------------------------------------
+    # A registered name returns its instrument at once; only a new name
+    # is type-checked against the other families and created.
     def counter(self, name: str) -> Counter:
-        self._check_free(name, self._counters)
-        return self._counters.setdefault(name, Counter(name))
+        counter = self._counters.get(name)
+        if counter is None:
+            self._check_free(name, self._counters)
+            counter = self._counters[name] = Counter(name)
+        return counter
 
     def gauge(self, name: str) -> Gauge:
-        self._check_free(name, self._gauges)
-        return self._gauges.setdefault(name, Gauge(name))
+        gauge = self._gauges.get(name)
+        if gauge is None:
+            self._check_free(name, self._gauges)
+            gauge = self._gauges[name] = Gauge(name)
+        return gauge
 
     def histogram(
         self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS
     ) -> Histogram:
-        self._check_free(name, self._histograms)
         existing = self._histograms.get(name)
         if existing is not None:
             if existing.buckets != tuple(float(b) for b in buckets):
@@ -150,6 +157,7 @@ class MetricsRegistry:
                     f"{existing.buckets}"
                 )
             return existing
+        self._check_free(name, self._histograms)
         histogram = Histogram(name, buckets)
         self._histograms[name] = histogram
         return histogram

@@ -38,6 +38,20 @@ class TestInstruments:
         registry = MetricsRegistry()
         assert registry.counter("c") is registry.counter("c")
 
+    def test_registered_lookup_builds_no_instrument(self, monkeypatch):
+        from repro.telemetry import metrics
+
+        registry = MetricsRegistry()
+        counter, gauge = registry.counter("c"), registry.gauge("g")
+        built = []
+        for family in ("Counter", "Gauge"):
+            monkeypatch.setattr(metrics, family, built.append)
+        assert registry.counter("c") is counter
+        assert registry.gauge("g") is gauge
+        assert built == []
+        with pytest.raises(ValueError):
+            registry.gauge("c")
+
     def test_gauge_set(self):
         registry = MetricsRegistry()
         registry.gauge("g").set(2.5)
