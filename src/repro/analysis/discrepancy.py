@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.netstack.packet import IPPacket
 from repro.netsim.network import Network, Path
 from repro.netsim.node import Host
 from repro.netsim.simclock import SimClock
-from repro.gfw.flow import GFWFlowState
 from repro.gfw.models import GFWConfig
 from repro.middlebox.profiles import (
     MiddleboxProfile,
@@ -34,7 +33,7 @@ from repro.middlebox.profiles import (
     PROFILE_UNICOM_SJZ,
     PROFILE_UNICOM_TJ,
 )
-from repro.tcp.profiles import ALL_PROFILES, LINUX_4_4, StackProfile
+from repro.tcp.profiles import ALL_PROFILES, LINUX_4_4
 from repro.tcp.tcb import TCPState
 from repro.analysis.ignore_paths import (
     CLIENT_IP,
@@ -61,23 +60,25 @@ class DiscrepancyRow:
         return (self.tcp_state, self.gfw_state, self.flags, self.condition)
 
 
-def generate_table3(
-    server_profile: StackProfile = LINUX_4_4,
-    gfw_config: Optional[GFWConfig] = None,
-    probes: Sequence[IgnoreProbe] = STANDARD_PROBES,
-    seed: int = 17,
-) -> List[DiscrepancyRow]:
-    """Run both analysis halves and emit the confirmed discrepancies."""
+#: Seed of the Table 3 and stack cross-validation probe runs.
+_TABLE3_SEED = 17
+#: Seed of the middlebox cross-validation runs behind Table 5.
+_TABLE5_SEED = 5
+
+
+def generate_table3(gfw_config: Optional[GFWConfig] = None) -> List[DiscrepancyRow]:
+    """Run both analysis halves against Linux 4.4 and emit the confirmed
+    discrepancies."""
     rows: List[DiscrepancyRow] = []
-    for probe in probes:
+    for probe in STANDARD_PROBES:
         ignored_states = []
         for state in probe.states:
-            result = probe_server(probe, state, server_profile, seed=seed)
+            result = probe_server(probe, state, LINUX_4_4, seed=_TABLE3_SEED)
             if result.verdict is IgnoreVerdict.IGNORED:
                 ignored_states.append(state)
         if not ignored_states:
             continue
-        gfw_result = gfw_accepts_probe(probe, config=gfw_config, seed=seed)
+        gfw_result = gfw_accepts_probe(probe, config=gfw_config, seed=_TABLE3_SEED)
         if not gfw_result.accepted:
             continue
         rows.append(
@@ -102,8 +103,6 @@ def _states_label(states: List[TCPState], probe: IgnoreProbe) -> str:
 def _gfw_state_label(after: str) -> str:
     if after == "TCB deleted":
         return "LISTEN (terminated) / RESYNC"
-    if after == GFWFlowState.RESYNC.value:
-        return "ESTABLISHED/RESYNC"
     return "ESTABLISHED/RESYNC"
 
 
@@ -119,25 +118,20 @@ class StackDivergence:
     this_verdict: str
 
 
-def cross_validate_stacks(
-    reference: StackProfile = LINUX_4_4,
-    profiles: Sequence[StackProfile] = ALL_PROFILES,
-    probes: Sequence[IgnoreProbe] = EXTENDED_PROBES,
-    seed: int = 17,
-) -> List[StackDivergence]:
-    """Where do other kernels diverge from the reference's ignore paths?"""
+def cross_validate_stacks() -> List[StackDivergence]:
+    """Where do other kernels diverge from Linux 4.4's ignore paths?"""
     reference_verdicts: Dict[Tuple[str, TCPState], IgnoreVerdict] = {}
-    for probe in probes:
+    for probe in EXTENDED_PROBES:
         for state in probe.states:
-            result = probe_server(probe, state, reference, seed=seed)
+            result = probe_server(probe, state, LINUX_4_4, seed=_TABLE3_SEED)
             reference_verdicts[(probe.name, state)] = result.verdict
     divergences: List[StackDivergence] = []
-    for profile in profiles:
-        if profile.name == reference.name:
+    for profile in ALL_PROFILES:
+        if profile.name == LINUX_4_4.name:
             continue
-        for probe in probes:
+        for probe in EXTENDED_PROBES:
             for state in probe.states:
-                result = probe_server(probe, state, profile, seed=seed)
+                result = probe_server(probe, state, profile, seed=_TABLE3_SEED)
                 reference_verdict = reference_verdicts[(probe.name, state)]
                 if result.verdict is IgnoreVerdict.NOT_APPLICABLE:
                     continue
@@ -162,21 +156,23 @@ _PROVIDERS = (
 )
 
 
-def _survives_provider(
-    packet_factory, provider: MiddleboxProfile, repeats: int = 6, seed: int = 5
-) -> bool:
+#: Copies of each probe pushed through a provider's boxes.
+_SURVIVAL_REPEATS = 6
+
+
+def _survives_provider(packet_factory, provider: MiddleboxProfile) -> bool:
     """Would packets of this shape reliably traverse the provider's boxes?
 
-    "Reliably" means every one of ``repeats`` copies survived — a
-    sometimes-dropped vehicle is not a dependable insertion carrier.
+    "Reliably" means every one of ``_SURVIVAL_REPEATS`` copies survived —
+    a sometimes-dropped vehicle is not a dependable insertion carrier.
     """
     clock = SimClock()
-    network = Network(clock=clock, rng=random.Random(seed))
+    network = Network(clock=clock, rng=random.Random(_TABLE5_SEED))
     client = network.add_host(Host(CLIENT_IP, "mb-client"))
     server = network.add_host(Host(SERVER_IP, "mb-server"))
     path = Path(CLIENT_IP, SERVER_IP, hop_count=6, base_delay=0.006)
     network.add_path(path)
-    for box in provider.build_boxes(hop=2, rng=random.Random(seed + 1)):
+    for box in provider.build_boxes(hop=2, rng=random.Random(_TABLE5_SEED + 1)):
         path.add_element(box)
     arrived: List[IPPacket] = []
 
@@ -185,34 +181,32 @@ def _survives_provider(
         return False
 
     server.register_handler(sniff, prepend=True)
-    for index in range(repeats):
+    for index in range(_SURVIVAL_REPEATS):
         client.send(packet_factory(index))
         clock.run_for(0.1)
-    return len(arrived) == repeats
+    return len(arrived) == _SURVIVAL_REPEATS
 
 
-def cross_validate_middleboxes(
-    probes: Sequence[IgnoreProbe] = STANDARD_PROBES, seed: int = 5
-) -> Dict[str, Dict[str, bool]]:
+def cross_validate_middleboxes() -> Dict[str, Dict[str, bool]]:
     """probe name -> provider name -> survives reliably."""
     from repro.analysis.ignore_paths import ServerHarness
 
     survival: Dict[str, Dict[str, bool]] = {}
-    for probe in probes:
-        harness = ServerHarness(seed=seed)
+    for probe in STANDARD_PROBES:
+        harness = ServerHarness(seed=_TABLE5_SEED)
         harness.drive_to(TCPState.ESTABLISHED)
 
         def factory(index: int, probe=probe, harness=harness) -> IPPacket:
             return probe.build(harness)
 
         survival[probe.name] = {
-            provider.name: _survives_provider(factory, provider, seed=seed)
+            provider.name: _survives_provider(factory, provider)
             for provider in _PROVIDERS
         }
     return survival
 
 
-def derive_table5(seed: int = 5) -> Dict[str, List[str]]:
+def derive_table5() -> Dict[str, List[str]]:
     """Reduce the analysis to Table 5's preferred-vehicle matrix.
 
     The TTL vehicle is always available (it needs no header anomaly a
@@ -223,7 +217,7 @@ def derive_table5(seed: int = 5) -> Dict[str, List[str]]:
     has a wrong ACK number or old timestamp, it will still be able to
     reset the connection").
     """
-    survival = cross_validate_middleboxes(seed=seed)
+    survival = cross_validate_middleboxes()
     md5_safe = all(survival["unsolicited-md5"].values())
     preferences: Dict[str, List[str]] = {
         "SYN": ["ttl"],

@@ -372,25 +372,19 @@ def probe_server(
     return IgnorePathResult(probe, state, verdict, reasons)
 
 
-def run_ignore_path_analysis(
-    profile: StackProfile = LINUX_4_4,
-    probes: Tuple[IgnoreProbe, ...] = STANDARD_PROBES,
-    seed: int = 99,
-) -> List[IgnorePathResult]:
-    """The full server-side enumeration for one stack profile."""
+def run_ignore_path_analysis() -> List[IgnorePathResult]:
+    """The full server-side enumeration of the standard probes on Linux 4.4."""
     results: List[IgnorePathResult] = []
-    for probe in probes:
+    for probe in STANDARD_PROBES:
         for state in probe.states:
-            results.append(probe_server(probe, state, profile, seed))
+            results.append(probe_server(probe, state, LINUX_4_4))
     return results
 
 
-def ignored_probes(
-    profile: StackProfile = LINUX_4_4, seed: int = 99
-) -> Dict[str, List[TCPState]]:
-    """Map of probe name -> states in which the server ignores it."""
+def ignored_probes() -> Dict[str, List[TCPState]]:
+    """Map of probe name -> states in which Linux 4.4 ignores it."""
     summary: Dict[str, List[TCPState]] = {}
-    for result in run_ignore_path_analysis(profile, seed=seed):
+    for result in run_ignore_path_analysis():
         if result.verdict is IgnoreVerdict.IGNORED:
             summary.setdefault(result.probe.name, []).append(result.state)
     return summary

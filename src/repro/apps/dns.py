@@ -71,15 +71,16 @@ def encode_query(qid: int, qname: str) -> bytes:
     return header + _encode_qname(qname) + struct.pack("!HH", QTYPE_A, QCLASS_IN)
 
 
-def encode_response(qid: int, qname: str, address: str, ttl: int = 300) -> bytes:
-    """Build a one-answer A response (also used by the GFW's poisoner)."""
+def encode_response(qid: int, qname: str, address: str) -> bytes:
+    """Build a one-answer A response with a 300 s TTL (also used by the
+    GFW's poisoner)."""
     header = struct.pack(
         "!HHHHHH", qid & 0xFFFF, FLAG_RESPONSE | FLAG_RECURSION_DESIRED, 1, 1, 0, 0
     )
     question = _encode_qname(qname) + struct.pack("!HH", QTYPE_A, QCLASS_IN)
     answer = (
         _encode_qname(qname)
-        + struct.pack("!HHIH", QTYPE_A, QCLASS_IN, ttl, 4)
+        + struct.pack("!HHIH", QTYPE_A, QCLASS_IN, 300, 4)
         + struct.pack("!I", ip_to_int(address))
     )
     return header + question + answer

@@ -44,9 +44,10 @@ def parse_request(raw: bytes) -> Optional[Tuple[str, str, Dict[str, str]]]:
     return method, path, headers
 
 
-def build_response(body: bytes, status: str = "200 OK") -> bytes:
+def build_response(body: bytes) -> bytes:
+    """A ``200 OK`` page carrying ``body``."""
     head = (
-        f"HTTP/1.1 {status}\r\n"
+        "HTTP/1.1 200 OK\r\n"
         f"Content-Type: text/html\r\n"
         f"Content-Length: {len(body)}\r\n"
         f"Connection: close\r\n\r\n"
@@ -129,7 +130,6 @@ class HTTPClient:
         server_ip: str,
         host: str,
         path: str = "/",
-        headers: Optional[Dict[str, str]] = None,
         port: int = 80,
         segment_size: int = 1460,
         on_done: Optional[Callable[[HTTPExchange], None]] = None,
@@ -139,7 +139,7 @@ class HTTPClient:
         Returns immediately; run the clock to completion and inspect the
         returned :class:`HTTPExchange`.
         """
-        request = build_request(host, path, headers)
+        request = build_request(host, path)
         exchange = HTTPExchange(request=request)
         connection = self.tcp.connect(server_ip, port)
         buffer = bytearray()

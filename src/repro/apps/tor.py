@@ -13,7 +13,7 @@ exchange.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.apps.preambles import TOR_HANDSHAKE_PREAMBLE
 from repro.tcp.stack import CloseReason, TCPConnection, TCPHost
@@ -84,16 +84,13 @@ class TorClient:
     def __init__(self, tcp_host: TCPHost) -> None:
         self.tcp = tcp_host
 
-    def open_circuit(
-        self,
-        bridge_ip: str,
-        port: int = TOR_DEFAULT_PORT,
-        cells_to_send: int = 3,
-        on_established: Optional[Callable[[TorCircuit], None]] = None,
-    ) -> TorCircuit:
+    #: Cells a circuit relays after its handshake.
+    cells_to_send = 3
+
+    def open_circuit(self, bridge_ip: str, port: int = TOR_DEFAULT_PORT) -> TorCircuit:
         circuit = TorCircuit()
         connection = self.tcp.connect(bridge_ip, port)
-        pending = {"cells": cells_to_send}
+        pending = {"cells": self.cells_to_send}
         buffer = bytearray()
 
         def start(conn: TCPConnection) -> None:
@@ -105,10 +102,7 @@ class TorClient:
                 if bytes(buffer).startswith(TOR_SERVER_HELLO):
                     circuit.established = True
                     del buffer[: len(TOR_SERVER_HELLO)]
-                    if on_established is not None:
-                        on_established(circuit)
-                    if pending["cells"] > 0:
-                        conn.send(b"CELL" + bytes(12))
+                    conn.send(b"CELL" + bytes(12))
                 return
             while len(buffer) >= 16:
                 del buffer[:16]

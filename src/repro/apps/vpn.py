@@ -65,16 +65,16 @@ class OpenVPNClient:
     def __init__(self, tcp_host: TCPHost) -> None:
         self.tcp = tcp_host
 
+    #: Tunneled frames a session pushes after its handshake.
+    frames_to_send = 2
+
     def open_session(
-        self,
-        server_ip: str,
-        port: int = OPENVPN_DEFAULT_PORT,
-        frames_to_send: int = 2,
+        self, server_ip: str, port: int = OPENVPN_DEFAULT_PORT
     ) -> VPNSession:
         session = VPNSession()
         connection = self.tcp.connect(server_ip, port)
         buffer = bytearray()
-        pending = {"frames": frames_to_send}
+        pending = {"frames": self.frames_to_send}
 
         def start(conn: TCPConnection) -> None:
             conn.send(OPENVPN_TCP_PREAMBLE)
@@ -85,8 +85,7 @@ class OpenVPNClient:
                 if bytes(buffer).startswith(OPENVPN_SERVER_REPLY):
                     session.established = True
                     del buffer[: len(OPENVPN_SERVER_REPLY)]
-                    if pending["frames"] > 0:
-                        conn.send(b"TUN-FRAME" + bytes(23))
+                    conn.send(b"TUN-FRAME" + bytes(23))
                 return
             while len(buffer) >= 32:
                 del buffer[:32]

@@ -23,7 +23,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.conformance.matrix import (
     CellResult,
@@ -162,19 +162,24 @@ class GoldenDiff:
         return "\n".join(lines)
 
 
+def _ladder_cells(results: Dict[str, CellResult]) -> List[ConformanceCell]:
+    """The golden cells whose strategy appears in ``results``."""
+    strategies_seen = {r.cell.strategy_id for r in results.values()}
+    return [cell for cell in golden_cells() if cell.strategy_id in strategies_seen]
+
+
 def compare_golden(
     results: Dict[str, CellResult],
     directory: Optional[Path] = None,
     seed: int = DEFAULT_SEED,
-    cells: Optional[Sequence[ConformanceCell]] = None,
 ) -> GoldenDiff:
     """Diff current behaviour against the blessed artifacts.
 
     ``results`` is a (possibly partial) matrix run; only snapshot rows
     for cells present in ``results`` are compared, so a filtered run
     never reports the filtered-out remainder as vanished.  Ladders are
-    re-captured live for ``cells`` (default: all golden cells whose
-    strategy appears in ``results``).
+    re-captured live for every golden cell whose strategy appears in
+    ``results``.
     """
     directory = directory or golden_dir()
     diff = GoldenDiff()
@@ -211,13 +216,7 @@ def compare_golden(
             ):
                 diff.vanished_cells.append(cell_id)
 
-    if cells is None:
-        strategies_seen = {r.cell.strategy_id for r in results.values()}
-        cells = [
-            cell for cell in golden_cells()
-            if cell.strategy_id in strategies_seen
-        ]
-    for cell in cells:
+    for cell in _ladder_cells(results):
         path = directory / ladder_filename(cell)
         observed = capture_ladder(cell, seed=seed)
         if not path.exists():
@@ -244,7 +243,6 @@ def bless(
     directory: Optional[Path] = None,
     seed: int = DEFAULT_SEED,
     repeats: Optional[int] = None,
-    cells: Optional[Sequence[ConformanceCell]] = None,
 ) -> List[Path]:
     """Write the verdict snapshot and golden ladders; returns the paths.
 
@@ -267,13 +265,7 @@ def bless(
     verdicts_path.write_text(json.dumps(snapshot, indent=2) + "\n")
     written.append(verdicts_path)
 
-    if cells is None:
-        strategies_seen = {r.cell.strategy_id for r in results.values()}
-        cells = [
-            cell for cell in golden_cells()
-            if cell.strategy_id in strategies_seen
-        ]
-    for cell in cells:
+    for cell in _ladder_cells(results):
         path = directory / ladder_filename(cell)
         path.write_text(capture_ladder(cell, seed=seed))
         written.append(path)

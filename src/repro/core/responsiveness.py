@@ -70,21 +70,21 @@ class ResponsivenessReport:
 class ResponsivenessProbe:
     """Runs the probe sequence against one server."""
 
+    #: TTL for the model probe's fake SYN: must cross the censor's hop
+    #: but fall short of the server (measure it like INTANG does).
+    insertion_ttl = 12
+
     def __init__(
         self,
         host: Host,
         tcp_host: TCPHost,
         clock: SimClock,
         rng: Optional[random.Random] = None,
-        insertion_ttl: int = 12,
     ) -> None:
         self.host = host
         self.tcp_host = tcp_host
         self.clock = clock
         self.rng = rng or random.Random(0x9B0BE)
-        #: TTL for the model probe's fake SYN: must cross the censor's
-        #: hop but fall short of the server (measure it like INTANG does).
-        self.insertion_ttl = insertion_ttl
         self._forged: List[IPPacket] = []
         host.register_handler(self._sniff, prepend=True)
 
@@ -95,9 +95,9 @@ class ResponsivenessProbe:
         return False
 
     # ------------------------------------------------------------------
-    def probe(self, server_ip: str, port: int = 80,
-              probe_model: bool = True) -> ResponsivenessReport:
-        """Run the canary + blacklist (+ model) probes against a server."""
+    def probe(self, server_ip: str, port: int = 80) -> ResponsivenessReport:
+        """Run the canary probe, then, if censored, the blacklist and
+        model probes against a server."""
         report = ResponsivenessReport(server_ip=server_ip)
         self._forged.clear()
         self._canary_request(server_ip, port)
@@ -111,8 +111,7 @@ class ResponsivenessProbe:
         )
         if report.censored:
             report.blacklist_active = self._blacklist_retry(server_ip, port)
-            if probe_model:
-                report.evolved_model = self._model_probe(server_ip, port)
+            report.evolved_model = self._model_probe(server_ip, port)
         return report
 
     # -- probe stages ---------------------------------------------------------

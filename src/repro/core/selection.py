@@ -77,23 +77,24 @@ class StrategyRecord:
 
 
 class StrategySelector:
-    """Chooses the most promising strategy for each server IP."""
+    """Chooses the most promising strategy for each server IP.
+
+    A strategy that has failed once for a server is skipped in favour
+    of the next one that has not; records are fronted by a 128-entry LRU.
+    """
 
     def __init__(
         self,
         store: KeyValueStore,
         priority: Sequence[str],
-        lru_capacity: int = 128,
         record_ttl: float = DEFAULT_RECORD_TTL,
-        max_failures_before_rotating: int = 1,
     ) -> None:
         if not priority:
             raise ValueError("the priority list cannot be empty")
         self.store = store
         self.priority = list(priority)
-        self.front_cache = LRUCache(capacity=lru_capacity)
+        self.front_cache = LRUCache(capacity=128)
         self.record_ttl = record_ttl
-        self.max_failures = max_failures_before_rotating
         self.choices_made = 0
 
     # ------------------------------------------------------------------
@@ -103,11 +104,10 @@ class StrategySelector:
         record = self._record_for(server_ip)
         if record.pinned is not None:
             return record.pinned
-        # Prefer untried strategies in priority order; skip ones that
-        # have repeatedly failed; fall back to the least-bad performer.
+        # Prefer strategies in priority order that have not failed here;
+        # fall back to the least-bad performer.
         for strategy_id in self.priority:
-            failures = record.outcomes.get(strategy_id, [0, 0])[1]
-            if record.attempts(strategy_id) == 0 or failures < self.max_failures:
+            if record.outcomes.get(strategy_id, [0, 0])[1] == 0:
                 return strategy_id
         return max(self.priority, key=record.success_rate)
 

@@ -112,7 +112,6 @@ class ConnectionContext:
         seq: Optional[int] = None,
         ack: Optional[int] = None,
         payload: bytes = b"",
-        ttl: int = 64,
     ) -> IPPacket:
         """A packet on this connection's four-tuple with given fields."""
         segment = TCPSegment(
@@ -124,7 +123,7 @@ class ConnectionContext:
             window=65535,
             payload=payload,
         )
-        packet = IPPacket(src=self.src_ip, dst=self.dst_ip, payload=segment, ttl=ttl)
+        packet = IPPacket(src=self.src_ip, dst=self.dst_ip, payload=segment)
         packet.meta["origin"] = "intang-insertion"
         return packet
 

@@ -25,7 +25,6 @@ from repro.experiments.vantage import CHINA_VANTAGE_POINTS, OUTSIDE_VANTAGE_POIN
 from repro.experiments.websites import inside_china_catalog, outside_china_catalog
 from repro.gfw import evolved_config
 from repro.strategies.improved import ImprovedTCBTeardown
-from repro.strategies.insertion import Discrepancy
 
 
 def _success(tally: VerdictDistribution) -> str:
@@ -46,11 +45,11 @@ DELTA_STRATEGY = "tcb-creation+resync-desync"
 DELTAS = (0, 1, 2, 4, 6)
 
 
-def _delta_points(vantages, sites, seed=13) -> List[Tuple[int, VerdictDistribution]]:
+def _delta_points(vantages, sites) -> List[Tuple[int, VerdictDistribution]]:
     return [
         (delta, _sweep_cell(
             DELTA_STRATEGY, DEFAULT_CALIBRATION.variant(hop_delta=delta),
-            vantages, sites, lambda v, w: seed + v * 1009 + w * 17 + delta * 131,
+            vantages, sites, lambda v, w: 13 + v * 1009 + w * 17 + delta * 131,
         ))
         for delta in DELTAS
     ]
@@ -98,9 +97,7 @@ def _redundancy_trial(copies: int, seed: int) -> bool:
     world = mini_topology(seed=seed, loss_rate=REDUNDANCY_LOSS_RATE)
 
     def factory(ctx):
-        return ImprovedTCBTeardown(
-            ctx, discrepancies=(Discrepancy.MD5_OPTION,), copies=copies
-        )
+        return ImprovedTCBTeardown(ctx, copies=copies)
 
     InterceptionFramework(
         host=world.client, clock=world.clock,
@@ -331,8 +328,7 @@ def provider_breakdown(sites: int) -> List[Tuple[str, Dict[str, VerdictDistribut
     catalog = outside_china_catalog(count=sites)
     return [
         (strategy_id, run_cell_by_provider(
-            strategy_id, CHINA_VANTAGE_POINTS, catalog, DEFAULT_CALIBRATION,
-            seed=5,
+            strategy_id, CHINA_VANTAGE_POINTS, catalog, seed=5
         ))
         for strategy_id, _note in PROVIDER_STRATEGIES
     ]

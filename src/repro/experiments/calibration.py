@@ -125,8 +125,6 @@ class Calibration:
     sim_hour: float = 12.0
 
     # -- tool parameters ------------------------------------------------------------
-    #: §3.4: insertion packets are repeated against loss.
-    insertion_copies: int = 3
     #: §7.1: δ subtracted from the measured hop count.
     hop_delta: int = 2
     #: Sim-seconds to run each trial before classification.

@@ -20,7 +20,7 @@ from repro.experiments.lab import (
 )
 from repro.experiments.parallel import map_trials
 from repro.experiments.runner import SENSITIVE_PATH, run_tor_trial, run_vpn_trial
-from repro.experiments.scenarios import build_scenario
+from repro.experiments.scenarios import build_scenario, release_scenario
 from repro.experiments.tables import render_table
 from repro.experiments.vantage import CHINA_VANTAGE_POINTS, vantage_by_name
 from repro.experiments.websites import outside_china_catalog
@@ -46,7 +46,7 @@ def threat_model() -> Dict:
     )
     scenario.run()
     drops = scenario.trace.filter(action="drop")
-    return {
+    result = {
         "hops": scenario.path.hop_count,
         "gfw_hop": scenario.gfw_devices[0].hop,
         "elements": [f"{e.name}@{e.hop}" for e in scenario.path.elements],
@@ -57,6 +57,8 @@ def threat_model() -> Dict:
         "detections": scenario.gfw_detections(),
         "gfw_drops": sum(1 for event in drops if "gfw" in event.location),
     }
+    release_scenario(scenario)
+    return result
 
 
 def format_threat_model(r: Dict) -> str:
@@ -352,16 +354,17 @@ def vpn_campaign() -> Dict:
         device.config.rules.detect_vpn = False
     session = OpenVPNClient(scenario.client_tcp).open_session(site.ip)
     scenario.run(8.0)
+    undetected_alive = (
+        session.established and session.payload_frames > 0 and not session.reset
+    )
+    release_scenario(scenario)
     return {
         "vantages": [
             {"name": v.name, "bare_reset": b.reset,
              "tunnel_up": h.frames_ok and not h.reset}
             for v, b, h in zip(vantages, bare, helped)
         ],
-        "undetected_alive": (
-            session.established and session.payload_frames > 0
-            and not session.reset
-        ),
+        "undetected_alive": undetected_alive,
     }
 
 

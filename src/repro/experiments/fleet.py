@@ -52,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.apps.http import HTTPClient
 from repro.core.intang import INTANG
-from repro.experiments.calibration import DEFAULT_CALIBRATION, Calibration
+from repro.experiments.calibration import DEFAULT_CALIBRATION
 from repro.experiments.parallel import map_trials
 from repro.experiments.outcomes import Outcome, VerdictDistribution, classify
 from repro.experiments.runner import BENIGN_PATH, SENSITIVE_PATH, attach_intang
@@ -434,14 +434,13 @@ def _fleet_flow_setup(
     flow: FlowSpec,
     shared: SharedGFWState,
     batch: BatchSim,
-    calibration: Calibration,
 ) -> _FleetFlowContext:
     """Lease a scenario built on the shared censor, queue the workload."""
     since = get_recorder().next_seq
     scenario = acquire_scenario(
         vantage=flow.vantage,
         website=flow.website,
-        calibration=calibration,
+        calibration=DEFAULT_CALIBRATION,
         seed=flow.seed,
         workload="http",
         gfw_variant=spec.gfw_variant,
@@ -717,7 +716,6 @@ def _run_wave(
     spec: FleetSpec,
     wave: Sequence[int],
     shared: SharedGFWState,
-    calibration: Calibration,
     result: FleetResult,
     latencies: Histogram,
     labelled: Dict[str, List[Outcome]],
@@ -733,9 +731,7 @@ def _run_wave(
     try:
         for index in wave:
             contexts.append(
-                _fleet_flow_setup(
-                    spec, flow_spec(spec, index), shared, batch, calibration
-                )
+                _fleet_flow_setup(spec, flow_spec(spec, index), shared, batch)
             )
         result.flow_events += batch.run(
             [ctx.scenario.calibration.trial_duration for ctx in contexts]
@@ -748,11 +744,7 @@ def _run_wave(
         )
 
 
-def run_fleet_group(
-    spec: FleetSpec,
-    group: int,
-    calibration: Calibration = DEFAULT_CALIBRATION,
-) -> FleetResult:
+def run_fleet_group(spec: FleetSpec, group: int) -> FleetResult:
     """Run one client group against its shared censor, wave by wave,
     into a one-group :class:`FleetResult`.
 
@@ -780,7 +772,7 @@ def run_fleet_group(
         collector_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            _run_wave(spec, wave, shared, calibration, result, latencies, labelled)
+            _run_wave(spec, wave, shared, result, latencies, labelled)
         finally:
             if collector_was_enabled:
                 gc.enable()

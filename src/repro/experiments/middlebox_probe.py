@@ -21,12 +21,14 @@ from typing import Dict, List
 
 from repro.netstack.fragment import fragment_packet
 from repro.netstack.packet import ACK, FIN, IPPacket, RST
-from repro.experiments.calibration import CLEAN_ROOM, Calibration
-from repro.experiments.scenarios import build_scenario
+from repro.experiments.calibration import CLEAN_ROOM
+from repro.experiments.scenarios import build_scenario, release_scenario
 from repro.experiments.vantage import VantagePoint
 from repro.experiments.websites import Website
 
 PROBE_REPEATS = 8
+#: Seed of a vantage's probe scenarios; repeat ``r`` uses ``PROBE_SEED + r``.
+PROBE_SEED = 42
 
 #: A controlled server (the paper's "our own servers").
 CONTROLLED_SERVER = Website(
@@ -61,14 +63,11 @@ def _fate(delivered: int, attempts: int) -> str:
     return "Sometimes dropped"
 
 
-def probe_vantage(
-    vantage: VantagePoint,
-    calibration: Calibration = CLEAN_ROOM,
-    seed: int = 42,
-) -> ProbeReport:
-    """Run the five-row probe of Table 2 from one vantage point."""
+def probe_vantage(vantage: VantagePoint) -> ProbeReport:
+    """Run the five-row probe of Table 2 from one vantage point, in the
+    sterile :data:`CLEAN_ROOM` so only the provider's boxes act."""
     results: Dict[str, str] = {}
-    results["ip-fragments"] = _probe_fragments(vantage, calibration, seed)
+    results["ip-fragments"] = _probe_fragments(vantage, PROBE_SEED)
     for label, builder in (
         ("bad-checksum", _bad_checksum_packet),
         ("no-flag", _no_flag_packet),
@@ -77,26 +76,24 @@ def probe_vantage(
     ):
         delivered = 0
         for repeat in range(PROBE_REPEATS):
-            if _probe_crafted(vantage, calibration, seed + repeat, builder):
+            if _probe_crafted(vantage, PROBE_SEED + repeat, builder):
                 delivered += 1
         results[label] = _fate(delivered, PROBE_REPEATS)
     return ProbeReport(vantage=vantage.name, results=results)
 
 
-def _base_scenario(vantage: VantagePoint, calibration: Calibration, seed: int):
+def _base_scenario(vantage: VantagePoint, seed: int):
     return build_scenario(
         vantage=vantage,
         website=CONTROLLED_SERVER,
-        calibration=calibration,
+        calibration=CLEAN_ROOM,
         seed=seed,
         workload="http",
     )
 
 
-def _probe_fragments(
-    vantage: VantagePoint, calibration: Calibration, seed: int
-) -> str:
-    scenario = _base_scenario(vantage, calibration, seed)
+def _probe_fragments(vantage: VantagePoint, seed: int) -> str:
+    scenario = _base_scenario(vantage, seed)
     seen: List[IPPacket] = []
 
     def sniff(packet: IPPacket, now: float) -> bool:
@@ -117,6 +114,7 @@ def _probe_fragments(
     for fragment in fragments:
         scenario.client.send(fragment)
     scenario.run(2.0)
+    release_scenario(scenario)
     arrived_fragments = [p for p in seen if p.is_fragment]
     arrived_whole = [p for p in seen if not p.is_fragment and p.is_tcp]
     if arrived_fragments:
@@ -139,9 +137,9 @@ def _payload_segment(rng: random.Random):
     )
 
 
-def _probe_crafted(vantage, calibration, seed, builder) -> bool:
+def _probe_crafted(vantage, seed, builder) -> bool:
     """Open a connection, fire one crafted packet, check server arrival."""
-    scenario = _base_scenario(vantage, calibration, seed)
+    scenario = _base_scenario(vantage, seed)
     seen: List[IPPacket] = []
 
     def sniff(packet: IPPacket, now: float) -> bool:
@@ -152,12 +150,12 @@ def _probe_crafted(vantage, calibration, seed, builder) -> bool:
     scenario.server.register_handler(sniff, prepend=True)
     connection = scenario.client_tcp.connect(CONTROLLED_SERVER.ip, 80)
     scenario.run(1.0)
-    if not connection.is_established:
-        return False
-    probe = builder(connection)
-    probe.meta["probe"] = True
-    scenario.client.send_raw(probe)
-    scenario.run(1.0)
+    if connection.is_established:
+        probe = builder(connection)
+        probe.meta["probe"] = True
+        scenario.client.send_raw(probe)
+        scenario.run(1.0)
+    release_scenario(scenario)
     return bool(seen)
 
 
@@ -179,9 +177,5 @@ def _fin_packet(connection) -> IPPacket:
     return connection.make_packet(flags=FIN | ACK)
 
 
-def probe_all(
-    vantages: List[VantagePoint],
-    calibration: Calibration = CLEAN_ROOM,
-    seed: int = 42,
-) -> List[ProbeReport]:
-    return [probe_vantage(vantage, calibration, seed) for vantage in vantages]
+def probe_all(vantages: List[VantagePoint]) -> List[ProbeReport]:
+    return [probe_vantage(vantage) for vantage in vantages]

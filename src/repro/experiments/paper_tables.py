@@ -174,7 +174,7 @@ def _table4_half(
     for label, strategy_id, repeats in rows:
         if strategy_id is None:  # "INTANG Performance", the adaptive row
             clusters = run_per_vantage_clusters(
-                vantages, sites, DEFAULT_CALIBRATION, repeats=repeats, seed=seed,
+                vantages, sites, repeats=repeats, seed=seed,
             )
         else:  # a fixed strategy's row is its Table 1 keyword cell
             clusters = run_strategy_clusters(

@@ -432,15 +432,11 @@ def run_cell_by_provider(
     strategy_id: str,
     vantages: Sequence[VantagePoint],
     websites: Sequence[Website],
-    calibration: Calibration = DEFAULT_CALIBRATION,
-    repeats: int = 1,
     seed: int = 0,
-    keyword: bool = True,
-    workers: Optional[int] = None,
 ) -> Dict[str, VerdictDistribution]:
-    """One strategy's rates broken down by provider profile: its
-    :func:`run_strategy_clusters` summed per provider, in order of first
-    appearance.
+    """One strategy's keyword rates broken down by provider profile: its
+    :func:`run_strategy_clusters` (one trial per site, paper-default
+    calibration) summed per provider, in order of first appearance.
 
     §7.1 observes that "both the Failures 1 and Failures 2 always happen
     with regards to a few specific websites/IPs" and vantage points; the
@@ -448,8 +444,7 @@ def run_cell_by_provider(
     sanitizers, Aliyun's fragment policy) directly visible.
     """
     clusters = run_strategy_clusters(
-        strategy_id, vantages, websites, calibration,
-        repeats=repeats, seed=seed, keyword=keyword, workers=workers,
+        strategy_id, vantages, websites, DEFAULT_CALIBRATION, seed=seed
     )
     by_provider: Dict[str, VerdictDistribution] = {}
     for vantage, row in zip(vantages, clusters):
@@ -464,7 +459,6 @@ def _vantage_row_worker(
     vantage: VantagePoint,
     v_index: int,
     websites: Sequence[Website],
-    calibration: Calibration,
     repeats: int,
     seed: int,
 ) -> List[VerdictDistribution]:
@@ -480,7 +474,7 @@ def _vantage_row_worker(
     return [
         VerdictDistribution.from_outcomes(
             run_http_trial(
-                vantage, website, None, calibration,
+                vantage, website, None, DEFAULT_CALIBRATION,
                 seed=trial_seed(seed, v_index, w_index, repeat, "intang"),
                 keyword=True,
                 selector=selector,
@@ -494,7 +488,6 @@ def _vantage_row_worker(
 def run_per_vantage_clusters(
     vantages: Sequence[VantagePoint],
     websites: Sequence[Website],
-    calibration: Calibration = DEFAULT_CALIBRATION,
     repeats: int = 1,
     seed: int = 0,
     workers: Optional[int] = None,
@@ -503,11 +496,12 @@ def run_per_vantage_clusters(
     ``clusters[v][w]`` tallies the keyword trials of ``vantages[v]``
     against ``websites[w]`` with INTANG's selector choosing the strategy
     and carrying its history across one vantage's sites and repeats,
-    fanned out a vantage at a time.  Table 4's fixed-strategy rows are
-    :func:`run_strategy_clusters` cells."""
+    fanned out a vantage at a time, in the paper-default calibration.
+    Table 4's fixed-strategy rows are :func:`run_strategy_clusters`
+    cells."""
     websites = tuple(websites)
     tasks = [
-        (vantage, v_index, websites, calibration, repeats, seed)
+        (vantage, v_index, websites, repeats, seed)
         for v_index, vantage in enumerate(vantages)
     ]
     return map_trials(_vantage_row_worker, tasks, workers=workers)
@@ -530,13 +524,12 @@ class DNSTrialResult:
 def run_dns_trial(
     vantage: VantagePoint,
     resolver: Resolver,
-    strategy_id: Optional[str] = "improved-tcb-teardown",
     calibration: Calibration = DEFAULT_CALIBRATION,
     seed: int = 0,
-    domain: str = "www.dropbox.com",
     use_intang: bool = True,
 ) -> DNSTrialResult:
-    """Resolve a censored domain once, through INTANG's DNS forwarder.
+    """Resolve the censored ``www.dropbox.com`` once, through INTANG's DNS
+    forwarder running the improved TCB teardown.
 
     Success is the paper's: the honest answer arrives (no poisoning, no
     TCP reset).  Without INTANG the UDP query is poisoned in flight.
@@ -560,13 +553,15 @@ def run_dns_trial(
     )
     if use_intang:
         attach_intang(
-            scenario, strategy_id, random.Random(seed ^ 0xD5),
+            scenario, "improved-tcb-teardown", random.Random(seed ^ 0xD5),
             dns_resolver_ip=resolver.ip,
         )
     assert scenario.udp_client is not None
     client = DNSUdpClient(scenario.udp_client, resolver.ip, scenario.clock)
     answers: List[str] = []
-    client.resolve(domain, lambda message: answers.extend(message.answers))
+    client.resolve(
+        "www.dropbox.com", lambda message: answers.extend(message.answers)
+    )
     scenario.run()
     release_scenario(scenario)
     answered = bool(answers)
@@ -586,7 +581,7 @@ def run_table6_rows(queries: int) -> List[Tuple[str, str, Dict[str, int]]]:
     mod 977); seeds are fixed before fan-out, so every count is
     identical for any worker count."""
     tasks = [
-        (vantage, resolver, "improved-tcb-teardown", DEFAULT_CALIBRATION,
+        (vantage, resolver, DEFAULT_CALIBRATION,
          zlib.crc32(resolver.ip.encode("utf-8")) % 977 + q)
         for resolver in DYN_RESOLVERS
         for vantage in CHINA_VANTAGE_POINTS

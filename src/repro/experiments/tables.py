@@ -46,7 +46,6 @@ def pct(value: float) -> str:
 
 def format_table1(
     results: List[Tuple[str, str, VerdictDistribution, VerdictDistribution]],
-    title: str = "Table 1: existing evasion strategies",
 ) -> str:
     """``results``: (strategy label, discrepancy, with-kw, without-kw)."""
     headers = [
@@ -61,18 +60,20 @@ def format_table1(
         rows.append(
             [label, discrepancy, pct(s), pct(f1), pct(f2), pct(bs), pct(bf1 + _bf2)]
         )
-    return render_table(headers, rows, title)
+    return render_table(headers, rows, "Table 1: existing evasion strategies")
 
 
-def format_table2(reports, title: str = "Table 2: client-side middlebox behaviors") -> str:
+def format_table2(reports) -> str:
     headers = ["Vantage point", "IP fragments", "Wrong checksum", "No TCP flag", "RST", "FIN"]
     rows = [report.row() for report in reports]
-    return render_table(headers, rows, title)
+    return render_table(headers, rows, "Table 2: client-side middlebox behaviors")
 
 
-def format_table3(rows: List[Sequence[str]], title: str = "Table 3: candidate insertion packets") -> str:
+def format_table3(rows: List[Sequence[str]]) -> str:
     headers = ["TCP state", "GFW state", "TCP flags", "Condition"]
-    return render_table(headers, [list(row) for row in rows], title)
+    return render_table(
+        headers, [list(row) for row in rows], "Table 3: candidate insertion packets"
+    )
 
 
 def format_table4(
@@ -99,29 +100,25 @@ def format_table4(
     return render_table(headers, rows, title)
 
 
-def format_table5(
-    preferences: Dict[str, Sequence[str]],
-    title: str = "Table 5: preferred construction of insertion packets",
-) -> str:
+def format_table5(preferences: Dict[str, Sequence[str]]) -> str:
     all_vehicles = ["ttl", "md5", "bad-ack", "old-timestamp"]
     headers = ["Packet type"] + ["TTL", "MD5", "Bad ACK", "Timestamp"]
     rows = []
     for packet_type, vehicles in preferences.items():
         marks = ["x" if vehicle in vehicles else "" for vehicle in all_vehicles]
         rows.append([packet_type] + marks)
-    return render_table(headers, rows, title)
+    return render_table(
+        headers, rows, "Table 5: preferred construction of insertion packets"
+    )
 
 
-def format_table6(
-    results: List[Tuple[str, str, float, float]],
-    title: str = "Table 6: TCP DNS censorship evasion",
-) -> str:
+def format_table6(results: List[Tuple[str, str, float, float]]) -> str:
     headers = ["DNS resolver", "IP", "except Tianjin", "All"]
     rows = [
         [name, ip, pct(ex_tj * 100), pct(all_rate * 100)]
         for name, ip, ex_tj, all_rate in results
     ]
-    return render_table(headers, rows, title)
+    return render_table(headers, rows, "Table 6: TCP DNS censorship evasion")
 
 
 def format_rate_line(label: str, tally: VerdictDistribution) -> str:
@@ -140,7 +137,6 @@ def format_rate_line(label: str, tally: VerdictDistribution) -> str:
 def format_disagreement_matrix(
     matrix: Dict[str, Dict[str, str]],
     routes: Sequence[str],
-    title: str = "Per-route disagreement matrix (verdicts across vantage points)",
 ) -> str:
     """Ensafi-style strategy × route verdict matrix; rows where the
     verdict set has more than one element are flagged with ``!=``."""
@@ -151,13 +147,13 @@ def format_disagreement_matrix(
         row = [strategy] + [verdicts.get(route, "-") for route in routes]
         row.append("yes" if len(set(verdicts.values())) <= 1 else "!=")
         rows.append(row)
-    return render_table(headers, rows, title)
+    return render_table(
+        headers, rows,
+        "Per-route disagreement matrix (verdicts across vantage points)",
+    )
 
 
-def format_diurnal_curve(
-    curve: Sequence[Dict],
-    title: str = "Diurnal reset suppression (all routes pooled)",
-) -> str:
+def format_diurnal_curve(curve: Sequence[Dict]) -> str:
     headers = ["Hour", "Detections", "RSTs injected", "Suppressed", "Suppression"]
     rows = [
         [
@@ -169,13 +165,10 @@ def format_diurnal_curve(
         ]
         for point in curve
     ]
-    return render_table(headers, rows, title)
+    return render_table(headers, rows, "Diurnal reset suppression (all routes pooled)")
 
 
-def format_churn_timeline(
-    timeline: Sequence[Dict],
-    title: str = "Blacklist churn (adds / TTL expirations per hour)",
-) -> str:
+def format_churn_timeline(timeline: Sequence[Dict]) -> str:
     headers = ["Hour", "Blacklist adds", "TTL expirations"]
     rows = [
         [
@@ -185,4 +178,6 @@ def format_churn_timeline(
         ]
         for point in timeline
     ]
-    return render_table(headers, rows, title)
+    return render_table(
+        headers, rows, "Blacklist churn (adds / TTL expirations per hour)"
+    )

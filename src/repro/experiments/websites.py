@@ -137,13 +137,9 @@ def outside_china_catalog(
     return _catalog(count, seed, calibration, inside_china=False)
 
 
-def inside_china_catalog(
-    count: int = 33,
-    seed: int = 7102,
-    calibration: Calibration = DEFAULT_CALIBRATION,
-) -> List[Website]:
+def inside_china_catalog(count: int = 33) -> List[Website]:
     """The 33 Chinese sites measured from outside China (§7)."""
-    return _catalog(count, seed, calibration, inside_china=True)
+    return _catalog(count, 7102, DEFAULT_CALIBRATION, inside_china=True)
 
 
 @dataclass(frozen=True)

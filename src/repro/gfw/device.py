@@ -33,7 +33,7 @@ import random
 import zlib
 from typing import Dict, List, Optional, Tuple
 
-from repro.netstack.fragment import FragmentReassembler
+from repro.netstack.fragment import FragmentReassembler, OverlapPolicy
 from repro.netstack.packet import (
     ACK,
     FIN,
@@ -49,7 +49,7 @@ from repro.netstack.packet import (
 # Flag masks for the inlined per-packet dispatch in ``_process_tcp``.
 _SYN_ACK_RST_FIN = SYN | ACK | RST | FIN
 _SYN_ACK = SYN | ACK
-from repro.netstack.wire import tcp_checksum_valid, wire_lengths
+from repro.netstack.wire import tcp_checksum_valid
 from repro.netstack.options import KIND_MD5SIG
 from repro.netsim.path import Direction, Tap
 from repro.netsim.simclock import SimClock
@@ -62,6 +62,9 @@ from repro.gfw.resets import ResetInjector
 from repro.gfw.rules import Detection
 from repro.telemetry.recorder import Recorder, get_recorder
 from repro.telemetry.metrics import get_registry
+
+#: IP fragment overlap: both GFW generations keep the former (§3.2).
+_IP_FRAG_POLICY = OverlapPolicy.FIRST_WINS
 
 # Process-lifetime registry instruments, resolved once at import: devices
 # are rebuilt per trial, and nine name lookups per device showed up in
@@ -166,7 +169,7 @@ class GFWDevice(Tap):
         #: shared :class:`FlowTable` even when their four-tuples collide.
         #: ``None`` (the default) keeps the historical un-prefixed keys.
         self.flow_namespace: Optional[int] = None
-        self._fragments = FragmentReassembler(policy=config.ip_frag_policy)
+        self._fragments = FragmentReassembler(policy=_IP_FRAG_POLICY)
         #: IPs blocked wholesale after Tor active probing (§7.3).
         self.blocked_ips: set = blocked_ips if blocked_ips is not None else set()
         #: Measurement hooks.
@@ -227,7 +230,7 @@ class GFWDevice(Tap):
             self._process_tcp(packet, payload, now)
             return
         if payload.__class__ is UDPDatagram:
-            if self.dns_poisoner is not None and self.config.dns_poisoning:
+            if self.dns_poisoner is not None:
                 self.dns_poisoner.handle(self, packet, direction, now)
 
     def reset_state(self) -> None:
@@ -237,7 +240,7 @@ class GFWDevice(Tap):
         self.flows.reset()
         self.blacklist.clear()
         self.blocked_ips.clear()
-        self._fragments = FragmentReassembler(policy=self.config.ip_frag_policy)
+        self._fragments = FragmentReassembler(policy=_IP_FRAG_POLICY)
         self.detections.clear()
         self.missed_detections.clear()
         self.resets_injected = 0
@@ -303,16 +306,6 @@ class GFWDevice(Tap):
             and segment.find_option(KIND_MD5SIG) is not None
         ):
             return
-        if self.config.validates_tcp_header_length:
-            if segment.data_offset_override is not None and segment.data_offset_override < 5:
-                return
-        if (
-            self.config.validates_ip_total_length
-            and packet.total_length_override is not None
-        ):
-            emitted, actual = wire_lengths(packet)
-            if emitted > actual:
-                return
 
         flow = self.flows.get(key)
         if flow is None:

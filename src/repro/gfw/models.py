@@ -56,10 +56,7 @@ class GFWConfig:
     # -- packet acceptance (the GFW-side of Table 3) -------------------------
     validates_checksum: bool = False
     drops_unsolicited_md5: bool = False
-    checks_timestamps: bool = False
     validates_ack_number: bool = False
-    validates_ip_total_length: bool = False
-    validates_tcp_header_length: bool = False
     #: Some evolved device instances ignore flag-less segments; the ~50 %
     #: "no TCP flag" failure rate of Table 1 reflects a device mixture.
     accepts_no_flag_data: bool = True
@@ -69,8 +66,6 @@ class GFWConfig:
     #: Out-of-order TCP segment overlap: the old model prefers the latter
     #: (Khattak), most evolved devices the former.
     tcp_ooo_policy: OverlapPolicy = OverlapPolicy.FIRST_WINS
-    #: IP fragment overlap: both generations prefer the former (§3.2).
-    ip_frag_policy: OverlapPolicy = OverlapPolicy.FIRST_WINS
 
     # -- operational ------------------------------------------------------------
     #: Maximum concurrent TCBs one device tracks; the least recently
@@ -97,11 +92,6 @@ class GFWConfig:
     sim_hour: float = 12.0
     #: Sequence window tolerated around the expected client seq.
     seq_window: int = 65535
-    #: This device performs Tor active probing (§7.3: absent on paths
-    #: from Northern China).
-    tor_active_probing: bool = True
-    #: UDP DNS poisoning enabled.
-    dns_poisoning: bool = True
 
     def variant(self, **changes: object) -> "GFWConfig":
         """A copy with ``changes`` applied (rules shared intentionally)."""

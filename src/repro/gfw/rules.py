@@ -41,9 +41,6 @@ class RuleSet:
     """The rule base a GFW device applies to reassembled streams."""
 
     keywords: List[bytes] = field(default_factory=lambda: list(DEFAULT_KEYWORDS))
-    poisoned_domains: List[str] = field(
-        default_factory=lambda: list(DEFAULT_POISONED_DOMAINS)
-    )
     #: Whether HTTP *responses* are inspected.  Park et al. found response
     #: filtering discontinued (§2.1 / §5.2); default False.
     censor_http_responses: bool = False
@@ -63,7 +60,7 @@ class RuleSet:
 
     def domain_is_poisoned(self, domain: str) -> bool:
         domain = domain.lower().rstrip(".")
-        for poisoned in self.poisoned_domains:
+        for poisoned in DEFAULT_POISONED_DOMAINS:
             if domain == poisoned or domain.endswith("." + poisoned):
                 return True
         return False

@@ -154,22 +154,19 @@ class StatefulFirewallBox(InlineBox):
     so a desync packet can shift its expectations.
     """
 
+    #: Sequence window tolerated around each side's expected seq.
+    seq_window = 65535
+
     def __init__(
         self,
         name: str,
         hop: int,
-        teardown_on_rst: bool = True,
-        teardown_on_fin: bool = True,
         check_sequences: bool = False,
-        seq_window: int = 65535,
         teardown_probability: float = 1.0,
         rng: Optional[random.Random] = None,
     ) -> None:
         super().__init__(name, hop)
-        self.teardown_on_rst = teardown_on_rst
-        self.teardown_on_fin = teardown_on_fin
         self.check_sequences = check_sequences
-        self.seq_window = seq_window
         #: Probability a matching RST/FIN actually poisons the entry —
         #: some boxes only "sometimes" adopt forged control packets.
         self.teardown_probability = teardown_probability
@@ -207,11 +204,11 @@ class StatefulFirewallBox(InlineBox):
         if segment.is_synack and not entry.server_seq_known:
             entry.server_next = seq_add(segment.seq, 1)
             entry.server_seq_known = True
-        if segment.is_rst and self.teardown_on_rst and self._teardown_roll():
+        if segment.is_rst and self._teardown_roll():
             entry.torn_down = True
             self.teardowns += 1
             return ProcessResult.forward()
-        if segment.is_fin and self.teardown_on_fin and self._teardown_roll():
+        if segment.is_fin and self._teardown_roll():
             entry.torn_down = True
             self.teardowns += 1
             return ProcessResult.forward()

@@ -56,6 +56,8 @@ from repro.telemetry.recorder import get_recorder
 #: loop's runaway guard, so a trial can never overflow into the next
 #: trial's seq range.
 TRIAL_SHIFT = 32
+#: Runaway guard: a wave's event budget per adopted trial.
+MAX_EVENTS_PER_TRIAL = 1_000_000
 
 
 class BatchSim:
@@ -115,16 +117,13 @@ class BatchSim:
         clock._seq = tid << TRIAL_SHIFT
         return tid
 
-    def run(
-        self,
-        until: Union[float, Sequence[float]],
-        max_events_per_trial: int = 1_000_000,
-    ) -> int:
+    def run(self, until: Union[float, Sequence[float]]) -> int:
         """Drain the shared heap, firing each event on its own clock.
 
         ``until`` is either one horizon shared by every trial or a
         per-trial sequence aligned with adoption order.  Returns the
-        number of events executed across all trials.
+        number of events executed across all trials, at most
+        :data:`MAX_EVENTS_PER_TRIAL` per adopted trial.
         """
         clocks = self._clocks
         if isinstance(until, (int, float)):
@@ -140,7 +139,7 @@ class BatchSim:
         queue = self._queue
         pop = heapq.heappop
         executed = 0
-        budget = max_events_per_trial * max(1, len(clocks))
+        budget = MAX_EVENTS_PER_TRIAL * max(1, len(clocks))
         recorder = get_recorder()
         span = recorder.begin(
             f"batch.run[{len(clocks)}]", "batch-run", trials=len(clocks)

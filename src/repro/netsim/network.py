@@ -63,7 +63,6 @@ class Path:
         base_delay: float = 0.04,
         loss_rate: float = 0.0,
         jitter: float = 0.0,
-        name: Optional[str] = None,
     ) -> None:
         if hop_count < 2:
             raise ValueError("a path needs at least two hops")
@@ -78,7 +77,7 @@ class Path:
         #: Nonzero jitter lets closely spaced packets *reorder* in
         #: flight — endpoint reassembly must cope (and does).
         self.jitter = jitter
-        self.name = name or f"{client_ip}<->{server_ip}"
+        self.name = f"{client_ip}<->{server_ip}"
         self.elements: List[PathElement] = []
         self.network: Optional["Network"] = None
         #: (hops ascending, elements ascending, elements descending) or

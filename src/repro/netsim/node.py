@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.netstack.fragment import FragmentReassembler, OverlapPolicy
+from repro.netstack.fragment import FragmentReassembler
 from repro.netstack.packet import IPPacket
 
 PacketHandler = Callable[[IPPacket, float], None]
@@ -47,18 +47,14 @@ class Host(Endpoint):
     delivered (and, when fragmented, reassembled) packet in registration
     order until one claims it by returning True.  Egress filters wrap
     :meth:`send` and model client-side packet manipulation (INTANG).
+    Fragments are reassembled last-wins, as endpoint stacks do (§3.2).
     """
 
-    def __init__(
-        self,
-        ip: str,
-        name: Optional[str] = None,
-        fragment_policy: OverlapPolicy = OverlapPolicy.LAST_WINS,
-    ) -> None:
+    def __init__(self, ip: str, name: Optional[str] = None) -> None:
         super().__init__(ip, name)
         self._handlers: List[Callable[[IPPacket, float], bool]] = []
         self._egress_filters: List[EgressFilter] = []
-        self._reassembler = FragmentReassembler(policy=fragment_policy)
+        self._reassembler = FragmentReassembler()
         #: Count of packets that arrived but no handler claimed.
         self.unclaimed_packets = 0
 

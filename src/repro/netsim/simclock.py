@@ -90,8 +90,8 @@ class SimClock:
 
     __slots__ = ("_now", "_seq", "_queue", "_run_until", "_tail")
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = start
+    def __init__(self) -> None:
+        self._now = 0.0
         self._seq = 0
         self._queue: List[Tuple[float, int, Event]] = []
         self._run_until = _INF
@@ -170,14 +170,14 @@ class SimClock:
         """Number of queued (possibly cancelled) events."""
         return sum(1 for _, _, event in self._queue if not event.cancelled)
 
-    def reset(self, start: float = 0.0) -> None:
-        """Drop all queued events and rewind to ``start``.
+    def reset(self) -> None:
+        """Drop all queued events and rewind to time zero.
 
         In-place, so every object holding this clock (TCP stacks, GFW
         devices, the network) sees the cleared queue.
         """
         self._queue.clear()
-        self._now = start
+        self._now = 0.0
         self._seq = 0
         self._run_until = _INF
         self._tail = None

@@ -42,22 +42,6 @@ class TCPOption:
 
 
 @dataclass(frozen=True)
-class EndOfOptionsOption(TCPOption):
-    kind: int = field(init=False, default=KIND_EOL)
-
-    def to_bytes(self) -> bytes:
-        return bytes([KIND_EOL])
-
-
-@dataclass(frozen=True)
-class NopOption(TCPOption):
-    kind: int = field(init=False, default=KIND_NOP)
-
-    def to_bytes(self) -> bytes:
-        return bytes([KIND_NOP])
-
-
-@dataclass(frozen=True)
 class MSSOption(TCPOption):
     """Maximum segment size, negotiated on SYN/SYN-ACK."""
 

@@ -332,8 +332,6 @@ def tcp_packet(
     ack: int = 0,
     payload: bytes = b"",
     ttl: int = 64,
-    window: int = 65535,
-    options: Optional[List[TCPOption]] = None,
     checksum_override: Optional[int] = None,
 ) -> IPPacket:
     """Convenience constructor for a whole TCP/IPv4 packet."""
@@ -343,9 +341,7 @@ def tcp_packet(
         seq=seq,
         ack=ack,
         flags=flags,
-        window=window,
         payload=payload,
-        options=list(options) if options else [],
         checksum_override=checksum_override,
     )
     return IPPacket(src=src, dst=dst, payload=segment, ttl=ttl)
@@ -357,11 +353,10 @@ def udp_packet(
     src_port: int,
     dst_port: int,
     payload: bytes = b"",
-    ttl: int = 64,
 ) -> IPPacket:
     """Convenience constructor for a whole UDP/IPv4 packet."""
     datagram = UDPDatagram(src_port=src_port, dst_port=dst_port, payload=payload)
-    return IPPacket(src=src, dst=dst, payload=datagram, ttl=ttl)
+    return IPPacket(src=src, dst=dst, payload=datagram)
 
 
 def seq_lt(a: int, b: int) -> bool:

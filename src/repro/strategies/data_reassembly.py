@@ -47,10 +47,11 @@ class OutOfOrderIPFragments(EvasionStrategy):
 
     strategy_id = "ooo-ip-fragments"
     description = "Out-of-order overlapping IP fragments."
+    #: Shorter payloads are released whole.
+    min_payload = 32
 
-    def __init__(self, ctx: ConnectionContext, min_payload: int = 32) -> None:
+    def __init__(self, ctx: ConnectionContext) -> None:
         super().__init__(ctx)
-        self.min_payload = min_payload
         self.packets_fragmented = 0
 
     def on_outgoing(self, packet: IPPacket) -> List[IPPacket]:
@@ -106,10 +107,11 @@ class OutOfOrderTCPSegments(EvasionStrategy):
 
     strategy_id = "ooo-tcp-segments"
     description = "Out-of-order overlapping TCP segments."
+    #: Shorter payloads are released whole.
+    min_payload = 32
 
-    def __init__(self, ctx: ConnectionContext, min_payload: int = 32) -> None:
+    def __init__(self, ctx: ConnectionContext) -> None:
         super().__init__(ctx)
-        self.min_payload = min_payload
         self._fired = False
 
     def on_outgoing(self, packet: IPPacket) -> List[IPPacket]:
@@ -149,23 +151,21 @@ class InOrderDataOverlap(EvasionStrategy):
 
     strategy_id = "inorder-overlap"
     description = "In-order junk-data prefill of the GFW buffer."
+    #: Insertion copies of the junk packet (§3.4: repeated against loss).
+    copies = 2
 
     def __init__(
         self,
         ctx: ConnectionContext,
         discrepancy: Discrepancy = Discrepancy.LOW_TTL,
-        copies: int = 2,
-        min_payload: int = 1,
     ) -> None:
         super().__init__(ctx)
         self.discrepancy = discrepancy
-        self.copies = copies
-        self.min_payload = min_payload
         self._fired = False
 
     def on_outgoing(self, packet: IPPacket) -> List[IPPacket]:
         segment = packet.tcp
-        if self._fired or len(segment.payload) < self.min_payload:
+        if self._fired or not segment.payload:
             return [packet]
         self._fired = True
         junk = self.ctx.make_packet(

@@ -16,7 +16,7 @@ suspecting it might be in) the RESYNC state.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.netstack.packet import ACK, IPPacket
 from repro.core.strategy_base import ConnectionContext
@@ -27,7 +27,7 @@ from repro.strategies.insertion import junk_payload
 DESYNC_SEQ_DISTANCE = 0x40000000
 
 
-def make_desync_packet(ctx: ConnectionContext, payload_len: int = 1) -> IPPacket:
+def make_desync_packet(ctx: ConnectionContext) -> IPPacket:
     """Build the out-of-window junk data packet.
 
     No field discrepancy is needed: the out-of-window sequence number
@@ -40,22 +40,14 @@ def make_desync_packet(ctx: ConnectionContext, payload_len: int = 1) -> IPPacket
         flags=ACK,
         seq=ctx.out_of_window_seq(DESYNC_SEQ_DISTANCE),
         ack=ctx.rcv_nxt,
-        payload=junk_payload(ctx, payload_len),
+        payload=junk_payload(ctx, 1),
     )
     packet.meta["desync"] = True
     return packet
 
 
-def send_desync_packet(
-    ctx: ConnectionContext,
-    released: Optional[List[IPPacket]] = None,
-    copies: int = 2,
-    payload_len: int = 1,
-) -> IPPacket:
-    """Emit the desync packet, either immediately or after ``released``."""
-    packet = make_desync_packet(ctx, payload_len)
-    if released is None:
-        ctx.send_insertion(packet, copies=copies)
-    else:
-        ctx.queue_insertion(released, packet, copies=copies)
+def send_desync_packet(ctx: ConnectionContext, released: List[IPPacket]) -> IPPacket:
+    """Queue two copies of the desync packet after ``released``."""
+    packet = make_desync_packet(ctx)
+    ctx.queue_insertion(released, packet, copies=2)
     return packet

@@ -18,7 +18,7 @@ shows some client-side middleboxes sanitize.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from repro.netstack.packet import IPPacket, RST
 from repro.core.strategy_base import ConnectionContext, EvasionStrategy
@@ -34,20 +34,16 @@ class ImprovedTCBTeardown(EvasionStrategy):
     """RST teardown on safe vehicles + desync packet (Table 4 row 1)."""
 
     strategy_id = "improved-tcb-teardown"
-    description = "RST teardown (MD5/TTL) hardened with a desync packet."
+    description = "RST teardown (MD5 option) hardened with a desync packet."
 
     #: Table 5 lists TTL and MD5 for RSTs; the MD5 vehicle alone already
     #: reaches the GFW on every path and is never middlebox-dropped nor
     #: server-effective (except pre-RFC2385 kernels), so the improved
-    #: strategy defaults to it and leaves TTL as an opt-in fallback.
-    def __init__(
-        self,
-        ctx: ConnectionContext,
-        discrepancies: Sequence[Discrepancy] = (Discrepancy.MD5_OPTION,),
-        copies: int = 2,
-    ) -> None:
+    #: strategy uses it alone.
+    discrepancies = (Discrepancy.MD5_OPTION,)
+
+    def __init__(self, ctx: ConnectionContext, copies: int = 2) -> None:
         super().__init__(ctx)
-        self.discrepancies = tuple(discrepancies)
         self.copies = copies
         self._fired = False
 
@@ -72,7 +68,7 @@ class ImprovedTCBTeardown(EvasionStrategy):
             self.ctx.queue_insertion(released, teardown, copies=self.copies)
         # The RSTs may have left an evolved device in RESYNC (NB3):
         # poison the re-anchoring before the real request goes out.
-        send_desync_packet(self.ctx, released, copies=2)
+        send_desync_packet(self.ctx, released)
         return released
 
 
@@ -81,26 +77,17 @@ class ImprovedInOrderOverlap(EvasionStrategy):
 
     strategy_id = "improved-inorder-overlap"
     description = "Junk prefill using MD5-option and old-timestamp packets."
+    #: Table 5's middlebox-safe data vehicles, two copies of each.
+    discrepancies = (Discrepancy.MD5_OPTION, Discrepancy.OLD_TIMESTAMP)
+    copies = 2
 
-    def __init__(
-        self,
-        ctx: ConnectionContext,
-        discrepancies: Sequence[Discrepancy] = (
-            Discrepancy.MD5_OPTION,
-            Discrepancy.OLD_TIMESTAMP,
-        ),
-        copies: int = 2,
-        min_payload: int = 1,
-    ) -> None:
+    def __init__(self, ctx: ConnectionContext) -> None:
         super().__init__(ctx)
-        self.discrepancies = tuple(discrepancies)
-        self.copies = copies
-        self.min_payload = min_payload
         self._fired = False
 
     def on_outgoing(self, packet: IPPacket) -> List[IPPacket]:
         segment = packet.tcp
-        if self._fired or len(segment.payload) < self.min_payload:
+        if self._fired or not segment.payload:
             return [packet]
         self._fired = True
         for discrepancy in self.discrepancies:

@@ -21,7 +21,7 @@ ACK numbers or old timestamps would still reset an ESTABLISHED server —
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.netstack.options import MD5SignatureOption, TimestampOption
 from repro.netstack.packet import ACK, IPPacket, RST, seq_add
@@ -130,13 +130,11 @@ def craft_insertion(
     ctx: ConnectionContext,
     flags: int,
     discrepancy: Discrepancy,
-    seq: Optional[int] = None,
-    ack: Optional[int] = None,
     payload: bytes = b"",
 ) -> IPPacket:
     """Build an insertion packet on the context's connection and apply
     one discrepancy, validating it against the Table 5 preference map."""
-    base = ctx.make_packet(flags=flags, seq=seq, ack=ack, payload=payload)
+    base = ctx.make_packet(flags=flags, payload=payload)
     kind = packet_type_of(base)
     allowed = PREFERRED_DISCREPANCIES.get(kind, tuple(Discrepancy))
     if discrepancy not in allowed and discrepancy not in (

@@ -33,10 +33,11 @@ class ResyncDesync(EvasionStrategy):
 
     strategy_id = "resync-desync"
     description = "Force RESYNC with a late SYN, then desynchronize."
+    #: Insertion copies of each fake SYN (§3.4: repeated against loss).
+    copies = 3
 
-    def __init__(self, ctx: ConnectionContext, copies: int = 3) -> None:
+    def __init__(self, ctx: ConnectionContext) -> None:
         super().__init__(ctx)
-        self.copies = copies
         self._fired = False
 
     def on_outgoing(self, packet: IPPacket) -> List[IPPacket]:
@@ -63,7 +64,7 @@ class ResyncDesync(EvasionStrategy):
         )
         fake_syn = apply_discrepancy(fake_syn, Discrepancy.LOW_TTL, self.ctx)
         self.ctx.queue_insertion(released, fake_syn, copies=self.copies)
-        send_desync_packet(self.ctx, released, copies=2)
+        send_desync_packet(self.ctx, released)
 
 
 class TCBCreationResyncDesync(ResyncDesync):
@@ -78,8 +79,8 @@ class TCBCreationResyncDesync(ResyncDesync):
     strategy_id = "tcb-creation+resync-desync"
     description = "Fig. 3 combination: defeats old and evolved GFW models."
 
-    def __init__(self, ctx: ConnectionContext, copies: int = 3) -> None:
-        super().__init__(ctx, copies=copies)
+    def __init__(self, ctx: ConnectionContext) -> None:
+        super().__init__(ctx)
         self._pre_syn_sent = False
 
     def on_outgoing(self, packet: IPPacket) -> List[IPPacket]:

@@ -32,18 +32,18 @@ class TCBCreationWithSYN(EvasionStrategy):
 
     strategy_id = "tcb-creation-syn"
     description = "Fake-SYN TCB creation (Khattak-era strategy)."
+    #: Insertion copies of the fake SYN (§3.4: repeated against loss).
+    copies = 3
 
     def __init__(
         self,
         ctx: ConnectionContext,
         discrepancy: Discrepancy = Discrepancy.LOW_TTL,
-        copies: int = 3,
     ) -> None:
         super().__init__(ctx)
         if discrepancy not in (Discrepancy.LOW_TTL, Discrepancy.BAD_CHECKSUM):
             raise ValueError("SYN insertion packets support TTL/bad-checksum only")
         self.discrepancy = discrepancy
-        self.copies = copies
         self._fired = False
 
     def on_outgoing(self, packet: IPPacket) -> List[IPPacket]:

@@ -28,10 +28,11 @@ class TCBReversal(EvasionStrategy):
 
     strategy_id = "tcb-reversal"
     description = "Pre-handshake SYN/ACK insertion reverses the GFW's view."
+    #: Insertion copies of the fake SYN/ACK (§3.4: repeated against loss).
+    copies = 3
 
-    def __init__(self, ctx: ConnectionContext, copies: int = 3) -> None:
+    def __init__(self, ctx: ConnectionContext) -> None:
         super().__init__(ctx)
-        self.copies = copies
         self._fired = False
 
     def on_outgoing(self, packet: IPPacket) -> List[IPPacket]:
@@ -61,14 +62,11 @@ class TeardownReversal(TCBReversal):
     strategy_id = "tcb-teardown+tcb-reversal"
     description = "Fig. 4 combination: defeats old and evolved GFW models."
 
-    def __init__(
-        self,
-        ctx: ConnectionContext,
-        copies: int = 3,
-        rst_discrepancies: tuple = (Discrepancy.MD5_OPTION,),
-    ) -> None:
-        super().__init__(ctx, copies=copies)
-        self.rst_discrepancies = rst_discrepancies
+    #: Table 5's middlebox-safe RST vehicle; one copy each.
+    rst_discrepancies = (Discrepancy.MD5_OPTION,)
+
+    def __init__(self, ctx: ConnectionContext) -> None:
+        super().__init__(ctx)
         self._teardown_fired = False
 
     def on_outgoing(self, packet: IPPacket) -> List[IPPacket]:

@@ -27,20 +27,20 @@ class TCBTeardown(EvasionStrategy):
 
     strategy_id = "tcb-teardown"
     description = "Forged RST/RST-ACK/FIN teardown of the GFW's TCB."
+    #: Insertion copies per teardown packet (§3.4: repeated against loss).
+    copies = 3
 
     def __init__(
         self,
         ctx: ConnectionContext,
         teardown_flags: int = RST,
         discrepancy: Discrepancy = Discrepancy.LOW_TTL,
-        copies: int = 3,
     ) -> None:
         super().__init__(ctx)
         if teardown_flags not in (RST, RST | ACK, FIN, FIN | ACK):
             raise ValueError("teardown packet must be RST, RST/ACK, or FIN")
         self.teardown_flags = teardown_flags
         self.discrepancy = discrepancy
-        self.copies = copies
         self._fired = False
 
     def on_outgoing(self, packet: IPPacket) -> List[IPPacket]:

@@ -35,9 +35,11 @@ class WestChamber(EvasionStrategy):
     strategy_id = "west-chamber"
     description = "West Chamber Project: FIN/FIN-ACK TCB teardown (2010 baseline)."
 
-    def __init__(self, ctx: ConnectionContext, copies: int = 2) -> None:
+    #: Insertion copies of each FIN packet (§3.4: repeated against loss).
+    copies = 2
+
+    def __init__(self, ctx: ConnectionContext) -> None:
         super().__init__(ctx)
-        self.copies = copies
         self._fired = False
 
     def on_outgoing(self, packet: IPPacket) -> List[IPPacket]:

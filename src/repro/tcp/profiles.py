@@ -12,7 +12,8 @@
    options are not a reason to drop.
 
 Profiles also set the RST-validation policy (RFC 5961 challenge ACKs
-landed in Linux 3.6) and whether PAWS timestamp checking applies.
+landed in Linux 3.6).  Every profile applies the PAWS timestamp check
+whenever timestamps were negotiated.
 """
 
 from __future__ import annotations
@@ -54,8 +55,6 @@ class StackProfile:
     drops_unsolicited_md5: bool = True
     #: Drop data segments that do not carry the ACK flag.
     requires_ack_flag: bool = True
-    #: Drop segments failing the PAWS timestamp check.
-    paws_check: bool = True
     #: Ignore ACK-bearing segments whose ack number is unacceptable
     #: (outside [snd_una - max_window, snd_nxt]); RFC 5961 §5 behaviour.
     validates_ack_number: bool = True
@@ -71,7 +70,7 @@ class StackProfile:
     def describe(self) -> str:
         return (
             f"{self.name}: md5drop={self.drops_unsolicited_md5} "
-            f"ackflag={self.requires_ack_flag} paws={self.paws_check} "
+            f"ackflag={self.requires_ack_flag} "
             f"rst={self.rst_policy.value} syn_est={self.syn_in_established.value}"
         )
 

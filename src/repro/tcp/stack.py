@@ -269,14 +269,13 @@ class TCPConnection:
         self.challenge_acks_sent += 1
         self._send_ack()
 
-    def _send_rst(self, seq: int, with_ack: Optional[int] = None) -> None:
-        flags = RST if with_ack is None else RST | ACK
+    def _send_rst(self, seq: int) -> None:
         segment = TCPSegment(
             src_port=self.tcb.local_port,
             dst_port=self.tcb.remote_port,
             seq=seq,
-            ack=with_ack or 0,
-            flags=flags,
+            ack=0,
+            flags=RST,
             window=0,
         )
         self._transmit(segment, retransmittable=False)
@@ -515,7 +514,7 @@ class TCPConnection:
         return True
 
     def _paws_ok(self, segment: TCPSegment) -> bool:
-        if not (self.profile.paws_check and self.tcb.timestamps_enabled):
+        if not self.tcb.timestamps_enabled:
             return True
         option = segment.find_option(KIND_TIMESTAMP)
         if option is None:

@@ -27,20 +27,6 @@ class TCPState(enum.Enum):
     LAST_ACK = "LAST_ACK"
     TIME_WAIT = "TIME_WAIT"
 
-    @property
-    def can_receive_data(self) -> bool:
-        """States in which new payload bytes can still be consumed.
-
-        §5.3 prunes ignore-path analysis to exactly these states (plus
-        LISTEN for connection establishment).
-        """
-        return self in (
-            TCPState.SYN_RECV,
-            TCPState.ESTABLISHED,
-            TCPState.FIN_WAIT_1,
-            TCPState.FIN_WAIT_2,
-        )
-
 
 @dataclass
 class TCB:

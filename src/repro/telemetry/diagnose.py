@@ -148,7 +148,7 @@ class TrialDiagnosis:
             f"attribution: {detail}.{suffix}"
         )
 
-    def render(self, metrics_prefix: Optional[str] = None) -> str:
+    def render(self) -> str:
         """The full human-readable report."""
         record = self.record
         header = [
@@ -175,7 +175,7 @@ class TrialDiagnosis:
             "-- timeline (packets + GFW state, one sequence) " + "-" * 24,
             self.timeline() or "(no events: is the event ring on?)",
             "-- metrics delta " + "-" * 55,
-            registry_view.format_table(metrics_prefix),
+            registry_view.format_table(),
         ]
         return "\n".join(sections)
 

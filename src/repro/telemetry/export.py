@@ -109,24 +109,25 @@ def write_chrome_trace(trees: Sequence[Dict[str, Any]], path: str) -> int:
 _SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
 
 
-def _metric_name(name: str, prefix: str) -> str:
-    return prefix + _SANITIZE.sub("_", name)
+def _metric_name(name: str) -> str:
+    return "repro_" + _SANITIZE.sub("_", name)
 
 
-def openmetrics(snapshot: Dict[str, Any], prefix: str = "repro_") -> str:
-    """A registry snapshot as OpenMetrics text (Prometheus-scrapable)."""
+def openmetrics(snapshot: Dict[str, Any]) -> str:
+    """A registry snapshot as OpenMetrics text (Prometheus-scrapable),
+    every metric named ``repro_<instrument>``."""
     lines: List[str] = []
     for name in sorted(snapshot.get("counters", {})):
-        metric = _metric_name(name, prefix)
+        metric = _metric_name(name)
         lines.append(f"# TYPE {metric} counter")
         lines.append(f"{metric}_total {snapshot['counters'][name]}")
     for name in sorted(snapshot.get("gauges", {})):
-        metric = _metric_name(name, prefix)
+        metric = _metric_name(name)
         lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric} {snapshot['gauges'][name]}")
     for name in sorted(snapshot.get("histograms", {})):
         data = snapshot["histograms"][name]
-        metric = _metric_name(name, prefix)
+        metric = _metric_name(name)
         lines.append(f"# TYPE {metric} histogram")
         cumulative = 0
         for bound, count in zip(data["buckets"], data["counts"]):

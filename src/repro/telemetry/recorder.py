@@ -148,17 +148,12 @@ class Recorder:
         return len(self._ring)
 
     # -- spans -----------------------------------------------------------
-    def begin(
-        self, name: str, kind: str, *, sim_start: float = 0.0, **attrs: Any
-    ) -> Optional[Dict[str, Any]]:
-        """Open a span; returns it (for :meth:`end`) or None below
-        ``spans``.  For LIFO lifetimes: sweeps, chunks, waves."""
+    def begin(self, name: str, kind: str, **attrs: Any) -> Optional[Dict[str, Any]]:
+        """Open a span at sim time zero; returns it (for :meth:`end`) or
+        None below ``spans``.  For LIFO lifetimes: sweeps, chunks, waves."""
         if not self.spans_on:
             return None
-        span = make_span(
-            name, kind, sim_start=sim_start, wall_start=perf_counter(),
-            attrs=attrs,
-        )
+        span = make_span(name, kind, wall_start=perf_counter(), attrs=attrs)
         self._stack.append(span)
         return span
 
@@ -187,11 +182,9 @@ class Recorder:
         self._attach(span)
 
     @contextmanager
-    def span(
-        self, name: str, kind: str, *, sim_start: float = 0.0, **attrs: Any
-    ):
+    def span(self, name: str, kind: str, **attrs: Any):
         """``with recorder.span(...)`` — yields the open span (or None)."""
-        opened = self.begin(name, kind, sim_start=sim_start, **attrs)
+        opened = self.begin(name, kind, **attrs)
         try:
             yield opened
         finally:

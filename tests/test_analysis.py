@@ -29,7 +29,7 @@ from repro.tcp.tcb import TCPState
 
 class TestServerSideEnumeration:
     def test_all_standard_probes_ignored_by_linux_44(self):
-        results = run_ignore_path_analysis(LINUX_4_4)
+        results = run_ignore_path_analysis()
         applicable = [
             r for r in results if r.verdict is not IgnoreVerdict.NOT_APPLICABLE
         ]
@@ -52,7 +52,7 @@ class TestServerSideEnumeration:
         assert len(set(others.values())) == len(others)
 
     def test_ignored_probes_summary(self):
-        summary = ignored_probes(LINUX_4_4)
+        summary = ignored_probes()
         assert TCPState.ESTABLISHED in summary["unsolicited-md5"]
         assert TCPState.SYN_RECV in summary["rstack-bad-ack"]
 

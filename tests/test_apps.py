@@ -217,7 +217,7 @@ class TestTor:
 
     def test_circuit_establishment_and_cells(self):
         world, bridge, client = self._tor_world()
-        circuit = client.open_circuit(SERVER_IP, cells_to_send=3)
+        circuit = client.open_circuit(SERVER_IP)
         world.run(3.0)
         assert circuit.established
         assert circuit.cells_relayed == 3
@@ -245,7 +245,7 @@ class TestVPN:
         world = mini_topology(with_gfw=False, serve_http=False)
         server = OpenVPNServer(world.server_tcp)
         client = OpenVPNClient(world.client_tcp)
-        session = client.open_session(SERVER_IP, frames_to_send=2)
+        session = client.open_session(SERVER_IP)
         world.run(3.0)
         assert session.established
         assert session.payload_frames == 2

@@ -73,10 +73,10 @@ class TestParallelDeterminism:
         # engine must still be deterministic because each vantage's
         # serial trial sequence is one work unit.
         serial = run_per_vantage_clusters(
-            self.VANTAGES, self.SITES, DEFAULT_CALIBRATION, seed=3, workers=1,
+            self.VANTAGES, self.SITES, seed=3, workers=1,
         )
         fanned = run_per_vantage_clusters(
-            self.VANTAGES, self.SITES, DEFAULT_CALIBRATION, seed=3, workers=2,
+            self.VANTAGES, self.SITES, seed=3, workers=2,
         )
         assert fanned == serial
 

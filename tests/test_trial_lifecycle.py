@@ -123,6 +123,33 @@ def test_traced_build_leaves_no_cycles():
     assert cyclic_garbage(run) == []
 
 
+def _table2_probe():
+    from repro.experiments.middlebox_probe import probe_vantage
+
+    probe_vantage(CHINA_VANTAGE_POINTS[0])
+
+
+def _fig1_threat_model():
+    from repro.experiments.figures import threat_model
+
+    threat_model()
+
+
+def _vpn_campaign():
+    from repro.experiments.figures import vpn_campaign
+
+    vpn_campaign()
+
+
+@pytest.mark.parametrize(
+    "producer", [_table2_probe, _fig1_threat_model, _vpn_campaign],
+    ids=["table2_probe", "fig1_threat_model", "vpn_campaign"],
+)
+def test_artifact_producer_builds_leave_no_cycles(producer):
+    """Producers that build their own scenarios release them too."""
+    assert cyclic_garbage(producer) == []
+
+
 class TestReleaseOwnership:
     def test_double_release_raises(self):
         scenario = scenarios.acquire_scenario(
