@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.netstack.packet import ip_to_int, int_to_ip
 from repro.netsim.simclock import SimClock
@@ -126,7 +126,6 @@ class DNSUdpResolver:
         self.udp = udp_host
         self.zone = {name.lower().rstrip("."): ip for name, ip in zone.items()}
         self.port = port
-        self.queries_served = 0
         udp_host.bind(port, self._on_query)
 
     def _on_query(self, src_ip: str, src_port: int, payload: bytes, now: float) -> None:
@@ -139,7 +138,6 @@ class DNSUdpResolver:
         address = self.zone.get(message.qname.lower().rstrip("."))
         if address is None:
             return
-        self.queries_served += 1
         response = encode_response(message.qid, message.qname, address)
         self.udp.sendto(response, src_ip, src_port, self.port)
 
@@ -187,7 +185,6 @@ class DNSTcpResolver:
         self.tcp = tcp_host
         self.zone = {name.lower().rstrip("."): ip for name, ip in zone.items()}
         self.port = port
-        self.queries_served = 0
         tcp_host.listen(port, self._on_accept)
 
     def _on_accept(self, connection) -> None:
@@ -213,6 +210,5 @@ class DNSTcpResolver:
         address = self.zone.get(message.qname.lower().rstrip("."))
         if address is None:
             return
-        self.queries_served += 1
         response = encode_response(message.qid, message.qname, address)
         connection.send(len(response).to_bytes(2, "big") + response)

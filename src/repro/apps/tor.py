@@ -46,7 +46,6 @@ class TorBridge:
         self.tcp = tcp_host
         self.port = port
         self.handshakes_completed = 0
-        self.cells_received = 0
         tcp_host.listen(port, self._on_accept)
 
     def answers_probe(self, ip: str, port: int) -> bool:
@@ -72,7 +71,6 @@ class TorBridge:
             while len(buffer) >= 16:
                 cell = bytes(buffer[:16])
                 del buffer[:16]
-                self.cells_received += 1
                 conn.send(cell)
 
         connection.on_data = on_data

@@ -6,7 +6,7 @@ used by the DNS client/resolver pair and by INTANG's DNS forwarder.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict
 
 from repro.netstack.packet import IPPacket, UDPDatagram, udp_packet
 from repro.netsim.node import Host

@@ -37,6 +37,12 @@ StrategyFactory = Callable[[ConnectionContext], EvasionStrategy]
 
 ConnKey = Tuple[int, str, int]  # (src_port, dst_ip, dst_port)
 
+# Process-lifetime registry instruments, resolved once at import rather
+# than per framework (one per INTANG, so one per trial).
+_REGISTRY = get_registry()
+_METRIC_INTERCEPTED = _REGISTRY.counter("strategy.packets_intercepted")
+_METRIC_DROPPED = _REGISTRY.counter("strategy.packets_dropped")
+
 
 class InterceptionFramework:
     """Wires strategies into a client host's packet paths."""
@@ -62,31 +68,10 @@ class InterceptionFramework:
         #: here); each receives (packet, now) and returns a release list
         #: or None to decline.
         self.udp_hooks: List[Callable[[IPPacket, float], Optional[List[IPPacket]]]] = []
-        self._attached = False
         self._recorder = get_recorder()
-        registry = get_registry()
-        self._metric_intercepted = registry.counter("strategy.packets_intercepted")
-        self._metric_dropped = registry.counter("strategy.packets_dropped")
-        self.attach()
-
-    # ------------------------------------------------------------------
-    def attach(self) -> None:
-        if self._attached:
-            return
-        self.host.add_egress_filter(self._egress)
-        self.host.register_handler(self._ingress, prepend=True)
-        self._attached = True
-
-    def detach(self) -> None:
-        if not self._attached:
-            return
-        self.host.remove_egress_filter(self._egress)
-        self.host.unregister_handler(self._ingress)
-        self._attached = False
-
-    def forget_connection(self, key: ConnKey) -> None:
-        self.contexts.pop(key, None)
-        self.strategies.pop(key, None)
+        # Wired once for the host's one trial; `Host.clear` drops both.
+        host.add_egress_filter(self._egress)
+        host.register_handler(self._ingress, prepend=True)
 
     # ------------------------------------------------------------------
     def _egress(self, packet: IPPacket, now: float) -> List[IPPacket]:
@@ -118,10 +103,10 @@ class InterceptionFramework:
         ctx.observe_outgoing(packet)
         strategy = self.strategies[key]
         released = strategy.on_outgoing(packet)
-        self._metric_intercepted.inc()
+        _METRIC_INTERCEPTED.inc()
         dropped = packet not in released
         if dropped:
-            self._metric_dropped.inc()
+            _METRIC_DROPPED.inc()
         if self._recorder.events_on:
             verdict = "drop" if dropped else (
                 "accept" if released == [packet] else "rewrite"

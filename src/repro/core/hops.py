@@ -14,7 +14,7 @@ iterative convergence the paper sketches.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.netsim.network import Network
 
@@ -37,7 +37,8 @@ class HopEstimator:
         self._adjustments: Dict[str, int] = {}
 
     def measure(self, server_ip: str, refresh: bool = False) -> int:
-        """Measure (or return cached) hop count to ``server_ip``.
+        """Measure (or return cached) hop count to ``server_ip``, the far
+        end of the network's one path.
 
         The simulator substitute for a TTL-sweeping tcptraceroute: the
         returned value is the smallest TTL at which the server answers,
@@ -46,8 +47,7 @@ class HopEstimator:
         makes the cache stale on purpose.
         """
         if refresh or server_ip not in self._measured:
-            path = self.network.path_between(self.client_ip, server_ip)
-            self._measured[server_ip] = path.hop_count + 1
+            self._measured[server_ip] = self.network.path.hop_count + 1
         return self._measured[server_ip]
 
     def insertion_ttl(self, server_ip: str) -> int:
@@ -61,10 +61,6 @@ class HopEstimator:
         self._adjustments[server_ip] = self._adjustments.get(server_ip, 0) + step
         return self.insertion_ttl(server_ip)
 
-    def forget(self, server_ip: Optional[str] = None) -> None:
-        if server_ip is None:
-            self._measured.clear()
-            self._adjustments.clear()
-        else:
-            self._measured.pop(server_ip, None)
-            self._adjustments.pop(server_ip, None)
+    def forget(self, server_ip: str) -> None:
+        self._measured.pop(server_ip, None)
+        self._adjustments.pop(server_ip, None)

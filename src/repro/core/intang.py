@@ -68,7 +68,6 @@ class INTANG:
             )
         self.selector = selector
         self.store = selector.store
-        self.fixed_strategy = fixed_strategy
         self.hop_estimator: Optional[HopEstimator] = None
         if network is not None:
             self.hop_estimator = HopEstimator(network, host.ip, delta=hop_delta)
@@ -142,24 +141,10 @@ class INTANG:
                 return strategy_id
         return None
 
-    def forget_finished_connections(self) -> int:
-        """Prune bookkeeping for connections the framework dropped."""
-        stale = [key for key in self.active if key not in self.framework.contexts]
-        for key in stale:
-            del self.active[key]
-        return len(stale)
-
     def insertions_sent(self) -> int:
         return sum(
             len(ctx.insertions_sent) for ctx in self.framework.contexts.values()
         )
-
-    def detach(self) -> None:
-        """Stop intercepting (the tool can be toggled off live)."""
-        self.framework.detach()
-
-    def attach(self) -> None:
-        self.framework.attach()
 
     # -- persistence (the Redis store's data-persistency feature, §6) -----
     def save_state(self) -> str:

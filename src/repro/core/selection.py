@@ -95,12 +95,10 @@ class StrategySelector:
         self.priority = list(priority)
         self.front_cache = LRUCache(capacity=128)
         self.record_ttl = record_ttl
-        self.choices_made = 0
 
     # ------------------------------------------------------------------
     def choose(self, server_ip: str) -> str:
         """Pick a strategy for a new connection to ``server_ip``."""
-        self.choices_made += 1
         record = self._record_for(server_ip)
         if record.pinned is not None:
             return record.pinned

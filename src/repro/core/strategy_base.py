@@ -30,6 +30,9 @@ from repro.netsim.simclock import SimClock
 from repro.telemetry.recorder import get_recorder
 from repro.telemetry.metrics import get_registry
 
+#: Resolved once at import rather than per connection.
+_METRIC_INSERTIONS = get_registry().counter("strategy.insertions_sent")
+
 
 class ConnectionContext:
     """Per-connection state shared by the framework and its strategy."""
@@ -62,14 +65,10 @@ class ConnectionContext:
         self.saw_syn = False
         self.saw_synack = False
         self.handshake_done = False
-        self.request_packets_seen = 0
         self.last_tsval_sent: Optional[int] = None
         #: Insertion packets this connection emitted (for tests/metrics).
         self.insertions_sent: List[IPPacket] = []
         self._recorder = get_recorder()
-        self._metric_insertions = get_registry().counter(
-            "strategy.insertions_sent"
-        )
 
     # -- observation hooks (called by the framework) -----------------------
     def observe_outgoing(self, packet: IPPacket) -> None:
@@ -82,7 +81,6 @@ class ConnectionContext:
             end = seq_add(segment.seq, len(segment.payload))
             if _seq_after(end, self.snd_nxt):
                 self.snd_nxt = end
-            self.request_packets_seen += 1
         option = segment.find_option(KIND_TIMESTAMP)
         if option is not None:
             self.last_tsval_sent = option.tsval  # type: ignore[union-attr]
@@ -147,7 +145,7 @@ class ConnectionContext:
         for _ in range(max(1, copies)):
             duplicate = packet.copy()
             self.insertions_sent.append(duplicate)
-            self._metric_insertions.inc()
+            _METRIC_INSERTIONS.inc()
             self.raw_send(duplicate)
         if self._recorder.events_on:
             self._recorder.publish(
@@ -167,7 +165,7 @@ class ConnectionContext:
         for _ in range(max(1, copies)):
             duplicate = packet.copy()
             self.insertions_sent.append(duplicate)
-            self._metric_insertions.inc()
+            _METRIC_INSERTIONS.inc()
             released.append(duplicate)
         if self._recorder.events_on:
             self._recorder.publish(
@@ -195,8 +193,6 @@ class EvasionStrategy:
 
     #: Unique identifier used by the selector and the result cache.
     strategy_id: str = "base"
-    #: Human-readable summary for reports.
-    description: str = ""
 
     def __init__(self, ctx: ConnectionContext) -> None:
         self.ctx = ctx
@@ -215,4 +211,3 @@ class NoStrategy(EvasionStrategy):
     """The paper's baseline row: packets pass through untouched."""
 
     strategy_id = "none"
-    description = "No evasion; baseline measurement."

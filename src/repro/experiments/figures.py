@@ -227,7 +227,7 @@ def reset_signatures() -> Dict:
     that only type-2 devices enforce."""
     types = []
     for reset_type in (1, 2):
-        injector = ResetInjector(reset_type, random.Random(1), "probe")
+        injector = ResetInjector(reset_type, random.Random(1))
         ttls, windows, seq_offsets = [], [], set()
         for _ in range(40):
             packets = injector.forged_resets(

@@ -102,8 +102,6 @@ def _probe_fragments(vantage: VantagePoint, seed: int) -> str:
 
     scenario.server.register_handler(sniff, prepend=True)
     rng = random.Random(seed)
-    probe = scenario.client_tcp  # only used for port allocation symmetry
-    del probe
     packet = IPPacket(
         src=vantage.ip,
         dst=CONTROLLED_SERVER.ip,

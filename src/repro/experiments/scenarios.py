@@ -52,7 +52,6 @@ from repro.telemetry.metrics import get_registry
 if TYPE_CHECKING:
     from repro.apps.tor import TorBridge
     from repro.apps.udp import UDPHost
-    from repro.apps.vpn import OpenVPNServer
 
 #: Hop index where the vantage provider's equipment sits.
 CLIENT_MIDDLEBOX_HOP = 2
@@ -99,7 +98,6 @@ class Scenario:
     udp_client: Optional[UDPHost] = None
     udp_server: Optional[UDPHost] = None
     tor_bridge: Optional[TorBridge] = None
-    vpn_server: Optional[OpenVPNServer] = None
     #: Set once the scenario is handed back (:func:`release_scenario`);
     #: a second release is a bug.
     _released: bool = False
@@ -276,7 +274,7 @@ class Scenario:
         Drops everything the trial hung on the topology: queued events,
         host handlers and egress filters (stacks, sniffer, INTANG),
         connections and listeners, UDP sockets, path elements, the
-        network's hosts and paths, and this wrapper's references to the
+        network's hosts and path, and this wrapper's references to the
         trial's devices and apps.  Several of these point back at the
         topology (a stack's handler at the stack, a listener's
         application at its stack, an element at its path), so cutting
@@ -295,7 +293,7 @@ class Scenario:
         self.network.clear()
         self.gfw_devices = []
         self.gfw_packets_at_client = []
-        self.http_server = self.tor_bridge = self.vpn_server = None
+        self.http_server = self.tor_bridge = None
         self.udp_client = self.udp_server = None
 
     def gfw_detections(self) -> int:
@@ -627,7 +625,8 @@ def build_scenario(
     elif workload == "vpn":
         from repro.apps.vpn import OpenVPNServer
 
-        scenario.vpn_server = OpenVPNServer(server_tcp)
+        # Kept alive by its listener on the server stack.
+        OpenVPNServer(server_tcp)
     else:
         raise ValueError(f"unknown workload {workload!r}")
 

@@ -8,8 +8,8 @@ than a single box live here:
   act on a flow — all devices at the tap miss together, which is why the
   paper's no-strategy success rate is ~2.8 % rather than the product of
   independent per-device misses;
-- a trial nonce experiments can bump so per-flow draws refresh between
-  repetitions of the same four-tuple.
+- the per-flow cache of those draws, which :meth:`GFWCluster.new_trial`
+  empties (a fleet does so after each wave to bound it).
 
 A fleet group (:mod:`repro.experiments.fleet`) goes further: the devices
 of every flow's path are built on one :class:`SharedInstallation`, so
@@ -31,19 +31,16 @@ class GFWCluster:
     def __init__(self, rng: random.Random, miss_probability: float = 0.028) -> None:
         self.rng = rng
         self.miss_probability = miss_probability
-        self._missed_flows: Dict[Tuple[ConnKey, int], bool] = {}
-        self.trial_nonce = 0
+        self._missed_flows: Dict[ConnKey, bool] = {}
 
     def flow_missed(self, key: ConnKey) -> bool:
         """Whether the whole cluster overlooks this flow (drawn once)."""
-        cache_key = (key, self.trial_nonce)
-        if cache_key not in self._missed_flows:
-            self._missed_flows[cache_key] = self.rng.random() < self.miss_probability
-        return self._missed_flows[cache_key]
+        if key not in self._missed_flows:
+            self._missed_flows[key] = self.rng.random() < self.miss_probability
+        return self._missed_flows[key]
 
     def new_trial(self) -> None:
-        """Refresh per-flow draws (call between experiment repetitions)."""
-        self.trial_nonce += 1
+        """Drop the per-flow draws (a fleet calls it after each wave)."""
         self._missed_flows.clear()
 
 

@@ -153,7 +153,7 @@ class GFWDevice(Tap):
         self.clock = clock
         self.rng = rng or random.Random(zlib.crc32(name.encode()))
         self.cluster = cluster or GFWCluster(self.rng, config.miss_probability)
-        self.injector = ResetInjector(config.reset_type, self.rng, name)
+        self.injector = ResetInjector(config.reset_type, self.rng)
         self._recorder = get_recorder()
         self.blacklist = (
             blacklist if blacklist is not None
@@ -185,19 +185,9 @@ class GFWDevice(Tap):
         #: Optional components, wired by the scenario builder.
         self.dns_poisoner = None  # type: Optional[object]
         self.active_prober = None  # type: Optional[object]
-        # Telemetry: process-lifetime registry instruments (merged across
-        # the worker pool) and the observability recorder.  The per-device
-        # attributes above stay authoritative for `stats()` because they
-        # are zeroed between trials; the registry accumulates.
-        self._metric_rst_sent = _METRIC_RST_SENT
-        self._metric_synack_forged = _METRIC_SYNACK_FORGED
-        self._metric_dpi_match = _METRIC_DPI_MATCH
-        self._metric_dpi_miss = _METRIC_DPI_MISS
-        self._metric_bytes = _METRIC_BYTES
-        self._metric_tcb_created = _METRIC_TCB_CREATED
-        self._metric_teardown = _METRIC_TEARDOWN
-        self._metric_resync_entered = _METRIC_RESYNC_ENTERED
-        self._metric_resync_exited = _METRIC_RESYNC_EXITED
+        # A device lives one trial, so the integers above are that
+        # trial's counts, which `stats()` reports; the module-level
+        # registry instruments count the same events process-wide.
         # NB3 behaviour is consistent per installation per period (§4, §8):
         # draw once per cluster and share across co-located devices.
         if not hasattr(self.cluster, "rst_resyncs_established"):
@@ -233,22 +223,6 @@ class GFWDevice(Tap):
             if self.dns_poisoner is not None:
                 self.dns_poisoner.handle(self, packet, direction, now)
 
-    def reset_state(self) -> None:
-        """Forget all flows, blacklists and blocked IPs, and zero every
-        per-device counter :meth:`stats` reports (between experiment
-        trials)."""
-        self.flows.reset()
-        self.blacklist.clear()
-        self.blocked_ips.clear()
-        self._fragments = FragmentReassembler(policy=_IP_FRAG_POLICY)
-        self.detections.clear()
-        self.missed_detections.clear()
-        self.resets_injected = 0
-        self.forged_synacks_injected = 0
-        self.resets_suppressed = 0
-        self.bytes_inspected = 0
-        self.cluster.new_trial()
-
     # ------------------------------------------------------------------
     # Telemetry helpers: every TCB state transition goes through these so
     # the event stream names the NB1/NB2/NB3 behaviour responsible.
@@ -258,7 +232,7 @@ class GFWDevice(Tap):
         flow.state = GFWFlowState.RESYNC
         if already:
             return
-        self._metric_resync_entered.inc()
+        _METRIC_RESYNC_ENTERED.inc()
         self._recorder.publish(
             "gfw", "resync_enter", time=self.clock.now,
             device=self.name, namespace=self.flow_namespace, cause=cause,
@@ -266,7 +240,7 @@ class GFWDevice(Tap):
 
     def _exit_resync(self, flow: GFWFlow, seq: int, via: str) -> None:
         flow.resynchronize_to(seq, self.config.rules, self.config.tcp_ooo_policy)
-        self._metric_resync_exited.inc()
+        _METRIC_RESYNC_EXITED.inc()
         self._recorder.publish(
             "gfw", "resync_exit", time=self.clock.now,
             device=self.name, namespace=self.flow_namespace,
@@ -275,7 +249,7 @@ class GFWDevice(Tap):
 
     def _teardown(self, key: object, cause: str) -> None:
         del self.flows[key]
-        self._metric_teardown.inc()
+        _METRIC_TEARDOWN.inc()
         self._recorder.publish(
             "gfw", "tcb_teardown", time=self.clock.now,
             device=self.name, namespace=self.flow_namespace, cause=cause,
@@ -349,7 +323,7 @@ class GFWDevice(Tap):
                 seq_add(segment.seq, 1), self.config.rules, self.config.tcp_ooo_policy
             )
             self.flows[key] = flow
-            self._metric_tcb_created.inc()
+            _METRIC_TCB_CREATED.inc()
             self._recorder.publish(
                 "gfw", "tcb_create", time=now, device=self.name, on="syn",
                 namespace=self.flow_namespace,
@@ -373,7 +347,7 @@ class GFWDevice(Tap):
             )
             flow.note_server_activity(seq_add(segment.seq, 1))
             self.flows[key] = flow
-            self._metric_tcb_created.inc()
+            _METRIC_TCB_CREATED.inc()
             self._recorder.publish(
                 "gfw", "tcb_create", time=now, device=self.name, on="synack",
                 namespace=self.flow_namespace,
@@ -486,7 +460,7 @@ class GFWDevice(Tap):
 
             one_shot = StreamInspector(self.config.rules)
             self.bytes_inspected += len(segment.payload)
-            self._metric_bytes.inc(len(segment.payload))
+            _METRIC_BYTES.inc(len(segment.payload))
             detection = one_shot.feed(segment.payload)
             flow.client_next_seq = seq_add(
                 segment.seq, len(segment.payload)
@@ -497,7 +471,7 @@ class GFWDevice(Tap):
             if not delivered:
                 return
             self.bytes_inspected += len(delivered)
-            self._metric_bytes.inc(len(delivered))
+            _METRIC_BYTES.inc(len(delivered))
             detection = flow.inspector.feed(delivered)
         if detection is not None and not flow.punished:
             flow.punished = True
@@ -511,7 +485,7 @@ class GFWDevice(Tap):
     ) -> None:
         if self.cluster.flow_missed(flow.endpoints_key()):
             self.missed_detections.append((now, detection))
-            self._metric_dpi_miss.inc()
+            _METRIC_DPI_MISS.inc()
             self._recorder.publish(
                 "gfw", "dpi_miss", time=now, device=self.name,
                 namespace=self.flow_namespace,
@@ -520,7 +494,7 @@ class GFWDevice(Tap):
             )
             return
         self.detections.append((now, detection))
-        self._metric_dpi_match.inc()
+        _METRIC_DPI_MATCH.inc()
         # Dyadic quantization (multiples of 2^-20 s): keeps the
         # histogram's float sum bit-identical under any serial/parallel
         # worker grouping (see the fleet latency observation).
@@ -600,7 +574,7 @@ class GFWDevice(Tap):
             )
             self.inject((forged,))
             self.forged_synacks_injected += 1
-            self._metric_synack_forged.inc()
+            _METRIC_SYNACK_FORGED.inc()
             self._recorder.publish(
                 "gfw", "synack_forged", time=now, device=self.name,
                 namespace=self.flow_namespace,
@@ -650,7 +624,7 @@ class GFWDevice(Tap):
         """Put a forged reset volley on the wire and count it once."""
         self.inject(volley)
         self.resets_injected += len(volley)
-        self._metric_rst_sent.inc(len(volley))
+        _METRIC_RST_SENT.inc(len(volley))
 
     # ------------------------------------------------------------------
     # Introspection helpers used by tests and the analysis package
@@ -660,9 +634,6 @@ class GFWDevice(Tap):
     ) -> Optional[GFWFlow]:
         return self.flows.get(connection_key((ip_a, port_a), (ip_b, port_b)))
 
-    def tracked_flow_count(self) -> int:
-        return len(self.flows)
-
     def stats(self) -> Dict[str, int]:
         """A resource-accounting snapshot of this device.
 
@@ -671,9 +642,8 @@ class GFWDevice(Tap):
         automaton — the quantity the streaming redesign bounds, where
         the rescan engine's cost grew with every buffered stream.
 
-        Compatibility shim: the dict shape is frozen for existing tests
-        and benches.  These per-device counters are zeroed by
-        :meth:`reset_state` between trials; for process-lifetime,
+        A device lives one trial, so these are that trial's counts; the
+        resource-accounting tests read them.  For process-lifetime,
         worker-mergeable accounting use the same quantities in the
         :class:`repro.telemetry.MetricsRegistry` (``gfw.*``, ``dpi.*``).
         """

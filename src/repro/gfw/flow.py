@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple, ValuesView
 
 from repro.netstack.fragment import OverlapPolicy
@@ -143,7 +143,8 @@ class FlowTable:
     A "touch" is any lookup or (re)insertion by the device's packet
     handler, so recency tracks packet activity, not creation order.
     The table keeps per-table resource-accounting counters surfaced
-    through :meth:`GFWDevice.stats` (zeroed between trials) and mirrors
+    through :meth:`GFWDevice.stats` (a table lives as long as its
+    device, one trial, except a fleet's shared table) and mirrors
     every create/evict into the process metrics registry
     (``gfw.flows_created`` / ``gfw.flows_evicted``, process-lifetime,
     merged across the worker pool).
@@ -171,10 +172,6 @@ class FlowTable:
         self.flows_evicted_after_fin = 0
         self.peak_tracked = 0
         self.on_evict: Optional[Callable[[object, GFWFlow], None]] = None
-        self._metric_created = _METRIC_CREATED
-        self._metric_evicted = _METRIC_EVICTED
-        self._metric_evicted_active = _METRIC_EVICTED_ACTIVE
-        self._metric_evicted_after_fin = _METRIC_EVICTED_AFTER_FIN
 
     # -- the dict-shaped API the device and benches use ------------------
     def get(self, key: object) -> Optional[GFWFlow]:
@@ -197,18 +194,18 @@ class FlowTable:
         if len(self._flows) >= self.capacity:
             evicted_key, evicted = self._flows.popitem(last=False)
             self.flows_evicted += 1
-            self._metric_evicted.inc()
+            _METRIC_EVICTED.inc()
             if evicted.fin_seen:
                 self.flows_evicted_after_fin += 1
-                self._metric_evicted_after_fin.inc()
+                _METRIC_EVICTED_AFTER_FIN.inc()
             else:
                 self.flows_evicted_active += 1
-                self._metric_evicted_active.inc()
+                _METRIC_EVICTED_ACTIVE.inc()
             if self.on_evict is not None:
                 self.on_evict(evicted_key, evicted)
         self._flows[key] = flow
         self.flows_created += 1
-        self._metric_created.inc()
+        _METRIC_CREATED.inc()
         if len(self._flows) > self.peak_tracked:
             self.peak_tracked = len(self._flows)
 
@@ -232,19 +229,6 @@ class FlowTable:
 
     def items(self):
         return self._flows.items()
-
-    def clear(self) -> None:
-        """Drop every tracked flow (counters keep accumulating)."""
-        self._flows.clear()
-
-    def reset(self) -> None:
-        """Drop all flows *and* zero the counters (between trials)."""
-        self._flows.clear()
-        self.flows_created = 0
-        self.flows_evicted = 0
-        self.flows_evicted_active = 0
-        self.flows_evicted_after_fin = 0
-        self.peak_tracked = 0
 
 
 def expected_reset_seqs(flow: GFWFlow) -> Tuple[int, int, int]:

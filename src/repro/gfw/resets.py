@@ -31,12 +31,11 @@ from repro.netstack.packet import (
 class ResetInjector:
     """Builds forged reset/SYN-ACK packets with per-type signatures."""
 
-    def __init__(self, reset_type: int, rng: random.Random, device_name: str) -> None:
+    def __init__(self, reset_type: int, rng: random.Random) -> None:
         if reset_type not in (1, 2):
             raise ValueError("GFW reset type must be 1 or 2")
         self.reset_type = reset_type
         self.rng = rng
-        self.device_name = device_name
         # Cyclic counters for the type-2 signature.
         self._cyclic_ttl = 64
         self._cyclic_window = 512

@@ -47,10 +47,8 @@ class FragmentHandlingBox(InlineBox):
     ) -> None:
         super().__init__(name, hop)
         self.mode = mode
-        self.reassembly_policy = reassembly_policy
         self._reassembler = FragmentReassembler(policy=reassembly_policy)
         self.fragments_discarded = 0
-        self.packets_reassembled = 0
 
     def process(
         self, packet: IPPacket, direction: Direction, now: float
@@ -63,11 +61,7 @@ class FragmentHandlingBox(InlineBox):
         whole = self._reassembler.add(packet)
         if whole is None:
             return ProcessResult.drop()  # buffered, nothing forwarded yet
-        self.packets_reassembled += 1
         return ProcessResult.replace([whole])
-
-    def reset_state(self) -> None:
-        self._reassembler = FragmentReassembler(policy=self.reassembly_policy)
 
 
 class FieldSanitizerBox(InlineBox):
@@ -233,6 +227,3 @@ class StatefulFirewallBox(InlineBox):
         if self.teardown_probability >= 1.0:
             return True
         return self.rng.random() < self.teardown_probability
-
-    def reset_state(self) -> None:
-        self._entries.clear()

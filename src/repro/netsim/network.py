@@ -2,10 +2,12 @@
 
 A :class:`Path` joins exactly two endpoints ("client" and "server" ends,
 matching the paper's threat model) and carries an ordered set of
-:class:`~repro.netsim.path.PathElement` objects at integer hop positions.
-Packet traversal is event-driven: each element processes the packet at
-the sim time it would physically arrive there, so a GFW reset injected at
-hop 8 genuinely races the original packet to the server at hop 14.
+:class:`~repro.netsim.path.PathElement` objects at integer hop positions;
+a :class:`Network` holds exactly one path, built with its trial and
+dropped with it.  Packet traversal is event-driven: each element
+processes the packet at the sim time it would physically arrive there,
+so a GFW reset injected at hop 8 genuinely races the original packet to
+the server at hop 14.
 
 Traversal is the simulator's hottest loop, so it is allocation-free per
 hop: the path precomputes, per direction, an immutable schedule of
@@ -26,13 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.netstack.packet import IPPacket
 from repro.netsim.node import Endpoint
-from repro.netsim.path import (
-    Direction,
-    InlineBox,
-    PathElement,
-    ProcessResult,
-    Verdict,
-)
+from repro.netsim.path import Direction, PathElement, ProcessResult, Verdict
 from repro.netsim.simclock import SimClock
 from repro.netsim.trace import TraceRecorder
 from repro.telemetry.metrics import get_registry
@@ -97,16 +93,6 @@ class Path:
         self.elements.sort(key=lambda item: item.hop)
         self._schedule = None
         return element
-
-    def endpoints(self) -> Tuple[str, str]:
-        return (self.client_ip, self.server_ip)
-
-    def direction_from(self, sender_ip: str) -> Direction:
-        if sender_ip == self.client_ip:
-            return Direction.CLIENT_TO_SERVER
-        if sender_ip == self.server_ip:
-            return Direction.SERVER_TO_CLIENT
-        raise ValueError(f"{sender_ip} is not an endpoint of {self.name}")
 
     def clear_elements(self) -> None:
         """Detach every element (scenario teardown)."""
@@ -459,7 +445,8 @@ def _queue_run(
 
 
 class Network:
-    """Holds hosts and paths and runs packet traversal on the event clock."""
+    """Holds hosts and one path and runs packet traversal on the event
+    clock."""
 
     def __init__(
         self,
@@ -473,11 +460,9 @@ class Network:
         # falsy through its __len__.
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.hosts: Dict[str, Endpoint] = {}
-        self._paths: Dict[frozenset, Path] = {}
-        #: Fast route lookup for the overwhelmingly common one-path
-        #: topology (every paper scenario is client<->server); None when
-        #: zero or several paths are attached.
-        self._single_path: Optional[Path] = None
+        #: The one client<->server path (a route is one path in one
+        #: trial); None until :meth:`add_path`.
+        self.path: Optional[Path] = None
         #: Packets that arrived for an IP with no registered host.
         self.undeliverable = 0
         #: The run whose members are being handed to hosts right now.
@@ -495,56 +480,41 @@ class Network:
         return host
 
     def add_path(self, path: Path) -> Path:
-        key = frozenset(path.endpoints())
-        if key in self._paths:
-            raise ValueError(f"duplicate path between {path.endpoints()}")
-        self._paths[key] = path
+        if self.path is not None:
+            raise ValueError(f"network already holds the path {self.path.name}")
+        self.path = path
         path.network = self
-        self._single_path = path if len(self._paths) == 1 else None
         return path
 
     def clear(self) -> None:
-        """Detach every host and path.  Both point back at this network,
-        so a discarded topology is only freed by reference counting once
-        the links are cut."""
+        """Detach every host and the path.  Both point back at this
+        network, so a discarded topology is only freed by reference
+        counting once the links are cut."""
         for host in self.hosts.values():
             host.network = None
-        for path in self._paths.values():
-            path.network = None
+        if self.path is not None:
+            self.path.network = None
         self.hosts.clear()
-        self._paths.clear()
-        self._single_path = None
-
-    def path_between(self, ip_a: str, ip_b: str) -> Path:
-        try:
-            return self._paths[frozenset((ip_a, ip_b))]
-        except KeyError:
-            raise KeyError(f"no path between {ip_a} and {ip_b}") from None
-
-    def paths(self) -> List[Path]:
-        return list(self._paths.values())
+        self.path = None
 
     # -- sending ------------------------------------------------------------
     def send(self, sender: Endpoint, packet: IPPacket) -> None:
-        """Called by an endpoint to transmit toward ``packet.dst``."""
-        single = self._single_path
+        """Called by an endpoint to transmit toward ``packet.dst``.
+
+        Only the path's two endpoints talking to each other have a
+        route; anything else is dropped and counted undeliverable."""
+        path = self.path
         sender_ip = sender.ip
-        if single is not None and sender_ip == single.client_ip and packet.dst == single.server_ip:
-            path = single
+        if path is not None and sender_ip == path.client_ip and packet.dst == path.server_ip:
             direction = Direction.CLIENT_TO_SERVER
-        elif single is not None and sender_ip == single.server_ip and packet.dst == single.client_ip:
-            path = single
+        elif path is not None and sender_ip == path.server_ip and packet.dst == path.client_ip:
             direction = Direction.SERVER_TO_CLIENT
         else:
-            try:
-                path = self.path_between(sender_ip, packet.dst)
-            except KeyError:
-                self.trace.record(
-                    self.clock.now, sender.name, "drop", packet, note="no route"
-                )
-                self.undeliverable += 1
-                return
-            direction = path.direction_from(sender_ip)
+            self.trace.record(
+                self.clock.now, sender.name, "drop", packet, note="no route"
+            )
+            self.undeliverable += 1
+            return
         if self.trace.enabled:
             self.trace.record(
                 self.clock.now, sender.name, "send", packet, direction.value

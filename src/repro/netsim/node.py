@@ -84,9 +84,6 @@ class Host(Endpoint):
         else:
             self._handlers.append(handler)
 
-    def unregister_handler(self, handler: Callable[[IPPacket, float], bool]) -> None:
-        self._handlers.remove(handler)
-
     def clear(self) -> None:
         """Drop handlers and egress filters (scenario teardown).
 
@@ -119,9 +116,3 @@ class Host(Endpoint):
 
     def add_egress_filter(self, egress_filter: EgressFilter) -> None:
         self._egress_filters.append(egress_filter)
-
-    def remove_egress_filter(self, egress_filter: EgressFilter) -> None:
-        self._egress_filters.remove(egress_filter)
-
-    def clear_egress_filters(self) -> None:
-        self._egress_filters.clear()

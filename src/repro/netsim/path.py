@@ -93,7 +93,7 @@ class PathElement:
     def __init__(self, name: str, hop: int) -> None:
         self.name = name
         self.hop = hop
-        self.path: Optional[object] = None  # backref set by Path.attach
+        self.path: Optional[object] = None  # backref set by Path.add_element
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name} hop={self.hop}>"
@@ -107,9 +107,6 @@ class InlineBox(PathElement):
     ) -> ProcessResult:
         """Decide the fate of ``packet``; default is to forward."""
         return ProcessResult.forward()
-
-    def reset_state(self) -> None:
-        """Clear per-connection state between experiment trials."""
 
 
 class Tap(PathElement):
@@ -132,9 +129,6 @@ class Tap(PathElement):
 
     def observe(self, packet: IPPacket, direction: Direction, now: float) -> None:
         """Called with a copy of every packet that survives to this hop."""
-
-    def reset_state(self) -> None:
-        """Clear per-connection state between experiment trials."""
 
     def inject(self, packets: Sequence[IPPacket]) -> None:
         """Put forged ``packets`` on the wire from this tap's hop, in order.

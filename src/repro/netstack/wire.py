@@ -27,7 +27,6 @@ from typing import Optional, Tuple, Union
 
 from repro.netstack.checksum import (
     fold_carries,
-    internet_checksum,
     ones_complement_sum,
     pseudo_header_sum,
 )

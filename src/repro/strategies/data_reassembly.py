@@ -46,13 +46,8 @@ class OutOfOrderIPFragments(EvasionStrategy):
     """
 
     strategy_id = "ooo-ip-fragments"
-    description = "Out-of-order overlapping IP fragments."
     #: Shorter payloads are released whole.
     min_payload = 32
-
-    def __init__(self, ctx: ConnectionContext) -> None:
-        super().__init__(ctx)
-        self.packets_fragmented = 0
 
     def on_outgoing(self, packet: IPPacket) -> List[IPPacket]:
         segment = packet.tcp
@@ -61,7 +56,6 @@ class OutOfOrderIPFragments(EvasionStrategy):
         # Every payload-bearing copy is fragmented — retransmissions
         # included, since an unfragmented retransmission would hand the
         # whole request to the censor in one piece.
-        self.packets_fragmented += 1
         wire = transport_bytes(packet)
         header_len = len(wire) - len(segment.payload)
         # Split point: the first 8-byte boundary past the transport
@@ -106,7 +100,6 @@ class OutOfOrderTCPSegments(EvasionStrategy):
     """
 
     strategy_id = "ooo-tcp-segments"
-    description = "Out-of-order overlapping TCP segments."
     #: Shorter payloads are released whole.
     min_payload = 32
 
@@ -150,7 +143,6 @@ class InOrderDataOverlap(EvasionStrategy):
     """
 
     strategy_id = "inorder-overlap"
-    description = "In-order junk-data prefill of the GFW buffer."
     #: Insertion copies of the junk packet (§3.4: repeated against loss).
     copies = 2
 

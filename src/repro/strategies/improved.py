@@ -34,7 +34,6 @@ class ImprovedTCBTeardown(EvasionStrategy):
     """RST teardown on safe vehicles + desync packet (Table 4 row 1)."""
 
     strategy_id = "improved-tcb-teardown"
-    description = "RST teardown (MD5 option) hardened with a desync packet."
 
     #: Table 5 lists TTL and MD5 for RSTs; the MD5 vehicle alone already
     #: reaches the GFW on every path and is never middlebox-dropped nor
@@ -76,7 +75,6 @@ class ImprovedInOrderOverlap(EvasionStrategy):
     """In-order prefill on middlebox-safe vehicles (Table 4 row 2)."""
 
     strategy_id = "improved-inorder-overlap"
-    description = "Junk prefill using MD5-option and old-timestamp packets."
     #: Table 5's middlebox-safe data vehicles, two copies of each.
     discrepancies = (Discrepancy.MD5_OPTION, Discrepancy.OLD_TIMESTAMP)
     copies = 2

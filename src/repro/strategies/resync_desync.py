@@ -32,7 +32,6 @@ class ResyncDesync(EvasionStrategy):
     """Post-handshake fake SYN, then the desynchronization packet."""
 
     strategy_id = "resync-desync"
-    description = "Force RESYNC with a late SYN, then desynchronize."
     #: Insertion copies of each fake SYN (§3.4: repeated against loss).
     copies = 3
 
@@ -77,7 +76,6 @@ class TCBCreationResyncDesync(ResyncDesync):
     """
 
     strategy_id = "tcb-creation+resync-desync"
-    description = "Fig. 3 combination: defeats old and evolved GFW models."
 
     def __init__(self, ctx: ConnectionContext) -> None:
         super().__init__(ctx)

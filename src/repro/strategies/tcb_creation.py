@@ -31,7 +31,6 @@ class TCBCreationWithSYN(EvasionStrategy):
     """Send a wrong-ISN SYN insertion packet before the real SYN."""
 
     strategy_id = "tcb-creation-syn"
-    description = "Fake-SYN TCB creation (Khattak-era strategy)."
     #: Insertion copies of the fake SYN (§3.4: repeated against loss).
     copies = 3
 

@@ -27,7 +27,6 @@ class TCBReversal(EvasionStrategy):
     """Send a fake SYN/ACK before the real SYN to reverse the GFW's TCB."""
 
     strategy_id = "tcb-reversal"
-    description = "Pre-handshake SYN/ACK insertion reverses the GFW's view."
     #: Insertion copies of the fake SYN/ACK (§3.4: repeated against loss).
     copies = 3
 
@@ -60,7 +59,6 @@ class TeardownReversal(TCBReversal):
     """
 
     strategy_id = "tcb-teardown+tcb-reversal"
-    description = "Fig. 4 combination: defeats old and evolved GFW models."
 
     #: Table 5's middlebox-safe RST vehicle; one copy each.
     rst_discrepancies = (Discrepancy.MD5_OPTION,)

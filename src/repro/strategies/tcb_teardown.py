@@ -26,7 +26,6 @@ class TCBTeardown(EvasionStrategy):
     """Insert a teardown control packet right after the handshake."""
 
     strategy_id = "tcb-teardown"
-    description = "Forged RST/RST-ACK/FIN teardown of the GFW's TCB."
     #: Insertion copies per teardown packet (§3.4: repeated against loss).
     copies = 3
 

@@ -33,7 +33,6 @@ class WestChamber(EvasionStrategy):
     """FIN-flavoured TCB teardown, as the 2010 tool did."""
 
     strategy_id = "west-chamber"
-    description = "West Chamber Project: FIN/FIN-ACK TCB teardown (2010 baseline)."
 
     #: Insertion copies of each FIN packet (§3.4: repeated against loss).
     copies = 2

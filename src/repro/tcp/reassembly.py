@@ -20,7 +20,7 @@ configuration difference, not two divergent code bases.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.netstack.fragment import OverlapPolicy
 from repro.netstack.packet import seq_sub

@@ -8,7 +8,7 @@ copy of this structure diverge from the server's.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 

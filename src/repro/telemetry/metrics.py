@@ -18,13 +18,13 @@ instrument must be
 
 Instruments are created on first request and live for the process;
 :meth:`MetricsRegistry.reset` zeroes them **in place**, so references
-cached by hot paths (the GFW device holds its counters as attributes)
+cached by hot paths (the GFW device binds its counters to module names)
 stay valid across experiment sessions and test isolation resets.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",

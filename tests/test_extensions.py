@@ -100,7 +100,6 @@ class TestStatePersistence:
         first.report_result(SERVER_IP, exchange.got_response)
         pinned_before = first.selector.record_for(SERVER_IP).pinned
         blob = first.save_state()
-        first.detach()
 
         world2 = mini_topology(seed=42)
         second = INTANG(

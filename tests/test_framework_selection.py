@@ -75,12 +75,6 @@ class TestInterceptionFramework:
         world.run(0.2)
         assert len(created[0].outgoing) == before
 
-    def test_detach_stops_interception(self):
-        world, framework, created = self._world_with_framework()
-        framework.detach()
-        fetch(world, path="/x")
-        assert created == []
-
     def test_mid_connection_packets_pass_without_context(self):
         """Packets of a connection the framework never saw the SYN of
         pass through unmodified (e.g. attach-after-start)."""
@@ -91,13 +85,6 @@ class TestInterceptionFramework:
         connection.send(b"late data")
         world.run(1.0)
         assert framework.contexts == {}
-
-    def test_forget_connection(self):
-        world, framework, created = self._world_with_framework()
-        fetch(world, path="/x")
-        key = next(iter(framework.contexts))
-        framework.forget_connection(key)
-        assert key not in framework.contexts
 
 
 class TestConnectionContext:

@@ -73,13 +73,13 @@ class TestCluster:
 
 class TestResetInjectorSignatures:
     def test_type1_is_single_plain_rst(self):
-        injector = ResetInjector(1, random.Random(4), "t1")
+        injector = ResetInjector(1, random.Random(4))
         packets = injector.forged_resets(("s", 80), ("c", 999), seq_base=50)
         assert len(packets) == 1
         assert packets[0].tcp.flags == 0x04  # RST only
 
     def test_type1_random_ttl_and_window(self):
-        injector = ResetInjector(1, random.Random(4), "t1")
+        injector = ResetInjector(1, random.Random(4))
         ttls = set()
         windows = set()
         for _ in range(30):
@@ -90,7 +90,7 @@ class TestResetInjectorSignatures:
         assert len(windows) > 20
 
     def test_type2_three_rstacks_future_offsets(self):
-        injector = ResetInjector(2, random.Random(5), "t2")
+        injector = ResetInjector(2, random.Random(5))
         packets = injector.forged_resets(("s", 80), ("c", 9), seq_base=1000)
         assert len(packets) == 3
         offsets = [(p.tcp.seq - 1000) & 0xFFFFFFFF for p in packets]
@@ -98,7 +98,7 @@ class TestResetInjectorSignatures:
         assert all(p.tcp.flags == 0x14 for p in packets)  # RST|ACK
 
     def test_type2_cyclic_ttl(self):
-        injector = ResetInjector(2, random.Random(5), "t2")
+        injector = ResetInjector(2, random.Random(5))
         ttls = []
         for _ in range(10):
             ttls.extend(
@@ -108,7 +108,7 @@ class TestResetInjectorSignatures:
         assert increments.count(1) >= len(increments) - 2  # cyclic wrap allowed
 
     def test_forged_synack_acks_syn(self):
-        injector = ResetInjector(2, random.Random(6), "t2")
+        injector = ResetInjector(2, random.Random(6))
         packet = injector.forged_synack(("s", 80), ("c", 9), acked_seq=500)
         assert packet.tcp.is_synack
         assert packet.tcp.ack == 501
@@ -116,7 +116,7 @@ class TestResetInjectorSignatures:
 
     def test_invalid_type_rejected(self):
         with pytest.raises(ValueError):
-            ResetInjector(3, random.Random(0), "bad")
+            ResetInjector(3, random.Random(0))
 
 
 class TestActiveProber:

@@ -378,29 +378,6 @@ class TestNoFlagAndAckQuirks:
         assert harness.flow().client_next_seq == harness.client_snd_nxt()
 
 
-class TestResetState:
-    def test_reset_state_clears_flows_and_blacklist(self):
-        world = mini_topology()
-        fetch(world)
-        assert world.gfw.tracked_flow_count() >= 0
-        world.gfw.reset_state()
-        assert world.gfw.tracked_flow_count() == 0
-        assert len(world.gfw.blacklist) == 0
-
-    def test_reset_state_zeroes_every_stats_counter(self):
-        world = mini_topology()
-        fetch(world)
-        gfw = world.gfw
-        assert gfw.stats()["detections"] and gfw.stats()["resets_injected"]
-        gfw.blocked_ips.add(SERVER_IP)
-        gfw.resets_suppressed = 1
-        gfw.reset_state()
-        stats = gfw.stats()
-        del stats["flow_table_capacity"]  # configuration, not a counter
-        assert stats == dict.fromkeys(stats, 0)
-        assert (gfw.resets_suppressed, gfw.blocked_ips) == (0, set())
-
-
 class TestStreamSharing:
     def test_default_cluster_shares_the_device_stream(self):
         """A device built without a cluster hands its own RNG object to

@@ -136,17 +136,6 @@ class TestReportingLoop:
         fetch(world)
         assert intang.insertions_sent() >= 2
 
-    def test_forget_finished_connections(self):
-        world = mini_topology(seed=35)
-        intang = INTANG(
-            host=world.client, tcp_host=world.client_tcp, clock=world.clock,
-            network=world.network, fixed_strategy="none",
-        )
-        fetch(world)
-        key = next(iter(intang.framework.contexts))
-        intang.framework.forget_connection(key)
-        assert intang.forget_finished_connections() == 1
-
 
 class TestFigureTraces:
     """Fig. 3 / Fig. 4 as packet-ladder traces (also exercised by the

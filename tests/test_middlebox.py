@@ -61,13 +61,6 @@ class TestFragmentHandlingBox:
         box = FragmentHandlingBox("b", 2, mode=FragmentMode.DISCARD)
         assert box.process(_data_packet(), C2S, 0.0).verdict is Verdict.FORWARD
 
-    def test_reset_state_clears_partial_buffers(self):
-        box = FragmentHandlingBox("b", 2, mode=FragmentMode.REASSEMBLE)
-        box.process(self._fragments()[0], C2S, 0.0)
-        box.reset_state()
-        # Feeding only the last fragment cannot complete now.
-        assert box.process(self._fragments()[-1], C2S, 0.0).verdict is Verdict.DROP
-
 
 class TestFieldSanitizerBox:
     def test_bad_checksum_dropped_when_configured(self):
@@ -223,11 +216,3 @@ class TestStatefulFirewall:
         fin = tcp_packet(A, B, 1000, 80, flags=FIN | ACK, seq=101, ack=501)
         box.process(fin, C2S, 0.0)
         assert box.teardowns == 1
-
-    def test_reset_state_clears_entries(self):
-        box = StatefulFirewallBox("fw", 3)
-        self._handshake(box)
-        box.process(tcp_packet(A, B, 1000, 80, flags=RST, seq=101), C2S, 0.0)
-        box.reset_state()
-        data = tcp_packet(A, B, 1000, 80, flags=ACK, seq=101, payload=b"x")
-        assert box.process(data, C2S, 0.0).verdict is Verdict.FORWARD

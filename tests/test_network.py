@@ -85,10 +85,17 @@ class TestDelivery:
         assert len(a.received) == 1
 
     def test_no_route_counts_undeliverable(self):
+        """Only the path's two endpoints talking to each other have a
+        route: an unknown destination, a host off the path, and a host
+        addressing itself are all dropped."""
         clock, net, a, b, path = _world()
+        c = net.add_host(Sink("10.0.0.5", "c"))
         a.send(_pkt(dst="172.16.0.1"))
+        c.send(_pkt(src=c.ip, dst=B))
+        a.send(_pkt(dst=A))
         clock.run()
-        assert net.undeliverable == 1
+        assert net.undeliverable == 3
+        assert a.received == b.received == []
 
     def test_duplicate_host_rejected(self):
         _, net, _, _, _ = _world()
@@ -96,9 +103,13 @@ class TestDelivery:
             net.add_host(Host(A))
 
     def test_duplicate_path_rejected(self):
-        _, net, _, _, _ = _world()
-        with pytest.raises(ValueError):
-            net.add_path(Path(A, B))
+        """A network holds one path: a duplicate and a second pair of
+        endpoints are both rejected."""
+        _, net, _, _, path = _world()
+        for second in (Path(A, B), Path(A, "10.0.0.5")):
+            with pytest.raises(ValueError):
+                net.add_path(second)
+        assert net.path is path
 
 
 class TestTTL:

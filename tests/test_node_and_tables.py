@@ -54,20 +54,6 @@ class TestHostHandlers:
         clock.run()
         assert b.unclaimed_packets == 1
 
-    def test_unregister_handler(self):
-        clock, a, b = _pair()
-        calls = []
-
-        def handler(p, now):
-            calls.append(1)
-            return True
-
-        b.register_handler(handler)
-        b.unregister_handler(handler)
-        a.send(tcp_packet(A, B, 1, 2, flags=ACK))
-        clock.run()
-        assert calls == []
-
     def test_host_reassembles_fragments_before_dispatch(self):
         clock, a, b = _pair()
         seen = []
@@ -116,19 +102,6 @@ class TestEgressFilters:
         a.send(tcp_packet(A, B, 1, 2, flags=ACK))
         clock.run()
         assert order == [1, 2]
-
-    def test_remove_and_clear_filters(self):
-        clock, a, b = _pair()
-        flt = lambda p, now: []
-        a.add_egress_filter(flt)
-        a.remove_egress_filter(flt)
-        a.add_egress_filter(flt)
-        a.clear_egress_filters()
-        seen = []
-        b.register_handler(lambda p, now: (seen.append(p), True)[1])
-        a.send(tcp_packet(A, B, 1, 2, flags=ACK))
-        clock.run()
-        assert len(seen) == 1
 
 
 class TestTableRendering:

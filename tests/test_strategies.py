@@ -252,14 +252,14 @@ class TestBenignTrafficUnharmed:
 
 class TestRegistry:
     def test_all_registered_strategies_instantiate(self):
-        world = mini_topology(with_gfw=False)
         for strategy_id in STRATEGY_REGISTRY:
-            intang = INTANG(
+            # A fresh topology each: INTANG stays wired to its host.
+            world = mini_topology(with_gfw=False)
+            INTANG(
                 host=world.client, tcp_host=world.client_tcp,
                 clock=world.clock, network=world.network,
                 fixed_strategy=strategy_id,
             )
-            intang.detach()
 
     def test_unknown_strategy_raises(self):
         from repro.strategies.registry import make_strategy_factory

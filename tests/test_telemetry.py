@@ -287,16 +287,6 @@ class TestGFWInstrumentation:
         }
         assert all(isinstance(value, int) for value in stats.values())
 
-    def test_device_reset_state_does_not_zero_registry(self):
-        registry = get_registry()
-        world = mini_topology(seed=5)
-        fetch(world, path=KEYWORD_PATH)
-        created = registry.counter_value("gfw.tcb_created")
-        assert created >= 1
-        world.gfw.reset_state()
-        assert world.gfw.stats()["flows_created"] == 0  # per-trial: zeroed
-        assert registry.counter_value("gfw.tcb_created") == created
-
 
 # ---------------------------------------------------------------------------
 # Diagnosis

@@ -93,7 +93,7 @@ def test_sends_at_different_instants_or_directions_do_not_share():
 def test_a_path_with_jitter_never_groups():
     clock, network, client, _server, _ = _world(jitter=0.1)
     burst = [_packet(ACK, 1000 + i) for i in range(3)]
-    network.launch(network.path_between(CLIENT, SERVER), burst, 0, "client")
+    network.launch(network.path, burst, 0, "client")
     assert _runs(clock) == [[packet] for packet in burst]
 
 
@@ -169,7 +169,7 @@ def test_a_middlebox_drop_and_replace_inside_a_run_keep_order():
     queued after the members before them: the server sees 1000, the two
     halves of 1002, then 1004, as if each packet rode alone."""
     clock, network, client, server, _ = _world(gfw=False)
-    network.path_between(CLIENT, SERVER).add_element(_Rewriter("box", 3))
+    network.path.add_element(_Rewriter("box", 3))
     received = []
     server.register_handler(lambda packet, now: received.append(packet.tcp.seq) or True)
     for seq in (1000, 1001, 1002, 1004):
