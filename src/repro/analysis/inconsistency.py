@@ -38,10 +38,7 @@ from repro.experiments.runner import _simulate_http_trial
 from repro.experiments.scenarios import release_scenario
 from repro.experiments.vantage import VantagePoint
 from repro.experiments.websites import Website
-from repro.gfw.heterogeneity import (
-    HETEROGENEOUS_VARIANT,
-    active_ensemble,
-)
+from repro.gfw import heterogeneity
 
 __all__ = [
     "DEFAULT_HOURS",
@@ -138,7 +135,7 @@ def _inconsistency_cell_worker(
     released; devices are built per trial, so the counters are per-trial
     by construction.
     """
-    ensemble = active_ensemble()
+    ensemble = heterogeneity.ROUTE_ENSEMBLE
     cell = InconsistencyCell(
         vantage=vantage.name,
         hour=hour,
@@ -156,7 +153,7 @@ def _inconsistency_cell_worker(
             calibration,
             seed=(seed * 1_000_003 + repeat) ^ salt,
             keyword=True,
-            gfw_variant=HETEROGENEOUS_VARIANT,
+            gfw_variant=heterogeneity.HETEROGENEOUS_VARIANT,
             # The reset and blacklist counters below keep counting after
             # the record is final.
             stop_at_verdict=False,
@@ -268,7 +265,7 @@ class InconsistencyReport:
                 "repeats": self.repeats,
                 "seed": self.seed,
                 "target": self.target,
-                "gfw_variant": HETEROGENEOUS_VARIANT,
+                "gfw_variant": heterogeneity.HETEROGENEOUS_VARIANT,
             },
             "routes": self.routes,
             "cells": [cell.as_payload() for cell in self.cells],
@@ -304,7 +301,7 @@ def run_inconsistency(
         for strategy_id in strategy_list
     ]
     cells = map_trials(_inconsistency_cell_worker, tasks, workers=workers)
-    ensemble = active_ensemble()
+    ensemble = heterogeneity.ROUTE_ENSEMBLE
     routes: Dict[str, Dict] = {}
     for vantage in points:
         member, profile = ensemble.resolve(vantage.name, website.name)

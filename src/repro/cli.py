@@ -45,7 +45,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from time import perf_counter
 from typing import Iterator, List, Optional
 
@@ -232,9 +232,9 @@ def _recording(args: argparse.Namespace) -> Iterator[None]:
 
     The recorder is raised only as far as the flags need (spans for a
     trace, the event ring for dumps) and only for the body; without
-    either flag it stays where ``REPRO_OBS`` put it.  The trace is
-    Chrome/Perfetto trace-event JSON; each anomaly dump is one JSON
-    file, and a ``NO_ANOMALIES`` marker stands in when none fired.
+    either flag it stays off.  The trace is Chrome/Perfetto trace-event
+    JSON; each anomaly dump is one JSON file, and a ``NO_ANOMALIES``
+    marker stands in when none fired.
     """
     import json
     import os
@@ -523,16 +523,10 @@ def _cmd_inconsistency(args: argparse.Namespace) -> int:
         format_diurnal_curve,
         format_disagreement_matrix,
     )
-    from repro.gfw.heterogeneity import RouteEnsemble, use_ensemble
 
     hours = [float(h) for h in args.hours.split(",") if h]
     strategies = (
         args.strategies.split(",") if args.strategies else DEFAULT_STRATEGIES
-    )
-    ensemble = (
-        RouteEnsemble(seed=args.ensemble_seed)
-        if args.ensemble_seed is not None
-        else None
     )
     print(
         f"inconsistency: {args.vantages} vantages x {len(hours)} hours x "
@@ -540,15 +534,14 @@ def _cmd_inconsistency(args: argparse.Namespace) -> int:
         f"(seed {args.seed})",
         file=sys.stderr,
     )
-    with use_ensemble(ensemble) if ensemble is not None else nullcontext():
-        report = run_inconsistency(
-            vantages=args.vantages,
-            hours=hours,
-            strategies=strategies,
-            repeats=args.repeats,
-            seed=args.seed,
-            workers=args.workers,
-        )
+    report = run_inconsistency(
+        vantages=args.vantages,
+        hours=hours,
+        strategies=strategies,
+        repeats=args.repeats,
+        seed=args.seed,
+        workers=args.workers,
+    )
     payload_json = report.to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -827,10 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=6,
                    help="trials per (vantage, hour, strategy) cell")
     p.add_argument("--seed", type=int, default=2017)
-    p.add_argument("--ensemble-seed", type=int, default=None,
-                   dest="ensemble_seed",
-                   help="route-assignment seed (default: the built-in "
-                        "ensemble's)")
     p.add_argument("--workers", type=int, default=None,
                    help="process-pool size (default: REPRO_WORKERS)")
     p.add_argument("--json", action="store_true",

@@ -1,22 +1,20 @@
 """Environment-knob parsing shared by every ``REPRO_*`` switch.
 
-The runtime knobs are ``REPRO_WORKERS`` (the parallel engine's worker
-count) and ``REPRO_OBS`` (the observability recorder's level:
-``off``, ``spans`` or ``events``).  This module is their single parser,
-and the bench sizing knobs' too, so no knob has its own idea of what
-"truthy" means or silently swallows a typo: booleans accept the usual
-spellings, integers are validated, choices must be one of the listed
-names, and a malformed value raises :class:`EnvKnobError` naming the
-variable — a typo'd knob should fail loudly, not quietly run the
-experiment with the default.
+The one runtime knob is ``REPRO_WORKERS`` (the parallel engine's worker
+count).  This module is its parser, and the bench sizing knobs' too, so
+no knob has its own idea of what "truthy" means or silently swallows a
+typo: booleans accept the usual spellings, integers are validated, and
+a malformed value raises :class:`EnvKnobError` naming the variable — a
+typo'd knob should fail loudly, not quietly run the experiment with the
+default.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional, Sequence
+from typing import Optional
 
-__all__ = ["EnvKnobError", "env_choice", "env_flag", "env_int"]
+__all__ = ["EnvKnobError", "env_flag", "env_int"]
 
 _TRUE = frozenset({"1", "true", "yes", "on"})
 _FALSE = frozenset({"0", "false", "no", "off"})
@@ -68,16 +66,3 @@ def env_int(
         raise EnvKnobError(f"{name}={value} is below the minimum of {minimum}")
     return value
 
-
-def env_choice(name: str, choices: Sequence[str], default: str) -> str:
-    """Parse a knob naming one of ``choices``; unset or empty means
-    ``default``.  Matching ignores case and surrounding space; anything
-    else raises :class:`EnvKnobError`."""
-    raw = os.environ.get(name, "").strip().lower()
-    if not raw:
-        return default
-    if raw in choices:
-        return raw
-    raise EnvKnobError(
-        f"{name}={os.environ[name]!r} is not one of: {', '.join(choices)}"
-    )

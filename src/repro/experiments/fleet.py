@@ -66,11 +66,7 @@ from repro.experiments.websites import Website, outside_china_catalog
 from repro.gfw.blacklist import Blacklist
 from repro.gfw.cluster import GFWCluster, SharedInstallation
 from repro.gfw.flow import FlowTable, GFWFlow, GFWFlowState
-from repro.gfw.heterogeneity import (
-    active_ensemble,
-    is_heterogeneous,
-    validate_variant,
-)
+from repro.gfw import heterogeneity
 from repro.gfw.models import model_variant_configs
 from repro.lazyrandom import LazyRandom
 from repro.netsim.batch import BatchSim
@@ -195,7 +191,8 @@ class FleetSpec:
             raise ValueError("strategies pool must not be empty")
         if self.max_flows is not None and self.max_flows < 1:
             raise ValueError("max_flows override must be >= 1")
-        validate_variant(self.gfw_variant)  # registered or heterogeneous
+        # A registered variant or heterogeneous.
+        heterogeneity.validate_variant(self.gfw_variant)
 
     def group_indices(self, group: int) -> range:
         """Global flow indices owned by ``group`` (round robin)."""
@@ -294,13 +291,13 @@ class SharedGFWState:
         self.evicted_keys: Dict[int, object] = {}
         self.evictions_in_resync = 0
         self._recorder = get_recorder()
-        if is_heterogeneous(spec.gfw_variant):
+        if heterogeneity.is_heterogeneous(spec.gfw_variant):
             # One full installation per ensemble member, living side by
             # side: routes resolve to members, so wave N's blacklistings
             # on an evolved route never leak onto an old-model route —
             # exactly Ensafi's per-path state independence.  Seeds are
             # salted per member, keeping serial == parallel.
-            for member in active_ensemble().members:
+            for member in heterogeneity.ROUTE_ENSEMBLE.members:
                 self._install_member(member, spec, group, salt=f":{member}")
         else:
             # Historical single-installation path: seed strings, draw

@@ -34,11 +34,6 @@ import os
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.core.env import env_int
-from repro.gfw.heterogeneity import (
-    RouteEnsemble,
-    active_ensemble,
-    set_active_ensemble,
-)
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.recorder import get_recorder
 
@@ -128,25 +123,23 @@ def _note_execution(workers: int, chunks: int) -> None:
 
 
 def _run_chunk(
-    payload: Tuple[Callable, Tuple, int, RouteEnsemble],
+    payload: Tuple[Callable, Tuple, int],
 ) -> Tuple[List[Any], dict]:
     """Worker side: run one chunk serially under one ``chunk`` span;
     return its results and the telemetry delta it produced.
 
     The delta, not the full snapshot: a reused worker's registry
     accumulates, so the parent must see only what this chunk added.
-    The payload carries the parent's recorder level and route ensemble,
-    because a level raised (``observing()``) or an ensemble installed
-    (``use_ensemble()``) after the pool started would never reach the
-    workers otherwise.  Drained records (span trees, anomaly dumps)
+    The payload carries the parent's recorder level, because a level
+    raised (``observing()``) after the pool started would never reach
+    the workers otherwise.  Drained records (span trees, anomaly dumps)
     ride in the delta under ``"records"``, a key
     :meth:`MetricsRegistry.merge` ignores.
     """
-    func, chunk, level, ensemble = payload
+    func, chunk, level = payload
     registry = get_registry()
     recorder = get_recorder()
     recorder.level = level
-    set_active_ensemble(ensemble)
     # Start from nothing: a forked worker inherits the parent's open
     # spans (the sweep span a pool created mid-sweep forks under), its
     # ring and its records.  Spans closed onto an inherited parent would
@@ -192,9 +185,8 @@ def map_trials(
     base, extra = divmod(len(tasks), count)
     bounds = [i * base + min(i, extra) for i in range(count + 1)]
     registry, recorder = get_registry(), get_recorder()
-    ensemble = active_ensemble()
     payloads = [
-        (func, tuple(tasks[bounds[i] : bounds[i + 1]]), recorder.level, ensemble)
+        (func, tuple(tasks[bounds[i] : bounds[i + 1]]), recorder.level)
         for i in range(count)
     ]
     results: List[Any] = []

@@ -11,8 +11,8 @@ This module supplies the deterministic fabric for that model:
 
 - :class:`RouteEnsemble` — assigns every ``(vantage, target)`` route one
   registered model variant plus a per-route :class:`TemporalProfile`.
-  Assignment is a **pure function** of ``(ensemble seed, vantage name,
-  target name)`` via crc32 (never ``hash()``): permutation-stable,
+  Assignment is a **pure function** of ``(seed, vantage name, target
+  name)`` via crc32 (never ``hash()``): permutation-stable,
   interpreter-stable, and — critically — free of RNG draws, so scenario
   builds keep their exact historical draw order.
 - :class:`TemporalProfile` — a sinusoidal diurnal load curve mapped to a
@@ -28,30 +28,27 @@ that maps it to a concrete member variant per route.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.gfw.models import MODEL_VARIANT_FACTORIES, model_variant_configs
 from repro.telemetry.metrics import get_registry
 
 __all__ = [
     "HETEROGENEOUS_VARIANT",
+    "ROUTE_ENSEMBLE",
     "RouteEnsemble",
     "TemporalProfile",
-    "active_ensemble",
     "is_heterogeneous",
     "resolve_route",
-    "set_active_ensemble",
-    "use_ensemble",
     "validate_variant",
 ]
 
 #: The pseudo-variant name accepted wherever a model variant is: it is
 #: not itself a member of ``MODEL_VARIANT_FACTORIES`` — it *selects* a
-#: member per route through the active :class:`RouteEnsemble`.
+#: member per route through :data:`ROUTE_ENSEMBLE`.
 HETEROGENEOUS_VARIANT = "heterogeneous"
 
 _REGISTRY = get_registry()
@@ -116,7 +113,7 @@ class RouteEnsemble:
     reduces byte-for-byte to that member variant, which the conformance
     tier pins.  ``profile`` forces one fixed :class:`TemporalProfile`
     for every route (tests use it to pin suppression deterministically);
-    ``None`` generates a per-route profile from the ensemble seed.
+    ``None`` generates a per-route profile from ``seed``.
     """
 
     members: Tuple[str, ...] = ("evolved", "mixed", "old")
@@ -181,38 +178,12 @@ class RouteEnsemble:
         )
 
 
-#: The process-wide ensemble consulted by ``resolve_route``.  Module
-#: state (not a scenario field) so the resolution is reachable without
-#: widening every task tuple; each pool chunk's payload carries the
-#: parent's ensemble to its worker (``parallel._run_chunk``), so serial
-#: and parallel runs agree.
-DEFAULT_ROUTE_ENSEMBLE = RouteEnsemble()
-_ACTIVE_ENSEMBLE: RouteEnsemble = DEFAULT_ROUTE_ENSEMBLE
-
-
-def active_ensemble() -> RouteEnsemble:
-    return _ACTIVE_ENSEMBLE
-
-
-def set_active_ensemble(
-    ensemble: Optional[RouteEnsemble],
-) -> RouteEnsemble:
-    """Install ``ensemble`` (``None`` restores the default); returns the
-    previous one so callers can stack."""
-    global _ACTIVE_ENSEMBLE
-    previous = _ACTIVE_ENSEMBLE
-    _ACTIVE_ENSEMBLE = ensemble if ensemble is not None else DEFAULT_ROUTE_ENSEMBLE
-    return previous
-
-
-@contextlib.contextmanager
-def use_ensemble(ensemble: RouteEnsemble) -> Iterator[RouteEnsemble]:
-    """Scoped ensemble override (tests, CLI sweeps)."""
-    previous = set_active_ensemble(ensemble)
-    try:
-        yield ensemble
-    finally:
-        set_active_ensemble(previous)
+#: The route ensemble ``resolve_route``, the fleet's shared state and the
+#: inconsistency sweep read.  A module constant, not a scenario field, so
+#: the resolution is reachable without widening every task tuple; every
+#: process builds the same one, so serial and parallel runs agree.
+#: Tests that need another ensemble monkeypatch this name.
+ROUTE_ENSEMBLE = RouteEnsemble()
 
 
 def is_heterogeneous(variant: Optional[str]) -> bool:
@@ -240,10 +211,10 @@ def resolve_route(
 
     Identity for ``None`` and every concrete variant (zero overhead and
     zero new telemetry on historical paths); for ``heterogeneous``,
-    consults the active ensemble and counts the assignment.
+    consults :data:`ROUTE_ENSEMBLE` and counts the assignment.
     """
     if not is_heterogeneous(variant):
         return variant, None
-    member, profile = _ACTIVE_ENSEMBLE.resolve(vantage_name, target_name)
+    member, profile = ROUTE_ENSEMBLE.resolve(vantage_name, target_name)
     _METRIC_ROUTES_ASSIGNED.inc()
     return member, profile

@@ -8,7 +8,8 @@ Five layers, one import surface:
   trial engine merges across worker processes (order-independently);
 - :mod:`repro.telemetry.recorder` — the process-local
   :class:`~repro.telemetry.recorder.Recorder`, one ordered stream behind
-  one level (``REPRO_OBS=off|spans|events``): the span forest (sweep →
+  one level (off unless :func:`~repro.telemetry.recorder.observing`
+  raises it to spans or events): the span forest (sweep →
   chunk → wave → trial/flow → phase, wall + sim time), the bounded,
   sequenced ring of :class:`~repro.telemetry.events.TelemetryEvent`
   records that the trace recorder, the GFW device, strategies, and

@@ -193,10 +193,11 @@ def diagnose_trial(
 
     Always re-simulates, so the trial's events are there to explain.
     The recorder keeps the event ring for the duration
-    (:func:`~repro.telemetry.recorder.observing`), so this works
-    whatever ``REPRO_OBS`` says.  ``gfw_variant`` forces a named installation
-    variant, letting the conformance harness explain a drifted matrix
-    cell with the exact censor configuration that produced it.
+    (:func:`~repro.telemetry.recorder.observing`), so it needs no
+    caller to raise the level.  ``gfw_variant`` forces a named
+    installation variant, letting the conformance harness explain a
+    drifted matrix cell with the exact censor configuration that
+    produced it.
     """
     from repro.experiments.calibration import DEFAULT_CALIBRATION
     from repro.experiments.runner import _simulate_http_trial

@@ -15,9 +15,9 @@ keeps, ordered by cost:
   snapshots, recorded when an eviction false negative, blacklist false
   positive, oracle drift, or broken verdict fires.
 
-The level comes from ``REPRO_OBS=off|spans|events`` when the recorder is
-built; :func:`observing` raises it for a scoped window (the sweep
-commands' ``--trace-out``/``--dump-dir``, diagnosis, tests).
+The level starts at ``off``; only :func:`observing` raises it, for a
+scoped window (the sweep commands' ``--trace-out``/``--dump-dir``,
+diagnosis, tests).
 
 Finished root spans and dumps are the recorder's *records*.
 :meth:`Recorder.drain` / :meth:`Recorder.merge` move them across the
@@ -42,7 +42,6 @@ from repro.telemetry.trace import make_span
 __all__ = [
     "DUMP_WINDOW",
     "EVENTS",
-    "LEVELS",
     "OFF",
     "Recorder",
     "SPANS",
@@ -51,9 +50,8 @@ __all__ = [
     "reset_recorder",
 ]
 
-#: Recorder levels, ordered by cost; ``LEVELS[level]`` is the knob name.
+#: Recorder levels, ordered by cost.
 OFF, SPANS, EVENTS = 0, 1, 2
-LEVELS = ("off", "spans", "events")
 
 #: Default ring capacity; one HTTP trial with full tracing publishes a
 #: few hundred events, so this holds several trials of history.
@@ -63,21 +61,11 @@ DEFAULT_CAPACITY = 8192
 DUMP_WINDOW = 128
 
 
-def env_level() -> int:
-    """The level ``REPRO_OBS`` asks for (``off`` when unset)."""
-    # Imported here, not at module top: repro.core.__init__ pulls in
-    # publishers that import this module, so a module-level import of
-    # repro.core.env would be circular.
-    from repro.core.env import env_choice
-
-    return LEVELS.index(env_choice("REPRO_OBS", LEVELS, "off"))
-
-
 class Recorder:
     """Span forest, event ring and anomaly dumps behind one level."""
 
     def __init__(
-        self, level: Optional[int] = None, capacity: int = DEFAULT_CAPACITY
+        self, level: int = OFF, capacity: int = DEFAULT_CAPACITY
     ) -> None:
         self.capacity = capacity
         self._ring: Deque[TelemetryEvent] = deque(maxlen=capacity)
@@ -93,7 +81,7 @@ class Recorder:
         self.roots: List[Dict[str, Any]] = []
         self.dumps: List[Dict[str, Any]] = []
         self._stack: List[Dict[str, Any]] = []
-        self.level = env_level() if level is None else level
+        self.level = level
 
     @property
     def level(self) -> int:
@@ -272,7 +260,7 @@ _RECORDER: Optional[Recorder] = None
 
 
 def get_recorder() -> Recorder:
-    """The process recorder (built on first use; reads ``REPRO_OBS``)."""
+    """The process recorder (built on first use, at ``off``)."""
     global _RECORDER
     if _RECORDER is None:
         _RECORDER = Recorder()
@@ -280,8 +268,8 @@ def get_recorder() -> Recorder:
 
 
 def reset_recorder() -> Recorder:
-    """Replace the process recorder with a fresh one that re-reads
-    ``REPRO_OBS`` (test isolation)."""
+    """Replace the process recorder with a fresh one at ``off`` (test
+    isolation)."""
     global _RECORDER
     _RECORDER = Recorder()
     return _RECORDER

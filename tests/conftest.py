@@ -15,8 +15,7 @@ settings.register_profile("ci", derandomize=True)
 
 @pytest.fixture(autouse=True)
 def _quiet_recorder():
-    """Give each test a fresh observability recorder: at the level the
-    environment asks for (off unless ``REPRO_OBS`` is set) and empty."""
+    """Give each test a fresh observability recorder: off and empty."""
     from repro.telemetry import reset_recorder
 
     reset_recorder()

@@ -19,8 +19,6 @@ from repro.analysis.ignore_paths import (
 )
 from repro.gfw.models import old_config
 from repro.tcp.profiles import (
-    LINUX_2_4_37,
-    LINUX_2_6_34,
     LINUX_3_14,
     LINUX_4_4,
 )

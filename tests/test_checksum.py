@@ -2,7 +2,6 @@
 
 import struct
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.netstack.checksum import (

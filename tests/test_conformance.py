@@ -16,7 +16,6 @@ from repro.conformance import (
     CONFORMANCE_PROFILES,
     CONFORMANCE_VARIANTS,
     ConformanceCell,
-    FAULT_GRID,
     check_verdicts,
     classify_counts,
     compare_golden,

@@ -1,5 +1,6 @@
-"""No dead names under ``src/repro``: every import is used, every
-attribute written on ``self`` is read somewhere.
+"""No dead names: every import under ``src/repro``, ``tests``,
+``benchmarks`` and ``examples`` is used, and every attribute written on
+``self`` under ``src/repro`` is read somewhere.
 
 Both checks read source with :mod:`ast` and run nothing.  A name is
 matched by spelling only, not by the class it belongs to, so a check
@@ -18,6 +19,9 @@ ROOT = SRC.parent.parent
 
 #: Where a written attribute may be read.
 READERS = ("src", "tests", "benchmarks", "examples", "perfbench")
+
+#: Where every import must be used (``perfbench`` is frozen).
+IMPORTERS = ("src", "tests", "benchmarks", "examples")
 
 #: (class, attribute) pairs read by code outside the repository.
 EXEMPT_ATTRIBUTES = {
@@ -68,12 +72,13 @@ def _imported_names(tree: ast.Module) -> Iterator[Tuple[int, str]]:
 
 def unused_imports() -> List[str]:
     found = []
-    for path in _modules():
-        tree = _parse(path)
-        used = _used_names(tree)
-        for lineno, name in _imported_names(tree):
-            if name not in used:
-                found.append(f"{path.relative_to(SRC)}:{lineno}: {name}")
+    for top in IMPORTERS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = _parse(path)
+            used = _used_names(tree)
+            for lineno, name in _imported_names(tree):
+                if name not in used:
+                    found.append(f"{path.relative_to(ROOT)}:{lineno}: {name}")
     return found
 
 

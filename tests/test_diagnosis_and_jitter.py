@@ -16,7 +16,7 @@ from repro.experiments import (
 from repro.netsim import Host, Network, Path, SimClock
 from repro.netstack.packet import ACK, tcp_packet
 
-from repro.experiments.lab import SERVER_IP, fetch, mini_topology
+from repro.experiments.lab import SERVER_IP, mini_topology
 
 
 class TestDiagnosis:

@@ -3,12 +3,9 @@ interplay with DNS poisoning (§6, §7.2)."""
 
 import random
 
-import pytest
-
 from repro.apps.dns import DNSTcpResolver, DNSUdpClient, DNSUdpResolver
 from repro.apps.udp import UDPHost
 from repro.core.intang import INTANG
-from repro.gfw import evolved_config
 from repro.gfw.dns_poisoner import POISONED_ANSWER_IP, DNSPoisoner
 
 from repro.experiments.lab import SERVER_IP, mini_topology

@@ -1,15 +1,12 @@
 """Edge-case tests across modules: listener gating, half-close states,
 GFW fragment reassembly, trace predicates, and codec corners."""
 
-import random
-
 import pytest
 
 from repro.netstack.fragment import fragment_packet
 from repro.netstack.options import MD5SignatureOption, MSSOption
 from repro.netstack.packet import (
     ACK,
-    FIN,
     IPPacket,
     RST,
     SYN,
@@ -19,7 +16,7 @@ from repro.netstack.packet import (
 from repro.netsim.trace import TraceEvent, TraceRecorder
 from repro.tcp.tcb import TCPState
 
-from repro.experiments.lab import CLIENT_IP, SERVER_IP, fetch, mini_topology
+from repro.experiments.lab import CLIENT_IP, SERVER_IP, mini_topology
 from helpers import detections
 
 

@@ -1,8 +1,13 @@
 """The shared ``REPRO_*`` environment-knob parser (repro.core.env)."""
 
+import ast
+import re
+from pathlib import Path
+
 import pytest
 
-from repro.core.env import EnvKnobError, env_choice, env_flag, env_int
+import repro
+from repro.core.env import EnvKnobError, env_flag, env_int
 
 
 class TestEnvFlag:
@@ -59,25 +64,6 @@ class TestEnvInt:
             env_int("REPRO_TEST_INT", default=0, minimum=1)
 
 
-class TestEnvChoice:
-    CHOICES = ("off", "spans", "events")
-
-    def test_unset_or_empty_returns_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TEST_CHOICE", raising=False)
-        assert env_choice("REPRO_TEST_CHOICE", self.CHOICES, "off") == "off"
-        monkeypatch.setenv("REPRO_TEST_CHOICE", "  ")
-        assert env_choice("REPRO_TEST_CHOICE", self.CHOICES, "on") == "on"
-
-    def test_matches_ignoring_case_and_space(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_CHOICE", " EVENTS ")
-        assert env_choice("REPRO_TEST_CHOICE", self.CHOICES, "off") == "events"
-
-    def test_unknown_name_raises_listing_the_choices(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_CHOICE", "all")
-        with pytest.raises(EnvKnobError, match="REPRO_TEST_CHOICE.*spans"):
-            env_choice("REPRO_TEST_CHOICE", self.CHOICES, "off")
-
-
 class TestKnobRouting:
     """The real knobs go through this parser, so typos fail loudly."""
 
@@ -95,21 +81,23 @@ class TestKnobRouting:
         with pytest.raises(EnvKnobError, match="REPRO_WORKERS"):
             configured_workers()
 
-    def test_telemetry_knob_controls_bus(self, monkeypatch):
-        from repro.telemetry import EVENTS, OFF, SPANS, reset_recorder
+    def test_recorder_ignores_the_environment(self, monkeypatch):
+        from repro.telemetry import OFF, reset_recorder
 
-        for spelling, level in [
-            ("events", EVENTS), (" Spans ", SPANS), ("off", OFF), ("", OFF),
-        ]:
-            monkeypatch.setenv("REPRO_OBS", spelling)
-            recorder = reset_recorder()
-            assert recorder.level == level
-            assert recorder.spans_on is (level >= SPANS)
-            assert recorder.events_on is (level >= EVENTS)
-            assert (recorder.publish("gfw", "x") is None) is (level < EVENTS)
-        monkeypatch.delenv("REPRO_OBS", raising=False)
-        assert reset_recorder().level == OFF  # default off
-        for bad in ("1", "on", "trace", "event"):
-            monkeypatch.setenv("REPRO_OBS", bad)
-            with pytest.raises(EnvKnobError, match="REPRO_OBS"):
-                reset_recorder()
+        monkeypatch.setenv("REPRO_OBS", "events")
+        assert reset_recorder().level == OFF
+
+    def test_workers_is_the_only_runtime_knob(self):
+        """Every ``REPRO_*`` name a string constant under ``src/repro``
+        spells is a knob the package reads; only one may remain."""
+        knob = re.compile(r"REPRO_[A-Z0-9_]+")
+        names = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            names.update(
+                node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and knob.fullmatch(node.value)
+            )
+        assert names == {"REPRO_WORKERS"}

@@ -8,7 +8,7 @@ from repro.core.cache import KeyValueStore
 from repro.core.framework import InterceptionFramework
 from repro.core.hops import HopEstimator
 from repro.core.selection import StrategyRecord, StrategySelector
-from repro.core.strategy_base import ConnectionContext, EvasionStrategy, NoStrategy
+from repro.core.strategy_base import ConnectionContext, EvasionStrategy
 from repro.netstack.packet import ACK, SYN
 
 from repro.experiments.lab import CLIENT_IP, SERVER_IP, fetch, mini_topology

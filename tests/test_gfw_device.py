@@ -2,9 +2,7 @@
 
 import random
 
-import pytest
-
-from repro.netstack.packet import ACK, FIN, IPPacket, RST, SYN, TCPSegment, seq_add
+from repro.netstack.packet import ACK, FIN, RST, SYN, TCPSegment, seq_add
 from repro.gfw import GFWDevice, GFWFlowState, evolved_config, old_config
 from repro.gfw.flow import expected_reset_seqs
 from repro.analysis.probe import GFWHarness

@@ -1,7 +1,5 @@
 """DPI engine tests: keyword matching, protocol dispatch, latching."""
 
-import pytest
-
 from repro.gfw.dpi import StreamInspector
 from repro.gfw.rules import DEFAULT_KEYWORDS, Detection, RuleSet
 from repro.apps.dns import encode_query

@@ -14,15 +14,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.conformance.matrix import ConformanceCell, FAULT_GRID, run_cell
 from repro.experiments.calibration import CLEAN_ROOM
+from repro.gfw import heterogeneity
 from repro.gfw.blacklist import Blacklist
 from repro.gfw.heterogeneity import (
     HETEROGENEOUS_VARIANT,
+    ROUTE_ENSEMBLE,
     RouteEnsemble,
     TemporalProfile,
-    active_ensemble,
     is_heterogeneous,
     resolve_route,
-    use_ensemble,
     validate_variant,
 )
 from repro.telemetry.metrics import get_registry
@@ -67,9 +67,8 @@ class TestRouteAssignment:
             assert profile is not None
 
     def test_default_ensemble_spreads_members(self):
-        ensemble = active_ensemble()
         members = {
-            ensemble.member_for(f"route-vp-{i:02d}", "target.example")
+            ROUTE_ENSEMBLE.member_for(f"route-vp-{i:02d}", "target.example")
             for i in range(16)
         }
         assert len(members) > 1  # heterogeneity, not a constant map
@@ -99,7 +98,7 @@ class TestRouteAssignment:
         assert registry.counter_value("hetero.routes_assigned") == before
         member, profile = resolve_route(HETEROGENEOUS_VARIANT, "a", "b")
         assert registry.counter_value("hetero.routes_assigned") == before + 1
-        assert member in active_ensemble().members
+        assert member in ROUTE_ENSEMBLE.members
         assert profile is not None
 
 
@@ -127,7 +126,7 @@ class TestTemporalProfile:
             low, high = ensemble.ttl_drift
             assert low <= profile.ttl_factor <= high
 
-    def test_device_suppression_pinned_at_full_load(self):
+    def test_device_suppression_pinned_at_full_load(self, monkeypatch):
         """suppression=1.0: detection stands, enforcement never fires."""
         from repro.experiments.runner import Outcome, _simulate_http_trial
         from repro.analysis.inconsistency import lab_vantages
@@ -139,11 +138,11 @@ class TestTemporalProfile:
             members=("evolved",),
             profile=TemporalProfile(base_suppression=1.0, amplitude=0.0),
         )
-        with use_ensemble(always):
-            record, scenario = _simulate_http_trial(
-                vantage, website, "none", CLEAN_ROOM, seed=3,
-                keyword=True, gfw_variant=HETEROGENEOUS_VARIANT,
-            )
+        monkeypatch.setattr(heterogeneity, "ROUTE_ENSEMBLE", always)
+        record, scenario = _simulate_http_trial(
+            vantage, website, "none", CLEAN_ROOM, seed=3,
+            keyword=True, gfw_variant=HETEROGENEOUS_VARIANT,
+        )
         device = scenario.gfw_devices[0]
         assert record.outcome is Outcome.SUCCESS
         assert device.resets_suppressed >= 1
@@ -151,7 +150,7 @@ class TestTemporalProfile:
         assert len(device.detections) >= 1  # the DPI match stands
         assert device.blacklist.total_blacklistings == 0
 
-    def test_device_enforces_at_zero_load(self):
+    def test_device_enforces_at_zero_load(self, monkeypatch):
         """suppression=0.0 under the same ensemble shape: blocked."""
         from repro.experiments.runner import Outcome, _simulate_http_trial
         from repro.analysis.inconsistency import lab_vantages
@@ -163,11 +162,11 @@ class TestTemporalProfile:
             members=("evolved",),
             profile=TemporalProfile(base_suppression=0.0, amplitude=0.0),
         )
-        with use_ensemble(never):
-            record, scenario = _simulate_http_trial(
-                vantage, website, "none", CLEAN_ROOM, seed=3,
-                keyword=True, gfw_variant=HETEROGENEOUS_VARIANT,
-            )
+        monkeypatch.setattr(heterogeneity, "ROUTE_ENSEMBLE", never)
+        record, scenario = _simulate_http_trial(
+            vantage, website, "none", CLEAN_ROOM, seed=3,
+            keyword=True, gfw_variant=HETEROGENEOUS_VARIANT,
+        )
         device = scenario.gfw_devices[0]
         assert record.outcome is Outcome.FAILURE2
         assert device.resets_suppressed == 0
@@ -208,12 +207,11 @@ class TestBlacklistTTLDrift:
 
         vantage = lab_vantages(1)[0]
         website = conformance_site()
-        ensemble = active_ensemble()
         _record, scenario = _simulate_http_trial(
             vantage, website, "none", CLEAN_ROOM, seed=11,
             keyword=True, gfw_variant=HETEROGENEOUS_VARIANT,
         )
-        profile = ensemble.profile_for(vantage.name, website.name)
+        profile = ROUTE_ENSEMBLE.profile_for(vantage.name, website.name)
         for device in scenario.gfw_devices:
             assert device.blacklist.duration == pytest.approx(
                 90.0 * profile.ttl_factor
@@ -224,20 +222,20 @@ class TestBlacklistTTLDrift:
 # conformance reduction + sweep worker-independence
 # ---------------------------------------------------------------------------
 class TestHeterogeneousConformance:
-    def test_single_variant_ensemble_reduces_to_mixed(self):
+    def test_single_variant_ensemble_reduces_to_mixed(self, monkeypatch):
         """A one-member, temporal-off ensemble must reproduce the plain
         ``mixed`` variant's counts byte-for-byte — heterogeneity with
         the heterogeneity removed is the identity."""
         degenerate = RouteEnsemble(members=("mixed",), temporal=False)
+        monkeypatch.setattr(heterogeneity, "ROUTE_ENSEMBLE", degenerate)
         for strategy in ("none", "improved-tcb-teardown", "resync-desync"):
-            with use_ensemble(degenerate):
-                hetero = run_cell(
-                    ConformanceCell(
-                        strategy, HETEROGENEOUS_VARIANT, "neutral", CLEAN
-                    ),
-                    repeats=4,
-                    seed=77,
-                )
+            hetero = run_cell(
+                ConformanceCell(
+                    strategy, HETEROGENEOUS_VARIANT, "neutral", CLEAN
+                ),
+                repeats=4,
+                seed=77,
+            )
             plain = run_cell(
                 ConformanceCell(strategy, "mixed", "neutral", CLEAN),
                 repeats=4,
@@ -266,27 +264,6 @@ class TestHeterogeneousConformance:
         workers = run_inconsistency(**kwargs, workers=2).to_json()
         three = run_inconsistency(**kwargs, workers=3).to_json()
         assert serial == workers == three
-
-    def test_ensemble_override_reaches_a_warm_pool(self):
-        """An ensemble installed after the pool's workers started must
-        reach them: the 2-worker report equals the serial one."""
-        import operator
-
-        from repro.analysis.inconsistency import run_inconsistency
-        from repro.experiments.parallel import map_trials
-
-        assert map_trials(operator.add, [(1, 2), (3, 4)], workers=2) == [3, 7]
-        kwargs = dict(
-            vantages=4,
-            hours=(0.0, 12.0),
-            strategies=("tcb-teardown-rst/ttl",),
-            repeats=2,
-            seed=2017,
-        )
-        with use_ensemble(RouteEnsemble(seed=5)):
-            serial = run_inconsistency(**kwargs, workers=1).to_json()
-            pooled = run_inconsistency(**kwargs, workers=2).to_json()
-        assert serial == pooled
 
     def test_report_cells_carry_wilson_bounds(self):
         from repro.analysis.inconsistency import run_inconsistency

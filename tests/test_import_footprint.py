@@ -76,7 +76,9 @@ def test_two_worker_map_builds_its_pool_and_matches_serial():
         "assert map_trials(pow, tasks, workers=2) == map_trials(pow, tasks, workers=1)\n"
         "shutdown_pool()"
     )
-    assert _loaded(code, *POOL) == list(POOL)
+    # The fan-out is generic: it loads no GFW model and no packet code.
+    models = ("repro.gfw.heterogeneity", "repro.netstack.packet")
+    assert _loaded(code, *POOL, *models) == list(POOL)
 
 
 def test_every_exported_name_resolves():

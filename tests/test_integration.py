@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.core.intang import INTANG
 from repro.experiments import (
     CHINA_VANTAGE_POINTS,
@@ -14,9 +12,8 @@ from repro.experiments import (
     run_http_trial,
 )
 from repro.experiments.runner import make_persistent_selector
-from repro.gfw import evolved_config
 
-from repro.experiments.lab import CLIENT_IP, SERVER_IP, fetch, lab_trial, mini_topology
+from repro.experiments.lab import SERVER_IP, fetch, lab_trial, mini_topology
 from helpers import detections
 
 

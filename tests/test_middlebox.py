@@ -2,11 +2,9 @@
 
 import random
 
-import pytest
-
 from repro.netstack.fragment import fragment_packet
 from repro.netstack.options import MD5SignatureOption
-from repro.netstack.packet import ACK, FIN, RST, SYN, IPPacket, TCPSegment, seq_add, tcp_packet
+from repro.netstack.packet import ACK, FIN, RST, SYN, seq_add, tcp_packet
 from repro.netsim.path import Direction, Verdict
 from repro.middlebox import (
     FieldSanitizerBox,

@@ -5,9 +5,8 @@ import random
 
 import pytest
 
-from repro.netstack.packet import ACK, IPPacket, RST, TCPSegment, tcp_packet
+from repro.netstack.packet import ACK, RST, tcp_packet
 from repro.netsim import (
-    Direction,
     Host,
     InlineBox,
     Network,

@@ -1,7 +1,5 @@
 """Host handler/egress mechanics and the table-rendering utilities."""
 
-import pytest
-
 from repro.netstack.fragment import fragment_packet
 from repro.netstack.packet import ACK, tcp_packet
 from repro.netsim import Host, Network, Path, SimClock

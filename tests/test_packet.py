@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from repro.netstack.packet import (
     ACK,
     FIN,
-    IPPacket,
     PSH,
     RST,
     SYN,

@@ -6,8 +6,6 @@ round trips must be lossless, and the reassembly/cache structures must
 agree with simple reference models.
 """
 
-import random
-
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.netstack.options import (

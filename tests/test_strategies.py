@@ -23,7 +23,7 @@ from repro.core.intang import INTANG
 from repro.gfw import evolved_config, old_config
 from repro.strategies.registry import STRATEGY_REGISTRY
 
-from repro.experiments.lab import SERVER_IP, fetch, mini_topology
+from repro.experiments.lab import fetch, mini_topology
 from helpers import detections
 
 

@@ -4,7 +4,7 @@ findings, asserted stack-by-stack."""
 import pytest
 
 from repro.netstack.options import MD5SignatureOption
-from repro.netstack.packet import ACK, IPPacket, RST, SYN, TCPSegment, seq_add
+from repro.netstack.packet import ACK, RST, SYN, seq_add
 from repro.tcp.profiles import (
     ALL_PROFILES,
     LINUX_2_4_37,

@@ -1,8 +1,6 @@
 """TCP state-machine tests: handshake, data, close, resets, and every
 ignore path of §5.3 as seen from a Linux-4.4-like server."""
 
-import pytest
-
 from repro.netstack.options import MD5SignatureOption, TimestampOption
 from repro.netstack.packet import ACK, FIN, IPPacket, RST, SYN, seq_add
 from repro.tcp.stack import CloseReason, DropReason

@@ -186,7 +186,7 @@ class TestEventBus:
 
     def test_capturing_restores_prior_state(self):
         bus = get_recorder()
-        assert bus.level == OFF  # conftest resets; REPRO_OBS unset
+        assert bus.level == OFF  # conftest resets to off
         with observing(EVENTS) as inner:
             assert inner is bus
             assert bus.events_on is True

@@ -6,9 +6,8 @@ import random
 import pytest
 
 from repro.core.intang import INTANG
-from repro.netstack.packet import ACK, IPPacket, TCPSegment, seq_add
+from repro.netstack.packet import ACK, IPPacket, TCPSegment
 from repro.tcp.stack import INITIAL_RTO, CloseReason
-from repro.tcp.tcb import TCPState
 
 from repro.experiments.lab import CLIENT_IP, SERVER_IP, fetch, mini_topology
 from helpers import detections
