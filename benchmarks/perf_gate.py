@@ -52,9 +52,9 @@ def metric_spec(benchmark: dict) -> dict:
     raise KeyError(f"BENCHMARK.json declares no end-to-end metric {GATED_METRIC!r}")
 
 
-def workload_command(benchmark: dict, workload: str) -> List[str]:
+def workload_command(benchmark: dict, workload: str, seed: int = SEED) -> List[str]:
     return list(benchmark["command"]) + [
-        "--workload", workload, "--seed", str(SEED),
+        "--workload", workload, "--seed", str(seed),
         "--seconds", str(benchmark["run_seconds"]), "--trace", "0",
     ]
 

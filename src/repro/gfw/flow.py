@@ -110,14 +110,13 @@ class GFWFlow:
         return src == self.believed_client
 
     def endpoints_key(self) -> ConnKey:
-        ends = sorted([self.believed_client, self.believed_server])
-        return (ends[0], ends[1])
+        return connection_key(self.believed_client, self.believed_server)
 
 
 def connection_key(src: Tuple[str, int], dst: Tuple[str, int]) -> ConnKey:
-    """Direction-agnostic key used for the device's flow table."""
-    ends = sorted([src, dst])
-    return (ends[0], ends[1])
+    """Direction-agnostic key used for the device's flow table: the two
+    ends in ascending order."""
+    return (src, dst) if src <= dst else (dst, src)
 
 
 # Process-lifetime registry instruments, resolved once at import as in

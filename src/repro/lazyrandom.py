@@ -12,6 +12,13 @@ it then produces is exactly ``random.Random(seed)``'s.
 from __future__ import annotations
 
 import random
+from _random import Random as _CRandom
+
+#: The C seeder under ``random.Random.seed``.  For an ``int`` seed the
+#: Python method only adds ``gauss_next = None`` before calling it, and a
+#: :class:`LazyRandom` already holds that, so calling it directly gives
+#: the same state for a Python-level call less per woken stream.
+_c_seed = _CRandom.seed
 
 
 def _wake(generator: random.Random) -> None:
@@ -23,7 +30,11 @@ def _wake(generator: random.Random) -> None:
     ``random.Random``.
     """
     if generator.__class__ is LazyRandom:
-        random.Random.seed(generator, generator._lazy_seed)
+        seed = generator._lazy_seed
+        if seed.__class__ is int:
+            _c_seed(generator, seed)
+        else:
+            random.Random.seed(generator, seed)
         generator.__class__ = random.Random
 
 

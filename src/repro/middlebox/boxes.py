@@ -171,10 +171,9 @@ class StatefulFirewallBox(InlineBox):
 
     @staticmethod
     def _key(packet: IPPacket, segment: TCPSegment) -> Tuple:
-        ends = sorted(
-            [(packet.src, segment.src_port), (packet.dst, segment.dst_port)]
-        )
-        return (ends[0], ends[1])
+        src = (packet.src, segment.src_port)
+        dst = (packet.dst, segment.dst_port)
+        return (src, dst) if src <= dst else (dst, src)
 
     def process(
         self, packet: IPPacket, direction: Direction, now: float

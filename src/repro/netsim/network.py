@@ -76,9 +76,10 @@ class Path:
         self.name = f"{client_ip}<->{server_ip}"
         self.elements: List[PathElement] = []
         self.network: Optional["Network"] = None
-        #: (hops ascending, elements ascending, elements descending) or
-        #: None when stale; rebuilt lazily by :meth:`_build_schedule`.
-        self._schedule: Optional[Tuple[tuple, tuple, tuple]] = None
+        #: (hops ascending, elements ascending, elements descending,
+        #: client's first leg, server's first leg) or None when stale;
+        #: rebuilt lazily by :meth:`_build_schedule`.
+        self._schedule: Optional[Tuple[tuple, tuple, tuple, tuple, tuple]] = None
         self._per_hop_delay = base_delay / hop_count
 
     # -- construction -------------------------------------------------------
@@ -136,24 +137,31 @@ class Path:
         self._per_hop_delay = self.base_delay / self.hop_count
 
     # -- traversal --------------------------------------------------------------
-    def sender_hop(self, direction: Direction) -> int:
-        """Hop coordinate (client-based) of the sender for ``direction``."""
-        return 0 if direction is Direction.CLIENT_TO_SERVER else self.hop_count
-
     def destination_hop(self, direction: Direction) -> int:
         return self.hop_count if direction is Direction.CLIENT_TO_SERVER else 0
 
-    def _build_schedule(self) -> Tuple[tuple, tuple, tuple]:
-        """Precompute the per-direction visit schedules.
+    def _build_schedule(self) -> Tuple[tuple, tuple, tuple, tuple, tuple]:
+        """Precompute the per-direction visit schedules and end legs.
 
         ``self.elements`` is kept hop-sorted by :meth:`add_element`, but
         drift can perturb nothing about the *order* (hops shift
         uniformly), so one ascending sort is authoritative for both
-        directions; the descending view is its reverse.
+        directions; the descending view is its reverse.  The last two
+        entries are the first legs of a packet sent by the client and by
+        the server (see :meth:`leg`): every endpoint send reads one, so
+        it is worked out once per schedule, not per packet.
         """
         forward = tuple(sorted(self.elements, key=lambda item: item.hop))
         hops = tuple(element.hop for element in forward)
-        schedule = (hops, forward, tuple(reversed(forward)))
+        backward = tuple(reversed(forward))
+        schedule = (
+            hops, forward, backward,
+            self._leg(Direction.CLIENT_TO_SERVER, 0, forward, bisect_right(hops, 0)),
+            self._leg(
+                Direction.SERVER_TO_CLIENT, self.hop_count, backward,
+                len(hops) - bisect_left(hops, self.hop_count),
+            ),
+        )
         self._schedule = schedule
         _SCHEDULE_REBUILDS.inc()
         return schedule
@@ -168,10 +176,28 @@ class Path:
         schedule = self._schedule
         if schedule is None:
             schedule = self._build_schedule()
-        hops, forward, backward = schedule
+        hops, forward, backward, _client_leg, _server_leg = schedule
         if direction is Direction.CLIENT_TO_SERVER:
             return forward, bisect_right(hops, origin_hop)
         return backward, len(hops) - bisect_left(hops, origin_hop)
+
+    def _leg(self, direction: Direction, origin_hop: int, plan: tuple, start: int) -> tuple:
+        target_hop = (
+            plan[start].hop if start < len(plan) else self.destination_hop(direction)
+        )
+        distance = target_hop - origin_hop
+        if distance < 0:
+            distance = -distance
+        return (
+            direction, origin_hop, plan, start, target_hop, distance,
+            self._per_hop_delay * distance,
+        )
+
+    def leg(self, origin_hop: int, direction: Direction) -> tuple:
+        """The first leg of a packet leaving ``origin_hop``: ``(direction,
+        origin_hop, plan, start, target_hop, distance, delay)``, toward
+        the first element ahead (``plan[start]``) or the path end."""
+        return self._leg(direction, origin_hop, *self.travel_plan(origin_hop, direction))
 
     def elements_ahead(self, origin_hop: int, direction: Direction) -> List[PathElement]:
         """Elements the packet will meet, in travel order."""
@@ -444,6 +470,58 @@ def _queue_run(
     return run
 
 
+def _launch_packet(
+    network: "Network", path: Path, packet: IPPacket, leg: tuple, origin: str
+) -> None:
+    """Put ``packet`` on its first ``leg`` (see :meth:`Path.leg`): draw
+    its loss, then join the clock's last launched run (``SimClock._tail``)
+    or queue a run of its own.  The one launch rule, shared by
+    :meth:`Network.send` and :meth:`Network.launch`.
+
+    The packet joins while the heap would hold it as the run's next
+    entry: the run was queued with the clock's last ``seq`` at this
+    instant, heads the same way from the same origin, is due at the
+    packet's arrival and has not fired (its leg is longer than zero).
+    """
+    direction, origin_hop, plan, start, target_hop, distance, leg_delay = leg
+    clock = network.clock
+    rng = network.rng
+    loss_rate = path.loss_rate
+    drop_hop: Optional[int] = None
+    if loss_rate > 0 and rng.random() < loss_rate:
+        low, high = sorted((origin_hop, path.destination_hop(direction)))
+        drop_hop = rng.randint(low + 1, high)
+        if direction is Direction.SERVER_TO_CLIENT:
+            # express as the hop (client coordinate) where it dies
+            drop_hop = rng.randint(low, high - 1)
+    arrival = clock._now + leg_delay
+    jitter = path.jitter
+    if jitter == 0.0:
+        run = clock._tail
+        if (
+            run is not None
+            and run.seq == clock._seq
+            and run.direction is direction
+            and run.arrival == arrival
+            and leg_delay > 0.0
+            and run.path is path
+            and run.current_hop == origin_hop
+            and run.origin == origin
+        ):
+            run.packets.append(packet)
+            run.drop_hops.append(drop_hop)
+            return
+    elif leg_delay > 0.0:
+        arrival = clock._now + leg_delay * (1.0 + rng.uniform(-jitter, jitter))
+    clock._seq += 1
+    run = _queue_run(
+        network, path, [packet], [drop_hop], direction, origin_hop, plan,
+        start, origin, target_hop, distance, arrival, clock._seq,
+    )
+    if jitter == 0.0:
+        clock._tail = run
+
+
 class Network:
     """Holds hosts and one path and runs packet traversal on the event
     clock."""
@@ -502,24 +580,32 @@ class Network:
         """Called by an endpoint to transmit toward ``packet.dst``.
 
         Only the path's two endpoints talking to each other have a
-        route; anything else is dropped and counted undeliverable."""
+        route; anything else is dropped and counted undeliverable.  The
+        packet's first leg is the path end's, cached with the schedule;
+        it then joins or starts a run exactly as :meth:`launch` would
+        have it."""
         path = self.path
         sender_ip = sender.ip
+        # ``end`` indexes the sender's leg in ``Path._schedule``.
         if path is not None and sender_ip == path.client_ip and packet.dst == path.server_ip:
-            direction = Direction.CLIENT_TO_SERVER
+            end = 3
         elif path is not None and sender_ip == path.server_ip and packet.dst == path.client_ip:
-            direction = Direction.SERVER_TO_CLIENT
+            end = 4
         else:
             self.trace.record(
                 self.clock.now, sender.name, "drop", packet, note="no route"
             )
             self.undeliverable += 1
             return
+        schedule = path._schedule
+        if schedule is None:
+            schedule = path._build_schedule()
+        leg = schedule[end]
         if self.trace.enabled:
             self.trace.record(
-                self.clock.now, sender.name, "send", packet, direction.value
+                self.clock._now, sender.name, "send", packet, leg[0].value
             )
-        self.launch(path, (packet,), path.sender_hop(direction), sender.name)
+        _launch_packet(self, path, packet, leg, sender.name)
 
     def launch(
         self,
@@ -546,65 +632,16 @@ class Network:
         draws a delay per packet and leg, so there every packet is a run
         of its own.
         """
-        rng = self.rng
-        loss_rate = path.loss_rate
         client_ip = path.client_ip
-        clock = self.clock
-        grouping = path.jitter == 0.0
-        run = clock._tail if grouping else None
-        leg_direction = None
+        leg = None
         for packet in packets:
             direction = (
                 Direction.SERVER_TO_CLIENT if packet.dst == client_ip
                 else Direction.CLIENT_TO_SERVER
             )
-            if direction is not leg_direction:
-                # The first leg: toward the first element ahead, or the end.
-                leg_direction = direction
-                plan, start = path.travel_plan(origin_hop, direction)
-                target_hop = (
-                    plan[start].hop if start < len(plan)
-                    else path.destination_hop(direction)
-                )
-                distance = target_hop - origin_hop
-                if distance < 0:
-                    distance = -distance
-                leg_delay = path._per_hop_delay * distance
-            drop_hop: Optional[int] = None
-            if loss_rate > 0 and rng.random() < loss_rate:
-                destination_hop = path.destination_hop(direction)
-                low, high = sorted((origin_hop, destination_hop))
-                drop_hop = rng.randint(low + 1, high)
-                if direction is Direction.SERVER_TO_CLIENT:
-                    # express as the hop (client coordinate) where it dies
-                    drop_hop = rng.randint(low, high - 1)
-            arrival = clock._now + leg_delay
-            if (
-                run is not None
-                and run.seq == clock._seq
-                and run.direction is direction
-                and run.arrival == arrival
-                and leg_delay > 0.0
-                and run.path is path
-                and run.current_hop == origin_hop
-                and run.origin == origin
-            ):
-                # Queued at this instant with the clock's last seq and not
-                # fired yet (it is due later than now): the packet joins.
-                run.packets.append(packet)
-                run.drop_hops.append(drop_hop)
-                continue
-            if not grouping and leg_delay > 0.0:
-                arrival = clock._now + leg_delay * (
-                    1.0 + rng.uniform(-path.jitter, path.jitter)
-                )
-            clock._seq += 1
-            run = _queue_run(
-                self, path, [packet], [drop_hop], direction, origin_hop, plan,
-                start, origin, target_hop, distance, arrival, clock._seq,
-            )
-        if grouping:
-            clock._tail = run
+            if leg is None or leg[0] is not direction:
+                leg = path.leg(origin_hop, direction)
+            _launch_packet(self, path, packet, leg, origin)
 
     # -- traversal engine -----------------------------------------------------
     def _lost(
@@ -681,18 +718,17 @@ class Network:
             else path.client_ip
         )
         host = self.hosts.get(destination_ip)
+        now = self.clock._now
         if host is None:
             self.undeliverable += 1
             self.trace.record(
-                self.clock.now, destination_ip, "drop", packet, direction.value,
+                now, destination_ip, "drop", packet, direction.value,
                 note="no such host",
             )
             return
         if self.trace.enabled:
-            self.trace.record(
-                self.clock.now, host.name, "deliver", packet, direction.value
-            )
-        host.handle_packet(packet, self.clock.now)
+            self.trace.record(now, host.name, "deliver", packet, direction.value)
+        host.handle_packet(packet, now)
 
     # -- convenience ----------------------------------------------------------
     def run(self, duration: float = 10.0) -> None:

@@ -8,7 +8,7 @@ machine without the simulator knowing about any of them.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.netstack.fragment import FragmentReassembler
 from repro.netstack.packet import IPPacket
@@ -45,14 +45,17 @@ class Host(Endpoint):
 
     Handlers registered via :meth:`register_handler` receive every
     delivered (and, when fragmented, reassembled) packet in registration
-    order until one claims it by returning True.  Egress filters wrap
+    order until one claims it by returning True.  They are held as a
+    tuple that registration replaces, so a packet is dispatched over the
+    handlers registered when it arrived, without a copy per packet: one
+    registered during dispatch sees only later packets.  Egress filters wrap
     :meth:`send` and model client-side packet manipulation (INTANG).
     Fragments are reassembled last-wins, as endpoint stacks do (§3.2).
     """
 
     def __init__(self, ip: str, name: Optional[str] = None) -> None:
         super().__init__(ip, name)
-        self._handlers: List[Callable[[IPPacket, float], bool]] = []
+        self._handlers: Tuple[Callable[[IPPacket, float], bool], ...] = ()
         self._egress_filters: List[EgressFilter] = []
         self._reassembler = FragmentReassembler()
         #: Count of packets that arrived but no handler claimed.
@@ -65,7 +68,7 @@ class Host(Endpoint):
             if whole is None:
                 return
             packet = whole
-        for handler in list(self._handlers):
+        for handler in self._handlers:
             if handler(packet, now):
                 return
         self.unclaimed_packets += 1
@@ -80,9 +83,9 @@ class Host(Endpoint):
         TCP stack claims them (it returns False so processing continues).
         """
         if prepend:
-            self._handlers.insert(0, handler)
+            self._handlers = (handler,) + self._handlers
         else:
-            self._handlers.append(handler)
+            self._handlers = self._handlers + (handler,)
 
     def clear(self) -> None:
         """Drop handlers and egress filters (scenario teardown).
@@ -91,7 +94,7 @@ class Host(Endpoint):
         point back at this host; dropping them lets a finished trial's
         objects be freed by reference counting.
         """
-        self._handlers.clear()
+        self._handlers = ()
         self._egress_filters.clear()
 
     # -- send ---------------------------------------------------------------

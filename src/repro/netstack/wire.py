@@ -48,7 +48,6 @@ UDP_HEADER_LEN = 8
 _TCP_HEADER = struct.Struct("!HHIIBBHHH")
 _UDP_HEADER = struct.Struct("!HHHH")
 _IP_HEADER = struct.Struct("!BBHHHBBHII")
-_CHECKSUM_FIELD = struct.Struct("!H")
 
 
 @lru_cache(maxsize=4096)
@@ -75,6 +74,40 @@ def _body_word_sum(body: bytes) -> int:
     return ones_complement_sum(body)
 
 
+def _tcp_checksum(
+    segment: TCPSegment, src: str, dst: str, options_blob: bytes, offset_byte: int
+) -> int:
+    """The correct checksum of ``segment``'s fields as emitted: header
+    words (``offset_byte`` carries the emitted data offset), pseudo
+    header and body, summed arithmetically."""
+    seq = segment.seq & 0xFFFFFFFF
+    ack = segment.ack & 0xFFFFFFFF
+    body = options_blob + segment.payload
+    total = (
+        segment.src_port + segment.dst_port
+        + (seq >> 16) + (seq & 0xFFFF)
+        + (ack >> 16) + (ack & 0xFFFF)
+        + ((offset_byte << 8) | (segment.flags & 0x3F))
+        + (segment.window & 0xFFFF) + (segment.urgent & 0xFFFF)
+        + pseudo_header_sum(
+            _ip_word_sum_raw(src), _ip_word_sum_raw(dst),
+            PROTO_TCP, TCP_MIN_HEADER_LEN + len(body),
+        )
+        + _body_word_sum(body)
+    )
+    return (~fold_carries(total)) & 0xFFFF
+
+
+def _offset_byte(segment: TCPSegment, options_blob: bytes) -> int:
+    """The data-offset byte ``segment`` is emitted with."""
+    emitted_offset = (
+        segment.data_offset_override
+        if segment.data_offset_override is not None
+        else (TCP_MIN_HEADER_LEN + len(options_blob)) // 4
+    )
+    return (emitted_offset & 0xF) << 4
+
+
 def serialize_tcp(segment: TCPSegment, src: str, dst: str) -> bytes:
     """Serialize a TCP segment, computing (or overriding) its checksum.
 
@@ -83,45 +116,21 @@ def serialize_tcp(segment: TCPSegment, src: str, dst: str) -> bytes:
     how "bad checksum" insertion packets are made.
     """
     options_blob = serialize_options(segment.options)
-    data_offset_words = (TCP_MIN_HEADER_LEN + len(options_blob)) // 4
-    emitted_offset = (
-        segment.data_offset_override
-        if segment.data_offset_override is not None
-        else data_offset_words
-    )
-    offset_byte = (emitted_offset & 0xF) << 4
-    flags = segment.flags & 0x3F
-    seq = segment.seq & 0xFFFFFFFF
-    ack = segment.ack & 0xFFFFFFFF
-    window = segment.window & 0xFFFF
-    urgent = segment.urgent & 0xFFFF
+    offset_byte = _offset_byte(segment, options_blob)
     if segment.checksum_override is not None:
         checksum = segment.checksum_override & 0xFFFF
     else:
-        body = options_blob + segment.payload
-        total = (
-            segment.src_port + segment.dst_port
-            + (seq >> 16) + (seq & 0xFFFF)
-            + (ack >> 16) + (ack & 0xFFFF)
-            + ((offset_byte << 8) | flags)
-            + window + urgent
-            + pseudo_header_sum(
-                _ip_word_sum_raw(src), _ip_word_sum_raw(dst),
-                PROTO_TCP, TCP_MIN_HEADER_LEN + len(body),
-            )
-            + _body_word_sum(body)
-        )
-        checksum = (~fold_carries(total)) & 0xFFFF
+        checksum = _tcp_checksum(segment, src, dst, options_blob, offset_byte)
     header = _TCP_HEADER.pack(
         segment.src_port,
         segment.dst_port,
-        seq,
-        ack,
+        segment.seq & 0xFFFFFFFF,
+        segment.ack & 0xFFFFFFFF,
         offset_byte,
-        flags,
-        window,
+        segment.flags & 0x3F,
+        segment.window & 0xFFFF,
         checksum,
-        urgent,
+        segment.urgent & 0xFFFF,
     )
     return header + options_blob + segment.payload
 
@@ -173,14 +182,20 @@ def parse_tcp(blob: bytes) -> TCPSegment:
     )
 
 
+def tcp_checksum(segment: TCPSegment, src: str, dst: str) -> int:
+    """The checksum :func:`serialize_tcp` would emit for ``segment``
+    without its ``checksum_override``, worked out from the fields:
+    nothing is copied or serialized but the options."""
+    options_blob = serialize_options(segment.options)
+    return _tcp_checksum(
+        segment, src, dst, options_blob, _offset_byte(segment, options_blob)
+    )
+
+
 def tcp_checksum_valid(segment: TCPSegment, src: str, dst: str) -> bool:
     """True when the segment would carry a correct checksum on the wire."""
-    if segment.checksum_override is None:
-        return True
-    correct = segment.copy(checksum_override=None)
-    wire = serialize_tcp(correct, src, dst)
-    actual = _CHECKSUM_FIELD.unpack(wire[16:18])[0]
-    return actual == (segment.checksum_override & 0xFFFF)
+    override = segment.checksum_override
+    return override is None or tcp_checksum(segment, src, dst) == override & 0xFFFF
 
 
 def serialize_udp(datagram: UDPDatagram, src: str, dst: str) -> bytes:

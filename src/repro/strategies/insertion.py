@@ -25,7 +25,7 @@ from typing import Dict, Tuple
 
 from repro.netstack.options import MD5SignatureOption, TimestampOption
 from repro.netstack.packet import ACK, IPPacket, RST, seq_add
-from repro.netstack.wire import serialize_tcp
+from repro.netstack.wire import serialize_tcp, tcp_checksum
 from repro.core.strategy_base import ConnectionContext
 
 
@@ -98,7 +98,7 @@ def apply_discrepancy(
     if discrepancy is Discrepancy.LOW_TTL:
         crafted.ttl = ctx.insertion_ttl
     elif discrepancy is Discrepancy.BAD_CHECKSUM:
-        correct = _correct_checksum(crafted)
+        correct = tcp_checksum(segment, crafted.src, crafted.dst)
         segment.checksum_override = (correct + 1) & 0xFFFF
     elif discrepancy is Discrepancy.BAD_ACK:
         segment.flags |= ACK
@@ -148,12 +148,6 @@ def craft_insertion(
             f"discrepancy {discrepancy.value} is not usable on {kind} packets"
         )
     return apply_discrepancy(base, discrepancy, ctx)
-
-
-def _correct_checksum(packet: IPPacket) -> int:
-    pristine = packet.tcp.copy(checksum_override=None)
-    wire = serialize_tcp(pristine, packet.src, packet.dst)
-    return int.from_bytes(wire[16:18], "big")
 
 
 def _transport_len(packet: IPPacket) -> int:

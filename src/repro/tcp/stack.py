@@ -31,6 +31,8 @@ from repro.netstack.packet import (
     RST,
     SYN,
     TCPSegment,
+    packet_shell,
+    segment_shell,
     seq_add,
     seq_sub,
 )
@@ -158,7 +160,7 @@ class TCPConnection:
         """Send a RST and drop to CLOSED immediately."""
         if self.tcb.state not in (TCPState.CLOSED, TCPState.LISTEN):
             segment = self._make_segment(RST | ACK)
-            self._transmit(segment, retransmittable=False)
+            self._transmit(segment)
         self._enter_closed(CloseReason.NORMAL)
 
     def make_packet(
@@ -192,30 +194,53 @@ class TCPConnection:
     # Segment transmission internals
     # ------------------------------------------------------------------
     def _make_segment(self, flags: int, payload: bytes = b"") -> TCPSegment:
+        # Built slot by slot (see ``segment_shell``): every segment the
+        # stack sends but a SYN, RST or SYN/ACK comes from here.
+        tcb = self.tcb
         options = []
-        if self.tcb.timestamps_enabled:
-            self._last_tsval_sent = int(self.clock.now * 1000) & 0xFFFFFFFF
+        if tcb.timestamps_enabled:
+            self._last_tsval_sent = int(self.clock._now * 1000) & 0xFFFFFFFF
             options.append(
                 TimestampOption(
                     tsval=self._last_tsval_sent,
-                    tsecr=self.tcb.ts_recent or 0,
+                    tsecr=tcb.ts_recent or 0,
                 )
             )
-        return TCPSegment(
-            src_port=self.tcb.local_port,
-            dst_port=self.tcb.remote_port,
-            seq=self.tcb.snd_nxt,
-            ack=self.tcb.rcv_nxt if flags & ACK else 0,
-            flags=flags,
-            window=self.tcb.rcv_wnd,
-            payload=payload,
-            options=options,
-        )
+        segment = segment_shell()
+        segment.src_port = tcb.local_port
+        segment.dst_port = tcb.remote_port
+        segment.seq = tcb.snd_nxt
+        segment.ack = tcb.rcv_nxt if flags & ACK else 0
+        segment.flags = flags
+        segment.window = tcb.rcv_wnd
+        segment.payload = payload
+        segment.options = options
+        segment.urgent = 0
+        segment.checksum_override = None
+        segment.data_offset_override = None
+        return segment
 
-    def _transmit(self, segment: TCPSegment, retransmittable: bool = True) -> None:
-        packet = IPPacket(
-            src=self.tcb.local_ip, dst=self.tcb.remote_ip, payload=segment.copy()
-        )
+    def _transmit(self, segment: TCPSegment) -> None:
+        """Put ``segment`` on the wire in a packet of its own.
+
+        The segment passed in belongs to the wire from here on: the
+        packet carries it as is, and whatever the path does to the packet
+        may change it.  Every caller hands over a segment built for this
+        call and keeps no use of it; what the retransmission queue keeps
+        is its own copy (:meth:`_queue_for_retransmit`).
+        """
+        tcb = self.tcb
+        packet = packet_shell()
+        packet.src = tcb.local_ip
+        packet.dst = tcb.remote_ip
+        packet.payload = segment
+        packet.ttl = 64
+        packet.identification = 0
+        packet.dont_fragment = True
+        packet.more_fragments = False
+        packet.frag_offset = 0
+        packet.total_length_override = None
+        packet.meta = {}
         self.host.host.send(packet)
 
     def _queue_for_retransmit(self, segment: TCPSegment) -> None:
@@ -241,7 +266,7 @@ class TCPConnection:
             refreshed = segment.copy()
             if refreshed.flags & ACK:
                 refreshed.ack = self.tcb.rcv_nxt
-            self._transmit(refreshed, retransmittable=False)
+            self._transmit(refreshed)
         self._rto = min(self._rto * 2, 4.0)
         self._arm_rto()
 
@@ -263,7 +288,7 @@ class TCPConnection:
             self._rto = INITIAL_RTO
 
     def _send_ack(self) -> None:
-        self._transmit(self._make_segment(ACK), retransmittable=False)
+        self._transmit(self._make_segment(ACK))
 
     def _send_challenge_ack(self) -> None:
         self.challenge_acks_sent += 1
@@ -278,7 +303,7 @@ class TCPConnection:
             flags=RST,
             window=0,
         )
-        self._transmit(segment, retransmittable=False)
+        self._transmit(segment)
 
     def _enter_closed(self, reason: CloseReason) -> None:
         if self.tcb.state is TCPState.CLOSED:
@@ -429,7 +454,7 @@ class TCPConnection:
             window=self.tcb.rcv_wnd,
             options=options,
         )
-        self._transmit(segment, retransmittable=False)
+        self._transmit(segment)
 
     def _in_established(self, packet: IPPacket, segment: TCPSegment, now: float) -> None:
         if segment.is_rst:

@@ -88,7 +88,11 @@ class TestForwarder:
                 seen_sources.append(packet.src)
             return original(packet, now)
 
-        world.client._handlers[world.client._handlers.index(original)] = spy
+        assert original in world.client._handlers
+        world.client._handlers = tuple(
+            spy if handler == original else handler
+            for handler in world.client._handlers
+        )
         _resolve(world, client_udp, CENSORED)
         assert seen_sources == [SERVER_IP]
 

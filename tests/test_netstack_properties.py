@@ -11,7 +11,9 @@ strategies happen to exercise:
 - overlapping fragments resolve exactly per FIRST_WINS/LAST_WINS, at
   byte granularity, for arbitrary overlap geometries;
 - option lists survive serialize -> parse for every modelled option and
-  for unknown (Raw) kinds, under NOP padding.
+  for unknown (Raw) kinds, under NOP padding;
+- the checksum check, which works the correct checksum out from the
+  fields, agrees with serializing a pristine copy and reading it back.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -34,8 +36,8 @@ from repro.netstack.options import (
     parse_options,
     serialize_options,
 )
-from repro.netstack.packet import ACK, PSH, tcp_packet
-from repro.netstack.wire import transport_bytes
+from repro.netstack.packet import ACK, PSH, TCPSegment, tcp_packet
+from repro.netstack.wire import serialize_tcp, tcp_checksum_valid, transport_bytes
 
 
 def _keyword_packet(payload: bytes):
@@ -237,3 +239,51 @@ def test_md5sig_rejects_bad_digest_length():
 
     with pytest.raises(ValueError):
         MD5SignatureOption(digest=b"\x00" * 15)
+
+
+# ---------------------------------------------------------------------------
+# checksum validation without serializing
+# ---------------------------------------------------------------------------
+_address = st.tuples(*[st.integers(0, 255)] * 4).map(
+    lambda quad: ".".join(map(str, quad))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    options=st.lists(_option, min_size=0, max_size=4),
+    payload=st.binary(min_size=0, max_size=80),
+    checksum_override=st.one_of(st.none(), st.integers(0, 0x1FFFF)),
+    data_offset_override=st.one_of(st.none(), st.integers(0, 15)),
+    seq=st.integers(0, 2**32 - 1),
+    ack=st.integers(0, 2**32 - 1),
+    flags=st.integers(0, 0xFF),
+    window=st.integers(0, 0xFFFF),
+    urgent=st.integers(0, 0xFFFF),
+    src=_address,
+    dst=_address,
+    near_miss=st.booleans(),
+)
+def test_checksum_check_agrees_with_serialize_then_compare(
+    options, payload, checksum_override, data_offset_override, seq, ack,
+    flags, window, urgent, src, dst, near_miss,
+):
+    segment = TCPSegment(
+        src_port=40000, dst_port=80, seq=seq, ack=ack, flags=flags,
+        window=window, payload=payload, options=options, urgent=urgent,
+        checksum_override=checksum_override,
+        data_offset_override=data_offset_override,
+    )
+    pristine = serialize_tcp(segment.copy(checksum_override=None), src, dst)
+    correct = int.from_bytes(pristine[16:18], "big")
+    if near_miss and checksum_override is not None:
+        # Random overrides are almost never right: also try the right
+        # value and its neighbour, with junk above bit 15.
+        segment.checksum_override = (checksum_override & ~0xFFFF) | correct
+        if checksum_override & 1:
+            segment.checksum_override ^= 1
+    expected = (
+        segment.checksum_override is None
+        or correct == segment.checksum_override & 0xFFFF
+    )
+    assert tcp_checksum_valid(segment, src, dst) is expected
