@@ -86,11 +86,13 @@ class INTANG:
             strategy_id = fixed_strategy or selector.choose(ctx.dst_ip)
             active[ctx.key()] = (ctx.dst_ip, strategy_id)
             get_registry().counter("intang.strategies_built").inc()
-            get_recorder().publish(
-                "intang", "strategy_selected", time=clock.now,
-                server=ctx.dst_ip, strategy=strategy_id,
-                fixed=fixed_strategy is not None,
-            )
+            recorder = get_recorder()
+            if recorder.events_on:
+                recorder.publish(
+                    "intang", "strategy_selected", time=clock.now,
+                    server=ctx.dst_ip, strategy=strategy_id,
+                    fixed=fixed_strategy is not None,
+                )
             return make_strategy_factory(strategy_id)(ctx)
 
         self.framework = InterceptionFramework(
@@ -124,10 +126,12 @@ class INTANG:
         registry.counter(
             "intang.results_success" if success else "intang.results_failure"
         ).inc()
-        get_recorder().publish(
-            "intang", "result_reported", time=self.clock.now,
-            server=server_ip, strategy=strategy_id, success=success,
-        )
+        recorder = get_recorder()
+        if recorder.events_on:
+            recorder.publish(
+                "intang", "result_reported", time=self.clock.now,
+                server=server_ip, strategy=strategy_id, success=success,
+            )
         self.selector.report(server_ip, strategy_id, success)
         if not success and self.hop_estimator is not None:
             # §7.1: INTANG "can iteratively change [δ] to converge to a

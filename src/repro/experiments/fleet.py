@@ -374,15 +374,16 @@ class SharedGFWState:
         if not flow.fin_seen and namespace is not None:
             self.evicted_active_flows.add(namespace)
             self.evicted_keys[namespace] = key
-        self._recorder.publish(
-            "fleet",
-            "flow_evicted",
-            flow=namespace,
-            key=repr(key),
-            state=flow.state.value,
-            after_fin=flow.fin_seen,
-            in_resync=in_resync,
-        )
+        if self._recorder.events_on:
+            self._recorder.publish(
+                "fleet",
+                "flow_evicted",
+                flow=namespace,
+                key=repr(key),
+                state=flow.state.value,
+                after_fin=flow.fin_seen,
+                in_resync=in_resync,
+            )
 
     def graft(self, scenario: Scenario, flow_id: int) -> None:
         """Namespace a flow's flow-table keys in the shared tables.
@@ -678,14 +679,15 @@ def _finalize_flow(
     ):
         result.eviction_false_negatives += 1
         _FLEET_EVICTION_FN.inc()
-        recorder.publish(
-            "fleet",
-            "eviction_false_negative",
-            time=scenario.clock.now,
-            flow=flow.index,
-            site=flow.website.name,
-            strategy=flow.label,
-        )
+        if recorder.events_on:
+            recorder.publish(
+                "fleet",
+                "eviction_false_negative",
+                time=scenario.clock.now,
+                flow=flow.index,
+                site=flow.website.name,
+                strategy=flow.label,
+            )
         _dump_flow_anomaly(
             "eviction_false_negative", ctx, shared,
             {"outcome": outcome.value, "strategy": flow.label},
@@ -693,14 +695,15 @@ def _finalize_flow(
     if not flow.sensitive and resets > 0:
         result.blacklist_false_positives += 1
         _FLEET_BLACKLIST_FP.inc()
-        recorder.publish(
-            "fleet",
-            "blacklist_false_positive",
-            time=scenario.clock.now,
-            flow=flow.index,
-            site=flow.website.name,
-            resets=resets,
-        )
+        if recorder.events_on:
+            recorder.publish(
+                "fleet",
+                "blacklist_false_positive",
+                time=scenario.clock.now,
+                flow=flow.index,
+                site=flow.website.name,
+                resets=resets,
+            )
         _dump_flow_anomaly(
             "blacklist_false_positive", ctx, shared,
             {"outcome": outcome.value, "resets": resets},

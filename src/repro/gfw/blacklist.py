@@ -27,7 +27,9 @@ class Blacklist:
 
     def __init__(self, duration: float = DEFAULT_BLACKLIST_DURATION) -> None:
         self.duration = duration
-        self._expiry: Dict[HostPair, float] = {}
+        #: Host pair -> expiry time.  Read-only outside this class: the
+        #: GFW device tests it for emptiness before calling ``contains``.
+        self.expiry: Dict[HostPair, float] = {}
         self.total_blacklistings = 0
         self.total_expirations = 0
 
@@ -36,16 +38,16 @@ class Blacklist:
         return (host_a, host_b) if host_a <= host_b else (host_b, host_a)
 
     def add(self, host_a: str, host_b: str, now: float) -> None:
-        self._expiry[self._key(host_a, host_b)] = now + self.duration
+        self.expiry[self._key(host_a, host_b)] = now + self.duration
         self.total_blacklistings += 1
 
     def contains(self, host_a: str, host_b: str, now: float) -> bool:
         key = self._key(host_a, host_b)
-        expiry = self._expiry.get(key)
+        expiry = self.expiry.get(key)
         if expiry is None:
             return False
         if now >= expiry:
-            del self._expiry[key]
+            del self.expiry[key]
             self.total_expirations += 1
             _METRIC_TTL_EXPIRED.inc()
             return False
@@ -54,7 +56,7 @@ class Blacklist:
     def remaining(self, host_a: str, host_b: str, now: float) -> float:
         """Seconds of blacklist left for the pair (0 when not listed)."""
         key = self._key(host_a, host_b)
-        expiry = self._expiry.get(key)
+        expiry = self.expiry.get(key)
         if expiry is None:
             return 0.0
         return max(0.0, expiry - now)
@@ -67,16 +69,16 @@ class Blacklist:
         inconsistency sweep's blacklist-churn timeline) calls this at a
         known sim time to account for those.
         """
-        stale = [key for key, expiry in self._expiry.items() if now >= expiry]
+        stale = [key for key, expiry in self.expiry.items() if now >= expiry]
         for key in stale:
-            del self._expiry[key]
+            del self.expiry[key]
         self.total_expirations += len(stale)
         if stale:
             _METRIC_TTL_EXPIRED.inc(len(stale))
         return len(stale)
 
     def clear(self) -> None:
-        self._expiry.clear()
+        self.expiry.clear()
 
     def __len__(self) -> int:
-        return len(self._expiry)
+        return len(self.expiry)

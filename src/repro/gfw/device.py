@@ -37,18 +37,16 @@ from repro.netstack.fragment import FragmentReassembler, OverlapPolicy
 from repro.netstack.packet import (
     ACK,
     FIN,
+    HANDSHAKE_FLAGS,
     IPPacket,
     RST,
     SYN,
+    SYN_ACK,
     TCPSegment,
     UDPDatagram,
     seq_add,
     seq_sub,
 )
-
-# Flag masks for the inlined per-packet dispatch in ``_process_tcp``.
-_SYN_ACK_RST_FIN = SYN | ACK | RST | FIN
-_SYN_ACK = SYN | ACK
 from repro.netstack.wire import tcp_checksum_valid
 from repro.netstack.options import KIND_MD5SIG
 from repro.netsim.path import Direction, Tap
@@ -106,20 +104,22 @@ def _eviction_reporter(recorder: Recorder, clock: SimClock, device: str):
     """
 
     def on_evict(key: object, flow: GFWFlow) -> None:
-        # Namespaced keys are ``(int, ConnKey)``; plain keys are ConnKey
-        # 2-tuples of (ip, port) endpoints, so the int test disambiguates.
-        namespace = (
-            key[0]
-            if isinstance(key, tuple) and key and isinstance(key[0], int)
-            else None
-        )
-        recorder.publish(
-            "gfw", "flow_evicted", time=clock.now, device=device,
-            namespace=namespace,
-            state=flow.state.value,
-            after_fin=flow.fin_seen,
-            believed_client=f"{flow.believed_client[0]}:{flow.believed_client[1]}",
-        )
+        if recorder.events_on:
+            # Namespaced keys are ``(int, ConnKey)``; plain keys are
+            # ConnKey 2-tuples of (ip, port) endpoints, so the int test
+            # disambiguates.
+            namespace = (
+                key[0]
+                if isinstance(key, tuple) and key and isinstance(key[0], int)
+                else None
+            )
+            recorder.publish(
+                "gfw", "flow_evicted", time=clock.now, device=device,
+                namespace=namespace,
+                state=flow.state.value,
+                after_fin=flow.fin_seen,
+                believed_client=f"{flow.believed_client[0]}:{flow.believed_client[1]}",
+            )
 
     return on_evict
 
@@ -214,7 +214,8 @@ class GFWDevice(Tap):
             packet = whole
         payload = packet.payload
         if payload.__class__ is TCPSegment:
-            if packet.src in self.blocked_ips or packet.dst in self.blocked_ips:
+            blocked = self.blocked_ips
+            if blocked and (packet.src in blocked or packet.dst in blocked):
                 self._enforce_ip_block(packet, now)
                 return
             self._process_tcp(packet, payload, now)
@@ -233,66 +234,73 @@ class GFWDevice(Tap):
         if already:
             return
         _METRIC_RESYNC_ENTERED.inc()
-        self._recorder.publish(
-            "gfw", "resync_enter", time=self.clock.now,
-            device=self.name, namespace=self.flow_namespace, cause=cause,
-        )
+        if self._recorder.events_on:
+            self._recorder.publish(
+                "gfw", "resync_enter", time=self.clock.now,
+                device=self.name, namespace=self.flow_namespace, cause=cause,
+            )
 
     def _exit_resync(self, flow: GFWFlow, seq: int, via: str) -> None:
         flow.resynchronize_to(seq, self.config.rules, self.config.tcp_ooo_policy)
         _METRIC_RESYNC_EXITED.inc()
-        self._recorder.publish(
-            "gfw", "resync_exit", time=self.clock.now,
-            device=self.name, namespace=self.flow_namespace,
-            via=via, adopted_seq=seq & 0xFFFFFFFF,
-        )
+        if self._recorder.events_on:
+            self._recorder.publish(
+                "gfw", "resync_exit", time=self.clock.now,
+                device=self.name, namespace=self.flow_namespace,
+                via=via, adopted_seq=seq & 0xFFFFFFFF,
+            )
 
     def _teardown(self, key: object, cause: str) -> None:
         del self.flows[key]
         _METRIC_TEARDOWN.inc()
-        self._recorder.publish(
-            "gfw", "tcb_teardown", time=self.clock.now,
-            device=self.name, namespace=self.flow_namespace, cause=cause,
-        )
+        if self._recorder.events_on:
+            self._recorder.publish(
+                "gfw", "tcb_teardown", time=self.clock.now,
+                device=self.name, namespace=self.flow_namespace, cause=cause,
+            )
 
     # ------------------------------------------------------------------
     # TCP state machine
     # ------------------------------------------------------------------
     def _process_tcp(self, packet: IPPacket, segment: TCPSegment, now: float) -> None:
-        if self.blacklist.contains(packet.src, packet.dst, now):
+        blacklist = self.blacklist
+        if blacklist.expiry and blacklist.contains(packet.src, packet.dst, now):
             self._enforce_blacklist(packet, segment, now)
             return
         src = (packet.src, segment.src_port)
         dst = (packet.dst, segment.dst_port)
-        key = connection_key(src, dst)
+        # ``connection_key(src, dst)``, inlined; ``flow_for`` looks
+        # flows up by that key.
+        key = (src, dst) if src <= dst else (dst, src)
         if self.flow_namespace is not None:
             key = (self.flow_namespace, key)
 
         # GFW-side acceptance checks (all off in both real configs —
         # exactly the discrepancies of Table 3 — but modelled so the
         # ablation benchmarks can turn them on as countermeasures, §8).
-        if self.config.validates_checksum and not tcp_checksum_valid(
+        config = self.config
+        if config.validates_checksum and not tcp_checksum_valid(
             segment, packet.src, packet.dst
         ):
             return
         if (
-            self.config.drops_unsolicited_md5
+            config.drops_unsolicited_md5
             and segment.find_option(KIND_MD5SIG) is not None
         ):
             return
 
         flow = self.flows.get(key)
         if flow is None:
-            self._maybe_create_flow(key, packet, segment, now)
+            self._maybe_create_flow(key, src, dst, segment, now)
             return
 
-        from_client = flow.from_believed_client(src)
+        from_client = src == flow.believed_client
         flags = segment.flags
-        masked = flags & _SYN_ACK_RST_FIN
+        masked = flags & HANDSHAKE_FLAGS
         if masked == SYN:
             self._on_syn(flow, key, from_client, segment)
             return
-        if masked == _SYN_ACK:
+        if masked == SYN_ACK:
             self._on_synack(flow, from_client, segment)
             return
         if flags & RST:
@@ -300,38 +308,44 @@ class GFWDevice(Tap):
             return
         if flags & FIN:
             flow.fin_seen = True
-            if self.config.fin_tears_down:
+            if config.fin_tears_down:
                 self._teardown(key, "fin")
                 return
         self._on_data_or_ack(flow, key, from_client, segment, now)
 
     def _maybe_create_flow(
-        self, key: object, packet: IPPacket, segment: TCPSegment, now: float
+        self,
+        key: object,
+        src: Tuple[str, int],
+        dst: Tuple[str, int],
+        segment: TCPSegment,
+        now: float,
     ) -> None:
-        src = (packet.src, segment.src_port)
-        dst = (packet.dst, segment.dst_port)
-        if segment.is_pure_syn:
+        config = self.config
+        masked = segment.flags & HANDSHAKE_FLAGS
+        if masked == SYN:
             flow = GFWFlow(
                 believed_client=src,
                 believed_server=dst,
                 state=GFWFlowState.ESTABLISHED,
                 created_at=now,
-                seq_window=self.config.seq_window,
+                seq_window=config.seq_window,
             )
             flow.syn_count = 1
             flow.init_monitoring(
-                seq_add(segment.seq, 1), self.config.rules, self.config.tcp_ooo_policy
+                seq_add(segment.seq, 1), config.rules, config.tcp_ooo_policy
             )
             self.flows[key] = flow
             _METRIC_TCB_CREATED.inc()
-            self._recorder.publish(
-                "gfw", "tcb_create", time=now, device=self.name, on="syn",
-                namespace=self.flow_namespace,
-                believed_client=f"{src[0]}:{src[1]}",
-                believed_server=f"{dst[0]}:{dst[1]}",
-            )
+            if self._recorder.events_on:
+                self._recorder.publish(
+                    "gfw", "tcb_create", time=now, device=self.name, on="syn",
+                    namespace=self.flow_namespace,
+                    believed_client=f"{src[0]}:{src[1]}",
+                    believed_server=f"{dst[0]}:{dst[1]}",
+                )
             return
-        if segment.is_synack and self.config.creates_tcb_on_synack:
+        if masked == SYN_ACK and config.creates_tcb_on_synack:
             # NB1 — and the device assumes the SYN/ACK's *source* is the
             # server, which is what TCB Reversal turns against it.
             flow = GFWFlow(
@@ -339,22 +353,23 @@ class GFWDevice(Tap):
                 believed_server=src,
                 state=GFWFlowState.ESTABLISHED,
                 created_at=now,
-                seq_window=self.config.seq_window,
+                seq_window=config.seq_window,
             )
             flow.synack_count = 1
             flow.init_monitoring(
-                segment.ack, self.config.rules, self.config.tcp_ooo_policy
+                segment.ack, config.rules, config.tcp_ooo_policy
             )
             flow.note_server_activity(seq_add(segment.seq, 1))
             self.flows[key] = flow
             _METRIC_TCB_CREATED.inc()
-            self._recorder.publish(
-                "gfw", "tcb_create", time=now, device=self.name, on="synack",
-                namespace=self.flow_namespace,
-                believed_client=f"{dst[0]}:{dst[1]}",
-                believed_server=f"{src[0]}:{src[1]}",
-                note="NB1: SYN/ACK source assumed to be the server",
-            )
+            if self._recorder.events_on:
+                self._recorder.publish(
+                    "gfw", "tcb_create", time=now, device=self.name, on="synack",
+                    namespace=self.flow_namespace,
+                    believed_client=f"{dst[0]}:{dst[1]}",
+                    believed_server=f"{src[0]}:{src[1]}",
+                    note="NB1: SYN/ACK source assumed to be the server",
+                )
         # Any other packet without a TCB is invisible to the censor —
         # the reason TCB-teardown evasion works at all.
 
@@ -428,13 +443,15 @@ class GFWDevice(Tap):
                 flow.handshake_complete = True
             return
         # -- believed-client data ------------------------------------------
-        if segment.has_no_flags and not self.config.accepts_no_flag_data:
+        config = self.config
+        flags = segment.flags
+        if flags == 0 and not config.accepts_no_flag_data:
             return
-        if self.config.requires_ack_flag and not segment.has_ack:
+        if config.requires_ack_flag and not flags & ACK:
             return
         if (
-            self.config.validates_ack_number
-            and segment.has_ack
+            config.validates_ack_number
+            and flags & ACK
             and flow.server_seq_valid
         ):
             ack_offset = seq_sub(segment.ack, flow.server_next_seq)
@@ -446,19 +463,22 @@ class GFWDevice(Tap):
             # out-of-window junk packet.
             self._exit_resync(flow, segment.seq, "client data")
         else:
-            offset = seq_sub(segment.seq, flow.client_next_seq)
+            # ``seq_sub``, inlined: the signed distance in sequence space.
+            offset = (segment.seq - flow.client_next_seq) & 0xFFFFFFFF
+            if offset > 0x7FFFFFFF:
+                offset -= 0x100000000
             if not -flow.seq_window < offset < flow.seq_window:
                 return  # out-of-window: the device ignores it
         flow.handshake_complete = True
         assert flow.buffer is not None and flow.inspector is not None
-        if self.config.stateless_mode:
+        if config.stateless_mode:
             # §4's eliminated hypothesis (2): match each packet on its
             # own, no reassembly.  A keyword split across segments is
             # invisible to this design — which is how the paper proved
             # the real GFW does not work this way.
             from repro.gfw.dpi import StreamInspector
 
-            one_shot = StreamInspector(self.config.rules)
+            one_shot = StreamInspector(config.rules)
             self.bytes_inspected += len(segment.payload)
             _METRIC_BYTES.inc(len(segment.payload))
             detection = one_shot.feed(segment.payload)
@@ -486,12 +506,13 @@ class GFWDevice(Tap):
         if self.cluster.flow_missed(flow.endpoints_key()):
             self.missed_detections.append((now, detection))
             _METRIC_DPI_MISS.inc()
-            self._recorder.publish(
-                "gfw", "dpi_miss", time=now, device=self.name,
-                namespace=self.flow_namespace,
-                rule=detection.kind, detail=detection.detail,
-                note="cluster overload draw: flow escapes tracking",
-            )
+            if self._recorder.events_on:
+                self._recorder.publish(
+                    "gfw", "dpi_miss", time=now, device=self.name,
+                    namespace=self.flow_namespace,
+                    rule=detection.kind, detail=detection.detail,
+                    note="cluster overload draw: flow escapes tracking",
+                )
             return
         self.detections.append((now, detection))
         _METRIC_DPI_MATCH.inc()
@@ -501,11 +522,12 @@ class GFWDevice(Tap):
         _METRIC_DPI_MATCH_LATENCY.observe(
             round(max(0.0, now - flow.created_at) * 1048576.0) / 1048576.0
         )
-        self._recorder.publish(
-            "gfw", "dpi_match", time=now, device=self.name,
-            namespace=self.flow_namespace,
-            rule=detection.kind, detail=detection.detail,
-        )
+        if self._recorder.events_on:
+            self._recorder.publish(
+                "gfw", "dpi_match", time=now, device=self.name,
+                namespace=self.flow_namespace,
+                rule=detection.kind, detail=detection.detail,
+            )
         if detection.kind == "tor" and self.active_prober is not None:
             self.active_prober.schedule_probe(
                 self, flow.believed_server[0], flow.believed_server[1], now
@@ -521,23 +543,25 @@ class GFWDevice(Tap):
             # already latched by the caller).
             self.resets_suppressed += 1
             _METRIC_RESET_SUPPRESSED.inc()
-            self._recorder.publish(
-                "gfw", "reset_suppressed", time=now, device=self.name,
-                namespace=self.flow_namespace,
-                sim_hour=self.config.sim_hour,
-                rule=detection.kind,
-            )
+            if self._recorder.events_on:
+                self._recorder.publish(
+                    "gfw", "reset_suppressed", time=now, device=self.name,
+                    namespace=self.flow_namespace,
+                    sim_hour=self.config.sim_hour,
+                    rule=detection.kind,
+                )
             return
         self._punish(flow, now)
         if self.config.reset_type == 2:
             self.blacklist.add(
                 flow.believed_client[0], flow.believed_server[0], now
             )
-            self._recorder.publish(
-                "gfw", "blacklist_add", time=now, device=self.name,
-                namespace=self.flow_namespace,
-                client=flow.believed_client[0], server=flow.believed_server[0],
-            )
+            if self._recorder.events_on:
+                self._recorder.publish(
+                    "gfw", "blacklist_add", time=now, device=self.name,
+                    namespace=self.flow_namespace,
+                    client=flow.believed_client[0], server=flow.believed_server[0],
+                )
 
     def _punish(self, flow: GFWFlow, now: float) -> None:
         """Inject the per-type reset volley toward both endpoints."""
@@ -554,12 +578,13 @@ class GFWDevice(Tap):
             ack_hint=flow.server_next_seq,
         )
         self._inject_resets(toward_client + toward_server)
-        self._recorder.publish(
-            "gfw", "rst_sent", time=now, device=self.name,
-            namespace=self.flow_namespace,
-            count=len(toward_client) + len(toward_server),
-            reset_type=self.config.reset_type,
-        )
+        if self._recorder.events_on:
+            self._recorder.publish(
+                "gfw", "rst_sent", time=now, device=self.name,
+                namespace=self.flow_namespace,
+                count=len(toward_client) + len(toward_server),
+                reset_type=self.config.reset_type,
+            )
 
     def _enforce_blacklist(
         self, packet: IPPacket, segment: TCPSegment, now: float
@@ -575,11 +600,12 @@ class GFWDevice(Tap):
             self.inject((forged,))
             self.forged_synacks_injected += 1
             _METRIC_SYNACK_FORGED.inc()
-            self._recorder.publish(
-                "gfw", "synack_forged", time=now, device=self.name,
-                namespace=self.flow_namespace,
-                toward=f"{src[0]}:{src[1]}",
-            )
+            if self._recorder.events_on:
+                self._recorder.publish(
+                    "gfw", "synack_forged", time=now, device=self.name,
+                    namespace=self.flow_namespace,
+                    toward=f"{src[0]}:{src[1]}",
+                )
             return
         if segment.is_rst:
             return  # nothing to disrupt
@@ -591,11 +617,12 @@ class GFWDevice(Tap):
             spoof_src=src, toward=dst, seq_base=end_seq, ack_hint=seq_base
         )
         self._inject_resets(volley)
-        self._recorder.publish(
-            "gfw", "rst_sent", time=now, device=self.name,
-            namespace=self.flow_namespace,
-            count=len(volley), note="blacklist enforcement",
-        )
+        if self._recorder.events_on:
+            self._recorder.publish(
+                "gfw", "rst_sent", time=now, device=self.name,
+                namespace=self.flow_namespace,
+                count=len(volley), note="blacklist enforcement",
+            )
 
     def _enforce_ip_block(self, packet: IPPacket, now: float) -> None:
         """Whole-IP blocking after a confirmed Tor probe (§7.3)."""
@@ -611,11 +638,12 @@ class GFWDevice(Tap):
             spoof_src=dst, toward=src, seq_base=seq_base, ack_hint=segment.end_seq
         )
         self._inject_resets(volley)
-        self._recorder.publish(
-            "gfw", "rst_sent", time=now, device=self.name,
-            namespace=self.flow_namespace,
-            count=len(volley), note="ip block",
-        )
+        if self._recorder.events_on:
+            self._recorder.publish(
+                "gfw", "rst_sent", time=now, device=self.name,
+                namespace=self.flow_namespace,
+                count=len(volley), note="ip block",
+            )
 
     def block_ip(self, ip: str) -> None:
         self.blocked_ips.add(ip)

@@ -106,9 +106,6 @@ class GFWFlow:
         self.server_next_seq = seq_end & 0xFFFFFFFF
         self.server_seq_valid = True
 
-    def from_believed_client(self, src: Tuple[str, int]) -> bool:
-        return src == self.believed_client
-
     def endpoints_key(self) -> ConnKey:
         return connection_key(self.believed_client, self.believed_server)
 

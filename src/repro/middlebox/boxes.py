@@ -24,9 +24,19 @@ from typing import Dict, Optional, Tuple
 
 from repro.netstack.fragment import FragmentReassembler, OverlapPolicy
 from repro.netstack.options import KIND_MD5SIG
-from repro.netstack.packet import FIN, IPPacket, RST, TCPSegment, seq_add, seq_sub
+from repro.netstack.packet import (
+    FIN,
+    HANDSHAKE_FLAGS,
+    IPPacket,
+    RST,
+    SYN,
+    SYN_ACK,
+    TCPSegment,
+    seq_add,
+    seq_sub,
+)
 from repro.netstack.wire import tcp_checksum_valid
-from repro.netsim.path import Direction, InlineBox, ProcessResult
+from repro.netsim.path import DROP, FORWARD, Direction, InlineBox, ProcessResult
 
 
 class FragmentMode(enum.Enum):
@@ -53,14 +63,17 @@ class FragmentHandlingBox(InlineBox):
     def process(
         self, packet: IPPacket, direction: Direction, now: float
     ) -> ProcessResult:
-        if not packet.is_fragment or self.mode is FragmentMode.PASS:
-            return ProcessResult.forward()
+        if (
+            not (packet.more_fragments or packet.frag_offset > 0)
+            or self.mode is FragmentMode.PASS
+        ):
+            return FORWARD
         if self.mode is FragmentMode.DISCARD:
             self.fragments_discarded += 1
-            return ProcessResult.drop()
+            return DROP
         whole = self._reassembler.add(packet)
         if whole is None:
-            return ProcessResult.drop()  # buffered, nothing forwarded yet
+            return DROP  # buffered, nothing forwarded yet
         return ProcessResult.replace([whole])
 
 
@@ -103,23 +116,27 @@ class FieldSanitizerBox(InlineBox):
     ) -> ProcessResult:
         segment = packet.payload
         if segment.__class__ is not TCPSegment:
-            return ProcessResult.forward()
-        if not tcp_checksum_valid(segment, packet.src, packet.dst):
+            return FORWARD
+        # Only a profile that drops bad checksums needs to know whether
+        # this one is: ``_roll(0.0, ...)`` would return before any draw.
+        if self.drop_bad_checksum > 0.0 and not tcp_checksum_valid(
+            segment, packet.src, packet.dst
+        ):
             if self._roll(self.drop_bad_checksum, "bad-checksum"):
-                return ProcessResult.drop()
+                return DROP
         # §5.3: "insertion packets leveraging the unsolicited MD5 header
         # … are never dropped by the middleboxes we encounter" — the
         # option changes how the sanitizers classify the packet.
         if segment.options and segment.find_option(KIND_MD5SIG) is not None:
-            return ProcessResult.forward()
+            return FORWARD
         flags = segment.flags
         if flags == 0 and self._roll(self.drop_no_flag, "no-flag"):
-            return ProcessResult.drop()
+            return DROP
         if flags & FIN and self._roll(self.drop_fin, "fin"):
-            return ProcessResult.drop()
+            return DROP
         if flags & RST and self._roll(self.drop_rst, "rst"):
-            return ProcessResult.drop()
-        return ProcessResult.forward()
+            return DROP
+        return FORWARD
 
 
 class _FirewallEntry:
@@ -169,58 +186,56 @@ class StatefulFirewallBox(InlineBox):
         self.packets_blocked = 0
         self.teardowns = 0
 
-    @staticmethod
-    def _key(packet: IPPacket, segment: TCPSegment) -> Tuple:
-        src = (packet.src, segment.src_port)
-        dst = (packet.dst, segment.dst_port)
-        return (src, dst) if src <= dst else (dst, src)
-
     def process(
         self, packet: IPPacket, direction: Direction, now: float
     ) -> ProcessResult:
-        if not packet.is_tcp:
-            return ProcessResult.forward()
-        segment = packet.tcp
-        key = self._key(packet, segment)
+        segment = packet.payload
+        if segment.__class__ is not TCPSegment:
+            return FORWARD
+        # The direction-agnostic connection key: both ends in order.
+        src = (packet.src, segment.src_port)
+        dst = (packet.dst, segment.dst_port)
+        key = (src, dst) if src <= dst else (dst, src)
         entry = self._entries.get(key)
+        flags = segment.flags
         if entry is None:
-            if segment.is_pure_syn:
+            if flags & HANDSHAKE_FLAGS == SYN:
                 self._entries[key] = _FirewallEntry(
                     packet.src, seq_add(segment.seq, 1)
                 )
-            return ProcessResult.forward()
+            return FORWARD
         if entry.torn_down:
-            if segment.is_rst:
-                return ProcessResult.forward()  # let resets through
+            if flags & RST:
+                return FORWARD  # let resets through
             self.packets_blocked += 1
-            return ProcessResult.drop()
-        if segment.is_synack and not entry.server_seq_known:
+            return DROP
+        if flags & HANDSHAKE_FLAGS == SYN_ACK and not entry.server_seq_known:
             entry.server_next = seq_add(segment.seq, 1)
             entry.server_seq_known = True
-        if segment.is_rst and self._teardown_roll():
+        if flags & RST and self._teardown_roll():
             entry.torn_down = True
             self.teardowns += 1
-            return ProcessResult.forward()
-        if segment.is_fin and self._teardown_roll():
+            return FORWARD
+        if flags & FIN and self._teardown_roll():
             entry.torn_down = True
             self.teardowns += 1
-            return ProcessResult.forward()
+            return FORWARD
         if self.check_sequences and segment.payload:
             from_client = packet.src == entry.client_ip
             expected = entry.client_next if from_client else entry.server_next
             if not from_client and not entry.server_seq_known:
-                return ProcessResult.forward()
+                return FORWARD
             offset = seq_sub(segment.seq, expected)
             if not -self.seq_window < offset < self.seq_window:
                 self.packets_blocked += 1
-                return ProcessResult.drop()
+                return DROP
             end = seq_add(segment.seq, len(segment.payload))
             if seq_sub(end, expected) > 0:
                 if from_client:
                     entry.client_next = end
                 else:
                     entry.server_next = end
-        return ProcessResult.forward()
+        return FORWARD
 
     def _teardown_roll(self) -> bool:
         if self.teardown_probability >= 1.0:

@@ -59,22 +59,15 @@ class ProcessResult:
         self.packets = list(packets) if packets else []
 
     @classmethod
-    def forward(cls) -> "ProcessResult":
-        return _FORWARD
-
-    @classmethod
-    def drop(cls) -> "ProcessResult":
-        return _DROP
-
-    @classmethod
     def replace(cls, packets: Sequence[IPPacket]) -> "ProcessResult":
         return cls(Verdict.REPLACE, packets)
 
 
-# FORWARD/DROP results carry no payload, so every middlebox on every
-# packet can share two frozen instances instead of allocating one each.
-_FORWARD = ProcessResult(Verdict.FORWARD)
-_DROP = ProcessResult(Verdict.DROP)
+#: FORWARD/DROP results carry no payload, so every middlebox on every
+#: packet returns one of these two shared instances instead of
+#: allocating its own.
+FORWARD = ProcessResult(Verdict.FORWARD)
+DROP = ProcessResult(Verdict.DROP)
 
 
 class PathElement:
@@ -106,7 +99,7 @@ class InlineBox(PathElement):
         self, packet: IPPacket, direction: Direction, now: float
     ) -> ProcessResult:
         """Decide the fate of ``packet``; default is to forward."""
-        return ProcessResult.forward()
+        return FORWARD
 
 
 class Tap(PathElement):

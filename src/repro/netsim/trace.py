@@ -77,10 +77,13 @@ class TraceRecorder:
             return
         self._next_seq += 1
         self.events.append(event)
-        get_recorder().publish(
-            "netsim", action, time=time,
-            location=location, summary=summary, direction=direction, note=note,
-        )
+        recorder = get_recorder()
+        if recorder.events_on:
+            recorder.publish(
+                "netsim", action, time=time,
+                location=location, summary=summary, direction=direction,
+                note=note,
+            )
 
     def clear(self) -> None:
         self.events.clear()

@@ -81,6 +81,22 @@ class TimestampOption(TCPOption):
         return struct.pack("!BBII", KIND_TIMESTAMP, 10, self.tsval, self.tsecr)
 
 
+def timestamp_option(tsval: int, tsecr: int) -> TimestampOption:
+    """``TimestampOption(tsval=tsval, tsecr=tsecr)``, built without the
+    frozen dataclass's keyword ``__init__``.
+
+    The stack stamps every data or ACK segment of a timestamping
+    connection with one, and the generated ``__init__`` costs about
+    twice this.  The instance holds what ``__init__`` would set, in the
+    same order; ``kind`` stays the class default.
+    """
+    option = object.__new__(TimestampOption)
+    fields = option.__dict__
+    fields["tsval"] = tsval
+    fields["tsecr"] = tsecr
+    return option
+
+
 @dataclass(frozen=True)
 class MD5SignatureOption(TCPOption):
     """RFC 2385 TCP MD5 signature option (kind 19, length 18).

@@ -28,6 +28,10 @@ RST = 0x04
 PSH = 0x08
 ACK = 0x10
 URG = 0x20
+#: ``flags & HANDSHAKE_FLAGS`` is ``SYN`` on a pure SYN and ``SYN_ACK``
+#: on a SYN/ACK: the per-packet handshake tests mask with it.
+HANDSHAKE_FLAGS = SYN | ACK | RST | FIN
+SYN_ACK = SYN | ACK
 
 PROTO_TCP = 6
 PROTO_UDP = 17
@@ -120,11 +124,11 @@ class TCPSegment:
 
     @property
     def is_pure_syn(self) -> bool:
-        return self.flags & (SYN | ACK | RST | FIN) == SYN
+        return self.flags & HANDSHAKE_FLAGS == SYN
 
     @property
     def is_synack(self) -> bool:
-        return self.flags & (SYN | ACK | RST | FIN) == (SYN | ACK)
+        return self.flags & HANDSHAKE_FLAGS == SYN_ACK
 
     @property
     def has_no_flags(self) -> bool:

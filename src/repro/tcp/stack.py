@@ -23,6 +23,7 @@ from repro.netstack.options import (
     KIND_TIMESTAMP,
     MSSOption,
     TimestampOption,
+    timestamp_option,
 )
 from repro.netstack.packet import (
     ACK,
@@ -201,10 +202,7 @@ class TCPConnection:
         if tcb.timestamps_enabled:
             self._last_tsval_sent = int(self.clock._now * 1000) & 0xFFFFFFFF
             options.append(
-                TimestampOption(
-                    tsval=self._last_tsval_sent,
-                    tsecr=tcb.ts_recent or 0,
-                )
+                timestamp_option(self._last_tsval_sent, tcb.ts_recent or 0)
             )
         segment = segment_shell()
         segment.src_port = tcb.local_port

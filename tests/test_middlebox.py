@@ -2,6 +2,9 @@
 
 import random
 
+import pytest
+
+from repro.middlebox import boxes
 from repro.netstack.fragment import fragment_packet
 from repro.netstack.options import MD5SignatureOption
 from repro.netstack.packet import ACK, FIN, RST, SYN, seq_add, tcp_packet
@@ -107,6 +110,85 @@ class TestFieldSanitizerBox:
         assert box.process(packet, C2S, 0.0).verdict is Verdict.FORWARD
 
 
+def _sanitizer(profile, rng=None):
+    """The profile's field sanitizer, built as a scenario builds it."""
+    (box,) = [
+        box for box in profile.build_boxes(hop=2, rng=rng)
+        if isinstance(box, FieldSanitizerBox)
+    ]
+    return box
+
+
+#: A fixed FIN/RST/no-flag mix: every third segment carries a bad
+#: checksum and every seventh an unsolicited MD5 option.
+_MIXED_FLAGS = [
+    FIN | ACK, RST, 0, ACK, RST | ACK, FIN | RST, FIN | ACK, RST, 0, FIN | ACK,
+] * 4
+
+
+def _mixed_sequence():
+    packets = []
+    for index, flags in enumerate(_MIXED_FLAGS):
+        packet = _data_packet(
+            payload=b"x", flags=flags, seq=1 + index,
+            checksum=0xDEAD if index % 3 == 0 else None,
+        )
+        if index % 7 == 6:
+            packet.tcp.options.append(MD5SignatureOption())
+        packets.append(packet)
+    return packets
+
+
+class TestSanitizerTrims:
+    """What the sanitizer may skip without changing any outcome."""
+
+    @pytest.mark.parametrize(
+        "profile", [PROFILE_ALIYUN, PROFILE_QCLOUD, PROFILE_UNICOM_SJZ],
+        ids=lambda profile: profile.name,
+    )
+    def test_checksum_unread_where_the_profile_forwards_it(
+        self, profile, monkeypatch
+    ):
+        def refuse(*args):
+            raise AssertionError("checksum computed for a profile that ignores it")
+
+        monkeypatch.setattr(boxes, "tcp_checksum_valid", refuse)
+        box = _sanitizer(profile)
+        packet = _data_packet(checksum=0xDEAD)
+        assert box.process(packet, C2S, 0.0).verdict is Verdict.FORWARD
+        assert box.dropped == {}
+
+    def test_unicom_tj_still_drops_bad_checksums(self):
+        box = _sanitizer(PROFILE_UNICOM_TJ)
+        packet = _data_packet(checksum=0xDEAD)
+        assert box.process(packet, C2S, 0.0).verdict is Verdict.DROP
+        assert box.dropped == {"bad-checksum": 1}
+        assert box.process(_data_packet(), C2S, 0.0).verdict is Verdict.FORWARD
+
+    @pytest.mark.parametrize(
+        "profile, flag, label",
+        [(PROFILE_ALIYUN, FIN, "fin"), (PROFILE_QCLOUD, RST, "rst")],
+        ids=["aliyun-fin", "qcloud-rst"],
+    )
+    def test_sometimes_rolls_draw_once_per_rolled_packet(
+        self, profile, flag, label
+    ):
+        box = _sanitizer(profile, rng=random.Random(2017))
+        packets = _mixed_sequence()
+        rolled = [
+            packet for packet in packets
+            if packet.tcp.flags & flag and not packet.tcp.options
+        ]
+        verdicts = [box.process(packet, C2S, 0.0).verdict for packet in packets]
+        assert len(rolled) == 14
+        assert box.dropped == {label: 7}
+        assert verdicts.count(Verdict.DROP) == 7
+        reference = random.Random(2017)
+        for _ in rolled:
+            reference.random()
+        assert box.rng.getstate() == reference.getstate()
+
+
 class TestProviderProfiles:
     def test_table2_aliyun(self):
         profile = PROFILE_ALIYUN
@@ -207,6 +289,27 @@ class TestStatefulFirewall:
             if box.teardowns == 0:
                 survived += 1
         assert 70 <= survived <= 130
+
+    @pytest.mark.parametrize("first_from_client", [True, False])
+    def test_one_entry_per_connection_either_direction(self, first_from_client):
+        """The entry's key orders the two ends, so a connection opened
+        from either side is one entry that both directions find."""
+        near, far = (A, B) if first_from_client else (B, A)
+        box = StatefulFirewallBox("fw", 3)
+        box.process(tcp_packet(near, far, 1000, 80, flags=SYN, seq=100), C2S, 0.0)
+        box.process(
+            tcp_packet(far, near, 80, 1000, flags=SYN | ACK, seq=500, ack=101),
+            Direction.SERVER_TO_CLIENT, 0.0,
+        )
+        assert len(box._entries) == 1
+        box.process(
+            tcp_packet(far, near, 80, 1000, flags=RST, seq=501),
+            Direction.SERVER_TO_CLIENT, 0.0,
+        )
+        assert box.teardowns == 1
+        data = tcp_packet(near, far, 1000, 80, flags=ACK, seq=101, payload=b"x")
+        assert box.process(data, C2S, 0.0).verdict is Verdict.DROP
+        assert len(box._entries) == 1
 
     def test_teardown_on_fin(self):
         box = StatefulFirewallBox("fw", 3)

@@ -15,7 +15,7 @@ from repro.netsim import (
     Tap,
     TraceRecorder,
 )
-from repro.netsim.path import ProcessResult
+from repro.netsim.path import DROP, FORWARD, ProcessResult
 
 A, B = "10.0.0.1", "10.0.0.9"
 
@@ -37,7 +37,7 @@ class DropBox(InlineBox):
 
     def process(self, packet, direction, now):
         self.seen += 1
-        return ProcessResult.drop() if self.drop else ProcessResult.forward()
+        return DROP if self.drop else FORWARD
 
 
 class Sink(Host):

@@ -15,7 +15,7 @@ import pytest
 
 from repro.experiments.lab import SERVER_IP, mini_topology
 from repro.netsim import Host, Network, Path, SimClock
-from repro.netsim.path import InlineBox, ProcessResult, Tap
+from repro.netsim.path import DROP, FORWARD, InlineBox, Tap
 from repro.netstack.packet import ACK, IPPacket, TCPSegment
 from repro.telemetry.metrics import get_registry
 
@@ -169,8 +169,8 @@ class _MangleAndDrop(InlineBox):
             segment.payload = b"X" * len(segment.payload)
             segment.seq += 100
             segment.options.clear()
-            return ProcessResult.drop()
-        return ProcessResult.forward()
+            return DROP
+        return FORWARD
 
 
 def test_mangling_a_sent_segment_in_flight_leaves_the_retransmission_intact():

@@ -21,7 +21,7 @@ from repro.gfw.device import GFWDevice
 from repro.gfw.models import old_config
 from repro.netsim import Host, Network, Path, SimClock
 from repro.netsim.network import _Transit
-from repro.netsim.path import InlineBox, ProcessResult
+from repro.netsim.path import DROP, FORWARD, InlineBox, ProcessResult
 from repro.netstack.packet import ACK, SYN, IPPacket, TCPSegment
 
 CLIENT, SERVER = "10.0.0.1", "93.184.216.34"
@@ -155,12 +155,12 @@ class _Rewriter(InlineBox):
 
     def process(self, packet, direction, now):
         if packet.tcp.seq == 1001:
-            return ProcessResult.drop()
+            return DROP
         if packet.tcp.seq == 1002:
             halves = [packet.copy(), packet.copy()]
             halves[1].tcp.seq = 1003
             return ProcessResult.replace(halves)
-        return ProcessResult.forward()
+        return FORWARD
 
 
 def test_a_middlebox_drop_and_replace_inside_a_run_keep_order():

@@ -12,6 +12,7 @@ from repro.netstack.options import (
     WindowScaleOption,
     parse_options,
     serialize_options,
+    timestamp_option,
 )
 from repro.netstack.packet import ACK, IPPacket, SYN, TCPSegment, UDPDatagram
 from repro.netstack.wire import (
@@ -125,6 +126,16 @@ class TestOptionsBlob:
     def test_sack_permitted(self):
         blob = serialize_options([SACKPermittedOption()])
         assert parse_options(blob)[0].kind == 4
+
+    def test_timestamp_option_shortcut_equals_the_dataclass(self):
+        built = TimestampOption(tsval=0xFFFFFFFF, tsecr=7)
+        fast = timestamp_option(0xFFFFFFFF, 7)
+        assert fast == built and hash(fast) == hash(built)
+        assert repr(fast) == repr(built)
+        assert vars(fast) == vars(built)
+        assert list(vars(fast)) == list(vars(built))
+        assert fast.to_bytes() == built.to_bytes()
+        assert parse_options(serialize_options([fast])) == [built]
 
     def test_md5_requires_16_byte_digest(self):
         with pytest.raises(ValueError):
