@@ -7,10 +7,15 @@ Run from the repository root::
         --pairs 10 --seeds 901..
 
 The base revision is checked out into a temporary ``git worktree``
-(removed again at the end).  Each pair runs the benchmark's command
-(``perfbench/run.py --workload W --seed S --seconds <run_seconds>
---trace 0``, from ``BENCHMARK.json``) once in the base checkout and once
-in this one, on the pair's seed, alternating which side runs first.
+(removed again at the end), and this checkout's tracked files, as they
+are on disk (uncommitted edits included), are copied beside it.  Both
+sides run from those fresh trees, so neither starts with compiled
+bytecode the other lacks; run from the repository directory, the change
+side's ``setup_s`` read ×0.71–0.80 on identical code.  ``git add`` a new
+file before a run, or the copy leaves it out.  Each pair runs the
+benchmark's command (``perfbench/run.py --workload W --seed S --seconds
+<run_seconds> --trace 0``, from ``BENCHMARK.json``) once in each tree,
+on the pair's seed, alternating which side runs first.
 
 For every end-to-end metric the report gives each side's median, the
 median of the per-pair ratios (this checkout / base), a
@@ -38,6 +43,7 @@ import argparse
 import json
 import random
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -213,6 +219,24 @@ def markdown(result: dict, base_label: str) -> str:
     return "\n".join(lines)
 
 
+def copy_working_tree(root: Path, dest: Path) -> None:
+    """Copy ``root``'s tracked files as they are on disk into ``dest``.
+
+    Uncommitted edits come along; a tracked file deleted on disk, an
+    untracked file and anything ignored (``__pycache__``) do not.
+    """
+    listed = subprocess.run(
+        ["git", "ls-files", "-z"], cwd=root, check=True, capture_output=True,
+    ).stdout.decode()
+    for name in filter(None, listed.split("\0")):
+        source = root / name
+        if not source.is_symlink() and not source.exists():
+            continue
+        target = dest / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(source, target, follow_symlinks=False)
+
+
 def _run(checkout: Path, command: List[str]) -> dict:
     completed = subprocess.run(
         command, cwd=checkout, capture_output=True, text=True, check=False
@@ -243,16 +267,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     results = []
     with tempfile.TemporaryDirectory(prefix="perf-pair-") as scratch:
         base_dir = Path(scratch) / "base"
+        change_dir = Path(scratch) / "change"
         subprocess.run(
             ["git", "worktree", "add", "--detach", str(base_dir), args.base],
             cwd=ROOT, check=True, capture_output=True,
         )
         try:
+            copy_working_tree(ROOT, change_dir)
             for workload in workloads:
                 base_runs, change_runs = [], []
                 for index, seed in enumerate(seeds):
                     command = workload_command(benchmark, workload, seed)
-                    sides = [(base_dir, base_runs), (ROOT, change_runs)]
+                    sides = [(base_dir, base_runs), (change_dir, change_runs)]
                     if index % 2:
                         sides.reverse()
                     for checkout, runs in sides:

@@ -5,31 +5,26 @@ Enumerates the server-side silent-drop paths of the modelled Linux 4.4
 stack, probes which candidates the GFW still accepts (→ Table 3),
 cross-validates against the older kernels (→ the §5.3 findings), checks
 which vehicles survive each provider's middleboxes, and reduces it all
-to Table 5's preferred-construction matrix.
+to Table 5's preferred-construction matrix.  Tables 3 and 5 print
+through the artifact registry, as ``repro table3`` and ``repro table5``
+do.
 
 Run:  python examples/ignore_path_analysis.py
 """
 
-from repro.analysis import (
-    cross_validate_middleboxes,
-    cross_validate_stacks,
-    derive_table5,
-    generate_table3,
-)
-from repro.experiments.tables import format_table3, format_table5, render_table
+from repro.analysis import cross_validate_middleboxes
+from repro.experiments.artifacts import ARTIFACTS
+from repro.experiments.tables import render_table
+
+
+def _print_artifact(artifact_id: str) -> None:
+    artifact = ARTIFACTS[artifact_id]
+    print(artifact.formatter(artifact.produce()))
 
 
 def main() -> None:
-    rows = generate_table3()
-    print(format_table3([row.as_tuple() for row in rows]))
-
-    print("\nCross-validation with other TCP stacks (§5.3):")
-    divergences = cross_validate_stacks()
-    table = [
-        [d.profile, d.probe, d.state, f"{d.reference_verdict} -> {d.this_verdict}"]
-        for d in divergences
-    ]
-    print(render_table(["Stack", "Probe", "State", "Divergence vs 4.4"], table))
+    # Table 3 and the cross-validation with other TCP stacks (§5.3).
+    _print_artifact("table3")
 
     print("\nMiddlebox survival of each candidate (reliably traverses?):")
     survival = cross_validate_middleboxes()
@@ -41,7 +36,7 @@ def main() -> None:
     print(render_table(["Candidate"] + providers, table))
 
     print()
-    print(format_table5(derive_table5()))
+    _print_artifact("table5")
     print(
         "\nTakeaway (§5.3): only the MD5-option vehicle is universally "
         "middlebox-safe; TTL is\ngenerally applicable but needs accurate "

@@ -22,9 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.netstack.packet import IPPacket
-from repro.netsim.network import Network, Path
-from repro.netsim.node import Host
-from repro.netsim.simclock import SimClock
 from repro.gfw.models import GFWConfig
 from repro.middlebox.profiles import (
     MiddleboxProfile,
@@ -36,12 +33,12 @@ from repro.middlebox.profiles import (
 from repro.tcp.profiles import ALL_PROFILES, LINUX_4_4
 from repro.tcp.tcb import TCPState
 from repro.analysis.ignore_paths import (
-    CLIENT_IP,
-    SERVER_IP,
     EXTENDED_PROBES,
     IgnoreProbe,
     IgnoreVerdict,
+    ProbeWorld,
     STANDARD_PROBES,
+    ServerHarness,
     probe_server,
 )
 from repro.analysis.probe import gfw_accepts_probe
@@ -166,31 +163,24 @@ def _survives_provider(packet_factory, provider: MiddleboxProfile) -> bool:
     "Reliably" means every one of ``_SURVIVAL_REPEATS`` copies survived —
     a sometimes-dropped vehicle is not a dependable insertion carrier.
     """
-    clock = SimClock()
-    network = Network(clock=clock, rng=random.Random(_TABLE5_SEED))
-    client = network.add_host(Host(CLIENT_IP, "mb-client"))
-    server = network.add_host(Host(SERVER_IP, "mb-server"))
-    path = Path(CLIENT_IP, SERVER_IP, hop_count=6, base_delay=0.006)
-    network.add_path(path)
+    world = ProbeWorld(_TABLE5_SEED, hop_count=6, name="mb")
     for box in provider.build_boxes(hop=2, rng=random.Random(_TABLE5_SEED + 1)):
-        path.add_element(box)
+        world.path.add_element(box)
     arrived: List[IPPacket] = []
 
     def sniff(packet: IPPacket, now: float) -> bool:
         arrived.append(packet)
         return False
 
-    server.register_handler(sniff, prepend=True)
+    world.server.register_handler(sniff, prepend=True)
     for index in range(_SURVIVAL_REPEATS):
-        client.send(packet_factory(index))
-        clock.run_for(0.1)
+        world.client.send(packet_factory(index))
+        world.clock.run_for(0.1)
     return len(arrived) == _SURVIVAL_REPEATS
 
 
 def cross_validate_middleboxes() -> Dict[str, Dict[str, bool]]:
     """probe name -> provider name -> survives reliably."""
-    from repro.analysis.ignore_paths import ServerHarness
-
     survival: Dict[str, Dict[str, bool]] = {}
     for probe in STANDARD_PROBES:
         harness = ServerHarness(seed=_TABLE5_SEED)

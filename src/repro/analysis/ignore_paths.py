@@ -1,8 +1,11 @@
 """Server-side ignore-path enumeration (§5.3, server half of Table 3).
 
-A :class:`ServerHarness` drives a live server stack into a chosen TCP
-state with hand-crafted packets (no client stack in the way), snapshots
-the connection's TCB, fires one probe packet, and classifies the result:
+Every §5.3 probe runs in a :class:`ProbeWorld`: a client and a server
+host on one clean path, plus the client's connection numbers the probe
+builders read.  A :class:`ServerHarness`, a world with a live server
+stack, drives that stack into a chosen TCP state with hand-crafted
+packets (no client stack in the way), snapshots the connection's TCB,
+fires one probe packet, and classifies the result:
 
 - ``IGNORED`` — the TCB is unchanged and the stack logged a silent-drop
   reason (possibly an ACK was emitted, like the PAWS duplicate ACK —
@@ -20,7 +23,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.netstack.options import MD5SignatureOption, MSSOption, TimestampOption
 from repro.netstack.packet import (
@@ -76,42 +79,40 @@ class _ConnSnapshot:
         )
 
 
-class ServerHarness:
-    """A controlled server reachable over a clean two-hop path."""
+class ProbeWorld:
+    """A client and a server host on one clean path, for scripted probes.
 
-    def __init__(self, profile: StackProfile = LINUX_4_4, seed: int = 99) -> None:
-        self.profile = profile
+    The path has ``hop_count`` hops of 1 ms each; the network draws from
+    ``Random(seed)`` and the client ISN from ``Random(seed + 2)``
+    (``rng``, which subclasses keep drawing from).  :meth:`_segment`,
+    :meth:`snd_nxt`, :meth:`rcv_nxt` and ``client_tsval`` are what the
+    probe builders (:class:`IgnoreProbe`'s ``build``) read, so one probe
+    builds against any world.
+    """
+
+    def __init__(self, seed: int, hop_count: int, name: str) -> None:
         self.clock = SimClock()
         self.network = Network(clock=self.clock, rng=random.Random(seed))
-        self.client = self.network.add_host(Host(CLIENT_IP, "probe-client"))
-        self.server = self.network.add_host(Host(SERVER_IP, "probe-server"))
-        self.path = Path(CLIENT_IP, SERVER_IP, hop_count=4, base_delay=0.004)
-        self.network.add_path(self.path)
-        self.server_tcp = TCPHost(
-            self.server, self.clock, profile=profile, rng=random.Random(seed + 1)
+        self.client = self.network.add_host(Host(CLIENT_IP, f"{name}-client"))
+        self.server = self.network.add_host(Host(SERVER_IP, f"{name}-server"))
+        self.path = Path(
+            CLIENT_IP, SERVER_IP, hop_count=hop_count, base_delay=hop_count / 1000
         )
-        self.server_tcp.listen(SERVER_PORT)
+        self.network.add_path(self.path)
         self.rng = random.Random(seed + 2)
         self.client_isn = self.rng.randrange(2**32)
-        self.server_synack: Optional[TCPSegment] = None
-        self._synacks_seen: List[TCPSegment] = []
-        self.client.register_handler(self._capture, prepend=True)
+        #: The server's ISN as the client knows it (``None`` until known).
+        self.server_isn: Optional[int] = None
         #: The client's view of its own timestamp clock, for PAWS probes.
         self.client_tsval = 1_000_000
 
-    # ------------------------------------------------------------------
-    def _capture(self, packet: IPPacket, now: float) -> bool:
-        if packet.is_tcp and packet.tcp.is_synack:
-            self._synacks_seen.append(packet.tcp)
-            self.server_synack = packet.tcp
-        return False
-
-    def _send(self, segment: TCPSegment, **packet_fields: object) -> None:
-        packet = IPPacket(src=CLIENT_IP, dst=SERVER_IP, payload=segment)
-        for name, value in packet_fields.items():
-            setattr(packet, name, value)
+    def fire(self, packet: IPPacket) -> None:
+        """Send ``packet`` from the client and run the world for 50 ms."""
         self.client.send(packet)
         self.clock.run_for(0.05)
+
+    def send_from_client(self, segment: TCPSegment) -> None:
+        self.fire(IPPacket(src=CLIENT_IP, dst=SERVER_IP, payload=segment))
 
     def _segment(
         self,
@@ -131,6 +132,37 @@ class ServerHarness:
             options=list(options or []),
         )
 
+    def snd_nxt(self) -> int:
+        """Client-side next sequence number after the handshake."""
+        return seq_add(self.client_isn, 1)
+
+    def rcv_nxt(self) -> int:
+        """Client-side next expected server sequence (0 while unknown)."""
+        if self.server_isn is None:
+            return 0
+        return seq_add(self.server_isn, 1)
+
+
+class ServerHarness(ProbeWorld):
+    """A controlled server reachable over a clean four-hop path."""
+
+    def __init__(self, profile: StackProfile = LINUX_4_4, seed: int = 99) -> None:
+        super().__init__(seed, hop_count=4, name="probe")
+        self.profile = profile
+        self.server_tcp = TCPHost(
+            self.server, self.clock, profile=profile, rng=random.Random(seed + 1)
+        )
+        self.server_tcp.listen(SERVER_PORT)
+        self.server_synack: Optional[TCPSegment] = None
+        self.client.register_handler(self._capture, prepend=True)
+
+    # ------------------------------------------------------------------
+    def _capture(self, packet: IPPacket, now: float) -> bool:
+        if packet.is_tcp and packet.tcp.is_synack:
+            self.server_synack = packet.tcp
+            self.server_isn = packet.tcp.seq
+        return False
+
     # -- state drivers -----------------------------------------------------
     def drive_to(self, state: TCPState) -> TCPConnection:
         """Bring the server connection to LISTEN/SYN_RECV/ESTABLISHED."""
@@ -139,7 +171,9 @@ class ServerHarness:
         options = [MSSOption()]
         if self.profile.use_timestamps:
             options.append(TimestampOption(tsval=self.client_tsval))
-        self._send(self._segment(SYN, seq=self.client_isn, options=options))
+        self.send_from_client(
+            self._segment(SYN, seq=self.client_isn, options=options)
+        )
         connection = self._connection()
         if connection is None or self.server_synack is None:
             raise RuntimeError("server did not enter SYN_RECV")
@@ -153,11 +187,11 @@ class ServerHarness:
                     tsval=self.client_tsval, tsecr=self._server_tsval()
                 )
             )
-        self._send(
+        self.send_from_client(
             self._segment(
                 ACK,
-                seq=seq_add(self.client_isn, 1),
-                ack=seq_add(self.server_synack.seq, 1),
+                seq=self.snd_nxt(),
+                ack=self.rcv_nxt(),
                 options=ack_options,
             )
         )
@@ -177,24 +211,9 @@ class ServerHarness:
             (SERVER_PORT, CLIENT_IP, CLIENT_PORT)
         )
 
-    # -- probe execution -----------------------------------------------------
-    def fire(self, probe_packet: IPPacket) -> None:
-        self.client.send(probe_packet)
-        self.clock.run_for(0.05)
 
-    def snd_nxt(self) -> int:
-        """Client-side next sequence number after the handshake."""
-        return seq_add(self.client_isn, 1)
-
-    def rcv_nxt(self) -> int:
-        """Client-side next expected server sequence."""
-        if self.server_synack is None:
-            return 0
-        return seq_add(self.server_synack.seq, 1)
-
-
-#: A probe builder receives the harness and returns the probe packet.
-ProbeBuilder = Callable[[ServerHarness], IPPacket]
+#: A probe builder receives a probe world and returns the probe packet.
+ProbeBuilder = Callable[[ProbeWorld], IPPacket]
 
 
 @dataclass(frozen=True)
@@ -211,7 +230,7 @@ class IgnoreProbe:
     requires_timestamps: bool = False
 
 
-def _data(harness: ServerHarness, **kw) -> TCPSegment:
+def _data(harness: ProbeWorld, **kw) -> TCPSegment:
     return harness._segment(
         kw.pop("flags", ACK),
         seq=kw.pop("seq", harness.snd_nxt()),
@@ -221,32 +240,32 @@ def _data(harness: ServerHarness, **kw) -> TCPSegment:
     )
 
 
-def _packet(harness: ServerHarness, segment: TCPSegment, **fields) -> IPPacket:
+def _packet(harness: ProbeWorld, segment: TCPSegment, **fields) -> IPPacket:
     packet = IPPacket(src=CLIENT_IP, dst=SERVER_IP, payload=segment)
     for name, value in fields.items():
         setattr(packet, name, value)
     return packet
 
 
-def _oversize_ip(harness: ServerHarness) -> IPPacket:
+def _oversize_ip(harness: ProbeWorld) -> IPPacket:
     packet = _packet(harness, _data(harness))
     packet.total_length_override = 2000
     return packet
 
 
-def _short_header(harness: ServerHarness) -> IPPacket:
+def _short_header(harness: ProbeWorld) -> IPPacket:
     segment = _data(harness)
     segment.data_offset_override = 4
     return _packet(harness, segment)
 
 
-def _bad_checksum(harness: ServerHarness) -> IPPacket:
+def _bad_checksum(harness: ProbeWorld) -> IPPacket:
     segment = _data(harness)
     segment.checksum_override = 0x0001
     return _packet(harness, segment)
 
 
-def _rstack_bad_ack(harness: ServerHarness) -> IPPacket:
+def _rstack_bad_ack(harness: ProbeWorld) -> IPPacket:
     segment = harness._segment(
         RST | ACK,
         seq=harness.snd_nxt(),
@@ -255,29 +274,29 @@ def _rstack_bad_ack(harness: ServerHarness) -> IPPacket:
     return _packet(harness, segment)
 
 
-def _ack_bad_ack(harness: ServerHarness) -> IPPacket:
+def _ack_bad_ack(harness: ProbeWorld) -> IPPacket:
     segment = _data(harness, ack=seq_add(harness.rcv_nxt(), 0x2000000))
     return _packet(harness, segment)
 
 
-def _md5_option(harness: ServerHarness) -> IPPacket:
+def _md5_option(harness: ProbeWorld) -> IPPacket:
     segment = _data(harness, options=[MD5SignatureOption()])
     return _packet(harness, segment)
 
 
-def _no_flag(harness: ServerHarness) -> IPPacket:
+def _no_flag(harness: ProbeWorld) -> IPPacket:
     segment = _data(harness, flags=0, ack=0)
     return _packet(harness, segment)
 
 
-def _fin_only(harness: ServerHarness) -> IPPacket:
+def _fin_only(harness: ProbeWorld) -> IPPacket:
     # FIN without ACK, carrying payload: modern servers drop it on the
     # no-ACK-flag path while the GFW consumes the data (Table 3 row 8).
     segment = harness._segment(FIN, seq=harness.snd_nxt(), payload=b"PROBEDATA")
     return _packet(harness, segment)
 
 
-def _old_timestamp(harness: ServerHarness) -> IPPacket:
+def _old_timestamp(harness: ProbeWorld) -> IPPacket:
     stale = (harness.client_tsval - 500_000) & 0xFFFFFFFF
     segment = _data(harness, options=[TimestampOption(tsval=stale, tsecr=0)])
     return _packet(harness, segment)
@@ -326,7 +345,7 @@ STANDARD_PROBES: Tuple[IgnoreProbe, ...] = (
 )
 
 
-def _syn_in_established(harness: ServerHarness) -> IPPacket:
+def _syn_in_established(harness: ProbeWorld) -> IPPacket:
     segment = harness._segment(SYN, seq=harness.snd_nxt())
     return _packet(harness, segment)
 
@@ -380,11 +399,3 @@ def run_ignore_path_analysis() -> List[IgnorePathResult]:
             results.append(probe_server(probe, state, LINUX_4_4))
     return results
 
-
-def ignored_probes() -> Dict[str, List[TCPState]]:
-    """Map of probe name -> states in which Linux 4.4 ignores it."""
-    summary: Dict[str, List[TCPState]] = {}
-    for result in run_ignore_path_analysis():
-        if result.verdict is IgnoreVerdict.IGNORED:
-            summary.setdefault(result.probe.name, []).append(result.state)
-    return summary

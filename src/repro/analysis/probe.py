@@ -16,10 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.netstack.packet import ACK, IPPacket, SYN, TCPSegment, seq_add
-from repro.netsim.network import Network, Path
-from repro.netsim.node import Host
-from repro.netsim.simclock import SimClock
+from repro.netstack.packet import ACK, IPPacket, SYN, TCPSegment
 from repro.gfw.device import GFWDevice
 from repro.gfw.flow import GFWFlowState
 from repro.gfw.models import GFWConfig, evolved_config
@@ -29,21 +26,17 @@ from repro.analysis.ignore_paths import (
     SERVER_IP,
     SERVER_PORT,
     IgnoreProbe,
+    ProbeWorld,
 )
 
 
-class GFWHarness:
-    """A GFW device on a clean path, with scripted endpoints."""
+class GFWHarness(ProbeWorld):
+    """A GFW device on a clean six-hop path, with scripted endpoints."""
 
     def __init__(
         self, config: Optional[GFWConfig] = None, seed: int = 7
     ) -> None:
-        self.clock = SimClock()
-        self.network = Network(clock=self.clock, rng=random.Random(seed))
-        self.client = self.network.add_host(Host(CLIENT_IP, "gfw-probe-client"))
-        self.server = self.network.add_host(Host(SERVER_IP, "gfw-probe-server"))
-        self.path = Path(CLIENT_IP, SERVER_IP, hop_count=6, base_delay=0.006)
-        self.network.add_path(self.path)
+        super().__init__(seed, hop_count=6, name="gfw-probe")
         config = config or evolved_config()
         config.miss_probability = 0.0
         self.device = GFWDevice(
@@ -52,52 +45,29 @@ class GFWHarness:
         )
         self.device.cluster.miss_probability = 0.0
         self.path.add_element(self.device)
-        self.rng = random.Random(seed + 2)
-        self.client_isn = self.rng.randrange(2**32)
         self.server_isn = self.rng.randrange(2**32)
 
     # -- scripted packets ---------------------------------------------------
-    def _client_segment(self, flags: int, seq: int, ack: int = 0,
-                        payload: bytes = b"") -> TCPSegment:
-        return TCPSegment(
-            src_port=CLIENT_PORT, dst_port=SERVER_PORT,
-            seq=seq, ack=ack, flags=flags, payload=payload,
-        )
-
-    def send_from_client(self, segment: TCPSegment) -> None:
-        self.client.send(IPPacket(src=CLIENT_IP, dst=SERVER_IP, payload=segment))
-        self.clock.run_for(0.05)
-
     def send_from_server(self, segment: TCPSegment) -> None:
         self.server.send(IPPacket(src=SERVER_IP, dst=CLIENT_IP, payload=segment))
         self.clock.run_for(0.05)
 
     def establish(self) -> None:
         """Replay a clean 3-way handshake past the device."""
-        self.send_from_client(self._client_segment(SYN, seq=self.client_isn))
+        self.send_from_client(self._segment(SYN, seq=self.client_isn))
         synack = TCPSegment(
             src_port=SERVER_PORT, dst_port=CLIENT_PORT,
-            seq=self.server_isn, ack=seq_add(self.client_isn, 1),
-            flags=SYN | ACK,
+            seq=self.server_isn, ack=self.snd_nxt(), flags=SYN | ACK,
         )
         self.send_from_server(synack)
         self.send_from_client(
-            self._client_segment(
-                ACK, seq=seq_add(self.client_isn, 1),
-                ack=seq_add(self.server_isn, 1),
-            )
+            self._segment(ACK, seq=self.snd_nxt(), ack=self.rcv_nxt())
         )
 
     def flow(self):
         return self.device.flow_for(
             CLIENT_IP, CLIENT_PORT, SERVER_IP, SERVER_PORT
         )
-
-    def client_snd_nxt(self) -> int:
-        return seq_add(self.client_isn, 1)
-
-    def client_rcv_nxt(self) -> int:
-        return seq_add(self.server_isn, 1)
 
 
 @dataclass
@@ -126,10 +96,8 @@ def gfw_accepts_probe(
     seq_before = flow_before.client_next_seq
     state_before = flow_before.state
 
-    # Rebuild the probe packet against this harness's sequence numbers.
-    packet = _adapt_probe(probe, harness)
-    harness.client.send(packet)
-    harness.clock.run_for(0.05)
+    # Build the probe packet against this harness's sequence numbers.
+    harness.fire(probe.build(harness))
 
     flow_after = harness.flow()
     if flow_after is None:
@@ -141,32 +109,3 @@ def gfw_accepts_probe(
         probe.name, advanced, flow_after.state.value
     )
 
-
-def _adapt_probe(probe: IgnoreProbe, harness: GFWHarness) -> IPPacket:
-    """Build the probe packet with this harness's connection numbers.
-
-    The probe builders were written against :class:`ServerHarness`'s
-    interface; :class:`GFWHarness` quacks the same where needed.
-    """
-
-    class _Adapter:
-        client_isn = harness.client_isn
-        client_tsval = 1_000_000
-
-        @staticmethod
-        def _segment(flags, seq, ack=0, payload=b"", options=None):
-            return TCPSegment(
-                src_port=CLIENT_PORT, dst_port=SERVER_PORT,
-                seq=seq, ack=ack, flags=flags, payload=payload,
-                options=list(options or []),
-            )
-
-        @staticmethod
-        def snd_nxt():
-            return harness.client_snd_nxt()
-
-        @staticmethod
-        def rcv_nxt():
-            return harness.client_rcv_nxt()
-
-    return probe.build(_Adapter())  # type: ignore[arg-type]

@@ -32,7 +32,7 @@ __all__, __getattr__ = lazy_exports(__name__, {
     "..experiments.outcomes": ("classify_counts",),
     ".oracles": (
         "KNOWN_DIVERGENCE", "ORACLE_RULES", "OracleRule", "VerdictDrift",
-        "check_verdicts", "expected_verdicts",
+        "check_verdicts",
     ),
     ".golden": (
         "GoldenDiff", "bless", "capture_ladder", "compare_golden",

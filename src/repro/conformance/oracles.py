@@ -31,7 +31,6 @@ __all__ = [
     "OracleRule",
     "VerdictDrift",
     "check_verdicts",
-    "expected_verdicts",
     "find_rule",
 ]
 
@@ -380,11 +379,6 @@ def find_rule(cell: ConformanceCell) -> Optional[OracleRule]:
         if rule.matches(cell):
             return rule
     return None
-
-
-def expected_verdicts(cell: ConformanceCell) -> Optional[Tuple[str, ...]]:
-    rule = find_rule(cell)
-    return rule.allowed if rule is not None else None
 
 
 def check_verdicts(

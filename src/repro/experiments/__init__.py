@@ -35,7 +35,7 @@ __all__, __getattr__ = lazy_exports(__name__, {
     ".parallel": ("configured_workers", "map_trials"),
     ".outcomes": ("Outcome", "VerdictDistribution"),
     ".runner": (
-        "PerVantageRates", "TrialRecord", "diagnose_failure",
+        "TrialRecord", "diagnose_failure",
         "run_cell_by_provider", "run_dns_trial", "run_http_outcomes",
         "run_http_trial", "run_per_vantage_clusters", "run_strategy_cell",
         "run_strategy_clusters", "run_tor_trial", "run_vpn_trial",

@@ -2,9 +2,12 @@
 
 The artifact registry (:mod:`repro.experiments.artifacts`) names these
 functions and imports this module only when a table is produced or
-printed.  Tables 1, 4 and 6 are measured over vantages × sites (×
-resolvers), so their records keep one tally per cluster, which the
-formatters sum (DESIGN.md §4).
+printed.  Each ``tableN_text`` is the only formatter of its table: it
+lays the rows out with :func:`~repro.experiments.tables.render_table`
+in the paper's column order and appends the paper comparison.  Tables
+1, 4 and 6 are measured over vantages × sites (× resolvers), so their
+records keep one tally per cluster, which the formatters sum (DESIGN.md
+§4).
 """
 
 from __future__ import annotations
@@ -21,21 +24,12 @@ from repro.experiments.calibration import DEFAULT_CALIBRATION
 from repro.experiments.middlebox_probe import probe_all
 from repro.experiments.outcomes import VerdictDistribution
 from repro.experiments.runner import (
-    PerVantageRates,
     run_dns_trial,
     run_per_vantage_clusters,
     run_strategy_clusters,
     run_table6_rows,
 )
-from repro.experiments.tables import (
-    format_table1,
-    format_table2,
-    format_table3,
-    format_table4,
-    format_table5,
-    format_table6,
-    render_table,
-)
+from repro.experiments.tables import pct, render_table
 from repro.experiments.vantage import (
     CHINA_VANTAGE_POINTS,
     OUTSIDE_VANTAGE_POINTS,
@@ -104,21 +98,28 @@ def table1(sites: int, repeats: int, seed: int) -> Dict:
 
 
 def table1_text(records: Dict) -> str:
-    results = []
+    rows = []
     comparison_lines = []
     for row in records["rows"]:
-        with_kw = _cell(row["keyword"])
-        results.append(
-            (row["label"], row["discrepancy"], with_kw, _cell(row["benign"]))
-        )
-        ours = with_kw.as_percentages()
+        ours = _cell(row["keyword"]).as_percentages()
+        benign = _cell(row["benign"]).as_percentages()
+        rows.append([
+            row["label"], row["discrepancy"], *map(pct, ours),
+            pct(benign[0]), pct(benign[1] + benign[2]),
+        ])
         paper = TABLE1_PAPER[row["strategy"]]
         comparison_lines.append(
             f"  {row['label'] + ' [' + row['discrepancy'] + ']':<46} "
             f"ours {ours[0]:5.1f}/{ours[1]:5.1f}/{ours[2]:5.1f}   "
             f"paper {paper[0]:5.1f}/{paper[1]:5.1f}/{paper[2]:5.1f}"
         )
-    text = format_table1(results)
+    text = render_table(
+        [
+            "Strategy", "Discrepancy", "Success", "Failure 1", "Failure 2",
+            "Success (benign)", "Failure 1 (benign)",
+        ],
+        rows, "Table 1: existing evasion strategies",
+    )
     text += "\n\nOurs vs paper (Success/Failure1/Failure2, with keyword):\n"
     text += "\n".join(comparison_lines)
     return text
@@ -132,7 +133,14 @@ def table2() -> List:
 
 
 def table2_text(reports: List) -> str:
-    return format_table2(reports) + (
+    return render_table(
+        [
+            "Vantage point", "IP fragments", "Wrong checksum", "No TCP flag",
+            "RST", "FIN",
+        ],
+        [report.row() for report in reports],
+        "Table 2: client-side middlebox behaviors",
+    ) + (
         "\n\nPaper (per provider): Aliyun: frags Discarded, FIN sometimes;"
         "\nQCloud: frags Reassembled, RST sometimes; Unicom SJZ: frags"
         " Reassembled, FIN dropped;\nUnicom TJ: frags Reassembled, bad"
@@ -148,7 +156,11 @@ def table3() -> Dict:
 
 
 def table3_text(records: Dict) -> str:
-    text = format_table3([row.as_tuple() for row in records["rows"]])
+    text = render_table(
+        ["TCP state", "GFW state", "TCP flags", "Condition"],
+        [list(row.as_tuple()) for row in records["rows"]],
+        "Table 3: candidate insertion packets",
+    )
     table = [
         [d.profile, d.probe, d.state, f"{d.reference_verdict} -> {d.this_verdict}"]
         for d in records["divergences"]
@@ -209,15 +221,29 @@ def table4(sites: int, repeats: int, seed: int) -> Dict:
 
 
 def table4_text(records: Dict) -> str:
+    def min_max_avg(rates: List[float]) -> List[str]:
+        """One rate's three Table 4 cells over a row's vantages."""
+        return [
+            pct(min(rates) * 100), pct(max(rates) * 100),
+            pct(sum(rates) / len(rates) * 100),
+        ]
+
+    headers = ["Strategy"] + [
+        f"{rate} {stat}"
+        for rate in ("Succ", "F1", "F2") for stat in ("min", "max", "avg")
+    ]
     halves = []
     for half in ("inside", "outside"):
-        rows = [
-            (row["label"], PerVantageRates({
-                name: _tally(tallies) for name, tallies in row["clusters"].items()
-            }))
-            for row in records[half]["rows"]
-        ]
-        halves.append(format_table4(rows, title=f"Table 4 ({half} China)"))
+        rows = []
+        for row in records[half]["rows"]:
+            per_vantage = [
+                _tally(tallies).rates() for tallies in row["clusters"].values()
+            ]
+            cells = [row["label"]]
+            for index in range(3):
+                cells += min_max_avg([rates[index] for rates in per_vantage])
+            rows.append(cells)
+        halves.append(render_table(headers, rows, f"Table 4 ({half} China)"))
     paper = [
         f"Paper averages (S/F1/F2) {half}: "
         + ", ".join(f"{sid}={v}" for sid, v in TABLE4_PAPER[half].items())
@@ -233,7 +259,15 @@ def table4_text(records: Dict) -> str:
 # Table 5
 # ---------------------------------------------------------------------------
 def table5_text(derived: Dict[str, List[str]]) -> str:
-    text = format_table5(derived)
+    vehicles = ("ttl", "md5", "bad-ack", "old-timestamp")
+    text = render_table(
+        ["Packet type", "TTL", "MD5", "Bad ACK", "Timestamp"],
+        [
+            [packet_type] + ["x" if vehicle in chosen else "" for vehicle in vehicles]
+            for packet_type, chosen in derived.items()
+        ],
+        "Table 5: preferred construction of insertion packets",
+    )
     static = {
         "SYN": [d.value for d in PREFERRED_DISCREPANCIES["SYN"]],
         "RST": [d.value for d in PREFERRED_DISCREPANCIES["RST"]],
@@ -281,12 +315,16 @@ def table6_text(records: Dict) -> str:
             for name, count in resolver["successes"].items()
         }
         except_tj = [r for name, r in rates.items() if name != "unicom-tianjin"]
-        rows.append((
+        rows.append([
             resolver["name"], resolver["ip"],
-            sum(except_tj) / len(except_tj), sum(rates.values()) / len(rates),
-        ))
+            pct(sum(except_tj) / len(except_tj) * 100),
+            pct(sum(rates.values()) / len(rates) * 100),
+        ])
     opendns = records["opendns"]
-    text = format_table6(rows)
+    text = render_table(
+        ["DNS resolver", "IP", "except Tianjin", "All"], rows,
+        "Table 6: TCP DNS censorship evasion",
+    )
     text += (
         f"\n\nOpenDNS {opendns['ip']} without INTANG: "
         f"{'uncensored (success)' if opendns['success'] else 'censored'}"

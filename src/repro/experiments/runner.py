@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -404,28 +404,6 @@ def run_strategy_cell(
         repeats=repeats, seed=seed, keyword=keyword, workers=workers,
     )
     return sum((tally for row in clusters for tally in row), VerdictDistribution())
-
-
-@dataclass
-class PerVantageRates:
-    """Per-vantage tallies, summarized as Table 4's min/max/avg rates."""
-
-    rates: Dict[str, VerdictDistribution] = field(default_factory=dict)
-
-    def _extremes(self, index: int) -> Tuple[float, float, float]:
-        values = [tally.rates()[index] for tally in self.rates.values()]
-        if not values:
-            return (0.0, 0.0, 0.0)
-        return (min(values) * 100, max(values) * 100, sum(values) / len(values) * 100)
-
-    def success_min_max_avg(self) -> Tuple[float, float, float]:
-        return self._extremes(0)
-
-    def failure1_min_max_avg(self) -> Tuple[float, float, float]:
-        return self._extremes(1)
-
-    def failure2_min_max_avg(self) -> Tuple[float, float, float]:
-        return self._extremes(2)
 
 
 def run_cell_by_provider(

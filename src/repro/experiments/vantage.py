@@ -90,10 +90,3 @@ def tor_unfiltered_points() -> List[VantagePoint]:
     """The northern-China vantage points whose Tor traffic flows free."""
     return [v for v in CHINA_VANTAGE_POINTS if not v.tor_filtered]
 
-
-def provider_counts() -> dict:
-    """Sanity view matching §3.3's 6/3/2 provider split."""
-    counts: dict = {}
-    for vantage in CHINA_VANTAGE_POINTS:
-        counts[vantage.isp] = counts.get(vantage.isp, 0) + 1
-    return counts

@@ -127,11 +127,6 @@ def _eviction_reporter(recorder: Recorder, clock: SimClock, device: str):
 class GFWDevice(Tap):
     """One censoring middlebox instance at a tap point."""
 
-    #: The device never mutates observed packets and retains nothing past
-    #: the synchronous observe call (fragments, the one retained case,
-    #: are copied below), so the network may skip the defensive copy.
-    observe_copies = False
-
     def __init__(
         self,
         name: str,
@@ -207,7 +202,7 @@ class GFWDevice(Tap):
         if packet.more_fragments or packet.frag_offset > 0:
             # Fragments are retained until the datagram completes, so the
             # reassembler must own a copy of the live packet (see
-            # ``observe_copies``).
+            # ``Tap.observe``).
             whole = self._fragments.add(packet.copy())
             if whole is None:
                 return

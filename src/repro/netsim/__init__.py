@@ -2,8 +2,8 @@
 
 The simulator reproduces the paper's threat model (Fig. 1): a client and a
 server joined by a multi-hop path, with *in-path* middleboxes that may
-drop or rewrite packets and *on-path* taps (the GFW) that see copies of
-packets and may inject — but never discard — traffic.
+drop or rewrite packets and *on-path* taps (the GFW) that see every
+packet read-only and may inject — but never discard — traffic.
 
 Key physical effects modelled, because the evasion strategies depend on
 them:

@@ -199,11 +199,6 @@ class Path:
         the first element ahead (``plan[start]``) or the path end."""
         return self._leg(direction, origin_hop, *self.travel_plan(origin_hop, direction))
 
-    def elements_ahead(self, origin_hop: int, direction: Direction) -> List[PathElement]:
-        """Elements the packet will meet, in travel order."""
-        plan, start = self.travel_plan(origin_hop, direction)
-        return list(plan[start:])
-
 
 class _Transit:
     """A run of packets in flight together, reused hop to hop.
@@ -328,14 +323,7 @@ class _Transit:
                     continue
                 packet.ttl = remaining_ttl
                 if element.is_tap:
-                    if element.observe_copies or trace.enabled:
-                        element.observe(packet.copy(), direction, now)
-                    else:
-                        # Read-only taps (the GFW devices) opt out of the
-                        # defensive copy; observation is synchronous, so
-                        # later TTL mutation on the live object cannot be
-                        # seen.
-                        element.observe(packet, direction, now)
+                    element.observe(packet, direction, now)
                     if trace.enabled:
                         trace.record(now, element.name, "observe", packet, direction.value)
                 else:

@@ -4,8 +4,8 @@ The paper's threat model distinguishes two capabilities (§2.1):
 
 - an **in-path** device ("middlebox") forwards traffic and may therefore
   *drop or modify* packets;
-- an **on-path** device (the GFW) sees *copies* of packets and may
-  *inject* new ones, but can never remove a packet from the wire.
+- an **on-path** device (the GFW) sees every packet and may *inject*
+  new ones, but can never remove or alter a packet on the wire.
 
 Both kinds sit at a hop index along a :class:`~repro.netsim.network.Path`;
 TTL-expiry is evaluated against that index, which is what makes low-TTL
@@ -103,25 +103,23 @@ class InlineBox(PathElement):
 
 
 class Tap(PathElement):
-    """An on-path monitor: sees copies, can inject, can never drop.
+    """An on-path monitor: sees every packet, can inject, can never drop.
 
     Subclasses (the GFW device) implement :meth:`observe` and use
     :meth:`inject` to put forged packets on the wire from their own hop
     position.
     """
 
-    #: When True (the default, and the documented contract) the network
-    #: hands :meth:`observe` a defensive copy.  A subclass that promises
-    #: to treat observed packets as read-only — and not to retain them
-    #: past the synchronous observe call — may set this to False and
-    #: receive the live object, skipping two allocations per observation
-    #: on the simulator's hottest path.
-    observe_copies = True
-
     is_tap = True
 
     def observe(self, packet: IPPacket, direction: Direction, now: float) -> None:
-        """Called with a copy of every packet that survives to this hop."""
+        """Called with every packet that survives to this hop.
+
+        ``packet`` is the live object the transit carries on to the next
+        hop, in traced and untraced runs alike: treat it as read-only and
+        copy whatever you keep past the call (as the GFW device copies
+        the fragments it holds for reassembly).
+        """
 
     def inject(self, packets: Sequence[IPPacket]) -> None:
         """Put forged ``packets`` on the wire from this tap's hop, in order.

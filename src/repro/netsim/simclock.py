@@ -13,13 +13,14 @@ execute in scheduling order (deterministic tie-breaking — several evasion
 strategies depend on the *order* in which a garbage packet and the real
 data reach the GFW) and the ``event`` object itself is never compared.
 
-Two scheduling paths share the queue:
+Two kinds of entry share the queue:
 
-- :meth:`schedule` wraps a callback in an :class:`EventHandle` (which is
-  itself the cancellation token timers hold on to);
-- :meth:`post` enqueues a caller-owned event object directly — the
-  packet-traversal hot path re-posts one mutable transit event per packet
-  instead of allocating a closure per hop.
+- :meth:`SimClock.schedule` is the one callback API: it wraps a callback
+  in an :class:`EventHandle`, which is itself the cancellation token
+  timers hold on to;
+- the network pushes its packet runs (``repro.netsim.network._Transit``)
+  onto ``_queue`` itself, taking the next ``seq`` — one mutable entry per
+  run rides the heap hop to hop instead of a closure per hop.
 """
 
 from __future__ import annotations
@@ -30,36 +31,19 @@ from typing import Any, Callable, List, Optional, Tuple
 _INF = float("inf")
 
 
-class Event:
-    """Interface for heap entries: ``cancelled`` plus ``fire()``.
-
-    Subclassing is optional — :meth:`SimClock.post` duck-types — but the
-    class documents the contract and gives timers a shared ``cancel()``.
-    """
-
-    __slots__ = ("cancelled",)
-
-    def __init__(self) -> None:
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-    def fire(self) -> None:  # pragma: no cover - interface only
-        raise NotImplementedError
-
-
-class EventHandle(Event):
+class EventHandle:
     """A scheduled callback; returned by :meth:`SimClock.schedule` as the
     cancellation handle (TCP RTO timers keep one per in-flight segment)."""
 
-    __slots__ = ("time", "callback", "args")
+    __slots__ = ("cancelled", "callback", "args")
 
-    def __init__(self, time: float, callback: Callable[..., Any], args: tuple) -> None:
+    def __init__(self, callback: Callable[..., Any], args: tuple) -> None:
         self.cancelled = False
-        self.time = time
         self.callback = callback
         self.args = args
+
+    def cancel(self) -> None:
+        self.cancelled = True
 
     def fire(self) -> None:
         self.callback(*self.args)
@@ -70,9 +54,9 @@ class SimClock:
 
     A fleet wave (:class:`~repro.netsim.batch.BatchSim`) points
     ``_queue`` at a heap shared by many clocks and stride ``_seq`` into a
-    per-trial range; every scheduling path below only ever does
-    ``_seq += 1`` and pushes 3-tuples, so it is oblivious to whether the
-    queue is private or shared.
+    per-trial range; :meth:`schedule` and the network's own pushes only
+    ever do ``_seq += 1`` and push 3-tuples, so they are oblivious to
+    whether the queue is private or shared.
 
     ``_run_until`` is the horizon of the currently active :meth:`run`
     (``inf`` when idle).  The packet-traversal hot path reads it to decide
@@ -93,7 +77,7 @@ class SimClock:
     def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
-        self._queue: List[Tuple[float, int, Event]] = []
+        self._queue: List[Tuple[float, int, Any]] = []
         self._run_until = _INF
         self._tail: Any = None
 
@@ -107,27 +91,10 @@ class SimClock:
         """Run ``callback(*args)`` after ``delay`` seconds of sim time."""
         if delay < 0:
             raise ValueError("cannot schedule into the past")
-        handle = EventHandle(self._now + delay, callback, args)
+        handle = EventHandle(callback, args)
         self._seq += 1
-        heapq.heappush(self._queue, (handle.time, self._seq, handle))
+        heapq.heappush(self._queue, (self._now + delay, self._seq, handle))
         return handle
-
-    def schedule_at(
-        self, when: float, callback: Callable[..., Any], *args: Any
-    ) -> EventHandle:
-        """Run ``callback(*args)`` at absolute sim time ``when``."""
-        return self.schedule(max(0.0, when - self._now), callback, *args)
-
-    def post(self, delay: float, event: Any) -> None:
-        """Enqueue a pre-built event (``cancelled`` attr + ``fire()``).
-
-        The zero-allocation path: no handle is created, so the caller owns
-        cancellation (a never-cancelled event can expose ``cancelled`` as
-        a class attribute).  ``delay`` must be non-negative; the hot paths
-        that use this compute it from hop distances, which are.
-        """
-        self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, self._seq, event))
 
     def run(self, until: Optional[float] = None, max_events: int = 1_000_000) -> int:
         """Process events until the queue drains or the horizon is reached.

@@ -15,7 +15,7 @@ observations with GFW state transitions on one sequenced timeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.netstack.packet import IPPacket
 from repro.telemetry.recorder import get_recorder
@@ -48,8 +48,6 @@ class TraceRecorder:
 
     events: List[TraceEvent] = field(default_factory=list)
     enabled: bool = True
-    #: Optional filter; return False to skip recording an event.
-    predicate: Optional[Callable[[TraceEvent], bool]] = None
     _next_seq: int = 0
 
     def record(
@@ -73,8 +71,6 @@ class TraceRecorder:
             note=note,
             seq=self._next_seq,
         )
-        if self.predicate is not None and not self.predicate(event):
-            return
         self._next_seq += 1
         self.events.append(event)
         recorder = get_recorder()

@@ -130,11 +130,6 @@ class TCPSegment:
     def is_synack(self) -> bool:
         return self.flags & HANDSHAKE_FLAGS == SYN_ACK
 
-    @property
-    def has_no_flags(self) -> bool:
-        """True for the "no TCP flag" insertion packet of Table 1/3."""
-        return self.flags == 0
-
     # -- sequence space ---------------------------------------------------
     @property
     def seg_len(self) -> int:

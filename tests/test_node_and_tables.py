@@ -4,14 +4,8 @@ from repro.netstack.fragment import fragment_packet
 from repro.netstack.packet import ACK, tcp_packet
 from repro.netsim import Host, Network, Path, SimClock
 from repro.experiments.outcomes import Outcome, VerdictDistribution
-from repro.experiments.runner import PerVantageRates
-from repro.experiments.tables import (
-    format_rate_line,
-    format_table4,
-    format_table6,
-    pct,
-    render_table,
-)
+from repro.experiments.paper_tables import table4_text, table6_text
+from repro.experiments.tables import format_rate_line, pct, render_table
 
 A, B = "10.0.0.1", "10.0.0.9"
 
@@ -121,19 +115,44 @@ class TestTableRendering:
         assert "success= 50.0%" in line
         assert "(n=2)" in line
 
+    @staticmethod
+    def _table4_rows(text, half):
+        """The data rows of one Table 4 half, split into stripped cells."""
+        lines = text.split("\n\n")[("inside", "outside").index(half)].splitlines()
+        return [[cell.strip() for cell in line.split("|")] for line in lines[3:]]
+
+    @staticmethod
+    def _table4_records(clusters):
+        half = {"rows": [{"label": "Strategy X", "clusters": clusters}]}
+        return {"inside": half, "outside": half}
+
     def test_format_table4_min_max_avg(self):
-        per_vantage = PerVantageRates()
-        per_vantage.rates["a"] = VerdictDistribution(success=9, failure1=1)
-        per_vantage.rates["b"] = VerdictDistribution(success=7, failure2=3)
-        text = format_table4([("Strategy X", per_vantage)])
-        row = [cell.strip() for cell in text.splitlines()[-1].split("|")]
+        # Each vantage's rates come from the sum of its clusters.
+        records = self._table4_records(
+            {"a": [[5, 1, 0], [4, 0, 0]], "b": [[7, 0, 3]]}
+        )
+        row = self._table4_rows(table4_text(records), "inside")[0]
         assert row[1:4] == ["70.0%", "90.0%", "80.0%"]  # success rates
         assert row[4:7] == ["0.0%", "10.0%", "5.0%"]  # failure 1
         assert row[7:10] == ["0.0%", "30.0%", "15.0%"]  # failure 2
 
     def test_format_table6(self):
-        text = format_table6([("Dyn 1", "216.146.35.35", 0.99, 0.93)])
-        assert "99.0%" in text and "93.0%" in text
+        records = {
+            "queries": 100,
+            "resolvers": [{
+                "name": "Dyn 1", "ip": "216.146.35.35",
+                "successes": {"aliyun-beijing": 99, "unicom-tianjin": 87},
+            }],
+            "opendns": {"vantage": "aliyun-beijing", "ip": "208.67.222.222",
+                        "success": True},
+        }
+        row = table6_text(records).splitlines()[3]
+        assert [cell.strip() for cell in row.split("|")] == [
+            "Dyn 1", "216.146.35.35", "99.0%", "93.0%",
+        ]
 
     def test_per_vantage_rates_empty(self):
-        assert PerVantageRates().success_min_max_avg() == (0.0, 0.0, 0.0)
+        # A vantage that ran no trial reads 0.0 % in every column.
+        records = self._table4_records({"a": [], "b": [[0, 0, 0]]})
+        row = self._table4_rows(table4_text(records), "inside")[0]
+        assert row[1:] == ["0.0%"] * 9

@@ -34,10 +34,6 @@ class TestFlags:
         assert not TCPSegment(1, 2, flags=SYN).is_synack
         assert not TCPSegment(1, 2, flags=SYN | ACK | RST).is_synack
 
-    def test_no_flags(self):
-        assert TCPSegment(1, 2, flags=0).has_no_flags
-        assert not TCPSegment(1, 2, flags=ACK).has_no_flags
-
     def test_flag_string(self):
         assert flags_to_str(SYN | ACK) == "SA"
         assert flags_to_str(RST) == "R"

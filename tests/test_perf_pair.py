@@ -2,13 +2,15 @@
 
 ``benchmarks/perf_pair.py`` is a script, so it is loaded from its path.
 These tests run no perfbench process and make no worktree: they pin the
-pair ratio, the bootstrap interval, the verdict and the parsing of a
-perfbench result.
+pair ratio, the bootstrap interval, the verdict, the parsing of a
+perfbench result, and the copy of the working tree the change side runs
+from (against a throwaway git repository).
 """
 
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -146,3 +148,35 @@ def test_seed_lists():
     assert pair.parse_seeds("901..", 3) == [901, 902, 903]
     assert pair.parse_seeds("5..7", 10) == [5, 6, 7]
     assert pair.parse_seeds("4,9,2", 3) == [4, 9, 2]
+
+
+def test_copy_working_tree_takes_tracked_files_as_on_disk(tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "copy"
+    (repo / "pkg" / "__pycache__").mkdir(parents=True)
+
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+            cwd=repo, check=True, capture_output=True,
+        )
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    (repo / "pkg" / "mod.py").write_text("X = 1\n")
+    (repo / "gone.py").write_text("old\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "pkg" / "mod.py").write_text("X = 2\n")  # uncommitted edit
+    (repo / "pkg" / "new.py").write_text("Y = 3\n")
+    git("add", "pkg/new.py")  # staged, never committed
+    (repo / "gone.py").unlink()  # tracked, deleted on disk
+    (repo / "scratch.txt").write_text("untracked\n")
+    (repo / "pkg" / "__pycache__" / "mod.cpython.pyc").write_bytes(b"\0")
+
+    pair.copy_working_tree(repo, dest)
+    copied = sorted(
+        path.relative_to(dest).as_posix() for path in dest.rglob("*") if path.is_file()
+    )
+    assert copied == [".gitignore", "pkg/mod.py", "pkg/new.py"]
+    assert (dest / "pkg" / "mod.py").read_text() == "X = 2\n"
+    assert (dest / "pkg" / "new.py").read_text() == "Y = 3\n"

@@ -19,10 +19,10 @@ REQUEST = b"GET /?q=ultrasurf HTTP/1.1\r\nHost: x\r\n\r\n"
 
 
 def _request_segment(harness, seq=None, payload=REQUEST):
-    return harness._client_segment(
+    return harness._segment(
         ACK,
-        seq=harness.client_snd_nxt() if seq is None else seq,
-        ack=harness.client_rcv_nxt(),
+        seq=harness.snd_nxt() if seq is None else seq,
+        ack=harness.rcv_nxt(),
         payload=payload,
     )
 
@@ -34,7 +34,7 @@ class TestPriorAssumption1:
         """Omitting SYN/ACK and ACK: a SYN alone creates a working TCB."""
         harness = GFWHarness()
         harness.send_from_client(
-            harness._client_segment(SYN, seq=harness.client_isn)
+            harness._segment(SYN, seq=harness.client_isn)
         )
         harness.send_from_client(_request_segment(harness))
         assert len(harness.device.detections) == 1
@@ -71,7 +71,7 @@ class TestPriorAssumption2:
                  seq_add(harness.client_isn, 0x22222222)]
         seqs = fakes[:true_syn_position] + [harness.client_isn] + fakes[true_syn_position:]
         for seq in seqs:
-            harness.send_from_client(harness._client_segment(SYN, seq=seq))
+            harness.send_from_client(harness._segment(SYN, seq=seq))
         return harness
 
     @pytest.mark.parametrize("position", [0, 1, 2])
@@ -99,7 +99,7 @@ class TestPriorAssumption2:
         harness.send_from_client(
             _request_segment(
                 harness,
-                seq=seq_add(harness.client_snd_nxt(), half),
+                seq=seq_add(harness.snd_nxt(), half),
                 payload=REQUEST[half:],
             )
         )
@@ -116,7 +116,7 @@ class TestPriorAssumption2:
         harness.send_from_client(
             _request_segment(
                 harness,
-                seq=seq_add(harness.client_snd_nxt(), half),
+                seq=seq_add(harness.snd_nxt(), half),
                 payload=REQUEST[half:],
             )
         )
@@ -151,7 +151,7 @@ class TestResyncTriggersAndResolvers:
     def _resynced(self):
         harness = GFWHarness()
         harness.establish()
-        harness.send_from_client(harness._client_segment(SYN, seq=999))
+        harness.send_from_client(harness._segment(SYN, seq=999))
         assert harness.flow().state is GFWFlowState.RESYNC
         return harness
 
@@ -160,7 +160,7 @@ class TestResyncTriggersAndResolvers:
         server_data = TCPSegment(
             src_port=80, dst_port=45000,
             seq=seq_add(harness.server_isn, 1),
-            ack=harness.client_snd_nxt(), flags=ACK, payload=b"HTTP/1.1 200",
+            ack=harness.snd_nxt(), flags=ACK, payload=b"HTTP/1.1 200",
         )
         harness.send_from_server(server_data)
         assert harness.flow().state is GFWFlowState.RESYNC
@@ -168,7 +168,7 @@ class TestResyncTriggersAndResolvers:
     def test_pure_acks_do_not_resynchronize_either_direction(self):
         harness = self._resynced()
         harness.send_from_client(
-            harness._client_segment(ACK, seq=0x123, ack=0x456)
+            harness._segment(ACK, seq=0x123, ack=0x456)
         )
         server_ack = TCPSegment(
             src_port=80, dst_port=45000, seq=0x111, ack=0x222, flags=ACK,
@@ -210,7 +210,7 @@ class TestPriorAssumption3:
         harness = GFWHarness(config=config)
         # RST between SYN/ACK and ACK: handshake incomplete -> resync.
         harness.send_from_client(
-            harness._client_segment(SYN, seq=harness.client_isn)
+            harness._segment(SYN, seq=harness.client_isn)
         )
         synack = TCPSegment(
             src_port=80, dst_port=45000, seq=harness.server_isn,
@@ -218,7 +218,7 @@ class TestPriorAssumption3:
         )
         harness.send_from_server(synack)
         harness.send_from_client(
-            harness._client_segment(RST, seq=harness.client_snd_nxt())
+            harness._segment(RST, seq=harness.snd_nxt())
         )
         assert harness.flow() is not None
         assert harness.flow().state is GFWFlowState.RESYNC
@@ -230,6 +230,6 @@ class TestPriorAssumption3:
         harness = GFWHarness(config=config)
         harness.establish()  # includes the client's pure ACK
         harness.send_from_client(
-            harness._client_segment(RST, seq=harness.client_snd_nxt())
+            harness._segment(RST, seq=harness.snd_nxt())
         )
         assert harness.flow() is None  # torn down: established coin said so

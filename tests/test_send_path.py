@@ -25,8 +25,6 @@ CLIENT, SERVER = "10.0.0.1", "93.184.216.34"
 class _Watch(Tap):
     """Records what passes its hop: (time, seq, ttl)."""
 
-    observe_copies = False
-
     def __init__(self, name, hop, log):
         super().__init__(name, hop)
         self.log = log

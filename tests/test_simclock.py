@@ -74,26 +74,6 @@ def test_schedule_during_event_execution():
     assert clock.now == 1.5
 
 
-def test_schedule_at_absolute_time():
-    clock = SimClock()
-    fired = []
-    clock.run_for(2.0)
-    clock.schedule_at(3.0, fired.append, "x")
-    clock.run()
-    assert fired == ["x"]
-    assert clock.now == 3.0
-
-
-def test_schedule_at_past_runs_immediately():
-    clock = SimClock()
-    clock.run_for(5.0)
-    fired = []
-    clock.schedule_at(1.0, fired.append, "late")
-    clock.run()
-    assert fired == ["late"]
-    assert clock.now == 5.0
-
-
 def test_negative_delay_rejected():
     with pytest.raises(ValueError):
         SimClock().schedule(-1.0, lambda: None)

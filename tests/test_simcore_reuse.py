@@ -129,7 +129,6 @@ def test_travel_plan_matches_legacy_scan(
             element for element in reversed(forward) if element.hop < origin
         ]
     assert list(plan[start:]) == expected
-    assert path.elements_ahead(origin, direction) == expected
 
 
 def test_schedule_rebuilds_only_on_invalidation():

@@ -55,7 +55,7 @@ class TestInstruments:
     def test_gauge_set(self):
         registry = MetricsRegistry()
         registry.gauge("g").set(2.5)
-        assert registry.gauge_value("g") == 2.5
+        assert registry.snapshot()["gauges"] == {"g": 2.5}
 
     def test_histogram_buckets(self):
         registry = MetricsRegistry()

@@ -10,6 +10,8 @@ saves, so a change that stops forming runs fails here.
 
 import random
 
+import pytest
+
 from repro.experiments import (
     CHINA_VANTAGE_POINTS,
     DEFAULT_CALIBRATION,
@@ -17,6 +19,7 @@ from repro.experiments import (
 )
 from repro.experiments.fleet import FleetSpec, run_fleet
 from repro.experiments.runner import Outcome, _simulate_http_trial
+from repro.experiments.scenarios import release_scenario
 from repro.gfw.device import GFWDevice
 from repro.gfw.models import old_config
 from repro.netsim import Host, Network, Path, SimClock
@@ -198,6 +201,59 @@ def test_table1_trial_heap_events_pinned(monkeypatch):
     )
     assert record.outcome is Outcome.SUCCESS
     assert sum(counted) == 27
+
+
+def _flow_states(device):
+    return {
+        key: (
+            flow.state, flow.believed_client, flow.client_next_seq,
+            flow.server_next_seq, flow.server_seq_valid, flow.syn_count,
+            flow.synack_count, flow.handshake_complete, flow.punished,
+            flow.fin_seen,
+        )
+        for key, flow in device.flows.items()
+    }
+
+
+@pytest.mark.parametrize("strategy_id", ["improved-tcb-teardown", None])
+def test_a_traced_trial_is_the_measured_trial(monkeypatch, strategy_id):
+    """Tracing a trial adds records, not work: the trial record, every
+    device's counters and flow states equal the untraced run's, and in
+    both runs the GFW observes the very packet object its transit
+    carries on (no copy made for the trace)."""
+    running = []  # transits whose stop is in progress, innermost last
+    carried = []  # per observe call: is it a member of that transit?
+    fire, observe = _Transit.fire, GFWDevice.observe
+
+    def tracked_fire(self):
+        running.append(self)
+        try:
+            fire(self)
+        finally:
+            running.pop()
+
+    def tracked_observe(self, packet, direction, now):
+        carried.append(any(packet is member for member in running[-1].packets))
+        observe(self, packet, direction, now)
+
+    monkeypatch.setattr(_Transit, "fire", tracked_fire)
+    monkeypatch.setattr(GFWDevice, "observe", tracked_observe)
+    runs = []
+    for trace in (False, True):
+        carried.clear()
+        record, scenario = _simulate_http_trial(
+            CHINA_VANTAGE_POINTS[0], outside_china_catalog(count=1)[0],
+            strategy_id, DEFAULT_CALIBRATION, seed=3, keyword=True, trace=trace,
+        )
+        assert bool(scenario.trace.events) is trace
+        assert carried and all(carried)
+        runs.append((
+            record,
+            [device.stats() for device in scenario.gfw_devices],
+            [_flow_states(device) for device in scenario.gfw_devices],
+        ))
+        release_scenario(scenario)
+    assert runs[0] == runs[1]
 
 
 def test_fleet_flow_events_pinned():
