@@ -34,8 +34,7 @@ from repro.conformance.matrix import conformance_site
 from repro.experiments.calibration import CLEAN_ROOM
 from repro.experiments.outcomes import VerdictDistribution
 from repro.experiments.parallel import map_trials
-from repro.experiments.runner import _simulate_http_trial
-from repro.experiments.scenarios import release_scenario
+from repro.experiments.runner import observe_http_trial
 from repro.experiments.vantage import VantagePoint
 from repro.experiments.websites import Website
 from repro.gfw import heterogeneity
@@ -146,7 +145,9 @@ def _inconsistency_cell_worker(
     salt = _cell_salt(vantage.name, hour, strategy_id)
     outcomes = []
     for repeat in range(repeats):
-        record, scenario = _simulate_http_trial(
+        # The reset and blacklist counters below keep counting after the
+        # record is final, so the trial runs to its horizon.
+        with observe_http_trial(
             vantage,
             website,
             strategy_id,
@@ -154,21 +155,17 @@ def _inconsistency_cell_worker(
             seed=(seed * 1_000_003 + repeat) ^ salt,
             keyword=True,
             gfw_variant=heterogeneity.HETEROGENEOUS_VARIANT,
-            # The reset and blacklist counters below keep counting after
-            # the record is final.
-            stop_at_verdict=False,
-        )
-        outcomes.append(record.outcome)
-        for device in scenario.gfw_devices:
-            # Materialize lazy TTL expiries at the trial's end time —
-            # pairs whose connection died never re-read the blacklist.
-            device.blacklist.sweep(scenario.clock.now)
-            cell.detections += len(device.detections)
-            cell.resets_injected += device.resets_injected
-            cell.resets_suppressed += getattr(device, "resets_suppressed", 0)
-            cell.blacklist_adds += device.blacklist.total_blacklistings
-            cell.blacklist_expirations += device.blacklist.total_expirations
-        release_scenario(scenario)
+        ) as (record, scenario):
+            outcomes.append(record.outcome)
+            for device in scenario.gfw_devices:
+                # Materialize lazy TTL expiries at the trial's end time —
+                # pairs whose connection died never re-read the blacklist.
+                device.blacklist.sweep(scenario.clock.now)
+                cell.detections += len(device.detections)
+                cell.resets_injected += device.resets_injected
+                cell.resets_suppressed += getattr(device, "resets_suppressed", 0)
+                cell.blacklist_adds += device.blacklist.total_blacklistings
+                cell.blacklist_expirations += device.blacklist.total_expirations
     cell.distribution = VerdictDistribution.from_outcomes(outcomes)
     return cell
 

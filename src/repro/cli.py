@@ -177,8 +177,7 @@ def _perf_profile(args: argparse.Namespace) -> int:
         outside_china_catalog,
         vantage_by_name,
     )
-    from repro.experiments.runner import _simulate_http_trial
-    from repro.experiments.scenarios import release_scenario
+    from repro.experiments.runner import run_http_trial
 
     vantage = vantage_by_name(args.vantage)
     website = outside_china_catalog()[args.site]
@@ -190,14 +189,13 @@ def _perf_profile(args: argparse.Namespace) -> int:
     wall_start = perf_counter()
     profiler.enable()
     for repeat in range(args.repeats):
-        record, scenario = _simulate_http_trial(
+        record = run_http_trial(
             vantage, website, args.strategy, DEFAULT_CALIBRATION,
             seed=args.seed + repeat, keyword=not args.benign,
         )
-        if scenario.stopped_at_verdict:
+        if record.stopped_at_verdict:
             stopped[record.outcome.value] += 1
         used[record.strategy_id] += 1
-        release_scenario(scenario)
     profiler.disable()
     wall_seconds = perf_counter() - wall_start
     gc.callbacks.remove(collector)

@@ -74,19 +74,15 @@ def ladder_filename(cell: ConformanceCell) -> str:
 
 def capture_ladder(cell: ConformanceCell, seed: int = DEFAULT_SEED) -> str:
     """One traced run of a cell, rendered as a self-describing ladder."""
-    from repro.experiments.runner import _simulate_http_trial
-    from repro.experiments.scenarios import release_scenario
+    from repro.experiments.runner import observe_http_trial
 
     (kwargs,) = cell.trial_kwargs(seed)
-    record, scenario = _simulate_http_trial(
-        **kwargs,
-        keyword=True,
-        trace=True,
-        stop_at_verdict=False,  # the ladder shows the whole exchange
-    )
-    assert scenario.trace is not None
-    ladder = scenario.trace.format_ladder()
-    release_scenario(scenario)
+    # The ladder shows the whole exchange, not just up to the record.
+    with observe_http_trial(**kwargs, keyword=True, trace=True) as (
+        record, scenario,
+    ):
+        assert scenario.trace is not None
+        ladder = scenario.trace.format_ladder()
     header = [
         f"# cell: {cell.cell_id}",
         f"# seed: {seed}",

@@ -3,7 +3,7 @@
 One **cell** is ``(strategy, gfw_variant, middlebox_profile, fault
 point)``.  The harness runs every cell through the ordinary
 scenario/runner machinery (:func:`repro.experiments.runner.
-_simulate_http_trial` with the ``gfw_variant`` override) and tallies the
+run_http_trial` with the ``gfw_variant`` override) and tallies the
 repeats into a :class:`CellResult` — the cell's
 :class:`~repro.experiments.outcomes.VerdictDistribution` — whose
 discrete **verdict** is :func:`~repro.experiments.outcomes.
@@ -30,8 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.experiments.calibration import CLEAN_ROOM, Calibration
 from repro.experiments.outcomes import VerdictDistribution
 from repro.experiments.parallel import map_trials
-from repro.experiments.runner import _simulate_http_trial
-from repro.experiments.scenarios import release_scenario
+from repro.experiments.runner import run_http_trial
 from repro.experiments.vantage import VantagePoint, vantage_by_name
 from repro.experiments.websites import Website, outside_china_catalog
 from repro.gfw.heterogeneity import HETEROGENEOUS_VARIANT, validate_variant
@@ -251,9 +250,7 @@ def run_cell(
         profile=cell.profile, fault=cell.fault.name,
     )
     for kwargs in cell.trial_kwargs(seed, repeats):
-        record, scenario = _simulate_http_trial(**kwargs, keyword=True)
-        release_scenario(scenario)
-        outcomes.append(record.outcome)
+        outcomes.append(run_http_trial(**kwargs, keyword=True).outcome)
     result = CellResult(*VerdictDistribution.from_outcomes(outcomes), cell=cell)
     recorder.end(cell_span, verdict=result.verdict)
     if result.verdict == "broken":

@@ -50,12 +50,11 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.apps.http import HTTPClient
 from repro.core.intang import INTANG
 from repro.experiments.calibration import DEFAULT_CALIBRATION
 from repro.experiments.parallel import map_trials
 from repro.experiments.outcomes import Outcome, VerdictDistribution, classify
-from repro.experiments.runner import BENIGN_PATH, SENSITIVE_PATH, attach_intang
+from repro.experiments.runner import attach_intang, start_http_request
 from repro.experiments.scenarios import (
     Scenario,
     acquire_scenario,
@@ -433,7 +432,10 @@ def _fleet_flow_setup(
     shared: SharedGFWState,
     batch: BatchSim,
 ) -> _FleetFlowContext:
-    """Lease a scenario built on the shared censor, queue the workload."""
+    """Lease a scenario built on the shared censor and start the
+    runner's HTTP request on it (:func:`~repro.experiments.runner.
+    start_http_request`), with INTANG only on a flow that names a
+    strategy; the flow's timing hooks mark its start and verdict."""
     since = get_recorder().next_seq
     scenario = acquire_scenario(
         vantage=flow.vantage,
@@ -451,16 +453,10 @@ def _fleet_flow_setup(
         intang = attach_intang(
             scenario, flow.strategy_id, LazyRandom(flow.seed ^ 0x5EED)
         )
-        if intang.hop_estimator is not None:
-            intang.hop_estimator.measure(flow.website.ip)
-    scenario.apply_route_drift()
-    client = HTTPClient(scenario.client_tcp)
     timing: Dict[str, float] = {}
     clock = scenario.clock
-    conn, exchange = client.get(
-        flow.website.ip,
-        host=flow.website.name,
-        path=SENSITIVE_PATH if flow.sensitive else BENIGN_PATH,
+    _drift, conn, exchange = start_http_request(
+        scenario, flow.sensitive, intang,
         on_done=lambda _exchange: timing.setdefault("verdict", clock.now),
     )
     # Wrap the client's own callbacks to timestamp the flow's sim-time

@@ -8,22 +8,25 @@ requests a page whose URL carries (or not) the sensitive keyword, and
 the outcome is classified (:mod:`repro.experiments.outcomes`) from the
 client's viewpoint only — exactly what a real measurement client can
 see.  Every cell runner reduces its outcomes to one
-:class:`~repro.experiments.outcomes.VerdictDistribution`.
+:class:`~repro.experiments.outcomes.VerdictDistribution`.  A caller
+that reads the finished scenario, not just the record, runs the same
+trial through :func:`observe_http_trial`.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from itertools import islice
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.cache import KeyValueStore
 from repro.core.intang import INTANG
 from repro.core.selection import StrategySelector
-from repro.apps.http import HTTPClient
+from repro.apps.http import HTTPClient, HTTPExchange
 from repro.experiments.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.experiments.outcomes import Outcome, VerdictDistribution, classify
 from repro.experiments.parallel import map_trials
@@ -36,6 +39,7 @@ from repro.experiments.scenarios import (
 from repro.experiments.vantage import CHINA_VANTAGE_POINTS, VantagePoint
 from repro.experiments.websites import DYN_RESOLVERS, Resolver, Website
 from repro.lazyrandom import LazyRandom
+from repro.tcp.stack import CloseReason, TCPConnection
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.recorder import get_recorder
 from repro.telemetry.trace import make_span
@@ -82,6 +86,10 @@ class TrialRecord:
     #: Best-effort failure attribution (the §3.4 "microscopic study" of
     #: failure cases, automated): None on success.
     diagnosis: Optional[str] = None
+    #: Whether the stop rule ended the run at this record, before the
+    #: horizon; not part of what the trial measured, so two records
+    #: compare equal across it.
+    stopped_at_verdict: bool = field(default=False, compare=False)
 
 
 def diagnose_failure(scenario: Scenario, outcome: Outcome) -> Optional[str]:
@@ -93,7 +101,6 @@ def diagnose_failure(scenario: Scenario, outcome: Outcome) -> Optional[str]:
     server that swallowed the junk, or plain loss.
     """
     from repro.middlebox.boxes import StatefulFirewallBox
-    from repro.tcp.stack import CloseReason
 
     if outcome is Outcome.SUCCESS:
         return None
@@ -176,28 +183,56 @@ _TRIAL_WALL_SECONDS = _REGISTRY.histogram(
 )
 
 
-def _simulate_http_trial(
-    vantage: VantagePoint,
-    website: Website,
-    strategy_id: Optional[str],
-    calibration: Calibration = DEFAULT_CALIBRATION,
-    seed: int = 0,
-    keyword: bool = True,
-    selector: Optional[StrategySelector] = None,
-    trace: bool = False,
-    gfw_variant: Optional[str] = None,
-    stop_at_verdict: bool = True,
+def start_http_request(
+    scenario: Scenario,
+    keyword: bool,
+    intang: Optional[INTANG],
+    on_done: Optional[Callable[[HTTPExchange], None]] = None,
+) -> Tuple[Optional[str], TCPConnection, HTTPExchange]:
+    """Start the HTTP request of a trial or fleet flow on ``scenario``.
+
+    INTANG (when ``intang`` is given) measures the hop count to the
+    scenario's website, overshooting it on some outside-China routes;
+    the route then maybe drifts out from under that measurement, and
+    the client GETs :data:`SENSITIVE_PATH` (``keyword``) or
+    :data:`BENIGN_PATH`.  Returns the drift description, the client
+    connection and the exchange; ``on_done`` is the exchange's
+    completion callback.
+    """
+    website = scenario.website
+    if intang is not None and intang.hop_estimator is not None:
+        intang.hop_estimator.measure(website.ip)
+        if (
+            not scenario.vantage.inside_china
+            and scenario.rng.random()
+            < scenario.calibration.outside_ttl_error_probability
+        ):
+            # §7.1: on outside-China routes the hop measurement is hard
+            # to get right; an overshoot sends TTL-limited insertions
+            # all the way to the (nearly co-located) server.
+            intang.hop_estimator.adjust(website.ip, +2)
+    drift = scenario.apply_route_drift()
+    conn, exchange = HTTPClient(scenario.client_tcp).get(
+        website.ip,
+        host=website.name,
+        path=SENSITIVE_PATH if keyword else BENIGN_PATH,
+        on_done=on_done,
+    )
+    return drift, conn, exchange
+
+
+def _http_trial(
+    vantage: VantagePoint, website: Website, strategy_id: Optional[str],
+    calibration: Calibration, seed: int, keyword: bool,
+    selector: Optional[StrategySelector], gfw_variant: Optional[str],
+    trace: bool, stop_at_verdict: bool,
 ) -> Tuple[TrialRecord, Scenario]:
-    """Simulate one HTTP trial from scratch, returning the record *and*
-    the finished scenario.  The caller owns the scenario: hand it back
-    with ``release_scenario`` once done with it.  ``trace=True`` turns on
-    the packet trace recorder, whose events also land in the
-    observability recorder's event ring when that is kept.
-    ``gfw_variant`` forces a named installation variant (conformance
-    cells).  The run ends once the record is final
-    (:meth:`Scenario.record_final`) unless ``stop_at_verdict=False`` asks
-    for the full horizon, which a caller reading the scenario beyond the
-    record (ladders, device counters, event timelines) needs."""
+    """The one HTTP trial body behind :func:`run_http_trial` and
+    :func:`observe_http_trial`: simulate the trial from scratch and
+    return its record with the finished scenario, which the caller
+    releases.  With ``stop_at_verdict`` the run ends once the record is
+    final (:meth:`Scenario.record_final`), else at the horizon."""
+    _TRIALS_RUN.inc()
     wall_start = perf_counter() if get_recorder().spans_on else 0.0
     scenario = acquire_scenario(
         vantage=vantage, website=website, calibration=calibration,
@@ -207,22 +242,8 @@ def _simulate_http_trial(
     intang = attach_intang(
         scenario, strategy_id, LazyRandom(seed ^ 0x5EED), selector=selector
     )
-    if intang.hop_estimator is not None:
-        intang.hop_estimator.measure(website.ip)
-        if (
-            not vantage.inside_china
-            and scenario.rng.random() < calibration.outside_ttl_error_probability
-        ):
-            # §7.1: on outside-China routes the hop measurement is hard
-            # to get right; an overshoot sends TTL-limited insertions
-            # all the way to the (nearly co-located) server.
-            intang.hop_estimator.adjust(website.ip, +2)
-    drift = scenario.apply_route_drift()
-    client = HTTPClient(scenario.client_tcp)
-    _conn, exchange = client.get(
-        website.ip,
-        host=website.name,
-        path=SENSITIVE_PATH if keyword else BENIGN_PATH,
+    drift, _conn, exchange = start_http_request(
+        scenario, keyword, intang,
         on_done=scenario.response_done if stop_at_verdict else None,
     )
     scenario.run()
@@ -240,6 +261,7 @@ def _simulate_http_trial(
         drift=drift,
         detections=scenario.gfw_detections(),
         diagnosis=diagnose_failure(scenario, outcome),
+        stopped_at_verdict=scenario.stopped_at_verdict,
     )
     # Outcome accounting lives here, inside the simulation, so the
     # parallel engine's merged registry equals the serial run's.
@@ -296,20 +318,48 @@ def run_http_trial(
     seed: int = 0,
     keyword: bool = True,
     selector: Optional[StrategySelector] = None,
+    gfw_variant: Optional[str] = None,
 ) -> TrialRecord:
-    """One request; ``strategy_id=None`` lets INTANG's selector choose.
+    """One measured HTTP trial; ``strategy_id=None`` lets INTANG's
+    selector choose, ``gfw_variant`` forces a named GFW installation
+    variant (conformance cells).
 
-    Only the record is kept, so the run stops once it is final; an
-    adaptive selector's trial runs to the horizon.
+    Only the record is kept, so the run stops once it is final.
     """
-    _TRIALS_RUN.inc()
-    record, scenario = _simulate_http_trial(
-        vantage, website, strategy_id, calibration,
-        seed=seed, keyword=keyword, selector=selector,
-        stop_at_verdict=selector is None,
+    record, scenario = _http_trial(
+        vantage, website, strategy_id, calibration, seed, keyword,
+        selector, gfw_variant, trace=False, stop_at_verdict=True,
     )
     release_scenario(scenario)
     return record
+
+
+@contextmanager
+def observe_http_trial(
+    vantage: VantagePoint,
+    website: Website,
+    strategy_id: Optional[str],
+    calibration: Calibration = DEFAULT_CALIBRATION,
+    seed: int = 0,
+    keyword: bool = True,
+    selector: Optional[StrategySelector] = None,
+    gfw_variant: Optional[str] = None,
+    trace: bool = False,
+) -> Iterator[Tuple[TrialRecord, Scenario]]:
+    """The trial :func:`run_http_trial` measures, run to the horizon for
+    a caller that reads the scenario beyond the record (ladders, device
+    counters, event timelines): yields ``(record, scenario)`` and
+    releases the scenario on exit.  ``trace=True`` turns on the packet
+    trace recorder, whose events also land in the observability
+    recorder's event ring when that is kept."""
+    record, scenario = _http_trial(
+        vantage, website, strategy_id, calibration, seed, keyword,
+        selector, gfw_variant, trace=trace, stop_at_verdict=False,
+    )
+    try:
+        yield record, scenario
+    finally:
+        release_scenario(scenario)
 
 
 def _http_outcome(*trial_args) -> Outcome:

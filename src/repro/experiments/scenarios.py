@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, List, Optional, Set
 
 from repro.netstack.fragment import OverlapPolicy
 from repro.netstack.packet import IPPacket
-from repro.netsim.network import Network, Path, _Transit
+from repro.netsim.network import Network, Path
 from repro.netsim.node import Host
 from repro.netsim.path import Direction
 from repro.netsim.simclock import SimClock
@@ -86,8 +86,8 @@ class Scenario:
     #: Their reset kinds (``type1``, ``type2``), kept by the sniffer as
     #: they arrive; the Failure-2 diagnosis names these.
     reset_kinds: Set[str] = field(default_factory=set)
-    #: Armed by the HTTP runners that keep only the trial record: the
-    #: sniffer and :meth:`response_done` end the run once
+    #: Armed by ``runner.run_http_trial``, which keeps only the trial
+    #: record: the sniffer and :meth:`response_done` end the run once
     #: :meth:`record_final` holds.
     stop_at_verdict: bool = False
     #: Set when that stop ended the run before its horizon.
@@ -150,7 +150,9 @@ class Scenario:
                     and f"type{reset_type}" not in kinds
                     and (
                         reset_type != 1
-                        or self._queued(device.name, Direction.SERVER_TO_CLIENT)
+                        or self.network.queued(
+                            device.name, Direction.SERVER_TO_CLIENT
+                        )
                     )
                 ):
                     return False
@@ -168,7 +170,9 @@ class Scenario:
         for connection in self.client_tcp.connections.values():
             if connection.tcb.state is not TCPState.CLOSED:
                 return False
-        return not self._queued(self.client.name, Direction.CLIENT_TO_SERVER)
+        return not self.network.queued(
+            self.client.name, Direction.CLIENT_TO_SERVER
+        )
 
     def _success_final(self) -> bool:
         client_ip = self.client.ip
@@ -187,33 +191,9 @@ class Scenario:
             for entry in connection._unacked:
                 if entry["segment"].payload:
                     return False
-        return not self._queued(self.client.name, Direction.CLIENT_TO_SERVER)
-
-    def _queued(self, origin: str, direction: Direction) -> bool:
-        """Whether a packet ``origin`` sent in ``direction`` is still on
-        the clock's queue.
-
-        A queued run (``netsim.network._Transit``) always holds at least
-        one packet.  The stop rule runs inside a delivery, so the run
-        being delivered is off the heap; its members still to come are
-        counted through ``Network.delivering``.
-        """
-        delivering = self.network.delivering
-        if (
-            delivering is not None
-            and delivering.packets
-            and delivering.origin == origin
-            and delivering.direction is direction
-        ):
-            return True
-        for _time, _seq, event in self.clock._queue:
-            if (
-                event.__class__ is _Transit
-                and event.origin == origin
-                and event.direction is direction
-            ):
-                return True
-        return False
+        return not self.network.queued(
+            self.client.name, Direction.CLIENT_TO_SERVER
+        )
 
     def stop_if_final(self) -> None:
         """End the run at this instant if the stop is armed and the

@@ -9,8 +9,8 @@ defined in :mod:`repro.apps.tor` and :mod:`repro.apps.vpn`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 #: The probe keyword the paper uses throughout its HTTP measurements.
 DEFAULT_KEYWORDS: Tuple[bytes, ...] = (b"ultrasurf", b"falun", b"freedom_tunnel")
@@ -40,7 +40,9 @@ class Detection:
 class RuleSet:
     """The rule base a GFW device applies to reassembled streams."""
 
-    keywords: List[bytes] = field(default_factory=lambda: list(DEFAULT_KEYWORDS))
+    #: A tuple, so ``automaton.compile_keywords`` finds its automaton
+    #: by a straight memo lookup.
+    keywords: Sequence[bytes] = DEFAULT_KEYWORDS
     #: Whether HTTP *responses* are inspected.  Park et al. found response
     #: filtering discontinued (§2.1 / §5.2); default False.
     censor_http_responses: bool = False

@@ -46,9 +46,10 @@ wave is reproducible.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import List, Optional, Sequence, Set, Union
 
-from repro.netsim.simclock import SimClock, _INF
+from repro.netsim.simclock import SimClock
 from repro.telemetry.recorder import get_recorder
 
 #: Bits reserved for the per-trial sequence counter.  2**32 scheduling
@@ -162,7 +163,7 @@ class BatchSim:
             for clock in clocks:
                 if clock._now < clock._run_until:
                     clock._now = clock._run_until
-                clock._run_until = _INF
+                clock._run_until = math.inf
             recorder.end(span, executed=executed)
         return executed
 
@@ -175,7 +176,7 @@ class BatchSim:
         """
         for clock in self._clocks:
             clock._queue = []
-            clock._run_until = _INF
+            clock._run_until = math.inf
             clock._tail = None
         self._clocks.clear()
         self._clock_ids.clear()

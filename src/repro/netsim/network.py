@@ -533,8 +533,7 @@ class Network:
         self.undeliverable = 0
         #: The run whose members are being handed to hosts right now.
         #: Its members still to come would be heap entries if each packet
-        #: rode alone, so queue scans (the stop rule's
-        #: ``Scenario._queued``) count them as queued.
+        #: rode alone, so :meth:`queued` counts them as queued.
         self.delivering: Optional[_Transit] = None
 
     # -- topology -----------------------------------------------------------
@@ -717,6 +716,29 @@ class Network:
         if self.trace.enabled:
             self.trace.record(now, host.name, "deliver", packet, direction.value)
         host.handle_packet(packet, now)
+
+    def queued(self, origin: str, direction: Direction) -> bool:
+        """Whether a packet ``origin`` sent in ``direction`` is still on
+        its way: queued on the clock, or a member of the run being
+        delivered right now that is still to be handed over (it would be
+        queued if each packet rode alone).  A queued run always holds at
+        least one packet."""
+        delivering = self.delivering
+        if (
+            delivering is not None
+            and delivering.packets
+            and delivering.origin == origin
+            and delivering.direction is direction
+        ):
+            return True
+        for _time, _seq, event in self.clock._queue:
+            if (
+                event.__class__ is _Transit
+                and event.origin == origin
+                and event.direction is direction
+            ):
+                return True
+        return False
 
     # -- convenience ----------------------------------------------------------
     def run(self, duration: float = 10.0) -> None:

@@ -3,8 +3,8 @@
 An *insertion packet* is crafted so the GFW accepts and processes it
 while the server ignores or never receives it (§3.2).  Each member of
 :class:`Discrepancy` is one ignore-path the §5.3 analysis confirmed;
-:data:`PREFERRED_DISCREPANCIES` encodes Table 5 — which discrepancies
-are usable for which packet type:
+Table 5 — which discrepancies are usable for which packet type — is
+derived from that analysis by ``analysis.discrepancy.derive_table5``:
 
 | Packet type | TTL | MD5 | Bad ACK | Timestamp |
 |-------------|-----|-----|---------|-----------|
@@ -21,7 +21,6 @@ ACK numbers or old timestamps would still reset an ESTABLISHED server —
 from __future__ import annotations
 
 import enum
-from typing import Dict, Tuple
 
 from repro.netstack.options import MD5SignatureOption, TimestampOption
 from repro.netstack.packet import ACK, IPPacket, RST, seq_add
@@ -50,36 +49,6 @@ class Discrepancy(enum.Enum):
     SHORT_HEADER = "short-header"
     #: IP total length larger than the actual packet.
     OVERSIZE_IP_LENGTH = "oversize-ip-length"
-
-
-#: Table 5: which discrepancies each insertion-packet type may use.
-PREFERRED_DISCREPANCIES: Dict[str, Tuple[Discrepancy, ...]] = {
-    "SYN": (Discrepancy.LOW_TTL,),
-    "RST": (Discrepancy.LOW_TTL, Discrepancy.MD5_OPTION),
-    "DATA": (
-        Discrepancy.LOW_TTL,
-        Discrepancy.MD5_OPTION,
-        Discrepancy.BAD_ACK,
-        Discrepancy.OLD_TIMESTAMP,
-    ),
-}
-
-#: Discrepancies that client-side middleboxes are never seen to act on
-#: (§5.3 cross-validation): safe choices for the improved strategies.
-MIDDLEBOX_SAFE: Tuple[Discrepancy, ...] = (
-    Discrepancy.MD5_OPTION,
-    Discrepancy.BAD_ACK,
-    Discrepancy.OLD_TIMESTAMP,
-)
-
-
-def packet_type_of(packet: IPPacket) -> str:
-    segment = packet.tcp
-    if segment.is_syn:
-        return "SYN"
-    if segment.is_rst:
-        return "RST"
-    return "DATA"
 
 
 def apply_discrepancy(
@@ -124,30 +93,6 @@ def apply_discrepancy(
         raise ValueError(f"unknown discrepancy {discrepancy}")
     crafted.meta["discrepancy"] = discrepancy.value
     return crafted
-
-
-def craft_insertion(
-    ctx: ConnectionContext,
-    flags: int,
-    discrepancy: Discrepancy,
-    payload: bytes = b"",
-) -> IPPacket:
-    """Build an insertion packet on the context's connection and apply
-    one discrepancy, validating it against the Table 5 preference map."""
-    base = ctx.make_packet(flags=flags, payload=payload)
-    kind = packet_type_of(base)
-    allowed = PREFERRED_DISCREPANCIES.get(kind, tuple(Discrepancy))
-    if discrepancy not in allowed and discrepancy not in (
-        Discrepancy.BAD_CHECKSUM,
-        Discrepancy.NO_FLAG,
-        Discrepancy.RST_BAD_ACK,
-        Discrepancy.SHORT_HEADER,
-        Discrepancy.OVERSIZE_IP_LENGTH,
-    ):
-        raise ValueError(
-            f"discrepancy {discrepancy.value} is not usable on {kind} packets"
-        )
-    return apply_discrepancy(base, discrepancy, ctx)
 
 
 def _transport_len(packet: IPPacket) -> int:

@@ -200,8 +200,7 @@ def diagnose_trial(
     produced it.
     """
     from repro.experiments.calibration import DEFAULT_CALIBRATION
-    from repro.experiments.runner import _simulate_http_trial
-    from repro.experiments.scenarios import release_scenario
+    from repro.experiments.runner import observe_http_trial
 
     if calibration is None:
         calibration = DEFAULT_CALIBRATION
@@ -209,12 +208,12 @@ def diagnose_trial(
     before = registry.snapshot()
     with observing(EVENTS) as recorder:
         watermark = recorder.next_seq
-        record, scenario = _simulate_http_trial(
+        # The timeline covers the whole run, not just up to the record.
+        with observe_http_trial(
             vantage, website, strategy_id, calibration,
-            seed=seed, keyword=keyword, trace=True, gfw_variant=gfw_variant,
-            stop_at_verdict=False,  # the timeline covers the whole run
-        )
-        release_scenario(scenario)
+            seed=seed, keyword=keyword, gfw_variant=gfw_variant, trace=True,
+        ) as (record, _scenario):
+            pass
         events = recorder.events(since_seq=watermark - 1)
     return TrialDiagnosis(
         record=record, events=events, metrics=registry.diff(before)

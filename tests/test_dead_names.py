@@ -1,6 +1,7 @@
 """No dead names: every import under ``src/repro``, ``tests``,
 ``benchmarks`` and ``examples`` is used, and every attribute written on
-``self`` under ``src/repro`` is read somewhere.
+``self`` under ``src/repro`` is read somewhere.  No module under
+``src/repro`` imports another ``repro`` module's private name.
 
 Both checks read source with :mod:`ast` and run nothing.  A name is
 matched by spelling only, not by the class it belongs to, so a check
@@ -82,6 +83,25 @@ def unused_imports() -> List[str]:
     return found
 
 
+def private_imports() -> List[str]:
+    """``from repro.<module> import _name`` under ``src/repro``: a name
+    another module keeps private (dunders aside)."""
+    found = []
+    for path in _modules():
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.ImportFrom) or not (
+                node.module == "repro" or (node.module or "").startswith("repro.")
+            ):
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    found.append(
+                        f"{path.relative_to(SRC)}:{node.lineno}: "
+                        f"{node.module}.{alias.name}"
+                    )
+    return found
+
+
 def _self_writes(tree: ast.Module) -> Iterator[Tuple[str, int, str]]:
     """(class, line, attribute) for each ``self.<attribute>`` store."""
     for cls in ast.walk(tree):
@@ -132,3 +152,7 @@ def test_every_import_is_used():
 
 def test_every_attribute_written_on_self_is_read():
     assert unread_attributes() == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    assert private_imports() == []

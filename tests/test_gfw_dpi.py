@@ -319,6 +319,11 @@ class TestKeywordAutomaton:
         a, b = _inspector(), _inspector()
         assert a.automaton is b.automaton
 
+    def test_default_rules_hand_in_the_keyword_tuple(self):
+        """The memo lookup on the caller's own tuple is the common case
+        only if default rule sets hold the tuple, not a list copy."""
+        assert RuleSet().keywords is DEFAULT_KEYWORDS
+
     def test_pickle_roundtrip_preserves_matching(self):
         import pickle
 

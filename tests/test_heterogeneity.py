@@ -128,7 +128,7 @@ class TestTemporalProfile:
 
     def test_device_suppression_pinned_at_full_load(self, monkeypatch):
         """suppression=1.0: detection stands, enforcement never fires."""
-        from repro.experiments.runner import Outcome, _simulate_http_trial
+        from repro.experiments.runner import Outcome, observe_http_trial
         from repro.analysis.inconsistency import lab_vantages
         from repro.conformance.matrix import conformance_site
 
@@ -139,20 +139,20 @@ class TestTemporalProfile:
             profile=TemporalProfile(base_suppression=1.0, amplitude=0.0),
         )
         monkeypatch.setattr(heterogeneity, "ROUTE_ENSEMBLE", always)
-        record, scenario = _simulate_http_trial(
+        with observe_http_trial(
             vantage, website, "none", CLEAN_ROOM, seed=3,
             keyword=True, gfw_variant=HETEROGENEOUS_VARIANT,
-        )
-        device = scenario.gfw_devices[0]
-        assert record.outcome is Outcome.SUCCESS
-        assert device.resets_suppressed >= 1
-        assert device.resets_injected == 0
-        assert len(device.detections) >= 1  # the DPI match stands
-        assert device.blacklist.total_blacklistings == 0
+        ) as (record, scenario):
+            device = scenario.gfw_devices[0]
+            assert record.outcome is Outcome.SUCCESS
+            assert device.resets_suppressed >= 1
+            assert device.resets_injected == 0
+            assert len(device.detections) >= 1  # the DPI match stands
+            assert device.blacklist.total_blacklistings == 0
 
     def test_device_enforces_at_zero_load(self, monkeypatch):
         """suppression=0.0 under the same ensemble shape: blocked."""
-        from repro.experiments.runner import Outcome, _simulate_http_trial
+        from repro.experiments.runner import Outcome, observe_http_trial
         from repro.analysis.inconsistency import lab_vantages
         from repro.conformance.matrix import conformance_site
 
@@ -163,14 +163,14 @@ class TestTemporalProfile:
             profile=TemporalProfile(base_suppression=0.0, amplitude=0.0),
         )
         monkeypatch.setattr(heterogeneity, "ROUTE_ENSEMBLE", never)
-        record, scenario = _simulate_http_trial(
+        with observe_http_trial(
             vantage, website, "none", CLEAN_ROOM, seed=3,
             keyword=True, gfw_variant=HETEROGENEOUS_VARIANT,
-        )
-        device = scenario.gfw_devices[0]
-        assert record.outcome is Outcome.FAILURE2
-        assert device.resets_suppressed == 0
-        assert device.resets_injected > 0
+        ) as (record, scenario):
+            device = scenario.gfw_devices[0]
+            assert record.outcome is Outcome.FAILURE2
+            assert device.resets_suppressed == 0
+            assert device.resets_injected > 0
 
 
 # ---------------------------------------------------------------------------
@@ -201,21 +201,21 @@ class TestBlacklistTTLDrift:
         assert registry.counter_value("blacklist.ttl_expired") == before + 1
 
     def test_route_ttl_factor_scales_scenario_blacklist(self):
-        from repro.experiments.runner import _simulate_http_trial
+        from repro.experiments.runner import observe_http_trial
         from repro.analysis.inconsistency import lab_vantages
         from repro.conformance.matrix import conformance_site
 
         vantage = lab_vantages(1)[0]
         website = conformance_site()
-        _record, scenario = _simulate_http_trial(
+        profile = ROUTE_ENSEMBLE.profile_for(vantage.name, website.name)
+        with observe_http_trial(
             vantage, website, "none", CLEAN_ROOM, seed=11,
             keyword=True, gfw_variant=HETEROGENEOUS_VARIANT,
-        )
-        profile = ROUTE_ENSEMBLE.profile_for(vantage.name, website.name)
-        for device in scenario.gfw_devices:
-            assert device.blacklist.duration == pytest.approx(
-                90.0 * profile.ttl_factor
-            )
+        ) as (_record, scenario):
+            for device in scenario.gfw_devices:
+                assert device.blacklist.duration == pytest.approx(
+                    90.0 * profile.ttl_factor
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -192,16 +192,16 @@ def test_lossy_ladder_is_seed_deterministic():
     """Same seed => byte-identical packet ladder even with loss and
     jitter draws in play (golden-ladder prerequisite)."""
     from repro.experiments.calibration import CLEAN_ROOM
-    from repro.experiments.runner import _simulate_http_trial
+    from repro.experiments.runner import observe_http_trial
 
     lossy = CLEAN_ROOM.variant(base_loss_rate=0.08, path_jitter=0.15)
     vantage, website = _vantage_and_site()
     ladders = []
     for _ in range(2):
-        record, scenario = _simulate_http_trial(
+        with observe_http_trial(
             vantage, website, "resync-desync", lossy,
             seed=23, trace=True, gfw_variant="evolved",
-        )
-        ladders.append((record.outcome, scenario.trace.format_ladder()))
+        ) as (record, scenario):
+            ladders.append((record.outcome, scenario.trace.format_ladder()))
     assert ladders[0] == ladders[1]
     assert ladders[0][1]  # the trace actually recorded something

@@ -18,8 +18,7 @@ from repro.experiments import (
     outside_china_catalog,
 )
 from repro.experiments.fleet import FleetSpec, run_fleet
-from repro.experiments.runner import Outcome, _simulate_http_trial
-from repro.experiments.scenarios import release_scenario
+from repro.experiments.runner import Outcome, observe_http_trial, run_http_trial
 from repro.gfw.device import GFWDevice
 from repro.gfw.models import old_config
 from repro.netsim import Host, Network, Path, SimClock
@@ -195,7 +194,7 @@ def test_table1_trial_heap_events_pinned(monkeypatch):
         return executed
 
     monkeypatch.setattr(SimClock, "run", counting_run)
-    record, _scenario = _simulate_http_trial(
+    record = run_http_trial(
         CHINA_VANTAGE_POINTS[0], outside_china_catalog(count=1)[0],
         "improved-tcb-teardown", DEFAULT_CALIBRATION, seed=3, keyword=True,
     )
@@ -241,18 +240,17 @@ def test_a_traced_trial_is_the_measured_trial(monkeypatch, strategy_id):
     runs = []
     for trace in (False, True):
         carried.clear()
-        record, scenario = _simulate_http_trial(
+        with observe_http_trial(
             CHINA_VANTAGE_POINTS[0], outside_china_catalog(count=1)[0],
             strategy_id, DEFAULT_CALIBRATION, seed=3, keyword=True, trace=trace,
-        )
-        assert bool(scenario.trace.events) is trace
-        assert carried and all(carried)
-        runs.append((
-            record,
-            [device.stats() for device in scenario.gfw_devices],
-            [_flow_states(device) for device in scenario.gfw_devices],
-        ))
-        release_scenario(scenario)
+        ) as (record, scenario):
+            assert bool(scenario.trace.events) is trace
+            assert carried and all(carried)
+            runs.append((
+                record,
+                [device.stats() for device in scenario.gfw_devices],
+                [_flow_states(device) for device in scenario.gfw_devices],
+            ))
     assert runs[0] == runs[1]
 
 

@@ -1,16 +1,16 @@
-"""Tier-1 pins for the stop rule: an independent HTTP trial ends once
-its record is final (``Scenario.record_final``).
+"""Tier-1 pins for the stop rule: a measured HTTP trial
+(``run_http_trial``) ends once its record is final
+(``Scenario.record_final``).
 
-Soundness is checked, not argued: every conformance cell and a
-Table-1 slice, with and without the stop, must give equal
-:class:`TrialRecord`s, and each condition of the predicate is flipped
+Soundness is checked, not argued: every conformance cell, a Table-1
+slice and a Table-4 INTANG-row slice must give equal
+:class:`TrialRecord`s from ``run_http_trial`` and from the full-horizon
+``observe_http_trial``, and each condition of the predicate is flipped
 alone in a unit test.  Callers that read the scenario beyond the
 record (the inconsistency counters, ``diagnose_trial``'s timeline, the
 golden ladders) must still see the full horizon, and fleet waves must
 never arm the stop.
 """
-
-import dataclasses
 
 import pytest
 
@@ -36,7 +36,15 @@ from repro.experiments import (
 )
 from repro.experiments import fleet
 from repro.experiments.calibration import CLEAN_ROOM
-from repro.experiments.runner import Outcome, _cell_tasks, _simulate_http_trial
+from repro.experiments import runner
+from repro.experiments.runner import (
+    Outcome,
+    _cell_tasks,
+    make_persistent_selector,
+    observe_http_trial,
+    run_http_trial,
+    trial_seed,
+)
 from repro.experiments.scenarios import build_scenario, release_scenario
 from repro.gfw.flow import GFWFlow, GFWFlowState
 from repro.gfw.heterogeneity import HETEROGENEOUS_VARIANT
@@ -55,17 +63,38 @@ def _stopped_count() -> int:
     return get_registry().counter_value(STOPPED)
 
 
+def _trial_record(*args, stop, **kwargs):
+    """One trial's record: measured by ``run_http_trial`` (``stop``) or
+    run to the horizon by ``observe_http_trial``."""
+    if stop:
+        return run_http_trial(*args, **kwargs)
+    with observe_http_trial(*args, **kwargs) as (record, _scenario):
+        return record
+
+
 def _records(tasks, stop, gfw_variant=None):
-    """The trials' records with the stop armed or disarmed."""
-    records = []
-    for vantage, site, strategy_id, calibration, seed, keyword in tasks:
-        record, scenario = _simulate_http_trial(
+    """The trials' records, stopped at their verdict or not."""
+    return [
+        _trial_record(
             vantage, site, strategy_id, calibration, seed=seed,
-            keyword=keyword, gfw_variant=gfw_variant, stop_at_verdict=stop,
+            keyword=keyword, gfw_variant=gfw_variant, stop=stop,
         )
-        release_scenario(scenario)
-        records.append(dataclasses.astuple(record))
-    return records
+        for vantage, site, strategy_id, calibration, seed, keyword in tasks
+    ]
+
+
+def _released(monkeypatch, read):
+    """Call ``read(scenario)`` on each scenario the runner releases from
+    now on, before it is disposed; returns the list of what it read."""
+    seen = []
+    release = runner.release_scenario
+
+    def reading_release(scenario):
+        seen.append(read(scenario))
+        release(scenario)
+
+    monkeypatch.setattr(runner, "release_scenario", reading_release)
+    return seen
 
 
 def _conformance_records(repeats, stop):
@@ -89,6 +118,8 @@ def _assert_stop_is_sound(full, stopped, stops):
     drift = [(a, b) for a, b in zip(full, stopped) if a != b]
     assert not drift, f"{len(drift)} records changed, first: {drift[0]}"
     assert stops > 0, "the stop never fired: the check has no teeth"
+    assert stops == sum(record.stopped_at_verdict for record in stopped)
+    assert not any(record.stopped_at_verdict for record in full)
 
 
 def test_every_conformance_cell_same_records_with_and_without_the_stop():
@@ -248,10 +279,14 @@ def test_record_final_unlatched_device_must_be_inert():
 def test_record_final_success_needs_every_condition():
     """A completed response is final only while no device can see
     believed-client payload again; each condition is load-bearing."""
-    record, scenario = _simulate_http_trial(
+    with observe_http_trial(
         CHINA_VANTAGE_POINTS[0], outside_china_catalog(count=1)[0], "none",
-        DEFAULT_CALIBRATION, seed=0, keyword=False, stop_at_verdict=False,
-    )
+        DEFAULT_CALIBRATION, seed=0, keyword=False,
+    ) as (record, scenario):
+        _assert_success_final_conditions(record, scenario)
+
+
+def _assert_success_final_conditions(record, scenario):
     assert record.outcome is Outcome.SUCCESS
     assert not scenario.record_final()  # the response was never noted
     scenario.response_complete = True
@@ -290,7 +325,6 @@ def test_record_final_success_needs_every_condition():
 
     device._fragments.add(_pending_fragment(scenario))
     assert not scenario.record_final()  # a pending fragment may complete
-    release_scenario(scenario)
 
 
 def test_run_zero_fires_nothing_past_t0():
@@ -322,27 +356,85 @@ def test_stopped_counter_equal_serial_workers_and_sharded():
     assert stops(workers=3) == serial
 
 
+def test_table4_intang_row_same_records_and_selector_state():
+    """Table 4's INTANG row threads one persistent selector through a
+    vantage's trials; stopping each at its record changes neither the
+    records nor what the selector learns."""
+    vantages = CHINA_VANTAGE_POINTS[:3]
+    sites = outside_china_catalog(count=3)
+
+    def row(stop):
+        records, dumps = [], []
+        for v_index, vantage in enumerate(vantages):
+            selector = make_persistent_selector()
+            for w_index, website in enumerate(sites):
+                for repeat in range(2):
+                    records.append(_trial_record(
+                        vantage, website, None, DEFAULT_CALIBRATION,
+                        seed=trial_seed(5, v_index, w_index, repeat, "intang"),
+                        keyword=True, selector=selector, stop=stop,
+                    ))
+            dumps.append(selector.dump())
+        return records, dumps
+
+    full, full_dumps = row(stop=False)
+    stopped, stopped_dumps = row(stop=True)
+    _assert_stop_is_sound(
+        full, stopped, sum(record.stopped_at_verdict for record in stopped)
+    )
+    assert stopped_dumps == full_dumps
+    assert all(full_dumps)
+
+
+# ---------------------------------------------------------------------------
+# trial accounting
+# ---------------------------------------------------------------------------
+def _counts(names):
+    registry = get_registry()
+    return [registry.counter_value(name) for name in names]
+
+
+def test_a_matrix_run_counts_every_trial_it_classifies():
+    from repro.conformance.matrix import run_matrix
+
+    names = ("trials.run", "trials.success", "trials.failure1", "trials.failure2")
+    before = _counts(names)
+    run_matrix(default_cells()[:5], repeats=6, workers=1)
+    run, success, failure1, failure2 = (
+        after - start for after, start in zip(_counts(names), before)
+    )
+    assert run == success + failure1 + failure2 == 5 * 6
+
+
+def test_observed_and_measured_trials_each_count_one_run():
+    args = (
+        CHINA_VANTAGE_POINTS[0], outside_china_catalog(count=1)[0], "none",
+    )
+    (before,) = _counts(["trials.run"])
+    run_http_trial(*args)
+    with observe_http_trial(*args, trace=True):
+        pass
+    assert _counts(["trials.run"]) == [before + 2]
+
+
 # ---------------------------------------------------------------------------
 # observers keep the full horizon
 # ---------------------------------------------------------------------------
-def _inconsistency_counters(vantage, website, calibration, seeds, stop):
-    totals = dict(resets=0, adds=0, expirations=0, stopped=0)
-    for seed in seeds:
-        _record, scenario = _simulate_http_trial(
-            vantage, website, "none", calibration, seed=seed, keyword=True,
-            gfw_variant=HETEROGENEOUS_VARIANT, stop_at_verdict=stop,
-        )
-        totals["stopped"] += scenario.stopped_at_verdict
-        for device in scenario.gfw_devices:
-            device.blacklist.sweep(scenario.clock.now)
-            totals["resets"] += device.resets_injected
-            totals["adds"] += device.blacklist.total_blacklistings
-            totals["expirations"] += device.blacklist.total_expirations
-        release_scenario(scenario)
+def _device_counters(scenario):
+    totals = dict(resets=0, adds=0, expirations=0)
+    for device in scenario.gfw_devices:
+        device.blacklist.sweep(scenario.clock.now)
+        totals["resets"] += device.resets_injected
+        totals["adds"] += device.blacklist.total_blacklistings
+        totals["expirations"] += device.blacklist.total_expirations
     return totals
 
 
-def test_inconsistency_cell_counters_equal_a_full_horizon_run():
+def _summed(counters):
+    return {key: sum(c[key] for c in counters) for key in counters[0]}
+
+
+def test_inconsistency_cell_counters_equal_a_full_horizon_run(monkeypatch):
     from repro.analysis.inconsistency import _cell_salt
 
     vantage = lab_vantages(1)[0]
@@ -354,58 +446,64 @@ def test_inconsistency_cell_counters_equal_a_full_horizon_run():
     salt = _cell_salt(vantage.name, hour, "none")
     seeds = [(seed * 1_000_003 + repeat) ^ salt for repeat in range(repeats)]
     calibration = CLEAN_ROOM.variant(sim_hour=hour)
-    full = _inconsistency_counters(vantage, website, calibration, seeds, False)
+    trial = dict(keyword=True, gfw_variant=HETEROGENEOUS_VARIANT)
+    observed = []
+    for repeat_seed in seeds:
+        with observe_http_trial(
+            vantage, website, "none", calibration, seed=repeat_seed, **trial
+        ) as (_record, scenario):
+            observed.append(_device_counters(scenario))
+    full = _summed(observed)
     assert (
         cell.resets_injected, cell.blacklist_adds, cell.blacklist_expirations
     ) == (full["resets"], full["adds"], full["expirations"])
-    # The opt-out is load-bearing: a stopped run counts fewer resets.
-    stopped = _inconsistency_counters(vantage, website, calibration, seeds, True)
-    assert stopped["stopped"] > 0
-    assert stopped["resets"] < full["resets"]
+    # The full horizon is load-bearing: a measured run counts fewer resets.
+    measured = _released(monkeypatch, _device_counters)
+    records = [
+        run_http_trial(
+            vantage, website, "none", calibration, seed=repeat_seed, **trial
+        )
+        for repeat_seed in seeds
+    ]
+    assert any(record.stopped_at_verdict for record in records)
+    assert _summed(measured)["resets"] < full["resets"]
 
 
 def _event_rows(events):
     return [(e.time, e.component, e.kind, e.fields) for e in events]
 
 
-def _captured_events(vantage, website, stop):
-    with observing(EVENTS) as bus:
-        watermark = bus.next_seq
-        _record, scenario = _simulate_http_trial(
-            vantage, website, "none", DEFAULT_CALIBRATION, seed=7,
-            trace=True, stop_at_verdict=stop,
-        )
-        stopped = scenario.stopped_at_verdict
-        release_scenario(scenario)
-        return _event_rows(bus.events(since_seq=watermark - 1)), stopped
-
-
-def test_diagnose_trial_events_equal_a_full_horizon_run():
+def test_diagnose_trial_events_equal_a_full_horizon_run(monkeypatch):
     vantage = CHINA_VANTAGE_POINTS[0]
     website = outside_china_catalog(count=1)[0]
-    diagnosis = diagnose_trial(
-        vantage, website, "none", DEFAULT_CALIBRATION, seed=7
-    )
-    full, _ = _captured_events(vantage, website, stop=False)
+    trial = (vantage, website, "none", DEFAULT_CALIBRATION)
+    diagnosis = diagnose_trial(*trial, seed=7)
+    with observing(EVENTS) as bus:
+        watermark = bus.next_seq
+        with observe_http_trial(*trial, seed=7, trace=True):
+            pass
+        full = _event_rows(bus.events(since_seq=watermark - 1))
     assert _event_rows(diagnosis.events) == full
-    stopped, did_stop = _captured_events(vantage, website, stop=True)
-    assert did_stop and len(stopped) < len(full)
+    # The measured trial stops before the timeline ends.
+    stop_times = _released(monkeypatch, lambda scenario: scenario.clock.now)
+    assert run_http_trial(*trial, seed=7).stopped_at_verdict
+    (stopped_at,) = stop_times
+    assert max(row[0] for row in full) > stopped_at
 
 
-def test_capture_ladder_equals_the_full_horizon_golden():
+def test_capture_ladder_equals_the_full_horizon_golden(monkeypatch):
     cell = next(c for c in golden_cells() if c.strategy_id == "none")
     blessed = (golden_dir() / ladder_filename(cell)).read_text()
     assert capture_ladder(cell) == blessed
-    _record, scenario = _simulate_http_trial(
-        profile_vantage(cell.profile), conformance_site(), cell.strategy_id,
-        cell_calibration(cell.fault),
-        seed=(DEFAULT_SEED * 1_000_003) ^ cell.seed_salt(), keyword=True,
-        trace=True, gfw_variant=cell.gfw_variant,
-    )
-    stopped_ladder = scenario.trace.format_ladder()
-    assert scenario.stopped_at_verdict
-    release_scenario(scenario)
-    assert len(stopped_ladder) < len(blessed)
+    (kwargs,) = cell.trial_kwargs(DEFAULT_SEED)
+    # The measured trial stops before the ladder's last packet.
+    stop_times = _released(monkeypatch, lambda scenario: scenario.clock.now)
+    assert run_http_trial(**kwargs, keyword=True).stopped_at_verdict
+    (stopped_at,) = stop_times
+    with observe_http_trial(**kwargs, keyword=True, trace=True) as (
+        _record, scenario,
+    ):
+        assert max(e.time for e in scenario.trace.events) > stopped_at
 
 
 def test_fleet_waves_never_arm_the_stop(monkeypatch):
