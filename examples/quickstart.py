@@ -36,11 +36,9 @@ def build_world(seed: int = 1):
     path = Path(CLIENT_IP, SERVER_IP, hop_count=14)
     network.add_path(path)
 
-    config = evolved_config()
-    config.miss_probability = 0.0  # deterministic demo
-    gfw = GFWDevice("gfw", hop=8, config=config, clock=clock,
+    gfw = GFWDevice("gfw", hop=8, config=evolved_config(), clock=clock,
                     rng=random.Random(seed + 1))
-    gfw.cluster.miss_probability = 0.0
+    gfw.cluster.miss_probability = 0.0  # deterministic demo
     path.add_element(gfw)
 
     client_tcp = TCPHost(client, clock, rng=random.Random(seed + 2))

@@ -37,11 +37,9 @@ class GFWHarness(ProbeWorld):
         self, config: Optional[GFWConfig] = None, seed: int = 7
     ) -> None:
         super().__init__(seed, hop_count=6, name="gfw-probe")
-        config = config or evolved_config()
-        config.miss_probability = 0.0
         self.device = GFWDevice(
-            "gfw-probe", hop=3, config=config, clock=self.clock,
-            rng=random.Random(seed + 1),
+            "gfw-probe", hop=3, config=config or evolved_config(),
+            clock=self.clock, rng=random.Random(seed + 1),
         )
         self.device.cluster.miss_probability = 0.0
         self.path.add_element(self.device)

@@ -234,10 +234,9 @@ COUNTERMEASURE_TRIALS = 12
 
 def _countermeasure_trial(tweaks: Dict, strategy: str, seed: int) -> bool:
     """Process-pool work unit: one hardened-GFW fetch, True when evaded."""
-    config = evolved_config()
-    for name, value in tweaks.items():
-        setattr(config, name, value)
-    world, exchange = lab_trial(strategy, seed, seed + 3, gfw_config=config)
+    world, exchange = lab_trial(
+        strategy, seed, seed + 3, gfw_config=evolved_config(**tweaks)
+    )
     return exchange.got_response and not world.gfw.detections
 
 

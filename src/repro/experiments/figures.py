@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 import statistics
+from dataclasses import replace
 from typing import Dict
 
 from repro.apps.dns import DNSTcpResolver, DNSUdpClient, DNSUdpResolver
@@ -351,7 +352,9 @@ def vpn_campaign() -> Dict:
         calibration=CLEAN_ROOM, seed=3, workload="vpn",
     )
     for device in scenario.gfw_devices:
-        device.config.rules.detect_vpn = False
+        device.config = replace(
+            device.config, rules=replace(device.config.rules, detect_vpn=False)
+        )
     session = OpenVPNClient(scenario.client_tcp).open_session(site.ip)
     scenario.run(8.0)
     undetected_alive = (

@@ -279,8 +279,8 @@ class SharedGFWState:
 
     def __init__(self, spec: FleetSpec, group: int) -> None:
         self.spec = spec
-        #: member variant -> its installation, the one place the shared
-        #: state is kept.  Homogeneous groups hold exactly one entry
+        #: an installation's variant -> its shared state, the one place
+        #: that state is kept.  Homogeneous groups hold exactly one entry
         #: keyed by ``spec.gfw_variant``.
         self._installations: Dict[str, SharedInstallation] = {}
         #: Flow ids whose TCB was evicted while still mid-stream.
@@ -315,7 +315,7 @@ class SharedGFWState:
         )
         cluster = GFWCluster(
             rng=random.Random(group_rng.randrange(2**31)),
-            miss_probability=configs[0].miss_probability,
+            miss_probability=DEFAULT_CALIBRATION.gfw_miss_probability,
         )
         # NB3 coins are drawn once per installation (device __init__
         # only draws when the cluster lacks them); pre-draw here from
@@ -334,10 +334,10 @@ class SharedGFWState:
             positions.append((table, Blacklist(config.blacklist_duration), set()))
         self._installations[member] = SharedInstallation(cluster, tuple(positions))
 
-    def installation(self, member: str) -> SharedInstallation:
-        """The installation the devices of a route served by model
-        variant ``member`` are built on."""
-        return self._installations[member]
+    def installation(self, variant: str) -> SharedInstallation:
+        """The shared state the devices of a route whose installation
+        is model variant ``variant`` are built on."""
+        return self._installations[variant]
 
     @property
     def flow_tables(self) -> List[FlowTable]:
@@ -443,7 +443,9 @@ def _fleet_flow_setup(
         calibration=DEFAULT_CALIBRATION,
         seed=flow.seed,
         workload="http",
-        gfw_variant=spec.gfw_variant,
+        installation=heterogeneity.variant_installation(
+            spec.gfw_variant, flow.vantage.name, flow.website.name
+        ),
         shared_censor=shared,
     )
     batch.adopt(scenario.clock, flow_id=flow.index)

@@ -66,11 +66,9 @@ def mini_topology(
     network.add_path(path)
     gfw = None
     if with_gfw:
-        config = gfw_config or evolved_config()
-        config.miss_probability = 0.0
         gfw = GFWDevice(
-            "gfw", hop=gfw_hop, config=config, clock=clock,
-            rng=random.Random(seed + 1),
+            "gfw", hop=gfw_hop, config=gfw_config or evolved_config(),
+            clock=clock, rng=random.Random(seed + 1),
         )
         gfw.cluster.miss_probability = 0.0
         path.add_element(gfw)

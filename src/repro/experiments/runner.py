@@ -38,6 +38,7 @@ from repro.experiments.scenarios import (
 )
 from repro.experiments.vantage import CHINA_VANTAGE_POINTS, VantagePoint
 from repro.experiments.websites import DYN_RESOLVERS, Resolver, Website
+from repro.gfw.heterogeneity import variant_installation
 from repro.lazyrandom import LazyRandom
 from repro.tcp.stack import CloseReason, TCPConnection
 from repro.telemetry.metrics import get_registry
@@ -236,7 +237,11 @@ def _http_trial(
     wall_start = perf_counter() if get_recorder().spans_on else 0.0
     scenario = acquire_scenario(
         vantage=vantage, website=website, calibration=calibration,
-        seed=seed, workload="http", trace=trace, gfw_variant=gfw_variant,
+        seed=seed, workload="http", trace=trace,
+        installation=(
+            None if gfw_variant is None
+            else variant_installation(gfw_variant, vantage.name, website.name)
+        ),
     )
     scenario.stop_at_verdict = stop_at_verdict
     intang = attach_intang(

@@ -35,13 +35,7 @@ from repro.gfw.active_prober import ActiveProber
 from repro.gfw.cluster import GFWCluster
 from repro.gfw.device import GFWDevice
 from repro.gfw.dns_poisoner import DNSPoisoner
-from repro.gfw.heterogeneity import resolve_route
-from repro.gfw.models import (
-    GFWConfig,
-    evolved_config,
-    model_variant_configs,
-    old_config,
-)
+from repro.gfw.models import Installation, installation_configs
 from repro.apps.http import HTTPServer
 from repro.experiments.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.experiments.vantage import VantagePoint
@@ -313,13 +307,16 @@ def _draw_loss_rate(rng: random.Random, calibration: Calibration) -> float:
 
 
 #: The three installation compositions, indexed by the population pick.
+#: Evolved devices come first in each: they draw the cluster's NB3 coin,
+#: which old devices never consult.
 _GFW_GENERATIONS = (("old", "old2"), ("evolved", "old"), ("evolved", "evolved2"))
 
 
-def _gfw_configs(
-    rng: random.Random, calibration: Calibration, vantage: VantagePoint
-) -> List[GFWConfig]:
-    """Draw the installation composition and shared behaviour quirks."""
+def draw_installation(
+    rng: random.Random, calibration: Calibration
+) -> Installation:
+    """Draw the installation composition and shared behaviour quirks
+    (devices at one tap share a version): five ``random()`` calls."""
     generations = _GFW_GENERATIONS[
         _pick(
             rng,
@@ -330,38 +327,26 @@ def _gfw_configs(
             ),
         )
     ]
-    # Installation-wide quirk draws (devices at one tap share a version).
-    tcp_ooo = (
-        OverlapPolicy.LAST_WINS
-        if rng.random() < calibration.evolved_tcp_ooo_lastwins_fraction
-        else OverlapPolicy.FIRST_WINS
+    # Keyword arguments evaluate left to right: the draw order is fixed.
+    return Installation(
+        generations=generations,
+        tcp_ooo_policy=(
+            OverlapPolicy.LAST_WINS
+            if rng.random() < calibration.evolved_tcp_ooo_lastwins_fraction
+            else OverlapPolicy.FIRST_WINS
+        ),
+        accepts_no_flag_data=(
+            rng.random() >= calibration.evolved_ignores_noflag_fraction
+        ),
+        validates_ack_number=(
+            rng.random() < calibration.evolved_validates_ack_fraction
+        ),
+        fin_tears_down=rng.random() < calibration.evolved_fin_teardown_fraction,
+        resync_on_rst_probability=calibration.resync_on_rst_probability,
+        resync_on_rst_handshake_probability=(
+            calibration.resync_on_rst_handshake_probability
+        ),
     )
-    ignores_noflag = rng.random() < calibration.evolved_ignores_noflag_fraction
-    validates_ack = rng.random() < calibration.evolved_validates_ack_fraction
-    fin_teardown = rng.random() < calibration.evolved_fin_teardown_fraction
-    configs: List[GFWConfig] = []
-    for generation in generations:
-        if generation.startswith("old"):
-            config = old_config(reset_type=1 if generation == "old" else 2)
-        else:
-            config = evolved_config(
-                reset_type=2 if generation == "evolved" else 1
-            )
-            config.tcp_ooo_policy = tcp_ooo
-            config.accepts_no_flag_data = not ignores_noflag
-            config.validates_ack_number = validates_ack
-            config.fin_tears_down = fin_teardown
-            config.resync_on_rst_probability = calibration.resync_on_rst_probability
-            config.resync_on_rst_handshake_probability = (
-                calibration.resync_on_rst_handshake_probability
-            )
-        config.miss_probability = calibration.gfw_miss_probability
-        config.rules.detect_tor = vantage.tor_filtered
-        configs.append(config)
-    # Evolved devices must initialize the cluster's NB3 coin, so order
-    # them first (old devices never consult it).
-    configs.sort(key=lambda cfg: cfg.model != "evolved")
-    return configs
 
 
 @lru_cache(maxsize=64)
@@ -411,7 +396,7 @@ def build_scenario(
     trace: bool = False,
     force_firewall: Optional[bool] = None,
     firewall_teardown_probability: float = 1.0,
-    gfw_variant: Optional[str] = None,
+    installation: Optional[Installation] = None,
     shared_censor: Optional[object] = None,
 ) -> Scenario:
     """Build one trial topology.
@@ -420,15 +405,16 @@ def build_scenario(
     server end is the website (http), the resolver (dns), a Tor bridge,
     or a VPN server.
 
-    ``gfw_variant`` forces the installation to a named model variant from
-    :data:`repro.gfw.models.MODEL_VARIANT_FACTORIES` instead of drawing
-    the device composition from the calibration's population fractions —
-    the conformance harness uses this so a matrix cell's verdict is a
-    pure function of (strategy, variant, profile, fault point, seed).
+    ``installation`` is the GFW installation on the path; ``None``
+    draws it from the calibration (:func:`draw_installation`).  A given
+    one makes no draws — the conformance harness passes a named
+    variant's (:func:`repro.gfw.heterogeneity.variant_installation`) so
+    a matrix cell's verdict is a pure function of (strategy, variant,
+    profile, fault point, seed).
 
-    ``shared_censor`` (a fleet group's ``SharedGFWState``; needs
-    ``gfw_variant``) builds the devices on the shared state its
-    ``installation(member_variant)`` returns, a
+    ``shared_censor`` (a fleet group's ``SharedGFWState``; needs a
+    variant ``installation``) builds the devices on the shared state
+    its ``installation(installation.variant)`` returns, a
     :class:`~repro.gfw.cluster.SharedInstallation`, instead of on a
     private cluster, flow tables, blacklists and blocked-IP sets.
     """
@@ -498,44 +484,27 @@ def build_scenario(
             rng=LazyRandom(cluster_seed),
             miss_probability=calibration.gfw_miss_probability,
         )
-    elif gfw_variant is None or not censored_path:
-        raise ValueError("a shared censor needs a gfw_variant on a censored path")
+    elif installation is None or installation.variant is None or not censored_path:
+        raise ValueError(
+            "a shared censor needs a variant installation on a censored path"
+        )
     devices: List[GFWDevice] = []
     if censored_path:
         prober = ActiveProber(clock)
         poisoner = DNSPoisoner()
-        if gfw_variant is not None:
-            # Forced installation: exact configs, no population draws.
-            # Fresh instances per build, so per-scenario mutation below
-            # cannot leak across matrix cells.  The heterogeneous
-            # pseudo-variant resolves to one concrete member variant per
-            # (vantage, target) route — a pure crc32 function with no
-            # RNG draws, so the build draw order is untouched.
-            member_variant, temporal_profile = resolve_route(
-                gfw_variant, vantage.name, server_name
-            )
-            configs = model_variant_configs(member_variant)
-            for config in configs:
-                config.miss_probability = calibration.gfw_miss_probability
-                config.rules.detect_tor = vantage.tor_filtered
-                if temporal_profile is not None:
-                    config.temporal = temporal_profile
-                    config.sim_hour = calibration.sim_hour
-                    # Blacklist TTL drift (Ensafi): scale the 90 s
-                    # window per route.
-                    config.blacklist_duration = (
-                        config.blacklist_duration
-                        * temporal_profile.ttl_factor
-                    )
-        else:
-            configs = _gfw_configs(rng, calibration, vantage)
+        if installation is None:
+            installation = draw_installation(rng, calibration)
+        configs = installation_configs(
+            installation, vantage.tor_filtered, calibration.sim_hour
+        )
         positions: tuple = ((None, None, None),) * len(configs)
         if shared_censor is not None:
-            cluster, positions = shared_censor.installation(member_variant)
+            cluster, positions = shared_censor.installation(installation.variant)
             if len(positions) != len(configs):
                 raise ValueError(
                     f"shared installation has {len(positions)} device "
-                    f"positions, variant {member_variant!r} {len(configs)}"
+                    f"positions, variant {installation.variant!r} "
+                    f"{len(configs)}"
                 )
         for index, config in enumerate(configs):
             flows, blacklist, blocked_ips = positions[index]
@@ -629,39 +598,15 @@ def build_scenario(
 _SCENARIOS_BUILT = get_registry().counter("scenario.built")
 
 
-def acquire_scenario(
-    vantage: VantagePoint,
-    website: Optional[Website] = None,
-    resolver: Optional[Resolver] = None,
-    calibration: Calibration = DEFAULT_CALIBRATION,
-    seed: int = 0,
-    workload: str = "http",
-    trace: bool = False,
-    force_firewall: Optional[bool] = None,
-    firewall_teardown_probability: float = 1.0,
-    gfw_variant: Optional[str] = None,
-    shared_censor: Optional[object] = None,
-) -> Scenario:
-    """Lease a trial topology: a fresh :func:`build_scenario`, counted
-    by the ``scenario.built`` telemetry counter.
+def acquire_scenario(*args: object, **kwargs: object) -> Scenario:
+    """Lease a trial topology: a fresh :func:`build_scenario` of the
+    same arguments, counted by the ``scenario.built`` telemetry counter.
 
     The caller owns the scenario until it hands it back with
     :func:`release_scenario`.
     """
     _SCENARIOS_BUILT.inc()
-    return build_scenario(
-        vantage,
-        website=website,
-        resolver=resolver,
-        calibration=calibration,
-        seed=seed,
-        workload=workload,
-        trace=trace,
-        force_firewall=force_firewall,
-        firewall_teardown_probability=firewall_teardown_probability,
-        gfw_variant=gfw_variant,
-        shared_censor=shared_censor,
-    )
+    return build_scenario(*args, **kwargs)  # type: ignore[arg-type]
 
 
 def release_scenario(scenario: Scenario) -> None:

@@ -147,7 +147,7 @@ class GFWDevice(Tap):
         self.config = config
         self.clock = clock
         self.rng = rng or random.Random(zlib.crc32(name.encode()))
-        self.cluster = cluster or GFWCluster(self.rng, config.miss_probability)
+        self.cluster = cluster or GFWCluster(self.rng)
         self.injector = ResetInjector(config.reset_type, self.rng)
         self._recorder = get_recorder()
         self.blacklist = (
@@ -173,7 +173,8 @@ class GFWDevice(Tap):
         self.resets_injected = 0
         self.forged_synacks_injected = 0
         #: Detections left unenforced by the diurnal load draw (Ensafi
-        #: failure-to-inject; zero unless ``config.temporal`` is set).
+        #: failure-to-inject; zero unless ``config.reset_suppression`` is
+        #: set).
         self.resets_suppressed = 0
         #: Stream bytes handed to DPI inspectors (resource accounting).
         self.bytes_inspected = 0
@@ -528,10 +529,8 @@ class GFWDevice(Tap):
                 self, flow.believed_server[0], flow.believed_server[1], now
             )
             return
-        temporal = self.config.temporal
-        if temporal is not None and self.rng.random() < (
-            temporal.reset_suppression(self.config.sim_hour)
-        ):
+        suppression = self.config.reset_suppression
+        if suppression is not None and self.rng.random() < suppression:
             # Ensafi failure-to-inject: the DPI match stands, but the
             # loaded injector emits no volley and records no blacklist
             # entry.  One draw per detected flow (`flow.punished` is
@@ -542,7 +541,7 @@ class GFWDevice(Tap):
                 self._recorder.publish(
                     "gfw", "reset_suppressed", time=now, device=self.name,
                     namespace=self.flow_namespace,
-                    sim_hour=self.config.sim_hour,
+                    suppression=suppression,
                     rule=detection.kind,
                 )
             return

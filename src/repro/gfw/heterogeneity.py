@@ -20,10 +20,10 @@ This module supplies the deterministic fabric for that model:
   The suppression coin itself is drawn at detection time on the
   device's own stream (one ``rng.random()`` per detected flow).
 
-The ``heterogeneous`` pseudo-variant rides the existing ``gfw_variant``
-axis everywhere (scenario builds, the fleet's shared state, the
-conformance matrix); :func:`resolve_route` is the single choke point
-that maps it to a concrete member variant per route.
+The ``heterogeneous`` pseudo-variant rides the existing variant axis
+everywhere (trials, the fleet's shared state, the conformance matrix);
+:func:`variant_installation` is the single choke point that maps a
+variant name to one route's :class:`~repro.gfw.models.Installation`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.gfw.models import MODEL_VARIANT_FACTORIES, model_variant_configs
+from repro.gfw.models import MODEL_VARIANT_CONFIGS, Installation
 from repro.telemetry.metrics import get_registry
 
 __all__ = [
@@ -42,12 +42,12 @@ __all__ = [
     "RouteEnsemble",
     "TemporalProfile",
     "is_heterogeneous",
-    "resolve_route",
     "validate_variant",
+    "variant_installation",
 ]
 
 #: The pseudo-variant name accepted wherever a model variant is: it is
-#: not itself a member of ``MODEL_VARIANT_FACTORIES`` — it *selects* a
+#: not itself a member of ``MODEL_VARIANT_CONFIGS`` — it *selects* a
 #: member per route through :data:`ROUTE_ENSEMBLE`.
 HETEROGENEOUS_VARIANT = "heterogeneous"
 
@@ -132,10 +132,10 @@ class RouteEnsemble:
                 raise ValueError(
                     "heterogeneous cannot be a member of itself"
                 )
-            if member not in MODEL_VARIANT_FACTORIES:
+            if member not in MODEL_VARIANT_CONFIGS:
                 raise KeyError(
                     f"unknown ensemble member {member!r} "
-                    f"(known: {sorted(MODEL_VARIANT_FACTORIES)})"
+                    f"(known: {sorted(MODEL_VARIANT_CONFIGS)})"
                 )
 
     # -- per-route resolution -------------------------------------------
@@ -178,7 +178,7 @@ class RouteEnsemble:
         )
 
 
-#: The route ensemble ``resolve_route``, the fleet's shared state and the
+#: The route ensemble ``variant_installation``, the fleet's shared state and the
 #: inconsistency sweep read.  A module constant, not a scenario field, so
 #: the resolution is reachable without widening every task tuple; every
 #: process builds the same one, so serial and parallel runs agree.
@@ -193,28 +193,24 @@ def is_heterogeneous(variant: Optional[str]) -> bool:
 def validate_variant(variant: str) -> None:
     """Accept any registered variant or ``heterogeneous`` (KeyError
     otherwise, listing the full axis)."""
-    if is_heterogeneous(variant):
-        return
-    try:
-        model_variant_configs(variant)
-    except KeyError:
-        known = sorted(MODEL_VARIANT_FACTORIES) + [HETEROGENEOUS_VARIANT]
-        raise KeyError(
-            f"unknown GFW variant {variant!r} (known: {known})"
-        ) from None
+    if not is_heterogeneous(variant) and variant not in MODEL_VARIANT_CONFIGS:
+        known = sorted(MODEL_VARIANT_CONFIGS) + [HETEROGENEOUS_VARIANT]
+        raise KeyError(f"unknown GFW variant {variant!r} (known: {known})")
 
 
-def resolve_route(
-    variant: Optional[str], vantage_name: str, target_name: str
-) -> Tuple[Optional[str], Optional[TemporalProfile]]:
-    """Map the variant axis to one route's concrete installation.
+def variant_installation(
+    variant: str, vantage_name: str, target_name: str
+) -> Installation:
+    """The installation a named variant puts on one route.
 
-    Identity for ``None`` and every concrete variant (zero overhead and
-    zero new telemetry on historical paths); for ``heterogeneous``,
-    consults :data:`ROUTE_ENSEMBLE` and counts the assignment.
+    A concrete variant is the same on every route and counts nothing
+    (an unknown name raises once its configs are built);
+    ``heterogeneous`` consults :data:`ROUTE_ENSEMBLE` for the route's
+    member variant and profile and counts the assignment.  No RNG draw
+    either way.
     """
     if not is_heterogeneous(variant):
-        return variant, None
+        return Installation(variant=variant)
     member, profile = ROUTE_ENSEMBLE.resolve(vantage_name, target_name)
     _METRIC_ROUTES_ASSIGNED.inc()
-    return member, profile
+    return Installation(variant=member, profile=profile)

@@ -6,19 +6,27 @@ assumed by prior work and the model it infers in §4 is a field of
 the two presets, and experiments mix device instances of both (§7.1:
 strategies are *combined* precisely because both generations co-exist on
 real paths).
+
+The installation a trial meets is one frozen :class:`Installation`
+value; :func:`installation_configs` is the one place its device configs
+are built, and no config is changed after that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List
+from functools import lru_cache
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.netstack.fragment import OverlapPolicy
 from repro.gfw.blacklist import DEFAULT_BLACKLIST_DURATION
 from repro.gfw.rules import RuleSet
 
+if TYPE_CHECKING:
+    from repro.gfw.heterogeneity import TemporalProfile
 
-@dataclass
+
+@dataclass(frozen=True)
 class GFWConfig:
     """All knobs of one GFW device instance."""
 
@@ -74,28 +82,15 @@ class GFWConfig:
     #: default comfortably covers every simulated trial — eviction only
     #: matters for the resource-exhaustion ablations.
     max_flows: int = 4096
-    #: Probability (drawn once per flow, shared across the cluster) that
-    #: an overloaded GFW fails to act on a flow; the paper measures a
-    #: persistent ~2.8 % no-strategy success rate (§3.4).
-    miss_probability: float = 0.028
     blacklist_duration: float = DEFAULT_BLACKLIST_DURATION
-    #: Diurnal load profile (a :class:`repro.gfw.heterogeneity.
-    #: TemporalProfile`, duck-typed to avoid the import cycle).  ``None``
-    #: — the default for every registered variant — means no load
-    #: modulation and, critically, no extra RNG draws: the historical
-    #: draw order and every golden pin stay byte-identical.
-    #: Routes of the ``heterogeneous`` pseudo-variant get one installed
-    #: at scenario build.
-    temporal: object = None
-    #: Simulated hour-of-day the trial runs at; only consulted when
-    #: ``temporal`` is set (see ``Calibration.sim_hour``).
-    sim_hour: float = 12.0
+    #: Probability that a detected flow draws no enforcement because the
+    #: injector is loaded (a heterogeneous route's diurnal profile at the
+    #: trial's hour).  ``None`` — every registered variant and every
+    #: drawn installation — means no load modulation and, critically, no
+    #: extra RNG draw: the historical draw order stays byte-identical.
+    reset_suppression: Optional[float] = None
     #: Sequence window tolerated around the expected client seq.
     seq_window: int = 65535
-
-    def variant(self, **changes: object) -> "GFWConfig":
-        """A copy with ``changes`` applied (rules shared intentionally)."""
-        return replace(self, **changes)  # type: ignore[arg-type]
 
 
 def old_config(reset_type: int = 1, **changes: object) -> GFWConfig:
@@ -121,84 +116,126 @@ def evolved_config(reset_type: int = 2, **changes: object) -> GFWConfig:
     return GFWConfig(**fields)  # type: ignore[arg-type]
 
 
-#: Convenience presets.
-OLD_GFW = old_config()
-EVOLVED_GFW = evolved_config()
-
-
 # ---------------------------------------------------------------------------
 # Named model variants (conformance ablations)
 # ---------------------------------------------------------------------------
+#: The NB3 coin pinned heads (RST always resyncs), so a variant built on
+#: it is deterministic.
+_RESYNC_ALWAYS = {
+    "resync_on_rst_probability": 1.0,
+    "resync_on_rst_handshake_probability": 1.0,
+}
+_RESYNC_NEVER = {
+    "resync_on_rst_probability": 0.0,
+    "resync_on_rst_handshake_probability": 0.0,
+}
+
 #: Named installation variants for the differential conformance harness:
-#: each maps to a factory producing the *exact* device configs of one
-#: installation — no population draws — so a conformance cell's verdict is
-#: a pure function of (strategy, variant, profile, fault point, seed).
-#: The NB ablations flip one §4 finding at a time, which is what makes
-#: the matrix differential: a strategy that exploits NB1 must flip its
-#: verdict between ``evolved`` and ``evolved-nb1-off``.
-MODEL_VARIANT_FACTORIES: Dict[str, Callable[[], List[GFWConfig]]] = {
+#: the *exact* device configs of one installation — no population draws —
+#: so a conformance cell's verdict is a pure function of (strategy,
+#: variant, profile, fault point, seed).  The NB ablations flip one §4
+#: finding at a time, which is what makes the matrix differential: a
+#: strategy that exploits NB1 must flip its verdict between ``evolved``
+#: and ``evolved-nb1-off``.  Configs are frozen, so every scenario
+#: shares these instances.
+MODEL_VARIANT_CONFIGS: Dict[str, Tuple[GFWConfig, ...]] = {
     # The model prior work assumed (§3.2); Table 1's strategies were
     # designed against exactly this state machine.
-    "old": lambda: [old_config(reset_type=1)],
-    # The §4 evolved model with every new behaviour on, but the NB3 coin
-    # pinned heads (RST always resyncs) so the variant is deterministic.
-    "evolved": lambda: [
-        evolved_config(
-            resync_on_rst_probability=1.0,
-            resync_on_rst_handshake_probability=1.0,
-        )
-    ],
+    "old": (old_config(reset_type=1),),
+    # The §4 evolved model with every new behaviour on.
+    "evolved": (evolved_config(**_RESYNC_ALWAYS),),
     # NB1 ablation: no TCB from a bare SYN/ACK (§4 "TCB creation").
-    "evolved-nb1-off": lambda: [
-        evolved_config(
-            creates_tcb_on_synack=False,
-            resync_on_rst_probability=1.0,
-            resync_on_rst_handshake_probability=1.0,
-        )
-    ],
+    "evolved-nb1-off": (
+        evolved_config(creates_tcb_on_synack=False, **_RESYNC_ALWAYS),
+    ),
     # NB2 ablation: the RESYNC state does not exist (§4 "resync state").
-    "evolved-nb2-off": lambda: [
-        evolved_config(
-            supports_resync=False,
-            resync_on_rst_probability=0.0,
-            resync_on_rst_handshake_probability=0.0,
-        )
-    ],
+    "evolved-nb2-off": (
+        evolved_config(supports_resync=False, **_RESYNC_NEVER),
+    ),
     # NB3 ablation: RST always tears the TCB down, never resyncs.
-    "evolved-nb3-off": lambda: [
-        evolved_config(
-            resync_on_rst_probability=0.0,
-            resync_on_rst_handshake_probability=0.0,
-        )
-    ],
+    "evolved-nb3-off": (evolved_config(**_RESYNC_NEVER),),
     # §7.1's reality: both generations co-exist on one path, which is why
-    # the paper combines strategies.  Old device first by hop order is
-    # irrelevant; evolved first so it seeds the cluster NB3 coin.
-    "mixed": lambda: [
-        evolved_config(
-            resync_on_rst_probability=1.0,
-            resync_on_rst_handshake_probability=1.0,
-        ),
-        old_config(reset_type=1),
-    ],
+    # the paper combines strategies.  Evolved first so it seeds the
+    # cluster NB3 coin.
+    "mixed": (evolved_config(**_RESYNC_ALWAYS), old_config(reset_type=1)),
 }
 
 #: Variant names in canonical matrix order.
-MODEL_VARIANTS: List[str] = list(MODEL_VARIANT_FACTORIES)
+MODEL_VARIANTS: List[str] = list(MODEL_VARIANT_CONFIGS)
 
 
-def model_variant_configs(variant: str) -> List[GFWConfig]:
-    """Fresh device configs for a named installation variant.
-
-    A new list of new configs per call — conformance cells mutate
-    ``miss_probability`` and ``rules`` per scenario, so sharing instances
-    across cells would leak state between matrix cells.
-    """
+def model_variant_configs(variant: str) -> Tuple[GFWConfig, ...]:
+    """The shared, frozen device configs of a named installation variant
+    (``KeyError`` listing the known names otherwise)."""
     try:
-        factory = MODEL_VARIANT_FACTORIES[variant]
+        return MODEL_VARIANT_CONFIGS[variant]
     except KeyError:
         raise KeyError(
             f"unknown GFW model variant {variant!r}; "
-            f"known: {sorted(MODEL_VARIANT_FACTORIES)}"
+            f"known: {sorted(MODEL_VARIANT_CONFIGS)}"
         ) from None
-    return factory()
+
+
+# ---------------------------------------------------------------------------
+# The installation a trial meets
+# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class Installation:
+    """The GFW installation on one trial's path, as one hashable value:
+    a named ``variant`` (its exact configs), or — ``variant is None`` —
+    drawn ``generations`` in hop order (``old``/``old2`` are reset type
+    1/2, ``evolved``/``evolved2`` type 2/1) whose evolved devices share
+    the quirks below.  ``profile`` is a heterogeneous route's diurnal
+    load curve."""
+
+    variant: Optional[str] = None
+    generations: Tuple[str, ...] = ()
+    tcp_ooo_policy: OverlapPolicy = OverlapPolicy.FIRST_WINS
+    accepts_no_flag_data: bool = True
+    validates_ack_number: bool = False
+    fin_tears_down: bool = False
+    resync_on_rst_probability: float = 0.20
+    resync_on_rst_handshake_probability: float = 0.80
+    profile: Optional[TemporalProfile] = None
+
+
+@lru_cache(maxsize=1024)
+def installation_configs(
+    installation: Installation, tor_filtered: bool, sim_hour: float
+) -> Tuple[GFWConfig, ...]:
+    """The device configs of ``installation`` on a path whose devices
+    fingerprint Tor iff ``tor_filtered``, at simulated hour ``sim_hour``:
+    memoized, so equal arguments share the same frozen configs.  A route
+    profile sets ``reset_suppression`` at ``sim_hour`` and scales the
+    blacklist window by its ``ttl_factor``."""
+    rules = RuleSet(detect_tor=tor_filtered)
+    if installation.variant is None:
+        evolved = evolved_config(
+            rules=rules,
+            tcp_ooo_policy=installation.tcp_ooo_policy,
+            accepts_no_flag_data=installation.accepts_no_flag_data,
+            validates_ack_number=installation.validates_ack_number,
+            fin_tears_down=installation.fin_tears_down,
+            resync_on_rst_probability=installation.resync_on_rst_probability,
+            resync_on_rst_handshake_probability=(
+                installation.resync_on_rst_handshake_probability
+            ),
+        )
+        return tuple(
+            old_config(reset_type=1 if generation == "old" else 2, rules=rules)
+            if generation.startswith("old")
+            else replace(evolved, reset_type=2 if generation == "evolved" else 1)
+            for generation in installation.generations
+        )
+    profile = installation.profile
+    return tuple(
+        replace(config, rules=rules)
+        if profile is None
+        else replace(
+            config,
+            rules=rules,
+            reset_suppression=profile.reset_suppression(sim_hour),
+            blacklist_duration=config.blacklist_duration * profile.ttl_factor,
+        )
+        for config in model_variant_configs(installation.variant)
+    )

@@ -36,7 +36,7 @@ class Detection:
         return f"{self.kind}:{self.detail}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RuleSet:
     """The rule base a GFW device applies to reassembled streams."""
 

@@ -8,6 +8,7 @@ oracle table and the blessed snapshot is marked ``slow`` and runs as its
 own CI job (``repro conformance run`` is the same check as a command).
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -48,17 +49,22 @@ def test_model_variants_cover_generations_and_ablations():
     assert len(MODEL_VARIANTS) >= 3
 
 
-def test_model_variant_configs_are_fresh_and_validated():
+def test_model_variant_configs_are_shared_frozen_and_validated():
     first = model_variant_configs("evolved")
-    second = model_variant_configs("evolved")
-    assert first[0] is not second[0]  # mutating one run can't leak
+    assert model_variant_configs("evolved") is first  # one shared tuple
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first[0].creates_tcb_on_synack = False
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first[0].rules.detect_tor = False
     assert first[0].creates_tcb_on_synack
     assert not model_variant_configs("evolved-nb1-off")[0].creates_tcb_on_synack
     assert not model_variant_configs("evolved-nb2-off")[0].supports_resync
     assert model_variant_configs("evolved-nb3-off")[0].resync_on_rst_probability == 0.0
     assert len(model_variant_configs("mixed")) == 2
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError) as raised:
         model_variant_configs("gfw-9000")
+    for variant in MODEL_VARIANTS:
+        assert repr(variant) in str(raised.value)
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,12 @@ class TestWestChamberBaseline:
         """§1: "none of the strategies were found to be effective"."""
         caught = 0
         for seed in range(4):
-            config = evolved_config()
             # Across installations the NB3 coin varies; West Chamber dies
             # either way once the FIN is ignored and the RST resyncs.
-            config.resync_on_rst_probability = 1.0
-            config.resync_on_rst_handshake_probability = 1.0
+            config = evolved_config(
+                resync_on_rst_probability=1.0,
+                resync_on_rst_handshake_probability=1.0,
+            )
             world, _ = lab_trial("west-chamber", seed, seed, gfw_config=config)
             if detections(world):
                 caught += 1

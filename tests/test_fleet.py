@@ -13,6 +13,8 @@ import dataclasses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import fleet
+from repro.experiments.calibration import DEFAULT_CALIBRATION
 from repro.experiments.fleet import (
     DEFAULT_FLEET_STRATEGIES,
     FleetResult,
@@ -22,6 +24,7 @@ from repro.experiments.fleet import (
     run_fleet_group,
     site_index,
 )
+from repro.gfw.heterogeneity import HETEROGENEOUS_VARIANT, ROUTE_ENSEMBLE
 from repro.telemetry import get_registry
 
 #: Small but load-bearing: capacity 24 is below each group's ~40
@@ -110,6 +113,44 @@ class TestFleetParity:
         )
         assert result.blacklist_false_positives > 0
         assert result.peak_flows_tracked <= SPEC.max_flows
+
+
+#: The heterogeneous fleet: each route's devices are its ensemble
+#: member's, built on that member's shared installation.
+HETERO_SPEC = FleetSpec(
+    flows=48, groups=2, window=8, sites=6, seed=5,
+    gfw_variant=HETEROGENEOUS_VARIANT,
+)
+
+
+class TestHeterogeneousFleet:
+    def test_serial_vs_two_workers_identical(self):
+        serial = run_fleet(HETERO_SPEC, workers=1)
+        sharded = run_fleet(HETERO_SPEC, workers=2)
+        assert serial.flows == HETERO_SPEC.flows
+        assert dataclasses.asdict(serial) == dataclasses.asdict(sharded)
+
+    def test_devices_carry_their_routes_suppression(self, monkeypatch):
+        seen = []
+        release = fleet.release_scenario
+
+        def reading_release(scenario):
+            seen.append((
+                ROUTE_ENSEMBLE.resolve(scenario.vantage.name, scenario.website.name),
+                [device.config for device in scenario.gfw_devices],
+            ))
+            release(scenario)
+
+        monkeypatch.setattr(fleet, "release_scenario", reading_release)
+        run_fleet(HETERO_SPEC, workers=1)
+        assert len(seen) == HETERO_SPEC.flows
+        hour = DEFAULT_CALIBRATION.sim_hour
+        for (member, profile), configs in seen:
+            assert configs, "every fleet route is censored"
+            for config in configs:
+                assert config.reset_suppression == profile.reset_suppression(hour)
+        assert len({member for (member, _), _ in seen}) > 1
+        assert len({c.reset_suppression for _, cs in seen for c in cs}) > 1
 
 
 class TestFlowGenerator:

@@ -106,9 +106,7 @@ class TestKeywordDetection:
         assert not harness.device.detections
 
     def test_miss_probability_suppresses_punishment(self):
-        config = evolved_config()
-        config.miss_probability = 1.0
-        world = mini_topology(gfw_config=config)
+        world = mini_topology()
         world.gfw.cluster.miss_probability = 1.0
         exchange = fetch(world)
         assert exchange.got_response
@@ -199,16 +197,20 @@ class TestTeardown:
         )
 
     def test_rst_tears_down_when_coin_says_teardown(self):
-        config = evolved_config(resync_on_rst_probability=0.0)
-        config.resync_on_rst_handshake_probability = 0.0
+        config = evolved_config(
+            resync_on_rst_probability=0.0,
+            resync_on_rst_handshake_probability=0.0,
+        )
         harness = _harness(config=config)
         harness.establish()
         harness.send_from_client(self._rst(harness))
         assert harness.flow() is None
 
     def test_nb3_rst_resyncs_when_coin_says_resync(self):
-        config = evolved_config(resync_on_rst_probability=1.0)
-        config.resync_on_rst_handshake_probability = 1.0
+        config = evolved_config(
+            resync_on_rst_probability=1.0,
+            resync_on_rst_handshake_probability=1.0,
+        )
         harness = _harness(config=config)
         harness.establish()
         harness.send_from_client(self._rst(harness))
@@ -218,8 +220,10 @@ class TestTeardown:
 
     def test_bad_checksum_rst_still_accepted_by_gfw(self):
         """The GFW does not validate checksums (Table 3 row 3)."""
-        config = evolved_config(resync_on_rst_probability=0.0)
-        config.resync_on_rst_handshake_probability = 0.0
+        config = evolved_config(
+            resync_on_rst_probability=0.0,
+            resync_on_rst_handshake_probability=0.0,
+        )
         harness = _harness(config=config)
         harness.establish()
         rst = self._rst(harness)
@@ -342,9 +346,7 @@ class TestTCBReversalMechanics:
 
 class TestNoFlagAndAckQuirks:
     def test_device_configured_to_ignore_no_flag_data(self):
-        config = evolved_config()
-        config.accepts_no_flag_data = False
-        harness = _harness(config=config)
+        harness = _harness(config=evolved_config(accepts_no_flag_data=False))
         harness.establish()
         junk = harness._segment(
             0, seq=harness.snd_nxt(), payload=b"junkjunk"
@@ -363,9 +365,7 @@ class TestNoFlagAndAckQuirks:
         assert harness.flow().client_next_seq == seq_add(harness.snd_nxt(), 8)
 
     def test_ack_validating_device_ignores_wild_acks(self):
-        config = evolved_config()
-        config.validates_ack_number = True
-        harness = _harness(config=config)
+        harness = _harness(config=evolved_config(validates_ack_number=True))
         harness.establish()
         junk = harness._segment(
             ACK, seq=harness.snd_nxt(),

@@ -33,11 +33,9 @@ def make_flow(port: int) -> GFWFlow:
 
 
 def make_device(max_flows: int = 4096) -> GFWDevice:
-    config = evolved_config(max_flows=max_flows)
-    config.miss_probability = 0.0
     device = GFWDevice(
-        "table-test", hop=3, config=config, clock=SimClock(),
-        rng=random.Random(11),
+        "table-test", hop=3, config=evolved_config(max_flows=max_flows),
+        clock=SimClock(), rng=random.Random(11),
     )
     device.cluster.miss_probability = 0.0
     return device
@@ -215,7 +213,6 @@ class TestEvictionSplit:
 
     def test_old_model_fin_still_tears_down(self):
         config = evolved_config(max_flows=4, fin_tears_down=True)
-        config.miss_probability = 0.0
         device = GFWDevice(
             "fin-test", hop=3, config=config, clock=SimClock(),
             rng=random.Random(11),

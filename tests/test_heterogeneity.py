@@ -22,9 +22,10 @@ from repro.gfw.heterogeneity import (
     RouteEnsemble,
     TemporalProfile,
     is_heterogeneous,
-    resolve_route,
     validate_variant,
+    variant_installation,
 )
+from repro.gfw.models import Installation
 from repro.telemetry.metrics import get_registry
 
 CLEAN = FAULT_GRID[0]
@@ -85,21 +86,27 @@ class TestRouteAssignment:
         with pytest.raises(KeyError):
             validate_variant("no-such-variant")
 
-    def test_resolve_route_identity_for_concrete_variants(self):
-        assert resolve_route(None, "a", "b") == (None, None)
-        assert resolve_route("evolved", "a", "b") == ("evolved", None)
+    def test_variant_installation_for_concrete_variants(self):
+        assert variant_installation("evolved", "a", "b") == Installation(
+            variant="evolved"
+        )
+        assert variant_installation("mixed", "a", "b") == variant_installation(
+            "mixed", "c", "d"
+        )
         assert is_heterogeneous("heterogeneous")
         assert not is_heterogeneous("mixed")
 
-    def test_resolve_route_counts_heterogeneous_assignments(self):
+    def test_variant_installation_counts_heterogeneous_assignments(self):
         registry = get_registry()
         before = registry.counter_value("hetero.routes_assigned")
-        resolve_route("evolved", "a", "b")  # identity: no count
+        variant_installation("evolved", "a", "b")  # concrete: no count
         assert registry.counter_value("hetero.routes_assigned") == before
-        member, profile = resolve_route(HETEROGENEOUS_VARIANT, "a", "b")
+        installation = variant_installation(HETEROGENEOUS_VARIANT, "a", "b")
         assert registry.counter_value("hetero.routes_assigned") == before + 1
-        assert member in ROUTE_ENSEMBLE.members
-        assert profile is not None
+        assert (installation.variant, installation.profile) == (
+            ROUTE_ENSEMBLE.resolve("a", "b")
+        )
+        assert installation.profile is not None
 
 
 # ---------------------------------------------------------------------------

@@ -204,9 +204,10 @@ class TestPriorAssumption3:
     def test_rst_during_handshake_resyncs_more_often(self):
         """§4: 'this happens way more frequently for the former case' —
         encoded as two separate cluster coins; assert the wiring."""
-        config = evolved_config()
-        config.resync_on_rst_probability = 0.0
-        config.resync_on_rst_handshake_probability = 1.0
+        config = evolved_config(
+            resync_on_rst_probability=0.0,
+            resync_on_rst_handshake_probability=1.0,
+        )
         harness = GFWHarness(config=config)
         # RST between SYN/ACK and ACK: handshake incomplete -> resync.
         harness.send_from_client(
@@ -224,9 +225,10 @@ class TestPriorAssumption3:
         assert harness.flow().state is GFWFlowState.RESYNC
 
     def test_rst_after_handshake_uses_established_coin(self):
-        config = evolved_config()
-        config.resync_on_rst_probability = 0.0
-        config.resync_on_rst_handshake_probability = 1.0
+        config = evolved_config(
+            resync_on_rst_probability=0.0,
+            resync_on_rst_handshake_probability=1.0,
+        )
         harness = GFWHarness(config=config)
         harness.establish()  # includes the client's pure ACK
         harness.send_from_client(

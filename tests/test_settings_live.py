@@ -6,9 +6,14 @@ behaviour the simulator does not have.  This scans ``src/repro`` with
 ``ast`` for attribute reads (``obj.field``) and ``getattr(obj, "field")``
 calls outside the field declarations of the class that owns the field;
 the class's own methods count as readers.
+
+Every config class is also a frozen dataclass: a value is built once
+and shared, never edited after it is built.
 """
 
 import ast
+import dataclasses
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -16,7 +21,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: module (relative to ``src/repro``) -> config classes it declares.
 CONFIG_CLASSES = {
     "experiments/calibration.py": ("Calibration",),
-    "gfw/models.py": ("GFWConfig",),
+    "gfw/models.py": ("GFWConfig", "Installation"),
     "gfw/rules.py": ("RuleSet",),
     "tcp/profiles.py": ("StackProfile",),
     "middlebox/profiles.py": ("MiddleboxProfile",),
@@ -89,3 +94,19 @@ def test_every_config_field_is_read():
     }
     unread = [f"{cls}.{name}" for cls, name in fields if name not in read[cls]]
     assert unread == [], f"config fields nothing reads: {unread}"
+
+
+def test_every_config_class_is_frozen():
+    thawed = []
+    for module, classes in CONFIG_CLASSES.items():
+        loaded = importlib.import_module(
+            "repro." + module[: -len(".py")].replace("/", ".")
+        )
+        for name in classes:
+            cls = getattr(loaded, name)
+            if not (
+                dataclasses.is_dataclass(cls)
+                and cls.__dataclass_params__.frozen
+            ):
+                thawed.append(name)
+    assert thawed == [], f"config classes that can be edited: {thawed}"

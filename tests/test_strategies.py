@@ -28,9 +28,8 @@ from helpers import detections
 
 
 def run_strategy(strategy_id, model="evolved", seed=1, config_tweaks=None, **world_kw):
-    config = evolved_config() if model == "evolved" else old_config()
-    for name, value in (config_tweaks or {}).items():
-        setattr(config, name, value)
+    build = evolved_config if model == "evolved" else old_config
+    config = build(**(config_tweaks or {}))
     world = mini_topology(gfw_config=config, seed=seed, **world_kw)
     intang = INTANG(
         host=world.client, tcp_host=world.client_tcp, clock=world.clock,
@@ -205,13 +204,11 @@ class TestImprovedAndCombined:
         """§7.1's point: one path, devices of both generations, one
         strategy must defeat all of them."""
         for strategy in ("tcb-creation+resync-desync", "tcb-teardown+tcb-reversal"):
-            config_old = old_config()
-            config_old.miss_probability = 0.0
             world = mini_topology(seed=5)  # evolved device at hop 8
             from repro.gfw import GFWDevice
 
             second = GFWDevice(
-                "gfw-old", hop=8, config=config_old, clock=world.clock,
+                "gfw-old", hop=8, config=old_config(), clock=world.clock,
                 rng=random.Random(99), cluster=world.gfw.cluster,
             )
             world.path.add_element(second)

@@ -38,10 +38,8 @@ def _world(jitter=0.0, gfw=True):
     network.add_path(path)
     device = None
     if gfw:
-        config = old_config(reset_type=1)
-        config.miss_probability = 0.0
-        device = GFWDevice("gfw", hop=4, config=config, clock=clock,
-                           rng=random.Random(2))
+        device = GFWDevice("gfw", hop=4, config=old_config(reset_type=1),
+                           clock=clock, rng=random.Random(2))
         device.cluster.miss_probability = 0.0
         path.add_element(device)
     return clock, network, client, server, device

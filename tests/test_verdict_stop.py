@@ -12,6 +12,8 @@ golden ladders) must still see the full horizon, and fleet waves must
 never arm the stop.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.inconsistency import _inconsistency_cell_worker, lab_vantages
@@ -48,6 +50,7 @@ from repro.experiments.runner import (
 from repro.experiments.scenarios import build_scenario, release_scenario
 from repro.gfw.flow import GFWFlow, GFWFlowState
 from repro.gfw.heterogeneity import HETEROGENEOUS_VARIANT
+from repro.gfw.models import Installation
 from repro.netstack.fragment import make_fragment
 from repro.netstack.packet import ACK, IPPacket, TCPSegment
 from repro.strategies.registry import TABLE1_ROWS
@@ -244,7 +247,7 @@ def test_record_final_unlatched_device_must_be_inert():
     TCB; each condition of that is load-bearing."""
     scenario = build_scenario(
         CHINA_VANTAGE_POINTS[0], website=outside_china_catalog(count=1)[0],
-        seed=0, gfw_variant="mixed",
+        seed=0, installation=Installation(variant="mixed"),
     )
     evolved, old = scenario.gfw_devices
     assert (evolved.config.model, old.config.model) == ("evolved", "old")
@@ -254,9 +257,10 @@ def test_record_final_unlatched_device_must_be_inert():
     scenario.reset_kinds.add("type2")
     assert scenario.record_final()  # the old device is inert
     # NB1: a device that opens TCBs on a SYN/ACK may still open one.
-    old.config.creates_tcb_on_synack = True
+    inert = old.config
+    old.config = replace(inert, creates_tcb_on_synack=True)
     assert not scenario.record_final()
-    old.config.creates_tcb_on_synack = False
+    old.config = inert
     key = ("held",)
     old.flows[key] = _flow((scenario.client.ip, 40000), (scenario.server.ip, 80))
     assert not scenario.record_final()  # it holds a TCB
